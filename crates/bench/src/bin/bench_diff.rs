@@ -465,7 +465,7 @@ mod tests {
             ("batch_wall_ms_mean", false),
             ("mint_busy_ns", false),
             ("overhead_pct", false),
-            ("encode.after_pps", true),
+            ("encode.parity_pps", true),
         ] {
             assert_eq!(timing_direction(key), Some(higher), "{key}");
         }

@@ -2,63 +2,39 @@
 //!
 //! Answers the question the flight recorder raises: what does recording
 //! cost? The acceptance cell (N = 2^20, d = 8, J = L = 64; N = 2^12
-//! under `--smoke`) runs legs of eight consecutive streamed rekey
-//! builds (`rekeymsg::stream`) — recorder off, then recorder on —
+//! under `--smoke`) runs legs of eight consecutive wide rekey builds
+//! (`process_batch_in` + `rekeymsg::plan_and_seal`, the datapath
+//! `bench_scale` rows time) — recorder off, then recorder on —
 //! interleaved so thermal/cache drift hits both legs equally, taking
 //! the min leg wall over reps for each side. A single build is ~1.5 ms
 //! on the reference container, small enough that a percentage gate on
 //! one build is scheduling noise; the eight-build leg amortises it.
-//! Alongside the overhead it cross-validates the pipeline-overlap
-//! accounting two independent ways:
-//!
-//! * `stats_overlap_ns` — `StreamStats::overlap_ns`, the stopwatch
-//!   windows measured inside `plan_and_seal_streamed` itself;
-//! * `event_window_overlap_ns` — the same three-window inclusion–
-//!   exclusion recomputed from the recorder's event stream (the
-//!   `pipe.mint_resolve` / `stage.seal` / `stage.plan` spans mirror the
-//!   producer/seal/plan windows exactly);
-//! * `event_union_overlap_ns` — the exact interval-union overlap over
-//!   the full per-stage span lists, which the window approximation can
-//!   only overstate.
-//!
-//! `agreement_pct_of_wall` is |event − stats| as a percentage of the
-//! build wall; the acceptance bound is ≤ 1%. The recorder's off path is
-//! additionally pinned at exactly zero allocations (`off_path_allocs`,
-//! counted by the `xcheck_rt::CountingAlloc` global allocator over a
-//! span+instant hammer with recording disarmed).
+//! The recorder's off path is additionally pinned at exactly zero
+//! allocations (`off_path_allocs`, counted by the
+//! `xcheck_rt::CountingAlloc` global allocator over a span+instant
+//! hammer with recording disarmed).
 //!
 //! Flags: `--smoke` shrinks the cell; `--out PATH` overrides the output
 //! path; `--check PATH` validates an existing report (gates: overhead
-//! ≤ 5% and agreement ≤ 1% in full mode, `off_path_allocs == 0`
-//! always); `--trace-out PATH` additionally writes the best
-//! recorder-on rep's Chrome trace-event JSON. Measurement requires a
+//! ≤ 5% in full mode; `off_path_allocs == 0`, no dropped events and one
+//! track per worker always); `--trace-out PATH` additionally writes one
+//! recorder-on build's Chrome trace-event JSON. Measurement requires a
 //! build with `--features obs`; `--check` works on any build.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use keytree::{Batch, CompactionPolicy, KeyTree, MarkScratch, MemberId};
-use rekeymsg::{Layout, StreamStats, StreamTuning};
+use keytree::{Batch, KeyTree, MarkScratch, MemberId};
+use rekeymsg::Layout;
 use wirecrypto::{KeyGen, SymKey};
 use xcheck_rt::CountingAlloc;
 
 #[global_allocator]
 static COUNTING: CountingAlloc = CountingAlloc;
 
-const SCHEMA: &str = "bench_obs/v1";
+const SCHEMA: &str = "bench_obs/v2";
 const WORKERS: usize = 2;
 const OVERHEAD_BOUND_PCT: f64 = 5.0;
-const AGREEMENT_BOUND_PCT: f64 = 1.0;
-
-/// Same tuning as `bench_scale`'s pipeline section: barrier-sized chunks,
-/// a channel deep enough that minting never stalls behind planning.
-const PIPE_TUNING: StreamTuning = StreamTuning {
-    chunk_edges: rekeymsg::SEAL_CHUNK,
-    channel_capacity: 512,
-};
-
-/// The stage spans whose event streams mirror the `StreamStats` windows.
-const OVERLAP_SPANS: [&str; 3] = ["pipe.mint_resolve", "stage.seal", "stage.plan"];
 
 #[derive(Clone, Copy)]
 struct Cell {
@@ -87,42 +63,33 @@ fn make_batch(cell: Cell, keygen: &mut KeyGen) -> Batch {
     Batch::new(joins, leaves)
 }
 
-/// One streamed rekey build over a fresh copy of `base`, timed end to end
+/// One wide rekey build over a fresh copy of `base`, timed end to end
 /// (marking + mint + plan + seal, the same datapath `bench_scale` rows
-/// time). Returns the wall in milliseconds and the pipeline's own stats.
+/// time). Returns the wall in milliseconds.
 fn run_rep(
     base: &KeyTree,
     keygen: &KeyGen,
     cell: Cell,
     tree: &mut KeyTree,
     scratch: &mut MarkScratch,
-) -> (f64, StreamStats) {
+) -> f64 {
     tree.clone_from(base);
     let mut kg = keygen.clone();
     let batch = make_batch(cell, &mut kg);
     let start = Instant::now();
-    let (outcome, pending) =
-        tree.process_batch_deferred_in(batch, &mut kg, scratch, &CompactionPolicy::DISABLED);
-    let (derived, built) = rekeymsg::stream::plan_and_seal_streamed(
-        tree,
-        &outcome,
-        &pending,
-        1,
-        &Layout::DEFAULT,
-        PIPE_TUNING,
-    );
-    tree.install_minted(&outcome.updated_knodes, &derived);
-    let (plans, sealed, stats) =
-        built.unwrap_or_else(|e| unreachable!("wide build has no wire cap: {e}"));
+    let outcome = tree.process_batch_in(batch, &mut kg, scratch);
+    let wide = rekeymsg::plan_and_seal(tree, &outcome, 1, &Layout::DEFAULT)
+        .unwrap_or_else(|e| unreachable!("wide build has no wire cap: {e}"));
     let wall = start.elapsed().as_secs_f64() * 1000.0;
-    black_box((&plans, &sealed));
-    (wall, stats)
+    black_box(&wide);
+    wall
 }
 
 struct Measurement {
     recorder_off_ms: f64,
     recorder_on_ms: f64,
-    stats: StreamStats,
+    /// One recorder-on build, drained: event/track/drop counts and the
+    /// `--trace-out` export.
     trace: obs::trace::Trace,
 }
 
@@ -131,19 +98,8 @@ struct Measurement {
 /// swamp a single ~1.5 ms build.
 const LEG_BUILDS: usize = 8;
 
-/// Single recorder-on builds run after the timing loop to source the
-/// overlap cross-check pair.
-const XCHECK_REPS: usize = 8;
-
 /// Interleaved off/on legs (of `LEG_BUILDS` builds each) under `WORKERS`
-/// pipeline workers; min leg wall per side, reported per build. The
-/// trace and stats for the overlap cross-check come from a separate loop
-/// of single recorder-on builds, keeping the pair with the largest
-/// `StreamStats::overlap_ns` — trace and stats must describe the same
-/// build for the check to be honest, and the build with the most
-/// producer/worker interleaving stresses the two accountings hardest (on
-/// one core the *fastest* build is typically the sequential schedule,
-/// where both trivially report zero).
+/// workers; min leg wall per side, reported per build.
 fn measure(cell: Cell, reps: usize) -> Measurement {
     let mut keygen = KeyGen::from_seed(0x0B5E_0B5E_u64);
     let base = KeyTree::balanced(cell.n, cell.d, &mut keygen);
@@ -153,10 +109,12 @@ fn measure(cell: Cell, reps: usize) -> Measurement {
     taskpool::with_workers(WORKERS, || {
         // One untimed warm-up per leg: first-touch page faults, span-name
         // interning, and ring claiming all happen here, not on the clock.
-        let _ = run_rep(&base, &keygen, cell, &mut tree, &mut scratch);
+        // The recorder-on warm-up doubles as the reported trace.
+        run_rep(&base, &keygen, cell, &mut tree, &mut scratch);
         obs::trace::enable(obs::trace::DEFAULT_CAPACITY);
-        let _ = run_rep(&base, &keygen, cell, &mut tree, &mut scratch);
+        run_rep(&base, &keygen, cell, &mut tree, &mut scratch);
         obs::trace::disable();
+        let trace = obs::trace::drain();
         obs::trace::clear();
 
         let mut off_best = f64::INFINITY;
@@ -164,40 +122,24 @@ fn measure(cell: Cell, reps: usize) -> Measurement {
         for _ in 0..reps {
             let mut off_leg = 0.0;
             for _ in 0..LEG_BUILDS {
-                off_leg += run_rep(&base, &keygen, cell, &mut tree, &mut scratch).0;
+                off_leg += run_rep(&base, &keygen, cell, &mut tree, &mut scratch);
             }
             off_best = off_best.min(off_leg);
 
             obs::trace::enable(obs::trace::DEFAULT_CAPACITY);
             let mut on_leg = 0.0;
             for _ in 0..LEG_BUILDS {
-                on_leg += run_rep(&base, &keygen, cell, &mut tree, &mut scratch).0;
+                on_leg += run_rep(&base, &keygen, cell, &mut tree, &mut scratch);
             }
             obs::trace::disable();
             obs::trace::clear();
             on_best = on_best.min(on_leg);
         }
 
-        let mut best_stats = StreamStats::default();
-        let mut best_trace = obs::trace::Trace::default();
-        let mut have_pair = false;
-        for _ in 0..XCHECK_REPS {
-            obs::trace::enable(obs::trace::DEFAULT_CAPACITY);
-            let (_, stats) = run_rep(&base, &keygen, cell, &mut tree, &mut scratch);
-            obs::trace::disable();
-            let trace = obs::trace::drain();
-            obs::trace::clear();
-            if !have_pair || stats.overlap_ns > best_stats.overlap_ns {
-                have_pair = true;
-                best_stats = stats;
-                best_trace = trace;
-            }
-        }
         Measurement {
             recorder_off_ms: off_best / LEG_BUILDS as f64,
             recorder_on_ms: on_best / LEG_BUILDS as f64,
-            stats: best_stats,
-            trace: best_trace,
+            trace,
         }
     })
 }
@@ -225,8 +167,6 @@ struct Report {
     reps: usize,
     measurement: Measurement,
     off_path_allocs: u64,
-    event_window_overlap_ns: u64,
-    event_union_overlap_ns: u64,
 }
 
 impl Report {
@@ -239,17 +179,6 @@ impl Report {
         }
     }
 
-    fn agreement_pct_of_wall(&self) -> f64 {
-        let wall = self.measurement.stats.wall_ns;
-        if wall == 0 {
-            return 0.0;
-        }
-        let diff = self
-            .event_window_overlap_ns
-            .abs_diff(self.measurement.stats.overlap_ns);
-        100.0 * diff as f64 / wall as f64
-    }
-
     fn to_json(&self) -> String {
         let m = &self.measurement;
         format!(
@@ -258,10 +187,7 @@ impl Report {
              \"workers\": {WORKERS},\n  \"reps\": {},\n  \
              \"recorder_off_ms\": {},\n  \"recorder_on_ms\": {},\n  \"overhead_pct\": {},\n  \
              \"off_path_allocs\": {},\n  \
-             \"events\": {},\n  \"tracks\": {},\n  \"dropped\": {},\n  \
-             \"wall_ns\": {},\n  \"stats_overlap_ns\": {},\n  \
-             \"event_window_overlap_ns\": {},\n  \"event_union_overlap_ns\": {},\n  \
-             \"agreement_pct_of_wall\": {}\n}}\n",
+             \"events\": {},\n  \"tracks\": {},\n  \"dropped\": {}\n}}\n",
             self.mode,
             self.cell.n,
             self.cell.d,
@@ -275,11 +201,6 @@ impl Report {
             m.trace.events.len(),
             m.trace.tracks.len(),
             m.trace.dropped_total(),
-            m.stats.wall_ns,
-            m.stats.overlap_ns,
-            self.event_window_overlap_ns,
-            self.event_union_overlap_ns,
-            fmt_f(self.agreement_pct_of_wall()),
         )
     }
 }
@@ -330,14 +251,6 @@ fn check_report(text: &str) -> Vec<String> {
                 "recorder overhead {p:.3}% exceeds the {OVERHEAD_BOUND_PCT}% bound"
             )),
             None => problems.push("missing overhead_pct".to_string()),
-        }
-        match num("agreement_pct_of_wall") {
-            Some(p) if p <= AGREEMENT_BOUND_PCT => {}
-            Some(p) => problems.push(format!(
-                "event/stats overlap disagreement {p:.3}% of wall exceeds \
-                 the {AGREEMENT_BOUND_PCT}% bound"
-            )),
-            None => problems.push("missing agreement_pct_of_wall".to_string()),
         }
     }
     problems
@@ -405,24 +318,11 @@ fn main() {
     let off_path_allocs = count_off_path_allocs();
     let measurement = measure(cell, reps);
 
-    // Two event-derived overlap figures from the best recorder-on rep:
-    // single [first, last] windows per stage (mirrors the StreamStats
-    // stopwatch exactly) and the exact union over every span interval.
-    let windows: Vec<Vec<(u64, u64)>> = OVERLAP_SPANS
-        .iter()
-        .map(|name| measurement.trace.span_window(name).into_iter().collect())
-        .collect();
-    let intervals: Vec<Vec<(u64, u64)>> = OVERLAP_SPANS
-        .iter()
-        .map(|name| measurement.trace.span_intervals(name))
-        .collect();
     let report = Report {
         mode,
         cell,
         reps,
         off_path_allocs,
-        event_window_overlap_ns: obs::trace::multi_stage_overlap_ns(&windows),
-        event_union_overlap_ns: obs::trace::multi_stage_overlap_ns(&intervals),
         measurement,
     };
 
@@ -435,15 +335,6 @@ fn main() {
         m.trace.events.len(),
         m.trace.tracks.len(),
         m.trace.dropped_total(),
-    );
-    eprintln!(
-        "  overlap: stats {:>12} ns, event-window {:>12} ns, event-union {:>12} ns \
-         (disagreement {:.3}% of {:.3} ms wall)",
-        m.stats.overlap_ns,
-        report.event_window_overlap_ns,
-        report.event_union_overlap_ns,
-        report.agreement_pct_of_wall(),
-        m.stats.wall_ns as f64 / 1e6,
     );
     eprintln!("  off-path allocations over 4096 span+instant rounds: {off_path_allocs}");
 

@@ -1,16 +1,12 @@
 //! Tracked datapath benchmark: emits `BENCH_rekey.json`.
 //!
-//! Measures the rekey datapath before/after the vectorized rewrite:
+//! Measures the rekey datapath (regressions are judged by `bench_diff`
+//! against the committed report, not against an in-binary baseline):
 //!
 //! * `encode` — single-thread FEC parity throughput at k = 64, packet
-//!   length 1024. The "before" number re-implements the pre-rewrite path
-//!   faithfully (naive O(k²) Lagrange rows, a per-packet `to_vec()` row
-//!   clone, the scalar byte-at-a-time multiply-accumulate) so the speedup
-//!   is tracked against a fixed baseline, not against whatever the tree
-//!   shipped last week.
+//!   length 1024, rows warm.
 //! * `decode` — block reconstruction latency with half the data erased,
-//!   before (per-cell Lagrange generator build, every share validated,
-//!   fresh scratch per call) vs. after (persistent [`rse::Decoder`]).
+//!   through a persistent [`rse::Decoder`].
 //! * `parallel` — bit-for-bit identity of the parallel proactive encode
 //!   against a single-worker run of the same message.
 //! * `batch_rekey` — end-to-end wall time of one server batch (marking,
@@ -30,128 +26,12 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use gf256::{Gf256, Matrix};
 use keytree::Batch;
-use rse::{BlockEncoder, Decoder, Share, MAX_SYMBOLS};
+use rse::{BlockEncoder, Decoder, Share};
 
 const ENCODE_K: usize = 64;
 const PACKET_LEN: usize = 1024;
-const SCHEMA: &str = "bench_rekey/v1";
-
-fn point(index: usize) -> Gf256 {
-    Gf256::alpha_pow(index)
-}
-
-// ---------------------------------------------------------------------------
-// Faithful pre-rewrite baseline paths
-// ---------------------------------------------------------------------------
-
-/// The encoder as it stood before the rewrite: coefficient rows derived
-/// with the naive O(k²) two-product formula, cached, but **cloned with
-/// `to_vec()` on every parity call** and applied with the scalar
-/// byte-at-a-time kernel.
-struct BaselineEncoder {
-    k: usize,
-    rows: Vec<Vec<Gf256>>,
-}
-
-impl BaselineEncoder {
-    fn new(k: usize) -> Self {
-        BaselineEncoder {
-            k,
-            rows: Vec::new(),
-        }
-    }
-
-    fn naive_row(&self, parity_index: usize) -> Vec<Gf256> {
-        let x = point(self.k + parity_index);
-        (0..self.k)
-            .map(|i| {
-                let xi = point(i);
-                let mut num = Gf256::ONE;
-                let mut den = Gf256::ONE;
-                for j in 0..self.k {
-                    if j != i {
-                        num *= x + point(j);
-                        den *= xi + point(j);
-                    }
-                }
-                num * den.inv().unwrap_or(Gf256::ZERO)
-            })
-            .collect()
-    }
-
-    fn parity(&mut self, parity_index: usize, data: &[Vec<u8>]) -> Vec<u8> {
-        while self.rows.len() <= parity_index {
-            let row = self.naive_row(self.rows.len());
-            self.rows.push(row);
-        }
-        // The pre-rewrite per-packet clone, reproduced on purpose.
-        let row = self.rows[parity_index].to_vec();
-        let len = data[0].len();
-        let mut out = vec![0u8; len];
-        for (coeff, d) in row.iter().zip(data) {
-            Gf256::mul_acc_slice(*coeff, d, &mut out);
-        }
-        out
-    }
-}
-
-/// The decoder as it stood before the rewrite: every share validated (even
-/// ones past the first k), the generator matrix built cell by cell with an
-/// O(k) Lagrange product per cell, fresh scratch allocations per call, and
-/// the scalar multiply-accumulate for reconstruction.
-fn baseline_decode(k: usize, shares: &[Share]) -> Option<Vec<Vec<u8>>> {
-    let len = shares.first()?.data.len();
-    let mut seen = vec![false; MAX_SYMBOLS];
-    let mut chosen: Vec<&Share> = Vec::new();
-    for share in shares {
-        if share.index >= MAX_SYMBOLS || share.data.len() != len || seen[share.index] {
-            return None;
-        }
-        seen[share.index] = true;
-        if chosen.len() < k {
-            chosen.push(share);
-        }
-    }
-    if chosen.len() < k {
-        return None;
-    }
-    let lagrange_cell = |x: Gf256, i: usize| {
-        let xi = point(i);
-        let mut num = Gf256::ONE;
-        let mut den = Gf256::ONE;
-        for j in 0..k {
-            if j != i {
-                num *= x + point(j);
-                den *= xi + point(j);
-            }
-        }
-        num * den.inv().unwrap_or(Gf256::ZERO)
-    };
-    let gen = Matrix::from_fn(k, k, |r, c| {
-        let s = chosen[r];
-        if s.index < k {
-            if s.index == c {
-                Gf256::ONE
-            } else {
-                Gf256::ZERO
-            }
-        } else {
-            lagrange_cell(point(s.index), c)
-        }
-    });
-    let inv = gen.inverse()?;
-    let mut out = Vec::with_capacity(k);
-    for i in 0..k {
-        let mut body = vec![0u8; len];
-        for (r, s) in chosen.iter().enumerate() {
-            Gf256::mul_acc_slice(inv[(i, r)], &s.data, &mut body);
-        }
-        out.push(body);
-    }
-    Some(out)
-}
+const SCHEMA: &str = "bench_rekey/v2";
 
 // ---------------------------------------------------------------------------
 // Measurement harness
@@ -210,47 +90,26 @@ fn block(k: usize, len: usize) -> Vec<Vec<u8>> {
 // Sections
 // ---------------------------------------------------------------------------
 
-struct EncodeReport {
-    before_pps: f64,
-    after_pps: f64,
-}
-
-fn bench_encode(effort: Effort) -> EncodeReport {
+/// Parity packets per second of one warm single-thread encoder.
+fn bench_encode(effort: Effort) -> f64 {
     let data = block(ENCODE_K, PACKET_LEN);
     // Steady-state server: rows already cached, cycle through a small set
-    // of parity indices so both paths measure the per-packet cost alone.
+    // of parity indices so the per-packet cost alone is measured.
     const ROWS: usize = 8;
-
-    let mut before = BaselineEncoder::new(ENCODE_K);
-    for j in 0..ROWS {
-        black_box(before.parity(j, &data));
-    }
-    let mut j = 0usize;
-    let before_pps = ops_per_sec(effort, || {
-        black_box(before.parity(j % ROWS, &data));
-        j += 1;
-    });
-
-    let mut after = BlockEncoder::new(ENCODE_K).unwrap();
-    after.warm(ROWS).unwrap();
+    let mut encoder = BlockEncoder::new(ENCODE_K).unwrap();
+    encoder.warm(ROWS).unwrap();
     let mut out = vec![0u8; PACKET_LEN];
     let mut j = 0usize;
-    let after_pps = ops_per_sec(effort, || {
-        after.parity_into(j % ROWS, &data, &mut out).unwrap();
+    ops_per_sec(effort, || {
+        encoder.parity_into(j % ROWS, &data, &mut out).unwrap();
         black_box(&out);
         j += 1;
-    });
-
-    EncodeReport {
-        before_pps,
-        after_pps,
-    }
+    })
 }
 
 struct DecodeReport {
     erasures: usize,
-    before_ms: f64,
-    after_ms: f64,
+    decode_ms: f64,
 }
 
 fn bench_decode(effort: Effort) -> DecodeReport {
@@ -272,17 +131,13 @@ fn bench_decode(effort: Effort) -> DecodeReport {
         });
     }
 
-    let before = ops_per_sec(effort, || {
-        black_box(baseline_decode(k, &shares)).unwrap();
-    });
     let mut decoder = Decoder::new(k).unwrap();
-    let after = ops_per_sec(effort, || {
+    let rate = ops_per_sec(effort, || {
         black_box(decoder.decode(&shares)).unwrap();
     });
     DecodeReport {
         erasures,
-        before_ms: 1000.0 / before,
-        after_ms: 1000.0 / after,
+        decode_ms: 1000.0 / rate,
     }
 }
 
@@ -392,18 +247,12 @@ fn fmt_f(v: f64) -> String {
 
 fn render_json(
     mode: &str,
-    enc: &EncodeReport,
+    parity_pps: f64,
     dec: &DecodeReport,
     par: &ParallelReport,
     rekey: &[RekeyPoint],
 ) -> String {
-    let block_bytes = (ENCODE_K * PACKET_LEN) as f64;
-    let mbps = |pps: f64| pps * block_bytes / 1e6;
-    let speedup = if enc.before_pps > 0.0 {
-        enc.after_pps / enc.before_pps
-    } else {
-        0.0
-    };
+    let parity_mbps = parity_pps * (ENCODE_K * PACKET_LEN) as f64 / 1e6;
     let rekey_json: Vec<String> = rekey
         .iter()
         .map(|p| {
@@ -419,20 +268,15 @@ fn render_json(
         .collect();
     format!(
         "{{\n  \"schema\": \"{SCHEMA}\",\n  \"mode\": \"{mode}\",\n  \"encode\": {{\n    \
-         \"k\": {ENCODE_K},\n    \"packet_len\": {PACKET_LEN},\n    \"before_pps\": {},\n    \
-         \"after_pps\": {},\n    \"speedup\": {},\n    \"before_mbps\": {},\n    \
-         \"after_mbps\": {}\n  }},\n  \"decode\": {{\n    \"k\": {ENCODE_K},\n    \
-         \"packet_len\": {PACKET_LEN},\n    \"erasures\": {},\n    \"before_ms\": {},\n    \
-         \"after_ms\": {}\n  }},\n  \"parallel\": {{\n    \"blocks\": {},\n    \
+         \"k\": {ENCODE_K},\n    \"packet_len\": {PACKET_LEN},\n    \"parity_pps\": {},\n    \
+         \"parity_mbps\": {}\n  }},\n  \"decode\": {{\n    \"k\": {ENCODE_K},\n    \
+         \"packet_len\": {PACKET_LEN},\n    \"erasures\": {},\n    \"decode_ms\": {}\n  }},\n  \
+         \"parallel\": {{\n    \"blocks\": {},\n    \
          \"workers\": {},\n    \"matches_sequential\": {}\n  }},\n  \"batch_rekey\": [\n{}\n  ]\n}}\n",
-        fmt_f(enc.before_pps),
-        fmt_f(enc.after_pps),
-        fmt_f(speedup),
-        fmt_f(mbps(enc.before_pps)),
-        fmt_f(mbps(enc.after_pps)),
+        fmt_f(parity_pps),
+        fmt_f(parity_mbps),
         dec.erasures,
-        fmt_f(dec.before_ms),
-        fmt_f(dec.after_ms),
+        fmt_f(dec.decode_ms),
         par.blocks,
         par.workers,
         par.matches_sequential,
@@ -488,10 +332,9 @@ fn check_report(text: &str) -> Vec<String> {
         "\"schema\"",
         SCHEMA,
         "\"encode\"",
-        "\"before_pps\"",
-        "\"after_pps\"",
-        "\"speedup\"",
+        "\"parity_pps\"",
         "\"decode\"",
+        "\"decode_ms\"",
         "\"parallel\"",
         "\"batch_rekey\"",
     ] {
@@ -570,19 +413,11 @@ fn main() {
     let mode = if smoke { "smoke" } else { "full" };
 
     eprintln!("encode: k={ENCODE_K} len={PACKET_LEN} ({mode})");
-    let enc = bench_encode(effort);
-    eprintln!(
-        "  before {:.0} pps, after {:.0} pps, speedup {:.2}x",
-        enc.before_pps,
-        enc.after_pps,
-        enc.after_pps / enc.before_pps.max(1e-9)
-    );
+    let parity_pps = bench_encode(effort);
+    eprintln!("  {parity_pps:.0} pps");
     eprintln!("decode: k={ENCODE_K} half erased");
     let dec = bench_decode(effort);
-    eprintln!(
-        "  before {:.3} ms, after {:.3} ms",
-        dec.before_ms, dec.after_ms
-    );
+    eprintln!("  {:.3} ms", dec.decode_ms);
     eprintln!("parallel: encode identity check");
     let par = bench_parallel();
     eprintln!(
@@ -599,7 +434,7 @@ fn main() {
         eprintln!("  N={:<7} wall {:.2} ms", p.n, p.wall_ms);
     }
 
-    let json = render_json(mode, &enc, &dec, &par, &rekey);
+    let json = render_json(mode, parity_pps, &dec, &par, &rekey);
     std::fs::write(&out_path, &json).expect("write BENCH_rekey.json");
     println!("wrote {out_path}");
     if obs_sink.active() {

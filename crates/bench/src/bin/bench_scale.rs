@@ -26,15 +26,6 @@
 //! sealed bytes — the gate is identity, not speedup, so it holds on a
 //! single-core container.
 //!
-//! The `pipeline` section runs the same acceptance cell through the
-//! streaming build (`rekeymsg::stream`) at 1, 2 and 4 workers against the
-//! one-worker barrier baseline, recording per-stage busy time and the
-//! measured stage overlap (`overlap_pct`: how much of the wall two or
-//! more stages were concurrently in flight). Identity of the sealed
-//! bytes is asserted per row; `overlapped` flags a workers ≥ 2 row whose
-//! overlap is positive. With the run-aggregated planner the whole build
-//! is ~1 ms, so overlap is informational (scheduling jitter), not gated.
-//!
 //! Flags: `--smoke` shrinks the grid (same JSON shape); `--check <path>`
 //! validates an existing report; `--out <path>` overrides the output
 //! path; `--obs-out <path>` (or `REKEY_OBS=1`) collects a per-stage
@@ -44,10 +35,10 @@
 //! embedding the snapshot plus a stage-coverage percentage (how much of
 //! the measured batch wall time the mark/mint/seal/encode spans account
 //! for), prints the per-stage table to stderr, and requires a build with
-//! `--features obs`. `--trace-out <path>` records the pipeline
-//! comparison in the flight recorder and writes Chrome trace-event JSON
-//! — one track per pipeline worker, so the mint/seal/plan overlap is
-//! visible in Perfetto (requires `--features obs`).
+//! `--features obs`. `--trace-out <path>` records the identity replay in
+//! the flight recorder and writes Chrome trace-event JSON — one track per
+//! `taskpool` worker, so the mint and seal fan-outs are visible in
+//! Perfetto (requires `--features obs`).
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -56,7 +47,7 @@ use keytree::{Batch, KeyTree, MarkOutcome, MarkScratch, MemberId};
 use rekeymsg::{seal_context, Layout, UkaAssignment};
 use wirecrypto::{KeyGen, SealedKey, SymKey};
 
-const SCHEMA: &str = "bench_scale/v2";
+const SCHEMA: &str = "bench_scale/v3";
 const IDENTITY_WORKERS: [usize; 2] = [1, 4];
 
 #[derive(Clone, Copy)]
@@ -278,17 +269,12 @@ impl ObsCellReport {
     }
 
     /// The `obs_scale/v1` wrapper: cell coordinates, wall/coverage
-    /// numbers, the full `obs/v1` snapshot embedded verbatim, and — when
-    /// the pipeline comparison ran under obs — a second snapshot covering
-    /// exactly that run (the `pipeline.*` gauges and histograms).
-    fn to_json(&self, pipeline_obs: Option<&obs::Snapshot>) -> String {
-        let pipeline_field = pipeline_obs.map_or(String::new(), |snap| {
-            format!(", \"pipeline_obs\": {}", snap.to_json().trim_end())
-        });
+    /// numbers, and the full `obs/v1` snapshot embedded verbatim.
+    fn to_json(&self) -> String {
         format!(
             "{{\"schema\": \"obs_scale/v1\", \"cell\": {{\"n\": {}, \"d\": {}, \"joins\": {}, \
              \"leaves\": {}}}, \"measured_wall_ms\": {}, \"stage_total_ms\": {}, \
-             \"coverage_pct\": {}, \"obs\": {}{}}}\n",
+             \"coverage_pct\": {}, \"obs\": {}}}\n",
             self.cell.n,
             self.cell.d,
             self.cell.joins,
@@ -297,7 +283,6 @@ impl ObsCellReport {
             fmt_f(self.stage_total_ms),
             fmt_f(self.coverage_pct),
             self.snap.to_json().trim_end(),
-            pipeline_field,
         )
     }
 
@@ -334,120 +319,6 @@ struct IdentityReport {
     matches_sequential: bool,
 }
 
-/// One worker-count row of the streaming-pipeline comparison.
-struct PipelineRow {
-    workers: usize,
-    streamed_ms: f64,
-    /// Streamed wall as a percentage of the barrier baseline (100 =
-    /// equal; the workers=1 acceptance bound is ≤ 105).
-    vs_barrier_pct: f64,
-    stats: rekeymsg::StreamStats,
-    /// Streamed sealed bytes equal the barrier's.
-    identical: bool,
-}
-
-struct PipelineReport {
-    cell: Cell,
-    tuning: rekeymsg::StreamTuning,
-    barrier_ms: f64,
-    rows: Vec<PipelineRow>,
-}
-
-/// The tuning the pipeline comparison runs under: barrier-sized chunks,
-/// but a channel deep enough that the producer never stalls behind the
-/// consumer's (monolithic, dominant) planning pass — the root-edge
-/// dependency means the consumer drains only after planning, so a
-/// shallow channel would serialize minting behind it and erase the very
-/// overlap being measured. Identity is unaffected by either knob.
-const PIPE_TUNING: rekeymsg::StreamTuning = rekeymsg::StreamTuning {
-    chunk_edges: rekeymsg::SEAL_CHUNK,
-    channel_capacity: 512,
-};
-
-/// Runs the acceptance cell through the wide message build twice per
-/// worker count — legacy barrier vs streaming pipeline — comparing walls
-/// and sealed bytes. Both sides time the whole batch datapath (marking +
-/// mint + plan + seal), since streaming moves minting inside the build.
-fn bench_pipeline(cell: Cell, reps: usize) -> PipelineReport {
-    use keytree::CompactionPolicy;
-    let mut keygen = KeyGen::from_seed(0x0071_7E11_u64);
-    let base = KeyTree::balanced(cell.n, cell.d, &mut keygen);
-    let mut scratch = MarkScratch::new();
-    let mut tree = base.clone();
-
-    let mut barrier_ms = f64::INFINITY;
-    let mut barrier_sealed: Vec<SealedKey> = Vec::new();
-    for _ in 0..reps {
-        tree.clone_from(&base);
-        let mut kg = keygen.clone();
-        let batch = make_batch(cell, &mut kg);
-        let start = Instant::now();
-        let outcome = tree.process_batch_in(batch, &mut kg, &mut scratch);
-        let (plans, sealed) = rekeymsg::plan_and_seal(&tree, &outcome, 1, &Layout::DEFAULT)
-            .unwrap_or_else(|e| unreachable!("wide build has no wire cap: {e}"));
-        barrier_ms = barrier_ms.min(start.elapsed().as_secs_f64() * 1000.0);
-        black_box(&plans);
-        barrier_sealed = sealed;
-    }
-
-    let mut rows = Vec::new();
-    for workers in [1usize, 2, 4] {
-        let (streamed_ms, stats, identical) = taskpool::with_workers(workers, || {
-            let mut best = f64::INFINITY;
-            let mut best_stats = rekeymsg::StreamStats::default();
-            let mut identical = true;
-            for _ in 0..reps {
-                tree.clone_from(&base);
-                let mut kg = keygen.clone();
-                let batch = make_batch(cell, &mut kg);
-                let start = Instant::now();
-                let (outcome, pending) = tree.process_batch_deferred_in(
-                    batch,
-                    &mut kg,
-                    &mut scratch,
-                    &CompactionPolicy::DISABLED,
-                );
-                let (derived, built) = rekeymsg::stream::plan_and_seal_streamed(
-                    &tree,
-                    &outcome,
-                    &pending,
-                    1,
-                    &Layout::DEFAULT,
-                    PIPE_TUNING,
-                );
-                tree.install_minted(&outcome.updated_knodes, &derived);
-                let (plans, sealed, stats) =
-                    built.unwrap_or_else(|e| unreachable!("wide build has no wire cap: {e}"));
-                let wall = start.elapsed().as_secs_f64() * 1000.0;
-                black_box(&plans);
-                identical &= sealed == barrier_sealed;
-                if wall < best {
-                    best = wall;
-                    best_stats = stats;
-                }
-            }
-            (best, best_stats, identical)
-        });
-        rows.push(PipelineRow {
-            workers,
-            streamed_ms,
-            vs_barrier_pct: if barrier_ms > 0.0 {
-                100.0 * streamed_ms / barrier_ms
-            } else {
-                0.0
-            },
-            stats,
-            identical,
-        });
-    }
-    PipelineReport {
-        cell,
-        tuning: PIPE_TUNING,
-        barrier_ms,
-        rows,
-    }
-}
-
 /// Replays one cell at each worker count and demands bit-identical marking
 /// outcomes (keys included, via the sealed bytes) across all of them.
 fn bench_identity(cell: Cell) -> IdentityReport {
@@ -458,7 +329,10 @@ fn bench_identity(cell: Cell) -> IdentityReport {
             let batch = make_batch(cell, &mut keygen);
             let mut scratch = MarkScratch::new();
             let outcome = tree.process_batch_in(batch, &mut keygen, &mut scratch);
-            let sealed = seal_all(&tree, &outcome, 1);
+            // The chunked parallel seal, so the replay covers both fan-outs
+            // (mint and seal) the worker count could perturb.
+            let (_plans, sealed) = rekeymsg::plan_and_seal(&tree, &outcome, 1, &Layout::DEFAULT)
+                .unwrap_or_else(|e| unreachable!("wide build has no wire cap: {e}"));
             (outcome, sealed)
         })
     };
@@ -482,12 +356,7 @@ fn fmt_f(v: f64) -> String {
     }
 }
 
-fn render_json(
-    mode: &str,
-    cells: &[CellReport],
-    identity: &IdentityReport,
-    pipeline: &PipelineReport,
-) -> String {
+fn render_json(mode: &str, cells: &[CellReport], identity: &IdentityReport) -> String {
     let rows: Vec<String> = cells
         .iter()
         .map(|r| {
@@ -517,33 +386,10 @@ fn render_json(
             )
         })
         .collect();
-    let pipe_rows: Vec<String> = pipeline
-        .rows
-        .iter()
-        .map(|r| {
-            format!(
-                "      {{\"workers\": {}, \"streamed_ms\": {}, \"vs_barrier_pct\": {}, \
-                 \"overlap_pct\": {}, \"mint_busy_ms\": {}, \"seal_busy_ms\": {}, \
-                 \"plan_busy_ms\": {}, \"identical\": {}, \"overlapped\": {}}}",
-                r.workers,
-                fmt_f(r.streamed_ms),
-                fmt_f(r.vs_barrier_pct),
-                fmt_f(r.stats.overlap_pct()),
-                fmt_f(r.stats.mint_busy_ns as f64 / 1e6),
-                fmt_f(r.stats.seal_busy_ns as f64 / 1e6),
-                fmt_f(r.stats.plan_busy_ns as f64 / 1e6),
-                r.identical,
-                r.workers >= 2 && r.stats.overlap_pct() > 0.0,
-            )
-        })
-        .collect();
     format!(
         "{{\n  \"schema\": \"{SCHEMA}\",\n  \"mode\": \"{mode}\",\n  \"identity\": {{\n    \
          \"n\": {}, \"d\": {}, \"joins\": {}, \"leaves\": {},\n    \"workers\": [{}, {}],\n    \
-         \"matches_sequential\": {}\n  }},\n  \"pipeline\": {{\n    \
-         \"n\": {}, \"d\": {}, \"joins\": {}, \"leaves\": {},\n    \
-         \"tuning\": {{\"chunk_edges\": {}, \"channel_capacity\": {}}},\n    \
-         \"barrier_ms\": {},\n    \"rows\": [\n{}\n    ]\n  }},\n  \"scale\": [\n{}\n  ]\n}}\n",
+         \"matches_sequential\": {}\n  }},\n  \"scale\": [\n{}\n  ]\n}}\n",
         identity.cell.n,
         identity.cell.d,
         identity.cell.joins,
@@ -551,14 +397,6 @@ fn render_json(
         IDENTITY_WORKERS[0],
         IDENTITY_WORKERS[1],
         identity.matches_sequential,
-        pipeline.cell.n,
-        pipeline.cell.d,
-        pipeline.cell.joins,
-        pipeline.cell.leaves,
-        pipeline.tuning.chunk_edges,
-        pipeline.tuning.channel_capacity,
-        fmt_f(pipeline.barrier_ms),
-        pipe_rows.join(",\n"),
         rows.join(",\n")
     )
 }
@@ -619,13 +457,11 @@ fn check_report(text: &str) -> Vec<String> {
         "\"schema\"",
         SCHEMA,
         "\"identity\"",
-        "\"pipeline\"",
         "\"scale\"",
         "\"marking_ms\"",
         "\"seal_enc_per_sec\"",
         "\"plan_ms\"",
         "\"resident_bytes_per_node\"",
-        "\"overlap_pct\"",
     ] {
         if !text.contains(key) {
             problems.push(format!("missing {key}"));
@@ -640,19 +476,12 @@ fn check_report(text: &str) -> Vec<String> {
     if text.contains("\"plan_ms\": null") {
         problems.push("plan_ms is null in some row".to_string());
     }
-    if text.contains("\"identical\": false") {
-        problems.push("streamed sealed bytes differ from the barrier's".to_string());
-    }
     // The acceptance row must be present in a full-mode report with the
     // run-aggregated planner's perf bound holding (the pre-rewrite
-    // planner spent ~225 ms in this cell). Stage overlap is reported but
-    // not gated: with planning at O(E) the whole build is ~1 ms, so
-    // whether the sub-ms stage windows intersect is scheduling jitter,
-    // not a property of the pipeline (the binding gates are sealed-byte
-    // identity at every worker count, checked above).
+    // planner spent ~225 ms in this cell).
     if text.contains("\"mode\": \"full\"") {
         // Search inside the "scale" array: the same (n, d, joins) triple
-        // also heads the identity and pipeline sections.
+        // also heads the identity section.
         let scale = text.find("\"scale\"").map_or("", |p| &text[p..]);
         let marker = format!("\"n\": {}, \"d\": 8, \"joins\": 64", 1u32 << 20);
         match scale.find(&marker) {
@@ -686,7 +515,6 @@ fn main() {
     let mut check_path: Option<String> = None;
     let mut obs_out: Option<String> = None;
     let mut trace_out: Option<String> = None;
-    let mut pipeline_only = false;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -695,11 +523,10 @@ fn main() {
             "--check" => check_path = Some(it.next().expect("--check needs a path")),
             "--obs-out" => obs_out = Some(it.next().expect("--obs-out needs a path")),
             "--trace-out" => trace_out = Some(it.next().expect("--trace-out needs a path")),
-            "--pipeline-only" => pipeline_only = true,
             other => {
                 eprintln!(
                     "unknown flag {other}; use [--smoke] [--out PATH] [--check PATH] \
-                     [--obs-out PATH] [--trace-out PATH] [--pipeline-only]"
+                     [--obs-out PATH] [--trace-out PATH]"
                 );
                 std::process::exit(2);
             }
@@ -738,34 +565,6 @@ fn main() {
 
     let mode = if smoke { "smoke" } else { "full" };
     let reps = if smoke { 1 } else { 3 };
-
-    if pipeline_only {
-        // Iteration aid: just the streamed-vs-barrier comparison at the
-        // acceptance cell, no JSON emitted.
-        let cell = identity_cell(smoke);
-        trace_sink.start();
-        let pipeline = bench_pipeline(cell, reps);
-        trace_sink
-            .finish(&mut std::io::stderr().lock())
-            .expect("write trace JSON");
-        for row in &pipeline.rows {
-            eprintln!(
-                "  workers={} streamed {:>8.3} ms ({:>5.1}% of barrier {:.3} ms), \
-                 overlap {:>5.1}%, identical={}",
-                row.workers,
-                row.streamed_ms,
-                row.vs_barrier_pct,
-                pipeline.barrier_ms,
-                row.stats.overlap_pct(),
-                row.identical,
-            );
-        }
-        if pipeline.rows.iter().any(|r| !r.identical) {
-            eprintln!("FAILED: streamed sealed bytes differ from the barrier's");
-            std::process::exit(1);
-        }
-        return;
-    }
 
     let cells = grid(smoke);
     eprintln!("scale: {} cells ({mode})", cells.len());
@@ -815,39 +614,14 @@ fn main() {
         id_cell.d,
         IDENTITY_WORKERS
     );
-    let identity = bench_identity(id_cell);
-    eprintln!("  matches_sequential={}", identity.matches_sequential);
-
-    eprintln!(
-        "pipeline: N=2^{} d={} streamed vs barrier",
-        id_cell.n.trailing_zeros(),
-        id_cell.d
-    );
-    // A fresh registry window over the pipeline comparison, so the
-    // `pipeline.*` metrics snapshot covers exactly that run.
-    if obs_sink.active() {
-        obs::reset();
-    }
     trace_sink.start();
-    let pipeline = bench_pipeline(id_cell, reps);
+    let identity = bench_identity(id_cell);
     trace_sink
         .finish(&mut std::io::stderr().lock())
         .expect("write trace JSON");
-    let pipeline_snap = obs_sink.active().then(obs::snapshot);
-    for row in &pipeline.rows {
-        eprintln!(
-            "  workers={} streamed {:>8.3} ms ({:>5.1}% of barrier {:.3} ms), \
-             overlap {:>5.1}%, identical={}",
-            row.workers,
-            row.streamed_ms,
-            row.vs_barrier_pct,
-            pipeline.barrier_ms,
-            row.stats.overlap_pct(),
-            row.identical,
-        );
-    }
+    eprintln!("  matches_sequential={}", identity.matches_sequential);
 
-    let json = render_json(mode, &reports, &identity, &pipeline);
+    let json = render_json(mode, &reports, &identity);
     std::fs::write(&out_path, &json).expect("write BENCH_scale.json");
     println!("wrote {out_path}");
 
@@ -857,18 +631,13 @@ fn main() {
             .render_stderr(&mut std::io::stderr().lock())
             .expect("write obs tables");
         if let Some(path) = &obs_sink.path {
-            std::fs::write(path, report.to_json(pipeline_snap.as_ref()))
-                .expect("write obs snapshot");
+            std::fs::write(path, report.to_json()).expect("write obs snapshot");
             eprintln!("wrote obs snapshot to {path}");
         }
     }
 
     if !identity.matches_sequential {
         eprintln!("FAILED: parallel marking differs from sequential");
-        std::process::exit(1);
-    }
-    if pipeline.rows.iter().any(|r| !r.identical) {
-        eprintln!("FAILED: streamed sealed bytes differ from the barrier's");
         std::process::exit(1);
     }
 }

@@ -75,4 +75,4 @@ pub mod sim;
 
 pub use agent::{ApplyError, UserAgent};
 pub use metrics::MessageReport;
-pub use server::{KeyServer, PipelinePolicy, RekeyArtifacts, ServerOptions};
+pub use server::{KeyServer, RekeyArtifacts, ServerOptions};

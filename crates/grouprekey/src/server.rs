@@ -3,56 +3,9 @@
 use std::sync::Arc;
 
 use keytree::{Batch, CompactionPolicy, KeyTree, MarkOutcome, MarkScratch, MemberId};
-use rekeymsg::{build_usr_packet, Layout, StreamStats, StreamTuning, UkaAssignment, UsrPacket};
+use rekeymsg::{build_usr_packet, Layout, UkaAssignment, UsrPacket};
 use rekeyproto::{ServerConfig, ServerController, ServerSession};
 use wirecrypto::{KeyGen, SymKey};
-
-/// Whether and how [`KeyServer::rekey`] streams the message build.
-///
-/// Enabled, the mint → seal → assemble → encode stages run as two chained
-/// bounded-channel pipelines (see `rekeymsg::stream`) instead of strict
-/// barriers. The artifacts are bit-identical either way — at any worker
-/// count, chunk size, capacity, and schedule-perturbation seed — so this
-/// is purely a latency/throughput knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PipelinePolicy {
-    /// Stream the build (true) or run the legacy barrier path (false).
-    pub enabled: bool,
-    /// Encryption edges per seal chunk (clamped to ≥ 1).
-    pub chunk_edges: usize,
-    /// Bounded-channel capacity in chunks (clamped to ≥ 1).
-    pub channel_capacity: usize,
-}
-
-impl PipelinePolicy {
-    /// The legacy barrier path. Default: both paths produce identical
-    /// bytes, and the barrier is the reference the identity gates compare
-    /// against.
-    pub const DISABLED: PipelinePolicy = PipelinePolicy {
-        enabled: false,
-        chunk_edges: rekeymsg::SEAL_CHUNK,
-        channel_capacity: 4,
-    };
-
-    /// Streaming on with the default tuning.
-    pub const DEFAULT_ON: PipelinePolicy = PipelinePolicy {
-        enabled: true,
-        ..PipelinePolicy::DISABLED
-    };
-
-    fn tuning(self) -> StreamTuning {
-        StreamTuning {
-            chunk_edges: self.chunk_edges,
-            channel_capacity: self.channel_capacity,
-        }
-    }
-}
-
-impl Default for PipelinePolicy {
-    fn default() -> Self {
-        PipelinePolicy::DISABLED
-    }
-}
 
 /// Server construction options.
 #[derive(Debug, Clone, Copy)]
@@ -67,9 +20,6 @@ pub struct ServerOptions {
     /// default: the paper's Poisson workloads never skew the tree, and a
     /// disabled policy is byte-identical to the pre-compaction pipeline.
     pub compaction: CompactionPolicy,
-    /// Streaming message-build policy. Off by default; enabling it never
-    /// changes output bytes.
-    pub pipeline: PipelinePolicy,
 }
 
 impl Default for ServerOptions {
@@ -79,7 +29,6 @@ impl Default for ServerOptions {
             protocol: ServerConfig::default(),
             keygen_seed: 0x6B65_7973, // "keys"
             compaction: CompactionPolicy::DISABLED,
-            pipeline: PipelinePolicy::DISABLED,
         }
     }
 }
@@ -110,8 +59,6 @@ pub struct KeyServer {
     last_outcome: Option<Arc<MarkOutcome>>,
     scratch: MarkScratch,
     compaction: CompactionPolicy,
-    pipeline: PipelinePolicy,
-    last_stream_stats: Option<StreamStats>,
 }
 
 impl KeyServer {
@@ -126,8 +73,6 @@ impl KeyServer {
             last_outcome: None,
             scratch: MarkScratch::new(),
             compaction: options.compaction,
-            pipeline: options.pipeline,
-            last_stream_stats: None,
         }
     }
 
@@ -172,14 +117,19 @@ impl KeyServer {
         self.layout.usr_packet_len(self.tree.height() as usize + 1)
     }
 
-    /// Processes one batch: updates the tree, runs UKA, and opens a
-    /// transport session at the controller's current proactivity factor.
+    /// Processes one batch: marks the tree and mints the fresh keys, runs
+    /// UKA over the outcome, and opens a transport session at the
+    /// controller's current proactivity factor.
     ///
-    /// With [`PipelinePolicy::enabled`] the message build streams —
-    /// minting, sealing, packet assembly and FEC encoding overlap through
-    /// bounded chunk channels — producing artifacts bit-identical to the
-    /// barrier path; [`KeyServer::last_stream_stats`] then reports the
-    /// per-stage overlap accounting.
+    /// # Panics
+    ///
+    /// As [`KeyTree::process_batch`] for a malformed batch, and when the
+    /// message cannot be put on the wire: a node ID of the updated tree
+    /// exceeds the 16-bit wire range (`AssignError::IdOutOfRange` — the
+    /// group has outgrown the format, about 49k users at `d = 4`), or one
+    /// user's need-set exceeds a packet (`AssignError::PacketCapacity` —
+    /// the layout is too small for this tree height). The tree has already
+    /// been updated when either fires.
     pub fn rekey(&mut self, batch: Batch) -> RekeyArtifacts {
         let _span = obs::span("rekey.batch");
         obs::counter_add("rekey.batches", 1);
@@ -189,88 +139,20 @@ impl KeyServer {
         let tree_before = self.tree.clone();
         #[cfg(feature = "sanitize")]
         let batch_copy = batch.clone();
-        if self.pipeline.enabled {
-            let (outcome_raw, pending) = self.tree.process_batch_deferred_in(
-                batch,
-                &mut self.keygen,
-                &mut self.scratch,
-                &self.compaction,
-            );
-            let (derived, built) = rekeymsg::stream::build_streamed(
-                &self.tree,
-                &outcome_raw,
-                &pending,
-                msg_seq,
-                &self.layout,
-                self.controller.proto_encoder(),
-                self.pipeline.tuning(),
-            );
-            // Install before anything can observe the tree: from here on
-            // the server state is byte-identical to the barrier path's.
-            self.tree
-                .install_minted(&outcome_raw.updated_knodes, &derived);
-            // Flight-recorder marker: the moment the new key set became
-            // live — the interval boundary visible in a Perfetto trace.
-            obs::trace::instant("rekey.install");
-            let (assignment, blocks, stats) = built.unwrap_or_else(|e| {
-                unreachable!("marking outcome always seals against its own tree: {e}")
-            });
-            self.last_stream_stats = Some(stats);
-            let session = self
-                .controller
-                .begin_message_with_blocks(blocks, self.usr_len_hint());
-            self.finish_rekey(
-                msg_seq,
-                outcome_raw,
-                assignment,
-                session,
-                #[cfg(feature = "sanitize")]
-                tree_before,
-                #[cfg(feature = "sanitize")]
-                batch_copy,
-            )
-        } else {
-            let outcome = self.tree.process_batch_compacting_in(
-                batch,
-                &mut self.keygen,
-                &mut self.scratch,
-                &self.compaction,
-            );
-            // Same marker as the streamed path: keys are live once the
-            // inline (barrier) marking pass returns.
-            obs::trace::instant("rekey.install");
-            let assignment = UkaAssignment::build(&self.tree, &outcome, msg_seq, &self.layout)
-                .unwrap_or_else(|e| {
-                    unreachable!("marking outcome always seals against its own tree: {e}")
-                });
-            let session = self
-                .controller
-                .begin_message(assignment.packets.clone(), self.usr_len_hint());
-            self.finish_rekey(
-                msg_seq,
-                outcome,
-                assignment,
-                session,
-                #[cfg(feature = "sanitize")]
-                tree_before,
-                #[cfg(feature = "sanitize")]
-                batch_copy,
-            )
-        }
-    }
-
-    /// The shared tail of both [`KeyServer::rekey`] paths: sanitize
-    /// audits (the streamed path runs the exact same checks against its
-    /// already-installed tree), outcome bookkeeping, artifact packing.
-    fn finish_rekey(
-        &mut self,
-        msg_seq: u64,
-        outcome: MarkOutcome,
-        assignment: UkaAssignment,
-        session: ServerSession,
-        #[cfg(feature = "sanitize")] tree_before: KeyTree,
-        #[cfg(feature = "sanitize")] batch_copy: Batch,
-    ) -> RekeyArtifacts {
+        let outcome = self.tree.process_batch_compacting_in(
+            batch,
+            &mut self.keygen,
+            &mut self.scratch,
+            &self.compaction,
+        );
+        // Flight-recorder marker: the moment the new key set became live —
+        // the interval boundary visible in a Perfetto trace.
+        obs::trace::instant("rekey.install");
+        let assignment = UkaAssignment::build(&self.tree, &outcome, msg_seq, &self.layout)
+            .unwrap_or_else(|e| panic!("rekey message {msg_seq} cannot be built: {e}"));
+        let session = self
+            .controller
+            .begin_message(assignment.packets.clone(), self.usr_len_hint());
         #[cfg(feature = "sanitize")]
         {
             crate::sanitize::check_batch(&tree_before, &self.tree, &batch_copy, &outcome);
@@ -291,12 +173,6 @@ impl KeyServer {
             assignment,
             session,
         }
-    }
-
-    /// Per-stage busy/overlap accounting of the last streamed rekey, or
-    /// `None` before the first streamed batch (or with the pipeline off).
-    pub fn last_stream_stats(&self) -> Option<StreamStats> {
-        self.last_stream_stats
     }
 
     /// Builds the USR packet for `member` against the latest rekey
@@ -357,8 +233,6 @@ impl KeyServer {
             last_outcome: None,
             scratch: MarkScratch::new(),
             compaction: options.compaction,
-            pipeline: options.pipeline,
-            last_stream_stats: None,
         })
     }
 }

@@ -63,10 +63,7 @@ pub mod sanitize;
 mod snapshot;
 mod tree;
 
-pub use marking::{
-    derive_updated_key, Batch, CompactionPolicy, EncEdge, Label, MarkOutcome, MarkScratch,
-    PendingMint, UserMove, DERIVE_CHUNK,
-};
+pub use marking::{Batch, CompactionPolicy, EncEdge, Label, MarkOutcome, MarkScratch, UserMove};
 pub use node::{MemberId, Node, NodeId};
 pub use snapshot::SnapshotError;
 pub use tree::KeyTree;

@@ -395,43 +395,8 @@ fn derive_node_key(seed: &SymKey, id: NodeId) -> SymKey {
 
 /// Updated k-nodes per parallel key-derivation chunk. Constant (not
 /// worker-count derived) so chunk boundaries — and thus the work units —
-/// are identical at any `REKEY_THREADS`. Public because the streaming
-/// rekey pipeline mints producer-side chunks on the same boundaries the
-/// barrier path uses, which is what keeps the two paths byte-identical.
-pub const DERIVE_CHUNK: usize = 128;
-
-/// [`derive_node_key`] for callers outside the crate: the streaming
-/// pipeline's producer mints updated-k-node keys chunk by chunk from the
-/// [`PendingMint`] seed while downstream stages are already sealing, and
-/// must produce bit-for-bit the keys the barrier path installs.
-pub fn derive_updated_key(seed: &SymKey, id: NodeId) -> SymKey {
-    derive_node_key(seed, id)
-}
-
-/// The deferred half of a processed batch: the seed from which every
-/// updated k-node's fresh key derives.
-///
-/// [`KeyTree::process_batch_deferred_in`] hands this back *instead of*
-/// installing the fresh keys, so a streaming caller can overlap key
-/// minting with downstream sealing while the tree stays immutable (and
-/// therefore freely shared across pipeline stages). Each key is a pure
-/// PRF of `(seed, node id)` — see [`derive_updated_key`] — so minting
-/// order is irrelevant and deferral cannot change a single key byte.
-/// Once the pipeline drains, [`KeyTree::install_minted`] writes the
-/// derived keys back.
-#[derive(Debug, Clone)]
-pub struct PendingMint {
-    /// `None` when the batch updated no k-nodes (the keygen draw is
-    /// skipped entirely, preserving the generator's sequence).
-    seed: Option<SymKey>,
-}
-
-impl PendingMint {
-    /// The batch seed, or `None` when there is nothing to mint.
-    pub fn seed(&self) -> Option<&SymKey> {
-        self.seed.as_ref()
-    }
-}
+/// are identical at any `REKEY_THREADS`.
+const DERIVE_CHUNK: usize = 128;
 
 impl KeyTree {
     /// Runs the marking algorithm over one batch: updates the tree
@@ -493,51 +458,6 @@ impl KeyTree {
         scratch: &mut MarkScratch,
         policy: &CompactionPolicy,
     ) -> MarkOutcome {
-        let (outcome, pending) = self.process_batch_deferred_in(batch, keygen, scratch, policy);
-
-        // Mint the fresh keys in parallel from the batch seed and install
-        // them immediately — the classic barrier shape. Each key is a PRF
-        // of (seed, node id), so chunked workers produce exactly the keys
-        // a sequential pass would.
-        if let Some(seed) = pending.seed() {
-            let span_mint = obs::span("stage.mint");
-            let chunks: Vec<&[NodeId]> = outcome.updated_knodes.chunks(DERIVE_CHUNK).collect();
-            let derived: Vec<Vec<SymKey>> = taskpool::map(&chunks, |_, ids| {
-                ids.iter().map(|&id| derive_node_key(seed, id)).collect()
-            });
-            drop(span_mint);
-            let flat: Vec<SymKey> = derived.into_iter().flatten().collect();
-            self.install_minted(&outcome.updated_knodes, &flat);
-        }
-        outcome
-    }
-
-    /// [`KeyTree::process_batch_compacting_in`] with key installation
-    /// deferred: runs marking, draws the batch seed, and builds the full
-    /// [`MarkOutcome`] (edges, labels, moves), but does **not** write the
-    /// fresh keys into the tree — they come back as a [`PendingMint`] for
-    /// the caller to derive (chunk by chunk, overlapped with downstream
-    /// work) and install via [`KeyTree::install_minted`].
-    ///
-    /// This works because nothing after marking reads the fresh key
-    /// *values*: encryption edges depend only on node tags and batch
-    /// labels, and each deferred key is a pure PRF of `(seed, id)`. The
-    /// keygen draw happens at exactly the point the barrier path draws
-    /// it, so the generator's sequence — and with it every future batch —
-    /// is unchanged. Until [`KeyTree::install_minted`] runs, the tree
-    /// still holds the *previous* keys of the updated k-nodes; sealing
-    /// must take fresh keys from the mint stream, never from the tree.
-    ///
-    /// # Panics
-    ///
-    /// As [`KeyTree::process_batch`].
-    pub fn process_batch_deferred_in(
-        &mut self,
-        batch: Batch,
-        keygen: &mut KeyGen,
-        scratch: &mut MarkScratch,
-        policy: &CompactionPolicy,
-    ) -> (MarkOutcome, PendingMint) {
         let _span_batch = obs::span("keytree.mark_batch");
         if scratch.epoch > 0 {
             // A warm scratch means its node maps and work lists carry
@@ -574,11 +494,20 @@ impl KeyTree {
             })
             .collect();
 
-        // The seed is drawn here — the same generator step the barrier
-        // path always took — but the keys themselves are left pending.
-        let pending = PendingMint {
-            seed: (!updated.is_empty()).then(|| keygen.next_key()),
-        };
+        // Mint the fresh keys in parallel from one batch seed (no draw at
+        // all when nothing was updated, preserving the generator's
+        // sequence). Each key is a PRF of (seed, node id), so chunked
+        // workers produce exactly the keys a sequential pass would.
+        if !updated.is_empty() {
+            let seed = keygen.next_key();
+            let chunks: Vec<&[NodeId]> = updated.chunks(DERIVE_CHUNK).collect();
+            let derived: Vec<Vec<SymKey>> = taskpool::map(&chunks, |_, ids| {
+                ids.iter().map(|&id| derive_node_key(&seed, id)).collect()
+            });
+            for (&id, key) in updated.iter().zip(derived.into_iter().flatten()) {
+                self.set_key(id, key);
+            }
+        }
 
         let mut encryptions = Vec::new();
         for &p in &updated {
@@ -629,7 +558,7 @@ impl KeyTree {
         }
 
         let Batch { joins, leaves } = batch;
-        let outcome = MarkOutcome {
+        MarkOutcome {
             updated_knodes: updated,
             encryptions,
             moves,
@@ -639,70 +568,22 @@ impl KeyTree {
             nk: self.max_knode_id(),
             labels,
             index_by_child,
-        };
-        (outcome, pending)
-    }
-
-    /// Writes the deferred fresh keys of a [`PendingMint`] batch into the
-    /// tree: `keys[i]` becomes the key of `ids[i]` (the
-    /// [`MarkOutcome::updated_knodes`] order). Extra entries on either
-    /// side are ignored, so a partially-fed pipeline that is already
-    /// panicking cannot corrupt unrelated nodes.
-    ///
-    /// After this call the tree is byte-identical to what
-    /// [`KeyTree::process_batch_compacting_in`] would have produced
-    /// directly, because each key is the pure PRF of `(seed, id)` both
-    /// paths derive.
-    pub fn install_minted(&mut self, ids: &[NodeId], keys: &[SymKey]) {
-        debug_assert_eq!(ids.len(), keys.len(), "one deferred key per node");
-        for (&id, &key) in ids.iter().zip(keys) {
-            self.set_key(id, key);
         }
-        debug_assert_eq!(self.check_invariants(), Ok(()));
     }
 
-    /// Phases 1–2 of [`KeyTree::process_batch_in`]: applies one batch's
-    /// topology changes (replacements, pruning, splitting, revivals) and
-    /// labels the rekey subtree, leaving the labelled node set in
-    /// `scratch` and the member relocations in `moves` (cleared first).
-    /// Fresh keys are *not* minted here — [`KeyTree::process_batch_in`]
-    /// runs this and then derives keys and encryption edges from the
-    /// labels.
+    /// Phases 1–2 of [`KeyTree::process_batch_compacting_in`]: applies one
+    /// batch's topology changes (replacements, pruning, splitting,
+    /// revivals), runs the amortized tail-compaction step `policy` allows,
+    /// and labels the rekey subtree, leaving the labelled node set in
+    /// `scratch`, the split moves in `moves` and the compaction
+    /// relocations in `relocations` (both cleared first). Fresh keys are
+    /// *not* minted here — `process_batch_compacting_in` runs this and
+    /// then derives keys and encryption edges from the labels.
     ///
-    /// With a warm `scratch`, a warm `moves`, and no tree growth this is
-    /// the allocation-free half of the batch pipeline; the
-    /// `no_alloc_marks` integration test pins it at zero steady-state
-    /// allocations under the `xcheck-rt` counting allocator.
-    ///
-    /// # Panics
-    ///
-    /// As [`KeyTree::process_batch`].
-    // xcheck: no_alloc
-    pub fn mark_batch_in(
-        &mut self,
-        batch: &Batch,
-        keygen: &mut KeyGen,
-        scratch: &mut MarkScratch,
-        moves: &mut Vec<UserMove>,
-    ) {
-        // An empty `Vec` costs no allocation and compaction is off, so
-        // this wrapper preserves the zero-allocation contract.
-        let mut relocations = Vec::new();
-        self.mark_batch_compacting_in(
-            batch,
-            keygen,
-            scratch,
-            moves,
-            &mut relocations,
-            &CompactionPolicy::DISABLED,
-        );
-    }
-
-    /// [`KeyTree::mark_batch_in`] with the amortized tail-compaction step
-    /// of [`KeyTree::process_batch_compacting_in`] spliced in between the
-    /// batch's topology changes and the labelling pass. Relocated members
-    /// land in `relocations` (cleared first); with a warm scratch and warm
-    /// vectors this remains allocation-free in the steady state.
+    /// With a warm `scratch`, warm vectors, and no tree growth this is the
+    /// allocation-free half of batch processing; the `no_alloc_marks`
+    /// integration test pins it at zero steady-state allocations under the
+    /// `xcheck-rt` counting allocator.
     ///
     /// # Panics
     ///

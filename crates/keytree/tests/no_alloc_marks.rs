@@ -1,6 +1,6 @@
 //! Dynamic half of the `// xcheck: no_alloc` contract for
-//! [`KeyTree::mark_batch_in`] and [`KeyTree::mark_batch_compacting_in`]:
-//! with a warm scratch, warm moves/relocations buffers, and batches that
+//! [`KeyTree::mark_batch_compacting_in`], compaction off and on: with a
+//! warm scratch, warm moves/relocations buffers, and batches that
 //! do not grow the tree's storage, phases 1–2 of batch processing — tail
 //! compaction included — must perform zero heap allocations.
 
@@ -11,13 +11,17 @@ use wirecrypto::KeyGen;
 static ALLOC: xcheck_rt::CountingAlloc = xcheck_rt::CountingAlloc;
 
 #[test]
-fn mark_batch_in_is_allocation_free_in_steady_state() {
+fn marking_is_allocation_free_in_steady_state() {
     xcheck_rt::assert_counting();
 
     let mut kg = KeyGen::from_seed(41);
     let mut tree = KeyTree::balanced(64, 4, &mut kg);
     let mut scratch = MarkScratch::new();
     let mut moves: Vec<UserMove> = Vec::new();
+    // Compaction is off, so this stays empty (and an empty `Vec` never
+    // allocates).
+    let mut relocations: Vec<UserMove> = Vec::new();
+    let off = CompactionPolicy::DISABLED;
 
     // Warm-up: several replace batches fill the scratch's node maps and
     // work lists to their steady-state capacity.
@@ -34,13 +38,27 @@ fn mark_batch_in_is_allocation_free_in_steady_state() {
     };
     for round in 0..4 {
         let batch = batch_at(round, &mut kg, &mut next_member);
-        tree.mark_batch_in(&batch, &mut kg, &mut scratch, &mut moves);
+        tree.mark_batch_compacting_in(
+            &batch,
+            &mut kg,
+            &mut scratch,
+            &mut moves,
+            &mut relocations,
+            &off,
+        );
     }
 
     // Steady state: one more batch of the same shape must not allocate.
     let batch = batch_at(4, &mut kg, &mut next_member);
-    xcheck_rt::assert_zero_alloc("KeyTree::mark_batch_in", || {
-        tree.mark_batch_in(&batch, &mut kg, &mut scratch, &mut moves)
+    xcheck_rt::assert_zero_alloc("KeyTree::mark_batch_compacting_in (off)", || {
+        tree.mark_batch_compacting_in(
+            &batch,
+            &mut kg,
+            &mut scratch,
+            &mut moves,
+            &mut relocations,
+            &off,
+        )
     });
 
     // The marking really ran: the batch's joins are live members now.

@@ -5,9 +5,9 @@
 //!
 //! The aggregate instruments in the crate root answer "how much time
 //! did stage X take in total"; the recorder answers "*when* did every
-//! stage run, on which worker" — which is what makes the streamed
-//! mint→seal→plan→encode pipeline overlap visible as parallel tracks
-//! instead of a single gauge.
+//! stage run, on which worker" — one track per `taskpool` worker, so a
+//! stage's fan-out (and the barrier between stages) is visible as
+//! parallel tracks instead of a single gauge.
 //!
 //! # Recording model
 //!
@@ -71,7 +71,7 @@ pub struct TraceEvent {
 pub struct TrackInfo {
     /// Stable track id (ring creation order; doubles as the Chrome `tid`).
     pub track: u32,
-    /// Human label, e.g. `pipe-1` (see [`set_thread_track`]).
+    /// Human label, e.g. `map-1` (see [`set_thread_track`]).
     pub label: String,
     /// Events drained from this track.
     pub events: u64,
@@ -244,79 +244,6 @@ impl Trace {
     }
 }
 
-/// Total nanoseconds covered by the union of `intervals` (half-open
-/// `[begin, end)` pairs; overlaps and duplicates count once).
-#[must_use]
-pub fn union_ns(intervals: &[(u64, u64)]) -> u64 {
-    let mut sorted: Vec<(u64, u64)> = intervals.iter().copied().filter(|&(b, e)| e > b).collect();
-    sorted.sort_unstable();
-    let mut total = 0u64;
-    let mut cur: Option<(u64, u64)> = None;
-    for (b, e) in sorted {
-        match cur {
-            Some((cb, ce)) if b <= ce => cur = Some((cb, ce.max(e))),
-            Some((cb, ce)) => {
-                total += ce - cb;
-                cur = Some((b, e));
-            }
-            None => cur = Some((b, e)),
-        }
-    }
-    if let Some((cb, ce)) = cur {
-        total += ce - cb;
-    }
-    total
-}
-
-/// Nanoseconds during which **at least two distinct stages** are
-/// simultaneously active, where each element of `stages` is one stage's
-/// set of activity intervals.
-///
-/// Within a stage, intervals are unioned first, so two of a stage's own
-/// workers running concurrently do not count as overlap. Passing each
-/// stage as a single `[first, last]` window reproduces the coarse
-/// window-based inclusion–exclusion that `StreamStats::overlap_ns`
-/// uses; passing the exact per-span intervals yields the exact
-/// event-derived overlap.
-#[must_use]
-pub fn multi_stage_overlap_ns(stages: &[Vec<(u64, u64)>]) -> u64 {
-    // Boundary sweep: +1 when any merged interval of a stage opens,
-    // -1 when it closes; accumulate time while >= 2 stages are active.
-    let mut bounds: Vec<(u64, i32)> = Vec::new();
-    for stage in stages {
-        for (b, e) in merged(stage) {
-            bounds.push((b, 1));
-            bounds.push((e, -1));
-        }
-    }
-    bounds.sort_unstable();
-    let mut active = 0i32;
-    let mut overlap = 0u64;
-    let mut prev = 0u64;
-    for (t, delta) in bounds {
-        if active >= 2 {
-            overlap += t - prev;
-        }
-        active += delta;
-        prev = t;
-    }
-    overlap
-}
-
-/// Union-merges one stage's intervals into disjoint sorted intervals.
-fn merged(intervals: &[(u64, u64)]) -> Vec<(u64, u64)> {
-    let mut sorted: Vec<(u64, u64)> = intervals.iter().copied().filter(|&(b, e)| e > b).collect();
-    sorted.sort_unstable();
-    let mut out: Vec<(u64, u64)> = Vec::new();
-    for (b, e) in sorted {
-        match out.last_mut() {
-            Some(last) if b <= last.1 => last.1 = last.1.max(e),
-            _ => out.push((b, e)),
-        }
-    }
-    out
-}
-
 // ---------------------------------------------------------------------------
 // Live recorder (enabled builds)
 // ---------------------------------------------------------------------------
@@ -331,7 +258,7 @@ mod rec {
     use super::{EventKind, Trace, TraceEvent, TrackInfo};
 
     /// Default ring capacity: events per thread before overflow. One
-    /// streamed 2^20 rekey records a few thousand events per thread.
+    /// 2^20 rekey records a few thousand events per thread.
     pub(super) const DEFAULT_CAPACITY: usize = 1 << 14;
 
     const KIND_BEGIN: u64 = 0;
@@ -738,7 +665,7 @@ pub fn instant(name: &'static str) {
 // xcheck: no_alloc
 pub fn instant(_name: &'static str) {}
 
-/// Labels the calling thread's track as `role-index` (e.g. `pipe-1`),
+/// Labels the calling thread's track as `role-index` (e.g. `map-1`),
 /// claiming a track if the thread has none yet. No-op while recording
 /// is off, so idle worker spawns cost nothing.
 #[cfg(feature = "enabled")]
@@ -826,7 +753,7 @@ mod tests {
                 },
                 TrackInfo {
                     track: 1,
-                    label: "pipe-0".to_string(),
+                    label: "map-0".to_string(),
                     events: 2,
                     dropped: 0,
                 },
@@ -857,34 +784,13 @@ mod tests {
     }
 
     #[test]
-    fn union_and_overlap_arithmetic() {
-        assert_eq!(union_ns(&[(0, 10), (5, 20), (30, 40)]), 30);
-        assert_eq!(union_ns(&[]), 0);
-        // Stage A [0,100), stage B [50,150): overlap 50.
-        assert_eq!(
-            multi_stage_overlap_ns(&[vec![(0, 100)], vec![(50, 150)]]),
-            50
-        );
-        // Intra-stage concurrency is not overlap.
-        assert_eq!(
-            multi_stage_overlap_ns(&[vec![(0, 100), (10, 90)], vec![(200, 300)]]),
-            0
-        );
-        // Three stages all active in [40,60): still counted once.
-        assert_eq!(
-            multi_stage_overlap_ns(&[vec![(0, 60)], vec![(40, 100)], vec![(40, 60)]]),
-            20
-        );
-    }
-
-    #[test]
     fn chrome_export_is_well_formed_and_labeled() {
         let json = two_track_trace().to_chrome_json();
         assert!(crate::json::well_formed(&json));
         assert!(json.contains("\"schema\": \"trace/v1\""));
         assert!(json.contains("\"thread_name\""));
         assert!(json.contains("\"main-0\""));
-        assert!(json.contains("\"pipe-0\""));
+        assert!(json.contains("\"map-0\""));
         assert!(json.contains("\"ph\": \"B\""));
         assert!(json.contains("\"ph\": \"E\""));
         assert!(json.contains("\"ph\": \"i\""));

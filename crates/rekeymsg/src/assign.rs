@@ -448,9 +448,7 @@ pub fn plan_in(
 
 /// Encryption edges per parallel seal chunk. Constant (not worker-count
 /// derived) so chunk boundaries — and thus the work units and the
-/// first-error-wins order — are identical at any `REKEY_THREADS`. The
-/// streaming pipeline defaults its `chunk_edges` to this so both paths
-/// cut the edge list on the same lines.
+/// first-error-wins order — are identical at any `REKEY_THREADS`.
 pub const SEAL_CHUNK: usize = 64;
 
 /// Plans the UKA packing and seals the full edge list, without
@@ -459,10 +457,19 @@ pub const SEAL_CHUNK: usize = 64;
 /// This is [`UkaAssignment::build`] minus the 16-bit wire stage: no
 /// `maxKID`/ID range checks and no `EncPacket` assembly, so it stays
 /// total for populations whose node IDs overflow the `u16` wire space
-/// (N > 2^14 at degree 4). The bench harness uses it to measure the
-/// *cryptographic* cost of message build at every N; `sealed[i]` is the
-/// seal of `outcome.encryptions[i]`, bit-identical to what `build`
-/// produces wherever both are defined.
+/// (N > 2^14 at degree 4). `build` runs it and then assembles packets;
+/// the bench harness calls it directly to measure the *cryptographic*
+/// cost of message build at every N. `sealed[i]` is the seal of
+/// `outcome.encryptions[i]`.
+///
+/// Every edge is on some live user's path (the orphan-key invariant: each
+/// live k-node has a u-descendant), so sealing the whole edge list does
+/// exactly the work the plans require — without the distinct-index set
+/// and keyed cache a plan-driven walk would need. The seals are mutually
+/// independent (all keys were minted before this point), so contiguous
+/// chunks fan out across workers; chunk boundaries are worker-count
+/// independent and results return in input order, so the sealed vector —
+/// and the first failing edge — are identical at any worker count.
 ///
 /// # Errors
 ///
@@ -714,64 +721,21 @@ impl UkaAssignment {
         msg_seq: u64,
         layout: &Layout,
     ) -> Result<UkaAssignment, AssignError> {
-        let _span_build = obs::span("uka.build");
         let msg_id = (msg_seq & 0x3f) as u8;
-        // The range check precedes planning so the barrier and streamed
-        // paths surface errors in the same order (the streamed path
-        // checks `max_kid` before phase 1 starts).
+        // 16-bit wire range: `maxKID` and every encryption ID a packet
+        // carries must fit `u16` (packet ranges are checked at assembly).
         let max_kid = outcome.nk.unwrap_or(0);
         if max_kid > u16::MAX as NodeId {
             return Err(AssignError::IdOutOfRange(max_kid));
         }
-        let plans = plan(tree, outcome, layout)?;
-
-        // Seal every encryption of the rekey subtree once, index-aligned
-        // with `MarkOutcome::encryptions`. Every edge is on some live
-        // user's path (the orphan-key invariant: each live k-node has a
-        // u-descendant), so sealing the whole edge list does exactly the
-        // work the plans require — without the distinct-index set and
-        // keyed cache a plan-driven walk would need. The seals are
-        // mutually independent (all keys were minted before this point),
-        // so fan contiguous chunks out across workers; chunk boundaries
-        // are worker-count independent and results return in input order,
-        // so the sealed vector — and the first failing edge — are
-        // identical at any worker count.
-        let span_seal = obs::span("stage.seal");
-        let chunks: Vec<&[EncEdge]> = outcome.encryptions.chunks(SEAL_CHUNK).collect();
-        let sealed_chunks: Vec<Result<Vec<SealedKey>, AssignError>> =
-            taskpool::map(&chunks, |_, edges| {
-                edges
-                    .iter()
-                    .map(|edge| {
-                        if edge.child > u16::MAX as NodeId {
-                            return Err(AssignError::IdOutOfRange(edge.child));
-                        }
-                        let (Some(kek), Some(plain)) =
-                            (tree.key_of(edge.child), tree.key_of(edge.parent))
-                        else {
-                            return Err(AssignError::MissingKey {
-                                child: edge.child,
-                                parent: edge.parent,
-                            });
-                        };
-                        Ok(SealedKey::seal(
-                            &kek,
-                            &plain,
-                            seal_context(msg_seq, edge.child),
-                        ))
-                    })
-                    .collect()
-            });
-        let mut sealed: Vec<SealedKey> = Vec::with_capacity(outcome.encryptions.len());
-        for chunk in sealed_chunks {
-            sealed.extend(chunk?);
+        if let Some(edge) = outcome
+            .encryptions
+            .iter()
+            .find(|edge| edge.child > u16::MAX as NodeId)
+        {
+            return Err(AssignError::IdOutOfRange(edge.child));
         }
-        drop(span_seal);
-        obs::counter_add("uka.keys_sealed", sealed.len() as u64);
-        obs::counter_add(
-            "uka.bytes_sealed",
-            (sealed.len() * wirecrypto::SEALED_KEY_LEN) as u64,
-        );
+        let (plans, sealed) = plan_and_seal(tree, outcome, msg_seq, layout)?;
 
         let mut packets = Vec::with_capacity(plans.len());
         let mut entries_emitted = 0;

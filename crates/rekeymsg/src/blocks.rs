@@ -161,7 +161,7 @@ impl BlockSet {
         // FEC bodies are independent per block; fan the serialization out.
         // Body serialization is the data half of the encode stage (the
         // parity half lives in `Block::mint`), so it records under the
-        // same span in both the barrier and streaming builds.
+        // same span.
         let bodies_per_block: Vec<Vec<Vec<u8>>> = taskpool::map(&per_block, |_, pkts| {
             let _span_encode = obs::span("stage.encode");
             pkts.iter().map(|p| p.fec_body(&layout)).collect()
@@ -308,124 +308,6 @@ impl BlockSet {
     /// The layout this message was built with.
     pub fn layout(&self) -> Layout {
         self.layout
-    }
-}
-
-/// Stamps one block's worth of ENC packets for the wire: assigns
-/// `block_id = b` and ascending sequence numbers, and cyclically pads a
-/// short (final) chunk up to `k` with flagged duplicates — exactly the
-/// stamping [`BlockSet::with_encoder`] applies, factored out so the
-/// streaming build can stamp blocks as their packets are assembled.
-///
-/// Returns an empty vector for an empty chunk (no padding is invented).
-pub fn stamp_block(chunk: &[EncPacket], b: usize, k: usize) -> Vec<EncPacket> {
-    if chunk.is_empty() {
-        return Vec::new();
-    }
-    let mut block_packets: Vec<EncPacket> = Vec::with_capacity(k);
-    for (s, pkt) in chunk.iter().enumerate() {
-        let mut stamped = pkt.clone();
-        stamped.block_id = b as u8;
-        stamped.seq = s as u8;
-        stamped.duplicate = false;
-        block_packets.push(stamped);
-    }
-    let real = block_packets.len();
-    let mut s = real;
-    while block_packets.len() < k {
-        let mut dup = block_packets[s % real].clone();
-        dup.seq = s as u8;
-        dup.duplicate = true;
-        block_packets.push(dup);
-        s += 1;
-    }
-    block_packets
-}
-
-/// Serializes the FEC bodies of one stamped block — the pure data half
-/// of the encode stage, callable from any pipeline worker.
-pub fn fec_bodies(packets: &[EncPacket], layout: &Layout) -> Vec<Vec<u8>> {
-    let _span_encode = obs::span("stage.encode");
-    packets.iter().map(|p| p.fec_body(layout)).collect()
-}
-
-/// Incremental [`BlockSet`] construction for the streaming build:
-/// stamped blocks and their serialized FEC bodies arrive one at a time
-/// (in block order — the pipeline's ordered reassembly guarantees it)
-/// and [`BlockSetBuilder::finish`] yields a block set bit-identical to
-/// [`BlockSet::with_encoder`] over the same packets.
-///
-/// The caller stamps with [`stamp_block`] and serializes with
-/// [`fec_bodies`]; the builder only accounts and assembles, so the
-/// expensive serialization can run on pipeline workers while later
-/// blocks' packets are still being assembled.
-#[derive(Debug)]
-pub struct BlockSetBuilder {
-    proto_encoder: BlockEncoder,
-    layout: Layout,
-    blocks: Vec<Block>,
-    real_packets: usize,
-}
-
-impl BlockSetBuilder {
-    /// Starts an empty builder cloning block state from the caller-owned
-    /// warmed prototype encoder (see [`BlockSet::with_encoder`]).
-    pub fn new(proto_encoder: BlockEncoder, layout: Layout) -> Self {
-        BlockSetBuilder {
-            proto_encoder,
-            layout,
-            blocks: Vec::new(),
-            real_packets: 0,
-        }
-    }
-
-    /// Block size `k`.
-    pub fn k(&self) -> usize {
-        self.proto_encoder.k()
-    }
-
-    /// Appends the next block: `packets` as stamped by [`stamp_block`]
-    /// for this block index, `bodies` their [`fec_bodies`] serialization.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the message would exceed 256 blocks (wire limit of
-    /// the 8-bit block ID) — the same limit `with_encoder` asserts.
-    pub fn push_block(&mut self, packets: Vec<EncPacket>, bodies: Vec<Vec<u8>>) {
-        assert!(
-            self.blocks.len() < 256,
-            "message needs more than 256 blocks, wire limit 256"
-        );
-        // Padding duplicates carry the flag, so the pre-padding packet
-        // count is recoverable exactly.
-        self.real_packets += packets.iter().filter(|p| !p.duplicate).count();
-        self.blocks.push(Block {
-            id: self.blocks.len() as u8,
-            packets,
-            bodies,
-            encoder: self.proto_encoder.clone(),
-            next_parity: 0,
-        });
-    }
-
-    /// Finishes the set. Equal (field for field) to
-    /// [`BlockSet::with_encoder`] over the concatenation of the pushed
-    /// blocks' real packets.
-    pub fn finish(self) -> BlockSet {
-        obs::counter_add("fec.blocks", self.blocks.len() as u64);
-        obs::counter_add("fec.enc_packets", self.real_packets as u64);
-        let msg_id = self
-            .blocks
-            .first()
-            .map(|b| b.packets[0].msg_id)
-            .unwrap_or(0);
-        BlockSet {
-            k: self.proto_encoder.k(),
-            layout: self.layout,
-            msg_id,
-            blocks: self.blocks,
-            real_packets: self.real_packets,
-        }
     }
 }
 

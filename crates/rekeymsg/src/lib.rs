@@ -50,7 +50,6 @@ mod layout;
 /// (tests / `--features sanitize`).
 #[cfg(any(test, feature = "sanitize"))]
 pub mod sanitize;
-pub mod stream;
 pub mod view;
 pub mod wire;
 
@@ -58,14 +57,17 @@ pub use assign::{
     naive_plan_stats, plan, plan_and_seal, plan_in, AssignError, AssignmentStats,
     NaiveAssignmentStats, PacketPlan, PlanScratch, UkaAssignment, UserRun, SEAL_CHUNK,
 };
-pub use blocks::{BlockSet, BlockSetBuilder, SendItem, SendOrder};
+pub use blocks::{BlockSet, SendItem, SendOrder};
 pub use layout::Layout;
-pub use stream::{StreamStats, StreamTuning};
 pub use view::{EncView, ParityView};
 pub use wire::{EncPacket, NackPacket, NackRequest, Packet, ParityPacket, UsrPacket, WireError};
 
 /// Builds the USR packet for one user: the sealed encryptions it needs,
 /// in increasing encryption-ID order (IDs omitted on the wire).
+///
+/// `None` when `member` is not in the tree, when a key on its path is
+/// missing, or when its u-node ID does not fit the 16-bit `newUserID`
+/// wire field (a truncated ID would address the packet to another user).
 pub fn build_usr_packet(
     tree: &keytree::KeyTree,
     outcome: &keytree::MarkOutcome,
@@ -73,6 +75,7 @@ pub fn build_usr_packet(
     msg_seq: u64,
 ) -> Option<UsrPacket> {
     let uid = tree.node_of_member(member)?;
+    let new_user_id = u16::try_from(uid).ok()?;
     let mut idxs = outcome.encryptions_for_user(uid, tree.degree());
     // Path order is leaf-first; wire order is increasing encryption (child)
     // ID, which is root-side first.
@@ -90,7 +93,7 @@ pub fn build_usr_packet(
     }
     Some(UsrPacket {
         msg_id: (msg_seq & 0x3f) as u8,
-        new_user_id: uid as u16,
+        new_user_id,
         sealed,
     })
 }

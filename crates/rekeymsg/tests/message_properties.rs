@@ -196,3 +196,29 @@ proptest! {
         }
     }
 }
+
+/// A member whose u-node ID exceeds the 16-bit `newUserID` field gets no
+/// USR packet — never one whose truncated ID addresses another user.
+#[test]
+fn usr_packet_refuses_ids_beyond_the_wire() {
+    // N = 65536 at d = 4: u-nodes occupy IDs 21845..=87380.
+    let (tree, outcome) = build(1 << 16, 4, &[0, 65535], 0, 9);
+    let narrow = tree.member_ids().into_iter().find(|&m| {
+        tree.node_of_member(m)
+            .is_some_and(|id| id <= u32::from(u16::MAX))
+    });
+    let wide = tree.member_ids().into_iter().find(|&m| {
+        tree.node_of_member(m)
+            .is_some_and(|id| id > u32::from(u16::MAX))
+    });
+    let (narrow, wide) = (
+        narrow.expect("a 16-bit member"),
+        wide.expect("a wide member"),
+    );
+    let usr = rekeymsg::build_usr_packet(&tree, &outcome, narrow, 1).expect("fits the wire");
+    assert_eq!(
+        u32::from(usr.new_user_id),
+        tree.node_of_member(narrow).unwrap()
+    );
+    assert_eq!(rekeymsg::build_usr_packet(&tree, &outcome, wide, 1), None);
+}

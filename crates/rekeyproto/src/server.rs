@@ -123,26 +123,6 @@ impl ServerController {
         )
     }
 
-    /// [`ServerController::begin_message`] for a caller that already built
-    /// the [`BlockSet`] — the streaming rekey pipeline assembles blocks
-    /// incrementally (overlapped with FEC body serialization) and hands
-    /// the finished set over here instead of re-partitioning packets.
-    pub fn begin_message_with_blocks(
-        &self,
-        blocks: BlockSet,
-        usr_len_hint: usize,
-    ) -> ServerSession {
-        ServerSession::with_blocks(blocks, self.rho, self.cfg, usr_len_hint)
-    }
-
-    /// The warmed prototype block encoder sessions clone per message. A
-    /// streaming build clones this once and feeds the resulting
-    /// [`BlockSet`] back through
-    /// [`ServerController::begin_message_with_blocks`].
-    pub fn proto_encoder(&self) -> &rse::BlockEncoder {
-        &self.proto_encoder
-    }
-
     /// Feeds the finished session's first-round demands into `AdjustRho`
     /// and its deadline misses into the `numNACK` heuristics.
     pub fn absorb_feedback(&mut self, session: &ServerSession, missed_deadline: usize) {
@@ -238,10 +218,6 @@ impl ServerSession {
         usr_len_hint: usize,
     ) -> Self {
         let blocks = BlockSet::with_encoder(enc_packets, proto_encoder, cfg.layout);
-        Self::with_blocks(blocks, rho, cfg, usr_len_hint)
-    }
-
-    fn with_blocks(blocks: BlockSet, rho: f64, cfg: ServerConfig, usr_len_hint: usize) -> Self {
         let amax = vec![0; blocks.block_count()];
         ServerSession {
             cfg,

@@ -43,10 +43,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod pipe;
-
-pub use pipe::{pipeline, Chan, Closed, OrderedRx, Sender};
-
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
