@@ -18,28 +18,12 @@
 use std::io::{self, Write};
 use std::time::Instant;
 
+use bench::report::{fail, Args};
 use bench::{Mode, ObsSink, ALL_FIGURES};
 
 fn main() -> io::Result<()> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut obs_out: Option<String> = None;
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--obs-out" => obs_out = Some(it.next().expect("--obs-out needs a path")),
-            other => {
-                eprintln!("unknown flag {other}; use [--obs-out PATH]");
-                std::process::exit(2);
-            }
-        }
-    }
-    let obs_sink = match ObsSink::resolve(obs_out) {
-        Ok(sink) => sink,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(1);
-        }
-    };
+    let args = Args::parse(&["--obs-out"], &[]);
+    let obs_sink = ObsSink::resolve(args.value("--obs-out")).unwrap_or_else(|msg| fail(msg));
 
     let figures: Vec<&(&str, bench::FigFn)> = match std::env::var("REKEY_FIGURES") {
         Ok(filter) => {
@@ -77,11 +61,5 @@ fn main() -> io::Result<()> {
         writeln!(err, "[time] {name}: {:.2}s", t.elapsed().as_secs_f64())?;
     }
     writeln!(err, "[time] total: {:.2}s", total.elapsed().as_secs_f64())?;
-    if obs_sink.active() {
-        obs_sink.emit(&obs::snapshot(), &mut err)?;
-        if let Some(path) = &obs_sink.path {
-            writeln!(err, "wrote obs snapshot to {path}")?;
-        }
-    }
-    Ok(())
+    obs_sink.emit(&obs::snapshot(), &mut err)
 }

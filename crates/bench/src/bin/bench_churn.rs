@@ -23,12 +23,11 @@
 //! `taskpool::with_schedule` perturbation, comparing whole-run digests —
 //! the gate is bit-identity of the entire rekey stream.
 //!
-//! Flags: `--smoke` shrinks the grid (same JSON shape); `--check <path>`
-//! validates an existing report, including the bounded-depth and
+//! Flags are the shared report flags (`bench::report`): `--smoke` shrinks
+//! the grid (same JSON shape); `--check` includes the bounded-depth and
 //! memory-reclamation acceptance criteria on full-mode reports;
-//! `--out <path>` overrides the output path; `--obs-out <path>` (or
-//! `REKEY_OBS=1`) snapshots the `scenario.*` / `stage.*` metrics over
-//! the acceptance row (requires `--features obs`).
+//! `--obs-out <path>` (or `REKEY_OBS=1`) snapshots the `scenario.*` /
+//! `stage.*` metrics over the acceptance row (requires `--features obs`).
 //!
 //! `--series-out <path>` replays the acceptance row once more with a
 //! per-interval [`obs::series::SeriesRecorder`] attached and writes the
@@ -41,15 +40,16 @@
 
 use std::time::Instant;
 
+use bench::report::{self, Cli, CHURN};
 use grouprekey::scenario::{self, ScenarioConfig, ScenarioKind, ScenarioReport};
 use grouprekey::ServerOptions;
 use keytree::CompactionPolicy;
+use obs::json::JsonWriter;
 
-const SCHEMA: &str = "bench_churn/v1";
 const IDENTITY_WORKERS: [usize; 2] = [1, 4];
 const IDENTITY_SCHED_SEEDS: [u64; 2] = [0xA5, 0x5A];
 
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq)]
 struct Cell {
     kind: ScenarioKind,
     n: u32,
@@ -174,283 +174,69 @@ fn bench_identity(cell: Cell) -> IdentityReport {
 }
 
 // ---------------------------------------------------------------------------
-// JSON emit + check
+// Report
 // ---------------------------------------------------------------------------
 
-fn fmt_f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "0.0".to_string()
-    }
+/// Writes the coordinates a grid row and the identity header share.
+fn cell_fields(w: &mut JsonWriter, cell: Cell) {
+    w.field_str("kind", cell.kind.name());
+    w.field_u64("n", u64::from(cell.n));
+    w.field_u64("d", u64::from(cell.d));
+    w.field_bool("compaction", cell.compaction);
 }
 
-fn render_json(mode: &str, cells: &[CellReport], identity: &IdentityReport) -> String {
-    let rows: Vec<String> = cells
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"kind\": \"{}\", \"n\": {}, \"d\": {}, \"compaction\": {}, \
-                 \"intervals\": {}, \"users_final\": {}, \"enc_per_member_mean\": {}, \
-                 \"bytes_on_wire_total\": {}, \"max_depth_run\": {}, \"max_depth_final\": {}, \
-                 \"mean_depth_final\": {}, \"resident_bytes_peak\": {}, \
-                 \"resident_bytes_final\": {}, \"resident_nonmonotonic\": {}, \
-                 \"relocations_total\": {}, \
-                 \"batch_wall_ms_mean\": {}, \"digest\": \"{:016x}\"}}",
-                r.cell.kind.name(),
-                r.cell.n,
-                r.cell.d,
-                r.cell.compaction,
-                r.cell.intervals,
-                r.users_final,
-                fmt_f(r.report.mean_enc_per_member()),
-                r.report.total_bytes_on_wire(),
-                r.report.max_depth(),
-                r.max_depth_final,
-                fmt_f(r.mean_depth_final),
-                r.report.peak_resident_bytes(),
-                r.report.final_resident_bytes(),
-                r.resident_nonmonotonic,
-                r.report.total_relocations(),
-                fmt_f(r.batch_wall_ms_mean),
-                r.report.digest,
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"mode\": \"{mode}\",\n  \"identity\": {{\n    \
-         \"kind\": \"{}\", \"n\": {}, \"d\": {}, \"compaction\": {},\n    \
-         \"workers\": [{}, {}], \"sched_seeds\": [{}, {}],\n    \
-         \"matches_sequential\": {}\n  }},\n  \"churn\": [\n{}\n  ]\n}}\n",
-        identity.cell.kind.name(),
-        identity.cell.n,
-        identity.cell.d,
-        identity.cell.compaction,
-        IDENTITY_WORKERS[0],
-        IDENTITY_WORKERS[1],
-        IDENTITY_SCHED_SEEDS[0],
-        IDENTITY_SCHED_SEEDS[1],
-        identity.matches_sequential,
-        rows.join(",\n")
-    )
+fn render(cli: &Cli, cells: &[CellReport], identity: &IdentityReport) -> String {
+    let mut w = report::begin(&CHURN, cli);
+    w.key("identity");
+    w.begin_object();
+    cell_fields(&mut w, identity.cell);
+    report::integers(&mut w, "workers", IDENTITY_WORKERS.map(|n| n as u64));
+    report::integers(&mut w, "sched_seeds", IDENTITY_SCHED_SEEDS);
+    w.field_bool("matches_sequential", identity.matches_sequential);
+    w.end_object();
+    w.key("churn");
+    w.begin_array();
+    for r in cells {
+        w.begin_object();
+        cell_fields(&mut w, r.cell);
+        w.field_u64("intervals", r.cell.intervals as u64);
+        w.field_u64("users_final", r.users_final as u64);
+        report::measured(
+            &mut w,
+            "enc_per_member_mean",
+            r.report.mean_enc_per_member(),
+        );
+        w.field_u64("bytes_on_wire_total", r.report.total_bytes_on_wire() as u64);
+        w.field_u64("max_depth_run", u64::from(r.report.max_depth()));
+        w.field_u64("max_depth_final", u64::from(r.max_depth_final));
+        report::measured(&mut w, "mean_depth_final", r.mean_depth_final);
+        w.field_u64("resident_bytes_peak", r.report.peak_resident_bytes() as u64);
+        w.field_u64(
+            "resident_bytes_final",
+            r.report.final_resident_bytes() as u64,
+        );
+        w.field_bool("resident_nonmonotonic", r.resident_nonmonotonic);
+        w.field_u64("relocations_total", r.report.total_relocations() as u64);
+        report::measured(&mut w, "batch_wall_ms_mean", r.batch_wall_ms_mean);
+        w.field_str("digest", &format!("{:016x}", r.report.digest));
+        w.end_object();
+    }
+    w.end_array();
+    report::finish(w)
 }
 
-/// Structural well-formedness: balanced braces/brackets outside strings,
-/// non-empty, object at the top level.
-fn json_well_formed(text: &str) -> bool {
-    let trimmed = text.trim();
-    if !trimmed.starts_with('{') || !trimmed.ends_with('}') {
-        return false;
-    }
-    let mut depth = 0i64;
-    let mut in_string = false;
-    let mut escaped = false;
-    for c in trimmed.chars() {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_string = true,
-            '{' | '[' => depth += 1,
-            '}' | ']' => {
-                depth -= 1;
-                if depth < 0 {
-                    return false;
-                }
-            }
-            _ => {}
-        }
-    }
-    depth == 0 && !in_string
-}
-
-/// Extracts the integer value of `"key": <digits>` from one JSON row line.
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Validates a previously emitted `BENCH_churn.json`. Returns a list of
-/// problems (empty = valid). Full-mode reports must additionally satisfy
-/// the acceptance criteria: bounded final depth and non-monotonic
-/// resident bytes on the compaction-on mass-departure and oscillation
-/// rows.
-fn check_report(text: &str) -> Vec<String> {
-    let mut problems = Vec::new();
-    if !json_well_formed(text) {
-        problems.push("not a well-formed JSON object".to_string());
-        return problems;
-    }
-    for key in [
-        "\"schema\"",
-        SCHEMA,
-        "\"identity\"",
-        "\"churn\"",
-        "\"enc_per_member_mean\"",
-        "\"max_depth_final\"",
-        "\"resident_bytes_peak\"",
-        "\"resident_bytes_final\"",
-    ] {
-        if !text.contains(key) {
-            problems.push(format!("missing {key}"));
-        }
-    }
-    if !text.contains("\"matches_sequential\": true") {
-        problems.push("scenario replay did not match across workers/schedules".to_string());
-    }
-    for kind in ScenarioKind::ALL {
-        let pat = format!("\"kind\": \"{}\"", kind.name());
-        if !text.contains(&pat) {
-            problems.push(format!("missing trace family {}", kind.name()));
-        }
-    }
-    if !text.contains("\"mode\": \"full\"") {
-        return problems;
-    }
-    // Acceptance criteria on the compaction-on rows of the one-sided
-    // traces. Rows are one per line and are the only lines carrying a
-    // "digest" field (which keeps the identity header out of this scan),
-    // so a line scan suffices.
-    for line in text.lines() {
-        let one_sided = line.contains("\"kind\": \"mass_departure\"")
-            || line.contains("\"kind\": \"oscillation\"");
-        if !one_sided || !line.contains("\"compaction\": true") || !line.contains("\"digest\"") {
-            continue;
-        }
-        let (Some(users), Some(d), Some(depth_final)) = (
-            field_u64(line, "users_final"),
-            field_u64(line, "d"),
-            field_u64(line, "max_depth_final"),
-        ) else {
-            problems.push("row missing users_final/d/max_depth_final".to_string());
-            continue;
-        };
-        // Bounded depth: within 2 levels of the balanced ideal for the
-        // *final* population (compaction budget + trailing churn slack).
-        let mut ideal = 0u64;
-        let mut cap = 1u64;
-        while cap < users.max(1) {
-            cap *= u64::from(d as u32).max(2);
-            ideal += 1;
-        }
-        if depth_final > ideal + 2 {
-            problems.push(format!(
-                "unbounded depth: final depth {depth_final} vs ideal {ideal} \
-                 for {users} users (line: {})",
-                line.trim()
-            ));
-        }
-        if !line.contains("\"resident_nonmonotonic\": true") {
-            problems.push(format!(
-                "monotonic resident_bytes trajectory (line: {})",
-                line.trim()
-            ));
-        }
-        // An ended mass departure must also settle well below peak, not
-        // just dip somewhere (oscillation legitimately refills).
-        if line.contains("\"kind\": \"mass_departure\"") {
-            let (Some(peak), Some(fin)) = (
-                field_u64(line, "resident_bytes_peak"),
-                field_u64(line, "resident_bytes_final"),
-            ) else {
-                problems.push("row missing resident_bytes fields".to_string());
-                continue;
-            };
-            if fin * 2 > peak {
-                problems.push(format!(
-                    "resident_bytes stuck near peak: final {fin} vs peak {peak} (line: {})",
-                    line.trim()
-                ));
-            }
-        }
-    }
-    problems
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = std::env::var("REKEY_QUICK").is_ok_and(|v| v != "0");
-    let mut out_path = "BENCH_churn.json".to_string();
-    let mut check_path: Option<String> = None;
-    let mut obs_out: Option<String> = None;
-    let mut series_out: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out_path = it.next().expect("--out needs a path"),
-            "--check" => check_path = Some(it.next().expect("--check needs a path")),
-            "--obs-out" => obs_out = Some(it.next().expect("--obs-out needs a path")),
-            "--series-out" => series_out = Some(it.next().expect("--series-out needs a path")),
-            "--trace-out" => trace_out = Some(it.next().expect("--trace-out needs a path")),
-            other => {
-                eprintln!(
-                    "unknown flag {other}; use [--smoke] [--out PATH] [--check PATH] \
-                     [--obs-out PATH] [--series-out PATH] [--trace-out PATH]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    let obs_sink = match bench::ObsSink::resolve(obs_out) {
-        Ok(sink) => sink,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(1);
-        }
-    };
-    let trace_sink = match bench::TraceSink::resolve(trace_out) {
-        Ok(sink) => sink,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(1);
-        }
-    };
-
-    if let Some(path) = check_path {
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            eprintln!("BENCH check FAILED: cannot read {path}");
-            std::process::exit(1);
-        };
-        let problems = check_report(&text);
-        if problems.is_empty() {
-            println!("BENCH check ok: {path}");
-            return;
-        }
-        for p in &problems {
-            eprintln!("BENCH check FAILED: {p}");
-        }
-        std::process::exit(1);
-    }
-
-    let mode = if smoke { "smoke" } else { "full" };
-    let cells = grid(smoke);
-    eprintln!("churn: {} trace runs ({mode})", cells.len());
-    let obs_cell = identity_cell(smoke);
+fn run(cli: &Cli) -> std::io::Result<String> {
+    let cells = grid(cli.smoke);
+    eprintln!("churn: {} trace runs ({})", cells.len(), cli.mode());
+    let id_cell = identity_cell(cli.smoke);
     let mut obs_snapshot: Option<obs::Snapshot> = None;
     let mut reports = Vec::with_capacity(cells.len());
     for cell in cells {
-        if obs_sink.active() {
+        if cli.obs.active {
             obs::reset();
         }
         let r = bench_cell(cell);
-        if obs_sink.active()
-            && (cell.kind, cell.n, cell.d, cell.compaction)
-                == (obs_cell.kind, obs_cell.n, obs_cell.d, obs_cell.compaction)
-        {
+        if cli.obs.active && cell == id_cell {
             obs_snapshot = Some(obs::snapshot());
         }
         eprintln!(
@@ -470,7 +256,6 @@ fn main() {
         reports.push(r);
     }
 
-    let id_cell = identity_cell(smoke);
     eprintln!(
         "identity: {} N={} d={} workers {:?} sched seeds {:?}",
         id_cell.kind.name(),
@@ -485,57 +270,33 @@ fn main() {
     // Instrumented replay of the acceptance row: per-interval time-series
     // and/or a flight-recorder trace. The digest must match the grid
     // run's — recording is observation, not perturbation.
-    if series_out.is_some() || trace_sink.active() {
-        trace_sink.start();
+    if cli.series_out.is_some() || cli.trace.active() {
+        cli.trace.start();
         let mut series = obs::series::SeriesRecorder::new();
         let recorded = scenario::ScenarioEngine::new(config_for(id_cell)).run_recorded(&mut series);
-        trace_sink
-            .finish(&mut std::io::stderr().lock())
-            .expect("write trace JSON");
-        if let Some(path) = &series_out {
-            std::fs::write(path, series.to_json()).expect("write series JSON");
+        cli.trace.finish()?;
+        if let Some(path) = &cli.series_out {
+            bench::write_file(path, &series.to_json())?;
             eprintln!("wrote {}-interval time-series to {path}", series.len());
         }
         let grid_digest = reports
             .iter()
-            .find(|r| {
-                (r.cell.kind, r.cell.n, r.cell.d, r.cell.compaction)
-                    == (id_cell.kind, id_cell.n, id_cell.d, id_cell.compaction)
-            })
+            .find(|r| r.cell == id_cell)
             .map(|r| r.report.digest);
         if grid_digest != Some(recorded.digest) {
-            eprintln!(
-                "FAILED: recorded replay digest {:016x} differs from grid run {:?}",
+            return Err(std::io::Error::other(format!(
+                "recorded replay digest {:016x} differs from grid run {:?}",
                 recorded.digest, grid_digest
-            );
-            std::process::exit(1);
+            )));
         }
     }
 
-    let json = render_json(mode, &reports, &identity);
-    let problems = check_report(&json);
-    std::fs::write(&out_path, &json).expect("write BENCH_churn.json");
-    println!("wrote {out_path}");
+    if let Some(snap) = obs_snapshot {
+        cli.obs.emit(&snap, &mut std::io::stderr().lock())?;
+    }
+    Ok(render(cli, &reports, &identity))
+}
 
-    if obs_sink.active() {
-        let snap = obs_snapshot.expect("the obs cell is always in the grid");
-        std::io::Write::write_all(
-            &mut std::io::stderr().lock(),
-            snap.render_table().as_bytes(),
-        )
-        .expect("write obs table");
-        if let Some(path) = &obs_sink.path {
-            std::fs::write(path, snap.to_json()).expect("write obs snapshot");
-            eprintln!("wrote obs snapshot to {path}");
-        }
-    }
-
-    let mut failed = false;
-    for p in &problems {
-        eprintln!("FAILED: {p}");
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
+fn main() {
+    report::main(&CHURN, run);
 }

@@ -9,25 +9,16 @@
 //! determinism contract. A final section measures the engine's raw packet
 //! rate on a standard transport experiment.
 //!
-//! Flags: `--smoke` runs a cheap figure subset (same JSON shape);
-//! `--check <path>` validates an existing JSON file and exits non-zero if
-//! it is missing, malformed, or records a serial/parallel divergence;
-//! `--out <path>` overrides the output path.
+//! Flags are the shared report flags (`bench::report`), without the obs
+//! sinks: `--smoke` runs a cheap figure subset (same JSON shape);
+//! `--check` fails on a report that is malformed or records a
+//! serial/parallel divergence.
 
 use std::time::Instant;
 
+use bench::report::{self, Cli, FIGURES};
 use bench::{FigFn, Mode, ALL_FIGURES};
 use grouprekey::experiment::{run_experiment, ExperimentParams};
-
-const SCHEMA: &str = "bench_figures/v1";
-
-/// The quick-mode workload, fixed independent of the environment so the
-/// tracked numbers always describe the same grid.
-const QUICK: Mode = Mode {
-    messages: 3,
-    runs: 2,
-    trajectory: 8,
-};
 
 /// Cheap-but-representative subset for CI smoke runs: one workload grid,
 /// one adaptive trajectory, one table, one ablation.
@@ -47,23 +38,19 @@ struct FigureReport {
 
 impl FigureReport {
     fn speedup(&self) -> f64 {
-        if self.parallel_ms > 0.0 {
-            self.serial_ms / self.parallel_ms
-        } else {
-            0.0
-        }
+        self.serial_ms / self.parallel_ms
     }
 }
 
 fn run_figure(name: &'static str, f: FigFn) -> FigureReport {
     let mut serial_out: Vec<u8> = Vec::new();
     let start = Instant::now();
-    let serial_res = taskpool::with_workers(1, || f(QUICK, &mut serial_out));
+    let serial_res = taskpool::with_workers(1, || f(Mode::QUICK, &mut serial_out));
     let serial_ms = start.elapsed().as_secs_f64() * 1000.0;
 
     let mut parallel_out: Vec<u8> = Vec::new();
     let start = Instant::now();
-    let parallel_res = f(QUICK, &mut parallel_out);
+    let parallel_res = f(Mode::QUICK, &mut parallel_out);
     let parallel_ms = start.elapsed().as_secs_f64() * 1000.0;
 
     FigureReport {
@@ -86,7 +73,7 @@ struct EngineReport {
 /// put on the wire.
 fn bench_engine() -> EngineReport {
     let params = ExperimentParams {
-        messages: QUICK.messages,
+        messages: Mode::QUICK.messages,
         seed: 42,
         ..ExperimentParams::default()
     };
@@ -106,184 +93,58 @@ fn bench_engine() -> EngineReport {
     }
 }
 
-fn fmt_f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "0.0".to_string()
-    }
-}
-
-fn render_json(mode: &str, workers: usize, figures: &[FigureReport], eng: &EngineReport) -> String {
-    let serial_total: f64 = figures.iter().map(|f| f.serial_ms).sum();
-    let parallel_total: f64 = figures.iter().map(|f| f.parallel_ms).sum();
-    let all_identical = figures.iter().all(|f| f.byte_identical);
-    let total_speedup = if parallel_total > 0.0 {
-        serial_total / parallel_total
-    } else {
-        0.0
+fn render(cli: &Cli, workers: usize, figures: &[FigureReport], eng: &EngineReport) -> String {
+    let totals = FigureReport {
+        name: "totals",
+        serial_ms: figures.iter().map(|f| f.serial_ms).sum(),
+        parallel_ms: figures.iter().map(|f| f.parallel_ms).sum(),
+        byte_identical: figures.iter().all(|f| f.byte_identical),
     };
-    let fig_json: Vec<String> = figures
-        .iter()
-        .map(|f| {
-            format!(
-                "    {{\"name\": \"{}\", \"serial_ms\": {}, \"parallel_ms\": {}, \
-                 \"speedup\": {}, \"byte_identical\": {}}}",
-                f.name,
-                fmt_f(f.serial_ms),
-                fmt_f(f.parallel_ms),
-                fmt_f(f.speedup()),
-                f.byte_identical
-            )
-        })
-        .collect();
-    let pkt_rate = if eng.wall_s > 0.0 {
-        eng.packets / eng.wall_s
-    } else {
-        0.0
-    };
-    format!(
-        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"mode\": \"{mode}\",\n  \"workers\": {workers},\n  \
-         \"figures\": [\n{}\n  ],\n  \"totals\": {{\n    \"serial_ms\": {},\n    \
-         \"parallel_ms\": {},\n    \"speedup\": {},\n    \"byte_identical\": {}\n  }},\n  \
-         \"engine\": {{\n    \"users\": {},\n    \"messages\": {},\n    \"packets\": {},\n    \
-         \"wall_s\": {},\n    \"packets_per_sec\": {}\n  }}\n}}\n",
-        fig_json.join(",\n"),
-        fmt_f(serial_total),
-        fmt_f(parallel_total),
-        fmt_f(total_speedup),
-        all_identical,
-        eng.users,
-        eng.messages,
-        fmt_f(eng.packets),
-        fmt_f(eng.wall_s),
-        fmt_f(pkt_rate),
-    )
+    let mut w = report::begin(&FIGURES, cli);
+    w.field_u64("workers", workers as u64);
+    w.key("figures");
+    w.begin_array();
+    for f in figures {
+        w.begin_object();
+        w.field_str("name", f.name);
+        report::measured(&mut w, "serial_ms", f.serial_ms);
+        report::measured(&mut w, "parallel_ms", f.parallel_ms);
+        report::measured(&mut w, "speedup", f.speedup());
+        w.field_bool("byte_identical", f.byte_identical);
+        w.end_object();
+    }
+    w.end_array();
+    w.key("totals");
+    w.begin_object();
+    report::measured(&mut w, "serial_ms", totals.serial_ms);
+    report::measured(&mut w, "parallel_ms", totals.parallel_ms);
+    report::measured(&mut w, "speedup", totals.speedup());
+    w.field_bool("byte_identical", totals.byte_identical);
+    w.end_object();
+    w.key("engine");
+    w.begin_object();
+    w.field_u64("users", eng.users as u64);
+    w.field_u64("messages", eng.messages as u64);
+    report::measured(&mut w, "packets", eng.packets);
+    report::measured(&mut w, "wall_s", eng.wall_s);
+    report::measured(&mut w, "packets_per_sec", eng.packets / eng.wall_s);
+    w.end_object();
+    report::finish(w)
 }
 
-/// Structural well-formedness: balanced braces/brackets outside strings,
-/// non-empty, object at the top level.
-fn json_well_formed(text: &str) -> bool {
-    let trimmed = text.trim();
-    if !trimmed.starts_with('{') || !trimmed.ends_with('}') {
-        return false;
-    }
-    let mut depth = 0i64;
-    let mut in_string = false;
-    let mut escaped = false;
-    for c in trimmed.chars() {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_string = true,
-            '{' | '[' => depth += 1,
-            '}' | ']' => {
-                depth -= 1;
-                if depth < 0 {
-                    return false;
-                }
-            }
-            _ => {}
-        }
-    }
-    depth == 0 && !in_string
-}
-
-/// Validates a previously emitted `BENCH_figures.json`. Returns a list of
-/// problems (empty = valid).
-fn check_report(text: &str) -> Vec<String> {
-    let mut problems = Vec::new();
-    if !json_well_formed(text) {
-        problems.push("not a well-formed JSON object".to_string());
-        return problems;
-    }
-    for key in [
-        "\"schema\"",
-        SCHEMA,
-        "\"figures\"",
-        "\"serial_ms\"",
-        "\"parallel_ms\"",
-        "\"speedup\"",
-        "\"totals\"",
-        "\"engine\"",
-        "\"packets_per_sec\"",
-    ] {
-        if !text.contains(key) {
-            problems.push(format!("missing {key}"));
-        }
-    }
-    if text.contains("\"byte_identical\": false") {
-        problems.push("parallel figure output diverged from serial".to_string());
-    }
-    problems
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut out_path = "BENCH_figures.json".to_string();
-    let mut check_path: Option<String> = None;
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => {
-                let Some(path) = it.next() else {
-                    eprintln!("--out needs a path");
-                    std::process::exit(2);
-                };
-                out_path = path;
-            }
-            "--check" => {
-                let Some(path) = it.next() else {
-                    eprintln!("--check needs a path");
-                    std::process::exit(2);
-                };
-                check_path = Some(path);
-            }
-            other => {
-                eprintln!("unknown flag {other}; use [--smoke] [--out PATH] [--check PATH]");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    if let Some(path) = check_path {
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            eprintln!("BENCH check FAILED: cannot read {path}");
-            std::process::exit(1);
-        };
-        let problems = check_report(&text);
-        if problems.is_empty() {
-            println!("BENCH check ok: {path}");
-            return;
-        }
-        for p in &problems {
-            eprintln!("BENCH check FAILED: {p}");
-        }
-        std::process::exit(1);
-    }
-
-    let mode = if smoke { "smoke" } else { "full" };
+fn run(cli: &Cli) -> std::io::Result<String> {
     let workers = taskpool::max_workers();
     let selected: Vec<(&'static str, FigFn)> = ALL_FIGURES
         .iter()
-        .filter(|(name, _)| !smoke || SMOKE_FIGURES.contains(name))
+        .filter(|(name, _)| !cli.smoke || SMOKE_FIGURES.contains(name))
         .copied()
         .collect();
 
     eprintln!(
-        "figures: {} of {} ({mode}), {} worker(s), quick-mode grid",
+        "figures: {} of {} ({}), {} worker(s), quick-mode grid",
         selected.len(),
         ALL_FIGURES.len(),
+        cli.mode(),
         workers
     );
     let mut figures = Vec::with_capacity(selected.len());
@@ -306,18 +167,11 @@ fn main() {
         eng.messages,
         eng.packets,
         eng.wall_s,
-        eng.packets / eng.wall_s.max(1e-9)
+        eng.packets / eng.wall_s
     );
+    Ok(render(cli, workers, &figures, &eng))
+}
 
-    let diverged = figures.iter().any(|f| !f.byte_identical);
-    let json = render_json(mode, workers, &figures, &eng);
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("FAILED: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("wrote {out_path}");
-    if diverged {
-        eprintln!("FAILED: parallel figure output diverged from serial");
-        std::process::exit(1);
-    }
+fn main() {
+    report::main(&FIGURES, run);
 }

@@ -14,35 +14,27 @@
 //! `xcheck_rt::CountingAlloc` global allocator over a span+instant
 //! hammer with recording disarmed).
 //!
-//! Flags: `--smoke` shrinks the cell; `--out PATH` overrides the output
-//! path; `--check PATH` validates an existing report (gates: overhead
-//! ≤ 5% in full mode; `off_path_allocs == 0`, no dropped events and one
-//! track per worker always); `--trace-out PATH` additionally writes one
-//! recorder-on build's Chrome trace-event JSON. Measurement requires a
-//! build with `--features obs`; `--check` works on any build.
+//! Flags are the shared report flags (`bench::report`): `--smoke`
+//! shrinks the cell; `--check` gates overhead ≤ 5% in full mode, and
+//! `off_path_allocs == 0`, no dropped events and one track per worker
+//! always; `--trace-out PATH` additionally writes one recorder-on
+//! build's Chrome trace-event JSON. Measurement requires a build with
+//! `--features obs`; `--check` works on any build.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use keytree::{Batch, KeyTree, MarkScratch, MemberId};
+use bench::report::{self, Cli, OBS};
+use bench::{make_batch, Cell};
+use keytree::{KeyTree, MarkScratch};
 use rekeymsg::Layout;
-use wirecrypto::{KeyGen, SymKey};
+use wirecrypto::KeyGen;
 use xcheck_rt::CountingAlloc;
 
 #[global_allocator]
 static COUNTING: CountingAlloc = CountingAlloc;
 
-const SCHEMA: &str = "bench_obs/v2";
 const WORKERS: usize = 2;
-const OVERHEAD_BOUND_PCT: f64 = 5.0;
-
-#[derive(Clone, Copy)]
-struct Cell {
-    n: u32,
-    d: u32,
-    joins: usize,
-    leaves: usize,
-}
 
 fn acceptance_cell(smoke: bool) -> Cell {
     Cell {
@@ -51,16 +43,6 @@ fn acceptance_cell(smoke: bool) -> Cell {
         joins: 64,
         leaves: 64,
     }
-}
-
-fn make_batch(cell: Cell, keygen: &mut KeyGen) -> Batch {
-    let n = cell.n;
-    let stride = (n / (2 * cell.leaves.max(1)) as u32).max(1);
-    let leaves: Vec<MemberId> = (0..cell.leaves as u32).map(|i| (i * stride) % n).collect();
-    let joins: Vec<(MemberId, SymKey)> = (0..cell.joins as u32)
-        .map(|i| (n + i, keygen.next_key()))
-        .collect();
-    Batch::new(joins, leaves)
 }
 
 /// One wide rekey build over a fresh copy of `base`, timed end to end
@@ -161,198 +143,63 @@ fn count_off_path_allocs() -> u64 {
     allocs
 }
 
-struct Report {
-    mode: &'static str,
-    cell: Cell,
-    reps: usize,
-    measurement: Measurement,
-    off_path_allocs: u64,
+fn overhead_pct(m: &Measurement) -> f64 {
+    100.0 * (m.recorder_on_ms - m.recorder_off_ms) / m.recorder_off_ms
 }
 
-impl Report {
-    fn overhead_pct(&self) -> f64 {
-        if self.measurement.recorder_off_ms > 0.0 {
-            100.0 * (self.measurement.recorder_on_ms - self.measurement.recorder_off_ms)
-                / self.measurement.recorder_off_ms
-        } else {
-            0.0
-        }
-    }
-
-    fn to_json(&self) -> String {
-        let m = &self.measurement;
-        format!(
-            "{{\n  \"schema\": \"{SCHEMA}\",\n  \"mode\": \"{}\",\n  \
-             \"cell\": {{\"n\": {}, \"d\": {}, \"joins\": {}, \"leaves\": {}}},\n  \
-             \"workers\": {WORKERS},\n  \"reps\": {},\n  \
-             \"recorder_off_ms\": {},\n  \"recorder_on_ms\": {},\n  \"overhead_pct\": {},\n  \
-             \"off_path_allocs\": {},\n  \
-             \"events\": {},\n  \"tracks\": {},\n  \"dropped\": {}\n}}\n",
-            self.mode,
-            self.cell.n,
-            self.cell.d,
-            self.cell.joins,
-            self.cell.leaves,
-            self.reps,
-            fmt_f(m.recorder_off_ms),
-            fmt_f(m.recorder_on_ms),
-            fmt_f(self.overhead_pct()),
-            self.off_path_allocs,
-            m.trace.events.len(),
-            m.trace.tracks.len(),
-            m.trace.dropped_total(),
-        )
-    }
+fn render(cli: &Cli, cell: Cell, reps: usize, m: &Measurement, off_path_allocs: u64) -> String {
+    let mut w = report::begin(&OBS, cli);
+    w.key("cell");
+    w.begin_object();
+    cell.write_fields(&mut w);
+    w.end_object();
+    w.field_u64("workers", WORKERS as u64);
+    w.field_u64("reps", reps as u64);
+    report::measured(&mut w, "recorder_off_ms", m.recorder_off_ms);
+    report::measured(&mut w, "recorder_on_ms", m.recorder_on_ms);
+    report::measured(&mut w, "overhead_pct", overhead_pct(m));
+    w.field_u64("off_path_allocs", off_path_allocs);
+    w.field_u64("events", m.trace.events.len() as u64);
+    w.field_u64("tracks", m.trace.tracks.len() as u64);
+    w.field_u64("dropped", m.trace.dropped_total());
+    report::finish(w)
 }
 
-fn fmt_f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "0.0".to_string()
-    }
-}
-
-/// Validates a previously emitted `BENCH_obs.json` against the acceptance
-/// gates. Returns a list of problems (empty = valid).
-fn check_report(text: &str) -> Vec<String> {
-    use bench::jsonv::{parse, Value};
-    let mut problems = Vec::new();
-    let doc = match parse(text) {
-        Ok(doc) => doc,
-        Err(e) => return vec![e],
-    };
-    if doc.get("schema").and_then(Value::as_str) != Some(SCHEMA) {
-        problems.push(format!("schema is not {SCHEMA}"));
-    }
-    let num = |key: &str| doc.get(key).and_then(Value::as_f64);
-    let full = doc.get("mode").and_then(Value::as_str) == Some("full");
-    match num("off_path_allocs") {
-        Some(0.0) => {}
-        Some(n) => problems.push(format!("off_path_allocs = {n}, want exactly 0")),
-        None => problems.push("missing off_path_allocs".to_string()),
-    }
-    match num("tracks") {
-        Some(t) if t >= WORKERS as f64 => {}
-        Some(t) => problems.push(format!("only {t} tracks recorded, want >= {WORKERS}")),
-        None => problems.push("missing tracks".to_string()),
-    }
-    match num("dropped") {
-        Some(0.0) => {}
-        Some(n) => problems.push(format!("{n} events dropped; rings undersized for the cell")),
-        None => problems.push("missing dropped".to_string()),
-    }
-    // The timing gates bind only in full mode: the smoke cell's sub-ms
-    // walls make percentages pure scheduling noise.
-    if full {
-        match num("overhead_pct") {
-            Some(p) if p <= OVERHEAD_BOUND_PCT => {}
-            Some(p) => problems.push(format!(
-                "recorder overhead {p:.3}% exceeds the {OVERHEAD_BOUND_PCT}% bound"
-            )),
-            None => problems.push("missing overhead_pct".to_string()),
-        }
-    }
-    problems
-}
-
-fn main() {
-    xcheck_rt::assert_counting();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = std::env::var("REKEY_QUICK").is_ok_and(|v| v != "0");
-    let mut out_path = "BENCH_obs.json".to_string();
-    let mut check_path: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out_path = it.next().expect("--out needs a path"),
-            "--check" => check_path = Some(it.next().expect("--check needs a path")),
-            "--trace-out" => trace_out = Some(it.next().expect("--trace-out needs a path")),
-            other => {
-                eprintln!(
-                    "unknown flag {other}; use [--smoke] [--out PATH] [--check PATH] \
-                     [--trace-out PATH]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
-    if let Some(path) = check_path {
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            eprintln!("BENCH check FAILED: cannot read {path}");
-            std::process::exit(1);
-        };
-        let problems = check_report(&text);
-        if problems.is_empty() {
-            println!("BENCH check ok: {path}");
-            return;
-        }
-        for p in &problems {
-            eprintln!("BENCH check FAILED: {p}");
-        }
-        std::process::exit(1);
-    }
-
-    if !obs::enabled() {
-        eprintln!(
-            "bench_obs measures the flight recorder, which this binary was built without; \
-             rebuild with `--features obs`"
-        );
-        std::process::exit(1);
-    }
-
-    let mode = if smoke { "smoke" } else { "full" };
-    let reps = if smoke { 2 } else { 12 };
-    let cell = acceptance_cell(smoke);
+fn run(cli: &Cli) -> std::io::Result<String> {
+    bench::needs_obs_build("bench_obs measures the flight recorder")
+        .map_err(std::io::Error::other)?;
+    let reps = if cli.smoke { 2 } else { 12 };
+    let cell = acceptance_cell(cli.smoke);
     eprintln!(
-        "obs overhead: N=2^{} d={} J={} L={} workers={WORKERS} ({mode})",
+        "obs overhead: N=2^{} d={} J={} L={} workers={WORKERS} ({})",
         cell.n.trailing_zeros(),
         cell.d,
         cell.joins,
-        cell.leaves
+        cell.leaves,
+        cli.mode()
     );
 
     let off_path_allocs = count_off_path_allocs();
-    let measurement = measure(cell, reps);
-
-    let report = Report {
-        mode,
-        cell,
-        reps,
-        off_path_allocs,
-        measurement,
-    };
-
-    let m = &report.measurement;
+    let m = measure(cell, reps);
     eprintln!(
         "  recorder off {:>8.3} ms, on {:>8.3} ms ({:+.2}%), {} events on {} tracks, {} dropped",
         m.recorder_off_ms,
         m.recorder_on_ms,
-        report.overhead_pct(),
+        overhead_pct(&m),
         m.trace.events.len(),
         m.trace.tracks.len(),
         m.trace.dropped_total(),
     );
     eprintln!("  off-path allocations over 4096 span+instant rounds: {off_path_allocs}");
 
-    if let Some(path) = &trace_out {
-        std::fs::write(path, report.measurement.trace.to_chrome_json()).expect("write trace JSON");
+    if let Some(path) = &cli.trace.path {
+        bench::write_file(path, &m.trace.to_chrome_json())?;
         eprintln!("wrote trace to {path}");
     }
-    let json = report.to_json();
-    std::fs::write(&out_path, &json).expect("write BENCH_obs.json");
-    println!("wrote {out_path}");
+    Ok(render(cli, cell, reps, &m, off_path_allocs))
+}
 
-    // Self-check the fresh report with the same gates `--check` applies,
-    // so a regression fails the generating run, not just later CI.
-    let problems = check_report(&json);
-    if !problems.is_empty() {
-        for p in &problems {
-            eprintln!("FAILED: {p}");
-        }
-        std::process::exit(1);
-    }
+fn main() {
+    xcheck_rt::assert_counting();
+    report::main(&OBS, run);
 }

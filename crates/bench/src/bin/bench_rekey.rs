@@ -13,25 +13,25 @@
 //!   UKA, sealing, block build, round-one schedule) at group sizes
 //!   N ∈ {2^10, 2^14, 2^17}.
 //!
-//! Flags: `--smoke` shrinks measurement windows/reps (same sections, same
-//! JSON shape); `--check <path>` validates an existing JSON file and
-//! exits non-zero if it is missing, malformed, or records a parallel
-//! mismatch; `--out <path>` overrides the output path; `--obs-out <path>`
-//! (or `REKEY_OBS=1`) dumps the metrics snapshot collected during the
-//! run — JSON to the path, human table to stderr — and requires a build
-//! with `--features obs`. `--trace-out <path>` records the `batch_rekey`
-//! section in the flight recorder and writes Chrome trace-event JSON
-//! (open in Perfetto; requires `--features obs`).
+//! Flags are the shared report flags (`bench::report`): `--smoke` shrinks
+//! measurement windows/reps (same sections, same JSON shape); `--check`
+//! fails on a report that is malformed or records a parallel mismatch;
+//! `--obs-out <path>` (or `REKEY_OBS=1`) dumps the metrics snapshot
+//! collected during the run — JSON to the path, human table to stderr;
+//! `--trace-out <path>` records the `batch_rekey` section in the flight
+//! recorder and writes Chrome trace-event JSON (open in Perfetto). Both
+//! require a build with `--features obs`.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
+use bench::report::{self, Cli, REKEY};
 use keytree::Batch;
+use obs::json::JsonWriter;
 use rse::{BlockEncoder, Decoder, Share};
 
 const ENCODE_K: usize = 64;
 const PACKET_LEN: usize = 1024;
-const SCHEMA: &str = "bench_rekey/v2";
 
 // ---------------------------------------------------------------------------
 // Measurement harness
@@ -45,19 +45,19 @@ struct Effort {
 }
 
 impl Effort {
-    fn full() -> Self {
-        Effort {
-            window: Duration::from_millis(200),
-            reps: 3,
-            rekey_reps: 3,
-        }
-    }
-
-    fn smoke() -> Self {
-        Effort {
-            window: Duration::from_millis(25),
-            reps: 1,
-            rekey_reps: 1,
+    fn new(smoke: bool) -> Self {
+        if smoke {
+            Effort {
+                window: Duration::from_millis(25),
+                reps: 1,
+                rekey_reps: 1,
+            }
+        } else {
+            Effort {
+                window: Duration::from_millis(200),
+                reps: 3,
+                rekey_reps: 3,
+            }
         }
     }
 }
@@ -234,185 +234,57 @@ fn bench_batch_rekey(effort: Effort) -> Vec<RekeyPoint> {
 }
 
 // ---------------------------------------------------------------------------
-// JSON emit + check
+// Report
 // ---------------------------------------------------------------------------
 
-fn fmt_f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "0.0".to_string()
-    }
-}
-
-fn render_json(
-    mode: &str,
+fn render(
+    cli: &Cli,
     parity_pps: f64,
     dec: &DecodeReport,
     par: &ParallelReport,
     rekey: &[RekeyPoint],
 ) -> String {
+    let mut w = report::begin(&REKEY, cli);
+    // Opens a codec section with the block shape both measure.
+    let codec_section = |w: &mut JsonWriter, name: &str| {
+        w.key(name);
+        w.begin_object();
+        w.field_u64("k", ENCODE_K as u64);
+        w.field_u64("packet_len", PACKET_LEN as u64);
+    };
+    codec_section(&mut w, "encode");
+    report::measured(&mut w, "parity_pps", parity_pps);
     let parity_mbps = parity_pps * (ENCODE_K * PACKET_LEN) as f64 / 1e6;
-    let rekey_json: Vec<String> = rekey
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"n\": {}, \"joins\": {}, \"leaves\": {}, \"full_message\": {}, \"wall_ms\": {}}}",
-                p.n,
-                p.joins,
-                p.leaves,
-                p.full_message,
-                fmt_f(p.wall_ms)
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"mode\": \"{mode}\",\n  \"encode\": {{\n    \
-         \"k\": {ENCODE_K},\n    \"packet_len\": {PACKET_LEN},\n    \"parity_pps\": {},\n    \
-         \"parity_mbps\": {}\n  }},\n  \"decode\": {{\n    \"k\": {ENCODE_K},\n    \
-         \"packet_len\": {PACKET_LEN},\n    \"erasures\": {},\n    \"decode_ms\": {}\n  }},\n  \
-         \"parallel\": {{\n    \"blocks\": {},\n    \
-         \"workers\": {},\n    \"matches_sequential\": {}\n  }},\n  \"batch_rekey\": [\n{}\n  ]\n}}\n",
-        fmt_f(parity_pps),
-        fmt_f(parity_mbps),
-        dec.erasures,
-        fmt_f(dec.decode_ms),
-        par.blocks,
-        par.workers,
-        par.matches_sequential,
-        rekey_json.join(",\n")
-    )
+    report::measured(&mut w, "parity_mbps", parity_mbps);
+    w.end_object();
+    codec_section(&mut w, "decode");
+    w.field_u64("erasures", dec.erasures as u64);
+    report::measured(&mut w, "decode_ms", dec.decode_ms);
+    w.end_object();
+    w.key("parallel");
+    w.begin_object();
+    w.field_u64("blocks", par.blocks as u64);
+    w.field_u64("workers", par.workers as u64);
+    w.field_bool("matches_sequential", par.matches_sequential);
+    w.end_object();
+    w.key("batch_rekey");
+    w.begin_array();
+    for p in rekey {
+        w.begin_object();
+        w.field_u64("n", u64::from(p.n));
+        w.field_u64("joins", p.joins as u64);
+        w.field_u64("leaves", p.leaves as u64);
+        w.field_bool("full_message", p.full_message);
+        report::measured(&mut w, "wall_ms", p.wall_ms);
+        w.end_object();
+    }
+    w.end_array();
+    report::finish(w)
 }
 
-/// Structural well-formedness: balanced braces/brackets outside strings,
-/// non-empty, object at the top level.
-fn json_well_formed(text: &str) -> bool {
-    let trimmed = text.trim();
-    if !trimmed.starts_with('{') || !trimmed.ends_with('}') {
-        return false;
-    }
-    let mut depth = 0i64;
-    let mut in_string = false;
-    let mut escaped = false;
-    for c in trimmed.chars() {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_string = true,
-            '{' | '[' => depth += 1,
-            '}' | ']' => {
-                depth -= 1;
-                if depth < 0 {
-                    return false;
-                }
-            }
-            _ => {}
-        }
-    }
-    depth == 0 && !in_string
-}
-
-/// Validates a previously emitted `BENCH_rekey.json`. Returns a list of
-/// problems (empty = valid).
-fn check_report(text: &str) -> Vec<String> {
-    let mut problems = Vec::new();
-    if !json_well_formed(text) {
-        problems.push("not a well-formed JSON object".to_string());
-        return problems;
-    }
-    for key in [
-        "\"schema\"",
-        SCHEMA,
-        "\"encode\"",
-        "\"parity_pps\"",
-        "\"decode\"",
-        "\"decode_ms\"",
-        "\"parallel\"",
-        "\"batch_rekey\"",
-    ] {
-        if !text.contains(key) {
-            problems.push(format!("missing {key}"));
-        }
-    }
-    if !text.contains("\"matches_sequential\": true") {
-        problems.push("parallel encode did not match sequential".to_string());
-    }
-    problems
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // REKEY_QUICK shrinks the workload exactly like the figure binaries;
-    // `--smoke` remains the explicit override for CI.
-    let mut smoke = std::env::var("REKEY_QUICK").is_ok_and(|v| v != "0");
-    let mut out_path = "BENCH_rekey.json".to_string();
-    let mut check_path: Option<String> = None;
-    let mut obs_out: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out_path = it.next().expect("--out needs a path"),
-            "--check" => check_path = Some(it.next().expect("--check needs a path")),
-            "--obs-out" => obs_out = Some(it.next().expect("--obs-out needs a path")),
-            "--trace-out" => trace_out = Some(it.next().expect("--trace-out needs a path")),
-            other => {
-                eprintln!(
-                    "unknown flag {other}; use [--smoke] [--out PATH] [--check PATH] \
-                     [--obs-out PATH] [--trace-out PATH]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    let obs_sink = match bench::ObsSink::resolve(obs_out) {
-        Ok(sink) => sink,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(1);
-        }
-    };
-    let trace_sink = match bench::TraceSink::resolve(trace_out) {
-        Ok(sink) => sink,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(1);
-        }
-    };
-
-    if let Some(path) = check_path {
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            eprintln!("BENCH check FAILED: cannot read {path}");
-            std::process::exit(1);
-        };
-        let problems = check_report(&text);
-        if problems.is_empty() {
-            println!("BENCH check ok: {path}");
-            return;
-        }
-        for p in &problems {
-            eprintln!("BENCH check FAILED: {p}");
-        }
-        std::process::exit(1);
-    }
-
-    let effort = if smoke {
-        Effort::smoke()
-    } else {
-        Effort::full()
-    };
-    let mode = if smoke { "smoke" } else { "full" };
-
-    eprintln!("encode: k={ENCODE_K} len={PACKET_LEN} ({mode})");
+fn run(cli: &Cli) -> std::io::Result<String> {
+    let effort = Effort::new(cli.smoke);
+    eprintln!("encode: k={ENCODE_K} len={PACKET_LEN} ({})", cli.mode());
     let parity_pps = bench_encode(effort);
     eprintln!("  {parity_pps:.0} pps");
     eprintln!("decode: k={ENCODE_K} half erased");
@@ -425,29 +297,17 @@ fn main() {
         par.blocks, par.workers, par.matches_sequential
     );
     eprintln!("batch_rekey: N in {{2^10, 2^14, 2^17}}");
-    trace_sink.start();
+    cli.trace.start();
     let rekey = bench_batch_rekey(effort);
-    trace_sink
-        .finish(&mut std::io::stderr().lock())
-        .expect("write trace JSON");
+    cli.trace.finish()?;
     for p in &rekey {
         eprintln!("  N={:<7} wall {:.2} ms", p.n, p.wall_ms);
     }
+    cli.obs
+        .emit(&obs::snapshot(), &mut std::io::stderr().lock())?;
+    Ok(render(cli, parity_pps, &dec, &par, &rekey))
+}
 
-    let json = render_json(mode, parity_pps, &dec, &par, &rekey);
-    std::fs::write(&out_path, &json).expect("write BENCH_rekey.json");
-    println!("wrote {out_path}");
-    if obs_sink.active() {
-        let snap = obs::snapshot();
-        obs_sink
-            .emit(&snap, &mut std::io::stderr().lock())
-            .expect("write obs snapshot");
-        if let Some(path) = &obs_sink.path {
-            eprintln!("wrote obs snapshot to {path}");
-        }
-    }
-    if !par.matches_sequential {
-        eprintln!("FAILED: parallel schedule differs from sequential");
-        std::process::exit(1);
-    }
+fn main() {
+    report::main(&REKEY, run);
 }

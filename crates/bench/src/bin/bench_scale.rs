@@ -26,37 +26,30 @@
 //! sealed bytes — the gate is identity, not speedup, so it holds on a
 //! single-core container.
 //!
-//! Flags: `--smoke` shrinks the grid (same JSON shape); `--check <path>`
-//! validates an existing report; `--out <path>` overrides the output
-//! path; `--obs-out <path>` (or `REKEY_OBS=1`) collects a per-stage
-//! metrics snapshot over the acceptance cell — the largest N in the grid
-//! — resetting the registry between cells so the snapshot covers exactly
-//! that workload. It writes `{"schema": "obs_scale/v1", ..}` JSON
-//! embedding the snapshot plus a stage-coverage percentage (how much of
-//! the measured batch wall time the mark/mint/seal/encode spans account
-//! for), prints the per-stage table to stderr, and requires a build with
-//! `--features obs`. `--trace-out <path>` records the identity replay in
+//! Flags are the shared report flags (`bench::report`): `--smoke` shrinks
+//! the grid (same JSON shape); `--obs-out <path>` (or `REKEY_OBS=1`)
+//! collects a per-stage metrics snapshot over the acceptance cell — the
+//! largest N in the grid — resetting the registry between cells so the
+//! snapshot covers exactly that workload. It writes
+//! `{"schema": "obs_scale/v1", ..}` JSON embedding the snapshot plus a
+//! stage-coverage percentage (how much of the measured batch wall time
+//! the mark/mint/seal/encode spans account for) and prints the per-stage
+//! table to stderr. `--trace-out <path>` records the identity replay in
 //! the flight recorder and writes Chrome trace-event JSON — one track per
 //! `taskpool` worker, so the mint and seal fan-outs are visible in
-//! Perfetto (requires `--features obs`).
+//! Perfetto. Both require a build with `--features obs`.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use keytree::{Batch, KeyTree, MarkOutcome, MarkScratch, MemberId};
+use bench::report::{self, Cli, SCALE};
+use bench::{make_batch, Cell};
+use keytree::{KeyTree, MarkOutcome, MarkScratch};
+use obs::json::JsonWriter;
 use rekeymsg::{seal_context, Layout, UkaAssignment};
-use wirecrypto::{KeyGen, SealedKey, SymKey};
+use wirecrypto::{KeyGen, SealedKey};
 
-const SCHEMA: &str = "bench_scale/v3";
 const IDENTITY_WORKERS: [usize; 2] = [1, 4];
-
-#[derive(Clone, Copy)]
-struct Cell {
-    n: u32,
-    d: u32,
-    joins: usize,
-    leaves: usize,
-}
 
 fn grid(smoke: bool) -> Vec<Cell> {
     let (sizes, churn): (&[u32], &[(usize, usize)]) = if smoke {
@@ -83,31 +76,12 @@ fn grid(smoke: bool) -> Vec<Cell> {
 /// The identity-gate cell: the acceptance row (N = 2^20, d = 8, 64/64) in
 /// full mode, the largest smoke cell otherwise.
 fn identity_cell(smoke: bool) -> Cell {
-    if smoke {
-        Cell {
-            n: 1 << 12,
-            d: 8,
-            joins: 64,
-            leaves: 64,
-        }
-    } else {
-        Cell {
-            n: 1 << 20,
-            d: 8,
-            joins: 64,
-            leaves: 64,
-        }
+    Cell {
+        n: if smoke { 1 << 12 } else { 1 << 20 },
+        d: 8,
+        joins: 64,
+        leaves: 64,
     }
-}
-
-fn make_batch(cell: Cell, keygen: &mut KeyGen) -> Batch {
-    let n = cell.n;
-    let stride = (n / (2 * cell.leaves.max(1)) as u32).max(1);
-    let leaves: Vec<MemberId> = (0..cell.leaves as u32).map(|i| (i * stride) % n).collect();
-    let joins: Vec<(MemberId, SymKey)> = (0..cell.joins as u32)
-        .map(|i| (n + i, keygen.next_key()))
-        .collect();
-    Batch::new(joins, leaves)
 }
 
 /// Seals every encryption edge of the outcome under its child key. Raw
@@ -254,11 +228,7 @@ struct ObsCellReport {
 impl ObsCellReport {
     fn new(cell: Cell, measured_wall_ms: f64, snap: obs::Snapshot) -> Self {
         let stage_total_ms = snap.span_total_ns(&STAGE_SPANS) as f64 / 1e6;
-        let coverage_pct = if measured_wall_ms > 0.0 {
-            100.0 * stage_total_ms / measured_wall_ms
-        } else {
-            0.0
-        };
+        let coverage_pct = 100.0 * stage_total_ms / measured_wall_ms;
         ObsCellReport {
             cell,
             measured_wall_ms,
@@ -269,21 +239,24 @@ impl ObsCellReport {
     }
 
     /// The `obs_scale/v1` wrapper: cell coordinates, wall/coverage
-    /// numbers, and the full `obs/v1` snapshot embedded verbatim.
+    /// numbers, and the full `obs/v1` snapshot embedded verbatim (it is
+    /// `JsonWriter` output itself, so it is spliced in as the last value).
     fn to_json(&self) -> String {
-        format!(
-            "{{\"schema\": \"obs_scale/v1\", \"cell\": {{\"n\": {}, \"d\": {}, \"joins\": {}, \
-             \"leaves\": {}}}, \"measured_wall_ms\": {}, \"stage_total_ms\": {}, \
-             \"coverage_pct\": {}, \"obs\": {}}}\n",
-            self.cell.n,
-            self.cell.d,
-            self.cell.joins,
-            self.cell.leaves,
-            fmt_f(self.measured_wall_ms),
-            fmt_f(self.stage_total_ms),
-            fmt_f(self.coverage_pct),
-            self.snap.to_json().trim_end(),
-        )
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.field_str("schema", "obs_scale/v1");
+        w.key("cell");
+        w.begin_object();
+        self.cell.write_fields(&mut w);
+        w.end_object();
+        report::measured(&mut w, "measured_wall_ms", self.measured_wall_ms);
+        report::measured(&mut w, "stage_total_ms", self.stage_total_ms);
+        report::measured(&mut w, "coverage_pct", self.coverage_pct);
+        w.key("obs");
+        let mut text = w.finish();
+        text.push_str(self.snap.to_json().trim_end());
+        text.push_str("}\n");
+        text
     }
 
     /// Stage breakdown + full table, written through one stderr handle.
@@ -298,11 +271,7 @@ impl ObsCellReport {
         )?;
         for name in STAGE_SPANS {
             let total_ms = self.snap.span(name).map_or(0.0, |s| s.total as f64 / 1e6);
-            let share = if self.measured_wall_ms > 0.0 {
-                100.0 * total_ms / self.measured_wall_ms
-            } else {
-                0.0
-            };
+            let share = 100.0 * total_ms / self.measured_wall_ms;
             writeln!(err, "  {name:<14} {total_ms:>10.3} ms  {share:>5.1}%")?;
         }
         writeln!(
@@ -345,244 +314,53 @@ fn bench_identity(cell: Cell) -> IdentityReport {
 }
 
 // ---------------------------------------------------------------------------
-// JSON emit + check
+// Report
 // ---------------------------------------------------------------------------
 
-fn fmt_f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "0.0".to_string()
+fn render(cli: &Cli, cells: &[CellReport], identity: &IdentityReport) -> String {
+    let mut w = report::begin(&SCALE, cli);
+    w.key("identity");
+    w.begin_object();
+    identity.cell.write_fields(&mut w);
+    report::integers(&mut w, "workers", IDENTITY_WORKERS.map(|n| n as u64));
+    w.field_bool("matches_sequential", identity.matches_sequential);
+    w.end_object();
+    w.key("scale");
+    w.begin_array();
+    for r in cells {
+        let reduction = 100.0 * (1.0 - r.resident_bytes_per_node / r.aos_bytes_per_node);
+        w.begin_object();
+        r.cell.write_fields(&mut w);
+        report::measured(&mut w, "marking_ms", r.marking_ms);
+        w.field_u64("encryptions", r.encryptions as u64);
+        report::measured(&mut w, "seal_enc_per_sec", r.seal_enc_per_sec);
+        report::measured(&mut w, "message_build_ms", r.message_build_ms);
+        report::measured(&mut w, "plan_ms", r.plan_ms);
+        report::measured(&mut w, "resident_bytes_per_node", r.resident_bytes_per_node);
+        report::measured(&mut w, "aos_bytes_per_node", r.aos_bytes_per_node);
+        report::measured(&mut w, "bytes_reduction_pct", reduction);
+        w.end_object();
     }
+    w.end_array();
+    report::finish(w)
 }
 
-fn render_json(mode: &str, cells: &[CellReport], identity: &IdentityReport) -> String {
-    let rows: Vec<String> = cells
-        .iter()
-        .map(|r| {
-            let msg = fmt_f(r.message_build_ms);
-            let reduction = if r.aos_bytes_per_node > 0.0 {
-                100.0 * (1.0 - r.resident_bytes_per_node / r.aos_bytes_per_node)
-            } else {
-                0.0
-            };
-            format!(
-                "    {{\"n\": {}, \"d\": {}, \"joins\": {}, \"leaves\": {}, \
-                 \"marking_ms\": {}, \"encryptions\": {}, \"seal_enc_per_sec\": {}, \
-                 \"message_build_ms\": {}, \"plan_ms\": {}, \"resident_bytes_per_node\": {}, \
-                 \"aos_bytes_per_node\": {}, \"bytes_reduction_pct\": {}}}",
-                r.cell.n,
-                r.cell.d,
-                r.cell.joins,
-                r.cell.leaves,
-                fmt_f(r.marking_ms),
-                r.encryptions,
-                fmt_f(r.seal_enc_per_sec),
-                msg,
-                fmt_f(r.plan_ms),
-                fmt_f(r.resident_bytes_per_node),
-                fmt_f(r.aos_bytes_per_node),
-                fmt_f(reduction),
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"mode\": \"{mode}\",\n  \"identity\": {{\n    \
-         \"n\": {}, \"d\": {}, \"joins\": {}, \"leaves\": {},\n    \"workers\": [{}, {}],\n    \
-         \"matches_sequential\": {}\n  }},\n  \"scale\": [\n{}\n  ]\n}}\n",
-        identity.cell.n,
-        identity.cell.d,
-        identity.cell.joins,
-        identity.cell.leaves,
-        IDENTITY_WORKERS[0],
-        IDENTITY_WORKERS[1],
-        identity.matches_sequential,
-        rows.join(",\n")
-    )
-}
-
-/// Structural well-formedness: balanced braces/brackets outside strings,
-/// non-empty, object at the top level.
-fn json_well_formed(text: &str) -> bool {
-    let trimmed = text.trim();
-    if !trimmed.starts_with('{') || !trimmed.ends_with('}') {
-        return false;
-    }
-    let mut depth = 0i64;
-    let mut in_string = false;
-    let mut escaped = false;
-    for c in trimmed.chars() {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_string = true,
-            '{' | '[' => depth += 1,
-            '}' | ']' => {
-                depth -= 1;
-                if depth < 0 {
-                    return false;
-                }
-            }
-            _ => {}
-        }
-    }
-    depth == 0 && !in_string
-}
-
-/// Numeric value of `key` inside one JSON `row` fragment, when present.
-fn field_in_row(row: &str, key: &str) -> Option<f64> {
-    let pos = row.find(key)? + key.len();
-    let rest = row[pos..].trim_start_matches([':', ' ']);
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// Validates a previously emitted `BENCH_scale.json`. Returns a list of
-/// problems (empty = valid).
-fn check_report(text: &str) -> Vec<String> {
-    let mut problems = Vec::new();
-    if !json_well_formed(text) {
-        problems.push("not a well-formed JSON object".to_string());
-        return problems;
-    }
-    for key in [
-        "\"schema\"",
-        SCHEMA,
-        "\"identity\"",
-        "\"scale\"",
-        "\"marking_ms\"",
-        "\"seal_enc_per_sec\"",
-        "\"plan_ms\"",
-        "\"resident_bytes_per_node\"",
-    ] {
-        if !text.contains(key) {
-            problems.push(format!("missing {key}"));
-        }
-    }
-    if !text.contains("\"matches_sequential\": true") {
-        problems.push("parallel marking did not match sequential".to_string());
-    }
-    if text.contains("\"message_build_ms\": null") {
-        problems.push("message_build_ms is null in some row".to_string());
-    }
-    if text.contains("\"plan_ms\": null") {
-        problems.push("plan_ms is null in some row".to_string());
-    }
-    // The acceptance row must be present in a full-mode report with the
-    // run-aggregated planner's perf bound holding (the pre-rewrite
-    // planner spent ~225 ms in this cell).
-    if text.contains("\"mode\": \"full\"") {
-        // Search inside the "scale" array: the same (n, d, joins) triple
-        // also heads the identity section.
-        let scale = text.find("\"scale\"").map_or("", |p| &text[p..]);
-        let marker = format!("\"n\": {}, \"d\": 8, \"joins\": 64", 1u32 << 20);
-        match scale.find(&marker) {
-            None => {
-                problems
-                    .push("full-mode report is missing the N=2^20, d=8, J=L=64 row".to_string());
-            }
-            Some(pos) => {
-                let row_end = scale[pos..].find('}').map_or(scale.len(), |e| pos + e);
-                let row = &scale[pos..row_end];
-                const BOUND_MS: f64 = 25.0;
-                for key in ["\"message_build_ms\"", "\"plan_ms\""] {
-                    match field_in_row(row, key) {
-                        None => problems.push(format!("acceptance row lacks a numeric {key}")),
-                        Some(v) if !(v > 0.0 && v <= BOUND_MS) => problems.push(format!(
-                            "acceptance row {key} = {v} ms, want (0, {BOUND_MS}]"
-                        )),
-                        Some(_) => {}
-                    }
-                }
-            }
-        }
-    }
-    problems
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = std::env::var("REKEY_QUICK").is_ok_and(|v| v != "0");
-    let mut out_path = "BENCH_scale.json".to_string();
-    let mut check_path: Option<String> = None;
-    let mut obs_out: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out_path = it.next().expect("--out needs a path"),
-            "--check" => check_path = Some(it.next().expect("--check needs a path")),
-            "--obs-out" => obs_out = Some(it.next().expect("--obs-out needs a path")),
-            "--trace-out" => trace_out = Some(it.next().expect("--trace-out needs a path")),
-            other => {
-                eprintln!(
-                    "unknown flag {other}; use [--smoke] [--out PATH] [--check PATH] \
-                     [--obs-out PATH] [--trace-out PATH]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    let obs_sink = match bench::ObsSink::resolve(obs_out) {
-        Ok(sink) => sink,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(1);
-        }
-    };
-    let trace_sink = match bench::TraceSink::resolve(trace_out) {
-        Ok(sink) => sink,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(1);
-        }
-    };
-
-    if let Some(path) = check_path {
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            eprintln!("BENCH check FAILED: cannot read {path}");
-            std::process::exit(1);
-        };
-        let problems = check_report(&text);
-        if problems.is_empty() {
-            println!("BENCH check ok: {path}");
-            return;
-        }
-        for p in &problems {
-            eprintln!("BENCH check FAILED: {p}");
-        }
-        std::process::exit(1);
-    }
-
-    let mode = if smoke { "smoke" } else { "full" };
-    let reps = if smoke { 1 } else { 3 };
-
-    let cells = grid(smoke);
-    eprintln!("scale: {} cells ({mode})", cells.len());
+fn run(cli: &Cli) -> std::io::Result<String> {
+    let reps = if cli.smoke { 1 } else { 3 };
+    let cells = grid(cli.smoke);
+    eprintln!("scale: {} cells ({})", cells.len(), cli.mode());
     // The cell whose per-stage snapshot ships when obs output is on: the
     // acceptance row (N = 2^20 in full mode, the largest smoke cell
     // otherwise) — the same cell the identity gate replays.
-    let obs_cell = identity_cell(smoke);
+    let id_cell = identity_cell(cli.smoke);
     let mut obs_report: Option<ObsCellReport> = None;
     let mut reports = Vec::with_capacity(cells.len());
     for cell in cells {
-        if obs_sink.active() {
+        if cli.obs.active {
             obs::reset();
         }
         let r = bench_cell(cell, reps);
-        if obs_sink.active()
-            && (cell.n, cell.d, cell.joins, cell.leaves)
-                == (obs_cell.n, obs_cell.d, obs_cell.joins, obs_cell.leaves)
-        {
+        if cli.obs.active && cell == id_cell {
             obs_report = Some(ObsCellReport::new(
                 cell,
                 r.measured_wall_ms,
@@ -607,37 +385,27 @@ fn main() {
         reports.push(r);
     }
 
-    let id_cell = identity_cell(smoke);
     eprintln!(
         "identity: N=2^{} d={} workers {:?}",
         id_cell.n.trailing_zeros(),
         id_cell.d,
         IDENTITY_WORKERS
     );
-    trace_sink.start();
+    cli.trace.start();
     let identity = bench_identity(id_cell);
-    trace_sink
-        .finish(&mut std::io::stderr().lock())
-        .expect("write trace JSON");
+    cli.trace.finish()?;
     eprintln!("  matches_sequential={}", identity.matches_sequential);
 
-    let json = render_json(mode, &reports, &identity);
-    std::fs::write(&out_path, &json).expect("write BENCH_scale.json");
-    println!("wrote {out_path}");
-
-    if obs_sink.active() {
-        let report = obs_report.expect("the obs cell is always in the grid");
-        report
-            .render_stderr(&mut std::io::stderr().lock())
-            .expect("write obs tables");
-        if let Some(path) = &obs_sink.path {
-            std::fs::write(path, report.to_json()).expect("write obs snapshot");
+    if let Some(report) = obs_report {
+        report.render_stderr(&mut std::io::stderr().lock())?;
+        if let Some(path) = &cli.obs.path {
+            bench::write_file(path, &report.to_json())?;
             eprintln!("wrote obs snapshot to {path}");
         }
     }
+    Ok(render(cli, &reports, &identity))
+}
 
-    if !identity.matches_sequential {
-        eprintln!("FAILED: parallel marking differs from sequential");
-        std::process::exit(1);
-    }
+fn main() {
+    report::main(&SCALE, run);
 }

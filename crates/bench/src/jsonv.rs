@@ -1,8 +1,8 @@
 //! A minimal zero-dependency JSON parser for the bench tooling.
 //!
-//! The BENCH emitters hand-write their JSON (see `obs::json`); this is
-//! the matching reader, used by `bench_diff` to compare freshly
-//! generated reports against committed baselines. Objects parse into
+//! The BENCH emitters write their JSON through `obs::json::JsonWriter`;
+//! this is the matching reader, used by every `--check` and by
+//! `bench_diff` (see `crate::report`). Objects parse into
 //! order-preserving `Vec<(String, Value)>` pairs — no `HashMap`, so
 //! everything downstream iterates deterministically.
 //!
@@ -65,14 +65,6 @@ impl Value {
     pub fn as_arr(&self) -> Option<&[Value]> {
         match self {
             Value::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The object fields in source order, if this is an object.
-    pub fn as_obj(&self) -> Option<&[(String, Value)]> {
-        match self {
-            Value::Obj(fields) => Some(fields),
             _ => None,
         }
     }
@@ -325,7 +317,9 @@ mod tests {
     #[test]
     fn object_order_is_preserved() {
         let doc = parse("{\"z\": 1, \"a\": 2}").expect("parse");
-        let fields = doc.as_obj().expect("obj");
+        let Value::Obj(fields) = doc else {
+            panic!("not an object: {doc:?}");
+        };
         assert_eq!(fields[0].0, "z");
         assert_eq!(fields[1].0, "a");
     }
@@ -354,20 +348,5 @@ mod tests {
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("[1, 2] trailing").unwrap_err().contains("trailing"));
         assert!(parse("\"unterminated").is_err());
-    }
-
-    #[test]
-    fn committed_bench_artifacts_parse() {
-        // The real committed baselines must be readable by this parser —
-        // bench_diff depends on it.
-        for path in ["BENCH_rekey.json", "BENCH_scale.json", "BENCH_churn.json"] {
-            let repo_root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-            let full = format!("{repo_root}/{path}");
-            let Ok(text) = std::fs::read_to_string(&full) else {
-                continue; // tolerated: artifacts absent in odd checkouts
-            };
-            let doc = parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
-            assert!(doc.get("schema").is_some(), "{path}: no schema");
-        }
     }
 }

@@ -1,9 +1,11 @@
-//! Figure-regeneration harness.
+//! Figure-regeneration and tracked-benchmark harness.
 //!
-//! One function per figure/table of the paper's evaluation; the `fig*`
-//! binaries are thin wrappers, and `all_figures` runs the lot. Output is
-//! aligned plain text (one block per sub-figure) so EXPERIMENTS.md can
-//! quote it directly.
+//! One function per figure/table of the paper's evaluation ([`figures`],
+//! [`ablations`]); the `all_figures` binary runs them all, or the subset
+//! named in `REKEY_FIGURES`. Output is aligned plain text (one block per
+//! sub-figure) so EXPERIMENTS.md can quote it directly. The five
+//! `bench_*` binaries that emit the committed `BENCH_*.json` reports, and
+//! `bench_diff` that compares them, share [`report`].
 //!
 //! Set `REKEY_QUICK=1` to cut message counts ~4x for smoke runs.
 
@@ -12,6 +14,12 @@
 pub mod ablations;
 pub mod figures;
 pub mod jsonv;
+pub mod report;
+
+/// Whether the environment variable `name` is set to anything but `0`.
+pub fn env_on(name: &str) -> bool {
+    std::env::var(name).is_ok_and(|v| v != "0")
+}
 
 /// Global effort knob.
 #[derive(Debug, Clone, Copy)]
@@ -25,14 +33,17 @@ pub struct Mode {
 }
 
 impl Mode {
+    /// The `REKEY_QUICK=1` workload.
+    pub const QUICK: Mode = Mode {
+        messages: 3,
+        runs: 2,
+        trajectory: 8,
+    };
+
     /// Reads `REKEY_QUICK` from the environment.
     pub fn from_env() -> Self {
-        if std::env::var("REKEY_QUICK").is_ok_and(|v| v != "0") {
-            Mode {
-                messages: 3,
-                runs: 2,
-                trajectory: 8,
-            }
+        if env_on("REKEY_QUICK") {
+            Mode::QUICK
         } else {
             Mode {
                 messages: 10,
@@ -77,6 +88,61 @@ pub fn par<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> 
     taskpool::map(items, |_, item| taskpool::with_workers(1, || f(item)))
 }
 
+/// One cell of the server-cost grid `bench_scale` sweeps and `bench_obs`
+/// measures the recorder on: group size, tree degree, and batch shape.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Cell {
+    /// Group size N.
+    pub n: u32,
+    /// Key-tree degree.
+    pub d: u32,
+    /// Joins in the batch.
+    pub joins: usize,
+    /// Leaves in the batch.
+    pub leaves: usize,
+}
+
+impl Cell {
+    /// Writes the four coordinates into the object `w` has open.
+    pub fn write_fields(&self, w: &mut obs::json::JsonWriter) {
+        w.field_u64("n", u64::from(self.n));
+        w.field_u64("d", u64::from(self.d));
+        w.field_u64("joins", self.joins as u64);
+        w.field_u64("leaves", self.leaves as u64);
+    }
+}
+
+/// The cell's batch: leaves strided across the lower half of the member
+/// IDs, joins appended past N with keys from `keygen`.
+pub fn make_batch(cell: Cell, keygen: &mut wirecrypto::KeyGen) -> keytree::Batch {
+    let n = cell.n;
+    let stride = (n / (2 * cell.leaves.max(1)) as u32).max(1);
+    let leaves: Vec<keytree::MemberId> =
+        (0..cell.leaves as u32).map(|i| (i * stride) % n).collect();
+    let joins: Vec<(keytree::MemberId, wirecrypto::SymKey)> = (0..cell.joins as u32)
+        .map(|i| (n + i, keygen.next_key()))
+        .collect();
+    keytree::Batch::new(joins, leaves)
+}
+
+/// `std::fs::write` whose error names the path.
+pub fn write_file(path: &str, text: &str) -> std::io::Result<()> {
+    std::fs::write(path, text)
+        .map_err(|e| std::io::Error::new(e.kind(), format!("cannot write {path}: {e}")))
+}
+
+/// Errs, with the one line the binary should print, when `what` needs the
+/// instrumentation this build compiled out.
+pub fn needs_obs_build(what: &str) -> Result<(), String> {
+    if obs::enabled() {
+        return Ok(());
+    }
+    Err(format!(
+        "{what} but this binary was built without the instrumentation layer; \
+         rebuild with `--features obs`"
+    ))
+}
+
 /// Where a bench binary sends its observability snapshot, resolved from
 /// the `--obs-out PATH` flag and the `REKEY_OBS` environment variable.
 ///
@@ -89,8 +155,9 @@ pub fn par<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> 
 pub struct ObsSink {
     /// Destination for the JSON snapshot (`--obs-out PATH`), if any.
     pub path: Option<String>,
-    /// Whether the sink is active at all (path given or `REKEY_OBS=1`).
-    active: bool,
+    /// Whether any observability output was requested (path given or
+    /// `REKEY_OBS=1`).
+    pub active: bool,
 }
 
 impl ObsSink {
@@ -99,14 +166,9 @@ impl ObsSink {
     /// binary should print verbatim) when output is requested but the
     /// instrumentation is compiled out.
     pub fn resolve(obs_out: Option<String>) -> Result<ObsSink, String> {
-        let env_on = std::env::var("REKEY_OBS").is_ok_and(|v| v != "0");
-        let active = env_on || obs_out.is_some();
-        if active && !obs::enabled() {
-            return Err(
-                "obs output requested (--obs-out / REKEY_OBS=1) but this binary was built \
-                 without the metrics layer; rebuild with `--features obs`"
-                    .to_string(),
-            );
+        let active = env_on("REKEY_OBS") || obs_out.is_some();
+        if active {
+            needs_obs_build("obs output requested (--obs-out / REKEY_OBS=1)")?;
         }
         Ok(ObsSink {
             path: obs_out,
@@ -114,23 +176,20 @@ impl ObsSink {
         })
     }
 
-    /// Whether any observability output was requested.
-    pub fn active(&self) -> bool {
-        self.active
-    }
-
-    /// Emits the snapshot: JSON to [`ObsSink::path`] when set, and the
-    /// human table through `err` (callers pass their stderr handle so
-    /// the table shares whatever lock their other diagnostics use).
-    /// No-op when the sink is inactive.
+    /// Emits the snapshot: the human table through `err` (callers pass
+    /// their stderr handle so the table shares whatever lock their other
+    /// diagnostics use), and JSON to [`ObsSink::path`] when set, named on
+    /// `err` once written. No-op when the sink is inactive.
     pub fn emit(&self, snap: &obs::Snapshot, err: &mut dyn std::io::Write) -> std::io::Result<()> {
         if !self.active {
             return Ok(());
         }
+        err.write_all(snap.render_table().as_bytes())?;
         if let Some(path) = &self.path {
-            std::fs::write(path, snap.to_json())?;
+            write_file(path, &snap.to_json())?;
+            writeln!(err, "wrote obs snapshot to {path}")?;
         }
-        err.write_all(snap.render_table().as_bytes())
+        Ok(())
     }
 }
 
@@ -154,12 +213,8 @@ impl TraceSink {
     /// (with the message the binary should print verbatim) when a trace
     /// is requested but the recorder is compiled out.
     pub fn resolve(trace_out: Option<String>) -> Result<TraceSink, String> {
-        if trace_out.is_some() && !obs::enabled() {
-            return Err(
-                "trace output requested (--trace-out) but this binary was built without \
-                 the instrumentation layer; rebuild with `--features obs`"
-                    .to_string(),
-            );
+        if trace_out.is_some() {
+            needs_obs_build("trace output requested (--trace-out)")?;
         }
         Ok(TraceSink { path: trace_out })
     }
@@ -177,22 +232,22 @@ impl TraceSink {
     }
 
     /// Disarms the recorder, drains it, and writes the Chrome trace JSON
-    /// to [`TraceSink::path`], reporting counts on `err`. No-op when the
+    /// to [`TraceSink::path`], reporting counts on stderr. No-op when the
     /// sink is inactive.
-    pub fn finish(&self, err: &mut dyn std::io::Write) -> std::io::Result<()> {
+    pub fn finish(&self) -> std::io::Result<()> {
         let Some(path) = &self.path else {
             return Ok(());
         };
         obs::trace::disable();
         let trace = obs::trace::drain();
-        std::fs::write(path, trace.to_chrome_json())?;
-        writeln!(
-            err,
+        write_file(path, &trace.to_chrome_json())?;
+        eprintln!(
             "trace: {} events on {} tracks ({} dropped) -> {path}",
             trace.events.len(),
             trace.tracks.len(),
             trace.dropped_total(),
-        )
+        );
+        Ok(())
     }
 }
 

@@ -1,7 +1,10 @@
 //! The parallel figure engine must be invisible in the output: the same
 //! experiment grid fanned out across workers must yield the exact
-//! `MessageReport` stream the serial engine produces, and whole figures
-//! rendered at different worker counts must be byte-identical.
+//! `MessageReport` stream the serial engine produces, and whole rendered
+//! figures must be byte-identical at any worker count and under seeded
+//! adversarial `taskpool` schedules (shuffled task pickup, injected
+//! yields) — the dynamic companion to xcheck's static
+//! `determinism-unordered-iter` rule.
 
 use bench::{par, Mode};
 use grouprekey::experiment::{ExperimentParams, ExperimentRun};
@@ -57,29 +60,48 @@ fn report_stream_matches_direct_serial_loop() {
     assert_eq!(direct, run_grid(1));
 }
 
-fn render_figure(workers: usize, fig: bench::FigFn) -> Vec<u8> {
+fn render_figure(workers: usize, sched_seed: Option<u64>, fig: bench::FigFn) -> Vec<u8> {
     let mode = Mode {
         messages: 2,
         runs: 2,
         trajectory: 4,
     };
     let mut out = Vec::new();
-    taskpool::with_workers(workers, || fig(mode, &mut out)).expect("figure renders to a Vec");
+    taskpool::with_workers(workers, || match sched_seed {
+        Some(seed) => taskpool::with_schedule(seed, || fig(mode, &mut out)),
+        None => fig(mode, &mut out),
+    })
+    .expect("figure renders to a Vec");
     out
 }
 
 #[test]
-fn figure_text_is_worker_count_invariant() {
-    // End-to-end check through the figure formatting layer on two cheap
-    // figures: a workload table and a transport grid.
+fn figure_text_is_worker_count_and_schedule_invariant() {
+    // End-to-end through the figure formatting layer on two cheap
+    // figures — a workload table and a transport grid — at plain worker
+    // counts, then under eight adversarial schedules each, sequential
+    // and parallel.
     for fig in [
         bench::figures::sigcomm_sparseness as bench::FigFn,
         bench::figures::sigcomm_model as bench::FigFn,
     ] {
-        let sequential = render_figure(1, fig);
-        assert!(!sequential.is_empty());
+        let baseline = render_figure(1, None, fig);
+        assert!(!baseline.is_empty());
         for workers in [3, 8] {
-            assert_eq!(sequential, render_figure(workers, fig), "workers={workers}");
+            assert_eq!(
+                baseline,
+                render_figure(workers, None, fig),
+                "workers={workers}"
+            );
+        }
+        for seed in 0..8u64 {
+            for workers in [1, 3] {
+                assert_eq!(
+                    baseline,
+                    render_figure(workers, Some(seed), fig),
+                    "seed={seed}, workers={workers}"
+                );
+            }
         }
     }
 }

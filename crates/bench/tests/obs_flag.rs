@@ -1,10 +1,13 @@
 //! The bench binaries must honor `--obs-out`/`REKEY_OBS=1` when the
 //! metrics layer is compiled in, and fail fast — one clear line, nonzero
 //! exit — when it is not. Both sides branch on [`obs::enabled`] so the
-//! same test covers whichever way this binary was built.
+//! same test covers whichever way this binary was built. A malformed
+//! command line is one usage line and exit 2, never a panic.
 
 use std::path::PathBuf;
 use std::process::Command;
+
+use bench::jsonv::{parse, Value};
 
 fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("bench_obs_{tag}_{}.json", std::process::id()))
@@ -38,9 +41,15 @@ fn obs_out_flag_writes_snapshot_or_errors_cleanly() {
             String::from_utf8_lossy(&result.stderr)
         );
         let text = std::fs::read_to_string(&obs_path).expect("snapshot written");
-        assert!(obs::json::well_formed(&text), "snapshot parses: {text}");
-        assert!(text.contains("\"schema\": \"obs/v1\""));
-        assert!(text.contains("rekey.batch"), "pipeline spans present");
+        let snap = parse(&text).expect("snapshot parses");
+        assert_eq!(snap.get("schema").and_then(Value::as_str), Some("obs/v1"));
+        let spans = snap.get("spans").and_then(Value::as_arr).expect("spans");
+        let name = |s: &Value| s.get("name").and_then(Value::as_str).map(str::to_string);
+        let names: Vec<String> = spans.iter().filter_map(name).collect();
+        assert!(names.iter().any(|n| n == "rekey.batch"), "{names:?}");
+        // The report itself came out too, and passes its own check.
+        let report = std::fs::read_to_string(&out_path).expect("report written");
+        assert_eq!(bench::report::REKEY.check(&report), Vec::<String>::new());
         let stderr = String::from_utf8_lossy(&result.stderr);
         assert!(stderr.contains("obs spans"), "table on stderr: {stderr}");
     } else {
@@ -78,4 +87,26 @@ fn rekey_obs_env_takes_the_same_gate() {
         assert!(stderr.contains("rebuild with `--features obs`"), "{stderr}");
     }
     let _ = std::fs::remove_file(&out_path);
+}
+
+#[test]
+fn missing_value_or_unknown_flag_is_one_usage_line() {
+    for args in [
+        &["--out"][..],
+        &["--smoke", "--check"],
+        &["--series-out", "x"],
+    ] {
+        let result = bench_rekey()
+            .args(args)
+            .output()
+            .expect("spawn bench_rekey");
+        assert_eq!(result.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&result.stderr);
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("usage: [--smoke] [--out VALUE]"),
+            "{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
 }

@@ -22,6 +22,11 @@ pub struct JsonWriter {
     /// One entry per open container: whether a comma is due before the
     /// next element.
     comma_due: Vec<bool>,
+    /// Containers nested at most this deep put each element on its own
+    /// line (0 = everything on one line).
+    line_depth: usize,
+    /// A key was just written: its value continues the line.
+    after_key: bool,
 }
 
 impl JsonWriter {
@@ -31,14 +36,47 @@ impl JsonWriter {
         JsonWriter::default()
     }
 
+    /// Puts every element of the containers nested at most `depth` deep,
+    /// and their closing brackets, on a line of its own, indented two
+    /// spaces per level; deeper containers stay on one line. Report
+    /// emitters set 2: root fields, section fields and the rows of
+    /// top-level arrays then diff one per line, each row a single line.
+    pub fn line_per_element(&mut self, depth: usize) {
+        self.line_depth = depth;
+    }
+
     /// Writes the separator a new element needs in the current container.
     fn separate(&mut self) {
-        if let Some(due) = self.comma_due.last_mut() {
-            if *due {
-                self.buf.push(',');
-                self.buf.push(' ');
-            }
-            *due = true;
+        if std::mem::take(&mut self.after_key) {
+            return;
+        }
+        let Some(due) = self.comma_due.last_mut() else {
+            return;
+        };
+        let comma = std::mem::replace(due, true);
+        if comma {
+            self.buf.push(',');
+        }
+        if self.comma_due.len() <= self.line_depth {
+            self.new_line();
+        } else if comma {
+            self.buf.push(' ');
+        }
+    }
+
+    fn new_line(&mut self) {
+        self.buf.push('\n');
+        for _ in 0..self.comma_due.len() {
+            self.buf.push_str("  ");
+        }
+    }
+
+    /// Pops the innermost container, moving to a new line first when its
+    /// elements were written one per line.
+    fn close(&mut self) {
+        let wrote_lines = self.comma_due.len() <= self.line_depth;
+        if self.comma_due.pop() == Some(true) && wrote_lines {
+            self.new_line();
         }
     }
 
@@ -51,7 +89,7 @@ impl JsonWriter {
 
     /// Closes the innermost object (`}`).
     pub fn end_object(&mut self) {
-        self.comma_due.pop();
+        self.close();
         self.buf.push('}');
     }
 
@@ -64,7 +102,7 @@ impl JsonWriter {
 
     /// Closes the innermost array (`]`).
     pub fn end_array(&mut self) {
-        self.comma_due.pop();
+        self.close();
         self.buf.push(']');
     }
 
@@ -75,10 +113,8 @@ impl JsonWriter {
         self.push_escaped(key);
         self.buf.push(':');
         self.buf.push(' ');
-        // The value that follows must not add its own comma.
-        if let Some(due) = self.comma_due.last_mut() {
-            *due = false;
-        }
+        // The value that follows must not add its own separator.
+        self.after_key = true;
     }
 
     /// Writes an unsigned integer value.
@@ -232,6 +268,36 @@ mod tests {
              {\"i\": 1, \"half\": 0.500}], \"ok\": true}"
         );
         assert!(well_formed(&text));
+    }
+
+    #[test]
+    fn line_per_element_breaks_down_to_the_given_depth() {
+        let mut w = JsonWriter::new();
+        w.line_per_element(2);
+        w.begin_object();
+        w.field_str("schema", "x/v1");
+        w.key("rows");
+        w.begin_array();
+        for i in 0..2u64 {
+            w.begin_object();
+            w.field_u64("i", i);
+            w.key("xs");
+            w.begin_array();
+            w.value_u64(1);
+            w.value_u64(2);
+            w.end_array();
+            w.end_object();
+        }
+        w.end_array();
+        w.key("none");
+        w.begin_array();
+        w.end_array();
+        w.end_object();
+        assert_eq!(
+            w.finish(),
+            "{\n  \"schema\": \"x/v1\",\n  \"rows\": [\n    {\"i\": 0, \"xs\": [1, 2]},\n    \
+             {\"i\": 1, \"xs\": [1, 2]}\n  ],\n  \"none\": []\n}"
+        );
     }
 
     #[test]
