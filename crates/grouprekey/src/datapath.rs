@@ -15,6 +15,9 @@
 //!
 //! Forward/backward secrecy carry over: a departed member never obtains
 //! later epochs' keys, so buffered-or-sniffed ciphertext stays opaque.
+//!
+//! [`DataSource`]: crate::datapath::DataSource
+//! [`DataSink`]: crate::datapath::DataSink
 
 use std::collections::{HashMap, VecDeque};
 

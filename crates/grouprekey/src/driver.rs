@@ -4,20 +4,25 @@
 //! simulated lossy [`Network`]. Every packet of a rekey message is emitted
 //! to wire bytes, individually subjected to link loss, parsed back at each
 //! receiving user, FEC-decoded when needed, and cryptographically applied
-//! (unsealing real encryptions) — the full production path. Use this for
+//! (unsealing real encryptions) — the full production path, driven by the
+//! loop in [`crate::transport`] through its byte model. Use this for
 //! correctness at realistic-but-moderate group sizes; the `sim` module
-//! scales the same protocol to the paper's 4096–16384-user experiments.
+//! scales the same loop to the paper's 4096–16384-user experiments.
+//!
+//! [`Group`]: crate::driver::Group
+//! [`Network`]: netsim::Network
 
 use std::collections::BTreeMap;
 
 use keytree::{Batch, MemberId, NodeId};
 use netsim::{Network, NetworkConfig};
 use rekeymsg::Packet;
-use rekeyproto::{RoundDecision, UserOutcome, UserSession};
+use rekeyproto::{UserOutcome, UserSession};
 
 use crate::agent::UserAgent;
 use crate::metrics::MessageReport;
 use crate::server::{KeyServer, ServerOptions};
+use crate::transport::{self, ByteReceiver, SimConfig, TransportScratch};
 
 /// Unwraps a driver invariant, panicking with context on violation.
 /// Centralises the "driver misuse" panics documented on [`Group::rekey`].
@@ -129,10 +134,10 @@ impl Group {
     /// driver misuse).
     pub fn rekey(&mut self, batch: Batch) -> MessageReport {
         // Snapshot pre-batch node IDs (the "old IDs" users hold).
-        let old_ids: BTreeMap<MemberId, NodeId> = self
+        let mut old_ids: BTreeMap<MemberId, NodeId> = self
             .agents
-            .keys()
-            .map(|&m| (m, self.agents[&m].node_id()))
+            .iter()
+            .map(|(&m, agent)| (m, agent.node_id()))
             .collect();
         let joins: Vec<(MemberId, wirecrypto::SymKey)> = batch.joins.clone();
         let leaves: Vec<MemberId> = batch.leaves.clone();
@@ -147,7 +152,6 @@ impl Group {
         // agent must learn the new ID before it can place this message's
         // ENC entries. Its session below starts from the new ID for the
         // same reason.
-        let mut old_ids = old_ids;
         for rl in &artifacts.outcome.relocations {
             if let Some(agent) = self.agents.get_mut(&rl.member) {
                 agent.accept_relocation(rl.new_id);
@@ -176,129 +180,59 @@ impl Group {
             self.net_index.insert(*m, idx);
         }
 
-        // One transport session per member.
+        // One byte-model receiver per member, in member order, so the
+        // loop's loss draws and NACK order are deterministic.
         let k = self.server.controller().config().block_size;
-        let mut sessions: BTreeMap<MemberId, UserSession> = self
-            .agents
-            .keys()
-            .map(|&m| {
-                let old = old_ids.get(&m).copied().unwrap_or_else(|| {
-                    require(self.server.tree().node_of_member(m), "joiner has a node")
-                });
-                let session = UserSession::new(old, self.degree, k, layout)
-                    .expect_msg_id((msg_seq & 0x3f) as u8);
-                (m, session)
-            })
-            .collect();
-        let member_of_node: BTreeMap<NodeId, MemberId> = self
-            .agents
-            .keys()
-            .map(|&m| {
-                (
-                    require(
-                        self.server.tree().node_of_member(m),
-                        "live member has a node",
-                    ),
-                    m,
-                )
+        let members: Vec<MemberId> = self.agents.keys().copied().collect();
+        let mut receivers: Vec<ByteReceiver> = members
+            .iter()
+            .map(|m| {
+                let node = require(
+                    self.server.tree().node_of_member(*m),
+                    "live member has a node",
+                );
+                // A joiner held no ID before the batch: it starts from the
+                // one it was granted.
+                let old = old_ids.get(m).copied().unwrap_or(node);
+                ByteReceiver {
+                    session: UserSession::new(old, self.degree, k, layout)
+                        .expect_msg_id((msg_seq & 0x3f) as u8),
+                    link: self.net_index[m],
+                    node,
+                    layout,
+                }
             })
             .collect();
 
-        let send_interval = self.net.config().send_interval_ms;
-        let rtt = 2.0 * self.net.config().one_way_delay_ms;
-        let mut round = 1usize;
-        let mut action = RoundDecision::Multicast(artifacts.session.start());
-        // Per-packet scratch, reused across the whole message.
-        let mut members: Vec<MemberId> = Vec::new();
-        let mut listeners: Vec<usize> = Vec::new();
-        let mut delivered: Vec<bool> = Vec::new();
-
-        loop {
-            match &action {
-                RoundDecision::Multicast(schedule) => {
-                    for pkt in schedule {
-                        self.clock += send_interval;
-                        let bytes = pkt.emit(&layout);
-                        members.clear();
-                        members.extend(
-                            sessions
-                                .iter()
-                                .filter(|(_, s)| !s.is_satisfied())
-                                .map(|(&m, _)| m),
-                        );
-                        listeners.clear();
-                        listeners.extend(members.iter().map(|m| self.net_index[m]));
-                        if listeners.is_empty() {
-                            break;
-                        }
-                        self.net
-                            .multicast_to_into(self.clock, &listeners, &mut delivered);
-                        for (pos, &ok) in delivered.iter().enumerate() {
-                            if ok {
-                                let parsed = Packet::parse(&bytes, &layout)
-                                    .unwrap_or_else(|e| panic!("wire round-trip: {e:?}"));
-                                require(sessions.get_mut(&members[pos]), "member session")
-                                    .receive(&parsed);
-                            }
-                        }
-                    }
-                }
-                RoundDecision::Unicast(wave) => {
-                    for node in &wave.targets {
-                        let Some(&m) = member_of_node.get(node) else {
-                            continue;
-                        };
-                        let usr = require(self.server.usr_packet(m), "usr packet for live member");
-                        let bytes = Packet::Usr(usr).emit(&layout);
-                        for _ in 0..wave.duplicates {
-                            self.clock += send_interval;
-                            if self.net.unicast(self.clock, self.net_index[&m]) {
-                                let parsed = Packet::parse(&bytes, &layout)
-                                    .unwrap_or_else(|e| panic!("wire round-trip: {e:?}"));
-                                require(sessions.get_mut(&m), "member session").receive(&parsed);
-                            }
-                        }
-                    }
-                }
-                RoundDecision::Done => {}
-            }
-            self.clock += rtt;
-
-            // Round boundary: NACKs over the (lossless) reverse path.
-            let mut boundary: Vec<MemberId> = sessions.keys().copied().collect();
-            boundary.sort_unstable();
-            for m in boundary {
-                let s = require(sessions.get_mut(&m), "member session");
-                if let Some(nack) = s.end_of_round() {
-                    let bytes = Packet::Nack(nack).emit(&layout);
-                    let Ok(Packet::Nack(parsed)) = Packet::parse(&bytes, &layout) else {
-                        unreachable!("a NACK emits and parses back as a NACK")
-                    };
-                    let node = require(
-                        self.server.tree().node_of_member(m),
-                        "NACKing member has a node",
-                    );
-                    artifacts.session.accept_nack(node, &parsed);
-                }
-            }
-
-            action = artifacts.session.end_of_round();
-            if matches!(action, RoundDecision::Done) {
-                break;
-            }
-            round += 1;
-            assert!(
-                round <= self.max_rounds,
-                "delivery did not complete within {} rounds",
-                self.max_rounds
-            );
-        }
+        let server = &self.server;
+        let stats = transport::run(
+            &mut self.net,
+            &mut self.clock,
+            &mut artifacts.session,
+            &mut receivers,
+            // The byte driver sets no delivery deadline.
+            &SimConfig {
+                deadline_rounds: usize::MAX,
+                max_total_rounds: self.max_rounds,
+            },
+            &mut TransportScratch::new(),
+            |slot| {
+                Packet::Usr(require(
+                    server.usr_packet(members[slot]),
+                    "usr packet for live member",
+                ))
+            },
+        );
+        assert!(
+            stats.total_rounds <= self.max_rounds,
+            "delivery did not complete within {} rounds",
+            self.max_rounds
+        );
 
         // Apply outcomes cryptographically.
-        let mut hist: Vec<usize> = Vec::new();
-        for (m, s) in &sessions {
+        for (m, r) in members.iter().zip(&receivers) {
             let agent = require(self.agents.get_mut(m), "live member has an agent");
-            match s.outcome() {
+            match r.session.outcome() {
                 UserOutcome::Enc(pkt) => agent
                     .apply_enc(pkt, msg_seq)
                     .unwrap_or_else(|e| panic!("member {m}: apply_enc: {e}")),
@@ -316,33 +250,14 @@ impl Group {
                     );
                 }
             }
-            if let Some(r) = s.rounds_to_success() {
-                if hist.len() < r {
-                    hist.resize(r, 0);
-                }
-                hist[r - 1] += 1;
-            }
         }
 
-        MessageReport {
+        MessageReport::of_message(
             msg_seq,
-            enc_packets: artifacts.session.real_enc_count(),
-            blocks: artifacts.session.blocks().block_count(),
-            rho: artifacts.session.rho(),
-            num_nack: self.server.controller().num_nack,
-            nacks_round1: artifacts.session.first_round_nack_count(),
-            bandwidth_overhead: artifacts.session.bandwidth_overhead(),
-            server_rounds: artifacts.session.stats.multicast_rounds,
-            rounds_histogram: hist,
-            unserved_users: 0,
-            missed_deadline: 0,
-            usr_packets: artifacts.session.stats.usr_sent,
-            usr_bytes: artifacts.session.stats.usr_bytes,
-            duplication_overhead: artifacts.assignment.stats.duplication_overhead(),
-            encoding_units: rse::cost::total_encoding_units(
-                k,
-                &[artifacts.session.stats.parity_multicast as u64],
-            ),
-        }
+            &artifacts.session,
+            self.server.controller().num_nack,
+            artifacts.assignment.stats.duplication_overhead(),
+            stats,
+        )
     }
 }

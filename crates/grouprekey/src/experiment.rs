@@ -12,6 +12,12 @@
 //! tree of `n` users with `J` joins and `L` uniformly chosen leaves, while
 //! the network loss processes, the adaptive controller state (`rho`,
 //! `numNACK`) and the clock persist across the message sequence.
+//!
+//! [`workload_stats`]: crate::experiment::workload_stats
+//! [`encryption_cost_batch`]: crate::experiment::encryption_cost_batch
+//! [`encryption_cost_individual`]: crate::experiment::encryption_cost_individual
+//! [`ExperimentParams`]: crate::experiment::ExperimentParams
+//! [`ExperimentRun`]: crate::experiment::ExperimentRun
 
 use keytree::{Batch, KeyTree, MemberId};
 use netsim::{Network, NetworkConfig};
@@ -317,26 +323,13 @@ impl ExperimentRun {
         self.controller
             .absorb_feedback(&session, stats.missed_deadline);
 
-        MessageReport {
-            msg_seq: self.msg_seq,
-            enc_packets: session.real_enc_count(),
-            blocks: session.blocks().block_count(),
-            rho: session.rho(),
-            num_nack: num_nack_used,
-            nacks_round1: session.first_round_nack_count(),
-            bandwidth_overhead: session.bandwidth_overhead(),
-            server_rounds: session.stats.multicast_rounds,
-            rounds_histogram: stats.rounds_histogram,
-            unserved_users: stats.unserved,
-            missed_deadline: stats.missed_deadline,
-            usr_packets: session.stats.usr_sent,
-            usr_bytes: session.stats.usr_bytes,
-            duplication_overhead: assignment.stats.duplication_overhead(),
-            encoding_units: rse::cost::total_encoding_units(
-                k,
-                &[session.stats.parity_multicast as u64],
-            ),
-        }
+        MessageReport::of_message(
+            self.msg_seq,
+            &session,
+            num_nack_used,
+            assignment.stats.duplication_overhead(),
+            stats,
+        )
     }
 
     /// Runs the full message sequence.

@@ -8,6 +8,8 @@
 //! validated requests during a rekey interval, deduplicates them, and
 //! emits the [`Batch`] the marking algorithm consumes at the interval
 //! boundary.
+//!
+//! [`Batch`]: keytree::Batch
 
 use std::collections::HashMap;
 

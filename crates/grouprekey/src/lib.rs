@@ -12,6 +12,10 @@
 //!                rekeyproto (server/user state machines)   rse (FEC)
 //!                     |
 //!                 grouprekey  <--- drives --->  netsim (lossy multicast)
+//!                     |
+//!            transport::run — the one round loop
+//!              /                         \
+//!   byte model (driver::Group)     count model (sim::SimUser)
 //! ```
 //!
 //! Main entry points:
@@ -20,14 +24,16 @@
 //!   produces rekey messages.
 //! * [`UserAgent`] — a user's key store: applies ENC/USR packets,
 //!   rederives its ID, and tracks the group key.
-//! * [`driver`] — a byte-faithful end-to-end driver: every packet is
-//!   emitted to wire bytes, crosses the simulated lossy network, is parsed
-//!   and cryptographically processed by user agents. Used by integration
+//! * [`transport`] — the one transport loop (multicast rounds, NACK
+//!   boundary, unicast tail) and the receiver trait its two models
+//!   implement.
+//! * [`driver`] — the byte model end to end: every packet is emitted to
+//!   wire bytes, crosses the simulated lossy network, is parsed and
+//!   cryptographically processed by user agents. Used by integration
 //!   tests and examples.
-//! * [`sim`] — the high-throughput transport simulator used to reproduce
-//!   the paper's figures: identical protocol logic, but users track share
-//!   *counts* instead of share *bytes* (Reed–Solomon decodability depends
-//!   only on which shares arrived, a property the `rse` crate proves).
+//! * [`sim`] — the count model used to reproduce the paper's figures: the
+//!   same loop and server stack, but users track share *counts* instead of
+//!   share *bytes*.
 //! * [`experiment`] — parameterised runners that regenerate each figure.
 //! * [`frontend`] — authenticated join/leave requests and per-interval
 //!   batch collection (the key-management component's request path).
@@ -70,8 +76,10 @@ pub mod sanitize;
 /// Trace-driven adversarial membership scenarios.
 pub mod scenario;
 mod server;
-/// High-throughput transport simulation.
+/// The count model of the transport: share-counting simulated users.
 pub mod sim;
+/// The one transport loop and its two receiver models.
+pub mod transport;
 
 pub use agent::{ApplyError, UserAgent};
 pub use metrics::MessageReport;

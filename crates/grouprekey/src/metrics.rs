@@ -10,6 +10,10 @@
 //! sending, and `numNACK` the adaptive controller's per-message target
 //! for round-one NACKs.
 
+use rekeyproto::ServerSession;
+
+use crate::transport::TransportStats;
+
 /// Measurements of one rekey message's delivery.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MessageReport {
@@ -61,6 +65,39 @@ pub struct MessageReport {
 }
 
 impl MessageReport {
+    /// Reads one delivered message off its server session and the
+    /// transport loop's per-user statistics. `num_nack` is the NACK target
+    /// that was in force while it was sent, `duplication_overhead` the UKA
+    /// assignment's.
+    pub(crate) fn of_message(
+        msg_seq: u64,
+        session: &ServerSession,
+        num_nack: usize,
+        duplication_overhead: f64,
+        stats: TransportStats,
+    ) -> Self {
+        MessageReport {
+            msg_seq,
+            enc_packets: session.real_enc_count(),
+            blocks: session.blocks().block_count(),
+            rho: session.rho(),
+            num_nack,
+            nacks_round1: session.first_round_nack_count(),
+            bandwidth_overhead: session.bandwidth_overhead(),
+            server_rounds: session.stats.multicast_rounds,
+            rounds_histogram: stats.rounds_histogram,
+            unserved_users: stats.unserved,
+            missed_deadline: stats.missed_deadline,
+            usr_packets: session.stats.usr_sent,
+            usr_bytes: session.stats.usr_bytes,
+            duplication_overhead,
+            encoding_units: rse::cost::total_encoding_units(
+                session.blocks().k(),
+                &[session.stats.parity_multicast as u64],
+            ),
+        }
+    }
+
     /// Average rounds a user needed to receive its encryptions.
     pub fn avg_user_rounds(&self) -> f64 {
         let total: usize = self.rounds_histogram.iter().sum();
@@ -94,39 +131,6 @@ impl MessageReport {
         }
         let within: usize = self.rounds_histogram.iter().take(r).sum();
         within as f64 / total as f64
-    }
-
-    /// Serializes the report as one deterministic JSON object (no
-    /// trailing newline), through the same [`obs::json::JsonWriter`] the
-    /// obs snapshot uses — identical data always yields identical bytes,
-    /// so experiment traces can be diffed and committed like the BENCH
-    /// artifacts. Keys are the field names; floats carry three decimals.
-    #[must_use]
-    pub fn to_json_row(&self) -> String {
-        let mut w = obs::json::JsonWriter::new();
-        w.begin_object();
-        w.field_u64("msg_seq", self.msg_seq);
-        w.field_u64("enc_packets", self.enc_packets as u64);
-        w.field_u64("blocks", self.blocks as u64);
-        w.field_f64("rho", self.rho, 3);
-        w.field_u64("num_nack", self.num_nack as u64);
-        w.field_u64("nacks_round1", self.nacks_round1 as u64);
-        w.field_f64("bandwidth_overhead", self.bandwidth_overhead, 3);
-        w.field_u64("server_rounds", self.server_rounds as u64);
-        w.key("rounds_histogram");
-        w.begin_array();
-        for &n in &self.rounds_histogram {
-            w.value_u64(n as u64);
-        }
-        w.end_array();
-        w.field_u64("unserved_users", self.unserved_users as u64);
-        w.field_u64("missed_deadline", self.missed_deadline as u64);
-        w.field_u64("usr_packets", self.usr_packets as u64);
-        w.field_u64("usr_bytes", self.usr_bytes as u64);
-        w.field_f64("duplication_overhead", self.duplication_overhead, 3);
-        w.field_u64("encoding_units", self.encoding_units);
-        w.end_object();
-        w.finish()
     }
 }
 
@@ -164,41 +168,5 @@ mod tests {
         assert_eq!(r.avg_user_rounds(), 0.0);
         assert_eq!(r.rounds_all_users(), 0);
         assert_eq!(r.fraction_within(1), 1.0);
-    }
-
-    #[test]
-    fn json_row_is_deterministic_and_well_formed() {
-        let r = MessageReport {
-            msg_seq: 7,
-            enc_packets: 101,
-            blocks: 2,
-            rho: 0.25,
-            num_nack: 10,
-            nacks_round1: 12,
-            bandwidth_overhead: 1.25,
-            server_rounds: 2,
-            rounds_histogram: vec![90, 8, 2],
-            unserved_users: 0,
-            missed_deadline: 0,
-            usr_packets: 3,
-            usr_bytes: 129,
-            duplication_overhead: 1.5,
-            encoding_units: 4096,
-        };
-        let a = r.to_json_row();
-        assert_eq!(a, r.clone().to_json_row());
-        assert!(obs::json::well_formed(&a));
-        assert!(a.contains("\"enc_packets\": 101"));
-        assert!(a.contains("\"rho\": 0.250"));
-        assert!(a.contains("\"bandwidth_overhead\": 1.250"));
-        assert!(a.contains("\"rounds_histogram\": [90, 8, 2]"));
-        assert!(!a.ends_with('\n'));
-    }
-
-    #[test]
-    fn json_row_of_default_report_has_empty_histogram() {
-        let text = MessageReport::default().to_json_row();
-        assert!(obs::json::well_formed(&text));
-        assert!(text.contains("\"rounds_histogram\": []"));
     }
 }

@@ -32,6 +32,14 @@
 //! marking/message oracles inside [`KeyServer::rekey`]; with
 //! `--features obs` the engine tags each interval with `scenario.*`
 //! spans, counters, and gauges.
+//!
+//! [`ScenarioKind::FlashCrowd`]: crate::scenario::ScenarioKind::FlashCrowd
+//! [`ScenarioKind::Diurnal`]: crate::scenario::ScenarioKind::Diurnal
+//! [`ScenarioKind::MassDeparture`]: crate::scenario::ScenarioKind::MassDeparture
+//! [`ScenarioKind::Oscillation`]: crate::scenario::ScenarioKind::Oscillation
+//! [`ScenarioKind::Storm`]: crate::scenario::ScenarioKind::Storm
+//! [`IntervalStats`]: crate::scenario::IntervalStats
+//! [`ScenarioReport::digest`]: crate::scenario::ScenarioReport::digest
 
 use keytree::{Batch, MemberId};
 use wirecrypto::SymKey;

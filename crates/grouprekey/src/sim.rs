@@ -1,23 +1,25 @@
-//! High-throughput transport simulation.
+//! The count model of the transport: share-counting simulated users.
 //!
 //! Reproducing the paper's figures means simulating thousands of rekey
 //! messages against 4096+ users. The server side here is the *real*
 //! protocol stack — real marking algorithm, real UKA packets, real
-//! Reed–Solomon parities, real `AdjustRho` — but each simulated user
-//! tracks which FEC *shares* it received rather than their bytes: by the
-//! MDS property (proven by the `rse` crate's tests), a block decodes if
-//! and only if at least `k` distinct shares arrived, so delivery dynamics
-//! are byte-exact while memory stays O(counts). The byte-faithful path —
-//! parse, decode, unseal — is exercised end-to-end by [`crate::driver`]
-//! and the integration tests.
-
-use std::collections::HashMap;
+//! Reed–Solomon parities, real `AdjustRho` — and the round loop is the one
+//! in [`crate::transport`], but each [`SimUser`] tracks which FEC *shares*
+//! it received rather than their bytes (why that is exact is argued there),
+//! so memory stays O(counts). The byte-faithful path — parse, decode,
+//! unseal — is exercised end-to-end by [`crate::driver`] and the
+//! integration tests.
+//!
+//! [`SimUser`]: crate::sim::SimUser
 
 use keytree::NodeId;
 use netsim::Network;
 use rekeymsg::estimate::BlockIdEstimator;
-use rekeymsg::{NackPacket, NackRequest, Packet};
-use rekeyproto::{RoundDecision, ServerSession};
+use rekeymsg::{Layout, NackPacket, Packet, UsrPacket};
+use rekeyproto::{nack_requests_into, ServerSession};
+
+use crate::transport::{self, Receiver};
+pub use crate::transport::{SimConfig, TransportScratch, TransportStats};
 
 /// Distinct FEC share indices received, per block, as fixed-width
 /// bitsets.
@@ -111,14 +113,31 @@ impl SimUser {
             satisfied_round: None,
         }
     }
+}
+
+/// The count model: a frame is the packet itself, borrowed, and the user
+/// records which shares arrived instead of their bytes.
+impl Receiver for SimUser {
+    type Frame<'p> = &'p Packet;
+
+    fn frame<'p>(pkt: &'p Packet, _layout: &Layout) -> &'p Packet {
+        pkt
+    }
+
+    fn net_index(&self) -> usize {
+        self.net_index
+    }
+
+    fn node_id(&self) -> NodeId {
+        self.node_id
+    }
 
     /// True once the user has (or can decode) its encryptions.
-    pub fn is_satisfied(&self) -> bool {
+    fn is_satisfied(&self) -> bool {
         self.satisfied_round.is_some() || self.true_block.is_none()
     }
 
-    /// The round in which the user succeeded.
-    pub fn satisfied_round(&self) -> Option<usize> {
+    fn success_round(&self) -> Option<usize> {
         self.satisfied_round
     }
 
@@ -127,22 +146,26 @@ impl SimUser {
     /// estimator reuse their capacity once a rekey message is underway
     /// (pinned by the `no_alloc_marks` integration test).
     // xcheck: no_alloc
-    pub fn receive(&mut self, pkt: &Packet, round: usize) {
+    fn receive(&mut self, pkt: &&Packet, round: usize) {
         if self.is_satisfied() {
             return;
         }
         match pkt {
             Packet::Enc(enc) => {
                 self.max_block_seen = Some(self.max_block_seen.unwrap_or(0).max(enc.block_id));
-                if enc.serves(self.node_id as u16) {
+                // A node ID beyond the 16-bit wire fields is served by no
+                // ENC packet (narrowing 65536 + m to m would claim user m's)
+                // and forms no estimate, exactly as in `UserSession`.
+                let Ok(m16) = u16::try_from(self.node_id) else {
+                    return;
+                };
+                if enc.serves(m16) {
                     self.satisfied_round = Some(round);
                     self.shares.clear();
                     return;
                 }
                 self.estimator
-                    .get_or_insert_with(|| {
-                        BlockIdEstimator::new(self.node_id as u16, self.k, self.d)
-                    })
+                    .get_or_insert_with(|| BlockIdEstimator::new(m16, self.k, self.d))
                     .observe(enc);
                 self.shares.insert(enc.block_id, enc.seq as usize);
             }
@@ -158,27 +181,10 @@ impl SimUser {
         }
     }
 
-    /// Round boundary: attempts FEC recovery, then returns a NACK when
-    /// still unsatisfied. Mirrors `rekeyproto::UserSession::end_of_round`.
-    /// Allocating convenience over [`Self::end_of_round_into`], kept for
-    /// the unit tests; the transport loop uses the scratch form.
-    #[cfg(test)]
-    fn end_of_round(&mut self, round: usize) -> Option<NackPacket> {
-        let mut nack = NackPacket {
-            msg_id: 0,
-            requests: Vec::new(),
-        };
-        self.end_of_round_into(round, &mut nack).then_some(nack)
-    }
-
-    /// Allocation-free round boundary: fills the caller's reusable
-    /// `nack` (clearing any previous requests) and returns whether the
-    /// user NACKs this round. Same decision logic as [`Self::end_of_round`];
-    /// the transport loop threads one scratch packet through every user.
+    /// Round boundary: attempts FEC recovery, then fills the caller's
+    /// reusable `nack` and returns whether the user NACKs this round.
     // xcheck: no_alloc
-    pub fn end_of_round_into(&mut self, round: usize, nack: &mut NackPacket) -> bool {
-        nack.msg_id = 0;
-        nack.requests.clear();
+    fn end_of_round_into(&mut self, round: usize, nack: &mut NackPacket) -> bool {
         if self.is_satisfied() {
             return false;
         }
@@ -192,130 +198,23 @@ impl SimUser {
                 return false;
             }
         }
-        let (low, high) = match (
-            self.estimator.as_ref().and_then(|e| e.range()),
+        nack.msg_id = 0;
+        nack_requests_into(
+            self.estimator.as_ref(),
             self.max_block_seen,
-        ) {
-            (Some((lo, hi)), _) => (lo, hi),
-            (None, Some(maxb)) => (
-                self.estimator
-                    .as_ref()
-                    .map(|e| e.low())
-                    .unwrap_or(0)
-                    .min(maxb as u32),
-                maxb as u32,
-            ),
-            (None, None) => (0, 0),
-        };
-        for b in low..=high.min(255) {
-            let have = self.shares.count(b as u8);
-            let need = self.k.saturating_sub(have);
-            if need > 0 {
-                nack.requests.push(NackRequest {
-                    count: need.min(255) as u8,
-                    block_id: b as u8,
-                });
-            }
-        }
-        if nack.requests.is_empty() {
-            nack.requests.push(NackRequest {
-                count: self.k.min(255) as u8,
-                block_id: low as u8,
-            });
-        }
+            self.k,
+            |b| self.shares.count(b),
+            &mut nack.requests,
+        );
         true
     }
 }
 
-/// Transport-simulation knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct SimConfig {
-    /// Deadline in rounds for the soft real-time requirement.
-    pub deadline_rounds: usize,
-    /// Safety valve on total rounds (multicast + unicast waves).
-    pub max_total_rounds: usize,
-}
-
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig {
-            deadline_rounds: 2,
-            max_total_rounds: 64,
-        }
-    }
-}
-
-/// Outcome of simulating one message's delivery.
-#[derive(Debug, Clone, Default)]
-pub struct TransportStats {
-    /// Rounds (multicast rounds plus unicast waves) used.
-    pub total_rounds: usize,
-    /// Per-user rounds histogram (`[r]` = users succeeding in round `r+1`).
-    pub rounds_histogram: Vec<usize>,
-    /// Users that missed the deadline.
-    pub missed_deadline: usize,
-    /// Users never served (only possible if the round cap fired).
-    pub unserved: usize,
-}
-
-/// Reusable scratch buffers for [`run_message_transport_with`].
-///
-/// One instance per experiment (or per thread) makes the per-packet and
-/// per-round paths of the transport loop allocation-free: the listener
-/// list, delivery flags, net-index-to-slot table, unicast target map, and
-/// the NACK packet threaded through every user at a round boundary all
-/// reuse their capacity across packets, rounds, and messages.
-#[derive(Debug)]
-pub struct TransportScratch {
-    delivered: Vec<bool>,
-    listeners: Vec<usize>,
-    listener_slots: Vec<usize>,
-    by_node: HashMap<NodeId, usize>,
-    nack: NackPacket,
-}
-
-impl TransportScratch {
-    /// Empty scratch; buffers grow on first use and are then reused.
-    pub fn new() -> Self {
-        TransportScratch {
-            delivered: Vec::new(),
-            listeners: Vec::new(),
-            listener_slots: Vec::new(),
-            by_node: HashMap::new(),
-            nack: NackPacket {
-                msg_id: 0,
-                requests: Vec::new(),
-            },
-        }
-    }
-}
-
-impl Default for TransportScratch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Runs one rekey message's delivery over the network.
-///
-/// `session` must be freshly created (not yet started). The clock advances
-/// by one send interval per packet; round boundaries add one round-trip
-/// time. Allocates its scratch internally; callers simulating message
-/// sequences should hold a [`TransportScratch`] and use
-/// [`run_message_transport_with`].
-pub fn run_message_transport(
-    net: &mut Network,
-    clock: &mut f64,
-    session: &mut ServerSession,
-    users: &mut [SimUser],
-    cfg: &SimConfig,
-) -> TransportStats {
-    let mut scratch = TransportScratch::new();
-    run_message_transport_with(net, clock, session, users, cfg, &mut scratch)
-}
-
-/// [`run_message_transport`] with caller-owned scratch buffers, the
-/// allocation-free form used by [`crate::experiment::ExperimentRun`].
+/// The count model's instantiation of [`transport::run`], the
+/// allocation-free form used by [`crate::experiment::ExperimentRun`]: the
+/// loop borrows each scheduled packet and hands unicast targets one empty
+/// USR stub, so no packet is emitted, cloned or parsed.
+// xcheck: no_alloc
 pub fn run_message_transport_with(
     net: &mut Network,
     clock: &mut f64,
@@ -324,134 +223,19 @@ pub fn run_message_transport_with(
     cfg: &SimConfig,
     scratch: &mut TransportScratch,
 ) -> TransportStats {
-    let _span_msg = obs::span("transport.message");
-    let send_interval = net.config().send_interval_ms;
-    let rtt = 2.0 * net.config().one_way_delay_ms;
-    scratch.by_node.clear();
-    scratch
-        .by_node
-        .extend(users.iter().enumerate().map(|(i, u)| (u.node_id, i)));
-
-    enum Action {
-        Multicast(Vec<Packet>),
-        Unicast(rekeyproto::UnicastSend),
-    }
-
-    let mut round = 1usize;
-    let mut action = Action::Multicast(session.start());
-
-    loop {
-        let _span_round = obs::span("transport.round");
-        obs::counter_add("transport.rounds", 1);
-        match &action {
-            Action::Multicast(schedule) => {
-                for pkt in schedule {
-                    *clock += send_interval;
-                    scratch.listeners.clear();
-                    scratch.listener_slots.clear();
-                    for (slot, u) in users.iter().enumerate() {
-                        if !u.is_satisfied() {
-                            scratch.listeners.push(u.net_index);
-                            scratch.listener_slots.push(slot);
-                        }
-                    }
-                    if scratch.listeners.is_empty() {
-                        break;
-                    }
-                    net.multicast_to_into(*clock, &scratch.listeners, &mut scratch.delivered);
-                    for (pos, &ok) in scratch.delivered.iter().enumerate() {
-                        if ok {
-                            users[scratch.listener_slots[pos]].receive(pkt, round);
-                        }
-                    }
-                }
-            }
-            Action::Unicast(wave) => {
-                // `duplicates` copies per target; any one suffices.
-                for node in &wave.targets {
-                    let Some(&slot) = scratch.by_node.get(node) else {
-                        continue;
-                    };
-                    let mut got = false;
-                    for _ in 0..wave.duplicates {
-                        *clock += send_interval;
-                        got |= net.unicast(*clock, users[slot].net_index);
-                    }
-                    if got {
-                        users[slot].receive(
-                            &Packet::Usr(rekeymsg::UsrPacket {
-                                msg_id: 0,
-                                new_user_id: users[slot].node_id as u16,
-                                sealed: vec![],
-                            }),
-                            round,
-                        );
-                    }
-                }
-            }
-        }
-        *clock += rtt;
-
-        // Round boundary: every unsatisfied user NACKs (reverse path is
-        // modelled lossless; see DESIGN.md).
-        for u in users.iter_mut() {
-            if u.end_of_round_into(round, &mut scratch.nack) {
-                session.accept_nack(u.node_id, &scratch.nack);
-            }
-        }
-
-        match session.end_of_round() {
-            RoundDecision::Done => break,
-            RoundDecision::Multicast(pkts) => {
-                round += 1;
-                action = Action::Multicast(pkts);
-            }
-            RoundDecision::Unicast(wave) => {
-                round += 1;
-                action = Action::Unicast(wave);
-            }
-        }
-        if round > cfg.max_total_rounds {
-            break;
-        }
-    }
-
-    // Collate.
-    let mut hist = Vec::new();
-    let mut unserved = 0usize;
-    let mut missed = 0usize;
-    for u in users.iter() {
-        if u.true_block.is_none() {
-            continue; // vacuously served, not part of delivery stats
-        }
-        match u.satisfied_round() {
-            Some(r) => {
-                if hist.len() < r {
-                    hist.resize(r, 0);
-                }
-                hist[r - 1] += 1;
-                if r > cfg.deadline_rounds {
-                    missed += 1;
-                }
-            }
-            None => {
-                unserved += 1;
-                missed += 1;
-            }
-        }
-    }
-    TransportStats {
-        total_rounds: round,
-        rounds_histogram: hist,
-        missed_deadline: missed,
-        unserved,
-    }
+    transport::run(net, clock, session, users, cfg, scratch, |_| {
+        Packet::Usr(UsrPacket {
+            msg_id: 0,
+            new_user_id: 0,
+            sealed: Vec::new(),
+        })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rekeymsg::{EncPacket, ParityPacket, UsrPacket};
+    use rekeymsg::{EncPacket, ParityPacket};
     use wirecrypto::{SealedKey, SymKey};
 
     fn enc(block: u8, seq: u8, frm: u16, to: u16) -> Packet {
@@ -477,34 +261,49 @@ mod tests {
         })
     }
 
+    /// The round boundary with a throwaway NACK buffer.
+    fn end_of_round(u: &mut SimUser, round: usize) -> Option<NackPacket> {
+        let mut nack = NackPacket::default();
+        u.end_of_round_into(round, &mut nack).then_some(nack)
+    }
+
     #[test]
     fn own_packet_satisfies_immediately() {
         let mut u = SimUser::new(0, 150, 3, 4, Some(1));
         assert!(!u.is_satisfied());
-        u.receive(&enc(1, 0, 140, 160), 1);
+        u.receive(&&enc(1, 0, 140, 160), 1);
         assert!(u.is_satisfied());
-        assert_eq!(u.satisfied_round(), Some(1));
+        assert_eq!(u.success_round(), Some(1));
+    }
+
+    #[test]
+    fn id_beyond_the_wire_width_claims_no_packet() {
+        // 65536 + 150 narrows to 150; the packet for 150 is not this user's.
+        let mut u = SimUser::new(0, 65_536 + 150, 3, 4, Some(1));
+        u.receive(&&enc(1, 0, 140, 160), 1);
+        assert!(!u.is_satisfied());
+        assert!(end_of_round(&mut u, 1).is_some());
     }
 
     #[test]
     fn k_shares_of_true_block_decode_at_round_end() {
         let mut u = SimUser::new(0, 150, 3, 4, Some(1));
         // Three distinct shares of block 1, none its own packet.
-        u.receive(&enc(1, 1, 200, 210), 1);
-        u.receive(&parity(1, 0), 1);
-        u.receive(&parity(1, 1), 1);
+        u.receive(&&enc(1, 1, 200, 210), 1);
+        u.receive(&&parity(1, 0), 1);
+        u.receive(&&parity(1, 1), 1);
         assert!(!u.is_satisfied(), "decode happens at the boundary");
-        assert_eq!(u.end_of_round(1), None);
+        assert_eq!(end_of_round(&mut u, 1), None);
         assert!(u.is_satisfied());
     }
 
     #[test]
     fn shares_of_other_blocks_do_not_satisfy() {
         let mut u = SimUser::new(0, 150, 3, 4, Some(1));
-        u.receive(&parity(0, 0), 1);
-        u.receive(&parity(0, 1), 1);
-        u.receive(&parity(0, 2), 1);
-        let nack = u.end_of_round(1).expect("still unsatisfied");
+        u.receive(&&parity(0, 0), 1);
+        u.receive(&&parity(0, 1), 1);
+        u.receive(&&parity(0, 2), 1);
+        let nack = end_of_round(&mut u, 1).expect("still unsatisfied");
         assert!(!nack.requests.is_empty());
     }
 
@@ -513,9 +312,9 @@ mod tests {
         let mut u = SimUser::new(0, 150, 3, 4, Some(1));
         // Pin the block exactly: a packet below (block 1 seq 0, range
         // below m) and one above (block 1 seq 2, range above m).
-        u.receive(&enc(1, 0, 100, 140), 1);
-        u.receive(&enc(1, 2, 160, 200), 1);
-        let nack = u.end_of_round(1).expect("unsatisfied");
+        u.receive(&&enc(1, 0, 100, 140), 1);
+        u.receive(&&enc(1, 2, 160, 200), 1);
+        let nack = end_of_round(&mut u, 1).expect("unsatisfied");
         assert_eq!(nack.requests.len(), 1);
         assert_eq!(nack.requests[0].block_id, 1);
         // Holds 2 shares of block 1, needs 1 more.
@@ -526,21 +325,21 @@ mod tests {
     fn user_with_no_needs_is_vacuously_satisfied() {
         let u = SimUser::new(0, 150, 3, 4, None);
         assert!(u.is_satisfied());
-        assert_eq!(u.satisfied_round(), None);
+        assert_eq!(u.success_round(), None);
     }
 
     #[test]
     fn usr_packet_satisfies() {
         let mut u = SimUser::new(0, 150, 3, 4, Some(0));
         u.receive(
-            &Packet::Usr(UsrPacket {
+            &&Packet::Usr(UsrPacket {
                 msg_id: 0,
                 new_user_id: 150,
                 sealed: vec![],
             }),
             3,
         );
-        assert_eq!(u.satisfied_round(), Some(3));
+        assert_eq!(u.success_round(), Some(3));
     }
 
     #[test]
@@ -551,11 +350,11 @@ mod tests {
             _ => unreachable!(),
         };
         dup.duplicate = true;
-        u.receive(&Packet::Enc(dup), 1);
-        u.receive(&parity(1, 0), 1);
-        u.receive(&parity(1, 1), 1);
+        u.receive(&&Packet::Enc(dup), 1);
+        u.receive(&&parity(1, 0), 1);
+        u.receive(&&parity(1, 1), 1);
         // Three distinct shares (dup counts) -> decodes.
-        assert_eq!(u.end_of_round(1), None);
+        assert_eq!(end_of_round(&mut u, 1), None);
         assert!(u.is_satisfied());
     }
 }

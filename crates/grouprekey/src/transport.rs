@@ -1,0 +1,302 @@
+//! The one transport loop.
+//!
+//! The paper's protocol — multicast ENC + PARITY, collect NACKs,
+//! retransmit `amax` parities, switch to unicast — is driven by [`run`] and
+//! by nothing else. The loop owns time (one clock tick per packet, one
+//! round trip per round), the order of network draws, the NACK boundary,
+//! the round cap and the per-user statistics; a [`Receiver`] owns what a
+//! delivered packet *means*. Two models implement it:
+//!
+//! * the **count model**, [`crate::sim::SimUser`]: a frame is the borrowed
+//!   [`Packet`]; the user records which FEC shares arrived and touches no
+//!   byte. It may skip the decode because the code is MDS (any `k`
+//!   distinct shares of a block reconstruct it — `rse`'s tests prove it)
+//!   and decoding is deterministic in the share set.
+//! * the **byte model**, [`ByteReceiver`]: a frame is the packet's wire
+//!   bytes, emitted once per send and parsed once per delivery, fed to a
+//!   real [`UserSession`] that FEC-decodes real bodies.
+//!
+//! Both see the same loss draws in the same order (listeners are the
+//! unsatisfied receivers in slice order; every unicast copy is drawn), so
+//! the same seed gives both models the same rounds, NACKs and overhead —
+//! `tests/model_agreement.rs` holds them to it.
+//!
+//! [`run`]: crate::transport::run
+//! [`Receiver`]: crate::transport::Receiver
+//! [`ByteReceiver`]: crate::transport::ByteReceiver
+//! [`Packet`]: rekeymsg::Packet
+//! [`UserSession`]: rekeyproto::UserSession
+
+use std::collections::HashMap;
+
+use keytree::NodeId;
+use netsim::Network;
+use rekeymsg::{Layout, NackPacket, Packet};
+use rekeyproto::{RoundDecision, ServerSession, UserSession};
+
+/// What [`run`] needs from one receiver of a rekey message.
+pub trait Receiver {
+    /// What the network hands this receiver for one sent packet.
+    type Frame<'p>;
+
+    /// Turns one packet the server sends into the frame its listeners are
+    /// handed; called once per send, before the loss draws.
+    fn frame<'p>(pkt: &'p Packet, layout: &Layout) -> Self::Frame<'p>;
+
+    /// Index of this receiver's link in the [`Network`].
+    fn net_index(&self) -> usize;
+
+    /// The receiver's current u-node ID: the server attributes its NACKs
+    /// to it and addresses its USR packet by it.
+    fn node_id(&self) -> NodeId;
+
+    /// True once the receiver stops listening.
+    fn is_satisfied(&self) -> bool;
+
+    /// One frame got through, during round `round`.
+    fn receive(&mut self, frame: &Self::Frame<'_>, round: usize);
+
+    /// Round boundary: attempts recovery, then fills `nack` and returns
+    /// true when the receiver still has to NACK.
+    fn end_of_round_into(&mut self, round: usize, nack: &mut NackPacket) -> bool;
+
+    /// The round in which the receiver got what it needed.
+    fn success_round(&self) -> Option<usize>;
+}
+
+/// The byte model: a real [`UserSession`] behind one receiver link.
+#[derive(Debug)]
+pub struct ByteReceiver {
+    /// The user's protocol state machine.
+    pub session: UserSession,
+    /// Index of the user's receiver link in the [`Network`].
+    pub link: usize,
+    /// The user's u-node ID after the batch.
+    pub node: NodeId,
+    /// Wire layout the frames are parsed against.
+    pub layout: Layout,
+}
+
+impl Receiver for ByteReceiver {
+    type Frame<'p> = Vec<u8>;
+
+    fn frame(pkt: &Packet, layout: &Layout) -> Vec<u8> {
+        pkt.emit(layout)
+    }
+
+    fn net_index(&self) -> usize {
+        self.link
+    }
+
+    fn node_id(&self) -> NodeId {
+        self.node
+    }
+
+    fn is_satisfied(&self) -> bool {
+        self.session.is_satisfied()
+    }
+
+    fn receive(&mut self, frame: &Vec<u8>, _round: usize) {
+        // The frame is what this process emitted a moment ago and netsim
+        // drops packets whole, never corrupts them: a parse failure is a
+        // bug in `rekeymsg::wire`, not an input.
+        let parsed =
+            Packet::parse(frame, &self.layout).unwrap_or_else(|e| panic!("wire round-trip: {e:?}"));
+        self.session.receive(&parsed);
+    }
+
+    fn end_of_round_into(&mut self, _round: usize, nack: &mut NackPacket) -> bool {
+        let Some(sent) = self.session.end_of_round() else {
+            return false;
+        };
+        // The NACK crosses the (lossless) reverse path as bytes as well, so
+        // the server acts on what the wire format carries.
+        let bytes = Packet::Nack(sent).emit(&self.layout);
+        let Ok(Packet::Nack(parsed)) = Packet::parse(&bytes, &self.layout) else {
+            unreachable!("a NACK emits and parses back as a NACK")
+        };
+        *nack = parsed;
+        true
+    }
+
+    fn success_round(&self) -> Option<usize> {
+        self.session.rounds_to_success()
+    }
+}
+
+/// Transport-simulation knobs.
+#[derive(Debug, Clone, Copy)]
+pub struct SimConfig {
+    /// Deadline in rounds for the soft real-time requirement.
+    pub deadline_rounds: usize,
+    /// Safety valve on total rounds (multicast + unicast waves).
+    pub max_total_rounds: usize,
+}
+
+impl Default for SimConfig {
+    fn default() -> Self {
+        SimConfig {
+            deadline_rounds: 2,
+            max_total_rounds: 64,
+        }
+    }
+}
+
+/// Outcome of one message's delivery.
+#[derive(Debug, Clone, Default)]
+pub struct TransportStats {
+    /// Rounds (multicast rounds plus unicast waves) used.
+    pub total_rounds: usize,
+    /// Per-user rounds histogram (`[r]` = users succeeding in round `r+1`).
+    pub rounds_histogram: Vec<usize>,
+    /// Users that missed the deadline.
+    pub missed_deadline: usize,
+    /// Users never served (only possible if the round cap fired).
+    pub unserved: usize,
+}
+
+/// Reusable scratch buffers for [`run`].
+///
+/// One instance per experiment (or per thread) makes the loop's own
+/// per-packet and per-round work allocation-free: the listener list,
+/// delivery flags, listener-to-slot table, unicast target map, and the
+/// NACK packet threaded through every receiver at a round boundary all
+/// reuse their capacity across packets, rounds, and messages.
+#[derive(Debug, Default)]
+pub struct TransportScratch {
+    delivered: Vec<bool>,
+    listeners: Vec<usize>,
+    listener_slots: Vec<usize>,
+    by_node: HashMap<NodeId, usize>,
+    nack: NackPacket,
+}
+
+impl TransportScratch {
+    /// Empty scratch; buffers grow on first use and are then reused.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+/// Delivers one rekey message to `receivers` over the network.
+///
+/// `session` must be freshly created (not yet started). The clock advances
+/// by one send interval per packet; round boundaries add one round-trip
+/// time; the reverse path is lossless (see DESIGN.md). `usr_packet(slot)`
+/// supplies the USR packet for `receivers[slot]` when the server unicasts
+/// to it. Stops when the server declares the message complete, or once
+/// `cfg.max_total_rounds` is exceeded (`total_rounds` then reads one past
+/// the cap).
+pub fn run<R: Receiver>(
+    net: &mut Network,
+    clock: &mut f64,
+    session: &mut ServerSession,
+    receivers: &mut [R],
+    cfg: &SimConfig,
+    scratch: &mut TransportScratch,
+    mut usr_packet: impl FnMut(usize) -> Packet,
+) -> TransportStats {
+    let _span_msg = obs::span("transport.message");
+    let send_interval = net.config().send_interval_ms;
+    let rtt = 2.0 * net.config().one_way_delay_ms;
+    let layout = session.blocks().layout();
+    scratch.by_node.clear();
+    scratch
+        .by_node
+        .extend(receivers.iter().enumerate().map(|(i, r)| (r.node_id(), i)));
+
+    let mut round = 1usize;
+    let mut action = RoundDecision::Multicast(session.start());
+
+    loop {
+        let _span_round = obs::span("transport.round");
+        obs::counter_add("transport.rounds", 1);
+        match &action {
+            RoundDecision::Multicast(schedule) => {
+                for pkt in schedule {
+                    *clock += send_interval;
+                    let frame = R::frame(pkt, &layout);
+                    scratch.listeners.clear();
+                    scratch.listener_slots.clear();
+                    for (slot, r) in receivers.iter().enumerate() {
+                        if !r.is_satisfied() {
+                            scratch.listeners.push(r.net_index());
+                            scratch.listener_slots.push(slot);
+                        }
+                    }
+                    if scratch.listeners.is_empty() {
+                        break;
+                    }
+                    net.multicast_to_into(*clock, &scratch.listeners, &mut scratch.delivered);
+                    for (pos, &ok) in scratch.delivered.iter().enumerate() {
+                        if ok {
+                            receivers[scratch.listener_slots[pos]].receive(&frame, round);
+                        }
+                    }
+                }
+            }
+            RoundDecision::Unicast(wave) => {
+                // `duplicates` copies per target, every one of them drawn;
+                // any one suffices.
+                for node in &wave.targets {
+                    let Some(&slot) = scratch.by_node.get(node) else {
+                        continue;
+                    };
+                    let pkt = usr_packet(slot);
+                    let frame = R::frame(&pkt, &layout);
+                    for _ in 0..wave.duplicates {
+                        *clock += send_interval;
+                        if net.unicast(*clock, receivers[slot].net_index()) {
+                            receivers[slot].receive(&frame, round);
+                        }
+                    }
+                }
+            }
+            RoundDecision::Done => {}
+        }
+        *clock += rtt;
+
+        for r in receivers.iter_mut() {
+            if r.end_of_round_into(round, &mut scratch.nack) {
+                session.accept_nack(r.node_id(), &scratch.nack);
+            }
+        }
+
+        action = session.end_of_round();
+        if matches!(action, RoundDecision::Done) {
+            break;
+        }
+        round += 1;
+        if round > cfg.max_total_rounds {
+            break;
+        }
+    }
+
+    // Once the server has declared the message complete nobody is left
+    // waiting: a receiver without a success round then needed nothing.
+    // Only the round cap leaves users unserved.
+    let capped = !matches!(action, RoundDecision::Done);
+    let mut stats = TransportStats {
+        total_rounds: round,
+        ..TransportStats::default()
+    };
+    for r in receivers.iter() {
+        match r.success_round() {
+            Some(won) => {
+                if stats.rounds_histogram.len() < won {
+                    stats.rounds_histogram.resize(won, 0);
+                }
+                stats.rounds_histogram[won - 1] += 1;
+                if won > cfg.deadline_rounds {
+                    stats.missed_deadline += 1;
+                }
+            }
+            None if capped && !r.is_satisfied() => {
+                stats.unserved += 1;
+                stats.missed_deadline += 1;
+            }
+            None => {}
+        }
+    }
+    stats
+}

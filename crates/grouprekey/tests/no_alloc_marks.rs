@@ -1,11 +1,18 @@
-//! Dynamic half of the `// xcheck: no_alloc` contract for the transport
-//! simulation's per-user hot paths: once a rekey message is underway
-//! (share bitsets sized, block-ID estimator constructed, NACK scratch
-//! warm), [`SimUser::receive`] and [`SimUser::end_of_round_into`] must
-//! perform zero heap allocations.
+//! Dynamic half of the `// xcheck: no_alloc` contract for the count model
+//! of the transport loop: once a rekey message is underway (share bitsets
+//! sized, block-ID estimator constructed, NACK scratch warm), `SimUser`'s
+//! `receive` and `end_of_round_into` must perform zero heap allocations,
+//! and so must the loop that drives them
+//! ([`run_message_transport_with`]) once the server has built its
+//! round-one schedule.
 
-use grouprekey::sim::SimUser;
-use rekeymsg::{EncPacket, NackPacket, Packet, ParityPacket};
+use grouprekey::sim::{run_message_transport_with, SimConfig, SimUser, TransportScratch};
+use grouprekey::transport::Receiver;
+use keytree::{Batch, KeyTree};
+use netsim::{Network, NetworkConfig};
+use rekeymsg::{EncPacket, Layout, NackPacket, Packet, ParityPacket, UkaAssignment};
+use rekeyproto::{ServerConfig, ServerController};
+use wirecrypto::KeyGen;
 
 #[global_allocator]
 static ALLOC: xcheck_rt::CountingAlloc = xcheck_rt::CountingAlloc;
@@ -48,12 +55,9 @@ fn receive_and_end_of_round_into_are_allocation_free_in_steady_state() {
     // `Packet` allocates by design; receiving it must not.
     let warm: Vec<Packet> = vec![enc(0, 0, 100, 120), enc(4, 1, 600, 650), parity(4, 0)];
     for pkt in &warm {
-        user.receive(pkt, 0);
+        user.receive(&pkt, 0);
     }
-    let mut nack = NackPacket {
-        msg_id: 0,
-        requests: Vec::new(),
-    };
+    let mut nack = NackPacket::default();
     assert!(
         user.end_of_round_into(0, &mut nack),
         "unsatisfied user NACKs"
@@ -70,7 +74,7 @@ fn receive_and_end_of_round_into_are_allocation_free_in_steady_state() {
         })
         .collect();
     for (round, pkt) in stream.iter().enumerate() {
-        xcheck_rt::assert_zero_alloc("SimUser::receive", || user.receive(pkt, round + 1));
+        xcheck_rt::assert_zero_alloc("SimUser::receive", || user.receive(&pkt, round + 1));
         let nacked = xcheck_rt::assert_zero_alloc("SimUser::end_of_round_into", || {
             user.end_of_round_into(round + 1, &mut nack)
         });
@@ -82,8 +86,102 @@ fn receive_and_end_of_round_into_are_allocation_free_in_steady_state() {
     // Delivering k distinct shares of the true block satisfies the user.
     for seq in 0..k as u8 {
         let pkt = parity(3, seq);
-        user.receive(&pkt, 20);
+        user.receive(&&pkt, 20);
     }
     assert!(!user.end_of_round_into(20, &mut nack), "decoded: no NACK");
     assert!(user.is_satisfied());
+}
+
+#[test]
+fn count_model_loop_allocates_nothing_after_the_round_one_schedule() {
+    xcheck_rt::assert_counting();
+
+    // 192 users after 64 leaves, blocks of k = 2 so the message spans
+    // several blocks; every link loses 20%, and rho = 4 provisions enough
+    // parity that every user recovers (directly or by decode) in round one.
+    let k = 2;
+    let mut kg = KeyGen::from_seed(5);
+    let mut tree = KeyTree::balanced(256, 4, &mut kg);
+    let leaves: Vec<u32> = (0..64u32).map(|i| i * 4).collect();
+    let outcome = tree.process_batch(&Batch::new(vec![], leaves), &mut kg);
+    let assignment = UkaAssignment::build(&tree, &outcome, 1, &Layout::DEFAULT).unwrap();
+    let last_block = ((assignment.packets.len() - 1) / k) as u8;
+    assert!(last_block >= 2, "the message must span several blocks");
+    let controller = ServerController::new(ServerConfig {
+        block_size: k,
+        initial_rho: 4.0,
+        adapt_rho: false,
+        ..ServerConfig::default()
+    });
+    let network = || {
+        Network::new(NetworkConfig {
+            n_users: 256,
+            alpha: 1.0,
+            p_high: 0.2,
+            seed: 11,
+            ..NetworkConfig::default()
+        })
+    };
+    let users = || -> Vec<SimUser> {
+        let mut members = tree.member_ids();
+        members.sort_unstable();
+        members
+            .iter()
+            .enumerate()
+            .map(|(idx, &m)| {
+                let uid = tree.node_of_member(m).unwrap();
+                let tb = assignment.packet_of_user(uid).map(|pi| (pi / k) as u8);
+                SimUser::new(idx, uid, k, 4, tb)
+            })
+            .collect()
+    };
+    let cfg = SimConfig::default();
+    let mut scratch = TransportScratch::new();
+    let mut clock = 0.0;
+
+    // Warm-up message: sizes the scratch (and, with `--features obs`,
+    // registers the loop's span and counter names).
+    let mut session = controller.begin_message(assignment.packets.clone(), 100);
+    run_message_transport_with(
+        &mut network(),
+        &mut clock,
+        &mut session,
+        &mut users(),
+        &cfg,
+        &mut scratch,
+    );
+
+    // Fresh users with their share bitsets sized up front: one share of the
+    // highest block, at an index no real parity of this message reaches.
+    let mut warm_users = users();
+    let filler = parity(last_block, 200);
+    for u in &mut warm_users {
+        u.receive(&&filler, 1);
+    }
+
+    // What the server allocates to build round one, measured on a twin.
+    let mut twin = controller.begin_message(assignment.packets.clone(), 100);
+    let (schedule_allocs, _) = xcheck_rt::count_in(|| twin.start());
+
+    let mut session = controller.begin_message(assignment.packets.clone(), 100);
+    let mut net = network();
+    let (allocs, stats) = xcheck_rt::count_in(|| {
+        run_message_transport_with(
+            &mut net,
+            &mut clock,
+            &mut session,
+            &mut warm_users,
+            &cfg,
+            &mut scratch,
+        )
+    });
+    assert_eq!(stats.total_rounds, 1, "premise: no NACK, no second round");
+    assert_eq!(stats.rounds_histogram, vec![192]);
+    // Beyond the schedule, one allocation: the one-slot rounds histogram
+    // the call returns.
+    assert_eq!(
+        allocs,
+        schedule_allocs + 1,
+        "the count-model loop allocated per packet, per round or per user"
+    );
 }

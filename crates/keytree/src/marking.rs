@@ -126,7 +126,7 @@ pub struct UserMove {
 /// Reusable per-batch working state of the marking algorithm.
 ///
 /// All node-indexed maps are epoch-stamped: bumping the epoch in
-/// [`MarkScratch::begin`] invalidates every entry in O(1), so consecutive
+/// `MarkScratch::begin` invalidates every entry in O(1), so consecutive
 /// batches share the buffers without clearing them. A long-lived server
 /// holds one scratch next to its tree and never allocates for marking
 /// again (buffers grow to the tree's storage size and stay).

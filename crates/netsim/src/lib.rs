@@ -1,4 +1,4 @@
-//! Deterministic discrete-event network simulation for rekey transport.
+//! Deterministic network simulation for rekey transport.
 //!
 //! The paper evaluates its protocol on the topology of Nonnenmacher et
 //! al.: the key server reaches a loss-free backbone through one *source
@@ -15,8 +15,9 @@
 //! (default 1%).
 //!
 //! Everything is driven by explicit simulation time and a seeded RNG, so
-//! runs are exactly reproducible. The [`EventQueue`] provides the usual
-//! discrete-event core with deterministic FIFO tie-breaking.
+//! runs are exactly reproducible. There is no event queue: the caller (the
+//! transport loop in `grouprekey`) advances the clock itself, one send
+//! interval per packet, and asks each link whether the packet got through.
 
 //! # Example
 //!
@@ -37,11 +38,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod event;
 mod link;
 mod network;
 
-pub use event::EventQueue;
 pub use link::{LossModel, MarkovLink};
 pub use network::{Network, NetworkConfig, UserClass};
 

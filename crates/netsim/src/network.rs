@@ -158,14 +158,7 @@ impl Network {
 
     /// Multicast where only a subset of users still listens (the common
     /// case in later rounds); non-listening links still advance their loss
-    /// process implicitly through future queries.
-    pub fn multicast_to(&mut self, now: SimTime, listeners: &[usize]) -> Vec<(usize, bool)> {
-        let mut delivered = Vec::new();
-        self.multicast_to_into(now, listeners, &mut delivered);
-        listeners.iter().copied().zip(delivered).collect()
-    }
-
-    /// Allocation-free [`Network::multicast_to`]: clears `delivered` and
+    /// process implicitly through future queries. Clears `delivered` and
     /// fills it with one flag per entry of `listeners`, in order, reusing
     /// the buffer's capacity across packets.
     // xcheck: no_alloc
@@ -326,8 +319,8 @@ mod tests {
     fn multicast_to_subset() {
         let mut net = small(100, 0.0, 4);
         let listeners = vec![3, 50, 99];
-        let got = net.multicast_to(0.0, &listeners);
-        assert_eq!(got.len(), 3);
-        assert!(got.iter().map(|(u, _)| *u).eq(listeners.iter().copied()));
+        let mut got = vec![true; 7];
+        net.multicast_to_into(0.0, &listeners, &mut got);
+        assert_eq!(got.len(), 3, "one flag per listener, stale flags cleared");
     }
 }

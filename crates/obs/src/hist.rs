@@ -8,6 +8,8 @@
 //! as the conservative upper bound of the bucket holding the requested
 //! rank — within 2x of the true value by construction, which is plenty to
 //! tell a microsecond stage from a millisecond one.
+//!
+//! [`BUCKETS`]: crate::hist::BUCKETS
 
 /// Number of histogram buckets per series.
 pub const BUCKETS: usize = 64;

@@ -5,8 +5,8 @@
 //! that discipline packaged once. [`JsonWriter`] tracks nesting and comma
 //! placement, escapes strings, and formats floats with a fixed number of
 //! decimals, so both the obs [`Snapshot`](crate::Snapshot) writer and
-//! external row emitters (e.g. `MessageReport::to_json_row` in
-//! `grouprekey`) produce identical text for identical data.
+//! external emitters (the BENCH reports in `crates/bench`) produce
+//! identical text for identical data.
 
 /// Incremental JSON writer with automatic comma placement.
 ///

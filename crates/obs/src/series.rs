@@ -13,6 +13,9 @@
 //! [`SeriesRecorder::snapshot_deltas`] stage-wall columns depend on the
 //! `enabled` feature (they delta [`crate::snapshot`], which is empty in
 //! disabled builds).
+//!
+//! [`SeriesRecorder::set`]: crate::series::SeriesRecorder::set
+//! [`SeriesRecorder::snapshot_deltas`]: crate::series::SeriesRecorder::snapshot_deltas
 
 use crate::json::JsonWriter;
 use crate::Snapshot;

@@ -35,6 +35,12 @@
 //! Without the `enabled` cargo feature every entry point is an
 //! inlineable no-op and [`drain`] returns an empty [`Trace`]; the data
 //! model and export below stay available so tooling compiles either way.
+//!
+//! [`enable`]: crate::trace::enable
+//! [`drain`]: crate::trace::drain
+//! [`TrackInfo::dropped`]: crate::trace::TrackInfo::dropped
+//! [`instant`]: crate::trace::instant
+//! [`Trace`]: crate::trace::Trace
 
 use crate::json::JsonWriter;
 

@@ -1,9 +1,9 @@
-//! Collection strategies: [`vec`] with exact or ranged lengths.
+//! Collection strategies: [`vec()`] with exact or ranged lengths.
 
 use crate::strategy::Strategy;
 use crate::TestRng;
 
-/// A length specification for [`vec`]: an exact length, `a..b`, or
+/// A length specification for [`vec()`]: an exact length, `a..b`, or
 /// `a..=b`.
 #[derive(Clone, Copy, Debug)]
 pub struct SizeRange {
@@ -49,7 +49,7 @@ pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S
     }
 }
 
-/// The result of [`vec`].
+/// The result of [`vec()`].
 #[derive(Clone, Debug)]
 pub struct VecStrategy<S> {
     element: S,

@@ -1,4 +1,4 @@
-//! In-tree stand-in for the subset of the [`rand`] crate this workspace
+//! In-tree stand-in for the subset of the `rand` crate this workspace
 //! uses, so the build has zero network dependencies.
 //!
 //! The build environment cannot reach a crates.io mirror, so the workspace

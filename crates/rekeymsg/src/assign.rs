@@ -25,7 +25,8 @@
 //! Cost: O(E·h) for E encryption edges instead of O(N·h) for N users
 //! (plus tag scans that touch only vacant window prefixes/suffixes). The
 //! user-by-user walk survives as the test oracle
-//! ([`crate::sanitize::reference_plan`]).
+//! (`crate::sanitize::reference_plan`, built for tests and
+//! `--features sanitize`).
 //!
 //! The price of UKA is duplication: users in different packets that share
 //! path encryptions receive copies. [`AssignmentStats::duplication_overhead`]

@@ -50,7 +50,6 @@ mod layout;
 /// (tests / `--features sanitize`).
 #[cfg(any(test, feature = "sanitize"))]
 pub mod sanitize;
-pub mod view;
 pub mod wire;
 
 pub use assign::{
@@ -59,7 +58,6 @@ pub use assign::{
 };
 pub use blocks::{BlockSet, SendItem, SendOrder};
 pub use layout::Layout;
-pub use view::{EncView, ParityView};
 pub use wire::{EncPacket, NackPacket, NackRequest, Packet, ParityPacket, UsrPacket, WireError};
 
 /// Builds the USR packet for one user: the sealed encryptions it needs,

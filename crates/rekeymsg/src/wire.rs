@@ -290,7 +290,7 @@ pub struct NackRequest {
 }
 
 /// A `NACK` packet: feedback from a user that could not recover its block.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NackPacket {
     /// Rekey message ID (6 bits).
     pub msg_id: u8,

@@ -33,13 +33,10 @@
 
 mod adjust;
 mod server;
-/// Round-duration adaptation (paper Section 7.1).
-pub mod timing;
 mod user;
 
 pub use adjust::{adjust_rho, update_num_nack, AdjustConfig};
 pub use server::{
     RoundDecision, ServerConfig, ServerController, ServerSession, ServerStats, UnicastSend,
 };
-pub use timing::RoundTimer;
-pub use user::{UserOutcome, UserSession};
+pub use user::{nack_requests_into, UserOutcome, UserSession};

@@ -143,11 +143,9 @@ impl UserSession {
         if self.current_id.is_none() {
             self.current_id = ident::derive_current_id(self.old_id, enc.max_kid as NodeId, self.d);
         }
-        let Some(m) = self.current_id else {
-            // We are not in the tree any more; nothing to collect.
+        let Some(m16) = self.wire_id() else {
             return;
         };
-        let m16 = m as u16;
 
         if enc.serves(m16) {
             self.succeed(UserOutcome::Enc(enc.clone()));
@@ -161,6 +159,15 @@ impl UserSession {
             .entry(enc.block_id)
             .or_default()
             .insert(enc.seq as usize, enc.fec_body(&self.layout));
+    }
+
+    /// The current ID as the 16-bit wire fields name it. `None` when the
+    /// user is not in the tree any more, or sits at an ID the wire cannot
+    /// carry: narrowing 65536 + m to m would claim the packet that serves
+    /// user m. Either way no ENC packet serves this user, so there is
+    /// nothing to collect and no estimate to form.
+    fn wire_id(&self) -> Option<u16> {
+        self.current_id.and_then(|m| u16::try_from(m).ok())
     }
 
     fn succeed(&mut self, outcome: UserOutcome) {
@@ -220,11 +227,10 @@ impl UserSession {
                         self.current_id =
                             ident::derive_current_id(self.old_id, enc.max_kid as NodeId, self.d);
                     }
-                    let Some(m) = self.current_id else {
-                        // Not in the tree any more; no packet can serve us.
+                    let Some(m16) = self.wire_id() else {
                         return;
                     };
-                    if enc.serves(m as u16) {
+                    if enc.serves(m16) {
                         self.succeed(UserOutcome::Enc(enc));
                         return;
                     }
@@ -252,38 +258,67 @@ impl UserSession {
         if self.is_satisfied() {
             return None;
         }
-        let msg_id = self.msg_id.unwrap_or(0);
-
-        // Determine which blocks to request parities for.
-        let range = self.estimator.as_ref().and_then(|e| e.range());
-        let (low, high) = match (range, self.max_block_seen) {
-            (Some((lo, hi)), _) => (lo, hi),
-            (None, Some(maxb)) => {
-                let lo = self.estimator.as_ref().map(|e| e.low()).unwrap_or(0);
-                (lo.min(maxb as u32), maxb as u32)
-            }
-            (None, None) => (0, 0), // total loss: ask for block 0
-        };
         let mut requests = Vec::new();
-        for b in low..=high.min(255) {
-            let have = self.shares.get(&(b as u8)).map(|s| s.len()).unwrap_or(0);
-            let need = self.k.saturating_sub(have);
-            if need > 0 {
-                requests.push(NackRequest {
-                    count: need.min(255) as u8,
-                    block_id: b as u8,
-                });
-            }
+        nack_requests_into(
+            self.estimator.as_ref(),
+            self.max_block_seen,
+            self.k,
+            |b| self.shares.get(&b).map_or(0, |s| s.len()),
+            &mut requests,
+        );
+        Some(NackPacket {
+            msg_id: self.msg_id.unwrap_or(0),
+            requests,
+        })
+    }
+}
+
+/// Which parities an unsatisfied user asks for (Figure 27, Appendix D):
+/// clears `requests` and fills it with one entry per candidate block that
+/// is short of `k` shares, `shares_held(b)` being the distinct shares the
+/// user holds for block `b`.
+///
+/// The candidates are the block-ID estimator's range; without one (no
+/// usable ENC packet arrived), everything from the estimator's lower bound
+/// up to the highest block seen; after total loss, block 0. When every
+/// candidate already holds `k` shares yet none decoded to the user's
+/// packet, the request widens to a full re-send of the lowest candidate,
+/// so an unsatisfied user never sends an empty NACK.
+///
+/// The byte-faithful [`UserSession`] and the share-counting simulator user
+/// (`grouprekey::sim::SimUser`) both call this, which is why their NACKs
+/// agree request for request.
+// xcheck: no_alloc
+pub fn nack_requests_into(
+    estimator: Option<&BlockIdEstimator>,
+    max_block_seen: Option<u8>,
+    k: usize,
+    shares_held: impl Fn(u8) -> usize,
+    requests: &mut Vec<NackRequest>,
+) {
+    requests.clear();
+    let (low, high) = match (estimator.and_then(|e| e.range()), max_block_seen) {
+        (Some((lo, hi)), _) => (lo, hi),
+        (None, Some(maxb)) => {
+            let lo = estimator.map_or(0, |e| e.low());
+            (lo.min(maxb as u32), maxb as u32)
         }
-        if requests.is_empty() {
-            // All candidate blocks have k shares but none decoded to our
-            // packet — widen to a full re-request of the lowest block.
+        (None, None) => (0, 0),
+    };
+    for b in low..=high.min(255) {
+        let need = k.saturating_sub(shares_held(b as u8));
+        if need > 0 {
             requests.push(NackRequest {
-                count: self.k.min(255) as u8,
-                block_id: low as u8,
+                count: need.min(255) as u8,
+                block_id: b as u8,
             });
         }
-        Some(NackPacket { msg_id, requests })
+    }
+    if requests.is_empty() {
+        requests.push(NackRequest {
+            count: k.min(255) as u8,
+            block_id: low as u8,
+        });
     }
 }
 

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use rekeymsg::{EncPacket, NackPacket, NackRequest, Packet};
-use rekeyproto::{RoundDecision, ServerConfig, ServerController};
+use rekeyproto::{RoundDecision, ServerConfig, ServerController, UserOutcome, UserSession};
 use wirecrypto::{SealedKey, SymKey};
 
 fn enc(i: u16) -> EncPacket {
@@ -22,6 +22,35 @@ fn enc(i: u16) -> EncPacket {
             SealedKey::seal(&kek, &SymKey::from_bytes([1; 16]), 0),
         )],
     }
+}
+
+/// A user whose ID does not fit the 16-bit wire fields is served by no ENC
+/// packet: narrowing 65536 + 30000 to 30000 would claim the packet of user
+/// 30000 (and then fail to unseal it).
+#[test]
+fn id_beyond_the_wire_width_claims_no_packet() {
+    let wide = 65_536 + 30_000;
+    let pkt = EncPacket {
+        // Theorem 4.2 keeps both users where they are:
+        // maxKID < id <= 4 maxKID + 4.
+        max_kid: 25_000,
+        frm_id: 29_990,
+        to_id: 30_010,
+        ..enc(50)
+    };
+    let layout = rekeymsg::Layout::DEFAULT;
+    let mut wide_user = UserSession::new(wide, 4, 3, layout);
+    wide_user.receive(&Packet::Enc(pkt.clone()));
+    assert_eq!(wide_user.current_id(), Some(wide));
+    assert_eq!(wide_user.outcome(), &UserOutcome::Pending);
+    // It still NACKs for what it saw, like any unsatisfied user.
+    let nack = wide_user.end_of_round().expect("unsatisfied");
+    assert_eq!(nack.requests[0].block_id, 0);
+
+    // The user the packet is for takes it.
+    let mut narrow_user = UserSession::new(30_000, 4, 3, layout);
+    narrow_user.receive(&Packet::Enc(pkt));
+    assert!(narrow_user.is_satisfied());
 }
 
 /// One round of NACKs: (user node id offset, per-block demand) per user.

@@ -44,7 +44,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod assembler;
 mod coder;
 /// Encode/decode operation-count models used by the figure experiments.
 pub mod cost;
@@ -52,5 +51,4 @@ pub mod cost;
 #[cfg(any(test, feature = "sanitize"))]
 pub mod sanitize;
 
-pub use assembler::Assembler;
 pub use coder::{decode, BlockEncoder, Decoder, RseError, Share, MAX_SYMBOLS};

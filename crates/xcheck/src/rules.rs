@@ -333,7 +333,7 @@ impl<'a> FileCtx<'a> {
         });
     }
 
-    /// Like [`emit`], but for file-level rules: an allow anywhere in the
+    /// Like [`Self::emit`], but for file-level rules: an allow anywhere in the
     /// file suppresses the violation.
     fn emit_file_level(&mut self, out: &mut Outcome, rule: usize, message: String) {
         let rule_id = RULES[rule].id;

@@ -1,19 +1,20 @@
-//! The high-throughput transport simulator (`grouprekey::sim`, share-count
-//! users) and the byte-faithful path (`rekeyproto::UserSession` over wire
-//! bytes) must produce *identical* delivery dynamics when driven by the
-//! same network randomness: same per-user success rounds, same NACK
-//! counts, same server decisions. This is the justification for using the
-//! fast model in the figure experiments.
+//! The two receiver models of `grouprekey::transport` — share-counting
+//! `SimUser`s and `UserSession`s fed wire bytes — must produce *identical*
+//! delivery dynamics when the one loop drives them with the same network
+//! randomness: same per-user success rounds, same NACK counts, same server
+//! decisions. This is the justification for using the fast model in the
+//! figure experiments.
 
 use std::collections::HashMap;
 
-use keytree::{Batch, KeyTree, NodeId};
+use keytree::{Batch, KeyTree, MemberId, NodeId};
 use netsim::{Network, NetworkConfig};
-use rekeymsg::{build_usr_packet, Layout, Packet, UkaAssignment};
-use rekeyproto::{RoundDecision, ServerConfig, ServerController, UserSession};
+use rekeymsg::{build_usr_packet, Layout, Packet, UkaAssignment, UsrPacket};
+use rekeyproto::{ServerConfig, ServerController, UserSession};
 use wirecrypto::KeyGen;
 
-use grouprekey::sim::{run_message_transport, SimConfig, SimUser};
+use grouprekey::sim::SimUser;
+use grouprekey::transport::{self, ByteReceiver, Receiver, SimConfig, TransportScratch};
 
 struct Scenario {
     tree: KeyTree,
@@ -23,7 +24,7 @@ struct Scenario {
     net_cfg: NetworkConfig,
 }
 
-fn scenario(seed: u64, alpha: f64, p_high: f64, max_rounds: usize) -> Scenario {
+fn scenario(seed: u64, alpha: f64, p_high: f64, max_rounds: usize, k: usize) -> Scenario {
     let n = 128u32;
     let mut kg = KeyGen::from_seed(seed);
     let mut tree = KeyTree::balanced(n, 4, &mut kg);
@@ -31,7 +32,7 @@ fn scenario(seed: u64, alpha: f64, p_high: f64, max_rounds: usize) -> Scenario {
     let outcome = tree.process_batch(&Batch::new(vec![], leaves), &mut kg);
     let assignment = UkaAssignment::build(&tree, &outcome, 1, &Layout::DEFAULT).unwrap();
     let proto = ServerConfig {
-        block_size: 5,
+        block_size: k,
         initial_rho: 1.0,
         adapt_rho: false,
         max_multicast_rounds: max_rounds,
@@ -53,87 +54,44 @@ fn scenario(seed: u64, alpha: f64, p_high: f64, max_rounds: usize) -> Scenario {
     }
 }
 
-/// Byte-faithful replica of `run_message_transport`'s loop, with real
-/// packets crossing the network as bytes.
-fn run_byte_faithful(sc: &Scenario) -> (HashMap<NodeId, usize>, usize, f64) {
-    let layout = Layout::DEFAULT;
+/// Per-user success rounds, round-one NACK count, bandwidth overhead.
+type Delivery = (HashMap<NodeId, usize>, usize, f64);
+
+/// Delivers the scenario's message through the one transport loop to
+/// receivers of model `R`, on a network seeded by the scenario alone.
+fn deliver<R: Receiver>(
+    sc: &Scenario,
+    receiver: impl Fn(usize, NodeId) -> R,
+    usr_packet: impl Fn(MemberId) -> Packet,
+) -> Delivery {
     let controller = ServerController::new(sc.proto);
     let mut session = controller.begin_message(sc.assignment.packets.clone(), 100);
     let mut net = Network::new(sc.net_cfg);
     let mut clock = 0.0f64;
-    let send_interval = sc.net_cfg.send_interval_ms;
-    let rtt = 2.0 * sc.net_cfg.one_way_delay_ms;
 
-    // Users in sorted member order, identically to the sim run.
+    // Users in sorted member order; a user's link is its position.
     let mut members = sc.tree.member_ids();
     members.sort_unstable();
-    let nodes: Vec<NodeId> = members
+    let mut receivers: Vec<R> = members
         .iter()
-        .map(|&m| sc.tree.node_of_member(m).unwrap())
+        .enumerate()
+        .map(|(idx, &m)| receiver(idx, sc.tree.node_of_member(m).unwrap()))
         .collect();
-    let mut users: Vec<UserSession> = nodes
-        .iter()
-        .map(|&node| UserSession::new(node, 4, sc.proto.block_size, layout))
-        .collect();
-    let member_by_node: HashMap<NodeId, usize> =
-        nodes.iter().enumerate().map(|(i, &n)| (n, i)).collect();
 
-    let mut round = 1usize;
-    let mut action = RoundDecision::Multicast(session.start());
-    loop {
-        match &action {
-            RoundDecision::Multicast(schedule) => {
-                for pkt in schedule {
-                    clock += send_interval;
-                    let bytes = pkt.emit(&layout);
-                    let listeners: Vec<usize> = (0..users.len())
-                        .filter(|&i| !users[i].is_satisfied())
-                        .collect();
-                    if listeners.is_empty() {
-                        break;
-                    }
-                    for (slot, ok) in net.multicast_to(clock, &listeners) {
-                        if ok {
-                            let parsed = Packet::parse(&bytes, &layout).unwrap();
-                            users[slot].receive(&parsed);
-                        }
-                    }
-                }
-            }
-            RoundDecision::Unicast(wave) => {
-                for node in &wave.targets {
-                    let slot = member_by_node[node];
-                    let usr = build_usr_packet(&sc.tree, &sc.outcome, members[slot], 1).unwrap();
-                    let bytes = Packet::Usr(usr).emit(&layout);
-                    for _ in 0..wave.duplicates {
-                        clock += send_interval;
-                        if net.unicast(clock, slot) {
-                            let parsed = Packet::parse(&bytes, &layout).unwrap();
-                            users[slot].receive(&parsed);
-                        }
-                    }
-                }
-            }
-            RoundDecision::Done => {}
-        }
-        clock += rtt;
-        for (i, u) in users.iter_mut().enumerate() {
-            if let Some(nack) = u.end_of_round() {
-                session.accept_nack(nodes[i], &nack);
-            }
-        }
-        action = session.end_of_round();
-        if matches!(action, RoundDecision::Done) {
-            break;
-        }
-        round += 1;
-        assert!(round < 64, "byte-faithful run did not converge");
-    }
+    let stats = transport::run(
+        &mut net,
+        &mut clock,
+        &mut session,
+        &mut receivers,
+        &SimConfig::default(),
+        &mut TransportScratch::new(),
+        |slot| usr_packet(members[slot]),
+    );
+    assert_eq!(stats.unserved, 0, "run did not converge");
 
-    let per_user: HashMap<NodeId, usize> = nodes
+    let per_user = receivers
         .iter()
-        .zip(&users)
-        .map(|(&n, u)| (n, u.rounds_to_success().expect("all served")))
+        .map(|r| (r.node_id(), r.success_round().expect("all served")))
         .collect();
     (
         per_user,
@@ -142,49 +100,47 @@ fn run_byte_faithful(sc: &Scenario) -> (HashMap<NodeId, usize>, usize, f64) {
     )
 }
 
-fn run_fast_model(sc: &Scenario) -> (HashMap<NodeId, usize>, usize, f64) {
-    let controller = ServerController::new(sc.proto);
-    let mut session = controller.begin_message(sc.assignment.packets.clone(), 100);
-    let mut net = Network::new(sc.net_cfg);
-    let mut clock = 0.0f64;
+/// Real packets cross the network as bytes into `UserSession`s.
+fn run_byte_faithful(sc: &Scenario) -> Delivery {
+    let layout = Layout::DEFAULT;
+    deliver(
+        sc,
+        |link, node| ByteReceiver {
+            session: UserSession::new(node, 4, sc.proto.block_size, layout),
+            link,
+            node,
+            layout,
+        },
+        |m| Packet::Usr(build_usr_packet(&sc.tree, &sc.outcome, m, 1).unwrap()),
+    )
+}
+
+/// Share-counting `SimUser`s see the borrowed packets.
+fn run_fast_model(sc: &Scenario) -> Delivery {
     let k = sc.proto.block_size;
-
-    let mut members = sc.tree.member_ids();
-    members.sort_unstable();
-    let mut users: Vec<SimUser> = members
-        .iter()
-        .enumerate()
-        .map(|(idx, &m)| {
-            let uid = sc.tree.node_of_member(m).unwrap();
-            let tb = sc.assignment.packet_of_user(uid).map(|pi| (pi / k) as u8);
-            SimUser::new(idx, uid, k, 4, tb)
-        })
-        .collect();
-
-    let stats = run_message_transport(
-        &mut net,
-        &mut clock,
-        &mut session,
-        &mut users,
-        &SimConfig::default(),
-    );
-    assert_eq!(stats.unserved, 0);
-
-    let per_user: HashMap<NodeId, usize> = users
-        .iter()
-        .map(|u| (u.node_id, u.satisfied_round().expect("served")))
-        .collect();
-    (
-        per_user,
-        session.first_round_nack_count(),
-        session.bandwidth_overhead(),
+    deliver(
+        sc,
+        |link, node| {
+            let tb = sc.assignment.packet_of_user(node).map(|pi| (pi / k) as u8);
+            SimUser::new(link, node, k, 4, tb)
+        },
+        |_| {
+            Packet::Usr(UsrPacket {
+                msg_id: 0,
+                new_user_id: 0,
+                sealed: vec![],
+            })
+        },
     )
 }
 
 fn assert_agreement(seed: u64, alpha: f64, p_high: f64, max_rounds: usize) {
-    let sc = scenario(seed, alpha, p_high, max_rounds);
-    let (bytes_rounds, bytes_nacks, bytes_bw) = run_byte_faithful(&sc);
-    let (fast_rounds, fast_nacks, fast_bw) = run_fast_model(&sc);
+    assert_models_agree(&scenario(seed, alpha, p_high, max_rounds, 5));
+}
+
+fn assert_models_agree(sc: &Scenario) {
+    let (bytes_rounds, bytes_nacks, bytes_bw) = run_byte_faithful(sc);
+    let (fast_rounds, fast_nacks, fast_bw) = run_fast_model(sc);
 
     assert_eq!(bytes_nacks, fast_nacks, "round-1 NACK counts differ");
     assert!(
@@ -231,4 +187,13 @@ fn agreement_many_seeds() {
     for seed in 20..30 {
         assert_agreement(seed, 0.2, 0.20, 2);
     }
+}
+
+/// `k` well above the message's real packet count: the one block is mostly
+/// cyclic duplicates, which count as shares but never feed the estimator.
+#[test]
+fn agreement_with_duplicate_padded_block() {
+    let sc = scenario(15, 1.0, 0.30, 2, 16);
+    assert!(sc.assignment.packets.len() < 16, "the block must be padded");
+    assert_models_agree(&sc);
 }

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# The full local gate: formatting, lints, the xcheck static-analysis pass
-# (with its machine-readable report), the test suite with the deep
-# invariant sanitizer live, the dynamic no-alloc and schedule-perturbation
-# harnesses, one smoke/check/sentinel cycle per tracked BENCH report, and
-# the obs build. Everything runs offline against the vendored in-tree
-# dependency shims. Each stage's wall time is reported in a summary at
-# the end.
+# The full local gate: formatting, lints, rustdoc with warnings denied, the
+# xcheck static-analysis pass (with its machine-readable report), the test
+# suite with the deep invariant sanitizer live, the dynamic no-alloc and
+# schedule-perturbation harnesses, one smoke/check/sentinel cycle per
+# tracked BENCH report, and the obs build. Everything runs offline against
+# the vendored in-tree dependency shims. Each stage's wall time is reported
+# in a summary at the end.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,6 +34,11 @@ cargo fmt --check
 
 stage "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+stage "cargo doc --workspace --no-deps (rustdoc warnings denied)"
+# Intra-doc links are checked here, so a deleted or renamed item cannot
+# leave prose pointing at nothing.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
 
 stage "xcheck static analysis (--json target/xcheck.json)"
 mkdir -p target
