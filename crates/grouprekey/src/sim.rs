@@ -166,7 +166,7 @@ impl Receiver for SimUser {
                 }
                 self.estimator
                     .get_or_insert_with(|| BlockIdEstimator::new(m16, self.k, self.d))
-                    .observe(enc);
+                    .observe(&enc.header());
                 self.shares.insert(enc.block_id, enc.seq as usize);
             }
             Packet::Parity(par) => {

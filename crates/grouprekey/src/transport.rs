@@ -13,8 +13,8 @@
 //!   distinct shares of a block reconstruct it — `rse`'s tests prove it)
 //!   and decoding is deterministic in the share set.
 //! * the **byte model**, [`ByteReceiver`]: a frame is the packet's wire
-//!   bytes, emitted once per send and parsed once per delivery, fed to a
-//!   real [`UserSession`] that FEC-decodes real bodies.
+//!   bytes, emitted once per send and shared by the real [`UserSession`]s it
+//!   reaches: header read in place, one full parse each, FEC off the frames.
 //!
 //! Both see the same loss draws in the same order (listeners are the
 //! unsatisfied receivers in slice order; every unicast copy is drawn), so
@@ -28,11 +28,12 @@
 //! [`UserSession`]: rekeyproto::UserSession
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use keytree::NodeId;
 use netsim::Network;
 use rekeymsg::{Layout, NackPacket, Packet};
-use rekeyproto::{RoundDecision, ServerSession, UserSession};
+use rekeyproto::{Ignored, Received, RoundDecision, ServerSession, UserSession};
 
 /// What [`run`] needs from one receiver of a rekey message.
 pub trait Receiver {
@@ -78,10 +79,10 @@ pub struct ByteReceiver {
 }
 
 impl Receiver for ByteReceiver {
-    type Frame<'p> = Vec<u8>;
+    type Frame<'p> = Arc<[u8]>;
 
-    fn frame(pkt: &Packet, layout: &Layout) -> Vec<u8> {
-        pkt.emit(layout)
+    fn frame(pkt: &Packet, layout: &Layout) -> Arc<[u8]> {
+        pkt.emit(layout).into()
     }
 
     fn net_index(&self) -> usize {
@@ -96,13 +97,19 @@ impl Receiver for ByteReceiver {
         self.session.is_satisfied()
     }
 
-    fn receive(&mut self, frame: &Vec<u8>, _round: usize) {
+    fn receive(&mut self, frame: &Arc<[u8]>, _round: usize) {
         // The frame is what this process emitted a moment ago and netsim
-        // drops packets whole, never corrupts them: a parse failure is a
-        // bug in `rekeymsg::wire`, not an input.
-        let parsed =
-            Packet::parse(frame, &self.layout).unwrap_or_else(|e| panic!("wire round-trip: {e:?}"));
-        self.session.receive(&parsed);
+        // drops packets whole, never corrupts them: a frame that does not
+        // read back is a bug in `rekeymsg::wire`, not an input.
+        let did = self.session.receive_frame(frame);
+        let counter = match did.unwrap_or_else(|e| panic!("wire round-trip: {e:?}")) {
+            Received::Mine => "transport.frame.mine",
+            Received::Kept => "transport.frame.kept",
+            Received::Ignored(Ignored::WrongMessage) => "transport.frame.wrong_message",
+            Received::Ignored(Ignored::OutOfRange) => "transport.frame.out_of_range",
+            Received::Ignored(Ignored::Satisfied) => "transport.frame.satisfied",
+        };
+        obs::counter_add(counter, 1);
     }
 
     fn end_of_round_into(&mut self, _round: usize, nack: &mut NackPacket) -> bool {

@@ -13,7 +13,7 @@
 //! Duplicated last-block packets are excluded (their ranges repeat out of
 //! order).
 
-use crate::wire::EncPacket;
+use crate::wire::EncHeader;
 
 /// Running `[low, high]` estimate of the block containing a user's ENC
 /// packet.
@@ -45,8 +45,8 @@ impl BlockIdEstimator {
         }
     }
 
-    /// Feeds one received ENC packet into the estimate.
-    pub fn observe(&mut self, pkt: &EncPacket) {
+    /// Feeds the header of one received ENC packet into the estimate.
+    pub fn observe(&mut self, pkt: &EncHeader) {
         if pkt.duplicate {
             return;
         }
@@ -113,13 +113,10 @@ impl BlockIdEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wirecrypto::{SealedKey, SymKey};
 
-    /// An ENC packet stand-in with chosen range/block/seq fields.
-    fn pkt(blk: u8, seq: u8, frm: u16, to: u16, max_kid: u16) -> EncPacket {
-        let kek = SymKey::from_bytes([1; 16]);
-        let plain = SymKey::from_bytes([2; 16]);
-        EncPacket {
+    /// An ENC header with chosen range/block/seq fields.
+    fn pkt(blk: u8, seq: u8, frm: u16, to: u16, max_kid: u16) -> EncHeader {
+        EncHeader {
             msg_id: 0,
             block_id: blk,
             seq,
@@ -127,7 +124,6 @@ mod tests {
             max_kid,
             frm_id: frm,
             to_id: to,
-            entries: vec![(frm, SealedKey::seal(&kek, &plain, 0))],
         }
     }
 
@@ -193,7 +189,7 @@ mod tests {
         let k = 4usize;
         let d = 4u32;
         let max_kid = 500u16;
-        let packets: Vec<EncPacket> = (0..30u16)
+        let packets: Vec<EncHeader> = (0..30u16)
             .map(|i| {
                 pkt(
                     (i as usize / k) as u8,

@@ -6,7 +6,7 @@
 //!
 //! * [`wire`] — byte-level formats for `ENC`, `PARITY`, `USR` and `NACK`
 //!   packets (fixed-length `ENC`/`PARITY` packets so FEC can operate on
-//!   whole packet bodies);
+//!   whole packet bodies), parsed in full or header-only in place;
 //! * [`assign`] — the **User-oriented Key Assignment** (UKA) algorithm: all
 //!   of a user's encryptions land in a single `ENC` packet, with packets
 //!   covering non-overlapping, increasing user-ID ranges;
@@ -57,8 +57,11 @@ pub use assign::{
     NaiveAssignmentStats, PacketPlan, PlanScratch, UkaAssignment, UserRun, SEAL_CHUNK,
 };
 pub use blocks::{BlockSet, SendItem, SendOrder};
-pub use layout::Layout;
-pub use wire::{EncPacket, NackPacket, NackRequest, Packet, ParityPacket, UsrPacket, WireError};
+pub use layout::{Layout, UNPROTECTED_HEADER_LEN};
+pub use wire::{
+    EncHeader, EncPacket, Header, NackPacket, NackRequest, Packet, ParityPacket, UsrPacket,
+    WireError,
+};
 
 /// Builds the USR packet for one user: the sealed encryptions it needs,
 /// in increasing encryption-ID order (IDs omitted on the wire).

@@ -2,9 +2,9 @@
 //!
 //! Following the smoltcp idiom, each packet type has a plain `Repr`-style
 //! struct with `emit` (serialise into exact wire bytes) and `parse`
-//! (validate + decode). `ENC`/`PARITY` packets always emit exactly
-//! [`Layout::enc_packet_len`] bytes; `USR`/`NACK` packets are variable
-//! length.
+//! (validate + decode); [`Packet::header`] reads the fixed fields alone, in
+//! place. `ENC`/`PARITY` packets always emit exactly
+//! [`Layout::enc_packet_len`] bytes; `USR`/`NACK` are variable length.
 
 use wirecrypto::{SealedKey, SEALED_KEY_LEN};
 
@@ -50,6 +50,83 @@ impl core::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+fn check_len(got: usize, expected: usize) -> Result<(), WireError> {
+    if got == expected {
+        Ok(())
+    } else {
+        Err(WireError::BadLength { expected, got })
+    }
+}
+
+/// An `ENC`/`PARITY` packet of the layout's length, split before its FEC body.
+fn split_fixed<'a>(
+    bytes: &'a [u8],
+    layout: &Layout,
+) -> Result<(&'a [u8; UNPROTECTED_HEADER_LEN], &'a [u8]), WireError> {
+    check_len(bytes.len(), layout.enc_packet_len)?;
+    bytes.split_first_chunk().ok_or(WireError::Truncated)
+}
+
+/// The fixed fields of an `ENC` packet: all a receiver needs of a packet
+/// that does not serve it, and what tells it whether one does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EncHeader {
+    /// Rekey message ID (6 bits on the wire).
+    pub msg_id: u8,
+    /// FEC block this packet belongs to.
+    pub block_id: u8,
+    /// Sequence number within the block (`0..k`).
+    pub seq: u8,
+    /// True for a last-block duplicate.
+    pub duplicate: bool,
+    /// Maximum current k-node ID (`maxKID`).
+    pub max_kid: u16,
+    /// The packet serves users with IDs in `frm_id ..= to_id`.
+    pub frm_id: u16,
+    /// Inclusive upper end of the served user-ID range.
+    pub to_id: u16,
+}
+
+impl EncHeader {
+    /// True when the packet serves user ID `m`.
+    pub fn serves(&self, m: u16) -> bool {
+        self.frm_id <= m && m <= self.to_id
+    }
+
+    /// The one reader of the fixed fields, off the wire or off a FEC body.
+    fn read(unprotected: [u8; UNPROTECTED_HEADER_LEN], body: &[u8]) -> Result<Self, WireError> {
+        let &[k0, k1, f0, f1, t0, t1] = body.first_chunk().ok_or(WireError::Truncated)?;
+        Ok(EncHeader {
+            msg_id: unprotected[0] & 0x3f,
+            block_id: unprotected[1],
+            seq: unprotected[2] & 0x7f,
+            duplicate: unprotected[2] & 0x80 != 0,
+            max_kid: u16::from_be_bytes([k0, k1]),
+            frm_id: u16::from_be_bytes([f0, f1]),
+            to_id: u16::from_be_bytes([t0, t1]),
+        })
+    }
+}
+
+/// What a packet's first bytes say past the message ID, read in place: the
+/// type and, for the fixed-size types, every field but the payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Header {
+    /// An `ENC` packet of the layout's length.
+    Enc(EncHeader),
+    /// A `PARITY` packet of the layout's length.
+    Parity {
+        /// Block this parity belongs to.
+        block_id: u8,
+        /// Parity index within the block (share index is `k + seq`).
+        seq: u8,
+    },
+    /// A `USR` packet; its list is not examined.
+    Usr,
+    /// A `NACK` packet; its list is not examined.
+    Nack,
+}
+
 /// An `ENC` packet: a run of `<encryption, ID>` pairs for a contiguous
 /// range of user IDs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,6 +161,21 @@ impl EncPacket {
     /// Panics if there are more entries than the layout admits, if an
     /// entry has ID zero, or if `msg_id` exceeds 6 bits — all builder bugs.
     pub fn emit(&self, layout: &Layout) -> Vec<u8> {
+        let mut out = Vec::with_capacity(layout.enc_packet_len);
+        out.push((PacketType::Enc as u8) << 6 | self.msg_id);
+        out.push(self.block_id);
+        out.push(self.seq | if self.duplicate { 0x80 } else { 0 });
+        self.write_body(layout, out)
+    }
+
+    /// The FEC-protected body: everything after the 3 unprotected header
+    /// bytes. All ENC packets of a message have equal-length bodies.
+    pub fn fec_body(&self, layout: &Layout) -> Vec<u8> {
+        self.write_body(layout, Vec::with_capacity(layout.fec_body_len()))
+    }
+
+    /// The one writer: appends the FEC body to `out`.
+    fn write_body(&self, layout: &Layout, mut out: Vec<u8>) -> Vec<u8> {
         assert!(self.msg_id < 64, "msg_id is a 6-bit field");
         assert!(self.seq < 128, "seq 7 bits (top bit is the duplicate flag)");
         assert!(
@@ -92,10 +184,7 @@ impl EncPacket {
             self.entries.len(),
             layout.encryptions_per_packet()
         );
-        let mut out = Vec::with_capacity(layout.enc_packet_len);
-        out.push((PacketType::Enc as u8) << 6 | self.msg_id);
-        out.push(self.block_id);
-        out.push(self.seq | if self.duplicate { 0x80 } else { 0 });
+        let end = out.len() + layout.fec_body_len();
         out.extend_from_slice(&self.max_kid.to_be_bytes());
         out.extend_from_slice(&self.frm_id.to_be_bytes());
         out.extend_from_slice(&self.to_id.to_be_bytes());
@@ -104,50 +193,48 @@ impl EncPacket {
             out.extend_from_slice(&id.to_be_bytes());
             out.extend_from_slice(sealed.as_bytes());
         }
-        out.resize(layout.enc_packet_len, 0);
+        out.resize(end, 0);
         out
     }
 
-    /// The FEC-protected body: everything after the 3 unprotected header
-    /// bytes. All ENC packets of a message have equal-length bodies.
-    pub fn fec_body(&self, layout: &Layout) -> Vec<u8> {
-        self.emit(layout)[UNPROTECTED_HEADER_LEN..].to_vec()
+    /// The packet's fixed fields.
+    pub fn header(&self) -> EncHeader {
+        EncHeader {
+            msg_id: self.msg_id,
+            block_id: self.block_id,
+            seq: self.seq,
+            duplicate: self.duplicate,
+            max_kid: self.max_kid,
+            frm_id: self.frm_id,
+            to_id: self.to_id,
+        }
     }
 
     fn parse(bytes: &[u8], layout: &Layout) -> Result<Self, WireError> {
-        if bytes.len() != layout.enc_packet_len {
-            return Err(WireError::BadLength {
-                expected: layout.enc_packet_len,
-                got: bytes.len(),
-            });
-        }
-        let msg_id = bytes[0] & 0x3f;
-        let block_id = bytes[1];
-        let duplicate = bytes[2] & 0x80 != 0;
-        let seq = bytes[2] & 0x7f;
-        let max_kid = u16::from_be_bytes([bytes[3], bytes[4]]);
-        let frm_id = u16::from_be_bytes([bytes[5], bytes[6]]);
-        let to_id = u16::from_be_bytes([bytes[7], bytes[8]]);
+        let (&unprotected, body) = split_fixed(bytes, layout)?;
+        Self::read(unprotected, body)
+    }
+
+    /// Reads the fixed fields, then the pairs up to the zero padding.
+    fn read(unprotected: [u8; UNPROTECTED_HEADER_LEN], body: &[u8]) -> Result<Self, WireError> {
+        let header = EncHeader::read(unprotected, body)?;
         let mut entries = Vec::new();
-        let mut off = UNPROTECTED_HEADER_LEN + PROTECTED_HEADER_LEN;
-        while off + PAIR_LEN <= bytes.len() {
-            let id = u16::from_be_bytes([bytes[off], bytes[off + 1]]);
+        for pair in body[PROTECTED_HEADER_LEN..].chunks_exact(PAIR_LEN) {
+            let id = u16::from_be_bytes([pair[0], pair[1]]);
             if id == 0 {
                 break; // padding reached
             }
-            let sealed = SealedKey::from_slice(&bytes[off + 2..off + PAIR_LEN])
-                .ok_or(WireError::Truncated)?;
+            let sealed = SealedKey::from_slice(&pair[2..]).ok_or(WireError::Truncated)?;
             entries.push((id, sealed));
-            off += PAIR_LEN;
         }
         Ok(EncPacket {
-            msg_id,
-            block_id,
-            seq,
-            duplicate,
-            max_kid,
-            frm_id,
-            to_id,
+            msg_id: header.msg_id,
+            block_id: header.block_id,
+            seq: header.seq,
+            duplicate: header.duplicate,
+            max_kid: header.max_kid,
+            frm_id: header.frm_id,
+            to_id: header.to_id,
             entries,
         })
     }
@@ -161,18 +248,8 @@ impl EncPacket {
         block_id: u8,
         seq: u8,
     ) -> Result<Self, WireError> {
-        if body.len() != layout.fec_body_len() {
-            return Err(WireError::BadLength {
-                expected: layout.fec_body_len(),
-                got: body.len(),
-            });
-        }
-        let mut bytes = Vec::with_capacity(layout.enc_packet_len);
-        bytes.push((PacketType::Enc as u8) << 6 | (msg_id & 0x3f));
-        bytes.push(block_id);
-        bytes.push(seq & 0x7f);
-        bytes.extend_from_slice(body);
-        Self::parse(&bytes, layout)
+        check_len(body.len(), layout.fec_body_len())?;
+        Self::read([msg_id, block_id, seq & 0x7f], body)
     }
 
     /// The sealed encryption for a given encryption (child-node) ID, if
@@ -186,7 +263,7 @@ impl EncPacket {
 
     /// True when this packet serves user ID `m`.
     pub fn serves(&self, m: u16) -> bool {
-        self.frm_id <= m && m <= self.to_id
+        self.header().serves(m)
     }
 }
 
@@ -218,17 +295,12 @@ impl ParityPacket {
     }
 
     fn parse(bytes: &[u8], layout: &Layout) -> Result<Self, WireError> {
-        if bytes.len() != layout.enc_packet_len {
-            return Err(WireError::BadLength {
-                expected: layout.enc_packet_len,
-                got: bytes.len(),
-            });
-        }
+        let (&[first, block_id, seq], body) = split_fixed(bytes, layout)?;
         Ok(ParityPacket {
-            msg_id: bytes[0] & 0x3f,
-            block_id: bytes[1],
-            seq: bytes[2],
-            body: bytes[UNPROTECTED_HEADER_LEN..].to_vec(),
+            msg_id: first & 0x3f,
+            block_id,
+            seq,
+            body: body.to_vec(),
         })
     }
 }
@@ -358,6 +430,25 @@ impl Packet {
             2 => UsrPacket::parse(bytes).map(Packet::Usr),
             _ => NackPacket::parse(bytes).map(Packet::Nack),
         }
+    }
+
+    /// Reads the 6-bit message ID and the header in place, with the length
+    /// checks [`Packet::parse`] applies to the fixed-size types.
+    pub fn header(bytes: &[u8], layout: &Layout) -> Result<(u8, Header), WireError> {
+        let &first = bytes.first().ok_or(WireError::Truncated)?;
+        let header = match first >> 6 {
+            0 => {
+                let (&unprotected, body) = split_fixed(bytes, layout)?;
+                Header::Enc(EncHeader::read(unprotected, body)?)
+            }
+            1 => {
+                let (&[_, block_id, seq], _) = split_fixed(bytes, layout)?;
+                Header::Parity { block_id, seq }
+            }
+            2 => Header::Usr,
+            _ => Header::Nack,
+        };
+        Ok((first & 0x3f, header))
     }
 
     /// Serialises any packet.

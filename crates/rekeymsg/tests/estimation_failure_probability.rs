@@ -57,7 +57,7 @@ fn empirical_failure(
                 continue;
             }
             if !rng.gen_bool(p) {
-                est.observe(pkt);
+                est.observe(&pkt.header());
             }
         }
         if !est.is_exact() {
@@ -128,7 +128,7 @@ fn failure_always_leaves_a_bracketing_range() {
         let mut est = BlockIdEstimator::new(m, k, 4);
         for (pi, pkt) in packets.iter().enumerate() {
             if pi != target && !rng.gen_bool(0.5) {
-                est.observe(pkt);
+                est.observe(&pkt.header());
             }
         }
         if !est.is_exact() {

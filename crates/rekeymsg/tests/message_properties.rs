@@ -157,7 +157,7 @@ proptest! {
                         continue;
                     }
                     if received {
-                        est.observe(pkt);
+                        est.observe(&pkt.header());
                     }
                 }
             }

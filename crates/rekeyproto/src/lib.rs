@@ -12,9 +12,10 @@
 //!   multicast schedule (ENC + proactive PARITY, interleaved), NACK
 //!   aggregation into `amax[i]`, reactive rounds, the multicast→unicast
 //!   switch rule, and escalating USR duplication (Figure 22).
-//! * [`UserSession`] — one rekey message at a user: ID rederivation from
-//!   `maxKID` (Theorem 4.2), packet collection, FEC decoding, block-ID
-//!   estimation for lost specific packets, and NACK construction.
+//! * [`UserSession`] — one rekey message at a user, fed frames (wire bytes):
+//!   header read in place, full parse of the one packet that serves it, other
+//!   frames kept as FEC shares; ID rederivation from `maxKID` (Theorem 4.2),
+//!   FEC decoding, block-ID estimation, and NACK construction.
 
 //! # Example
 //!
@@ -39,4 +40,4 @@ pub use adjust::{adjust_rho, update_num_nack, AdjustConfig};
 pub use server::{
     RoundDecision, ServerConfig, ServerController, ServerSession, ServerStats, UnicastSend,
 };
-pub use user::{nack_requests_into, UserOutcome, UserSession};
+pub use user::{nack_requests_into, Ignored, Received, UserOutcome, UserSession};

@@ -1,10 +1,14 @@
 //! The user side of the rekey transport protocol (Figures 3 and 27).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use keytree::{ident, NodeId};
 use rekeymsg::estimate::BlockIdEstimator;
-use rekeymsg::{EncPacket, Layout, NackPacket, NackRequest, Packet, UsrPacket};
+use rekeymsg::{
+    EncPacket, Header, Layout, NackPacket, NackRequest, Packet, UsrPacket, WireError,
+    UNPROTECTED_HEADER_LEN,
+};
 
 /// How a user ended up with its keys (or didn't).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -17,9 +21,32 @@ pub enum UserOutcome {
     Pending,
 }
 
+/// What [`UserSession::receive_frame`] did with a well-formed frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Received {
+    /// The user's own ENC packet or a USR packet: parsed in full, satisfied.
+    Mine,
+    /// Another user's ENC packet, or a PARITY packet: held as a FEC share.
+    Kept,
+    /// Nothing was read past the header and nothing is held.
+    Ignored(Ignored),
+}
+
+/// Why a frame was ignored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Ignored {
+    /// Of another rekey message than the session is pinned to, or a NACK.
+    WrongMessage,
+    /// No share the server can have sent (ENC `seq >= k`, PARITY past the
+    /// code's last symbol), or an ENC frame at a user no ENC packet can name.
+    OutOfRange,
+    /// The session already holds what it needs.
+    Satisfied,
+}
+
 /// Per-message user state machine.
 ///
-/// Feed every packet the user receives through [`UserSession::receive`];
+/// Feed every frame the user receives through [`UserSession::receive_frame`];
 /// at each round boundary call [`UserSession::end_of_round`], which either
 /// reports success or produces the NACK to send. FEC decoding is attempted
 /// lazily at round boundaries (and opportunistically when the specific
@@ -38,8 +65,9 @@ pub struct UserSession {
     /// Wire message ID this session accepts (`None` = first seen wins).
     expected_msg_id: Option<u8>,
     msg_id: Option<u8>,
-    /// Received share bodies: block -> share index -> FEC body.
-    shares: BTreeMap<u8, BTreeMap<usize, Vec<u8>>>,
+    /// Received shares: block -> share index -> the frame as it arrived;
+    /// its FEC body is what the server's parity was computed over.
+    shares: BTreeMap<u8, BTreeMap<usize, Arc<[u8]>>>,
     /// Persistent FEC decoder, built on first use: the O(k²) Lagrange
     /// setup is paid once per session, not per decode attempt.
     decoder: Option<rse::Decoder>,
@@ -101,72 +129,81 @@ impl UserSession {
         self.success_round
     }
 
-    /// Handles one received packet.
+    /// Handles one received packet: [`UserSession::receive_frame`] on its
+    /// wire bytes, for callers that hold the struct.
     pub fn receive(&mut self, pkt: &Packet) {
+        // A packet that emits is well-formed, so there is no error to pass on.
+        let _ = self.receive_frame(&Arc::from(pkt.emit(&self.layout)));
+    }
+
+    /// Handles one received frame: a packet's wire bytes, shared among
+    /// everyone it was delivered to. The header is read in place; the one
+    /// ENC packet that serves this user, or a USR packet, is then parsed in
+    /// full, and any other ENC/PARITY frame is held by reference count as a
+    /// FEC share. `Err` is a frame that is not a packet under the layout.
+    pub fn receive_frame(&mut self, frame: &Arc<[u8]>) -> Result<Received, WireError> {
         if self.is_satisfied() {
-            return;
+            return Ok(Received::Ignored(Ignored::Satisfied));
         }
-        if let Some(expect) = self.expected_msg_id {
-            let wire_id = match pkt {
-                Packet::Enc(p) => Some(p.msg_id),
-                Packet::Parity(p) => Some(p.msg_id),
-                Packet::Usr(p) => Some(p.msg_id),
-                Packet::Nack(_) => None,
+        let (msg_id, header) = Packet::header(frame, &self.layout)?;
+        let foreign = self.expected_msg_id.is_some_and(|id| id != msg_id);
+        let (block_id, index, limit, enc) = match header {
+            Header::Nack => return Ok(Received::Ignored(Ignored::WrongMessage)),
+            _ if foreign => return Ok(Received::Ignored(Ignored::WrongMessage)),
+            Header::Usr => return self.accept(frame),
+            Header::Enc(enc) => (enc.block_id, enc.seq as usize, self.k, Some(enc)),
+            Header::Parity { block_id, seq } => {
+                (block_id, self.k + seq as usize, rse::MAX_SYMBOLS, None)
+            }
+        };
+        // A share index the server cannot have sent stops at the door: an
+        // ENC `seq >= k` would be filed where PARITY `seq - k` belongs, and a
+        // PARITY past the last code symbol counts as held but never decodes.
+        if index >= limit {
+            return Ok(Received::Ignored(Ignored::OutOfRange));
+        }
+        self.msg_id.get_or_insert(msg_id);
+        self.max_block_seen = Some(self.max_block_seen.unwrap_or(0).max(block_id));
+        if let Some(enc) = enc {
+            let Some(m16) = self.wire_id(enc.max_kid) else {
+                return Ok(Received::Ignored(Ignored::OutOfRange));
             };
-            if wire_id.is_some_and(|id| id != expect) {
-                return;
+            if enc.serves(m16) {
+                return self.accept(frame);
             }
+            self.estimator
+                .get_or_insert_with(|| BlockIdEstimator::new(m16, self.k, self.d))
+                .observe(&enc);
         }
-        match pkt {
-            Packet::Enc(enc) => self.receive_enc(enc),
-            Packet::Parity(par) => {
-                self.msg_id.get_or_insert(par.msg_id);
-                self.max_block_seen = Some(self.max_block_seen.unwrap_or(0).max(par.block_id));
-                self.shares
-                    .entry(par.block_id)
-                    .or_default()
-                    .insert(self.k + par.seq as usize, par.body.clone());
-            }
+        let held = self.shares.entry(block_id).or_default();
+        held.insert(index, Arc::clone(frame));
+        Ok(Received::Kept)
+    }
+
+    /// Parses in full the frame whose header said it is this user's.
+    fn accept(&mut self, frame: &[u8]) -> Result<Received, WireError> {
+        let outcome = match Packet::parse(frame, &self.layout)? {
+            Packet::Enc(enc) => UserOutcome::Enc(enc),
             Packet::Usr(usr) => {
                 self.current_id = Some(usr.new_user_id as NodeId);
-                self.succeed(UserOutcome::Usr(usr.clone()));
+                UserOutcome::Usr(usr)
             }
-            Packet::Nack(_) => {} // users never receive NACKs
-        }
-    }
-
-    fn receive_enc(&mut self, enc: &EncPacket) {
-        self.msg_id.get_or_insert(enc.msg_id);
-        self.max_block_seen = Some(self.max_block_seen.unwrap_or(0).max(enc.block_id));
-
-        // First ENC packet reveals maxKID: rederive our ID (Theorem 4.2).
-        if self.current_id.is_none() {
-            self.current_id = ident::derive_current_id(self.old_id, enc.max_kid as NodeId, self.d);
-        }
-        let Some(m16) = self.wire_id() else {
-            return;
+            // `parse` and `header` read the same type bits.
+            _ => return Ok(Received::Ignored(Ignored::WrongMessage)),
         };
-
-        if enc.serves(m16) {
-            self.succeed(UserOutcome::Enc(enc.clone()));
-            return;
-        }
-
-        self.estimator
-            .get_or_insert_with(|| BlockIdEstimator::new(m16, self.k, self.d))
-            .observe(enc);
-        self.shares
-            .entry(enc.block_id)
-            .or_default()
-            .insert(enc.seq as usize, enc.fec_body(&self.layout));
+        self.succeed(outcome);
+        Ok(Received::Mine)
     }
 
-    /// The current ID as the 16-bit wire fields name it. `None` when the
-    /// user is not in the tree any more, or sits at an ID the wire cannot
-    /// carry: narrowing 65536 + m to m would claim the packet that serves
-    /// user m. Either way no ENC packet serves this user, so there is
-    /// nothing to collect and no estimate to form.
-    fn wire_id(&self) -> Option<u16> {
+    /// The current ID as the 16-bit wire fields name it, rederived from the
+    /// first `maxKID` seen (Theorem 4.2). `None` when the user is not in
+    /// the tree any more, or sits at an ID the wire cannot carry: narrowing
+    /// 65536 + m to m would claim the packet that serves user m. Either way
+    /// no ENC packet serves this user: nothing to collect, no estimate.
+    fn wire_id(&mut self, max_kid: u16) -> Option<u16> {
+        if self.current_id.is_none() {
+            self.current_id = ident::derive_current_id(self.old_id, max_kid as NodeId, self.d);
+        }
         self.current_id.and_then(|m| u16::try_from(m).ok())
     }
 
@@ -189,45 +226,34 @@ impl UserSession {
         if self.is_satisfied() {
             return;
         }
-        let (low, high) = match self.estimator.as_ref().and_then(|e| e.range()) {
-            Some(r) => r,
-            None => {
-                // No range: consider every block we have shares for.
-                let lo = self.shares.keys().next().copied().unwrap_or(0) as u32;
-                let hi = self.shares.keys().last().copied().unwrap_or(0) as u32;
-                (lo, hi)
-            }
-        };
-        let candidates: Vec<u8> = self
-            .shares
-            .keys()
-            .copied()
-            .filter(|&b| (b as u32) >= low && (b as u32) <= high)
+        // Every block with k shares, inside the estimated range if there is one.
+        let range = self.estimator.as_ref().and_then(|e| e.range());
+        let in_range = |b: u8| range.is_none_or(|(lo, hi)| (lo..=hi).contains(&u32::from(b)));
+        let candidates: Vec<u8> = (self.shares.iter())
+            .filter(|(&b, held)| held.len() >= self.k && in_range(b))
+            .map(|(&b, _)| b)
             .collect();
         for b in candidates {
-            let block_shares = &self.shares[&b];
-            if block_shares.len() < self.k {
-                continue;
+            if self.decoder.is_none() {
+                self.decoder = rse::Decoder::new(self.k).ok();
             }
-            let shares: Vec<rse::Share> = block_shares
+            let Some(decoder) = self.decoder.as_ref() else {
+                return;
+            };
+            // The held frames are borrowed, and only the rows that did not
+            // arrive are rebuilt and parsed: an ENC packet that arrived
+            // does not serve this user, or the session would be satisfied.
+            let held = self.shares[&b]
                 .iter()
-                .map(|(&index, body)| rse::Share {
-                    index,
-                    data: body.clone(),
-                })
-                .collect();
-            let Ok(bodies) = self.decode_block(&shares) else {
+                .map(|(&index, frame)| (index, &frame[UNPROTECTED_HEADER_LEN..]));
+            let Ok(rebuilt) = decoder.decode_missing(held) else {
                 continue;
             };
             let msg_id = self.msg_id.unwrap_or(0);
-            for (seq, body) in bodies.iter().enumerate() {
-                if let Ok(enc) = EncPacket::from_fec_body(body, &self.layout, msg_id, b, seq as u8)
+            for (seq, body) in &rebuilt {
+                if let Ok(enc) = EncPacket::from_fec_body(body, &self.layout, msg_id, b, *seq as u8)
                 {
-                    if self.current_id.is_none() {
-                        self.current_id =
-                            ident::derive_current_id(self.old_id, enc.max_kid as NodeId, self.d);
-                    }
-                    let Some(m16) = self.wire_id() else {
+                    let Some(m16) = self.wire_id(enc.max_kid) else {
                         return;
                     };
                     if enc.serves(m16) {
@@ -239,16 +265,6 @@ impl UserSession {
             // Decoded a full block that does not contain our packet: the
             // estimator range was loose. Keep looking at other candidates.
         }
-    }
-
-    /// Runs one decode attempt through the session's persistent decoder,
-    /// constructing it on first use.
-    fn decode_block(&mut self, shares: &[rse::Share]) -> Result<Vec<Vec<u8>>, rse::RseError> {
-        let decoder = match self.decoder.as_mut() {
-            Some(d) => d,
-            None => self.decoder.insert(rse::Decoder::new(self.k)?),
-        };
-        decoder.decode(shares)
     }
 
     /// Round boundary: returns the NACK to send, or `None` when satisfied.

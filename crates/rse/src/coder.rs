@@ -285,16 +285,14 @@ impl BlockEncoder {
 
 /// Reusable decoder for blocks of size `k`.
 ///
-/// Holds the barycentric Lagrange context and the duplicate-detection
-/// table across calls, so a receiver decoding a stream of blocks pays the
-/// O(k²) setup and the `MAX_SYMBOLS`-slot allocation once instead of per
+/// Holds the barycentric Lagrange context across calls, so a receiver
+/// decoding a stream of blocks pays the O(k²) setup once instead of per
 /// packet-loss event. The free function [`decode`] remains as a thin
 /// one-shot wrapper.
 #[derive(Debug, Clone)]
 pub struct Decoder {
     k: usize,
     ctx: LagrangeCtx,
-    seen: Vec<bool>,
 }
 
 impl Decoder {
@@ -306,7 +304,6 @@ impl Decoder {
         Ok(Decoder {
             k,
             ctx: LagrangeCtx::alpha_consecutive(k),
-            seen: vec![false; MAX_SYMBOLS],
         })
     }
 
@@ -321,52 +318,57 @@ impl Decoder {
     /// Only the first `k` usable shares are validated and consumed;
     /// shares beyond them are ignored entirely, so a corrupt trailing
     /// share that would not participate in reconstruction cannot fail
-    /// the decode. The cost is dominated by a `k x k` matrix inversion
-    /// plus `k²` multiply-accumulate passes; when all surviving shares
-    /// are data packets the inversion short-circuits to a copy.
+    /// the decode. Data packets among those `k` are copied out; the rest
+    /// come from [`Decoder::decode_missing`].
     pub fn decode(&mut self, shares: &[Share]) -> Result<Vec<Vec<u8>>, RseError> {
+        let rebuilt = self.decode_missing(shares.iter().map(|s| (s.index, s.data.as_slice())))?;
+        // The decode succeeded, so the shares it used are the first k.
+        let mut out = vec![Vec::new(); self.k];
+        for s in shares.iter().take(self.k).filter(|s| s.index < self.k) {
+            out[s.index] = s.data.clone();
+        }
+        for (i, row) in rebuilt {
+            out[i] = row;
+        }
+        Ok(out)
+    }
+
+    /// Rebuilds, from borrowed `(index, body)` shares, only the data
+    /// packets that are *not* among the first `k` of them, as `(data
+    /// index, packet)` in index order: a receiver that kept the data
+    /// packets it was sent needs no copy of them. Validation is
+    /// [`Decoder::decode`]'s; the cost is a `k x k` matrix inversion plus
+    /// `k` multiply-accumulate passes per missing packet, and nothing at
+    /// all when no data packet is missing.
+    pub fn decode_missing<'a>(
+        &self,
+        shares: impl IntoIterator<Item = (usize, &'a [u8])>,
+    ) -> Result<Vec<(usize, Vec<u8>)>, RseError> {
         let _span = obs::span("rse.decode");
-        // Select the first k shares, validating only what we select. The
-        // `seen` table is persistent: every slot set here is cleared
-        // before returning (on success and error alike).
-        let mut chosen: Vec<&Share> = Vec::with_capacity(self.k);
-        let mut len: Option<usize> = None;
-        let mut failure: Option<RseError> = None;
-        for share in shares {
+        // Select the first k shares, validating only what we select.
+        let mut chosen: Vec<(usize, &[u8])> = Vec::with_capacity(self.k);
+        for (index, data) in shares {
             if chosen.len() == self.k {
                 break;
             }
-            if share.index >= MAX_SYMBOLS {
-                failure = Some(RseError::IndexOutOfRange {
-                    index: share.index,
+            if index >= MAX_SYMBOLS {
+                return Err(RseError::IndexOutOfRange {
+                    index,
                     max: MAX_SYMBOLS - 1,
                 });
-                break;
             }
-            if self.seen[share.index] {
-                failure = Some(RseError::DuplicateShare(share.index));
-                break;
+            if chosen.iter().any(|&(held, _)| held == index) {
+                return Err(RseError::DuplicateShare(index));
             }
-            match len {
-                None => len = Some(share.data.len()),
-                Some(expected) => {
-                    if share.data.len() != expected {
-                        failure = Some(RseError::LengthMismatch {
-                            expected,
-                            got: share.data.len(),
-                        });
-                        break;
-                    }
+            if let Some(&(_, first)) = chosen.first() {
+                if data.len() != first.len() {
+                    return Err(RseError::LengthMismatch {
+                        expected: first.len(),
+                        got: data.len(),
+                    });
                 }
             }
-            self.seen[share.index] = true;
-            chosen.push(share);
-        }
-        for share in &chosen {
-            self.seen[share.index] = false;
-        }
-        if let Some(err) = failure {
-            return Err(err);
+            chosen.push((index, data));
         }
         if chosen.len() < self.k {
             return Err(RseError::NotEnoughShares {
@@ -374,16 +376,12 @@ impl Decoder {
                 need: self.k,
             });
         }
-        // k >= 1 was checked at construction, so at least one share set `len`.
-        let len = len.unwrap_or(0);
+        // k >= 1 was checked at construction, so `chosen` is not empty.
+        let len = chosen.first().map_or(0, |&(_, data)| data.len());
 
         // Fast path: all data shares present among the chosen.
-        if chosen.iter().all(|s| s.index < self.k) {
-            let mut out = vec![Vec::new(); self.k];
-            for s in &chosen {
-                out[s.index] = s.data.clone();
-            }
-            return Ok(out);
+        if chosen.iter().all(|&(index, _)| index < self.k) {
+            return Ok(Vec::new());
         }
 
         // General path: rows of the generator matrix for the received
@@ -393,26 +391,29 @@ impl Decoder {
         // once per matrix cell.
         let gen_rows: Vec<Vec<Gf256>> = chosen
             .iter()
-            .map(|s| {
-                if s.index < self.k {
+            .map(|&(index, _)| {
+                if index < self.k {
                     let mut unit = vec![Gf256::ZERO; self.k];
-                    unit[s.index] = Gf256::ONE;
+                    unit[index] = Gf256::ONE;
                     unit
                 } else {
-                    self.ctx.row(point(s.index))
+                    self.ctx.row(point(index))
                 }
             })
             .collect();
         let gen = Matrix::from_fn(self.k, self.k, |r, c| gen_rows[r][c]);
         let inv = gen.inverse().ok_or(RseError::SingularMatrix)?;
 
-        let mut out = vec![vec![0u8; len]; self.k];
-        for (i, out_pkt) in out.iter_mut().enumerate() {
-            for (r, share) in chosen.iter().enumerate() {
-                bulk::mul_acc_slice_wide(inv[(i, r)], &share.data, out_pkt);
-            }
-        }
-        Ok(out)
+        let missing = (0..self.k).filter(|&i| chosen.iter().all(|&(index, _)| index != i));
+        Ok(missing
+            .map(|i| {
+                let mut row = vec![0u8; len];
+                for (r, &(_, data)) in chosen.iter().enumerate() {
+                    bulk::mul_acc_slice_wide(inv[(i, r)], data, &mut row);
+                }
+                (i, row)
+            })
+            .collect())
     }
 }
 
@@ -760,7 +761,7 @@ mod tests {
             .collect();
         assert_eq!(dec.decode(&all_data).unwrap(), data);
 
-        // A failed decode must not poison the persistent seen-table.
+        // A failed decode leaves nothing behind for the next one.
         let dup = vec![all_data[0].clone(), all_data[0].clone()];
         assert_eq!(dec.decode(&dup), Err(RseError::DuplicateShare(0)));
 

@@ -2,7 +2,7 @@
 //! random loss patterns, and robustness of the share-validation layer.
 
 use proptest::prelude::*;
-use rse::{decode, BlockEncoder, Share};
+use rse::{decode, BlockEncoder, Decoder, Share};
 
 /// Deterministic pseudo-random data block derived from a seed.
 fn block_from_seed(seed: u64, k: usize, len: usize) -> Vec<Vec<u8>> {
@@ -62,6 +62,59 @@ proptest! {
         let survivors = pick_distinct(n, k, pattern);
         let shares: Vec<Share> = survivors.iter().map(|&i| all[i].clone()).collect();
         prop_assert_eq!(decode(k, &shares).unwrap(), data);
+    }
+
+    /// The borrowed-slice decode is `decode(&[Share])` minus the copies:
+    /// it returns exactly the data packets missing from the shares used,
+    /// in index order, byte-equal to the full decode's, and reports the
+    /// same error on the same bad input.
+    #[test]
+    fn slice_decode_rebuilds_only_what_is_missing(
+        seed in any::<u64>(),
+        k in 1usize..20,
+        extra_parities in 0usize..12,
+        len in 1usize..128,
+        pattern in any::<u64>(),
+        spoil in 0usize..5,
+    ) {
+        let data = block_from_seed(seed, k, len);
+        let mut enc = BlockEncoder::new(k).unwrap();
+        let n = k + extra_parities;
+        let mut all: Vec<Share> = Vec::with_capacity(n);
+        for (i, d) in data.iter().enumerate() {
+            all.push(Share { index: i, data: d.clone() });
+        }
+        for j in 0..extra_parities {
+            all.push(Share { index: k + j, data: enc.parity(j, &data).unwrap() });
+        }
+        let survivors = pick_distinct(n, k, pattern);
+        let mut shares: Vec<Share> = survivors.iter().map(|&i| all[i].clone()).collect();
+        // Four ways to spoil the input, and one to leave it alone.
+        match spoil {
+            1 if k > 1 => shares[k - 1].data.push(0),
+            2 => shares[0].index = 255,
+            3 => shares.truncate(k - 1),
+            4 if k > 1 => shares[k - 1].index = shares[0].index,
+            _ => {}
+        }
+
+        let mut dec = Decoder::new(k).unwrap();
+        let full = dec.decode(&shares);
+        let missing = dec.decode_missing(shares.iter().map(|s| (s.index, s.data.as_slice())));
+        match (full, missing) {
+            (Ok(full), Ok(missing)) => {
+                prop_assert_eq!(&full, &data);
+                let held: Vec<usize> = shares.iter().take(k).map(|s| s.index).collect();
+                let want: Vec<usize> = (0..k).filter(|i| !held.contains(i)).collect();
+                let got: Vec<usize> = missing.iter().map(|(i, _)| *i).collect();
+                prop_assert_eq!(got, want, "present rows are not rebuilt");
+                for (i, row) in &missing {
+                    prop_assert_eq!(row, &full[*i]);
+                }
+            }
+            (Err(a), Err(b)) => prop_assert_eq!(a, b),
+            (a, b) => prop_assert!(false, "decode {a:?} but decode_missing {b:?}"),
+        }
     }
 
     /// Fewer than k survivors is always reported as NotEnoughShares, never

@@ -53,6 +53,8 @@ cargo test -q -p keytree --test no_alloc_marks
 cargo test -q -p rekeymsg --test no_alloc_marks
 cargo test -q -p rse --test no_alloc_marks
 cargo test -q -p netsim --test no_alloc_marks
+# A budget, not a zero: a non-serving delivery may cost a share-map node.
+cargo test -q -p rekeyproto --test alloc_budget
 cargo test -q -p grouprekey --test no_alloc_marks
 cargo test -q -p obs --test no_alloc_off
 cargo test -q -p obs --features enabled --test no_alloc_off
