@@ -1,139 +1,23 @@
-//! Bulk (slice-at-a-time) multiply-accumulate kernels.
+//! The bulk (slice-at-a-time) multiply-accumulate kernel.
 //!
 //! [`Gf256::mul_acc_slice`](crate::Gf256::mul_acc_slice) walks the log/exp
 //! tables one byte at a time — two dependent table loads plus a zero test
 //! per byte. That is the textbook formulation, but it is also the inner
-//! loop of Reed–Solomon encoding (`k` passes per parity packet), so the
-//! server spends almost all of its FEC time there. This module provides
-//! two faster formulations:
+//! loop of Reed–Solomon coding (`k` passes per parity packet and per
+//! rebuilt data packet), so a server or a lossy receiver spends almost all
+//! of its FEC time there. [`mul_acc_slice_wide`] is the one kernel the
+//! coder runs: a branch-free carry-less formulation (eight shift/mask steps
+//! per byte, no table loads at all) that LLVM autovectorizes — 32 bytes per
+//! vector op with AVX2.
 //!
-//! * [`MulTable`] — a 256-byte product table built **once per multiplier**;
-//!   a multiply becomes a single L1-resident lookup and the accumulate loop
-//!   processes eight bytes per iteration. Best when one coefficient is
-//!   reused across many bytes and the caller can cache the table.
-//! * [`mul_acc_slice_wide`] — a branch-free carry-less formulation (eight
-//!   shift/mask steps per byte, no table loads at all) that LLVM
-//!   autovectorizes; with AVX2 it processes 32 bytes per vector op and
-//!   clearly outruns both table kernels. This is what the erasure coder's
-//!   hot paths call.
-//!
-//! Both agree byte-for-byte with the scalar path; property tests in
-//! `tests/bulk_kernels.rs` pin that equivalence down, including the
-//! `len ∈ {0, 1, 7, 8, 9}` edges around the eight-byte unroll.
+//! It agrees byte-for-byte with the scalar path, which is kept as its
+//! oracle; property tests in `tests/bulk_kernels.rs` pin that equivalence
+//! down, including the `len ∈ {0, 1, 7, 8, 9}` edges around vector widths.
 
-use crate::tables::{EXP, LOG};
 use crate::Gf256;
 
-/// A per-multiplier product table: `table[x] = coeff * x` for every byte
-/// `x`.
-///
-/// Building the table costs 255 log/exp multiplies (about 256 bytes of
-/// output, so it amortizes after roughly one packet's worth of data); after
-/// that every multiply by this coefficient is one table load. Callers that
-/// reuse a coefficient across many packets can cache one `MulTable` per
-/// coefficient; on targets without wide vector units this is the fastest
-/// kernel available, while on AVX2-class hardware
-/// [`mul_acc_slice_wide`] overtakes it.
-#[derive(Clone)]
-pub struct MulTable {
-    coeff: Gf256,
-    table: [u8; 256],
-}
-
-impl core::fmt::Debug for MulTable {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("MulTable")
-            .field("coeff", &self.coeff)
-            .finish_non_exhaustive()
-    }
-}
-
-impl MulTable {
-    /// Builds the product table for `coeff`.
-    pub fn new(coeff: Gf256) -> Self {
-        let mut table = [0u8; 256];
-        if !coeff.is_zero() {
-            let clog = usize::from(LOG[usize::from(coeff.value())]);
-            let mut x = 1usize;
-            while x < 256 {
-                table[x] = EXP[clog + usize::from(LOG[x])];
-                x += 1;
-            }
-        }
-        MulTable { coeff, table }
-    }
-
-    /// The multiplier this table was built for.
-    pub fn coeff(&self) -> Gf256 {
-        self.coeff
-    }
-
-    /// `coeff * x` as a single table lookup.
-    #[inline]
-    pub fn mul(&self, x: u8) -> u8 {
-        self.table[usize::from(x)]
-    }
-
-    /// Fused multiply-accumulate `dst[i] ^= coeff * src[i]`, eight bytes
-    /// per iteration.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the slices differ in length, mirroring
-    /// [`Gf256::mul_acc_slice`].
-    pub fn mul_acc(&self, src: &[u8], dst: &mut [u8]) {
-        assert_eq!(src.len(), dst.len(), "mul_acc requires equal-length slices");
-        if self.coeff.is_zero() {
-            return;
-        }
-        if self.coeff == Gf256::ONE {
-            xor_slice(src, dst);
-            return;
-        }
-        let t = &self.table;
-        let mut dst_chunks = dst.chunks_exact_mut(8);
-        let mut src_chunks = src.chunks_exact(8);
-        for (d, s) in (&mut dst_chunks).zip(&mut src_chunks) {
-            d[0] ^= t[usize::from(s[0])];
-            d[1] ^= t[usize::from(s[1])];
-            d[2] ^= t[usize::from(s[2])];
-            d[3] ^= t[usize::from(s[3])];
-            d[4] ^= t[usize::from(s[4])];
-            d[5] ^= t[usize::from(s[5])];
-            d[6] ^= t[usize::from(s[6])];
-            d[7] ^= t[usize::from(s[7])];
-        }
-        for (d, s) in dst_chunks
-            .into_remainder()
-            .iter_mut()
-            .zip(src_chunks.remainder())
-        {
-            *d ^= t[usize::from(*s)];
-        }
-    }
-
-    /// In-place multiply `data[i] = coeff * data[i]`.
-    pub fn mul_slice(&self, data: &mut [u8]) {
-        if self.coeff == Gf256::ONE {
-            return;
-        }
-        for b in data.iter_mut() {
-            *b = self.table[usize::from(*b)];
-        }
-    }
-}
-
 /// Plain slice XOR: `dst[i] ^= src[i]` — the `coeff == 1` fast path.
-///
-/// # Panics
-///
-/// Panics when the slices differ in length.
-pub fn xor_slice(src: &[u8], dst: &mut [u8]) {
-    assert_eq!(
-        src.len(),
-        dst.len(),
-        "xor_slice requires equal-length slices"
-    );
+fn xor_slice(src: &[u8], dst: &mut [u8]) {
     for (d, s) in dst.iter_mut().zip(src) {
         *d ^= *s;
     }
@@ -189,35 +73,6 @@ pub fn mul_acc_slice_wide(coeff: Gf256, src: &[u8], dst: &mut [u8]) {
 mod tests {
     use super::*;
 
-    fn scalar_mul(a: u8, b: u8) -> u8 {
-        (Gf256::new(a) * Gf256::new(b)).value()
-    }
-
-    #[test]
-    fn product_table_matches_field_multiply() {
-        for coeff in [0u8, 1, 2, 3, 0x1d, 0x80, 0xfe, 0xff] {
-            let t = MulTable::new(Gf256::new(coeff));
-            assert_eq!(t.coeff().value(), coeff);
-            for x in 0..=255u8 {
-                assert_eq!(t.mul(x), scalar_mul(coeff, x), "coeff={coeff} x={x}");
-            }
-        }
-    }
-
-    #[test]
-    fn table_mul_acc_matches_scalar_kernel() {
-        let src: Vec<u8> = (0..=255).collect();
-        for coeff in [0u8, 1, 2, 0x1d, 0xee] {
-            let coeff = Gf256::new(coeff);
-            let t = MulTable::new(coeff);
-            let mut fast = vec![0x5Au8; src.len()];
-            let mut slow = fast.clone();
-            t.mul_acc(&src, &mut fast);
-            Gf256::mul_acc_slice(coeff, &src, &mut slow);
-            assert_eq!(fast, slow, "coeff = {coeff}");
-        }
-    }
-
     #[test]
     fn wide_mul_acc_matches_scalar_kernel() {
         let src: Vec<u8> = (0..=255).collect();
@@ -232,29 +87,14 @@ mod tests {
     }
 
     #[test]
-    fn unroll_edges_are_exact() {
+    fn vector_width_edges_are_exact() {
         for len in [0usize, 1, 7, 8, 9, 15, 16, 17] {
             let src: Vec<u8> = (0..len).map(|i| (i * 29 + 3) as u8).collect();
-            let t = MulTable::new(Gf256::new(0xc3));
-            let mut a = vec![0x11u8; len];
-            let mut b = a.clone();
-            let mut c = a.clone();
-            t.mul_acc(&src, &mut a);
-            mul_acc_slice_wide(Gf256::new(0xc3), &src, &mut b);
-            Gf256::mul_acc_slice(Gf256::new(0xc3), &src, &mut c);
-            assert_eq!(a, c, "table kernel, len {len}");
-            assert_eq!(b, c, "wide kernel, len {len}");
-        }
-    }
-
-    #[test]
-    fn table_mul_slice_matches_operator() {
-        let t = MulTable::new(Gf256::new(0x8e));
-        let mut data: Vec<u8> = (0..=255).collect();
-        let orig = data.clone();
-        t.mul_slice(&mut data);
-        for (d, o) in data.iter().zip(&orig) {
-            assert_eq!(*d, scalar_mul(0x8e, *o));
+            let mut fast = vec![0x11u8; len];
+            let mut slow = fast.clone();
+            mul_acc_slice_wide(Gf256::new(0xc3), &src, &mut fast);
+            Gf256::mul_acc_slice(Gf256::new(0xc3), &src, &mut slow);
+            assert_eq!(fast, slow, "len {len}");
         }
     }
 
@@ -263,12 +103,5 @@ mod tests {
     fn wide_length_mismatch_panics() {
         let mut dst = [0u8; 3];
         mul_acc_slice_wide(Gf256::ONE, &[1, 2], &mut dst);
-    }
-
-    #[test]
-    #[should_panic(expected = "equal-length")]
-    fn table_length_mismatch_panics() {
-        let mut dst = [0u8; 3];
-        MulTable::new(Gf256::ONE).mul_acc(&[1, 2], &mut dst);
     }
 }

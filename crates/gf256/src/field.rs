@@ -88,8 +88,9 @@ impl Gf256 {
 
     /// Fused multiply-add over a byte slice: `dst[i] ^= coeff * src[i]`.
     ///
-    /// This is the inner loop of Reed–Solomon encoding and decoding; it is
-    /// kept here so the table lookups stay private to the field crate.
+    /// The textbook (log/exp table) form of the Reed–Solomon inner loop,
+    /// kept as the test oracle for [`crate::mul_acc_slice_wide`], which is
+    /// what the coder runs.
     pub fn mul_acc_slice(coeff: Gf256, src: &[u8], dst: &mut [u8]) {
         assert_eq!(
             src.len(),
@@ -109,23 +110,6 @@ impl Gf256 {
         for (d, s) in dst.iter_mut().zip(src) {
             if *s != 0 {
                 *d ^= EXP[clog + LOG[*s as usize] as usize];
-            }
-        }
-    }
-
-    /// Multiplies a byte slice in place by `coeff`.
-    pub fn mul_slice(coeff: Gf256, data: &mut [u8]) {
-        if coeff == Gf256::ONE {
-            return;
-        }
-        if coeff.is_zero() {
-            data.fill(0);
-            return;
-        }
-        let clog = LOG[coeff.0 as usize] as usize;
-        for b in data.iter_mut() {
-            if *b != 0 {
-                *b = EXP[clog + LOG[*b as usize] as usize];
             }
         }
     }
@@ -332,19 +316,6 @@ mod tests {
             }
             assert_eq!(dst, expect, "coeff = {coeff}");
         }
-    }
-
-    #[test]
-    fn mul_slice_matches_scalar_path() {
-        let mut data: Vec<u8> = (0..=255).collect();
-        let orig = data.clone();
-        let coeff = Gf256::new(0x8e);
-        Gf256::mul_slice(coeff, &mut data);
-        for (d, o) in data.iter().zip(&orig) {
-            assert_eq!(Gf256::new(*d), coeff * Gf256::new(*o));
-        }
-        Gf256::mul_slice(Gf256::ZERO, &mut data);
-        assert!(data.iter().all(|&b| b == 0));
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //! row[i] = w_i * l(x) / (x - x_i)               (O(1) per coefficient)
 //! ```
 //!
-//! An erasure coder asks for many rows over the same node set (one per
-//! parity index, and one per surviving parity share during decode), so
-//! [`LagrangeCtx`] amortizes the quadratic part across all of them. In
-//! characteristic 2 every `-` above is `+` (XOR).
+//! An erasure coder asks for many rows over the same node set — one per
+//! parity index over the data points when encoding, one per missing data
+//! packet over the received points when decoding — so [`LagrangeCtx`]
+//! amortizes the quadratic part across all of them. In characteristic 2
+//! every `-` above is `+` (XOR).
 
 use crate::Gf256;
 
@@ -36,7 +37,8 @@ impl LagrangeCtx {
     ///
     /// Returns `None` when two nodes coincide (the weights would divide
     /// by zero).
-    pub fn new(nodes: Vec<Gf256>) -> Option<Self> {
+    pub fn new(nodes: impl IntoIterator<Item = Gf256>) -> Option<Self> {
+        let nodes: Vec<Gf256> = nodes.into_iter().collect();
         let mut weights = Vec::with_capacity(nodes.len());
         for (i, &xi) in nodes.iter().enumerate() {
             let mut denom = Gf256::ONE;
@@ -53,27 +55,6 @@ impl LagrangeCtx {
             weights.push(denom.inv()?);
         }
         Some(LagrangeCtx { nodes, weights })
-    }
-
-    /// Context over the consecutive generator powers `alpha^0 ..
-    /// alpha^(k-1)` — the node set used by the systematic erasure coder.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `k` exceeds the multiplicative group order (255),
-    /// where the powers start repeating.
-    pub fn alpha_consecutive(k: usize) -> Self {
-        assert!(
-            k <= crate::GROUP_ORDER,
-            "alpha^0..alpha^{k} repeats beyond the group order"
-        );
-        let nodes: Vec<Gf256> = (0..k).map(Gf256::alpha_pow).collect();
-        // Consecutive generator powers below the group order are distinct,
-        // so construction cannot fail; the fallback is unreachable.
-        Self::new(nodes).unwrap_or(LagrangeCtx {
-            nodes: Vec::new(),
-            weights: Vec::new(),
-        })
     }
 
     /// Number of interpolation nodes.
@@ -136,6 +117,11 @@ impl LagrangeCtx {
 mod tests {
     use super::*;
 
+    /// Context over `alpha^0 .. alpha^(k-1)`, the erasure coder's data points.
+    fn consecutive(k: usize) -> LagrangeCtx {
+        LagrangeCtx::new((0..k).map(Gf256::alpha_pow)).unwrap()
+    }
+
     /// Textbook O(k²) construction, kept as the test oracle.
     fn naive_row(nodes: &[Gf256], x: Gf256) -> Vec<Gf256> {
         let k = nodes.len();
@@ -158,7 +144,7 @@ mod tests {
     #[test]
     fn matches_naive_construction_off_nodes() {
         for k in [1usize, 2, 3, 8, 64] {
-            let ctx = LagrangeCtx::alpha_consecutive(k);
+            let ctx = consecutive(k);
             for extra in 0..8 {
                 let x = Gf256::alpha_pow(k + extra);
                 assert_eq!(ctx.row(x), naive_row(ctx.nodes(), x), "k={k} +{extra}");
@@ -168,7 +154,7 @@ mod tests {
 
     #[test]
     fn unit_row_at_each_node() {
-        let ctx = LagrangeCtx::alpha_consecutive(5);
+        let ctx = consecutive(5);
         for (i, &node) in ctx.nodes().iter().enumerate() {
             let row = ctx.row(node);
             for (j, &c) in row.iter().enumerate() {
@@ -181,7 +167,7 @@ mod tests {
     #[test]
     fn row_sums_to_one() {
         // The basis rows partition unity: sum_i L_i(x) == 1 for every x.
-        let ctx = LagrangeCtx::alpha_consecutive(7);
+        let ctx = consecutive(7);
         for p in 0..20 {
             let x = Gf256::alpha_pow(p);
             let sum: Gf256 = ctx.row(x).into_iter().sum();
@@ -193,6 +179,8 @@ mod tests {
     fn duplicate_nodes_rejected() {
         let dup = vec![Gf256::new(3), Gf256::new(7), Gf256::new(3)];
         assert!(LagrangeCtx::new(dup).is_none());
+        // alpha^255 == alpha^0: generator powers repeat past the group order.
+        assert!(LagrangeCtx::new((0..256).map(Gf256::alpha_pow)).is_none());
     }
 
     #[test]
@@ -203,11 +191,5 @@ mod tests {
         assert!(!ctx.is_empty());
         let x = Gf256::new(77);
         assert_eq!(ctx.row(x), naive_row(&nodes, x));
-    }
-
-    #[test]
-    #[should_panic(expected = "group order")]
-    fn oversized_node_count_panics() {
-        let _ = LagrangeCtx::alpha_consecutive(256);
     }
 }

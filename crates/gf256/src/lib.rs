@@ -5,15 +5,15 @@
 //! coder; this is a from-scratch equivalent). It provides:
 //!
 //! * [`Gf256`] — a field element with full operator overloads,
-//! * [`poly`] — dense polynomials over the field (evaluation, interpolation),
-//! * [`matrix`] — matrices over the field with Gaussian elimination and
-//!   inversion, plus Vandermonde constructors used to build systematic
-//!   erasure codes,
-//! * [`bulk`] — slice-at-a-time multiply-accumulate kernels (per-multiplier
-//!   product tables and an autovectorizable wide kernel) for the encode/decode
-//!   hot paths,
+//! * [`bulk`] — the slice-at-a-time multiply-accumulate kernel
+//!   ([`mul_acc_slice_wide`], autovectorizable) that both the encode and the
+//!   decode hot path run; the scalar [`Gf256::mul_acc_slice`] is its test
+//!   oracle,
 //! * [`lagrange`] — barycentric Lagrange basis rows: O(k²) weight setup once
-//!   per node set, O(k) per row thereafter.
+//!   per node set, O(k) per row thereafter. One [`LagrangeCtx`] row dotted
+//!   with the packets at its nodes is the whole erasure-code algebra: a
+//!   parity is the data's interpolant evaluated at a new point, a lost data
+//!   packet is the received shares' interpolant evaluated at its own.
 //!
 //! The field is realised as GF(2)\[x\] / (x^8 + x^4 + x^3 + x^2 + 1), i.e.
 //! reduction polynomial `0x11d`, with generator `alpha = 0x02`. All
@@ -42,14 +42,10 @@ mod tables;
 
 pub mod bulk;
 pub mod lagrange;
-pub mod matrix;
-pub mod poly;
 
-pub use bulk::{mul_acc_slice_wide, MulTable};
+pub use bulk::mul_acc_slice_wide;
 pub use field::Gf256;
 pub use lagrange::LagrangeCtx;
-pub use matrix::Matrix;
-pub use poly::Poly;
 
 /// The reduction polynomial of the field, x^8 + x^4 + x^3 + x^2 + 1.
 pub const REDUCTION_POLY: u16 = 0x11d;

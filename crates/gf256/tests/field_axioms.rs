@@ -1,7 +1,6 @@
-//! Property-based verification of the GF(2^8) field axioms and of the
-//! linear-algebra layer built on top of them.
+//! Property-based verification of the GF(2^8) field axioms.
 
-use gf256::{Gf256, Matrix, Poly};
+use gf256::Gf256;
 use proptest::prelude::*;
 
 fn elem() -> impl Strategy<Value = Gf256> {
@@ -60,54 +59,5 @@ proptest! {
         let mut dst2 = dst.clone();
         Gf256::mul_acc_slice(coeff, &data, &mut dst2);
         prop_assert!(dst2.iter().all(|&b| b == 0));
-    }
-
-    #[test]
-    fn interpolation_inverts_evaluation(
-        coeffs in proptest::collection::vec(any::<u8>(), 1..8),
-    ) {
-        let p = Poly::from_coeffs(coeffs.iter().map(|&c| Gf256::new(c)).collect());
-        let n = coeffs.len();
-        let points: Vec<(Gf256, Gf256)> = (0..n)
-            .map(|i| {
-                let x = Gf256::alpha_pow(i);
-                (x, p.eval(x))
-            })
-            .collect();
-        prop_assert_eq!(Poly::interpolate(&points), p);
-    }
-
-    #[test]
-    fn square_matrix_inverse_round_trip(seed in any::<u64>(), n in 1usize..6) {
-        // Derive a deterministic matrix from the seed; skip singular ones.
-        let m = Matrix::from_fn(n, n, |r, c| {
-            let x = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add((r * 31 + c * 17 + 1) as u64);
-            Gf256::new((x >> 32) as u8)
-        });
-        if let Some(inv) = m.inverse() {
-            prop_assert_eq!(m.mul(&inv), Matrix::identity(n));
-            prop_assert_eq!(inv.mul(&m), Matrix::identity(n));
-        } else {
-            prop_assert!(m.rank() < n);
-        }
-    }
-
-    #[test]
-    fn vandermonde_subsets_invert(rows in 1usize..12, k in 1usize..8, pick in any::<u64>()) {
-        prop_assume!(rows >= k);
-        let m = Matrix::vandermonde(rows, k);
-        // Pick k distinct rows deterministically from `pick`.
-        let mut selected: Vec<usize> = (0..rows).collect();
-        let mut state = pick;
-        for i in (1..selected.len()).rev() {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let j = (state >> 33) as usize % (i + 1);
-            selected.swap(i, j);
-        }
-        selected.truncate(k);
-        let sub = m.select_rows(&selected);
-        prop_assert!(sub.inverse().is_some(), "rows {:?} must invert", selected);
     }
 }

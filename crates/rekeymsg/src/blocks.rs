@@ -425,7 +425,7 @@ mod tests {
                 data: p.body.clone(),
             });
         }
-        let bodies = rse::decode(5, &shares).unwrap();
+        let bodies = rse::Decoder::new(5).unwrap().decode(&shares).unwrap();
         for (s, body) in bodies.iter().enumerate() {
             let rebuilt = EncPacket::from_fec_body(body, &layout(), 3, 0, s as u8).unwrap();
             assert_eq!(rebuilt.entries, blk.packets[s].entries);

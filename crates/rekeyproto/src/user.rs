@@ -68,8 +68,8 @@ pub struct UserSession {
     /// Received shares: block -> share index -> the frame as it arrived;
     /// its FEC body is what the server's parity was computed over.
     shares: BTreeMap<u8, BTreeMap<usize, Arc<[u8]>>>,
-    /// Persistent FEC decoder, built on first use: the O(k²) Lagrange
-    /// setup is paid once per session, not per decode attempt.
+    /// FEC decoder for block size `k` (`None`: `k` is no valid block size,
+    /// so nothing can ever be decoded).
     decoder: Option<rse::Decoder>,
     estimator: Option<BlockIdEstimator>,
     max_block_seen: Option<u8>,
@@ -92,7 +92,7 @@ impl UserSession {
             expected_msg_id: None,
             msg_id: None,
             shares: BTreeMap::new(),
-            decoder: None,
+            decoder: rse::Decoder::new(k).ok(),
             estimator: None,
             max_block_seen: None,
             outcome: UserOutcome::Pending,
@@ -234,9 +234,6 @@ impl UserSession {
             .map(|(&b, _)| b)
             .collect();
         for b in candidates {
-            if self.decoder.is_none() {
-                self.decoder = rse::Decoder::new(self.k).ok();
-            }
             let Some(decoder) = self.decoder.as_ref() else {
                 return;
             };

@@ -1,15 +1,18 @@
 //! The encoder/decoder core.
 //!
-//! Both directions are built on the `gf256` bulk kernels: coefficient
-//! rows come from a per-coder [`LagrangeCtx`] (O(k²) weight setup once,
-//! O(k) per row) and the byte loops go through the autovectorized
-//! `mul_acc_slice_wide` kernel. Rows are cached inside the coder, so the
-//! quadratic setup and the per-row construction are both paid once per
-//! coder lifetime, not per packet — and cloning a warmed [`BlockEncoder`]
-//! clones its caches, which is how a server shares the setup cost across
-//! the blocks of every message it sends.
+//! Both directions are the same algebra: a block is a degree-`< k`
+//! polynomial per byte position, a packet is its value at one point, and
+//! the packet at any other point is one [`LagrangeCtx`] row over `k` known
+//! points (O(k²) weight setup per node set, O(k) per row) dotted with the
+//! packets at those points through the autovectorized `mul_acc_slice_wide`
+//! kernel. The encoder's node set is fixed — the `k` data points — so its
+//! context and rows are cached inside the coder, paid once per coder
+//! lifetime rather than per packet, and cloning a warmed [`BlockEncoder`]
+//! clones them, which is how a server shares the setup cost across the
+//! blocks of every message it sends. The decoder's node set is whichever
+//! `k` points arrived, so it interpolates over those directly.
 
-use gf256::{bulk, Gf256, LagrangeCtx, Matrix};
+use gf256::{bulk, Gf256, LagrangeCtx};
 
 /// Maximum number of code symbols (data + parity) per block: the number of
 /// distinct evaluation points available in GF(2^8)*.
@@ -50,10 +53,6 @@ pub enum RseError {
         /// Packets required (the block size `k`).
         need: usize,
     },
-    /// The decode matrix was singular. Unreachable for distinct evaluation
-    /// points (the MDS property); surfaced as an error rather than a panic
-    /// so the decoder is total.
-    SingularMatrix,
 }
 
 impl core::fmt::Display for RseError {
@@ -75,14 +74,13 @@ impl core::fmt::Display for RseError {
             RseError::WrongDataCount { got, need } => {
                 write!(f, "expected {need} data packets, got {got}")
             }
-            RseError::SingularMatrix => write!(f, "decode matrix is singular"),
         }
     }
 }
 
 impl std::error::Error for RseError {}
 
-/// One received code symbol handed to [`decode`].
+/// One received code symbol handed to [`Decoder::decode`].
 ///
 /// `index < k` means "data packet `index`"; `index >= k` means "parity
 /// packet `index - k`".
@@ -123,9 +121,12 @@ impl BlockEncoder {
         if k == 0 || k >= MAX_SYMBOLS {
             return Err(RseError::InvalidBlockSize(k));
         }
+        // The data points alpha^0 .. alpha^(k-1) are distinct below the
+        // field limit, so the context exists for every k admitted above.
+        let ctx = LagrangeCtx::new((0..k).map(point)).ok_or(RseError::InvalidBlockSize(k))?;
         Ok(BlockEncoder {
             k,
-            ctx: LagrangeCtx::alpha_consecutive(k),
+            ctx,
             rows: Vec::new(),
             rows_built: 0,
         })
@@ -268,31 +269,16 @@ impl BlockEncoder {
         }
         Ok(())
     }
-
-    /// Encodes a consecutive run of parity packets
-    /// `first .. first + count`.
-    pub fn parities<D: AsRef<[u8]>>(
-        &mut self,
-        first: usize,
-        count: usize,
-        data: &[D],
-    ) -> Result<Vec<Vec<u8>>, RseError> {
-        (first..first + count)
-            .map(|j| self.parity(j, data))
-            .collect()
-    }
 }
 
-/// Reusable decoder for blocks of size `k`.
+/// Decoder for blocks of size `k`.
 ///
-/// Holds the barycentric Lagrange context across calls, so a receiver
-/// decoding a stream of blocks pays the O(k²) setup once instead of per
-/// packet-loss event. The free function [`decode`] remains as a thin
-/// one-shot wrapper.
+/// Holds nothing but `k`: which points a block is interpolated over
+/// depends on which shares arrived, so the [`LagrangeCtx`] is built per
+/// decode, over exactly those points.
 #[derive(Debug, Clone)]
 pub struct Decoder {
     k: usize,
-    ctx: LagrangeCtx,
 }
 
 impl Decoder {
@@ -301,10 +287,7 @@ impl Decoder {
         if k == 0 || k >= MAX_SYMBOLS {
             return Err(RseError::InvalidBlockSize(k));
         }
-        Ok(Decoder {
-            k,
-            ctx: LagrangeCtx::alpha_consecutive(k),
-        })
+        Ok(Decoder { k })
     }
 
     /// The block size `k`.
@@ -337,9 +320,11 @@ impl Decoder {
     /// packets that are *not* among the first `k` of them, as `(data
     /// index, packet)` in index order: a receiver that kept the data
     /// packets it was sent needs no copy of them. Validation is
-    /// [`Decoder::decode`]'s; the cost is a `k x k` matrix inversion plus
-    /// `k` multiply-accumulate passes per missing packet, and nothing at
-    /// all when no data packet is missing.
+    /// [`Decoder::decode`]'s. Missing packet `i` is the interpolant through
+    /// the `k` chosen shares evaluated at `point(i)`, so the cost is one
+    /// O(k²) weight setup over the chosen points, then an O(k) coefficient
+    /// row and `k` multiply-accumulate passes per missing packet — and
+    /// nothing at all when no data packet is missing.
     pub fn decode_missing<'a>(
         &self,
         shares: impl IntoIterator<Item = (usize, &'a [u8])>,
@@ -379,57 +364,39 @@ impl Decoder {
         // k >= 1 was checked at construction, so `chosen` is not empty.
         let len = chosen.first().map_or(0, |&(_, data)| data.len());
 
-        // Fast path: all data shares present among the chosen.
-        if chosen.iter().all(|&(index, _)| index < self.k) {
+        // Fast path: all data shares present among the chosen (which are
+        // distinct, so counting them is enough).
+        let missing = self.k - chosen.iter().filter(|&&(index, _)| index < self.k).count();
+        if missing == 0 {
             return Ok(Vec::new());
         }
 
-        // General path: rows of the generator matrix for the received
-        // indices. A data share i < k contributes the unit vector e_i; a
-        // parity at global index j contributes the Lagrange row at x_j.
-        // Each row is built once (O(k) via the barycentric context), not
-        // once per matrix cell.
-        let gen_rows: Vec<Vec<Gf256>> = chosen
-            .iter()
-            .map(|&(index, _)| {
-                if index < self.k {
-                    let mut unit = vec![Gf256::ZERO; self.k];
-                    unit[index] = Gf256::ONE;
-                    unit
-                } else {
-                    self.ctx.row(point(index))
-                }
-            })
-            .collect();
-        let gen = Matrix::from_fn(self.k, self.k, |r, c| gen_rows[r][c]);
-        let inv = gen.inverse().ok_or(RseError::SingularMatrix)?;
-
-        let missing = (0..self.k).filter(|&i| chosen.iter().all(|&(index, _)| index != i));
-        Ok(missing
-            .map(|i| {
-                let mut row = vec![0u8; len];
-                for (r, &(_, data)) in chosen.iter().enumerate() {
-                    bulk::mul_acc_slice_wide(inv[(i, r)], data, &mut row);
-                }
-                (i, row)
-            })
-            .collect())
+        // Distinct indices below the field limit are distinct points, so
+        // the context exists; coinciding points could only be one share
+        // supplied twice.
+        let ctx = LagrangeCtx::new(chosen.iter().map(|&(index, _)| point(index)))
+            .ok_or(RseError::DuplicateShare(chosen[0].0))?;
+        let mut coeffs = vec![Gf256::ZERO; self.k];
+        let mut rebuilt = Vec::with_capacity(missing);
+        for i in (0..self.k).filter(|&i| chosen.iter().all(|&(index, _)| index != i)) {
+            ctx.row_into(point(i), &mut coeffs);
+            let mut row = vec![0u8; len];
+            for (&coeff, &(_, data)) in coeffs.iter().zip(&chosen) {
+                bulk::mul_acc_slice_wide(coeff, data, &mut row);
+            }
+            rebuilt.push((i, row));
+        }
+        Ok(rebuilt)
     }
-}
-
-/// One-shot reconstruction of the `k` original data packets from any `k`
-/// distinct shares.
-///
-/// Thin wrapper constructing a fresh [`Decoder`] per call; loops that
-/// decode repeatedly at the same `k` should hold a [`Decoder`] instead to
-/// amortize its setup.
-pub fn decode(k: usize, shares: &[Share]) -> Result<Vec<Vec<u8>>, RseError> {
-    Decoder::new(k)?.decode(shares)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn decode(k: usize, shares: &[Share]) -> Result<Vec<Vec<u8>>, RseError> {
+        Decoder::new(k)?.decode(shares)
+    }
 
     fn block(k: usize, len: usize) -> Vec<Vec<u8>> {
         (0..k)
@@ -687,12 +654,15 @@ mod tests {
         let data = block(k, 64);
         let mut enc = BlockEncoder::new(k).unwrap();
         assert_eq!(enc.rows_built(), 0);
-        let first = enc.parities(0, 3, &data).unwrap();
+        let three = |enc: &mut BlockEncoder| -> Vec<Vec<u8>> {
+            (0..3).map(|j| enc.parity(j, &data).unwrap()).collect()
+        };
+        let first = three(&mut enc);
         assert_eq!(enc.rows_built(), 3, "one row per distinct parity index");
         // Re-encoding the same indices (same or different data) must not
         // rebuild or clone any row.
-        let again = enc.parities(0, 3, &data).unwrap();
-        assert_eq!(enc.rows_built(), 3, "no recompute across parities() calls");
+        let again = three(&mut enc);
+        assert_eq!(enc.rows_built(), 3, "no recompute across parity() calls");
         assert_eq!(first, again);
         let other = block(k, 64)
             .into_iter()
@@ -716,7 +686,9 @@ mod tests {
         proto.warm(5).unwrap();
         assert_eq!(proto.rows_built(), 5);
         let mut clone = proto.clone();
-        clone.parities(0, 5, &data).unwrap();
+        for j in 0..5 {
+            clone.parity(j, &data).unwrap();
+        }
         assert_eq!(clone.rows_built(), 5, "warm rows reused, none rebuilt");
         assert!(matches!(
             BlockEncoder::new(250).unwrap().warm(6),

@@ -1,12 +1,11 @@
-//! Analytic cost model for FEC encoding/decoding time.
+//! Analytic cost model for FEC encoding time.
 //!
 //! The paper's Figure 8 (right) reports *relative* overall FEC encoding
 //! time, normalising the cost of producing one parity packet for block size
 //! `k` to `k` time units (L. Rizzo's coder: one parity packet costs `k`
 //! multiply-accumulate passes over the packet body). This module captures
-//! that model so the benchmark binaries can report encoding time in the
-//! same units as the paper, independent of host speed, alongside measured
-//! wall-clock times from the criterion benches.
+//! that model so the figure and benchmark binaries can report encoding
+//! time in the same units as the paper, independent of host speed.
 
 /// Cost, in multiply-accumulate passes over one packet body, of encoding
 /// one parity packet for a block of `k` data packets.
@@ -26,21 +25,6 @@ pub fn total_encoding_units(k: usize, parities_per_block: &[u64]) -> u64 {
         .sum()
 }
 
-/// Decoding cost model for one user: reconstructing a block from `r`
-/// received data packets and `k - r` parities costs a `k x k` matrix solve
-/// (only counted when parities are actually used) plus `k` multiply-
-/// accumulate passes per missing packet.
-pub fn decode_units(k: usize, data_received: usize) -> u64 {
-    let missing = k.saturating_sub(data_received);
-    if missing == 0 {
-        return 0;
-    }
-    // Matrix inversion ~ k^3 field ops amortised over len-byte packets is
-    // negligible next to the k passes per recovered packet for realistic
-    // packet sizes; we follow the paper in counting passes only.
-    (missing as u64) * (k as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -57,17 +41,5 @@ mod tests {
         // 3 blocks needing 2, 0, 5 parities at k = 10.
         assert_eq!(total_encoding_units(10, &[2, 0, 5]), 70);
         assert_eq!(total_encoding_units(10, &[]), 0);
-    }
-
-    #[test]
-    fn decode_free_when_all_data_received() {
-        assert_eq!(decode_units(10, 10), 0);
-        assert_eq!(decode_units(10, 12), 0);
-    }
-
-    #[test]
-    fn decode_cost_scales_with_missing() {
-        assert_eq!(decode_units(10, 9), 10);
-        assert_eq!(decode_units(10, 0), 100);
     }
 }

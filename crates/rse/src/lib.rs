@@ -16,15 +16,18 @@
 //!
 //! The construction views the `k` data packets as the values of a degree
 //! `< k` polynomial (per byte position) at evaluation points
-//! `x_i = alpha^i`; parity `j` is the evaluation at `x_{k+j}`. Encoding a
-//! parity packet costs `k` multiply-accumulate passes over the packet body,
-//! i.e. time linear in `k` for fixed packet length — exactly the cost model
-//! the paper's "FEC encoding time vs block size" figure assumes.
+//! `x_i = alpha^i`; parity `j` is the evaluation at `x_{k+j}`, and a lost
+//! data packet `i` is the same polynomial — interpolated through whichever
+//! `k` packets arrived — evaluated at `x_i`. Either way one packet costs
+//! `k` multiply-accumulate passes over the packet body, i.e. time linear in
+//! `k` for fixed packet length — exactly the cost model the paper's "FEC
+//! encoding time vs block size" figure assumes. There is no generator
+//! matrix and no inversion anywhere in the crate.
 //!
 //! # Example
 //!
 //! ```
-//! use rse::{BlockEncoder, decode, Share};
+//! use rse::{BlockEncoder, Decoder, Share};
 //!
 //! let data: Vec<Vec<u8>> = vec![b"pkt-0".to_vec(), b"pkt-1".to_vec(), b"pkt-2".to_vec()];
 //! let mut enc = BlockEncoder::new(3).unwrap();
@@ -37,7 +40,7 @@
 //!     Share { index: 3, data: p0 },  // parity j has share index k + j
 //!     Share { index: 4, data: p1 },
 //! ];
-//! let recovered = decode(3, &shares).unwrap();
+//! let recovered = Decoder::new(3).unwrap().decode(&shares).unwrap();
 //! assert_eq!(recovered, data);
 //! ```
 
@@ -45,10 +48,10 @@
 #![warn(missing_docs)]
 
 mod coder;
-/// Encode/decode operation-count models used by the figure experiments.
+/// Encoding operation-count model used by the figure experiments.
 pub mod cost;
 /// Deep encode→erase→decode self-checks (tests / `--features sanitize`).
 #[cfg(any(test, feature = "sanitize"))]
 pub mod sanitize;
 
-pub use coder::{decode, BlockEncoder, Decoder, RseError, Share, MAX_SYMBOLS};
+pub use coder::{BlockEncoder, Decoder, RseError, Share, MAX_SYMBOLS};

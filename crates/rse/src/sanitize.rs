@@ -8,7 +8,7 @@
 //! back byte for byte. The sim/driver runs it on every block of every
 //! rekey message when built with `--features sanitize`.
 
-use crate::coder::{decode, BlockEncoder, Share};
+use crate::coder::{BlockEncoder, Decoder, Share};
 
 /// Turns the `k` data bodies into data shares with indices `0..k`.
 fn data_shares(bodies: &[Vec<u8>]) -> Vec<Share> {
@@ -29,7 +29,9 @@ fn decode_and_compare(
     bodies: &[Vec<u8>],
     what: &str,
 ) -> Result<(), String> {
-    let recovered = decode(k, shares).map_err(|e| format!("{what}: decode failed: {e}"))?;
+    let recovered = Decoder::new(k)
+        .and_then(|mut dec| dec.decode(shares))
+        .map_err(|e| format!("{what}: decode failed: {e}"))?;
     if recovered != bodies {
         return Err(format!("{what}: decoded bodies differ from originals"));
     }
@@ -43,8 +45,8 @@ fn decode_and_compare(
 /// 1. decoding from the data shares alone is the identity;
 /// 2. erasing the **first** `p` data shares and substituting the parities
 ///    still recovers every body;
-/// 3. erasing the **last** `p` data shares likewise (a different
-///    Vandermonde submatrix, so this is not redundant with 2).
+/// 3. erasing the **last** `p` data shares likewise (different points
+///    missing and held, so this is not redundant with 2).
 ///
 /// `p` is `parities` capped at both `k` and the field limit. Returns the
 /// first violation as text; the caller decides whether to panic.

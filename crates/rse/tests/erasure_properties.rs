@@ -1,8 +1,76 @@
 //! Property-based tests: the MDS "any k of n decodes" guarantee under
-//! random loss patterns, and robustness of the share-validation layer.
+//! random loss patterns, and robustness of the share-validation layer —
+//! plus exhaustive sweeps of the small and extreme block sizes the random
+//! patterns do not reach.
 
 use proptest::prelude::*;
-use rse::{decode, BlockEncoder, Decoder, Share};
+use rse::{BlockEncoder, Decoder, RseError, Share};
+
+/// One-shot decode with a fresh decoder.
+fn decode(k: usize, shares: &[Share]) -> Result<Vec<Vec<u8>>, RseError> {
+    Decoder::new(k)?.decode(shares)
+}
+
+/// The block's `k` data shares followed by its first `parities` parity
+/// shares, in share-index order.
+fn all_shares(data: &[Vec<u8>], parities: usize) -> Vec<Share> {
+    let k = data.len();
+    let mut enc = BlockEncoder::new(k).unwrap();
+    let mut all: Vec<Share> = (data.iter().cloned().enumerate())
+        .map(|(index, data)| Share { index, data })
+        .collect();
+    for j in 0..parities {
+        all.push(Share {
+            index: k + j,
+            data: enc.parity(j, data).unwrap(),
+        });
+    }
+    all
+}
+
+/// Every k-subset — not a sample — of the k + 3 shares decodes to the
+/// original block, for every k in 1..=6 (k = 1 included: every share is
+/// then a copy of the one data packet).
+#[test]
+fn every_k_subset_of_small_blocks_decodes() {
+    for k in 1..=6usize {
+        let data = block_from_seed(k as u64, k, 24);
+        let all = all_shares(&data, 3);
+        let n = all.len();
+        let mut subsets = 0;
+        for mask in 0u32..1 << n {
+            if mask.count_ones() as usize != k {
+                continue;
+            }
+            let shares: Vec<Share> = (0..n)
+                .filter(|i| mask >> i & 1 == 1)
+                .map(|i| all[i].clone())
+                .collect();
+            assert_eq!(decode(k, &shares).unwrap(), data, "k {k} mask {mask:#b}");
+            subsets += 1;
+        }
+        // C(k + 3, k) = C(k + 3, 3).
+        assert_eq!(subsets, (k + 3) * (k + 2) * (k + 1) / 6, "k {k}");
+    }
+}
+
+/// The largest block the field admits has exactly one parity; it must
+/// stand in for any single lost data packet.
+#[test]
+fn largest_block_repairs_any_single_loss_with_its_only_parity() {
+    let k = 254;
+    let data = block_from_seed(254, k, 16);
+    let all = all_shares(&data, 1);
+    assert_eq!(all.len(), rse::MAX_SYMBOLS);
+    let dec = Decoder::new(k).unwrap();
+    for (lost, body) in data.iter().enumerate() {
+        let held = (all.iter())
+            .filter(|s| s.index != lost)
+            .map(|s| (s.index, s.data.as_slice()));
+        let rebuilt = dec.decode_missing(held).unwrap();
+        assert_eq!(rebuilt, vec![(lost, body.clone())], "lost {lost}");
+    }
+}
 
 /// Deterministic pseudo-random data block derived from a seed.
 fn block_from_seed(seed: u64, k: usize, len: usize) -> Vec<Vec<u8>> {
@@ -127,20 +195,12 @@ proptest! {
         pattern in any::<u64>(),
     ) {
         let data = block_from_seed(seed, k, len);
-        let mut enc = BlockEncoder::new(k).unwrap();
-        let mut all: Vec<Share> = data
-            .iter()
-            .enumerate()
-            .map(|(i, d)| Share { index: i, data: d.clone() })
-            .collect();
-        for j in 0..3 {
-            all.push(Share { index: k + j, data: enc.parity(j, &data).unwrap() });
-        }
+        let all = all_shares(&data, 3);
         let survivors = pick_distinct(all.len(), k - 1, pattern);
         let shares: Vec<Share> = survivors.iter().map(|&i| all[i].clone()).collect();
         let failed = matches!(
             decode(k, &shares),
-            Err(rse::RseError::NotEnoughShares { .. })
+            Err(RseError::NotEnoughShares { .. })
         );
         prop_assert!(failed);
     }

@@ -1,9 +1,10 @@
 //! Dynamic half of the `// xcheck: no_alloc` contract for
 //! [`BlockEncoder::parity_into`]: once the coefficient-row cache is warm,
 //! encoding a parity packet into a caller-provided buffer must perform
-//! zero heap allocations.
+//! zero heap allocations. The decode side gets a budget, not a zero: it
+//! returns owned packets, but nothing it allocates may scale with `k²`.
 
-use rse::BlockEncoder;
+use rse::{BlockEncoder, Decoder};
 
 #[global_allocator]
 static ALLOC: xcheck_rt::CountingAlloc = xcheck_rt::CountingAlloc;
@@ -43,4 +44,38 @@ fn parity_into_is_allocation_free_with_a_warm_row_cache() {
     xcheck_rt::assert_zero_alloc("BlockEncoder::parity_into (rewarmed)", || {
         enc.parity_into(8, &data, &mut out).unwrap()
     });
+}
+
+#[test]
+fn decode_missing_allocates_per_missing_row_not_per_share() {
+    xcheck_rt::assert_counting();
+
+    let (k, e, len) = (32, 6, 128);
+    let data: Vec<Vec<u8>> = (0..k)
+        .map(|i| (0..len).map(|j| (i * 31 + j) as u8).collect())
+        .collect();
+    let mut enc = BlockEncoder::new(k).unwrap();
+    let parities: Vec<Vec<u8>> = (0..e).map(|j| enc.parity(j, &data).unwrap()).collect();
+    // Data packets 0..e are lost; the first e parities stand in for them.
+    let held = || {
+        let data = (e..k).map(|i| (i, data[i].as_slice()));
+        data.chain((0..e).map(|j| (k + j, parities[j].as_slice())))
+    };
+    let dec = Decoder::new(k).unwrap();
+    // One unmeasured call, as above (obs slot registration).
+    dec.decode_missing(held()).unwrap();
+
+    // The chosen-share list, the interpolation context's nodes and
+    // weights, one coefficient row reused across the missing packets, the
+    // result vector, and one body per missing packet. No per-share
+    // coefficient vectors and nothing k x k.
+    let (allocs, rebuilt) = xcheck_rt::count_in(|| dec.decode_missing(held()).unwrap());
+    assert_eq!(allocs, e as u64 + 5, "decode_missing allocation budget");
+    let want: Vec<(usize, Vec<u8>)> = (0..e).map(|i| (i, data[i].clone())).collect();
+    assert_eq!(rebuilt, want);
+
+    // Nothing missing among the chosen shares: only the chosen-share list.
+    let all_data = || data.iter().enumerate().map(|(i, d)| (i, d.as_slice()));
+    let (allocs, rebuilt) = xcheck_rt::count_in(|| dec.decode_missing(all_data()).unwrap());
+    assert_eq!((allocs, rebuilt.len()), (1, 0), "no-loss fast path");
 }

@@ -29,10 +29,14 @@ const PANIC_FREE_CRATES: [&str; 10] = [
 ];
 
 /// Files in which `as` casts to narrower integer types are forbidden
-/// (GF(2^8) field and matrix cores, where a silent truncation corrupts
-/// algebra instead of crashing).
-const NO_TRUNCATING_CAST_FILES: [&str; 2] =
-    ["crates/gf256/src/field.rs", "crates/gf256/src/matrix.rs"];
+/// (the GF(2^8) code the erasure coder runs — field, interpolation rows,
+/// bulk kernel — where a silent truncation corrupts algebra instead of
+/// crashing).
+const NO_TRUNCATING_CAST_FILES: [&str; 3] = [
+    "crates/gf256/src/field.rs",
+    "crates/gf256/src/lagrange.rs",
+    "crates/gf256/src/bulk.rs",
+];
 
 /// Crates whose entire `pub` surface must carry doc comments.
 const DOCUMENTED_CRATES: [&str; 7] = [
@@ -150,8 +154,8 @@ pub const RULES: [RuleInfo; 9] = [
     },
     RuleInfo {
         id: "no-truncating-cast-in-gf256",
-        description: "no `as` casts to narrower integer types in the GF(2^8) field/matrix core",
-        scope: "crates/gf256/src/field.rs, crates/gf256/src/matrix.rs",
+        description: "no `as` casts to narrower integer types in the GF(2^8) field, interpolation and bulk-kernel code",
+        scope: "crates/gf256/src/field.rs, crates/gf256/src/lagrange.rs, crates/gf256/src/bulk.rs",
     },
     RuleInfo {
         id: "documented-pub-api",
@@ -1248,14 +1252,21 @@ mod tests {
                     #[cfg(test)]\n\
                     mod tests { fn t(c: usize) -> u8 { c as u8 } }\n";
         let outcome = run_all(&[
-            file("gf256", "crates/gf256/src/matrix.rs", false, text),
+            file("gf256", "crates/gf256/src/lagrange.rs", false, text),
+            file("gf256", "crates/gf256/src/bulk.rs", false, text),
             file("gf256", "crates/gf256/src/tables.rs", false, text),
         ]);
         let flagged = &rule(&outcome, "no-truncating-cast-in-gf256").violations;
-        assert_eq!(flagged.len(), 1, "matrix.rs non-test narrowing cast only");
+        let at: Vec<(&str, u32)> = (flagged.iter())
+            .map(|v| (v.file.as_str(), v.line))
+            .collect();
+        let want = [
+            ("crates/gf256/src/lagrange.rs", 2),
+            ("crates/gf256/src/bulk.rs", 2),
+        ];
         assert_eq!(
-            (flagged[0].file.as_str(), flagged[0].line),
-            ("crates/gf256/src/matrix.rs", 2)
+            at, want,
+            "non-test narrowing casts of the scoped files only"
         );
     }
 

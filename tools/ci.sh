@@ -51,7 +51,10 @@ stage "dynamic no-alloc harness (xcheck-rt counting allocator)"
 cargo test -q -p xcheck-rt
 cargo test -q -p keytree --test no_alloc_marks
 cargo test -q -p rekeymsg --test no_alloc_marks
+# Encode is pinned at zero; decode_missing at e + 5 for e rebuilt packets
+# (no per-share coefficient vectors, nothing k x k) — with spans on, too.
 cargo test -q -p rse --test no_alloc_marks
+cargo test -q -p rse --features obs --test no_alloc_marks
 cargo test -q -p netsim --test no_alloc_marks
 # A budget, not a zero: a non-serving delivery may cost a share-map node.
 cargo test -q -p rekeyproto --test alloc_budget
