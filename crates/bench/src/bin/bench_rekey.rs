@@ -6,7 +6,9 @@
 //! * `encode` — single-thread FEC parity throughput at k = 64, packet
 //!   length 1024, rows warm.
 //! * `decode` — block reconstruction latency with half the data erased,
-//!   through a persistent [`rse::Decoder`].
+//!   through a persistent [`rse::Decoder`], and beside it the latency of
+//!   rebuilding one missing packet of the same block (`first_row_ms`:
+//!   what a receiver that needs one packet pays).
 //! * `parallel` — bit-for-bit identity of the parallel proactive encode
 //!   against a single-worker run of the same message.
 //! * `batch_rekey` — end-to-end wall time of one server batch (marking,
@@ -15,7 +17,8 @@
 //!
 //! Flags are the shared report flags (`bench::report`): `--smoke` shrinks
 //! measurement windows/reps (same sections, same JSON shape); `--check`
-//! fails on a report that is malformed or records a parallel mismatch;
+//! fails on a report that is malformed, records a parallel mismatch or
+//! has one row costing more than a quarter of the whole decode;
 //! `--obs-out <path>` (or `REKEY_OBS=1`) dumps the metrics snapshot
 //! collected during the run — JSON to the path, human table to stderr;
 //! `--trace-out <path>` records the `batch_rekey` section in the flight
@@ -110,6 +113,7 @@ fn bench_encode(effort: Effort) -> f64 {
 struct DecodeReport {
     erasures: usize,
     decode_ms: f64,
+    first_row_ms: f64,
 }
 
 fn bench_decode(effort: Effort) -> DecodeReport {
@@ -135,9 +139,18 @@ fn bench_decode(effort: Effort) -> DecodeReport {
     let rate = ops_per_sec(effort, || {
         black_box(decoder.decode(&shares)).unwrap();
     });
+    // What a receiver pays: the same block validated, one packet rebuilt.
+    let mut row = Vec::new();
+    let first_row_rate = ops_per_sec(effort, || {
+        let borrowed = shares.iter().map(|s| (s.index, s.data.as_slice()));
+        let missing = decoder.decode_missing(borrowed).unwrap();
+        missing.row_into(0, &mut row).unwrap();
+        black_box(&row);
+    });
     DecodeReport {
         erasures,
         decode_ms: 1000.0 / rate,
+        first_row_ms: 1000.0 / first_row_rate,
     }
 }
 
@@ -260,6 +273,7 @@ fn render(
     codec_section(&mut w, "decode");
     w.field_u64("erasures", dec.erasures as u64);
     report::measured(&mut w, "decode_ms", dec.decode_ms);
+    report::measured(&mut w, "first_row_ms", dec.first_row_ms);
     w.end_object();
     w.key("parallel");
     w.begin_object();
@@ -289,7 +303,10 @@ fn run(cli: &Cli) -> std::io::Result<String> {
     eprintln!("  {parity_pps:.0} pps");
     eprintln!("decode: k={ENCODE_K} half erased");
     let dec = bench_decode(effort);
-    eprintln!("  {:.3} ms", dec.decode_ms);
+    eprintln!(
+        "  {:.3} ms, first row {:.4} ms",
+        dec.decode_ms, dec.first_row_ms
+    );
     eprintln!("parallel: encode identity check");
     let par = bench_parallel();
     eprintln!(

@@ -423,6 +423,7 @@ pub static REKEY: Spec = Spec {
         ("decode.packet_len", Id),
         ("decode.erasures", Id),
         ("decode.decode_ms", Lower),
+        ("decode.first_row_ms", Lower),
         ("parallel.blocks", Exact),
         ("parallel.workers", Id),
         ("parallel.matches_sequential", Exact),
@@ -435,6 +436,17 @@ pub static REKEY: Spec = Spec {
     gates: |doc, problems| {
         if !is_true(doc, "parallel.matches_sequential") {
             problems.push("parallel encode did not match sequential".to_string());
+        }
+        // One rebuilt packet of a half-erased block is a small part of all.
+        let ms = |key| at(doc, key).and_then(Value::as_f64);
+        let (first, all) = (ms("decode.first_row_ms"), ms("decode.decode_ms"));
+        if !first
+            .zip(all)
+            .is_some_and(|(first, all)| first <= all / 4.0)
+        {
+            problems.push(format!(
+                "decode.first_row_ms = {first:?}, want at most a quarter of decode_ms = {all:?}"
+            ));
         }
     },
 };

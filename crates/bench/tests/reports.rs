@@ -181,6 +181,11 @@ fn check_flag_exits_1_on_input_that_is_not_the_report() {
                 "\"matches_sequential\": false",
             ),
         ),
+        // One rebuilt packet as dear as the whole half-erased block.
+        (
+            "slow_first_row",
+            good.replace("\"first_row_ms\": 0.", "\"first_row_ms\": 9."),
+        ),
     ];
     for (tag, text) in cases {
         let path = temp_file(tag, &text);

@@ -98,22 +98,30 @@ impl Receiver for ByteReceiver {
     }
 
     fn receive(&mut self, frame: &Arc<[u8]>, _round: usize) {
-        // The frame is what this process emitted a moment ago and netsim
-        // drops packets whole, never corrupts them: a frame that does not
-        // read back is a bug in `rekeymsg::wire`, not an input.
-        let did = self.session.receive_frame(frame);
-        let counter = match did.unwrap_or_else(|e| panic!("wire round-trip: {e:?}")) {
-            Received::Mine => "transport.frame.mine",
-            Received::Kept => "transport.frame.kept",
-            Received::Ignored(Ignored::WrongMessage) => "transport.frame.wrong_message",
-            Received::Ignored(Ignored::OutOfRange) => "transport.frame.out_of_range",
-            Received::Ignored(Ignored::Satisfied) => "transport.frame.satisfied",
+        // Whatever arrives is counted, never trusted: a frame that is no
+        // packet under the layout is dropped like any other the session
+        // has no use for.
+        let counter = match self.session.receive_frame(frame) {
+            Ok(Received::Mine) => "transport.frame.mine",
+            Ok(Received::Kept) => "transport.frame.kept",
+            Ok(Received::Ignored(Ignored::WrongMessage)) => "transport.frame.wrong_message",
+            Ok(Received::Ignored(Ignored::OutOfRange)) => "transport.frame.out_of_range",
+            Ok(Received::Ignored(Ignored::Satisfied)) => "transport.frame.satisfied",
+            Err(_) => "transport.frame.malformed",
         };
         obs::counter_add(counter, 1);
     }
 
     fn end_of_round_into(&mut self, _round: usize, nack: &mut NackPacket) -> bool {
-        let Some(sent) = self.session.end_of_round() else {
+        let sent = self.session.end_of_round();
+        let did = self.session.decode_work;
+        if did.blocks > 0 {
+            obs::counter_add("transport.decode.blocks", did.blocks.into());
+            obs::counter_add("transport.decode.rows", did.rows.into());
+            obs::counter_add("transport.decode.fallback_rows", did.fallback_rows.into());
+            obs::counter_add("transport.decode.exhausted", did.exhausted.into());
+        }
+        let Some(sent) = sent else {
             return false;
         };
         // The NACK crosses the (lossless) reverse path as bytes as well, so

@@ -3,18 +3,18 @@
 //! run the one loop in `grouprekey::transport`, and its byte receivers count
 //! every delivered frame by what the session did with it. One test, alone in
 //! its binary: the registry is process-wide, and the counts below are exact.
-//! Vacuous in a no-op build.
+//! A no-op build runs the rekey and the stray frame, and counts nothing.
 
 use grouprekey::driver::Group;
+use grouprekey::transport::{ByteReceiver, Receiver};
 use grouprekey::ServerOptions;
 use keytree::Batch;
 use netsim::NetworkConfig;
+use rekeymsg::Layout;
+use rekeyproto::UserSession;
 
 #[test]
 fn one_rekey_records_its_spans_and_every_delivery_by_outcome() {
-    if !obs::enabled() {
-        return;
-    }
     let net = NetworkConfig {
         n_users: 1024,
         alpha: 1.0,
@@ -27,6 +27,20 @@ fn one_rekey_records_its_spans_and_every_delivery_by_outcome() {
     let report = group.rekey(Batch::new(vec![], (0..1024).step_by(16).collect()));
     assert!(group.all_agents_synchronized());
 
+    // A frame cut short on the way is counted and dropped, not a panic.
+    let layout = Layout::DEFAULT;
+    let mut stray = ByteReceiver {
+        session: UserSession::new(5, 4, 10, layout),
+        link: 0,
+        node: 5,
+        layout,
+    };
+    stray.receive(&vec![0u8; layout.enc_packet_len - 1].into(), 1);
+    assert!(!stray.is_satisfied());
+
+    if !obs::enabled() {
+        return;
+    }
     let snap = obs::snapshot();
     let message = snap.span("transport.message").expect("message span");
     assert_eq!(message.count, 1);
@@ -38,15 +52,22 @@ fn one_rekey_records_its_spans_and_every_delivery_by_outcome() {
 
     // Every delivery the network made reached a session, and the session
     // said what it did with it: `transport.frame.*` partitions the
-    // deliveries by outcome.
+    // deliveries (and the one stray frame) by outcome.
     let frames = |reason: &str| snap.counter(&format!("transport.frame.{reason}"));
-    let by_reason: u64 = ["mine", "kept", "wrong_message", "out_of_range", "satisfied"]
-        .into_iter()
-        .map(frames)
-        .sum();
+    let by_reason: u64 = [
+        "mine",
+        "kept",
+        "wrong_message",
+        "out_of_range",
+        "satisfied",
+        "malformed",
+    ]
+    .into_iter()
+    .map(frames)
+    .sum();
     assert_eq!(
         by_reason,
-        snap.counter("net.deliveries") + snap.counter("net.unicast_delivered")
+        snap.counter("net.deliveries") + snap.counter("net.unicast_delivered") + 1
     );
     // At most one frame keys each of the 960 members left, most of what a
     // member hears is someone else's packet, and the server sends nothing
@@ -54,4 +75,16 @@ fn one_rekey_records_its_spans_and_every_delivery_by_outcome() {
     assert!((1..=960).contains(&frames("mine")));
     assert!(frames("kept") > frames("mine"));
     assert_eq!(frames("wrong_message") + frames("out_of_range"), 0);
+    assert_eq!(frames("malformed"), 1);
+
+    // What recovery cost the receivers: the blocks they validated, the
+    // packets they rebuilt — about one a block, not every missing one —
+    // how many of those the received headers did not point at, and the
+    // blocks that turned out not to hold the member's packet.
+    let decode = |what: &str| snap.counter(&format!("transport.decode.{what}"));
+    assert!(decode("blocks") > 0);
+    assert!(decode("rows") >= decode("blocks") - decode("exhausted"));
+    assert!(decode("rows") < 2 * decode("blocks"));
+    assert!(decode("fallback_rows") <= decode("rows"));
+    assert!(decode("exhausted") <= decode("blocks"));
 }

@@ -93,6 +93,20 @@ impl EncHeader {
         self.frm_id <= m && m <= self.to_id
     }
 
+    /// The fixed fields of the ENC packet a FEC-decoded body belongs to:
+    /// [`EncPacket::from_fec_body`] without the pairs, so a receiver can
+    /// tell whether a rebuilt packet serves it before parsing it.
+    pub fn from_fec_body(
+        body: &[u8],
+        layout: &Layout,
+        msg_id: u8,
+        block_id: u8,
+        seq: u8,
+    ) -> Result<Self, WireError> {
+        check_len(body.len(), layout.fec_body_len())?;
+        Self::read([msg_id, block_id, seq & 0x7f], body)
+    }
+
     /// The one reader of the fixed fields, off the wire or off a FEC body.
     fn read(unprotected: [u8; UNPROTECTED_HEADER_LEN], body: &[u8]) -> Result<Self, WireError> {
         let &[k0, k1, f0, f1, t0, t1] = body.first_chunk().ok_or(WireError::Truncated)?;

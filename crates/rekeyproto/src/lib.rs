@@ -15,7 +15,8 @@
 //! * [`UserSession`] — one rekey message at a user, fed frames (wire bytes):
 //!   header read in place, full parse of the one packet that serves it, other
 //!   frames kept as FEC shares; ID rederivation from `maxKID` (Theorem 4.2),
-//!   FEC decoding, block-ID estimation, and NACK construction.
+//!   FEC recovery of the one packet it needs (the rows the held headers
+//!   bracket first), block-ID estimation, and NACK construction.
 
 //! # Example
 //!
@@ -40,4 +41,4 @@ pub use adjust::{adjust_rho, update_num_nack, AdjustConfig};
 pub use server::{
     RoundDecision, ServerConfig, ServerController, ServerSession, ServerStats, UnicastSend,
 };
-pub use user::{nack_requests_into, Ignored, Received, UserOutcome, UserSession};
+pub use user::{nack_requests_into, DecodeWork, Ignored, Received, UserOutcome, UserSession};

@@ -1,12 +1,12 @@
 //! The user side of the rekey transport protocol (Figures 3 and 27).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use keytree::{ident, NodeId};
 use rekeymsg::estimate::BlockIdEstimator;
 use rekeymsg::{
-    EncPacket, Header, Layout, NackPacket, NackRequest, Packet, UsrPacket, WireError,
+    EncHeader, EncPacket, Header, Layout, NackPacket, NackRequest, Packet, UsrPacket, WireError,
     UNPROTECTED_HEADER_LEN,
 };
 
@@ -44,13 +44,25 @@ pub enum Ignored {
     Satisfied,
 }
 
+/// What one round boundary's FEC recovery did, for whoever counts it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DecodeWork {
+    /// Blocks with `k` shares that were validated for decoding.
+    pub blocks: u32,
+    /// Data packets rebuilt.
+    pub rows: u32,
+    /// Of those, the ones outside the bracket the received headers gave.
+    pub fallback_rows: u32,
+    /// Blocks rebuilt in full that did not hold the user's packet.
+    pub exhausted: u32,
+}
+
 /// Per-message user state machine.
 ///
 /// Feed every frame the user receives through [`UserSession::receive_frame`];
 /// at each round boundary call [`UserSession::end_of_round`], which either
 /// reports success or produces the NACK to send. FEC decoding is attempted
-/// lazily at round boundaries (and opportunistically when the specific
-/// packet arrives directly).
+/// at round boundaries, one data packet at a time, the likeliest first.
 #[derive(Debug)]
 pub struct UserSession {
     /// The user's u-node ID before this rekey message.
@@ -68,9 +80,10 @@ pub struct UserSession {
     /// Received shares: block -> share index -> the frame as it arrived;
     /// its FEC body is what the server's parity was computed over.
     shares: BTreeMap<u8, BTreeMap<usize, Arc<[u8]>>>,
-    /// FEC decoder for block size `k` (`None`: `k` is no valid block size,
-    /// so nothing can ever be decoded).
-    decoder: Option<rse::Decoder>,
+    /// Blocks rebuilt in full for nothing, not to be decoded again.
+    exhausted: BTreeSet<u8>,
+    /// What the latest [`UserSession::end_of_round`] decoded.
+    pub decode_work: DecodeWork,
     estimator: Option<BlockIdEstimator>,
     max_block_seen: Option<u8>,
     outcome: UserOutcome,
@@ -92,7 +105,8 @@ impl UserSession {
             expected_msg_id: None,
             msg_id: None,
             shares: BTreeMap::new(),
-            decoder: rse::Decoder::new(k).ok(),
+            exhausted: BTreeSet::new(),
+            decode_work: DecodeWork::default(),
             estimator: None,
             max_block_seen: None,
             outcome: UserOutcome::Pending,
@@ -165,7 +179,7 @@ impl UserSession {
         self.msg_id.get_or_insert(msg_id);
         self.max_block_seen = Some(self.max_block_seen.unwrap_or(0).max(block_id));
         if let Some(enc) = enc {
-            let Some(m16) = self.wire_id(enc.max_kid) else {
+            let Some(m16) = wire_id(&mut self.current_id, self.old_id, self.d, enc.max_kid) else {
                 return Ok(Received::Ignored(Ignored::OutOfRange));
             };
             if enc.serves(m16) {
@@ -195,18 +209,6 @@ impl UserSession {
         Ok(Received::Mine)
     }
 
-    /// The current ID as the 16-bit wire fields name it, rederived from the
-    /// first `maxKID` seen (Theorem 4.2). `None` when the user is not in
-    /// the tree any more, or sits at an ID the wire cannot carry: narrowing
-    /// 65536 + m to m would claim the packet that serves user m. Either way
-    /// no ENC packet serves this user: nothing to collect, no estimate.
-    fn wire_id(&mut self, max_kid: u16) -> Option<u16> {
-        if self.current_id.is_none() {
-            self.current_id = ident::derive_current_id(self.old_id, max_kid as NodeId, self.d);
-        }
-        self.current_id.and_then(|m| u16::try_from(m).ok())
-    }
-
     fn succeed(&mut self, outcome: UserOutcome) {
         self.outcome = outcome;
         // Success in the current round (rounds increments at boundaries,
@@ -215,52 +217,77 @@ impl UserSession {
         self.shares.clear();
     }
 
-    /// Attempts FEC decoding of any candidate block with >= k shares; on
-    /// success extracts the specific ENC packet if it is in that block.
+    /// Attempts FEC decoding of every candidate block with >= k shares not
+    /// yet exhausted; on success extracts the specific ENC packet.
     ///
-    /// Deliberately does not require `current_id` up front: a user whose
-    /// every ENC packet was lost (parity-only reception) first learns
-    /// `maxKID` from a decoded body, so the ID derivation happens against
-    /// the reconstructed packets below.
+    /// UKA orders packets by user ID, so the non-duplicate ENC headers held
+    /// for a block bracket the `seq` the user's packet can have. The missing
+    /// packets inside the bracket are rebuilt first, the rest after them,
+    /// each checked by its header and only the one that serves parsed. The
+    /// bracket only orders the work: every missing packet is tried before a
+    /// block is given up, so headers that lie cost time, not the key.
+    /// `current_id` is not required up front: a user that heard parity only
+    /// has no bracket and learns `maxKID` from the first packet rebuilt.
     fn try_decode(&mut self) {
-        if self.is_satisfied() {
+        self.decode_work = DecodeWork::default();
+        // A `k` that is no valid block size decodes nothing, ever.
+        let (false, Ok(decoder)) = (self.is_satisfied(), rse::Decoder::new(self.k)) else {
             return;
-        }
+        };
         // Every block with k shares, inside the estimated range if there is one.
         let range = self.estimator.as_ref().and_then(|e| e.range());
         let in_range = |b: u8| range.is_none_or(|(lo, hi)| (lo..=hi).contains(&u32::from(b)));
-        let candidates: Vec<u8> = (self.shares.iter())
-            .filter(|(&b, held)| held.len() >= self.k && in_range(b))
-            .map(|(&b, _)| b)
-            .collect();
-        for b in candidates {
-            let Some(decoder) = self.decoder.as_ref() else {
-                return;
-            };
-            // The held frames are borrowed, and only the rows that did not
-            // arrive are rebuilt and parsed: an ENC packet that arrived
-            // does not serve this user, or the session would be satisfied.
-            let held = self.shares[&b]
-                .iter()
-                .map(|(&index, frame)| (index, &frame[UNPROTECTED_HEADER_LEN..]));
-            let Ok(rebuilt) = decoder.decode_missing(held) else {
+        let msg_id = self.msg_id.unwrap_or(0);
+        let (mut row, mut found) = (Vec::new(), None);
+        'blocks: for (&b, held) in &self.shares {
+            if held.len() < self.k || !in_range(b) || self.exhausted.contains(&b) {
+                continue;
+            }
+            // The held frames are borrowed, and only rows that did not
+            // arrive are rebuilt: an ENC packet that arrived does not serve
+            // this user, or the session would be satisfied.
+            let bodies = (held.iter()).map(|(&i, frame)| (i, &frame[UNPROTECTED_HEADER_LEN..]));
+            let Ok(missing) = decoder.decode_missing(bodies) else {
                 continue;
             };
-            let msg_id = self.msg_id.unwrap_or(0);
-            for (seq, body) in &rebuilt {
-                if let Ok(enc) = EncPacket::from_fec_body(body, &self.layout, msg_id, b, *seq as u8)
-                {
-                    let Some(m16) = self.wire_id(enc.max_kid) else {
-                        return;
-                    };
-                    if enc.serves(m16) {
-                        self.succeed(UserOutcome::Enc(enc));
-                        return;
+            self.decode_work.blocks += 1;
+            let (mut lo, mut hi) = (0, self.k);
+            if let Some(m) = self.current_id.and_then(|m| u16::try_from(m).ok()) {
+                for (&seq, frame) in held.range(..self.k) {
+                    match Packet::header(frame, &self.layout) {
+                        Ok((_, Header::Enc(h))) if h.duplicate => {}
+                        Ok((_, Header::Enc(h))) if h.to_id < m => lo = seq + 1,
+                        Ok((_, Header::Enc(h))) if h.frm_id > m => hi = hi.min(seq),
+                        _ => {}
                     }
+                }
+            }
+            let bracket = lo..hi;
+            let inside = missing.indices().filter(|seq| bracket.contains(seq));
+            let outside = missing.indices().filter(|seq| !bracket.contains(seq));
+            for seq in inside.chain(outside) {
+                if missing.row_into(seq, &mut row).is_err() {
+                    continue;
+                }
+                self.decode_work.rows += 1;
+                self.decode_work.fallback_rows += u32::from(!bracket.contains(&seq));
+                let header = EncHeader::from_fec_body(&row, &self.layout, msg_id, b, seq as u8);
+                let Ok(h) = header else { continue };
+                let id = wire_id(&mut self.current_id, self.old_id, self.d, h.max_kid);
+                let Some(m16) = id else { return };
+                if h.serves(m16) {
+                    // The header read, so the packet parses.
+                    found = EncPacket::from_fec_body(&row, &self.layout, msg_id, b, seq as u8).ok();
+                    break 'blocks;
                 }
             }
             // Decoded a full block that does not contain our packet: the
             // estimator range was loose. Keep looking at other candidates.
+            self.exhausted.insert(b);
+            self.decode_work.exhausted += 1;
+        }
+        if let Some(enc) = found {
+            self.succeed(UserOutcome::Enc(enc));
         }
     }
 
@@ -284,6 +311,18 @@ impl UserSession {
             requests,
         })
     }
+}
+
+/// The current ID as the 16-bit wire fields name it, rederived from the
+/// first `maxKID` seen (Theorem 4.2). `None` when the user is not in
+/// the tree any more, or sits at an ID the wire cannot carry: narrowing
+/// 65536 + m to m would claim the packet that serves user m. Either way
+/// no ENC packet serves this user: nothing to collect, no estimate.
+fn wire_id(current_id: &mut Option<NodeId>, old_id: NodeId, d: u32, max_kid: u16) -> Option<u16> {
+    if current_id.is_none() {
+        *current_id = ident::derive_current_id(old_id, max_kid as NodeId, d);
+    }
+    current_id.and_then(|m| u16::try_from(m).ok())
 }
 
 /// Which parities an unsatisfied user asks for (Figure 27, Appendix D):

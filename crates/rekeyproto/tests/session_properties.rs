@@ -2,14 +2,18 @@
 //! NACK streams (parity sequence monotonicity, stats consistency, phase
 //! transitions, termination) and of the user session fed frames under
 //! random delivery masks (recovery iff the packet or any `k` shares of its
-//! block arrived, exact NACK counts otherwise).
+//! block arrived, exact NACK counts otherwise) — and, round for round,
+//! against a reference session that decodes every block in full.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use rekeymsg::{BlockSet, EncPacket, Layout, NackPacket, NackRequest, Packet};
+use rekeymsg::estimate::BlockIdEstimator;
+use rekeymsg::{BlockSet, EncPacket, Header, Layout, NackPacket, NackRequest, Packet};
 use rekeyproto::{
-    Ignored, Received, RoundDecision, ServerConfig, ServerController, UserOutcome, UserSession,
+    nack_requests_into, DecodeWork, Ignored, Received, RoundDecision, ServerConfig,
+    ServerController, UserOutcome, UserSession,
 };
 use wirecrypto::{SealedKey, SymKey};
 
@@ -380,6 +384,287 @@ proptest! {
         }
     }
 
+}
+
+/// Recovery as it was before the bracket, assembled from the public pieces:
+/// `UserSession`'s receive rules for ENC and PARITY frames of message 1,
+/// but at every round boundary every candidate block is decoded in full
+/// (`Decoder::decode`), again each round, and its missing packets are tried
+/// in ascending order. The oracle for the order and for the memo.
+struct FullOrderSession {
+    old_id: u32,
+    k: usize,
+    current_id: Option<u32>,
+    msg_id: Option<u8>,
+    shares: BTreeMap<u8, BTreeMap<usize, Vec<u8>>>,
+    estimator: Option<BlockIdEstimator>,
+    max_block_seen: Option<u8>,
+    outcome: UserOutcome,
+    rounds: usize,
+    success_round: Option<usize>,
+}
+
+impl FullOrderSession {
+    const D: u32 = 4;
+
+    fn new(old_id: u32, k: usize) -> Self {
+        FullOrderSession {
+            old_id,
+            k,
+            current_id: None,
+            msg_id: None,
+            shares: BTreeMap::new(),
+            estimator: None,
+            max_block_seen: None,
+            outcome: UserOutcome::Pending,
+            rounds: 0,
+            success_round: None,
+        }
+    }
+
+    fn wire_id(&mut self, max_kid: u16) -> Option<u16> {
+        if self.current_id.is_none() {
+            self.current_id =
+                keytree::ident::derive_current_id(self.old_id, max_kid.into(), Self::D);
+        }
+        self.current_id.and_then(|m| u16::try_from(m).ok())
+    }
+
+    fn succeed(&mut self, enc: EncPacket) {
+        self.outcome = UserOutcome::Enc(enc);
+        self.success_round = Some(self.rounds + 1);
+        self.shares.clear();
+    }
+
+    fn receive_frame(&mut self, frame: &[u8]) {
+        let layout = Layout::DEFAULT;
+        if self.success_round.is_some() {
+            return;
+        }
+        let Ok((1, header)) = Packet::header(frame, &layout) else {
+            return;
+        };
+        let (block_id, index, enc) = match header {
+            Header::Enc(h) if usize::from(h.seq) < self.k => (h.block_id, h.seq.into(), Some(h)),
+            Header::Parity { block_id, seq } if self.k + usize::from(seq) < rse::MAX_SYMBOLS => {
+                (block_id, self.k + usize::from(seq), None)
+            }
+            _ => return,
+        };
+        self.msg_id = Some(1);
+        self.max_block_seen = Some(self.max_block_seen.unwrap_or(0).max(block_id));
+        if let Some(h) = enc {
+            let Some(m16) = self.wire_id(h.max_kid) else {
+                return;
+            };
+            if h.serves(m16) {
+                let Ok(Packet::Enc(mine)) = Packet::parse(frame, &layout) else {
+                    unreachable!("the header said ENC")
+                };
+                return self.succeed(mine);
+            }
+            let k = self.k;
+            self.estimator
+                .get_or_insert_with(|| BlockIdEstimator::new(m16, k, Self::D))
+                .observe(&h);
+        }
+        let held = self.shares.entry(block_id).or_default();
+        held.insert(index, frame[rekeymsg::UNPROTECTED_HEADER_LEN..].to_vec());
+    }
+
+    fn end_of_round(&mut self) -> Option<NackPacket> {
+        if self.success_round.is_none() {
+            self.decode_everything();
+        }
+        self.rounds += 1;
+        if self.success_round.is_some() {
+            return None;
+        }
+        let mut requests = Vec::new();
+        nack_requests_into(
+            self.estimator.as_ref(),
+            self.max_block_seen,
+            self.k,
+            |b| self.shares.get(&b).map_or(0, |held| held.len()),
+            &mut requests,
+        );
+        Some(NackPacket {
+            msg_id: self.msg_id.unwrap_or(0),
+            requests,
+        })
+    }
+
+    fn decode_everything(&mut self) {
+        let range = self.estimator.as_ref().and_then(|e| e.range());
+        let in_range = |b: u8| range.is_none_or(|(lo, hi)| (lo..=hi).contains(&u32::from(b)));
+        let candidates: Vec<u8> = (self.shares.iter())
+            .filter(|(&b, held)| held.len() >= self.k && in_range(b))
+            .map(|(&b, _)| b)
+            .collect();
+        for b in candidates {
+            let shares: Vec<rse::Share> = (self.shares[&b].iter())
+                .map(|(&index, body)| rse::Share {
+                    index,
+                    data: body.clone(),
+                })
+                .collect();
+            let Ok(rows) = rse::Decoder::new(self.k).and_then(|mut dec| dec.decode(&shares)) else {
+                continue;
+            };
+            let used: Vec<usize> = shares.iter().take(self.k).map(|s| s.index).collect();
+            for seq in (0..self.k).filter(|seq| !used.contains(seq)) {
+                let rebuilt =
+                    EncPacket::from_fec_body(&rows[seq], &Layout::DEFAULT, 1, b, seq as u8);
+                if let Ok(enc) = rebuilt {
+                    let Some(m16) = self.wire_id(enc.max_kid) else {
+                        return;
+                    };
+                    if enc.serves(m16) {
+                        return self.succeed(enc);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Blocks that decode without the user's packet are planned once, not once
+/// a round: a user that heard only parity has no block estimate, decodes
+/// blocks 0 and 1 in full at the first boundary, and at the second, with
+/// nothing new, plans nothing (at the parent commit: both blocks again).
+#[test]
+fn a_block_without_the_users_packet_is_planned_exactly_once() {
+    let k = 3;
+    let mut blocks = BlockSet::new((0..9).map(enc).collect(), k, Layout::DEFAULT);
+    // User 107's packet is block 2, seq 1.
+    let mut session = UserSession::new(107, 4, k, Layout::DEFAULT).expect_msg_id(1);
+    let mut reference = FullOrderSession::new(107, k);
+    // One round: the fresh parities heard per block, then the boundary.
+    let mut round = |session: &mut UserSession, heard: &[(usize, usize)]| {
+        for &(b, count) in heard {
+            for parity in blocks.mint_parities(b, count).unwrap() {
+                let frame = frame(Packet::Parity(parity));
+                assert_eq!(session.receive_frame(&frame), Ok(Received::Kept));
+                reference.receive_frame(&frame);
+            }
+        }
+        assert_eq!(session.end_of_round(), reference.end_of_round());
+        assert_eq!(session.rounds_to_success(), reference.success_round);
+        session.decode_work
+    };
+    let both_in_full = DecodeWork {
+        blocks: 2,
+        rows: 2 * k as u32,
+        fallback_rows: 0,
+        exhausted: 2,
+    };
+    assert_eq!(
+        round(&mut session, &[(0, k), (1, k), (2, k - 1)]),
+        both_in_full
+    );
+    assert_eq!(round(&mut session, &[]), DecodeWork::default());
+    // The last share of block 2: ascending order (no header was heard, so
+    // no bracket) reaches seq 1 on the second row.
+    let second_row = DecodeWork {
+        blocks: 1,
+        rows: 2,
+        fallback_rows: 0,
+        exhausted: 0,
+    };
+    assert_eq!(round(&mut session, &[(2, 1)]), second_row);
+    assert_eq!(session.rounds_to_success(), Some(3));
+    assert_eq!(session.outcome(), &reference.outcome);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// The bracket orders the work and the memo skips repeated work;
+    /// neither changes a result. Over three rounds of lossy delivery a
+    /// session and the full-order reference agree on every NACK, on the
+    /// round of success and on the packet recovered — with multi-block
+    /// messages, a duplicate-padded last block, parity-only reception, an
+    /// estimate too loose to name the block, and one ENC packet whose
+    /// `[frm_id, to_id]` puts the user on the wrong side of it: built into
+    /// the message (`lie == 1`, the code is consistent) or forged on the
+    /// way (`lie == 2`: the block decodes to garbage, so only whether and
+    /// when a packet is found is compared).
+    #[test]
+    fn bracketed_session_agrees_with_full_order_decode(
+        k in proptest::sample::select(vec![1usize, 3, 10, 32]),
+        n_packets in 1usize..70,
+        target in 0usize..70,
+        parities in 0usize..4,
+        loss_pct in proptest::sample::select(vec![10u64, 30, 60]),
+        parity_only in any::<bool>(),
+        lie in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        let layout = Layout::DEFAULT;
+        let target = target % n_packets;
+        let liar = (seed >> 8) as usize % n_packets;
+        // The liar claims the side of the user it is not on.
+        let lied = |p: &EncPacket| {
+            let side = if liar < target { 60_000 } else { 1 };
+            EncPacket { frm_id: side, to_id: side, ..p.clone() }
+        };
+        let mut packets: Vec<EncPacket> = (0..n_packets as u16)
+            .map(|i| EncPacket {
+                max_kid: 1000,
+                frm_id: 1001 + 3 * i,
+                to_id: 1003 + 3 * i,
+                ..enc(i)
+            })
+            .collect();
+        let me = packets[target].frm_id + (seed % 3) as u16;
+        if lie == 1 && liar != target {
+            packets[liar] = lied(&packets[liar]);
+        }
+        let mut blocks = BlockSet::new(packets, k, layout);
+
+        let mut state = seed;
+        let mut delivered = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % 100 >= loss_pct
+        };
+        let mut session = UserSession::new(me.into(), 4, k, layout).expect_msg_id(1);
+        let mut reference = FullOrderSession::new(me.into(), k);
+        let mut exhausted = 0;
+        for round in 1..=3 {
+            for b in 0..blocks.block_count() {
+                let fresh = parities + 1 + k * usize::from(parity_only && round == 1);
+                let minted = blocks.mint_parities(b, fresh).unwrap();
+                let data = blocks.block(b).unwrap().packets.clone();
+                let sent = (data.into_iter())
+                    .filter(|e| round == 1 && !parity_only && !e.serves(me))
+                    .map(|e| match lie {
+                        2 if b * k + usize::from(e.seq) == liar => lied(&e),
+                        _ => e,
+                    })
+                    .map(Packet::Enc)
+                    .chain(minted.into_iter().map(Packet::Parity));
+                for pkt in sent {
+                    if delivered() {
+                        let frame: Arc<[u8]> = pkt.emit(&layout).into();
+                        session.receive_frame(&frame).unwrap();
+                        reference.receive_frame(&frame);
+                    }
+                }
+            }
+            prop_assert_eq!(session.end_of_round(), reference.end_of_round(), "round {}", round);
+            prop_assert_eq!(session.rounds_to_success(), reference.success_round);
+            prop_assert_eq!(session.current_id(), reference.current_id);
+            if lie < 2 {
+                prop_assert_eq!(session.outcome(), &reference.outcome);
+            }
+            // Each block planned is given up or holds the packet, and none
+            // is given up twice.
+            let did = session.decode_work;
+            prop_assert!(did.blocks <= did.exhausted + 1 && did.fallback_rows <= did.rows);
+            exhausted += did.exhausted;
+            prop_assert!(exhausted <= blocks.block_count() as u32);
+        }
+    }
 }
 
 proptest! {

@@ -302,36 +302,36 @@ impl Decoder {
     /// shares beyond them are ignored entirely, so a corrupt trailing
     /// share that would not participate in reconstruction cannot fail
     /// the decode. Data packets among those `k` are copied out; the rest
-    /// come from [`Decoder::decode_missing`].
+    /// are every row of [`Decoder::decode_missing`].
     pub fn decode(&mut self, shares: &[Share]) -> Result<Vec<Vec<u8>>, RseError> {
-        let rebuilt = self.decode_missing(shares.iter().map(|s| (s.index, s.data.as_slice())))?;
+        let missing = self.decode_missing(shares.iter().map(|s| (s.index, s.data.as_slice())))?;
         // The decode succeeded, so the shares it used are the first k.
         let mut out = vec![Vec::new(); self.k];
         for s in shares.iter().take(self.k).filter(|s| s.index < self.k) {
             out[s.index] = s.data.clone();
         }
-        for (i, row) in rebuilt {
-            out[i] = row;
+        for i in missing.indices() {
+            missing.row_into(i, &mut out[i])?;
         }
         Ok(out)
     }
 
-    /// Rebuilds, from borrowed `(index, body)` shares, only the data
-    /// packets that are *not* among the first `k` of them, as `(data
-    /// index, packet)` in index order: a receiver that kept the data
-    /// packets it was sent needs no copy of them. Validation is
-    /// [`Decoder::decode`]'s. Missing packet `i` is the interpolant through
-    /// the `k` chosen shares evaluated at `point(i)`, so the cost is one
-    /// O(k²) weight setup over the chosen points, then an O(k) coefficient
-    /// row and `k` multiply-accumulate passes per missing packet — and
-    /// nothing at all when no data packet is missing.
+    /// Validates borrowed `(index, body)` shares — the first `k` of them,
+    /// exactly as [`Decoder::decode`] does — and returns the data packets
+    /// *not* among those, unbuilt: a receiver that kept the data packets it
+    /// was sent needs no copy of them, and one that needs a single packet
+    /// pays for a single row. The cost here is one O(k²) weight setup over
+    /// the chosen points — and nothing at all when no data packet is
+    /// missing; each [`MissingRows::row_into`] is then an O(k) coefficient
+    /// row and `k` multiply-accumulate passes.
     pub fn decode_missing<'a>(
         &self,
         shares: impl IntoIterator<Item = (usize, &'a [u8])>,
-    ) -> Result<Vec<(usize, Vec<u8>)>, RseError> {
+    ) -> Result<MissingRows<'a>, RseError> {
         let _span = obs::span("rse.decode");
         // Select the first k shares, validating only what we select.
         let mut chosen: Vec<(usize, &[u8])> = Vec::with_capacity(self.k);
+        let mut held = [false; MAX_SYMBOLS];
         for (index, data) in shares {
             if chosen.len() == self.k {
                 break;
@@ -342,7 +342,7 @@ impl Decoder {
                     max: MAX_SYMBOLS - 1,
                 });
             }
-            if chosen.iter().any(|&(held, _)| held == index) {
+            if std::mem::replace(&mut held[index], true) {
                 return Err(RseError::DuplicateShare(index));
             }
             if let Some(&(_, first)) = chosen.first() {
@@ -361,32 +361,57 @@ impl Decoder {
                 need: self.k,
             });
         }
+        // Nothing to interpolate when every data share is among the chosen.
+        // Otherwise distinct indices below the field limit are distinct points,
+        // so the context exists: its `None` could only be a share held twice.
+        let points = chosen.iter().map(|&(index, _)| point(index));
+        let ctx = (held[..self.k].contains(&false))
+            .then(|| LagrangeCtx::new(points).ok_or(RseError::DuplicateShare(chosen[0].0)))
+            .transpose()?;
+        Ok(MissingRows { chosen, held, ctx })
+    }
+}
+
+/// A validated block whose missing data packets can be rebuilt one at a
+/// time: what [`Decoder::decode_missing`] returns.
+#[derive(Debug)]
+pub struct MissingRows<'a> {
+    /// The `k` shares the block is interpolated through.
+    chosen: Vec<(usize, &'a [u8])>,
+    /// `held[i]`: share `i` is among the chosen.
+    held: [bool; MAX_SYMBOLS],
+    /// Weights over the chosen points; `None` when no data packet is missing.
+    ctx: Option<LagrangeCtx>,
+}
+
+impl MissingRows<'_> {
+    /// The data indices that are not among the chosen shares, ascending.
+    pub fn indices(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.chosen.len()).filter(|&i| !self.held[i])
+    }
+
+    /// Rebuilds missing data packet `i` — the interpolant through the chosen
+    /// shares, evaluated at `point(i)` — as the new contents of `out`,
+    /// without allocating once `out` has the capacity. `i` must be one of
+    /// [`MissingRows::indices`]: a held packet (the caller has it) or an
+    /// index past the data is `IndexOutOfRange`, and `out` is left alone.
+    pub fn row_into(&self, i: usize, out: &mut Vec<u8>) -> Result<(), RseError> {
+        let _span = obs::span("rse.decode_row");
+        let k = self.chosen.len();
+        let ctx = self.ctx.as_ref().filter(|_| i < k && !self.held[i]);
+        let ctx = ctx.ok_or(RseError::IndexOutOfRange {
+            index: i,
+            max: k - 1,
+        })?;
+        let mut coeffs = [Gf256::ZERO; MAX_SYMBOLS];
+        ctx.row_into(point(i), &mut coeffs[..k]);
+        out.clear();
         // k >= 1 was checked at construction, so `chosen` is not empty.
-        let len = chosen.first().map_or(0, |&(_, data)| data.len());
-
-        // Fast path: all data shares present among the chosen (which are
-        // distinct, so counting them is enough).
-        let missing = self.k - chosen.iter().filter(|&&(index, _)| index < self.k).count();
-        if missing == 0 {
-            return Ok(Vec::new());
+        out.resize(self.chosen.first().map_or(0, |&(_, data)| data.len()), 0);
+        for (&coeff, &(_, data)) in coeffs.iter().zip(&self.chosen) {
+            bulk::mul_acc_slice_wide(coeff, data, out);
         }
-
-        // Distinct indices below the field limit are distinct points, so
-        // the context exists; coinciding points could only be one share
-        // supplied twice.
-        let ctx = LagrangeCtx::new(chosen.iter().map(|&(index, _)| point(index)))
-            .ok_or(RseError::DuplicateShare(chosen[0].0))?;
-        let mut coeffs = vec![Gf256::ZERO; self.k];
-        let mut rebuilt = Vec::with_capacity(missing);
-        for i in (0..self.k).filter(|&i| chosen.iter().all(|&(index, _)| index != i)) {
-            ctx.row_into(point(i), &mut coeffs);
-            let mut row = vec![0u8; len];
-            for (&coeff, &(_, data)) in coeffs.iter().zip(&chosen) {
-                bulk::mul_acc_slice_wide(coeff, data, &mut row);
-            }
-            rebuilt.push((i, row));
-        }
-        Ok(rebuilt)
+        Ok(())
     }
 }
 

@@ -22,7 +22,9 @@
 //! `k` multiply-accumulate passes over the packet body, i.e. time linear in
 //! `k` for fixed packet length — exactly the cost model the paper's "FEC
 //! encoding time vs block size" figure assumes. There is no generator
-//! matrix and no inversion anywhere in the crate.
+//! matrix and no inversion anywhere in the crate. Decoding is lazy:
+//! [`Decoder::decode_missing`] validates the shares, and a receiver that
+//! needs one packet of the block pays for one ([`MissingRows::row_into`]).
 //!
 //! # Example
 //!
@@ -54,4 +56,4 @@ pub mod cost;
 #[cfg(any(test, feature = "sanitize"))]
 pub mod sanitize;
 
-pub use coder::{BlockEncoder, Decoder, RseError, Share, MAX_SYMBOLS};
+pub use coder::{BlockEncoder, Decoder, MissingRows, RseError, Share, MAX_SYMBOLS};

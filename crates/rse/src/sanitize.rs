@@ -4,9 +4,10 @@
 //! [`verify_block_roundtrip`] takes the *actual* packet bodies of one FEC
 //! block and proves, by construction, that the code laid over them is
 //! recoverable: it re-encodes parities, erases data shares in several
-//! patterns, decodes from what survives, and demands the original bodies
-//! back byte for byte. The sim/driver runs it on every block of every
-//! rekey message when built with `--features sanitize`.
+//! patterns, decodes from what survives — in full, and one missing row on
+//! its own — and demands the original bodies back byte for byte. The
+//! sim/driver runs it on every block of every rekey message when built
+//! with `--features sanitize`.
 
 use crate::coder::{BlockEncoder, Decoder, Share};
 
@@ -22,18 +23,27 @@ fn data_shares(bodies: &[Vec<u8>]) -> Vec<Share> {
         .collect()
 }
 
-/// Decodes `shares` and demands exactly `bodies` back.
+/// Decodes `shares` and demands exactly `bodies` back; then rebuilds one
+/// missing row alone, the way a receiver does, and demands that body.
 fn decode_and_compare(
     k: usize,
     shares: &[Share],
     bodies: &[Vec<u8>],
     what: &str,
 ) -> Result<(), String> {
-    let recovered = Decoder::new(k)
-        .and_then(|mut dec| dec.decode(shares))
-        .map_err(|e| format!("{what}: decode failed: {e}"))?;
-    if recovered != bodies {
+    let failed = |e| format!("{what}: decode failed: {e}");
+    let mut dec = Decoder::new(k).map_err(failed)?;
+    if dec.decode(shares).map_err(failed)? != bodies {
         return Err(format!("{what}: decoded bodies differ from originals"));
+    }
+    let borrowed = shares.iter().map(|s| (s.index, s.data.as_slice()));
+    let missing = dec.decode_missing(borrowed).map_err(failed)?;
+    if let Some(i) = missing.indices().last() {
+        let mut row = Vec::new();
+        missing.row_into(i, &mut row).map_err(failed)?;
+        if row != bodies[i] {
+            return Err(format!("{what}: row {i} rebuilt alone differs"));
+        }
     }
     Ok(())
 }

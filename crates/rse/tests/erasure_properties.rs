@@ -67,8 +67,11 @@ fn largest_block_repairs_any_single_loss_with_its_only_parity() {
         let held = (all.iter())
             .filter(|s| s.index != lost)
             .map(|s| (s.index, s.data.as_slice()));
-        let rebuilt = dec.decode_missing(held).unwrap();
-        assert_eq!(rebuilt, vec![(lost, body.clone())], "lost {lost}");
+        let missing = dec.decode_missing(held).unwrap();
+        assert_eq!(missing.indices().collect::<Vec<_>>(), [lost]);
+        let mut row = vec![0xFFu8; 3];
+        missing.row_into(lost, &mut row).unwrap();
+        assert_eq!(&row, body, "lost {lost}");
     }
 }
 
@@ -132,30 +135,25 @@ proptest! {
         prop_assert_eq!(decode(k, &shares).unwrap(), data);
     }
 
-    /// The borrowed-slice decode is `decode(&[Share])` minus the copies:
-    /// it returns exactly the data packets missing from the shares used,
-    /// in index order, byte-equal to the full decode's, and reports the
-    /// same error on the same bad input.
+    /// The borrowed-slice decode is `decode(&[Share])` minus the copies and
+    /// minus the rows nobody asked for: it names exactly the data packets
+    /// missing from the shares used, in index order; any one of them,
+    /// rebuilt alone, in any order, any number of times, into one reused
+    /// buffer, is byte-equal to that row of the full decode; and it reports
+    /// the same error on the same bad input.
     #[test]
-    fn slice_decode_rebuilds_only_what_is_missing(
+    fn any_single_lazily_rebuilt_row_is_that_row_of_decode(
         seed in any::<u64>(),
         k in 1usize..20,
         extra_parities in 0usize..12,
         len in 1usize..128,
         pattern in any::<u64>(),
+        order in any::<u64>(),
         spoil in 0usize..5,
     ) {
         let data = block_from_seed(seed, k, len);
-        let mut enc = BlockEncoder::new(k).unwrap();
-        let n = k + extra_parities;
-        let mut all: Vec<Share> = Vec::with_capacity(n);
-        for (i, d) in data.iter().enumerate() {
-            all.push(Share { index: i, data: d.clone() });
-        }
-        for j in 0..extra_parities {
-            all.push(Share { index: k + j, data: enc.parity(j, &data).unwrap() });
-        }
-        let survivors = pick_distinct(n, k, pattern);
+        let all = all_shares(&data, extra_parities);
+        let survivors = pick_distinct(all.len(), k, pattern);
         let mut shares: Vec<Share> = survivors.iter().map(|&i| all[i].clone()).collect();
         // Four ways to spoil the input, and one to leave it alone.
         match spoil {
@@ -174,14 +172,27 @@ proptest! {
                 prop_assert_eq!(&full, &data);
                 let held: Vec<usize> = shares.iter().take(k).map(|s| s.index).collect();
                 let want: Vec<usize> = (0..k).filter(|i| !held.contains(i)).collect();
-                let got: Vec<usize> = missing.iter().map(|(i, _)| *i).collect();
-                prop_assert_eq!(got, want, "present rows are not rebuilt");
-                for (i, row) in &missing {
-                    prop_assert_eq!(row, &full[*i]);
+                let got: Vec<usize> = missing.indices().collect();
+                prop_assert_eq!(&got, &want, "present rows are not offered");
+
+                // Twice over the missing rows, in a drawn order, one buffer.
+                let mut row = vec![0xA5u8; len + 1];
+                let requests = pick_distinct(2 * want.len(), 2 * want.len(), order);
+                for i in requests.into_iter().map(|r| want[r % want.len()]) {
+                    missing.row_into(i, &mut row).unwrap();
+                    prop_assert_eq!(&row, &full[i], "row {}", i);
                 }
+                // A row that arrived and an index past the data are errors
+                // that write nothing.
+                let before = row.clone();
+                for i in held.iter().copied().filter(|&i| i < k).chain([k]) {
+                    let refused = missing.row_into(i, &mut row);
+                    prop_assert_eq!(refused, Err(RseError::IndexOutOfRange { index: i, max: k - 1 }));
+                }
+                prop_assert_eq!(row, before);
             }
             (Err(a), Err(b)) => prop_assert_eq!(a, b),
-            (a, b) => prop_assert!(false, "decode {a:?} but decode_missing {b:?}"),
+            (a, b) => prop_assert!(false, "decode {a:?} but decode_missing {:?}", b.map(|_| ())),
         }
     }
 

@@ -2,7 +2,9 @@
 //! [`BlockEncoder::parity_into`]: once the coefficient-row cache is warm,
 //! encoding a parity packet into a caller-provided buffer must perform
 //! zero heap allocations. The decode side gets a budget, not a zero: it
-//! returns owned packets, but nothing it allocates may scale with `k²`.
+//! keeps the chosen shares and the interpolation context, but nothing it
+//! allocates scales with the packets missing, and rebuilding one allocates
+//! nothing at all.
 
 use rse::{BlockEncoder, Decoder};
 
@@ -47,7 +49,7 @@ fn parity_into_is_allocation_free_with_a_warm_row_cache() {
 }
 
 #[test]
-fn decode_missing_allocates_per_missing_row_not_per_share() {
+fn decode_missing_allocates_a_constant_and_rebuilding_a_row_nothing() {
     xcheck_rt::assert_counting();
 
     let (k, e, len) = (32, 6, 128);
@@ -62,20 +64,36 @@ fn decode_missing_allocates_per_missing_row_not_per_share() {
         data.chain((0..e).map(|j| (k + j, parities[j].as_slice())))
     };
     let dec = Decoder::new(k).unwrap();
-    // One unmeasured call, as above (obs slot registration).
-    dec.decode_missing(held()).unwrap();
+    let mut row = Vec::new();
+    // One unmeasured call, as above (obs slot registration; `row` grows).
+    dec.decode_missing(held())
+        .unwrap()
+        .row_into(0, &mut row)
+        .unwrap();
 
-    // The chosen-share list, the interpolation context's nodes and
-    // weights, one coefficient row reused across the missing packets, the
-    // result vector, and one body per missing packet. No per-share
-    // coefficient vectors and nothing k x k.
-    let (allocs, rebuilt) = xcheck_rt::count_in(|| dec.decode_missing(held()).unwrap());
-    assert_eq!(allocs, e as u64 + 5, "decode_missing allocation budget");
-    let want: Vec<(usize, Vec<u8>)> = (0..e).map(|i| (i, data[i].clone())).collect();
-    assert_eq!(rebuilt, want);
+    // The chosen-share list and the interpolation context's nodes and
+    // weights: 3, whatever e is (e + 5 when every missing packet was
+    // rebuilt into a vector of its own). The coefficient row lives on the
+    // stack and the packet goes into the caller's buffer.
+    let (allocs, missing) = xcheck_rt::count_in(|| dec.decode_missing(held()).unwrap());
+    assert_eq!(allocs, 3, "decode_missing allocation budget");
+    assert_eq!(
+        missing.indices().collect::<Vec<_>>(),
+        (0..e).collect::<Vec<_>>()
+    );
+    for i in [3, 0, 5] {
+        xcheck_rt::assert_zero_alloc("MissingRows::row_into", || {
+            missing.row_into(i, &mut row).unwrap()
+        });
+        assert_eq!(row, data[i]);
+    }
 
     // Nothing missing among the chosen shares: only the chosen-share list.
     let all_data = || data.iter().enumerate().map(|(i, d)| (i, d.as_slice()));
-    let (allocs, rebuilt) = xcheck_rt::count_in(|| dec.decode_missing(all_data()).unwrap());
-    assert_eq!((allocs, rebuilt.len()), (1, 0), "no-loss fast path");
+    let (allocs, missing) = xcheck_rt::count_in(|| dec.decode_missing(all_data()).unwrap());
+    assert_eq!(
+        (allocs, missing.indices().count()),
+        (1, 0),
+        "no-loss fast path"
+    );
 }

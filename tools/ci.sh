@@ -51,8 +51,9 @@ stage "dynamic no-alloc harness (xcheck-rt counting allocator)"
 cargo test -q -p xcheck-rt
 cargo test -q -p keytree --test no_alloc_marks
 cargo test -q -p rekeymsg --test no_alloc_marks
-# Encode is pinned at zero; decode_missing at e + 5 for e rebuilt packets
-# (no per-share coefficient vectors, nothing k x k) — with spans on, too.
+# Encode is pinned at zero; decode_missing at 3 whatever is missing (the
+# chosen shares and the context) and one rebuilt row at zero — with spans
+# on, too.
 cargo test -q -p rse --test no_alloc_marks
 cargo test -q -p rse --features obs --test no_alloc_marks
 cargo test -q -p netsim --test no_alloc_marks
