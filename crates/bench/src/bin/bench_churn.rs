@@ -18,10 +18,11 @@
 //!   mass-departure trace must not pin the SoA arrays at peak forever;
 //! * `relocations_total` and the mean per-interval batch wall.
 //!
-//! The `identity` section replays the mass-departure acceptance row
-//! (compaction on) under 1 and 4 workers and under adversarial
-//! `taskpool::with_schedule` perturbation, comparing whole-run digests —
-//! the gate is bit-identity of the entire rekey stream.
+//! The `identity` section runs the mass-departure acceptance row
+//! (compaction on) a second time in the same process and compares the
+//! whole report, digest included, with the grid's run of it — the check
+//! that catches `HashMap`-order or global-state leakage into the rekey
+//! stream.
 //!
 //! Flags are the shared report flags (`bench::report`): `--smoke` shrinks
 //! the grid (same JSON shape); `--check` includes the bounded-depth and
@@ -45,9 +46,6 @@ use grouprekey::scenario::{self, ScenarioConfig, ScenarioKind, ScenarioReport};
 use grouprekey::ServerOptions;
 use keytree::CompactionPolicy;
 use obs::json::JsonWriter;
-
-const IDENTITY_WORKERS: [usize; 2] = [1, 4];
-const IDENTITY_SCHED_SEEDS: [u64; 2] = [0xA5, 0x5A];
 
 #[derive(Clone, Copy, PartialEq)]
 struct Cell {
@@ -144,35 +142,6 @@ fn bench_cell(cell: Cell) -> CellReport {
     }
 }
 
-struct IdentityReport {
-    cell: Cell,
-    matches_sequential: bool,
-}
-
-/// Replays the acceptance row at each worker count, and at each schedule
-/// perturbation seed, demanding identical whole-run digests and
-/// trajectories.
-fn bench_identity(cell: Cell) -> IdentityReport {
-    let run = |workers: usize, sched_seed: Option<u64>| -> ScenarioReport {
-        taskpool::with_workers(workers, || match sched_seed {
-            Some(seed) => taskpool::with_schedule(seed, || scenario::run(config_for(cell))),
-            None => scenario::run(config_for(cell)),
-        })
-    };
-    let baseline = run(IDENTITY_WORKERS[0], None);
-    let mut matches = true;
-    for &w in &IDENTITY_WORKERS {
-        matches &= run(w, None) == baseline;
-        for &seed in &IDENTITY_SCHED_SEEDS {
-            matches &= run(w, Some(seed)) == baseline;
-        }
-    }
-    IdentityReport {
-        cell,
-        matches_sequential: matches,
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Report
 // ---------------------------------------------------------------------------
@@ -185,14 +154,12 @@ fn cell_fields(w: &mut JsonWriter, cell: Cell) {
     w.field_bool("compaction", cell.compaction);
 }
 
-fn render(cli: &Cli, cells: &[CellReport], identity: &IdentityReport) -> String {
+fn render(cli: &Cli, cells: &[CellReport], id_cell: Cell, replay_matches: bool) -> String {
     let mut w = report::begin(&CHURN, cli);
     w.key("identity");
     w.begin_object();
-    cell_fields(&mut w, identity.cell);
-    report::integers(&mut w, "workers", IDENTITY_WORKERS.map(|n| n as u64));
-    report::integers(&mut w, "sched_seeds", IDENTITY_SCHED_SEEDS);
-    w.field_bool("matches_sequential", identity.matches_sequential);
+    cell_fields(&mut w, id_cell);
+    w.field_bool("replay_matches", replay_matches);
     w.end_object();
     w.key("churn");
     w.begin_array();
@@ -256,16 +223,19 @@ fn run(cli: &Cli) -> std::io::Result<String> {
         reports.push(r);
     }
 
+    let Some(grid_run) = reports.iter().find(|r| r.cell == id_cell) else {
+        return Err(std::io::Error::other(
+            "the identity cell is not in the grid",
+        ));
+    };
     eprintln!(
-        "identity: {} N={} d={} workers {:?} sched seeds {:?}",
+        "identity: {} N={} d={} second run",
         id_cell.kind.name(),
         id_cell.n,
-        id_cell.d,
-        IDENTITY_WORKERS,
-        IDENTITY_SCHED_SEEDS
+        id_cell.d
     );
-    let identity = bench_identity(id_cell);
-    eprintln!("  matches_sequential={}", identity.matches_sequential);
+    let replay_matches = scenario::run(config_for(id_cell)) == grid_run.report;
+    eprintln!("  replay_matches={replay_matches}");
 
     // Instrumented replay of the acceptance row: per-interval time-series
     // and/or a flight-recorder trace. The digest must match the grid
@@ -279,14 +249,10 @@ fn run(cli: &Cli) -> std::io::Result<String> {
             bench::write_file(path, &series.to_json())?;
             eprintln!("wrote {}-interval time-series to {path}", series.len());
         }
-        let grid_digest = reports
-            .iter()
-            .find(|r| r.cell == id_cell)
-            .map(|r| r.report.digest);
-        if grid_digest != Some(recorded.digest) {
+        if grid_run.report.digest != recorded.digest {
             return Err(std::io::Error::other(format!(
-                "recorded replay digest {:016x} differs from grid run {:?}",
-                recorded.digest, grid_digest
+                "recorded replay digest {:016x} differs from grid run {:016x}",
+                recorded.digest, grid_run.report.digest
             )));
         }
     }
@@ -294,7 +260,7 @@ fn run(cli: &Cli) -> std::io::Result<String> {
     if let Some(snap) = obs_snapshot {
         cli.obs.emit(&snap, &mut std::io::stderr().lock())?;
     }
-    Ok(render(cli, &reports, &identity))
+    Ok(render(cli, &reports, id_cell, replay_matches))
 }
 
 fn main() {

@@ -278,17 +278,12 @@ mod tests {
     fn coordinates_replace_indices_and_context_keys_vanish() {
         let got = paths(
             &SCALE,
-            "{\"mode\": \"full\", \"identity\": {\"n\": 4, \"workers\": [1, 4]}, \"scale\": [\
+            "{\"mode\": \"full\", \"scale\": [\
              {\"n\": 4, \"d\": 2, \"plan_ms\": 1.0}, {\"d\": 2, \"n\": 8, \"plan_ms\": 2.0}]}",
         );
         assert_eq!(
             got,
-            vec![
-                "identity[n=4].workers[0]",
-                "identity[n=4].workers[1]",
-                "scale[d=2,n=4].plan_ms",
-                "scale[d=2,n=8].plan_ms"
-            ]
+            vec!["scale[d=2,n=4].plan_ms", "scale[d=2,n=8].plan_ms"]
         );
     }
 

@@ -1,13 +1,15 @@
 //! Tracked simulation-engine benchmark: emits `BENCH_figures.json`.
 //!
-//! Runs every figure of `all_figures` twice at the quick-mode workload
-//! (the `REKEY_QUICK=1` parameters, so the tracked baseline is a fixed
-//! workload): once with the task pool pinned to one worker (the serial
-//! engine) and once at the session's default worker count. Records per
-//! figure the serial and parallel wall time, the speedup, and whether the
-//! two runs produced byte-identical figure text — the engine's core
-//! determinism contract. A final section measures the engine's raw packet
-//! rate on a standard transport experiment.
+//! Renders every figure of `all_figures` at the quick-mode workload (the
+//! `REKEY_QUICK=1` parameters, so the tracked baseline is a fixed
+//! workload) three times: once unmeasured, so cold-start cost (page
+//! faults, lazily built tables) lands on neither side, then timed with the
+//! figure grid pinned to one worker (the serial engine) and timed at the
+//! session's default worker count. Records per figure the serial and
+//! parallel wall time, the speedup, and whether the two timed runs
+//! produced byte-identical figure text — the engine's core determinism
+//! contract. A final section measures the engine's raw packet rate on a
+//! standard transport experiment.
 //!
 //! Flags are the shared report flags (`bench::report`), without the obs
 //! sinks: `--smoke` runs a cheap figure subset (same JSON shape);
@@ -17,17 +19,8 @@
 use std::time::Instant;
 
 use bench::report::{self, Cli, FIGURES};
-use bench::{FigFn, Mode, ALL_FIGURES};
+use bench::{FigFn, Mode, ALL_FIGURES, SMOKE_FIGURES};
 use grouprekey::experiment::{run_experiment, ExperimentParams};
-
-/// Cheap-but-representative subset for CI smoke runs: one workload grid,
-/// one adaptive trajectory, one table, one ablation.
-const SMOKE_FIGURES: [&str; 4] = [
-    "fig06",
-    "fig14",
-    "sigcomm_sparseness",
-    "ablation_loss_model",
-];
 
 struct FigureReport {
     name: &'static str,
@@ -43,9 +36,13 @@ impl FigureReport {
 }
 
 fn run_figure(name: &'static str, f: FigFn) -> FigureReport {
+    // Warm-up render, unmeasured: whichever timed leg went first would
+    // otherwise pay the figure's cold-start cost.
+    let _ = f(Mode::QUICK, &mut std::io::sink());
+
     let mut serial_out: Vec<u8> = Vec::new();
     let start = Instant::now();
-    let serial_res = taskpool::with_workers(1, || f(Mode::QUICK, &mut serial_out));
+    let serial_res = bench::with_workers(1, || f(Mode::QUICK, &mut serial_out));
     let serial_ms = start.elapsed().as_secs_f64() * 1000.0;
 
     let mut parallel_out: Vec<u8> = Vec::new();
@@ -133,7 +130,7 @@ fn render(cli: &Cli, workers: usize, figures: &[FigureReport], eng: &EngineRepor
 }
 
 fn run(cli: &Cli) -> std::io::Result<String> {
-    let workers = taskpool::max_workers();
+    let workers = bench::grid_workers();
     let selected: Vec<(&'static str, FigFn)> = ALL_FIGURES
         .iter()
         .filter(|(name, _)| !cli.smoke || SMOKE_FIGURES.contains(name))

@@ -16,8 +16,8 @@
 //!
 //! Flags are the shared report flags (`bench::report`): `--smoke`
 //! shrinks the cell; `--check` gates overhead ≤ 5% in full mode, and
-//! `off_path_allocs == 0`, no dropped events and one track per worker
-//! always; `--trace-out PATH` additionally writes one recorder-on
+//! `off_path_allocs == 0` and no dropped events always;
+//! `--trace-out PATH` additionally writes one recorder-on
 //! build's Chrome trace-event JSON. Measurement requires a build with
 //! `--features obs`; `--check` works on any build.
 
@@ -33,17 +33,6 @@ use xcheck_rt::CountingAlloc;
 
 #[global_allocator]
 static COUNTING: CountingAlloc = CountingAlloc;
-
-const WORKERS: usize = 2;
-
-fn acceptance_cell(smoke: bool) -> Cell {
-    Cell {
-        n: if smoke { 1 << 12 } else { 1 << 20 },
-        d: 8,
-        joins: 64,
-        leaves: 64,
-    }
-}
 
 /// One wide rekey build over a fresh copy of `base`, timed end to end
 /// (marking + mint + plan + seal, the same datapath `bench_scale` rows
@@ -80,50 +69,48 @@ struct Measurement {
 /// swamp a single ~1.5 ms build.
 const LEG_BUILDS: usize = 8;
 
-/// Interleaved off/on legs (of `LEG_BUILDS` builds each) under `WORKERS`
-/// workers; min leg wall per side, reported per build.
+/// Interleaved off/on legs (of `LEG_BUILDS` builds each); min leg wall
+/// per side, reported per build.
 fn measure(cell: Cell, reps: usize) -> Measurement {
     let mut keygen = KeyGen::from_seed(0x0B5E_0B5E_u64);
     let base = KeyTree::balanced(cell.n, cell.d, &mut keygen);
     let mut tree = base.clone();
     let mut scratch = MarkScratch::new();
 
-    taskpool::with_workers(WORKERS, || {
-        // One untimed warm-up per leg: first-touch page faults, span-name
-        // interning, and ring claiming all happen here, not on the clock.
-        // The recorder-on warm-up doubles as the reported trace.
-        run_rep(&base, &keygen, cell, &mut tree, &mut scratch);
+    // One untimed warm-up per leg: first-touch page faults, span-name
+    // interning, and ring claiming all happen here, not on the clock.
+    // The recorder-on warm-up doubles as the reported trace.
+    run_rep(&base, &keygen, cell, &mut tree, &mut scratch);
+    obs::trace::enable(obs::trace::DEFAULT_CAPACITY);
+    run_rep(&base, &keygen, cell, &mut tree, &mut scratch);
+    obs::trace::disable();
+    let trace = obs::trace::drain();
+    obs::trace::clear();
+
+    let mut off_best = f64::INFINITY;
+    let mut on_best = f64::INFINITY;
+    for _ in 0..reps {
+        let mut off_leg = 0.0;
+        for _ in 0..LEG_BUILDS {
+            off_leg += run_rep(&base, &keygen, cell, &mut tree, &mut scratch);
+        }
+        off_best = off_best.min(off_leg);
+
         obs::trace::enable(obs::trace::DEFAULT_CAPACITY);
-        run_rep(&base, &keygen, cell, &mut tree, &mut scratch);
+        let mut on_leg = 0.0;
+        for _ in 0..LEG_BUILDS {
+            on_leg += run_rep(&base, &keygen, cell, &mut tree, &mut scratch);
+        }
         obs::trace::disable();
-        let trace = obs::trace::drain();
         obs::trace::clear();
+        on_best = on_best.min(on_leg);
+    }
 
-        let mut off_best = f64::INFINITY;
-        let mut on_best = f64::INFINITY;
-        for _ in 0..reps {
-            let mut off_leg = 0.0;
-            for _ in 0..LEG_BUILDS {
-                off_leg += run_rep(&base, &keygen, cell, &mut tree, &mut scratch);
-            }
-            off_best = off_best.min(off_leg);
-
-            obs::trace::enable(obs::trace::DEFAULT_CAPACITY);
-            let mut on_leg = 0.0;
-            for _ in 0..LEG_BUILDS {
-                on_leg += run_rep(&base, &keygen, cell, &mut tree, &mut scratch);
-            }
-            obs::trace::disable();
-            obs::trace::clear();
-            on_best = on_best.min(on_leg);
-        }
-
-        Measurement {
-            recorder_off_ms: off_best / LEG_BUILDS as f64,
-            recorder_on_ms: on_best / LEG_BUILDS as f64,
-            trace,
-        }
-    })
+    Measurement {
+        recorder_off_ms: off_best / LEG_BUILDS as f64,
+        recorder_on_ms: on_best / LEG_BUILDS as f64,
+        trace,
+    }
 }
 
 /// Allocations made by the recorder surface — span begin/end pairs plus
@@ -153,7 +140,6 @@ fn render(cli: &Cli, cell: Cell, reps: usize, m: &Measurement, off_path_allocs: 
     w.begin_object();
     cell.write_fields(&mut w);
     w.end_object();
-    w.field_u64("workers", WORKERS as u64);
     w.field_u64("reps", reps as u64);
     report::measured(&mut w, "recorder_off_ms", m.recorder_off_ms);
     report::measured(&mut w, "recorder_on_ms", m.recorder_on_ms);
@@ -169,9 +155,9 @@ fn run(cli: &Cli) -> std::io::Result<String> {
     bench::needs_obs_build("bench_obs measures the flight recorder")
         .map_err(std::io::Error::other)?;
     let reps = if cli.smoke { 2 } else { 12 };
-    let cell = acceptance_cell(cli.smoke);
+    let cell = Cell::acceptance(cli.smoke);
     eprintln!(
-        "obs overhead: N=2^{} d={} J={} L={} workers={WORKERS} ({})",
+        "obs overhead: N=2^{} d={} J={} L={} ({})",
         cell.n.trailing_zeros(),
         cell.d,
         cell.joins,

@@ -9,18 +9,16 @@
 //!   through a persistent [`rse::Decoder`], and beside it the latency of
 //!   rebuilding one missing packet of the same block (`first_row_ms`:
 //!   what a receiver that needs one packet pays).
-//! * `parallel` — bit-for-bit identity of the parallel proactive encode
-//!   against a single-worker run of the same message.
 //! * `batch_rekey` — end-to-end wall time of one server batch (marking,
 //!   UKA, sealing, block build, round-one schedule) at group sizes
 //!   N ∈ {2^10, 2^14, 2^17}.
 //!
 //! Flags are the shared report flags (`bench::report`): `--smoke` shrinks
 //! measurement windows/reps (same sections, same JSON shape); `--check`
-//! fails on a report that is malformed, records a parallel mismatch or
-//! has one row costing more than a quarter of the whole decode;
-//! `--obs-out <path>` (or `REKEY_OBS=1`) dumps the metrics snapshot
-//! collected during the run — JSON to the path, human table to stderr;
+//! fails on a report that is malformed or has one row costing more than
+//! a quarter of the whole decode; `--obs-out <path>` (or `REKEY_OBS=1`)
+//! dumps the metrics snapshot collected during the run — JSON to the
+//! path, human table to stderr;
 //! `--trace-out <path>` records the `batch_rekey` section in the flight
 //! recorder and writes Chrome trace-event JSON (open in Perfetto). Both
 //! require a build with `--features obs`.
@@ -53,7 +51,11 @@ impl Effort {
             Effort {
                 window: Duration::from_millis(25),
                 reps: 1,
-                rekey_reps: 1,
+                // Two, not one: the first batch on a fresh tree pays the
+                // allocator's page faults (3–12 ms at N = 2^17 against a
+                // warm ~2 ms), and the committed full-mode row it is
+                // compared with is a best-of-three.
+                rekey_reps: 2,
             }
         } else {
             Effort {
@@ -154,38 +156,6 @@ fn bench_decode(effort: Effort) -> DecodeReport {
     }
 }
 
-struct ParallelReport {
-    blocks: usize,
-    workers: usize,
-    matches_sequential: bool,
-}
-
-/// Encodes the same rekey message sequentially and with a worker pool and
-/// compares the schedules byte for byte.
-fn bench_parallel() -> ParallelReport {
-    let workers = 4;
-    let make_session = || {
-        let mut server =
-            grouprekey::KeyServer::bootstrap(1024, grouprekey::ServerOptions::default());
-        let leaves: Vec<u32> = (0..96u32).map(|i| i * 8).collect();
-        server.rekey(Batch::new(vec![], leaves))
-    };
-    let sequential = taskpool::with_workers(1, || {
-        let mut a = make_session();
-        a.session.start()
-    });
-    let parallel = taskpool::with_workers(workers, || {
-        let mut a = make_session();
-        a.session.start()
-    });
-    let blocks = make_session().session.blocks().block_count();
-    ParallelReport {
-        blocks,
-        workers,
-        matches_sequential: sequential == parallel,
-    }
-}
-
 struct RekeyPoint {
     n: u32,
     joins: usize,
@@ -250,13 +220,7 @@ fn bench_batch_rekey(effort: Effort) -> Vec<RekeyPoint> {
 // Report
 // ---------------------------------------------------------------------------
 
-fn render(
-    cli: &Cli,
-    parity_pps: f64,
-    dec: &DecodeReport,
-    par: &ParallelReport,
-    rekey: &[RekeyPoint],
-) -> String {
+fn render(cli: &Cli, parity_pps: f64, dec: &DecodeReport, rekey: &[RekeyPoint]) -> String {
     let mut w = report::begin(&REKEY, cli);
     // Opens a codec section with the block shape both measure.
     let codec_section = |w: &mut JsonWriter, name: &str| {
@@ -274,12 +238,6 @@ fn render(
     w.field_u64("erasures", dec.erasures as u64);
     report::measured(&mut w, "decode_ms", dec.decode_ms);
     report::measured(&mut w, "first_row_ms", dec.first_row_ms);
-    w.end_object();
-    w.key("parallel");
-    w.begin_object();
-    w.field_u64("blocks", par.blocks as u64);
-    w.field_u64("workers", par.workers as u64);
-    w.field_bool("matches_sequential", par.matches_sequential);
     w.end_object();
     w.key("batch_rekey");
     w.begin_array();
@@ -307,12 +265,6 @@ fn run(cli: &Cli) -> std::io::Result<String> {
         "  {:.3} ms, first row {:.4} ms",
         dec.decode_ms, dec.first_row_ms
     );
-    eprintln!("parallel: encode identity check");
-    let par = bench_parallel();
-    eprintln!(
-        "  {} blocks, {} workers, matches_sequential={}",
-        par.blocks, par.workers, par.matches_sequential
-    );
     eprintln!("batch_rekey: N in {{2^10, 2^14, 2^17}}");
     cli.trace.start();
     let rekey = bench_batch_rekey(effort);
@@ -322,7 +274,7 @@ fn run(cli: &Cli) -> std::io::Result<String> {
     }
     cli.obs
         .emit(&obs::snapshot(), &mut std::io::stderr().lock())?;
-    Ok(render(cli, parity_pps, &dec, &par, &rekey))
+    Ok(render(cli, parity_pps, &dec, &rekey))
 }
 
 fn main() {

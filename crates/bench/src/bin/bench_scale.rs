@@ -21,11 +21,6 @@
 //!   to the AoS-equivalent bytes the pre-rewrite `Vec<Node>` + member
 //!   `HashMap` layout would hold.
 //!
-//! The `identity` section replays the N = 2^20, d = 8, J = L = 64 cell
-//! under 1 and 4 workers and requires bit-identical marking outcomes and
-//! sealed bytes — the gate is identity, not speedup, so it holds on a
-//! single-core container.
-//!
 //! Flags are the shared report flags (`bench::report`): `--smoke` shrinks
 //! the grid (same JSON shape); `--obs-out <path>` (or `REKEY_OBS=1`)
 //! collects a per-stage metrics snapshot over the acceptance cell — the
@@ -34,10 +29,10 @@
 //! `{"schema": "obs_scale/v1", ..}` JSON embedding the snapshot plus a
 //! stage-coverage percentage (how much of the measured batch wall time
 //! the mark/mint/seal/encode spans account for) and prints the per-stage
-//! table to stderr. `--trace-out <path>` records the identity replay in
-//! the flight recorder and writes Chrome trace-event JSON — one track per
-//! `taskpool` worker, so the mint and seal fan-outs are visible in
-//! Perfetto. Both require a build with `--features obs`.
+//! table to stderr. `--trace-out <path>` runs the acceptance cell once
+//! more, untimed, under the flight recorder and writes Chrome trace-event
+//! JSON — one track, the mark → mint → seal stages in batch order (open in
+//! Perfetto). Both require a build with `--features obs`.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -48,8 +43,6 @@ use keytree::{KeyTree, MarkOutcome, MarkScratch};
 use obs::json::JsonWriter;
 use rekeymsg::{seal_context, Layout, UkaAssignment};
 use wirecrypto::{KeyGen, SealedKey};
-
-const IDENTITY_WORKERS: [usize; 2] = [1, 4];
 
 fn grid(smoke: bool) -> Vec<Cell> {
     let (sizes, churn): (&[u32], &[(usize, usize)]) = if smoke {
@@ -71,17 +64,6 @@ fn grid(smoke: bool) -> Vec<Cell> {
         }
     }
     cells
-}
-
-/// The identity-gate cell: the acceptance row (N = 2^20, d = 8, 64/64) in
-/// full mode, the largest smoke cell otherwise.
-fn identity_cell(smoke: bool) -> Cell {
-    Cell {
-        n: if smoke { 1 << 12 } else { 1 << 20 },
-        d: 8,
-        joins: 64,
-        leaves: 64,
-    }
 }
 
 /// Seals every encryption edge of the outcome under its child key. Raw
@@ -283,48 +265,12 @@ impl ObsCellReport {
     }
 }
 
-struct IdentityReport {
-    cell: Cell,
-    matches_sequential: bool,
-}
-
-/// Replays one cell at each worker count and demands bit-identical marking
-/// outcomes (keys included, via the sealed bytes) across all of them.
-fn bench_identity(cell: Cell) -> IdentityReport {
-    let run = |workers: usize| -> (MarkOutcome, Vec<SealedKey>) {
-        taskpool::with_workers(workers, || {
-            let mut keygen = KeyGen::from_seed(0x0001_DE47_u64);
-            let mut tree = KeyTree::balanced(cell.n, cell.d, &mut keygen);
-            let batch = make_batch(cell, &mut keygen);
-            let mut scratch = MarkScratch::new();
-            let outcome = tree.process_batch_in(batch, &mut keygen, &mut scratch);
-            // The chunked parallel seal, so the replay covers both fan-outs
-            // (mint and seal) the worker count could perturb.
-            let (_plans, sealed) = rekeymsg::plan_and_seal(&tree, &outcome, 1, &Layout::DEFAULT)
-                .unwrap_or_else(|e| unreachable!("wide build has no wire cap: {e}"));
-            (outcome, sealed)
-        })
-    };
-    let baseline = run(IDENTITY_WORKERS[0]);
-    let matches = IDENTITY_WORKERS[1..].iter().all(|&w| run(w) == baseline);
-    IdentityReport {
-        cell,
-        matches_sequential: matches,
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Report
 // ---------------------------------------------------------------------------
 
-fn render(cli: &Cli, cells: &[CellReport], identity: &IdentityReport) -> String {
+fn render(cli: &Cli, cells: &[CellReport]) -> String {
     let mut w = report::begin(&SCALE, cli);
-    w.key("identity");
-    w.begin_object();
-    identity.cell.write_fields(&mut w);
-    report::integers(&mut w, "workers", IDENTITY_WORKERS.map(|n| n as u64));
-    w.field_bool("matches_sequential", identity.matches_sequential);
-    w.end_object();
     w.key("scale");
     w.begin_array();
     for r in cells {
@@ -349,10 +295,9 @@ fn run(cli: &Cli) -> std::io::Result<String> {
     let reps = if cli.smoke { 1 } else { 3 };
     let cells = grid(cli.smoke);
     eprintln!("scale: {} cells ({})", cells.len(), cli.mode());
-    // The cell whose per-stage snapshot ships when obs output is on: the
-    // acceptance row (N = 2^20 in full mode, the largest smoke cell
-    // otherwise) — the same cell the identity gate replays.
-    let id_cell = identity_cell(cli.smoke);
+    // The cell whose per-stage snapshot ships when obs output is on, and
+    // the one `--trace-out` records.
+    let acceptance = Cell::acceptance(cli.smoke);
     let mut obs_report: Option<ObsCellReport> = None;
     let mut reports = Vec::with_capacity(cells.len());
     for cell in cells {
@@ -360,7 +305,7 @@ fn run(cli: &Cli) -> std::io::Result<String> {
             obs::reset();
         }
         let r = bench_cell(cell, reps);
-        if cli.obs.active && cell == id_cell {
+        if cli.obs.active && cell == acceptance {
             obs_report = Some(ObsCellReport::new(
                 cell,
                 r.measured_wall_ms,
@@ -385,16 +330,13 @@ fn run(cli: &Cli) -> std::io::Result<String> {
         reports.push(r);
     }
 
-    eprintln!(
-        "identity: N=2^{} d={} workers {:?}",
-        id_cell.n.trailing_zeros(),
-        id_cell.d,
-        IDENTITY_WORKERS
-    );
-    cli.trace.start();
-    let identity = bench_identity(id_cell);
-    cli.trace.finish()?;
-    eprintln!("  matches_sequential={}", identity.matches_sequential);
+    if cli.trace.active() {
+        // One more, untimed, build of the acceptance cell: the rows above
+        // are never measured with the recorder armed.
+        cli.trace.start();
+        bench_cell(acceptance, 1);
+        cli.trace.finish()?;
+    }
 
     if let Some(report) = obs_report {
         report.render_stderr(&mut std::io::stderr().lock())?;
@@ -403,7 +345,7 @@ fn run(cli: &Cli) -> std::io::Result<String> {
             eprintln!("wrote obs snapshot to {path}");
         }
     }
-    Ok(render(cli, &reports, &identity))
+    Ok(render(cli, &reports))
 }
 
 fn main() {

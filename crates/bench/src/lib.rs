@@ -11,6 +11,8 @@
 
 #![forbid(unsafe_code)]
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 pub mod ablations;
 pub mod figures;
 pub mod jsonv;
@@ -75,17 +77,86 @@ pub fn header(out: &mut dyn std::io::Write, id: &str, caption: &str) -> std::io:
     writeln!(out, "### {id} — {caption}")
 }
 
-/// Fans independent figure grid cells out across the task pool, returning
-/// results in input order (so the printed tables are byte-identical to a
-/// serial run at any `REKEY_THREADS`; `taskpool::map` guarantees the
-/// ordering).
+thread_local! {
+    /// Worker count pinned by [`with_workers`] on this thread.
+    static WORKERS: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+}
+
+/// Runs `body` with [`par`]'s worker count pinned to `workers` on the
+/// current thread, restoring the previous setting afterwards (also on
+/// panic). `bench_figures` times its serial leg under `with_workers(1, ..)`;
+/// being thread-local, the pin cannot race between concurrent tests the
+/// way an environment variable would.
+pub fn with_workers<R>(workers: usize, body: impl FnOnce() -> R) -> R {
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            WORKERS.with(|cell| cell.set(self.0));
+        }
+    }
+    let _restore = Restore(WORKERS.with(|cell| cell.replace(Some(workers))));
+    body()
+}
+
+/// The number of grid workers [`par`] uses on this thread: the
+/// [`with_workers`] pin if present, else the `REKEY_THREADS` environment
+/// variable, else [`std::thread::available_parallelism`]. At least 1.
+pub fn grid_workers() -> usize {
+    if let Some(n) = WORKERS.with(std::cell::Cell::get) {
+        return n.max(1);
+    }
+    std::env::var("REKEY_THREADS")
+        .ok()
+        .and_then(|raw| raw.trim().parse::<usize>().ok())
+        .filter(|&n| n >= 1)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from))
+}
+
+/// Runs `f` over independent figure-grid cells on [`grid_workers`] scoped
+/// threads and returns the results in input order, so the printed tables
+/// are byte-identical to a serial run at any worker count. Workers claim
+/// cells from a shared index, so an expensive cell does not hold up the
+/// ones behind it. This is the repo's only level of parallelism: a cell
+/// runs the sequential rekey pipeline (DESIGN.md "Why the datapath is
+/// sequential").
 ///
-/// Each cell runs with nested task-pool stages pinned to one worker: the
-/// grid is the outermost (and widest) level of parallelism, so letting the
-/// per-message datapath fan out again from inside a grid worker would
-/// oversubscribe the cores without adding coverage.
+/// # Panics
+///
+/// Resumes a cell's panic on the calling thread once every worker has
+/// been joined.
 pub fn par<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    taskpool::map(items, |_, item| taskpool::with_workers(1, || f(item)))
+    let workers = grid_workers().min(items.len());
+    if workers <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let mut cells: Vec<(usize, R)> = Vec::with_capacity(items.len());
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done: Vec<(usize, R)> = Vec::new();
+                    loop {
+                        // xcheck-ordering: ticket counter only; results are slotted by index and published by the join
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break };
+                        done.push((i, f(item)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        for handle in handles {
+            match handle.join() {
+                Ok(done) => cells.extend(done),
+                // The scope joins the remaining workers before this
+                // leaves it, so no cell outlives the caller's unwind.
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+    });
+    cells.sort_unstable_by_key(|&(i, _)| i);
+    cells.into_iter().map(|(_, r)| r).collect()
 }
 
 /// One cell of the server-cost grid `bench_scale` sweeps and `bench_obs`
@@ -103,6 +174,18 @@ pub struct Cell {
 }
 
 impl Cell {
+    /// The cell `bench_scale` traces and snapshots and `bench_obs`
+    /// measures the recorder on: the acceptance row (N = 2^20, d = 8,
+    /// 64/64) in full mode, the largest smoke cell otherwise.
+    pub fn acceptance(smoke: bool) -> Cell {
+        Cell {
+            n: if smoke { 1 << 12 } else { 1 << 20 },
+            d: 8,
+            joins: 64,
+            leaves: 64,
+        }
+    }
+
     /// Writes the four coordinates into the object `w` has open.
     pub fn write_fields(&self, w: &mut obs::json::JsonWriter) {
         w.field_u64("n", u64::from(self.n));
@@ -278,3 +361,79 @@ pub const ALL_FIGURES: &[(&str, FigFn)] = &[
     ("ablation_loss_model", ablations::ablation_loss_model),
     ("ablation_uka", ablations::ablation_uka),
 ];
+
+/// Cheap-but-representative subset of [`ALL_FIGURES`] for `bench_figures
+/// --smoke` and the grid identity test: one workload grid, one adaptive
+/// trajectory, one table, one ablation.
+pub const SMOKE_FIGURES: [&str; 4] = [
+    "fig06",
+    "fig14",
+    "sigcomm_sparseness",
+    "ablation_loss_model",
+];
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn par_preserves_input_order_when_cell_costs_are_skewed() {
+        // The first cells are the slow ones, so with more than one worker
+        // the later cells finish first and must still land in their slots.
+        let items: Vec<u64> = (0..24).collect();
+        let cell = |&i: &u64| {
+            if i < 3 {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+            }
+            i * i
+        };
+        let expect: Vec<u64> = items.iter().map(cell).collect();
+        for workers in [1, 2, 8] {
+            assert_eq!(
+                with_workers(workers, || par(&items, cell)),
+                expect,
+                "workers = {workers}"
+            );
+        }
+    }
+
+    #[test]
+    fn par_handles_more_workers_than_items_and_the_empty_slice() {
+        let out = with_workers(8, || par(&[10u8, 20, 30], |&v| v + 1));
+        assert_eq!(out, vec![11, 21, 31]);
+        let empty: [u8; 0] = [];
+        assert!(with_workers(8, || par(&empty, |&v| v)).is_empty());
+    }
+
+    #[test]
+    fn a_panicking_cell_surfaces_after_every_worker_is_joined() {
+        let finished = AtomicUsize::new(0);
+        let items: Vec<usize> = (0..16).collect();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            with_workers(4, || {
+                par(&items, |&i| {
+                    if i == 5 {
+                        panic!("cell 5 failed");
+                    }
+                    std::thread::sleep(std::time::Duration::from_millis(5));
+                    finished.fetch_add(1, Ordering::SeqCst);
+                })
+            })
+        }));
+        let payload = caught.expect_err("the cell's panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"cell 5 failed"));
+        // Nothing is still running: the other workers drained the queue
+        // before the panic was resumed.
+        assert_eq!(finished.load(Ordering::SeqCst), 15);
+    }
+
+    #[test]
+    fn with_workers_pins_restores_and_clamps() {
+        let outer = with_workers(3, || {
+            assert_eq!(with_workers(7, grid_workers), 7);
+            grid_workers()
+        });
+        assert_eq!(outer, 3);
+        assert_eq!(with_workers(0, grid_workers), 1);
+    }
+}

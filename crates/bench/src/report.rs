@@ -381,16 +381,6 @@ pub fn measured(w: &mut JsonWriter, key: &str, value: f64) {
     }
 }
 
-/// Writes `key` with an inline array of integers.
-pub fn integers(w: &mut JsonWriter, key: &str, values: impl IntoIterator<Item = u64>) {
-    w.key(key);
-    w.begin_array();
-    for v in values {
-        w.value_u64(v);
-    }
-    w.end_array();
-}
-
 /// Closes the root object and returns the report text.
 pub fn finish(mut w: JsonWriter) -> String {
     w.end_object();
@@ -410,7 +400,7 @@ pub static SPECS: [&Spec; 5] = [&REKEY, &SCALE, &CHURN, &FIGURES, &OBS];
 
 /// `BENCH_rekey.json`: the rekey datapath.
 pub static REKEY: Spec = Spec {
-    schema: "bench_rekey/v2",
+    schema: "bench_rekey/v3",
     file: "BENCH_rekey.json",
     sinks: &["--obs-out", "--trace-out"],
     quick_env: true,
@@ -424,9 +414,6 @@ pub static REKEY: Spec = Spec {
         ("decode.erasures", Id),
         ("decode.decode_ms", Lower),
         ("decode.first_row_ms", Lower),
-        ("parallel.blocks", Exact),
-        ("parallel.workers", Id),
-        ("parallel.matches_sequential", Exact),
         ("batch_rekey.n", Id),
         ("batch_rekey.joins", Id),
         ("batch_rekey.leaves", Id),
@@ -434,9 +421,6 @@ pub static REKEY: Spec = Spec {
         ("batch_rekey.wall_ms", Lower),
     ],
     gates: |doc, problems| {
-        if !is_true(doc, "parallel.matches_sequential") {
-            problems.push("parallel encode did not match sequential".to_string());
-        }
         // One rebuilt packet of a half-erased block is a small part of all.
         let ms = |key| at(doc, key).and_then(Value::as_f64);
         let (first, all) = (ms("decode.first_row_ms"), ms("decode.decode_ms"));
@@ -453,17 +437,11 @@ pub static REKEY: Spec = Spec {
 
 /// `BENCH_scale.json`: the million-user server pipeline.
 pub static SCALE: Spec = Spec {
-    schema: "bench_scale/v3",
+    schema: "bench_scale/v4",
     file: "BENCH_scale.json",
     sinks: &["--obs-out", "--trace-out"],
     quick_env: true,
     columns: &[
-        ("identity.n", Id),
-        ("identity.d", Id),
-        ("identity.joins", Id),
-        ("identity.leaves", Id),
-        ("identity.workers", Exact),
-        ("identity.matches_sequential", Exact),
         ("scale.n", Id),
         ("scale.d", Id),
         ("scale.joins", Id),
@@ -482,7 +460,7 @@ pub static SCALE: Spec = Spec {
 
 /// `BENCH_churn.json`: long-horizon churn over the scenario engine.
 pub static CHURN: Spec = Spec {
-    schema: "bench_churn/v1",
+    schema: "bench_churn/v2",
     file: "BENCH_churn.json",
     sinks: &["--obs-out", "--trace-out", "--series-out"],
     quick_env: true,
@@ -491,9 +469,7 @@ pub static CHURN: Spec = Spec {
         ("identity.n", Id),
         ("identity.d", Id),
         ("identity.compaction", Id),
-        ("identity.workers", Exact),
-        ("identity.sched_seeds", Exact),
-        ("identity.matches_sequential", Exact),
+        ("identity.replay_matches", Exact),
         ("churn.kind", Id),
         ("churn.n", Id),
         ("churn.d", Id),
@@ -549,7 +525,7 @@ pub static FIGURES: Spec = Spec {
 
 /// `BENCH_obs.json`: what the flight recorder costs.
 pub static OBS: Spec = Spec {
-    schema: "bench_obs/v2",
+    schema: "bench_obs/v3",
     file: "BENCH_obs.json",
     sinks: &["--trace-out"],
     quick_env: true,
@@ -558,9 +534,8 @@ pub static OBS: Spec = Spec {
         ("cell.d", Id),
         ("cell.joins", Id),
         ("cell.leaves", Id),
-        // Run shape: fixed worker count, leg repetitions, and the size of
-        // one recorded build, all of which differ smoke to full.
-        ("workers", Context),
+        // Run shape: leg repetitions and the size of one recorded build,
+        // which differ smoke to full.
         ("reps", Context),
         ("events", Context),
         ("tracks", Context),
@@ -598,9 +573,6 @@ fn rows<'a>(doc: &'a Value, key: &str) -> &'a [Value] {
 }
 
 fn scale_gates(doc: &Value, problems: &mut Vec<String>) {
-    if !is_true(doc, "identity.matches_sequential") {
-        problems.push("parallel marking did not match sequential".to_string());
-    }
     if mode(doc) != Some("full") {
         return;
     }
@@ -629,8 +601,8 @@ fn scale_gates(doc: &Value, problems: &mut Vec<String>) {
 /// compaction-on mass-departure and oscillation rows.
 fn churn_gates(doc: &Value, problems: &mut Vec<String>) {
     use grouprekey::scenario::ScenarioKind;
-    if !is_true(doc, "identity.matches_sequential") {
-        problems.push("scenario replay did not match across workers/schedules".to_string());
+    if !is_true(doc, "identity.replay_matches") {
+        problems.push("a second run of the identity scenario did not match the first".to_string());
     }
     let kind_of = |row: &Value| row.get("kind").and_then(Value::as_str).map(str::to_string);
     let rows = rows(doc, "churn");
@@ -698,12 +670,6 @@ fn obs_gates(doc: &Value, problems: &mut Vec<String>) {
         if num(doc, key) != Some(0.0) {
             problems.push(format!("{key} = {:?}, want exactly 0", num(doc, key)));
         }
-    }
-    let (tracks, workers) = (num(doc, "tracks"), num(doc, "workers"));
-    if !matches!((tracks, workers), (Some(t), Some(w)) if t >= w) {
-        problems.push(format!(
-            "{tracks:?} tracks recorded, want one per worker ({workers:?})"
-        ));
     }
     // The timing gate binds only in full mode: the smoke cell's sub-ms
     // walls make percentages pure scheduling noise.

@@ -1,10 +1,10 @@
 //! The side outputs of an obs-enabled bench run, parsed and checked for
 //! structure: the Chrome trace export (balanced B/E nesting, monotone
-//! per-track timestamps, one labelled track per taskpool worker), the
+//! per-track timestamps, every track labelled), the
 //! `obs_scale/v1` per-stage snapshot, and the `obs_series/v1` columns.
 //! Needs `--features obs`; without it there is nothing to record.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -41,16 +41,24 @@ fn number(v: &Value, key: &str) -> f64 {
         .unwrap_or_else(|| panic!("{key} in {v:?}"))
 }
 
-/// Checks the trace structurally and returns its track labels.
-fn validate_trace(doc: &Value) -> Vec<String> {
+/// What [`validate_trace`] saw: the track labels, and every span name with
+/// the name of the span it opened inside (`""` at the top of a track).
+struct TraceShape {
+    labels: Vec<String>,
+    nesting: BTreeSet<(String, String)>,
+}
+
+/// Checks the trace structurally and returns its shape.
+fn validate_trace(doc: &Value) -> TraceShape {
     let events = doc
         .get("traceEvents")
         .and_then(Value::as_arr)
         .expect("events");
     assert!(!events.is_empty());
     let mut labels: BTreeMap<u64, String> = BTreeMap::new();
-    // Per track: last timestamp and open-span depth.
-    let mut tracks: BTreeMap<u64, (f64, i64)> = BTreeMap::new();
+    // Per track: last timestamp and the stack of open spans.
+    let mut tracks: BTreeMap<u64, (f64, Vec<String>)> = BTreeMap::new();
+    let mut nesting = BTreeSet::new();
     for e in events {
         assert_eq!(number(e, "pid"), 1.0);
         let tid = number(e, "tid") as u64;
@@ -60,25 +68,33 @@ fn validate_trace(doc: &Value) -> Vec<String> {
             labels.insert(tid, name.to_string());
             continue;
         }
-        let (last, depth) = tracks.entry(tid).or_insert((-1.0, 0));
+        let (last, open) = tracks.entry(tid).or_insert((-1.0, Vec::new()));
         let ts = number(e, "ts");
         assert!(ts >= *last, "ts not monotone on track {tid}");
         *last = ts;
         match ph {
-            "B" => *depth += 1,
-            "E" => {
-                *depth -= 1;
-                assert!(*depth >= 0, "E without B on track {tid}");
+            "B" => {
+                let name = text(e, "name").to_string();
+                nesting.insert((name.clone(), open.last().cloned().unwrap_or_default()));
+                open.push(name);
             }
+            "E" => assert_eq!(
+                open.pop().as_deref(),
+                Some(text(e, "name")),
+                "E closes the innermost B on track {tid}"
+            ),
             "i" => {}
             other => panic!("unexpected phase {other}"),
         }
     }
-    for (tid, (_, depth)) in &tracks {
-        assert_eq!(*depth, 0, "unclosed spans on track {tid}");
+    for (tid, (_, open)) in &tracks {
+        assert!(open.is_empty(), "unclosed spans on track {tid}: {open:?}");
         assert!(labels.contains_key(tid), "unlabelled track {tid}");
     }
-    labels.into_values().collect()
+    TraceShape {
+        labels: labels.into_values().collect(),
+        nesting,
+    }
 }
 
 #[test]
@@ -91,23 +107,32 @@ fn scale_trace_and_stage_snapshot_have_the_expected_structure() {
         temp_path("scale_trace"),
         temp_path("scale_obs"),
     );
-    // The smoke cell's seal fan-out is ~0.1 ms of work, so on a box that
-    // runs the scoped workers one after another each would adopt the
-    // previous one's freed ring; the perturbation seed's yield points
-    // keep at least two alive at once.
     run(Command::new(env!("CARGO_BIN_EXE_bench_scale"))
-        .env("XCHECK_SCHED_SEED", "1")
         .arg("--smoke")
         .args(["--out", out.to_str().expect("utf8")])
         .args(["--trace-out", trace.to_str().expect("utf8")])
         .args(["--obs-out", snap.to_str().expect("utf8")]));
     let _ = std::fs::remove_file(&out);
 
-    // The identity replay's four-worker leg fans the seal chunks out, so
-    // at least two `map-*` worker tracks appear next to the caller's.
-    let labels = validate_trace(&load(&trace));
-    let workers = labels.iter().filter(|l| l.starts_with("map-")).count();
-    assert!(workers >= 2, "worker tracks: {labels:?}");
+    // The datapath is sequential: the traced acceptance cell is one track
+    // (the caller's), its stages closed and nested in the batch and build
+    // spans that run them. (No `stage.encode`: the cell builds the
+    // assignment, not the FEC blocks.)
+    let shape = validate_trace(&load(&trace));
+    assert_eq!(shape.labels.len(), 1, "tracks: {:?}", shape.labels);
+    for (stage, parent) in [
+        ("stage.mark", "keytree.mark_batch"),
+        ("stage.mint", "keytree.mark_batch"),
+        ("stage.seal", "uka.build"),
+    ] {
+        assert!(
+            shape
+                .nesting
+                .contains(&(stage.to_string(), parent.to_string())),
+            "{stage} not nested under {parent}: {:?}",
+            shape.nesting
+        );
+    }
 
     let snap = load(&snap);
     assert_eq!(text(&snap, "schema"), "obs_scale/v1");

@@ -201,9 +201,8 @@ impl ScenarioReport {
     }
 }
 
-/// splitmix64: the same tiny deterministic generator `taskpool` uses for
-/// schedule perturbation. Private stream per engine, so scenario traces
-/// never interact with key generation.
+/// splitmix64: a tiny deterministic generator. Private stream per
+/// engine, so scenario traces never interact with key generation.
 #[derive(Debug, Clone)]
 struct SplitMix64 {
     state: u64,

@@ -182,24 +182,6 @@ impl KeyServer {
         build_usr_packet(&self.tree, outcome, member, self.msg_seq)
     }
 
-    /// Builds USR packets for many members at once, fanning the
-    /// independent per-member key-path derivations out across workers.
-    ///
-    /// Each member's packet is derived from read-only tree state, so the
-    /// output is exactly `members.iter().map(|&m| self.usr_packet(m))` —
-    /// order preserved, one entry per requested member — for any worker
-    /// count. A NACK storm after a large batch is the expected caller:
-    /// thousands of members ask for their USR packet against the same
-    /// message, and the derivations share nothing.
-    pub fn usr_packets_bulk(&self, members: &[MemberId]) -> Vec<Option<UsrPacket>> {
-        let Some(outcome) = self.last_outcome.as_ref() else {
-            return vec![None; members.len()];
-        };
-        taskpool::map(members, |_, &member| {
-            build_usr_packet(&self.tree, outcome, member, self.msg_seq)
-        })
-    }
-
     /// Serialises the server's durable state — the key tree and message
     /// sequence — for crash recovery. Transport state (`rho`, `numNACK`)
     /// is soft and re-adapts within a few messages, so it is not stored.
@@ -280,23 +262,6 @@ mod tests {
         let usr = server.usr_packet(5).expect("member 5 remains");
         assert!(!usr.sealed.is_empty());
         assert!(server.usr_packet(1).is_none(), "departed member");
-    }
-
-    #[test]
-    fn usr_packets_bulk_matches_per_member_derivation() {
-        let mut server = KeyServer::bootstrap(64, ServerOptions::default());
-        let members: Vec<MemberId> = (0..64).collect();
-        assert!(
-            server
-                .usr_packets_bulk(&members)
-                .iter()
-                .all(Option::is_none),
-            "no message yet"
-        );
-        server.rekey(Batch::new(vec![], vec![1, 2, 3]));
-        let bulk = taskpool::with_workers(4, || server.usr_packets_bulk(&members));
-        let one_by_one: Vec<_> = members.iter().map(|&m| server.usr_packet(m)).collect();
-        assert_eq!(bulk, one_by_one);
     }
 
     #[test]

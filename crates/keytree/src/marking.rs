@@ -20,9 +20,8 @@
 //! `O((J + L) · log_d N)` regardless of `N`. All per-batch working state
 //! lives in a caller-owned [`MarkScratch`] whose buffers are reused across
 //! batches (epoch-stamped node maps avoid `O(N)` clears), and fresh keys
-//! for the updated k-nodes are derived from a single per-batch seed so
-//! they can be minted in parallel with bit-identical results at any
-//! worker count.
+//! for the updated k-nodes are derived from a single per-batch seed, so
+//! a batch costs the key generator one draw however many nodes it updates.
 
 use std::collections::HashMap;
 
@@ -383,20 +382,13 @@ impl MarkOutcome {
     }
 }
 
-/// Derives the fresh key of an updated k-node from the batch seed. Keyed
-/// on the node ID, so the derivation order is irrelevant — workers mint
-/// keys for disjoint ID chunks and the result is identical to a
-/// sequential pass.
+/// Derives the fresh key of an updated k-node from the batch seed: a PRF
+/// of (seed, node ID), so one generator draw keys the whole batch.
 fn derive_node_key(seed: &SymKey, id: NodeId) -> SymKey {
     let mut buf = [0u8; 16];
     StreamCipher::new(seed, id as u64).apply(&mut buf);
     SymKey::from_bytes(buf)
 }
-
-/// Updated k-nodes per parallel key-derivation chunk. Constant (not
-/// worker-count derived) so chunk boundaries — and thus the work units —
-/// are identical at any `REKEY_THREADS`.
-const DERIVE_CHUNK: usize = 128;
 
 impl KeyTree {
     /// Runs the marking algorithm over one batch: updates the tree
@@ -494,18 +486,12 @@ impl KeyTree {
             })
             .collect();
 
-        // Mint the fresh keys in parallel from one batch seed (no draw at
-        // all when nothing was updated, preserving the generator's
-        // sequence). Each key is a PRF of (seed, node id), so chunked
-        // workers produce exactly the keys a sequential pass would.
+        // Mint the fresh keys from one batch seed (no draw at all when
+        // nothing was updated, preserving the generator's sequence).
         if !updated.is_empty() {
             let seed = keygen.next_key();
-            let chunks: Vec<&[NodeId]> = updated.chunks(DERIVE_CHUNK).collect();
-            let derived: Vec<Vec<SymKey>> = taskpool::map(&chunks, |_, ids| {
-                ids.iter().map(|&id| derive_node_key(&seed, id)).collect()
-            });
-            for (&id, key) in updated.iter().zip(derived.into_iter().flatten()) {
-                self.set_key(id, key);
+            for &id in &updated {
+                self.set_key(id, derive_node_key(&seed, id));
             }
         }
 
@@ -1351,21 +1337,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_count_does_not_change_outcome() {
-        let run = |workers: usize| -> (MarkOutcome, Option<SymKey>) {
-            taskpool::with_workers(workers, || {
-                let mut kg = keygen();
-                let mut tree = KeyTree::balanced(1024, 4, &mut kg);
-                let leaves: Vec<MemberId> = (0..96).map(|i| i * 8).collect();
-                let joins: Vec<_> = (0..32).map(|i| join(&mut kg, 2000 + i)).collect();
-                let outcome = tree.process_batch(&Batch::new(joins, leaves), &mut kg);
-                (outcome, tree.group_key())
-            })
-        };
-        assert_eq!(run(1), run(4));
-    }
-
-    #[test]
     #[should_panic(expected = "unknown member")]
     fn leave_of_unknown_member_panics() {
         let mut kg = keygen();
@@ -1686,37 +1657,5 @@ mod tests {
             settled <= reference * 8,
             "resident_bytes {settled} far from reference {reference}"
         );
-    }
-
-    /// Compaction is single-threaded by construction; the whole batch
-    /// pipeline must stay bit-identical across worker counts with it on.
-    #[test]
-    fn compaction_outcome_is_worker_count_invariant() {
-        let run = |workers: usize| -> (Vec<MarkOutcome>, Option<SymKey>) {
-            taskpool::with_workers(workers, || {
-                let mut kg = keygen();
-                let mut tree = KeyTree::balanced(1024, 4, &mut kg);
-                let mut scratch = MarkScratch::new();
-                let policy = CompactionPolicy::DEFAULT_ON;
-                let mut outcomes = Vec::new();
-                let leaves: Vec<MemberId> = (0..1024).filter(|m| m % 16 != 0).collect();
-                outcomes.push(tree.process_batch_compacting_in(
-                    Batch::new(vec![], leaves),
-                    &mut kg,
-                    &mut scratch,
-                    &policy,
-                ));
-                for _ in 0..8 {
-                    outcomes.push(tree.process_batch_compacting_in(
-                        Batch::default(),
-                        &mut kg,
-                        &mut scratch,
-                        &policy,
-                    ));
-                }
-                (outcomes, tree.group_key())
-            })
-        };
-        assert_eq!(run(1), run(4));
     }
 }

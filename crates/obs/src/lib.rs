@@ -4,8 +4,8 @@
 //! server cost per stage, bandwidth overhead, rounds to success. This
 //! crate gives every pipeline stage a first-class way to report where
 //! the time and bytes actually go, with the same discipline as the
-//! sibling `taskpool`/`xcheck` crates — no dependencies, deterministic
-//! output, and zero cost when switched off.
+//! sibling `xcheck` crate — no dependencies, deterministic output, and
+//! zero cost when switched off.
 //!
 //! Four instruments:
 //!
@@ -14,12 +14,12 @@
 //!   nest freely; each records its own elapsed time. Aggregation is
 //!   count / total / min / max plus p50/p99 from a fixed-bucket log2
 //!   histogram ([`hist`]), so recording is allocation-free and O(1).
-//! * **Values** — [`observe`] feeds unit-free magnitudes (tasks per
-//!   worker, packets per round) into the same histogram machinery.
+//! * **Values** — [`observe`] feeds unit-free magnitudes (packets per
+//!   round) into the same histogram machinery.
 //! * **Counters** — [`counter_add`] monotonic sums (packets minted,
 //!   bytes sealed, cache hits).
-//! * **Gauges** — [`gauge_set`] last-write-wins levels (current worker
-//!   count, parity ratio in parts-per-thousand).
+//! * **Gauges** — [`gauge_set`] last-write-wins levels (current group
+//!   size, parity ratio in parts-per-thousand).
 //!
 //! [`snapshot`] collects everything into a [`Snapshot`] that serializes
 //! deterministically ([`Snapshot::to_json`], sections and entries sorted
@@ -386,7 +386,7 @@ mod tests {
                 p99: 1_200_000,
             }],
             values: vec![SeriesStats {
-                name: "taskpool.tasks_per_worker".to_string(),
+                name: "test.hist.edges".to_string(),
                 count: 4,
                 total: 64,
                 min: 12,
@@ -399,7 +399,7 @@ mod tests {
                 value: 171,
             }],
             gauges: vec![Metric {
-                name: "taskpool.workers".to_string(),
+                name: "scenario.users".to_string(),
                 value: 4,
             }],
         }
@@ -423,9 +423,9 @@ mod tests {
     fn table_lists_every_section() {
         let table = sample().render_table();
         assert!(table.contains("stage.mark"));
-        assert!(table.contains("taskpool.tasks_per_worker"));
+        assert!(table.contains("test.hist.edges"));
         assert!(table.contains("uka.keys_sealed"));
-        assert!(table.contains("taskpool.workers"));
+        assert!(table.contains("scenario.users"));
         assert!(table.lines().all(|l| !l.is_empty()));
     }
 

@@ -5,9 +5,9 @@
 //!
 //! The aggregate instruments in the crate root answer "how much time
 //! did stage X take in total"; the recorder answers "*when* did every
-//! stage run, on which worker" — one track per `taskpool` worker, so a
-//! stage's fan-out (and the barrier between stages) is visible as
-//! parallel tracks instead of a single gauge.
+//! stage run, on which thread" — one track per recording thread, so the
+//! stages of a rekey read left to right on the caller's track and
+//! concurrent recorders (figure-grid workers) get tracks of their own.
 //!
 //! # Recording model
 //!
@@ -17,8 +17,8 @@
 //! * Each recording thread owns one **bounded ring** of `(t, meta)`
 //!   slot pairs. The owning thread is the only writer; the cursor and
 //!   slots are relaxed atomics so [`drain`] can read them without
-//!   `unsafe` after writers quiesce (the taskpool joins every worker
-//!   scope before any drain). Overflow keeps the oldest events and
+//!   `unsafe` after writers quiesce (scoped workers are joined before
+//!   any drain). Overflow keeps the oldest events and
 //!   counts the drops ([`TrackInfo::dropped`], gated to zero by the
 //!   overhead bench) — a truncated-but-consistent prefix beats a
 //!   wrapped trace with dangling span ends.
@@ -77,7 +77,7 @@ pub struct TraceEvent {
 pub struct TrackInfo {
     /// Stable track id (ring creation order; doubles as the Chrome `tid`).
     pub track: u32,
-    /// Human label, e.g. `map-1` (see [`set_thread_track`]).
+    /// Human label: `thread-<track>`.
     pub label: String,
     /// Events drained from this track.
     pub events: u64,
@@ -292,7 +292,6 @@ mod rec {
     /// read without `unsafe`.
     struct Ring {
         track: u32,
-        label: Mutex<String>,
         slots: Box<[Slot]>,
         /// Events written so far (never exceeds `slots.len()`).
         head: AtomicUsize,
@@ -313,7 +312,6 @@ mod rec {
             }
             Ring {
                 track,
-                label: Mutex::new(format!("thread-{track}")),
                 slots: slots.into_boxed_slice(),
                 head: AtomicUsize::new(0),
                 dropped: AtomicU64::new(0),
@@ -372,9 +370,6 @@ mod rec {
             // xcheck-ordering: the registry mutex serializes claimers; the flag is only advisory against the owner's release
             if !ring.in_use.load(Ordering::Relaxed) {
                 ring.in_use.store(true, Ordering::Relaxed); // xcheck-ordering: same
-                if let Ok(mut label) = ring.label.lock() {
-                    *label = format!("thread-{}", ring.track);
-                }
                 return Arc::clone(ring);
             }
         }
@@ -494,44 +489,6 @@ mod rec {
         RECORDING.load(Ordering::Relaxed)
     }
 
-    pub(super) fn set_thread_track(role: &'static str, index: u32) {
-        if !is_recording() {
-            return;
-        }
-        let _ = LOCAL.try_with(|cell| {
-            if let Ok(mut borrow) = cell.try_borrow_mut() {
-                if borrow.is_none() {
-                    init_local(&mut borrow);
-                }
-                let Some(local) = borrow.as_mut() else {
-                    return;
-                };
-                if let Ok(mut label) = local.ring.label.lock() {
-                    label.clear();
-                    label.push_str(role);
-                    label.push('-');
-                    let mut buf = [0u8; 10];
-                    label.push_str(format_u32(index, &mut buf));
-                }
-            }
-        });
-    }
-
-    /// Formats `v` into `buf`, returning the textual slice.
-    fn format_u32(v: u32, buf: &mut [u8; 10]) -> &str {
-        let mut i = buf.len();
-        let mut v = v;
-        loop {
-            i -= 1;
-            buf[i] = b'0' + u8::try_from(v % 10).unwrap_or(0);
-            v /= 10;
-            if v == 0 {
-                break;
-            }
-        }
-        std::str::from_utf8(&buf[i..]).unwrap_or("0")
-    }
-
     pub(super) fn drain() -> Trace {
         let name_table: Vec<&'static str> =
             match NAMES.get_or_init(|| RwLock::new(Vec::new())).read() {
@@ -565,13 +522,9 @@ mod rec {
                     u32::try_from(id).unwrap_or(u32::MAX),
                 ));
             }
-            let label = match ring.label.lock() {
-                Ok(label) => label.clone(),
-                Err(_) => String::new(),
-            };
             trace.tracks.push(TrackInfo {
                 track: ring.track,
-                label,
+                label: format!("thread-{}", ring.track),
                 events: n as u64,
                 dropped,
             });
@@ -671,20 +624,6 @@ pub fn instant(name: &'static str) {
 // xcheck: no_alloc
 pub fn instant(_name: &'static str) {}
 
-/// Labels the calling thread's track as `role-index` (e.g. `map-1`),
-/// claiming a track if the thread has none yet. No-op while recording
-/// is off, so idle worker spawns cost nothing.
-#[cfg(feature = "enabled")]
-pub fn set_thread_track(role: &'static str, index: u32) {
-    rec::set_thread_track(role, index);
-}
-
-/// Labels the calling thread's track (no-op: the `enabled` feature is off).
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-// xcheck: no_alloc
-pub fn set_thread_track(_role: &'static str, _index: u32) {}
-
 /// Drains every ring into one deterministic merged [`Trace`]. Call with
 /// recorders quiesced (all worker scopes joined) — typically right after
 /// [`disable`].
@@ -702,7 +641,7 @@ pub fn drain() -> Trace {
     Trace::default()
 }
 
-/// Rewinds every ring to empty (track ids and labels survive). Like
+/// Rewinds every ring to empty (track ids survive). Like
 /// [`crate::reset`], callers quiesce recorders first.
 #[cfg(feature = "enabled")]
 pub fn clear() {
@@ -753,13 +692,13 @@ mod tests {
             tracks: vec![
                 TrackInfo {
                     track: 0,
-                    label: "main-0".to_string(),
+                    label: "thread-0".to_string(),
                     events: 3,
                     dropped: 0,
                 },
                 TrackInfo {
                     track: 1,
-                    label: "map-0".to_string(),
+                    label: "thread-1".to_string(),
                     events: 2,
                     dropped: 0,
                 },
@@ -795,8 +734,8 @@ mod tests {
         assert!(crate::json::well_formed(&json));
         assert!(json.contains("\"schema\": \"trace/v1\""));
         assert!(json.contains("\"thread_name\""));
-        assert!(json.contains("\"main-0\""));
-        assert!(json.contains("\"map-0\""));
+        assert!(json.contains("\"thread-0\""));
+        assert!(json.contains("\"thread-1\""));
         assert!(json.contains("\"ph\": \"B\""));
         assert!(json.contains("\"ph\": \"E\""));
         assert!(json.contains("\"ph\": \"i\""));
@@ -839,14 +778,12 @@ mod tests {
         fn record_drain_export_roundtrip() {
             enable(DEFAULT_CAPACITY);
             assert!(is_recording());
-            set_thread_track("test", 7);
             {
                 let _outer = crate::span("test.trace.outer");
                 let _inner = crate::span("test.trace.inner");
                 instant("test.trace.mark");
             }
             let handle = std::thread::spawn(|| {
-                set_thread_track("test-worker", 0);
                 let _w = crate::span("test.trace.worker");
             });
             let _ = handle.join();
@@ -855,9 +792,9 @@ mod tests {
 
             let trace = drain();
             assert!(trace.tracks.len() >= 2, "tracks: {:?}", trace.tracks);
-            let labels: Vec<&str> = trace.tracks.iter().map(|t| t.label.as_str()).collect();
-            assert!(labels.contains(&"test-7"), "labels: {labels:?}");
-            assert!(labels.contains(&"test-worker-0"), "labels: {labels:?}");
+            for info in &trace.tracks {
+                assert_eq!(info.label, format!("thread-{}", info.track));
+            }
 
             let outer = trace.span_intervals("test.trace.outer");
             let inner = trace.span_intervals("test.trace.inner");

@@ -43,7 +43,6 @@ fn recorder_hot_path_is_allocation_free() {
         // allocation-free and drains empty.
         let trace = xcheck_rt::assert_zero_alloc("trace disabled stubs", || {
             obs::trace::enable(obs::trace::DEFAULT_CAPACITY);
-            obs::trace::set_thread_track("test", 0);
             hammer(64);
             obs::trace::disable();
             obs::trace::clear();
@@ -57,7 +56,6 @@ fn recorder_hot_path_is_allocation_free() {
     // interns and caches the names — those first-touch allocations are
     // the steady state's setup, not its cost), then measure.
     obs::trace::enable(obs::trace::DEFAULT_CAPACITY);
-    obs::trace::set_thread_track("test-noalloc", 0);
     hammer(8);
     xcheck_rt::assert_zero_alloc("trace hot path, recording on", || hammer(1024));
     obs::trace::disable();

@@ -33,7 +33,7 @@
 //! measures that cost exactly as the paper does (duplicated encryptions
 //! over total encryptions in the rekey subtree).
 
-use keytree::{ident, EncEdge, KeyTree, MarkOutcome, NodeId};
+use keytree::{ident, KeyTree, MarkOutcome, NodeId};
 use wirecrypto::SealedKey;
 
 use crate::layout::Layout;
@@ -447,11 +447,6 @@ pub fn plan_in(
     Ok(scratch.emit())
 }
 
-/// Encryption edges per parallel seal chunk. Constant (not worker-count
-/// derived) so chunk boundaries — and thus the work units and the
-/// first-error-wins order — are identical at any `REKEY_THREADS`.
-pub const SEAL_CHUNK: usize = 64;
-
 /// Plans the UKA packing and seals the full edge list, without
 /// assembling wire packets.
 ///
@@ -466,11 +461,8 @@ pub const SEAL_CHUNK: usize = 64;
 /// Every edge is on some live user's path (the orphan-key invariant: each
 /// live k-node has a u-descendant), so sealing the whole edge list does
 /// exactly the work the plans require — without the distinct-index set
-/// and keyed cache a plan-driven walk would need. The seals are mutually
-/// independent (all keys were minted before this point), so contiguous
-/// chunks fan out across workers; chunk boundaries are worker-count
-/// independent and results return in input order, so the sealed vector —
-/// and the first failing edge — are identical at any worker count.
+/// and keyed cache a plan-driven walk would need. The first failing
+/// edge, in edge order, is the error returned.
 ///
 /// # Errors
 ///
@@ -485,31 +477,19 @@ pub fn plan_and_seal(
     let _span_build = obs::span("uka.build");
     let plans = plan(tree, outcome, layout)?;
     let span_seal = obs::span("stage.seal");
-    let chunks: Vec<&[EncEdge]> = outcome.encryptions.chunks(SEAL_CHUNK).collect();
-    let sealed_chunks: Vec<Result<Vec<SealedKey>, AssignError>> =
-        taskpool::map(&chunks, |_, edges| {
-            edges
-                .iter()
-                .map(|edge| {
-                    let (Some(kek), Some(plain)) =
-                        (tree.key_of(edge.child), tree.key_of(edge.parent))
-                    else {
-                        return Err(AssignError::MissingKey {
-                            child: edge.child,
-                            parent: edge.parent,
-                        });
-                    };
-                    Ok(SealedKey::seal(
-                        &kek,
-                        &plain,
-                        seal_context(msg_seq, edge.child),
-                    ))
-                })
-                .collect()
-        });
     let mut sealed: Vec<SealedKey> = Vec::with_capacity(outcome.encryptions.len());
-    for chunk in sealed_chunks {
-        sealed.extend(chunk?);
+    for edge in &outcome.encryptions {
+        let (Some(kek), Some(plain)) = (tree.key_of(edge.child), tree.key_of(edge.parent)) else {
+            return Err(AssignError::MissingKey {
+                child: edge.child,
+                parent: edge.parent,
+            });
+        };
+        sealed.push(SealedKey::seal(
+            &kek,
+            &plain,
+            seal_context(msg_seq, edge.child),
+        ));
     }
     drop(span_seal);
     obs::counter_add("uka.keys_sealed", sealed.len() as u64);

@@ -8,10 +8,6 @@
 //! increasing sequence numbers, so proactive parities (round one) and
 //! reactive parities (later rounds) are always mutually compatible shares
 //! of the same Reed–Solomon block.
-//!
-//! Blocks share no encoder state, so body serialization and parity
-//! minting fan out across a [`taskpool`] scope; results are collected in
-//! block order, keeping every schedule bit-identical to a sequential run.
 
 use rse::{BlockEncoder, RseError};
 
@@ -42,8 +38,7 @@ impl Block {
     }
 
     /// Mints `count` fresh parities for this block, advancing the parity
-    /// sequence. Blocks are independent, so the block set fans this out
-    /// across workers.
+    /// sequence.
     fn mint(&mut self, msg_id: u8, count: usize) -> Result<Vec<ParityPacket>, RseError> {
         if count == 0 {
             return Ok(Vec::new());
@@ -158,25 +153,22 @@ impl BlockSet {
             per_block.push(block_packets);
         }
 
-        // FEC bodies are independent per block; fan the serialization out.
         // Body serialization is the data half of the encode stage (the
         // parity half lives in `Block::mint`), so it records under the
         // same span.
-        let bodies_per_block: Vec<Vec<Vec<u8>>> = taskpool::map(&per_block, |_, pkts| {
-            let _span_encode = obs::span("stage.encode");
-            pkts.iter().map(|p| p.fec_body(&layout)).collect()
-        });
-
         let blocks: Vec<Block> = per_block
             .into_iter()
-            .zip(bodies_per_block)
             .enumerate()
-            .map(|(b, (block_packets, bodies))| Block {
-                id: b as u8,
-                packets: block_packets,
-                bodies,
-                encoder: proto_encoder.clone(),
-                next_parity: 0,
+            .map(|(b, block_packets)| {
+                let _span_encode = obs::span("stage.encode");
+                let bodies = block_packets.iter().map(|p| p.fec_body(&layout)).collect();
+                Block {
+                    id: b as u8,
+                    packets: block_packets,
+                    bodies,
+                    encoder: proto_encoder.clone(),
+                    next_parity: 0,
+                }
             })
             .collect();
         let msg_id = blocks.first().map(|b| b.packets[0].msg_id).unwrap_or(0);
@@ -225,13 +217,9 @@ impl BlockSet {
         self.blocks[block_id].mint(msg_id, count)
     }
 
-    /// Mints `counts[b]` fresh PARITY packets for every block `b`, fanning
-    /// the independent block encodes out across workers.
-    ///
-    /// The result (packet bytes and parity sequence numbers alike) is
-    /// bit-identical to minting block by block: blocks share no encoder
-    /// state and results are collected in block order. The first error in
-    /// block order wins, matching the sequential path.
+    /// Mints `counts[b]` fresh PARITY packets for every block `b`, block
+    /// by block: exactly [`BlockSet::mint_parities`] per block, stopping at
+    /// the first error in block order.
     ///
     /// # Panics
     ///
@@ -242,8 +230,10 @@ impl BlockSet {
     ) -> Result<Vec<Vec<ParityPacket>>, RseError> {
         assert_eq!(counts.len(), self.blocks.len(), "one count entry per block");
         let msg_id = self.msg_id;
-        taskpool::map_mut(&mut self.blocks, |b, block| block.mint(msg_id, counts[b]))
-            .into_iter()
+        self.blocks
+            .iter_mut()
+            .zip(counts)
+            .map(|(block, &count)| block.mint(msg_id, count))
             .collect()
     }
 

@@ -54,7 +54,7 @@ pub mod wire;
 
 pub use assign::{
     naive_plan_stats, plan, plan_and_seal, plan_in, AssignError, AssignmentStats,
-    NaiveAssignmentStats, PacketPlan, PlanScratch, UkaAssignment, UserRun, SEAL_CHUNK,
+    NaiveAssignmentStats, PacketPlan, PlanScratch, UkaAssignment, UserRun,
 };
 pub use blocks::{BlockSet, SendItem, SendOrder};
 pub use layout::{Layout, UNPROTECTED_HEADER_LEN};

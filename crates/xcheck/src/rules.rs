@@ -13,9 +13,9 @@ use crate::model::{ItemKind, SourceModel};
 use crate::walk::SourceFile;
 
 /// Crates whose non-test code must be panic-free (wire/hot paths, the
-/// simulation engine the figures depend on, and the concurrency/algebra
+/// simulation engine the figures depend on, and the recorder/algebra
 /// substrates under them).
-const PANIC_FREE_CRATES: [&str; 10] = [
+const PANIC_FREE_CRATES: [&str; 9] = [
     "wirecrypto",
     "rekeymsg",
     "rse",
@@ -24,7 +24,6 @@ const PANIC_FREE_CRATES: [&str; 10] = [
     "keytree",
     "rekeyproto",
     "obs",
-    "taskpool",
     "gf256",
 ];
 
@@ -39,14 +38,13 @@ const NO_TRUNCATING_CAST_FILES: [&str; 3] = [
 ];
 
 /// Crates whose entire `pub` surface must carry doc comments.
-const DOCUMENTED_CRATES: [&str; 7] = [
+const DOCUMENTED_CRATES: [&str; 6] = [
     "keytree",
     "rse",
     "netsim",
     "grouprekey",
     "rekeyproto",
     "obs",
-    "taskpool",
 ];
 
 /// Crates whose outputs (snapshots, packets, figures, metrics) must not
@@ -145,7 +143,7 @@ pub const RULES: [RuleInfo; 9] = [
     RuleInfo {
         id: "no-unwrap-in-wire-crates",
         description: "no `.unwrap()` / `.expect()` in non-test code",
-        scope: "wirecrypto, rekeymsg, rse, netsim, grouprekey, keytree, rekeyproto, obs, taskpool, gf256",
+        scope: "wirecrypto, rekeymsg, rse, netsim, grouprekey, keytree, rekeyproto, obs, gf256",
     },
     RuleInfo {
         id: "forbid-unsafe-code",
@@ -160,7 +158,7 @@ pub const RULES: [RuleInfo; 9] = [
     RuleInfo {
         id: "documented-pub-api",
         description: "every `pub` item carries a doc comment",
-        scope: "keytree, rse, netsim, grouprekey, rekeyproto, obs, taskpool",
+        scope: "keytree, rse, netsim, grouprekey, rekeyproto, obs",
     },
     RuleInfo {
         id: "no-todo-or-unimplemented",
@@ -1174,15 +1172,12 @@ mod tests {
     }
 
     #[test]
-    fn taskpool_and_gf256_are_panic_free_scoped() {
+    fn gf256_is_panic_free_scoped() {
         let text = "#![forbid(unsafe_code)]\nfn live() { x.unwrap(); }\n";
-        let outcome = run_all(&[
-            file("taskpool", "crates/taskpool/src/lib.rs", true, text),
-            file("gf256", "crates/gf256/src/lib.rs", true, text),
-        ]);
+        let outcome = run_all(&[file("gf256", "crates/gf256/src/lib.rs", true, text)]);
         assert_eq!(
             rule(&outcome, "no-unwrap-in-wire-crates").violations.len(),
-            2
+            1
         );
     }
 

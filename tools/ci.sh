@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # The full local gate: formatting, lints, rustdoc with warnings denied, the
 # xcheck static-analysis pass (with its machine-readable report), the test
-# suite with the deep invariant sanitizer live, the dynamic no-alloc and
-# schedule-perturbation harnesses, one smoke/check/sentinel cycle per
-# tracked BENCH report, and the obs build. Everything runs offline against
-# the vendored in-tree dependency shims. Each stage's wall time is reported
-# in a summary at the end.
+# suite with the deep invariant sanitizer live (bench's figure_identity,
+# the one worker-count gate left, runs there), the dynamic no-alloc
+# harness, one smoke/check/sentinel cycle per tracked BENCH report, and
+# the obs build. Everything runs offline against the vendored in-tree
+# dependency shims. Each stage's wall time is reported in a summary at
+# the end.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -64,11 +65,6 @@ cargo test -q -p obs --test no_alloc_off
 cargo test -q -p obs --features enabled --test no_alloc_off
 cargo test -q -p obs --test no_alloc_marks
 cargo test -q -p obs --features enabled --test no_alloc_marks
-
-stage "schedule-perturbation bit-identity gates"
-cargo test -q -p taskpool
-cargo test -q -p grouprekey --test sched_perturb
-cargo test -q -p bench --test figure_identity
 
 stage "UKA plan identity (run-aggregated planner vs user-by-user oracle)"
 # Proptest bit-identity of the O(E) run-aggregated planner against the
