@@ -35,7 +35,7 @@
 //! `obs_series/v1` time-series (users/churn/enc-per-member/bytes-on-
 //! wire/depth/resident-bytes curves, plus per-interval stage-wall deltas
 //! in obs-enabled builds). `--trace-out <path>` records that same replay
-//! in the flight recorder and writes Chrome trace-event JSON (open in
+//! in the event log and writes Chrome trace-event JSON (open in
 //! Perfetto; requires `--features obs`). The replay's digest must match
 //! the grid run's — recording must not perturb the rekey stream.
 
@@ -238,7 +238,7 @@ fn run(cli: &Cli) -> std::io::Result<String> {
     eprintln!("  replay_matches={replay_matches}");
 
     // Instrumented replay of the acceptance row: per-interval time-series
-    // and/or a flight-recorder trace. The digest must match the grid
+    // and/or an event-log trace. The digest must match the grid
     // run's — recording is observation, not perturbation.
     if cli.series_out.is_some() || cli.trace.active() {
         cli.trace.start();

@@ -1,7 +1,7 @@
 //! Observability-overhead benchmark: emits `BENCH_obs.json`.
 //!
-//! Answers the question the flight recorder raises: what does recording
-//! cost? The acceptance cell (N = 2^20, d = 8, J = L = 64; N = 2^12
+//! Answers the question the event log (`obs::trace`) raises: what does
+//! recording cost? The acceptance cell (N = 2^20, d = 8, J = L = 64; N = 2^12
 //! under `--smoke`) runs legs of eight consecutive wide rekey builds
 //! (`process_batch_in` + `rekeymsg::plan_and_seal`, the datapath
 //! `bench_scale` rows time) — recorder off, then recorder on —
@@ -77,11 +77,12 @@ fn measure(cell: Cell, reps: usize) -> Measurement {
     let mut tree = base.clone();
     let mut scratch = MarkScratch::new();
 
-    // One untimed warm-up per leg: first-touch page faults, span-name
-    // interning, and ring claiming all happen here, not on the clock.
+    // One untimed warm-up per leg: first-touch page faults, span-slot
+    // registration and the log's reservation all happen here, not on the
+    // clock.
     // The recorder-on warm-up doubles as the reported trace.
     run_rep(&base, &keygen, cell, &mut tree, &mut scratch);
-    obs::trace::enable(obs::trace::DEFAULT_CAPACITY);
+    obs::trace::enable();
     run_rep(&base, &keygen, cell, &mut tree, &mut scratch);
     obs::trace::disable();
     let trace = obs::trace::drain();
@@ -96,7 +97,7 @@ fn measure(cell: Cell, reps: usize) -> Measurement {
         }
         off_best = off_best.min(off_leg);
 
-        obs::trace::enable(obs::trace::DEFAULT_CAPACITY);
+        obs::trace::enable();
         let mut on_leg = 0.0;
         for _ in 0..LEG_BUILDS {
             on_leg += run_rep(&base, &keygen, cell, &mut tree, &mut scratch);
@@ -116,7 +117,7 @@ fn measure(cell: Cell, reps: usize) -> Measurement {
 /// Allocations made by the recorder surface — span begin/end pairs plus
 /// instants — while recording is disarmed. The contract is exactly zero:
 /// a disarmed recorder must be free. Warm-up happens first so one-time
-/// interning never pollutes the count.
+/// span-slot registration never pollutes the count.
 fn count_off_path_allocs() -> u64 {
     let hammer = |rounds: usize| {
         for _ in 0..rounds {
@@ -152,8 +153,7 @@ fn render(cli: &Cli, cell: Cell, reps: usize, m: &Measurement, off_path_allocs: 
 }
 
 fn run(cli: &Cli) -> std::io::Result<String> {
-    bench::needs_obs_build("bench_obs measures the flight recorder")
-        .map_err(std::io::Error::other)?;
+    bench::needs_obs_build("bench_obs measures the event log").map_err(std::io::Error::other)?;
     let reps = if cli.smoke { 2 } else { 12 };
     let cell = Cell::acceptance(cli.smoke);
     eprintln!(

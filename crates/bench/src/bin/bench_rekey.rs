@@ -19,8 +19,8 @@
 //! a quarter of the whole decode; `--obs-out <path>` (or `REKEY_OBS=1`)
 //! dumps the metrics snapshot collected during the run — JSON to the
 //! path, human table to stderr;
-//! `--trace-out <path>` records the `batch_rekey` section in the flight
-//! recorder and writes Chrome trace-event JSON (open in Perfetto). Both
+//! `--trace-out <path>` records the `batch_rekey` section in the event
+//! log and writes Chrome trace-event JSON (open in Perfetto). Both
 //! require a build with `--features obs`.
 
 use std::hint::black_box;

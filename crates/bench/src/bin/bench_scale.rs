@@ -30,7 +30,7 @@
 //! stage-coverage percentage (how much of the measured batch wall time
 //! the mark/mint/seal/encode spans account for) and prints the per-stage
 //! table to stderr. `--trace-out <path>` runs the acceptance cell once
-//! more, untimed, under the flight recorder and writes Chrome trace-event
+//! more, untimed, under the event log and writes Chrome trace-event
 //! JSON — one track, the mark → mint → seal stages in batch order (open in
 //! Perfetto). Both require a build with `--features obs`.
 
@@ -221,7 +221,7 @@ impl ObsCellReport {
     }
 
     /// The `obs_scale/v1` wrapper: cell coordinates, wall/coverage
-    /// numbers, and the full `obs/v1` snapshot embedded verbatim (it is
+    /// numbers, and the full `obs/v2` snapshot embedded verbatim (it is
     /// `JsonWriter` output itself, so it is spliced in as the last value).
     fn to_json(&self) -> String {
         let mut w = JsonWriter::new();

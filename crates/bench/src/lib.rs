@@ -276,15 +276,15 @@ impl ObsSink {
     }
 }
 
-/// Where a bench binary sends its flight-recorder trace, resolved from
+/// Where a bench binary sends its event-log trace, resolved from
 /// the `--trace-out PATH` flag.
 ///
 /// Like [`ObsSink`], requesting a trace from a build without the
 /// instrumentation compiled in is a hard error rather than a silently
 /// empty file. The sink brackets the measured region: [`TraceSink::start`]
-/// arms the recorder, [`TraceSink::finish`] disarms it, drains every
-/// per-thread ring, and writes the merged stream as Chrome trace-event
-/// JSON (open it in Perfetto or `chrome://tracing`).
+/// arms the event log, [`TraceSink::finish`] disarms it, drains it and
+/// writes the events as Chrome trace-event JSON (open it in Perfetto or
+/// `chrome://tracing`).
 #[derive(Debug, Clone, Default)]
 pub struct TraceSink {
     /// Destination for the Chrome trace JSON (`--trace-out PATH`), if any.
@@ -307,10 +307,10 @@ impl TraceSink {
         self.path.is_some()
     }
 
-    /// Arms the flight recorder (no-op when inactive).
+    /// Arms the event log (no-op when inactive).
     pub fn start(&self) {
         if self.active() {
-            obs::trace::enable(obs::trace::DEFAULT_CAPACITY);
+            obs::trace::enable();
         }
     }
 

@@ -523,7 +523,7 @@ pub static FIGURES: Spec = Spec {
     },
 };
 
-/// `BENCH_obs.json`: what the flight recorder costs.
+/// `BENCH_obs.json`: what the event log costs.
 pub static OBS: Spec = Spec {
     schema: "bench_obs/v3",
     file: "BENCH_obs.json",
@@ -664,7 +664,7 @@ fn churn_gates(doc: &Value, problems: &mut Vec<String>) {
 
 fn obs_gates(doc: &Value, problems: &mut Vec<String>) {
     const OVERHEAD_BOUND_PCT: f64 = 5.0;
-    // A disarmed recorder must be free, and rings that overflow are
+    // A disarmed recorder must be free, and a log that overflows is
     // undersized for the cell.
     for key in ["off_path_allocs", "dropped"] {
         if num(doc, key) != Some(0.0) {

@@ -42,7 +42,7 @@ fn obs_out_flag_writes_snapshot_or_errors_cleanly() {
         );
         let text = std::fs::read_to_string(&obs_path).expect("snapshot written");
         let snap = parse(&text).expect("snapshot parses");
-        assert_eq!(snap.get("schema").and_then(Value::as_str), Some("obs/v1"));
+        assert_eq!(snap.get("schema").and_then(Value::as_str), Some("obs/v2"));
         let spans = snap.get("spans").and_then(Value::as_arr).expect("spans");
         let name = |s: &Value| s.get("name").and_then(Value::as_str).map(str::to_string);
         let names: Vec<String> = spans.iter().filter_map(name).collect();

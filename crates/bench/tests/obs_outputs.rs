@@ -138,7 +138,7 @@ fn scale_trace_and_stage_snapshot_have_the_expected_structure() {
     assert_eq!(text(&snap, "schema"), "obs_scale/v1");
     assert!(number(&snap, "coverage_pct") > 0.0);
     let obs = snap.get("obs").expect("embedded snapshot");
-    assert_eq!(text(obs, "schema"), "obs/v1");
+    assert_eq!(text(obs, "schema"), "obs/v2");
     assert_eq!(obs.get("enabled"), Some(&Value::Bool(true)));
     let spans = obs.get("spans").and_then(Value::as_arr).expect("spans");
     let names: Vec<&str> = spans.iter().map(|s| text(s, "name")).collect();

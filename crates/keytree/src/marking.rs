@@ -23,8 +23,6 @@
 //! for the updated k-nodes are derived from a single per-batch seed, so
 //! a batch costs the key generator one draw however many nodes it updates.
 
-use std::collections::HashMap;
-
 use wirecrypto::{KeyGen, StreamCipher};
 
 use crate::ident;
@@ -211,7 +209,11 @@ impl MarkScratch {
         self.label_val[id as usize] = LABEL_NONE;
     }
 
-    fn label_of(&self, id: NodeId) -> Option<Label> {
+    /// The label the scratch's latest batch gave node `id`: set for the
+    /// rekey subtree only (the nodes that batch placed, vacated or
+    /// relabelled), `None` elsewhere. Valid until the scratch's next
+    /// batch, which invalidates every label.
+    pub fn label_of(&self, id: NodeId) -> Option<Label> {
         let i = id as usize;
         if self.label_epoch.get(i) == Some(&self.epoch) {
             label_decode(self.label_val[i])
@@ -255,16 +257,14 @@ impl MarkScratch {
 /// pruning/revival, so a batch's cost stays `O((J + L + moves) log N)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactionPolicy {
-    /// Master switch; `false` makes [`KeyTree::process_batch_compacting_in`]
-    /// behave exactly like [`KeyTree::process_batch_in`].
-    pub enabled: bool,
     /// Trigger slack: compact only once `nk` exceeds
     /// `slack * ideal_nk + d`, where `ideal_nk ~ (U - 1) / (d - 1)` is the
     /// maximum k-node ID of a compact tree holding the current `U` users.
     /// Larger values tolerate more sparseness before paying relocations.
     pub slack: u32,
-    /// Relocation budget per batch (amortization knob). Zero disables
-    /// compaction as thoroughly as `enabled: false`.
+    /// Relocation budget per batch (amortization knob). Zero switches
+    /// compaction off: [`KeyTree::process_batch_compacting_in`] then
+    /// behaves exactly like [`KeyTree::process_batch_in`].
     pub max_moves_per_batch: usize,
 }
 
@@ -272,7 +272,6 @@ impl CompactionPolicy {
     /// Compaction off — the default, so existing pipelines (and their
     /// byte-identical baselines) are unaffected unless a caller opts in.
     pub const DISABLED: CompactionPolicy = CompactionPolicy {
-        enabled: false,
         slack: 2,
         max_moves_per_batch: 0,
     };
@@ -280,7 +279,6 @@ impl CompactionPolicy {
     /// The recommended on-switch: trigger at 2x the compact tree size,
     /// amortize at most 64 relocations per batch.
     pub const DEFAULT_ON: CompactionPolicy = CompactionPolicy {
-        enabled: true,
         slack: 2,
         max_moves_per_batch: 64,
     };
@@ -298,8 +296,7 @@ impl CompactionPolicy {
 
     /// Whether the tree is sparse enough to start compacting.
     fn should_compact(&self, nk: NodeId, users: usize, d: u32) -> bool {
-        self.enabled
-            && self.max_moves_per_batch > 0
+        self.max_moves_per_batch > 0
             && users > 0
             && u64::from(nk) > u64::from(self.slack) * Self::ideal_nk(users, d) + u64::from(d)
     }
@@ -342,9 +339,6 @@ pub struct MarkOutcome {
     pub joined: Vec<MemberId>,
     /// Maximum k-node ID after the batch (the `maxKID` wire field).
     pub nk: Option<NodeId>,
-    /// Labels of all nodes that participated in the rekey subtree
-    /// (diagnostics and tests).
-    pub labels: HashMap<NodeId, Label>,
     /// `(child, index into encryptions)`, sorted by child for binary
     /// search.
     index_by_child: Vec<(NodeId, usize)>,
@@ -517,26 +511,13 @@ impl KeyTree {
             .collect();
         index_by_child.sort_unstable_by_key(|&(c, _)| c);
 
-        // The outward labels map holds the rekey subtree only: the nodes
-        // this batch placed, vacated, or relabelled.
-        let mut labels: HashMap<NodeId, Label> = HashMap::with_capacity(
-            scratch.touched.len() + scratch.placed.len() + scratch.became_n.len(),
-        );
-        for list in [&scratch.touched, &scratch.placed, &scratch.became_n] {
-            for &id in list {
-                if let Some(label) = scratch.label_of(id) {
-                    labels.insert(id, label);
-                }
-            }
-        }
-
         obs::counter_add("keytree.keys_minted", updated.len() as u64);
         obs::counter_add("keytree.encryptions", encryptions.len() as u64);
         drop(span_mint);
 
         debug_assert_eq!(self.check_invariants(), Ok(()));
 
-        if policy.enabled {
+        if policy.max_moves_per_batch > 0 {
             // Reclaim storage the compacted (or mass-departed) tail no
             // longer reaches. Gated on a 2x slack so steady-state batches
             // never pay a reallocation; only a genuine contraction does.
@@ -552,7 +533,6 @@ impl KeyTree {
             departed: leaves,
             joined: joins.into_iter().map(|(m, _)| m).collect(),
             nk: self.max_knode_id(),
-            labels,
             index_by_child,
         }
     }
@@ -619,24 +599,7 @@ impl KeyTree {
                     scratch.stamp(slot, Label::Replace);
                     scratch.placed.push(slot);
                 } else {
-                    self.set_node(slot, Node::N);
-                    scratch.became_n.push(slot);
-                    scratch.stamp(slot, Label::Leave);
-                }
-            }
-            // Prune: a k-node whose children are all n-nodes becomes one.
-            for i in j..l {
-                let mut cur = scratch.departed_ids[i];
-                while let Some(p) = ident::parent(cur, d) {
-                    let all_n = ident::children(p, d).all(|c| self.is_n(c));
-                    if all_n && self.is_k(p) {
-                        self.set_node(p, Node::N);
-                        scratch.became_n.push(p);
-                        scratch.stamp(p, Label::Leave);
-                        cur = p;
-                    } else {
-                        break;
-                    }
+                    self.vacate(slot, scratch);
                 }
             }
         } else {
@@ -737,22 +700,7 @@ impl KeyTree {
         // all k-nodes, and pruning never reaches above a live user — so
         // the walk is O(placed · height), not O(N · height).
         for i in 0..scratch.placed.len() {
-            let mut cur = scratch.placed[i];
-            while let Some(p) = ident::parent(cur, d) {
-                if self.is_k(p) {
-                    // A k-node's ancestors are already k-nodes (either
-                    // pre-existing or revived moments ago).
-                    break;
-                }
-                debug_assert!(self.is_n(p), "u-node above a placed slot");
-                self.set_node(
-                    p,
-                    Node::K {
-                        key: keygen.next_key(),
-                    },
-                );
-                cur = p;
-            }
+            self.revive_above(scratch.placed[i], keygen);
         }
 
         // ---- Phase 1.5: amortized tail compaction -----------------------
@@ -825,6 +773,45 @@ impl KeyTree {
         }
 
         drop(span_mark);
+    }
+
+    /// Empties `slot` (label Leave) and prunes upward: a k-node whose
+    /// children are all n-nodes becomes one, and so on up.
+    // xcheck: no_alloc
+    fn vacate(&mut self, slot: NodeId, scratch: &mut MarkScratch) {
+        let d = self.degree();
+        let mut cur = slot;
+        loop {
+            self.set_node(cur, Node::N);
+            scratch.became_n.push(cur);
+            scratch.stamp(cur, Label::Leave);
+            match ident::parent(cur, d) {
+                Some(p) if self.is_k(p) && ident::children(p, d).all(|c| self.is_n(c)) => cur = p,
+                _ => break,
+            }
+        }
+    }
+
+    /// Update rule 4 above a slot just filled: its n-node ancestors
+    /// become k-nodes with fresh keys, up to the first k-node (whose own
+    /// ancestors are k-nodes already, pre-existing or revived moments ago).
+    // xcheck: no_alloc
+    fn revive_above(&mut self, slot: NodeId, keygen: &mut KeyGen) {
+        let d = self.degree();
+        let mut cur = slot;
+        while let Some(p) = ident::parent(cur, d) {
+            if self.is_k(p) {
+                break;
+            }
+            debug_assert!(self.is_n(p), "u-node above a filled slot");
+            self.set_node(
+                p,
+                Node::K {
+                    key: keygen.next_key(),
+                },
+            );
+            cur = p;
+        }
     }
 
     /// The tail-compaction loop: while the tree is sparser than `policy`
@@ -912,21 +899,7 @@ impl KeyTree {
             };
 
             // Vacate the source exactly like a departure.
-            self.set_node(src, Node::N);
-            scratch.stamp(src, Label::Leave);
-            scratch.became_n.push(src);
-            let mut cur = src;
-            while let Some(p) = ident::parent(cur, d) {
-                let all_n = ident::children(p, d).all(|c| self.is_n(c));
-                if all_n && self.is_k(p) {
-                    self.set_node(p, Node::N);
-                    scratch.became_n.push(p);
-                    scratch.stamp(p, Label::Leave);
-                    cur = p;
-                } else {
-                    break;
-                }
-            }
+            self.vacate(src, scratch);
 
             // Re-place the member (same individual key) at the hole; it
             // is "new" there, so its parent seals the fresh subtree keys
@@ -936,20 +909,7 @@ impl KeyTree {
             scratch.placed.push(hole);
             // Revive n-node ancestors immediately (update rule 4), so
             // `nk` covers the new slot's parent before the next move.
-            let mut cur = hole;
-            while let Some(p) = ident::parent(cur, d) {
-                if self.is_k(p) {
-                    break;
-                }
-                debug_assert!(self.is_n(p), "u-node above a compaction hole");
-                self.set_node(
-                    p,
-                    Node::K {
-                        key: keygen.next_key(),
-                    },
-                );
-                cur = p;
-            }
+            self.revive_above(hole, keygen);
 
             relocations.push(UserMove {
                 member,
@@ -963,6 +923,8 @@ impl KeyTree {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use crate::ident::derive_current_id;
 
@@ -1084,7 +1046,8 @@ mod tests {
         let mut tree = KeyTree::balanced(16, 4, &mut kg);
         let before = tree.clone();
         let batch = Batch::new(vec![join(&mut kg, 100), join(&mut kg, 101)], vec![3, 9]);
-        let outcome = tree.process_batch(&batch, &mut kg);
+        let mut scratch = MarkScratch::new();
+        let outcome = tree.process_batch_in(batch, &mut kg, &mut scratch);
 
         assert_eq!(tree.user_count(), 16);
         assert!(tree.node_of_member(100).is_some());
@@ -1092,8 +1055,8 @@ mod tests {
         // Replacement happens at the departed slots (smallest first).
         let s3 = before.node_of_member(3).unwrap();
         let s9 = before.node_of_member(9).unwrap();
-        assert_eq!(outcome.labels.get(&s3), Some(&Label::Replace));
-        assert_eq!(outcome.labels.get(&s9), Some(&Label::Replace));
+        assert_eq!(scratch.label_of(s3), Some(Label::Replace));
+        assert_eq!(scratch.label_of(s9), Some(Label::Replace));
         assert_delivery(&before, &tree, &outcome);
     }
 
@@ -1105,12 +1068,13 @@ mod tests {
         // Remove a whole subtree: members 0..4 occupy ids 5..=8 (children
         // of k-node 1).
         let batch = Batch::new(vec![], vec![0, 1, 2, 3]);
-        let outcome = tree.process_batch(&batch, &mut kg);
+        let mut scratch = MarkScratch::new();
+        let outcome = tree.process_batch_in(batch, &mut kg, &mut scratch);
 
         assert!(tree.node(1).is_n(), "emptied k-node must prune to n-node");
-        assert_eq!(outcome.labels.get(&1), Some(&Label::Leave));
+        assert_eq!(scratch.label_of(1), Some(Label::Leave));
         // Root is Replace; no encryption under the pruned child.
-        assert_eq!(outcome.labels.get(&0), Some(&Label::Replace));
+        assert_eq!(scratch.label_of(0), Some(Label::Replace));
         assert!(outcome.encryption_by_child(1).is_none());
         assert_delivery(&before, &tree, &outcome);
         tree.check_invariants().unwrap();
@@ -1135,7 +1099,8 @@ mod tests {
         let mut tree = KeyTree::balanced(9, 4, &mut kg);
         let before = tree.clone();
         let batch = Batch::new(vec![join(&mut kg, 50), join(&mut kg, 51)], vec![]);
-        let outcome = tree.process_batch(&batch, &mut kg);
+        let mut scratch = MarkScratch::new();
+        let outcome = tree.process_batch_in(batch, &mut kg, &mut scratch);
 
         // nk was 3; fill range is (3, 16], low to high: the first hole is
         // the internal-level slot 4 (the paper permits u-nodes above the
@@ -1143,8 +1108,8 @@ mod tests {
         assert_eq!(tree.node_of_member(50), Some(4));
         assert_eq!(tree.node_of_member(51), Some(14));
         // k-node 3 gains a join only => label Join; root Join too.
-        assert_eq!(outcome.labels.get(&3), Some(&Label::Join));
-        assert_eq!(outcome.labels.get(&0), Some(&Label::Join));
+        assert_eq!(scratch.label_of(3), Some(Label::Join));
+        assert_eq!(scratch.label_of(0), Some(Label::Join));
         assert_delivery(&before, &tree, &outcome);
         tree.check_invariants().unwrap();
     }
@@ -1551,7 +1516,6 @@ mod tests {
         let leaves: Vec<MemberId> = (0..1024).filter(|m| m % 16 != 0).collect();
         tree.process_batch_in(Batch::new(vec![], leaves), &mut kg, &mut scratch);
         let tiny = CompactionPolicy {
-            enabled: true,
             slack: 2,
             max_moves_per_batch: 3,
         };

@@ -16,7 +16,7 @@
 //! * every relocation must be re-derivable from `maxKID` alone
 //!   (Theorem 4.2).
 //!
-//! None of this consults the outcome's own `labels` — the point is an
+//! None of this consults the marking code's own labels — the point is an
 //! independent derivation that disagrees loudly when the marking code is
 //! wrong.
 
@@ -267,7 +267,7 @@ pub fn verify_marking(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::marking::Label;
+    use crate::marking::{Label, MarkScratch};
     use wirecrypto::KeyGen;
 
     fn keygen() -> KeyGen {
@@ -280,8 +280,18 @@ mod tests {
 
     /// Processes a batch and runs the full cross-check.
     fn checked_batch(tree: &mut KeyTree, batch: Batch, kg: &mut KeyGen) -> MarkOutcome {
+        checked_batch_in(tree, batch, kg, &mut MarkScratch::new())
+    }
+
+    /// [`checked_batch`] leaving the batch's labels in the caller's scratch.
+    fn checked_batch_in(
+        tree: &mut KeyTree,
+        batch: Batch,
+        kg: &mut KeyGen,
+        scratch: &mut MarkScratch,
+    ) -> MarkOutcome {
         let before = tree.clone();
-        let outcome = tree.process_batch(&batch, kg);
+        let outcome = tree.process_batch_in(batch.clone(), kg, scratch);
         verify_marking(&before, tree, &batch, &outcome).unwrap();
         outcome
     }
@@ -329,10 +339,12 @@ mod tests {
         let mut kg = keygen();
         let mut tree = KeyTree::balanced(16, 4, &mut kg);
         // Batch 1 vacates slot 5 (member 0), leaving a lasting hole.
-        let o1 = checked_batch(&mut tree, Batch::new(vec![], vec![0]), &mut kg);
+        let mut scratch = MarkScratch::new();
+        let first = Batch::new(vec![], vec![0]);
+        checked_batch_in(&mut tree, first, &mut kg, &mut scratch);
         assert_eq!(
-            o1.labels.get(&5),
-            Some(&Label::Leave),
+            scratch.label_of(5),
+            Some(Label::Leave),
             "fresh hole is Leave"
         );
 
@@ -340,9 +352,10 @@ mod tests {
         // not resurface as Leave, and k-node 1 above it must change only
         // because the group key path demands it — here it must stay
         // untouched entirely.
-        let o2 = checked_batch(&mut tree, Batch::new(vec![], vec![15]), &mut kg);
+        let second = Batch::new(vec![], vec![15]);
+        let o2 = checked_batch_in(&mut tree, second, &mut kg, &mut scratch);
         assert_eq!(
-            o2.labels.get(&5),
+            scratch.label_of(5),
             None,
             "long-empty slot must be unlabelled"
         );

@@ -1,6 +1,6 @@
 //! Fixed-bucket log2 histogram arithmetic.
 //!
-//! Every span and observation series aggregates its values into
+//! Every span series aggregates its values into
 //! [`BUCKETS`] power-of-two buckets: bucket `0` holds the value `0`, and
 //! bucket `b >= 1` holds values in `[2^(b-1), 2^b - 1]` (the final bucket
 //! absorbs everything from `2^(BUCKETS-2)` up). Recording is one

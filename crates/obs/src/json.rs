@@ -249,7 +249,7 @@ mod tests {
     fn nested_containers_and_commas() {
         let mut w = JsonWriter::new();
         w.begin_object();
-        w.field_str("schema", "obs/v1");
+        w.field_str("schema", "obs/v2");
         w.key("rows");
         w.begin_array();
         for i in 0..2u64 {
@@ -264,7 +264,7 @@ mod tests {
         let text = w.finish();
         assert_eq!(
             text,
-            "{\"schema\": \"obs/v1\", \"rows\": [{\"i\": 0, \"half\": 0.000}, \
+            "{\"schema\": \"obs/v2\", \"rows\": [{\"i\": 0, \"half\": 0.000}, \
              {\"i\": 1, \"half\": 0.500}], \"ok\": true}"
         );
         assert!(well_formed(&text));

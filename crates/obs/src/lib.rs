@@ -7,15 +7,13 @@
 //! sibling `xcheck` crate — no dependencies, deterministic output, and
 //! zero cost when switched off.
 //!
-//! Four instruments:
+//! Three instruments:
 //!
 //! * **Spans** — [`span("stage.mark")`](span) returns a guard that
 //!   records the enclosed wall time (monotonic clock) on drop. Guards
 //!   nest freely; each records its own elapsed time. Aggregation is
 //!   count / total / min / max plus p50/p99 from a fixed-bucket log2
 //!   histogram ([`hist`]), so recording is allocation-free and O(1).
-//! * **Values** — [`observe`] feeds unit-free magnitudes (packets per
-//!   round) into the same histogram machinery.
 //! * **Counters** — [`counter_add`] monotonic sums (packets minted,
 //!   bytes sealed, cache hits).
 //! * **Gauges** — [`gauge_set`] last-write-wins levels (current group
@@ -26,34 +24,37 @@
 //! by name) or renders as a human table ([`Snapshot::render_table`]).
 //!
 //! Two event-level layers build on the same instrumentation points:
-//! [`trace`], a flight recorder that turns span begin/end into
-//! per-thread event streams exportable as Chrome/Perfetto trace JSON,
-//! and [`series`], an interval-keyed time-series recorder for
+//! [`trace`], a bounded event log that turns span begin/end into
+//! per-thread tracks exportable as Chrome/Perfetto trace JSON, and
+//! [`series`], an interval-keyed time-series recorder for
 //! per-rekey-interval curves.
 //!
 //! # Feature gating
 //!
 //! Everything above is real only with the `enabled` cargo feature.
-//! Without it every entry point compiles to an inlineable no-op: no
-//! clock reads, no atomics, no heap allocation (a test pins the
-//! off-path at exactly zero allocations), and [`snapshot`] returns an
-//! empty [`Snapshot`]. Downstream crates expose an `obs` feature that
-//! forwards to `obs/enabled`, so one `--features obs` at the workspace
-//! root lights up the whole pipeline.
+//! Each recording entry point is written once and tests [`enabled`], a
+//! constant, first, so without the feature it compiles to an inlineable
+//! no-op: no clock reads, no atomics, no heap allocation (a test pins
+//! the off-path at exactly zero allocations), and [`snapshot`] finds an
+//! empty registry and returns an empty [`Snapshot`]. Downstream crates
+//! expose an `obs` feature that forwards to `obs/enabled`, so one
+//! `--features obs` at the workspace root lights up the whole pipeline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Fixed-bucket log2 histograms behind span/value aggregation.
+/// Fixed-bucket log2 histograms behind span aggregation.
 pub mod hist;
 /// Deterministic hand-rolled JSON writer shared with the bench emitters.
 pub mod json;
 /// Interval-keyed time-series recorder (`obs_series/v1`).
 pub mod series;
-/// Flight-recorder event tracing with Chrome/Perfetto export (`trace/v1`).
+/// Bounded event log with Chrome/Perfetto export (`trace/v1`).
 pub mod trace;
 
-#[cfg(feature = "enabled")]
+// Compiled in both builds so each entry point below is written once;
+// without the feature nothing reaches the recording half of it.
+#[cfg_attr(not(feature = "enabled"), allow(dead_code))]
 mod registry;
 
 use json::JsonWriter;
@@ -93,100 +94,69 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         let ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.slot.record(ns);
-        trace::span_end(self.slot.name());
+        trace::event(trace::EventKind::End, self.slot.name);
     }
 }
 
 /// Starts a span named `name`; the returned guard records its wall time
 /// into the span's histogram when dropped. Nested spans each record
-/// their own elapsed time. While the flight recorder is on
+/// their own elapsed time. While the event log is recording
 /// ([`trace::enable`]), the guard also emits begin/end trace events, so
 /// every instrumented stage shows up on its thread's track for free.
-#[cfg(feature = "enabled")]
+#[inline]
+// xcheck: no_alloc
 pub fn span(name: &'static str) -> SpanGuard {
-    trace::span_begin(name);
-    SpanGuard {
-        slot: registry::slot(name, registry::Kind::SpanNs),
-        start: std::time::Instant::now(),
+    #[cfg(feature = "enabled")]
+    {
+        trace::event(trace::EventKind::Begin, name);
+        SpanGuard {
+            slot: registry::slot(name, registry::Kind::SpanNs),
+            start: std::time::Instant::now(),
+        }
+    }
+    #[cfg(not(feature = "enabled"))]
+    {
+        let _ = name;
+        SpanGuard {}
     }
 }
 
-/// Starts a span named `name` (no-op: the `enabled` feature is off).
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-// xcheck: no_alloc
-pub fn span(_name: &'static str) -> SpanGuard {
-    SpanGuard {}
-}
-
-/// Records one unit-free magnitude into the value histogram `name`.
-#[cfg(feature = "enabled")]
-pub fn observe(name: &'static str, value: u64) {
-    registry::slot(name, registry::Kind::Value).record(value);
-}
-
-/// Records one magnitude (no-op: the `enabled` feature is off).
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-// xcheck: no_alloc
-pub fn observe(_name: &'static str, _value: u64) {}
-
 /// Adds `delta` to the counter `name`.
-#[cfg(feature = "enabled")]
-pub fn counter_add(name: &'static str, delta: u64) {
-    registry::slot(name, registry::Kind::Counter).add(delta);
-}
-
-/// Adds to a counter (no-op: the `enabled` feature is off).
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
+#[inline]
 // xcheck: no_alloc
-pub fn counter_add(_name: &'static str, _delta: u64) {}
+pub fn counter_add(name: &'static str, delta: u64) {
+    if enabled() {
+        registry::slot(name, registry::Kind::Counter).add(delta);
+    }
+}
 
 /// Sets the gauge `name` to `value`.
-#[cfg(feature = "enabled")]
-pub fn gauge_set(name: &'static str, value: u64) {
-    registry::slot(name, registry::Kind::Gauge).set(value);
-}
-
-/// Sets a gauge (no-op: the `enabled` feature is off).
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
+#[inline]
 // xcheck: no_alloc
-pub fn gauge_set(_name: &'static str, _value: u64) {}
+pub fn gauge_set(name: &'static str, value: u64) {
+    if enabled() {
+        registry::slot(name, registry::Kind::Gauge).set(value);
+    }
+}
 
 /// Zeroes every registered series (names stay registered). Benchmarks
 /// call this between cells so each snapshot covers exactly one workload.
-#[cfg(feature = "enabled")]
 pub fn reset() {
     registry::reset_all();
 }
 
-/// Zeroes every series (no-op: the `enabled` feature is off).
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-pub fn reset() {}
-
-/// Collects a deterministic snapshot of every registered series.
-#[cfg(feature = "enabled")]
+/// Collects a deterministic snapshot of every registered series (empty,
+/// with [`Snapshot::enabled`] false, when the feature is off).
 #[must_use]
 pub fn snapshot() -> Snapshot {
     registry::snapshot_all()
-}
-
-/// Collects a snapshot (always empty: the `enabled` feature is off).
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-#[must_use]
-pub fn snapshot() -> Snapshot {
-    Snapshot::default()
 }
 
 // ---------------------------------------------------------------------------
 // Snapshot
 // ---------------------------------------------------------------------------
 
-/// Aggregated statistics of one span or value series.
+/// Aggregated statistics of one span series.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SeriesStats {
     /// Series name.
@@ -223,8 +193,6 @@ pub struct Snapshot {
     pub enabled: bool,
     /// Span (duration) series, sorted by name; all fields nanoseconds.
     pub spans: Vec<SeriesStats>,
-    /// Value (magnitude) series, sorted by name.
-    pub values: Vec<SeriesStats>,
     /// Counters, sorted by name.
     pub counters: Vec<Metric>,
     /// Gauges, sorted by name.
@@ -233,7 +201,7 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Schema tag written into the JSON form.
-    pub const SCHEMA: &'static str = "obs/v1";
+    pub const SCHEMA: &'static str = "obs/v2";
 
     /// Sum of `total` over the named span series (nanoseconds). Missing
     /// names contribute zero — convenient for stage-coverage arithmetic.
@@ -262,37 +230,27 @@ impl Snapshot {
     }
 
     /// Serializes deterministically to a single-line JSON object (plus a
-    /// trailing newline), schema `obs/v1`.
+    /// trailing newline), schema `obs/v2`.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.begin_object();
         w.field_str("schema", Self::SCHEMA);
         w.field_bool("enabled", self.enabled);
-        for (key, series, ns) in [
-            ("spans", &self.spans, true),
-            ("values", &self.values, false),
-        ] {
-            w.key(key);
-            w.begin_array();
-            for s in series {
-                w.begin_object();
-                w.field_str("name", &s.name);
-                w.field_u64("count", s.count);
-                let suffix = if ns { "_ns" } else { "" };
-                for (stat, v) in [
-                    ("total", s.total),
-                    ("min", s.min),
-                    ("max", s.max),
-                    ("p50", s.p50),
-                    ("p99", s.p99),
-                ] {
-                    w.field_u64(&format!("{stat}{suffix}"), v);
-                }
-                w.end_object();
-            }
-            w.end_array();
+        w.key("spans");
+        w.begin_array();
+        for s in &self.spans {
+            w.begin_object();
+            w.field_str("name", &s.name);
+            w.field_u64("count", s.count);
+            w.field_u64("total_ns", s.total);
+            w.field_u64("min_ns", s.min);
+            w.field_u64("max_ns", s.max);
+            w.field_u64("p50_ns", s.p50);
+            w.field_u64("p99_ns", s.p99);
+            w.end_object();
         }
+        w.end_array();
         for (key, metrics) in [("counters", &self.counters), ("gauges", &self.gauges)] {
             w.key(key);
             w.begin_array();
@@ -340,19 +298,6 @@ impl Snapshot {
                 );
             }
         }
-        if !self.values.is_empty() {
-            let _ = writeln!(
-                out,
-                "obs values                       count       total         p50         p99         max"
-            );
-            for s in &self.values {
-                let _ = writeln!(
-                    out,
-                    "  {:<28} {:>8} {:>11} {:>11} {:>11} {:>11}",
-                    s.name, s.count, s.total, s.p50, s.p99, s.max,
-                );
-            }
-        }
         for (title, metrics) in [
             ("obs counters", &self.counters),
             ("obs gauges", &self.gauges),
@@ -385,15 +330,6 @@ mod tests {
                 p50: 1_000_000,
                 p99: 1_200_000,
             }],
-            values: vec![SeriesStats {
-                name: "test.hist.edges".to_string(),
-                count: 4,
-                total: 64,
-                min: 12,
-                max: 20,
-                p50: 15,
-                p99: 20,
-            }],
             counters: vec![Metric {
                 name: "uka.keys_sealed".to_string(),
                 value: 171,
@@ -412,7 +348,7 @@ mod tests {
         let b = snap.clone().to_json();
         assert_eq!(a, b);
         assert!(json::well_formed(&a));
-        assert!(a.contains("\"schema\": \"obs/v1\""));
+        assert!(a.contains("\"schema\": \"obs/v2\""));
         assert!(a.contains("\"name\": \"stage.mark\""));
         assert!(a.contains("\"total_ns\": 3000000"));
         assert!(a.contains("\"uka.keys_sealed\""));
@@ -423,7 +359,6 @@ mod tests {
     fn table_lists_every_section() {
         let table = sample().render_table();
         assert!(table.contains("stage.mark"));
-        assert!(table.contains("test.hist.edges"));
         assert!(table.contains("uka.keys_sealed"));
         assert!(table.contains("scenario.users"));
         assert!(table.lines().all(|l| !l.is_empty()));
@@ -462,13 +397,11 @@ mod tests {
         }
 
         #[test]
-        fn counters_gauges_and_values_accumulate() {
+        fn counters_and_gauges_accumulate() {
             crate::counter_add("test.lib.ctr", 2);
             crate::counter_add("test.lib.ctr", 3);
             crate::gauge_set("test.lib.gauge", 7);
             crate::gauge_set("test.lib.gauge", 9);
-            crate::observe("test.lib.val", 16);
-            crate::observe("test.lib.val", 64);
             let snap = crate::snapshot();
             assert_eq!(snap.counter("test.lib.ctr"), 5);
             let gauge = snap
@@ -477,12 +410,6 @@ mod tests {
                 .find(|g| g.name == "test.lib.gauge")
                 .expect("gauge registered");
             assert_eq!(gauge.value, 9);
-            let val = snap
-                .values
-                .iter()
-                .find(|v| v.name == "test.lib.val")
-                .expect("value registered");
-            assert_eq!((val.count, val.total, val.min, val.max), (2, 80, 16, 64));
         }
     }
 }

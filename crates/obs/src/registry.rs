@@ -1,4 +1,4 @@
-//! The live metric registry (compiled only with the `enabled` feature).
+//! The live metric registry (reached only with the `enabled` feature).
 //!
 //! A process-global table of named series. Registration (first use of a
 //! name) takes a write lock once; every recording afterwards is a read
@@ -10,7 +10,7 @@
 //! the leak.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::hist::{bucket_of, quantile, BUCKETS};
 use crate::{Metric, SeriesStats, Snapshot};
@@ -20,19 +20,17 @@ use crate::{Metric, SeriesStats, Snapshot};
 pub(crate) enum Kind {
     /// Nanosecond durations recorded by span guards.
     SpanNs,
-    /// Unit-free magnitudes recorded by `observe`.
-    Value,
     /// Monotonic sum.
     Counter,
     /// Last-write-wins level.
     Gauge,
 }
 
-/// One named series: histogram statistics for spans/values, a single
+/// One named series: histogram statistics for spans, a single
 /// atomic for counters/gauges (stored in `total`).
 #[derive(Debug)]
 pub(crate) struct Slot {
-    name: &'static str,
+    pub(crate) name: &'static str,
     kind: Kind,
     count: AtomicU64,
     total: AtomicU64,
@@ -42,13 +40,8 @@ pub(crate) struct Slot {
 }
 
 impl Slot {
-    /// The series name (used by span guards to emit trace end events).
-    pub(crate) fn name(&self) -> &'static str {
-        self.name
-    }
-
     fn new(name: &'static str, kind: Kind) -> Self {
-        let hist = matches!(kind, Kind::SpanNs | Kind::Value);
+        let hist = kind == Kind::SpanNs;
         Slot {
             name,
             kind,
@@ -131,19 +124,17 @@ impl Slot {
     }
 }
 
-static REGISTRY: OnceLock<RwLock<Vec<&'static Slot>>> = OnceLock::new();
+static REGISTRY: RwLock<Vec<&'static Slot>> = RwLock::new(Vec::new());
 
 fn read_slots() -> RwLockReadGuard<'static, Vec<&'static Slot>> {
-    let lock = REGISTRY.get_or_init(|| RwLock::new(Vec::new()));
-    match lock.read() {
+    match REGISTRY.read() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
     }
 }
 
 fn write_slots() -> RwLockWriteGuard<'static, Vec<&'static Slot>> {
-    let lock = REGISTRY.get_or_init(|| RwLock::new(Vec::new()));
-    match lock.write() {
+    match REGISTRY.write() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
     }
@@ -176,13 +167,12 @@ pub(crate) fn reset_all() {
 /// A deterministic snapshot: every section sorted by name.
 pub(crate) fn snapshot_all() -> Snapshot {
     let mut snap = Snapshot {
-        enabled: true,
+        enabled: crate::enabled(),
         ..Snapshot::default()
     };
     for slot in read_slots().iter() {
         match slot.kind {
             Kind::SpanNs => snap.spans.push(slot.stats()),
-            Kind::Value => snap.values.push(slot.stats()),
             Kind::Counter => snap.counters.push(Metric {
                 name: slot.name.to_string(),
                 // xcheck-ordering: advisory snapshot read of a monotonic counter
@@ -196,8 +186,94 @@ pub(crate) fn snapshot_all() -> Snapshot {
         }
     }
     snap.spans.sort_by(|a, b| a.name.cmp(&b.name));
-    snap.values.sort_by(|a, b| a.name.cmp(&b.name));
     snap.counters.sort_by(|a, b| a.name.cmp(&b.name));
     snap.gauges.sort_by(|a, b| a.name.cmp(&b.name));
     snap
+}
+
+#[cfg(test)]
+mod tests {
+    //! Edge cases of the log2-histogram aggregation surface, driven on
+    //! span slots of the tests' own (outside the global registry): the
+    //! value `0` (its own bucket), `u64::MAX` (the clamped tail bucket),
+    //! exact power-of-two bucket boundaries, and exactness under
+    //! concurrent recording.
+    use super::*;
+
+    fn stats_of(values: impl IntoIterator<Item = u64>) -> SeriesStats {
+        let slot = Slot::new("test.hist", Kind::SpanNs);
+        for v in values {
+            slot.record(v);
+        }
+        slot.stats()
+    }
+
+    #[test]
+    fn zero_is_its_own_bucket() {
+        let s = stats_of([0; 5]);
+        assert_eq!(s.count, 5);
+        assert_eq!(s.total, 0);
+        assert_eq!((s.min, s.max), (0, 0));
+        assert_eq!((s.p50, s.p99), (0, 0), "all-zero series estimates zero");
+    }
+
+    #[test]
+    fn u64_max_lands_in_the_tail_bucket() {
+        let s = stats_of([0, u64::MAX]);
+        assert_eq!(s.count, 2);
+        assert_eq!(s.total, u64::MAX, "0 + u64::MAX must not wrap");
+        assert_eq!((s.min, s.max), (0, u64::MAX));
+        // Rank 1 of 2 is the zero observation; rank 2 the tail bucket, whose
+        // upper bound is u64::MAX itself.
+        assert_eq!(s.p50, 0);
+        assert_eq!(s.p99, u64::MAX);
+    }
+
+    #[test]
+    fn power_of_two_boundaries_stay_inside_min_max() {
+        // Both edges of a mid-range bucket: 2^20 and 2^21 - 1 share bucket 21,
+        // so every quantile estimate is the bucket's upper bound — but the
+        // snapshot clamps it into the observed range.
+        let s = stats_of([1 << 20, (1 << 21) - 1]);
+        assert_eq!((s.min, s.max), (1 << 20, (1 << 21) - 1));
+        assert_eq!(s.p50, (1 << 21) - 1, "shared bucket's upper bound");
+        assert_eq!(s.p99, (1 << 21) - 1);
+
+        // A single observation reports itself, not its bucket's bound.
+        let s = stats_of([1000]);
+        assert_eq!((s.min, s.p50, s.p99, s.max), (1000, 1000, 1000, 1000));
+
+        // A sweep of exact powers of two: estimates must never escape the
+        // observed [min, max] envelope, even for the 1 -> 2 -> 4 low buckets.
+        let s = stats_of((0..48u32).map(|exp| 1u64 << exp));
+        assert_eq!(s.count, 48);
+        assert_eq!((s.min, s.max), (1, 1u64 << 47));
+        assert!(s.min <= s.p50 && s.p50 <= s.p99 && s.p99 <= s.max);
+    }
+
+    #[test]
+    fn concurrent_recording_loses_nothing() {
+        const THREADS: u64 = 8;
+        const PER_THREAD: u64 = 2_000;
+        let slot = Slot::new("test.hist.racing", Kind::SpanNs);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let slot = &slot;
+                scope.spawn(move || {
+                    for i in 0..PER_THREAD {
+                        // Thread t records the range [t*P + 1, (t+1)*P]; the
+                        // global extremes are 1 and THREADS * P.
+                        slot.record(t * PER_THREAD + i + 1);
+                    }
+                });
+            }
+        });
+        let s = slot.stats();
+        let n = THREADS * PER_THREAD;
+        assert_eq!(s.count, n, "no lost observations");
+        assert_eq!(s.total, n * (n + 1) / 2, "totals sum exactly");
+        assert_eq!(s.min, 1, "fetch_min is exact under contention");
+        assert_eq!(s.max, n, "fetch_max is exact");
+        assert!(s.min <= s.p50 && s.p99 <= s.max);
+    }
 }

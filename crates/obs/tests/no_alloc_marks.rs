@@ -1,12 +1,12 @@
-//! Pins the flight-recorder hot path (`trace::instant`, span begin/end
+//! Pins the event-log hot path (`trace::instant`, span begin/end
 //! via `obs::span`) at **zero steady-state heap allocations**, in both
 //! feature states:
 //!
 //! * feature off — every trace entry point is a no-op stub;
 //! * feature on, recording off — the off-path is one relaxed load;
-//! * feature on, recording on — after warm-up (ring claimed, names
-//!   interned and cached per thread) an event is a clock read plus two
-//!   relaxed stores into the preallocated ring.
+//! * feature on, recording on — after warm-up (log reserved by
+//!   `enable`, this thread's track taken) an event is a lock, a clock
+//!   read and a push into the reserved log.
 //!
 //! Complements `no_alloc_off.rs`, which pins the aggregate-instrument
 //! stubs; together they back the static `no-alloc-static` marks with the
@@ -15,7 +15,7 @@
 #[global_allocator]
 static ALLOC: xcheck_rt::CountingAlloc = xcheck_rt::CountingAlloc;
 
-/// Exercises the recorder hot path `rounds` times: instants plus nested
+/// Exercises the log's hot path `rounds` times: instants plus nested
 /// span begin/end pairs (the begin/end hooks ride on `obs::span`).
 fn hammer(rounds: u64) {
     for _ in 0..rounds {
@@ -42,7 +42,7 @@ fn recorder_hot_path_is_allocation_free() {
         // Feature off: enable() is a stub too; the whole surface stays
         // allocation-free and drains empty.
         let trace = xcheck_rt::assert_zero_alloc("trace disabled stubs", || {
-            obs::trace::enable(obs::trace::DEFAULT_CAPACITY);
+            obs::trace::enable();
             hammer(64);
             obs::trace::disable();
             obs::trace::clear();
@@ -52,15 +52,14 @@ fn recorder_hot_path_is_allocation_free() {
         return;
     }
 
-    // Feature on, recording on: warm up once (claims this thread's ring,
-    // interns and caches the names — those first-touch allocations are
-    // the steady state's setup, not its cost), then measure.
-    obs::trace::enable(obs::trace::DEFAULT_CAPACITY);
+    // Feature on, recording on: `enable` reserves the log (the steady
+    // state's setup, not its cost); warm up once, then measure.
+    obs::trace::enable();
     hammer(8);
     xcheck_rt::assert_zero_alloc("trace hot path, recording on", || hammer(1024));
     obs::trace::disable();
 
-    // The measured events really landed in this thread's ring (1024
+    // The measured events really landed in the log (1024
     // hammer rounds x 6 events, plus warm-up) — the zero-alloc window
     // was recording, not silently dropping.
     let trace = obs::trace::drain();
@@ -70,5 +69,5 @@ fn recorder_hot_path_is_allocation_free() {
         .filter(|e| e.name == "test.trace_noalloc.mark")
         .count();
     assert!(marks >= 1024, "expected >= 1024 instants, got {marks}");
-    assert_eq!(trace.dropped_total(), 0, "ring overflowed during hammer");
+    assert_eq!(trace.dropped_total(), 0, "log overflowed during hammer");
 }

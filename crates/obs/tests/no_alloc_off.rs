@@ -1,5 +1,5 @@
 //! Pins the feature-off contract: with `enabled` compiled out, the whole
-//! recording surface — the four `// xcheck: no_alloc`-marked stubs plus
+//! recording surface — the `// xcheck: no_alloc`-marked entry points plus
 //! span guards, reset, and snapshot — performs **zero heap allocations**.
 //! The feature-on build of the same calls performs plenty; the `xcheck-rt`
 //! counting allocator is validated against that, so a broken counter
@@ -16,7 +16,6 @@ fn hammer(rounds: u64) {
             let _nested = obs::span("test.noalloc.inner");
             obs::counter_add("test.noalloc.counter", i);
         }
-        obs::observe("test.noalloc.value", i * 3);
         obs::gauge_set("test.noalloc.gauge", i);
     }
 }

@@ -27,11 +27,6 @@ pub struct Block {
 }
 
 impl Block {
-    /// Number of fresh parity packets still mintable.
-    pub fn parities_remaining(&self) -> usize {
-        self.encoder.max_parities().saturating_sub(self.next_parity)
-    }
-
     /// Total parity packets minted so far.
     pub fn parities_minted(&self) -> usize {
         self.next_parity

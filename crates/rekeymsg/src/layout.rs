@@ -60,11 +60,6 @@ impl Layout {
     pub fn usr_packet_len(&self, n_encryptions: usize) -> usize {
         3 + SEALED_KEY_LEN * n_encryptions
     }
-
-    /// Wire length of a NACK packet carrying `n` block requests.
-    pub fn nack_packet_len(&self, n_requests: usize) -> usize {
-        1 + 2 * n_requests
-    }
 }
 
 impl Default for Layout {

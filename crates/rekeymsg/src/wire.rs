@@ -474,15 +474,6 @@ impl Packet {
             Packet::Nack(p) => p.emit(),
         }
     }
-
-    /// Wire length under `layout`.
-    pub fn wire_len(&self, layout: &Layout) -> usize {
-        match self {
-            Packet::Enc(_) | Packet::Parity(_) => layout.enc_packet_len,
-            Packet::Usr(p) => 3 + SEALED_KEY_LEN * p.sealed.len(),
-            Packet::Nack(p) => 1 + 2 * p.requests.len(),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -412,11 +412,6 @@ impl ServerSession {
     pub fn is_done(&self) -> bool {
         self.phase == Phase::Done
     }
-
-    /// True while in the unicast phase.
-    pub fn is_unicasting(&self) -> bool {
-        self.phase == Phase::Unicast
-    }
 }
 
 #[cfg(test)]
@@ -526,7 +521,6 @@ mod tests {
             }
             other => panic!("expected unicast, got {other:?}"),
         }
-        assert!(s.is_unicasting());
     }
 
     #[test]

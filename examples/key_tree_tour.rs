@@ -5,7 +5,7 @@
 //! cargo run --example key_tree_tour
 //! ```
 
-use keytree::{analysis, Batch, KeyTree, Label};
+use keytree::{analysis, Batch, KeyTree, Label, MarkScratch};
 use wirecrypto::KeyGen;
 
 fn main() {
@@ -39,14 +39,14 @@ fn main() {
     let mut tree = KeyTree::balanced(16, 4, &mut kg);
     println!("{}", tree.render_ascii());
     let joins = vec![(100, kg.next_key()), (101, kg.next_key())];
-    let outcome = tree.process_batch(&Batch::new(joins, vec![0, 1, 9]), &mut kg);
+    let mut scratch = MarkScratch::new();
+    tree.process_batch_in(Batch::new(joins, vec![0, 1, 9]), &mut kg, &mut scratch);
     println!("-- after: members 0, 1, 9 out; members 100, 101 in --");
     println!("{}", tree.render_ascii());
-    let mut labelled: Vec<_> = outcome.labels.iter().collect();
-    labelled.sort_by_key(|(id, _)| **id);
-    for (id, label) in labelled {
-        if !matches!(label, Label::Unchanged) {
-            println!("  node {id}: {label:?}");
+    for id in 0..tree.storage_len() as u32 {
+        match scratch.label_of(id) {
+            None | Some(Label::Unchanged) => {}
+            Some(label) => println!("  node {id}: {label:?}"),
         }
     }
     println!();

@@ -3,10 +3,10 @@
 # xcheck static-analysis pass (with its machine-readable report), the test
 # suite with the deep invariant sanitizer live (bench's figure_identity,
 # the one worker-count gate left, runs there), the dynamic no-alloc
-# harness, one smoke/check/sentinel cycle per tracked BENCH report, and
-# the obs build. Everything runs offline against the vendored in-tree
-# dependency shims. Each stage's wall time is reported in a summary at
-# the end.
+# harness (the obs event log's armed and disarmed paths included), one
+# smoke/check/sentinel cycle per tracked BENCH report, and the obs build.
+# Everything runs offline against the vendored in-tree dependency shims.
+# Each stage's wall time is reported in a summary at the end.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,10 +61,15 @@ cargo test -q -p netsim --test no_alloc_marks
 # A budget, not a zero: a non-serving delivery may cost a share-map node.
 cargo test -q -p rekeyproto --test alloc_budget
 cargo test -q -p grouprekey --test no_alloc_marks
+# The obs entry points and its event log, both feature legs: compiled out
+# and disarmed they allocate nothing (no_alloc_off, no_alloc_marks); armed,
+# the log's steady state allocates nothing either (no_alloc_marks), and
+# trace_log pins what the log keeps, drops and hands out as tracks.
 cargo test -q -p obs --test no_alloc_off
 cargo test -q -p obs --features enabled --test no_alloc_off
 cargo test -q -p obs --test no_alloc_marks
 cargo test -q -p obs --features enabled --test no_alloc_marks
+cargo test -q -p obs --features enabled --test trace_log
 
 stage "UKA plan identity (run-aggregated planner vs user-by-user oracle)"
 # Proptest bit-identity of the O(E) run-aggregated planner against the
