@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use keytree::{ident, MemberId, NodeId};
-use rekeymsg::{seal_context, EncPacket, UsrPacket};
+use rekeymsg::{seal_context, EncFrame, UsrPacket};
 use wirecrypto::SymKey;
 
 /// Why applying a rekey packet failed.
@@ -109,14 +109,17 @@ impl UserAgent {
     }
 
     /// Applies the user's specific ENC packet from rekey message
-    /// `msg_seq`: rederives the current ID from `maxKID`, then walks the
-    /// path leaf-to-root unsealing every encryption addressed to it.
-    pub fn apply_enc(&mut self, pkt: &EncPacket, msg_seq: u64) -> Result<(), ApplyError> {
-        let new_id = ident::derive_current_id(self.node_id, pkt.max_kid as NodeId, self.degree)
+    /// `msg_seq`, read off its frame: rederives the current ID from
+    /// `maxKID`, then walks the path leaf-to-root unsealing every
+    /// encryption addressed to it — the only ones copied out of the frame.
+    // xcheck: no_alloc
+    pub fn apply_enc(&mut self, pkt: &EncFrame, msg_seq: u64) -> Result<(), ApplyError> {
+        let max_kid = pkt.header().max_kid;
+        let new_id = ident::derive_current_id(self.node_id, max_kid as NodeId, self.degree)
             .ok_or(ApplyError::NotInGroup)?;
         self.relocate(new_id);
 
-        for c in ident::path_to_root(new_id, self.degree) {
+        for c in ident::path_iter(new_id, self.degree) {
             let c16 = u16::try_from(c).map_err(|_| ApplyError::MissingKey { node: c })?;
             let Some(sealed) = pkt.entry(c16) else {
                 continue;
@@ -198,12 +201,11 @@ impl UserAgent {
     }
 
     /// Drops keys no longer on the agent's path.
+    // xcheck: no_alloc
     fn prune(&mut self) {
-        let path: std::collections::BTreeSet<NodeId> =
-            ident::path_to_root(self.node_id, self.degree)
-                .into_iter()
-                .collect();
-        self.keys.retain(|id, _| path.contains(id));
+        let (me, d) = (self.node_id, self.degree);
+        self.keys
+            .retain(|&id, _| ident::is_ancestor_or_self(id, me, d));
     }
 }
 
@@ -211,7 +213,7 @@ impl UserAgent {
 mod tests {
     use super::*;
     use keytree::{Batch, KeyTree};
-    use rekeymsg::{build_usr_packet, Layout, UkaAssignment};
+    use rekeymsg::{build_usr_packet, EncPacket, Layout, UkaAssignment};
     use wirecrypto::KeyGen;
 
     /// Builds a tree, runs a batch, and returns everything a test needs.
@@ -230,6 +232,11 @@ mod tests {
         (before, tree, outcome, assignment)
     }
 
+    /// The packet as the frame a receiver would hold.
+    fn frame(pkt: &EncPacket) -> EncFrame {
+        EncFrame::new(pkt.emit(&Layout::DEFAULT).into(), &Layout::DEFAULT).unwrap()
+    }
+
     fn agent_for(tree: &KeyTree, member: MemberId, degree: u32) -> UserAgent {
         let node = tree.node_of_member(member).unwrap();
         let path = tree.keys_for_member(member).unwrap();
@@ -245,7 +252,7 @@ mod tests {
             let uid = after.node_of_member(member).unwrap();
             let pi = assignment.packet_of_user(uid).expect("served user");
             agent
-                .apply_enc(&assignment.packets[pi], 1)
+                .apply_enc(&frame(&assignment.packets[pi]), 1)
                 .unwrap_or_else(|e| panic!("member {member}: {e}"));
             assert_eq!(agent.group_key(), after.group_key());
         }
@@ -259,7 +266,9 @@ mod tests {
 
         let mut via_enc = agent_for(&before, member, 4);
         let pi = assignment.packet_of_user(uid).expect("served user");
-        via_enc.apply_enc(&assignment.packets[pi], 1).unwrap();
+        via_enc
+            .apply_enc(&frame(&assignment.packets[pi]), 1)
+            .unwrap();
 
         let mut via_usr = agent_for(&before, member, 4);
         let usr = build_usr_packet(&after, &outcome, member, 1).unwrap();
@@ -278,7 +287,7 @@ mod tests {
         let individual = after.key_of(uid).unwrap();
         let mut agent = UserAgent::new(member, uid, individual, 4);
         let pi = assignment.packet_of_user(uid).expect("served user");
-        agent.apply_enc(&assignment.packets[pi], 1).unwrap();
+        agent.apply_enc(&frame(&assignment.packets[pi]), 1).unwrap();
         assert_eq!(agent.group_key(), after.group_key());
     }
 
@@ -298,7 +307,7 @@ mod tests {
         assert_eq!(agent.node_id(), 5);
         let uid = tree.node_of_member(moved).unwrap();
         let pi = assignment.packet_of_user(uid).expect("served user");
-        agent.apply_enc(&assignment.packets[pi], 2).unwrap();
+        agent.apply_enc(&frame(&assignment.packets[pi]), 2).unwrap();
         assert_eq!(agent.node_id(), 21);
         assert_eq!(agent.group_key(), tree.group_key());
     }
@@ -312,7 +321,7 @@ mod tests {
         // yield the new group key.
         let old_group_key = agent.group_key();
         for pkt in &assignment.packets {
-            let _ = agent.apply_enc(pkt, 1);
+            let _ = agent.apply_enc(&frame(pkt), 1);
         }
         assert_eq!(agent.group_key(), old_group_key, "forward secrecy violated");
     }
@@ -323,7 +332,9 @@ mod tests {
         let mut agent = agent_for(&before, 0, 4);
         let uid = after.node_of_member(0).unwrap();
         let pi = assignment.packet_of_user(uid).expect("served user");
-        let err = agent.apply_enc(&assignment.packets[pi], 99).unwrap_err();
+        let err = agent
+            .apply_enc(&frame(&assignment.packets[pi]), 99)
+            .unwrap_err();
         assert!(matches!(err, ApplyError::BadSeal { .. }));
     }
 
@@ -333,7 +344,7 @@ mod tests {
         let mut agent = agent_for(&before, 0, 4);
         let uid = after.node_of_member(0).unwrap();
         let pi = assignment.packet_of_user(uid).expect("served user");
-        agent.apply_enc(&assignment.packets[pi], 1).unwrap();
+        agent.apply_enc(&frame(&assignment.packets[pi]), 1).unwrap();
         // Height-3 tree: path holds 4 keys (leaf + 2 aux + root).
         assert_eq!(agent.keys_held(), 4);
     }

@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use keytree::{Batch, MemberId, NodeId};
+use keytree::{Batch, MemberId};
 use netsim::{Network, NetworkConfig};
 use rekeymsg::Packet;
 use rekeyproto::{UserOutcome, UserSession};
@@ -133,12 +133,6 @@ impl Group {
     /// delivery fails to complete within `max_rounds` (both indicate
     /// driver misuse).
     pub fn rekey(&mut self, batch: Batch) -> MessageReport {
-        // Snapshot pre-batch node IDs (the "old IDs" users hold).
-        let mut old_ids: BTreeMap<MemberId, NodeId> = self
-            .agents
-            .iter()
-            .map(|(&m, agent)| (m, agent.node_id()))
-            .collect();
         let joins: Vec<(MemberId, wirecrypto::SymKey)> = batch.joins.clone();
         let leaves: Vec<MemberId> = batch.leaves.clone();
 
@@ -156,7 +150,6 @@ impl Group {
             if let Some(agent) = self.agents.get_mut(&rl.member) {
                 agent.accept_relocation(rl.new_id);
             }
-            old_ids.insert(rl.member, rl.new_id);
         }
 
         // Membership bookkeeping.
@@ -181,26 +174,27 @@ impl Group {
         }
 
         // One byte-model receiver per member, in member order, so the
-        // loop's loss draws and NACK order are deterministic.
+        // loop's loss draws and NACK order are deterministic. A session
+        // starts from the ID its agent holds: the one from before the batch,
+        // the relocation just announced, or the one a joiner was granted.
         let k = self.server.controller().config().block_size;
         let members: Vec<MemberId> = self.agents.keys().copied().collect();
-        let mut receivers: Vec<ByteReceiver> = members
-            .iter()
-            .map(|m| {
-                let node = require(
-                    self.server.tree().node_of_member(*m),
-                    "live member has a node",
-                );
-                // A joiner held no ID before the batch: it starts from the
-                // one it was granted.
-                let old = old_ids.get(m).copied().unwrap_or(node);
-                ByteReceiver {
-                    session: UserSession::new(old, self.degree, k, layout)
-                        .expect_msg_id((msg_seq & 0x3f) as u8),
-                    link: self.net_index[m],
-                    node,
-                    layout,
-                }
+        assert_eq!(
+            self.agents.len(),
+            self.net_index.len(),
+            "driver invariant violated: one receiver link per live member"
+        );
+        let mut receivers: Vec<ByteReceiver> = (self.agents.iter())
+            .zip(&self.net_index)
+            .map(|((m, agent), (linked, &link))| ByteReceiver {
+                session: UserSession::new(agent.node_id(), self.degree, k, layout)
+                    .expect_msg_id((msg_seq & 0x3f) as u8),
+                link,
+                node: require(
+                    (self.server.tree().node_of_member(*m)).filter(|_| m == linked),
+                    "live member has a node and the next receiver link is its own",
+                ),
+                layout,
             })
             .collect();
 
@@ -230,8 +224,8 @@ impl Group {
         );
 
         // Apply outcomes cryptographically.
-        for (m, r) in members.iter().zip(&receivers) {
-            let agent = require(self.agents.get_mut(m), "live member has an agent");
+        for (agent, r) in self.agents.values_mut().zip(&receivers) {
+            let m = agent.member();
             match r.session.outcome() {
                 UserOutcome::Enc(pkt) => agent
                     .apply_enc(pkt, msg_seq)

@@ -16,60 +16,10 @@ use keytree::NodeId;
 use netsim::Network;
 use rekeymsg::estimate::BlockIdEstimator;
 use rekeymsg::{Layout, NackPacket, Packet, UsrPacket};
-use rekeyproto::{nack_requests_into, ServerSession};
+use rekeyproto::{nack_requests_into, ServerSession, ShareTracker};
 
 use crate::transport::{self, Receiver};
 pub use crate::transport::{SimConfig, TransportScratch, TransportStats};
-
-/// Distinct FEC share indices received, per block, as fixed-width
-/// bitsets.
-///
-/// Block IDs are `u8` and share indices stay below [`rse::MAX_SYMBOLS`]
-/// (= 256), so four `u64` words cover a block exactly. The flat layout —
-/// one `[u64; 4]` slot per block ID in a `Vec` that grows to the highest
-/// block seen — replaces the seed's `BTreeMap<u8, BTreeSet<usize>>`,
-/// turning the per-packet bookkeeping from two tree lookups plus a node
-/// allocation into one indexed OR. A parallel `counts` vector caches the
-/// population count so the round-boundary decode check stays O(1).
-#[derive(Debug, Clone, Default)]
-struct ShareTracker {
-    words: Vec<[u64; 4]>,
-    counts: Vec<u16>,
-}
-
-impl ShareTracker {
-    /// Records share `index` of `block`; duplicates are ignored.
-    fn insert(&mut self, block: u8, index: usize) {
-        if index >= 256 {
-            // Unreachable for shares minted by the real encoder
-            // (MAX_SYMBOLS caps data + parity indices); ignore rather
-            // than corrupt a neighbouring block's words.
-            return;
-        }
-        let b = usize::from(block);
-        if self.words.len() <= b {
-            self.words.resize(b + 1, [0u64; 4]);
-            self.counts.resize(b + 1, 0);
-        }
-        let word = &mut self.words[b][index / 64];
-        let bit = 1u64 << (index % 64);
-        if *word & bit == 0 {
-            *word |= bit;
-            self.counts[b] += 1;
-        }
-    }
-
-    /// Number of distinct shares held for `block`.
-    fn count(&self, block: u8) -> usize {
-        self.counts.get(usize::from(block)).map_or(0, |&c| c.into())
-    }
-
-    /// Drops all recorded shares, keeping the allocation.
-    fn clear(&mut self) {
-        self.words.clear();
-        self.counts.clear();
-    }
-}
 
 /// One simulated user of the transport.
 #[derive(Debug)]
@@ -81,7 +31,8 @@ pub struct SimUser {
     k: usize,
     d: u32,
     estimator: Option<BlockIdEstimator>,
-    /// Distinct share indices received, per block.
+    /// Distinct share indices received, per block: the bookkeeping a
+    /// [`rekeyproto::UserSession`] keeps beside its frames.
     shares: ShareTracker,
     max_block_seen: Option<u8>,
     /// True block of the user's specific ENC packet (driver knowledge used

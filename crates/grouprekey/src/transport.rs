@@ -14,10 +14,12 @@
 //!   and decoding is deterministic in the share set.
 //! * the **byte model**, [`ByteReceiver`]: a frame is the packet's wire
 //!   bytes, emitted once per send and shared by the real [`UserSession`]s it
-//!   reaches: header read in place, one full parse each, FEC off the frames.
+//!   reaches: header read in place, the serving frame kept where it lies,
+//!   FEC off the frames.
 //!
 //! Both see the same loss draws in the same order (listeners are the
-//! unsatisfied receivers in slice order; every unicast copy is drawn), so
+//! unsatisfied receivers in slice order, a list kept between packets and
+//! rounds and only ever shrunk; every unicast copy is drawn), so
 //! the same seed gives both models the same rounds, NACKs and overhead —
 //! `tests/model_agreement.rs` holds them to it.
 //!
@@ -51,14 +53,20 @@ pub trait Receiver {
     /// to it and addresses its USR packet by it.
     fn node_id(&self) -> NodeId;
 
-    /// True once the receiver stops listening.
+    /// True once the receiver stops listening. Only [`Receiver::receive`]
+    /// and [`Receiver::end_of_round_into`] may turn it true, and nothing
+    /// turns it false again: [`run`] drops a satisfied receiver from its
+    /// listener list for good, after a packet's deliveries and after a
+    /// round boundary.
     fn is_satisfied(&self) -> bool;
 
     /// One frame got through, during round `round`.
     fn receive(&mut self, frame: &Self::Frame<'_>, round: usize);
 
-    /// Round boundary: attempts recovery, then fills `nack` and returns
-    /// true when the receiver still has to NACK.
+    /// Round boundary, called on the receivers still on the listener list
+    /// (the unsatisfied, and those a unicast wave has just satisfied):
+    /// attempts recovery, then fills `nack` and returns true when the
+    /// receiver still has to NACK.
     fn end_of_round_into(&mut self, round: usize, nack: &mut NackPacket) -> bool;
 
     /// The round in which the receiver got what it needed.
@@ -173,15 +181,19 @@ pub struct TransportStats {
 /// Reusable scratch buffers for [`run`].
 ///
 /// One instance per experiment (or per thread) makes the loop's own
-/// per-packet and per-round work allocation-free: the listener list,
-/// delivery flags, listener-to-slot table, unicast target map, and the
-/// NACK packet threaded through every receiver at a round boundary all
-/// reuse their capacity across packets, rounds, and messages.
+/// per-packet and per-round work allocation-free: the listener list (slots
+/// of the receivers still unsatisfied, kept across packets and rounds of a
+/// message — they are who a multicast is drawn for and who is visited at a
+/// round boundary), their link indices, delivery flags, unicast target map,
+/// and the NACK packet threaded through the listeners at a round boundary
+/// all reuse their capacity across packets, rounds, and messages.
 #[derive(Debug, Default)]
 pub struct TransportScratch {
     delivered: Vec<bool>,
-    listeners: Vec<usize>,
+    /// Slots of the unsatisfied receivers, in slice order.
     listener_slots: Vec<usize>,
+    /// Their link indices, in step.
+    listeners: Vec<usize>,
     by_node: HashMap<NodeId, usize>,
     nack: NackPacket,
 }
@@ -190,6 +202,21 @@ impl TransportScratch {
     /// Empty scratch; buffers grow on first use and are then reused.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Drops the listeners that are satisfied by now, keeping slice order.
+    fn retain_listening<R: Receiver>(&mut self, receivers: &[R]) {
+        let before = self.listener_slots.len();
+        self.listener_slots
+            .retain(|&slot| !receivers[slot].is_satisfied());
+        if self.listener_slots.len() < before {
+            self.listeners.clear();
+            self.listeners.extend(
+                self.listener_slots
+                    .iter()
+                    .map(|&s| receivers[s].net_index()),
+            );
+        }
     }
 }
 
@@ -216,9 +243,11 @@ pub fn run<R: Receiver>(
     let rtt = 2.0 * net.config().one_way_delay_ms;
     let layout = session.blocks().layout();
     scratch.by_node.clear();
-    scratch
-        .by_node
-        .extend(receivers.iter().enumerate().map(|(i, r)| (r.node_id(), i)));
+    scratch.listener_slots.clear();
+    scratch.listener_slots.extend(0..receivers.len());
+    scratch.listeners.clear();
+    scratch.listeners.extend(receivers.iter().map(R::net_index));
+    scratch.retain_listening(receivers);
 
     let mut round = 1usize;
     let mut action = RoundDecision::Multicast(session.start());
@@ -230,27 +259,25 @@ pub fn run<R: Receiver>(
             RoundDecision::Multicast(schedule) => {
                 for pkt in schedule {
                     *clock += send_interval;
-                    let frame = R::frame(pkt, &layout);
-                    scratch.listeners.clear();
-                    scratch.listener_slots.clear();
-                    for (slot, r) in receivers.iter().enumerate() {
-                        if !r.is_satisfied() {
-                            scratch.listeners.push(r.net_index());
-                            scratch.listener_slots.push(slot);
-                        }
-                    }
                     if scratch.listeners.is_empty() {
                         break;
                     }
+                    let frame = R::frame(pkt, &layout);
                     net.multicast_to_into(*clock, &scratch.listeners, &mut scratch.delivered);
-                    for (pos, &ok) in scratch.delivered.iter().enumerate() {
+                    for (&slot, &ok) in scratch.listener_slots.iter().zip(&scratch.delivered) {
                         if ok {
-                            receivers[scratch.listener_slots[pos]].receive(&frame, round);
+                            receivers[slot].receive(&frame, round);
                         }
                     }
+                    scratch.retain_listening(receivers);
                 }
             }
             RoundDecision::Unicast(wave) => {
+                // Only a message that gets this far pays for the map.
+                if scratch.by_node.is_empty() {
+                    let nodes = receivers.iter().enumerate();
+                    scratch.by_node.extend(nodes.map(|(i, r)| (r.node_id(), i)));
+                }
                 // `duplicates` copies per target, every one of them drawn;
                 // any one suffices.
                 for node in &wave.targets {
@@ -271,11 +298,13 @@ pub fn run<R: Receiver>(
         }
         *clock += rtt;
 
-        for r in receivers.iter_mut() {
+        for &slot in &scratch.listener_slots {
+            let r = &mut receivers[slot];
             if r.end_of_round_into(round, &mut scratch.nack) {
                 session.accept_nack(r.node_id(), &scratch.nack);
             }
         }
+        scratch.retain_listening(receivers);
 
         action = session.end_of_round();
         if matches!(action, RoundDecision::Done) {

@@ -4,13 +4,16 @@
 //! `receive` and `end_of_round_into` must perform zero heap allocations,
 //! and so must the loop that drives them
 //! ([`run_message_transport_with`]) once the server has built its
-//! round-one schedule.
+//! round-one schedule. And for the byte model's last step: a
+//! [`UserAgent`] that holds its path installs the new keys off the frame
+//! its session kept without allocating.
 
 use grouprekey::sim::{run_message_transport_with, SimConfig, SimUser, TransportScratch};
 use grouprekey::transport::Receiver;
+use grouprekey::UserAgent;
 use keytree::{Batch, KeyTree};
 use netsim::{Network, NetworkConfig};
-use rekeymsg::{EncPacket, Layout, NackPacket, Packet, ParityPacket, UkaAssignment};
+use rekeymsg::{EncFrame, EncPacket, Layout, NackPacket, Packet, ParityPacket, UkaAssignment};
 use rekeyproto::{ServerConfig, ServerController};
 use wirecrypto::KeyGen;
 
@@ -184,4 +187,31 @@ fn count_model_loop_allocates_nothing_after_the_round_one_schedule() {
         schedule_allocs + 1,
         "the count-model loop allocated per packet, per round or per user"
     );
+}
+
+#[test]
+fn apply_enc_on_an_agent_that_holds_its_path_allocates_nothing() {
+    xcheck_rt::assert_counting();
+
+    // 1024 users, 16 leaves: every survivor's path has new keys on it, and
+    // several of the 46 pairs in its packet are not for it.
+    let layout = Layout::DEFAULT;
+    let mut kg = KeyGen::from_seed(9);
+    let mut tree = KeyTree::balanced(1024, 4, &mut kg);
+    let before = tree.clone();
+    let leaves: Vec<u32> = (0..16u32).map(|i| i * 64 + 1).collect();
+    let outcome = tree.process_batch(&Batch::new(vec![], leaves), &mut kg);
+    let assignment = UkaAssignment::build(&tree, &outcome, 1, &layout).unwrap();
+
+    for member in [0u32, 2, 500, 1023] {
+        let path = before.keys_for_member(member).unwrap();
+        let node = before.node_of_member(member).unwrap();
+        let mut agent = UserAgent::with_path(member, node, path[0].1, 4, path);
+        let uid = tree.node_of_member(member).unwrap();
+        let pkt = &assignment.packets[assignment.packet_of_user(uid).unwrap()];
+        let frame = EncFrame::new(pkt.emit(&layout).into(), &layout).unwrap();
+        xcheck_rt::assert_zero_alloc("UserAgent::apply_enc", || agent.apply_enc(&frame, 1))
+            .unwrap_or_else(|e| panic!("member {member}: {e}"));
+        assert_eq!(agent.group_key(), tree.group_key());
+    }
 }

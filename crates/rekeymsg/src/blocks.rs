@@ -328,6 +328,7 @@ pub fn interleave<T>(lanes: Vec<Vec<T>>) -> Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::EncFrame;
     use wirecrypto::{SealedKey, SymKey};
 
     fn layout() -> Layout {
@@ -412,8 +413,8 @@ mod tests {
         }
         let bodies = rse::Decoder::new(5).unwrap().decode(&shares).unwrap();
         for (s, body) in bodies.iter().enumerate() {
-            let rebuilt = EncPacket::from_fec_body(body, &layout(), 3, 0, s as u8).unwrap();
-            assert_eq!(rebuilt.entries, blk.packets[s].entries);
+            let rebuilt = EncFrame::from_fec_body(body, &layout(), 3, 0, s as u8).unwrap();
+            assert_eq!(rebuilt.to_packet(), blk.packets[s]);
         }
     }
 

@@ -6,7 +6,8 @@
 //!
 //! * [`wire`] — byte-level formats for `ENC`, `PARITY`, `USR` and `NACK`
 //!   packets (fixed-length `ENC`/`PARITY` packets so FEC can operate on
-//!   whole packet bodies), parsed in full or header-only in place;
+//!   whole packet bodies), parsed in full, header-only in place, or — the
+//!   one `ENC` packet that serves a user — kept as its frame and read there;
 //! * [`assign`] — the **User-oriented Key Assignment** (UKA) algorithm: all
 //!   of a user's encryptions land in a single `ENC` packet, with packets
 //!   covering non-overlapping, increasing user-ID ranges;
@@ -59,8 +60,8 @@ pub use assign::{
 pub use blocks::{BlockSet, SendItem, SendOrder};
 pub use layout::{Layout, UNPROTECTED_HEADER_LEN};
 pub use wire::{
-    EncHeader, EncPacket, Header, NackPacket, NackRequest, Packet, ParityPacket, UsrPacket,
-    WireError,
+    EncFrame, EncHeader, EncPacket, Header, NackPacket, NackRequest, Packet, ParityPacket,
+    UsrPacket, WireError,
 };
 
 /// Builds the USR packet for one user: the sealed encryptions it needs,

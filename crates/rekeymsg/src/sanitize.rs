@@ -10,7 +10,7 @@
 //!   unseals, under the child's current key and the message's seal
 //!   context, to the parent's current key;
 //! * wire identity — `emit` followed by `parse` reproduces every packet
-//!   exactly, and the FEC-body path ([`EncPacket::from_fec_body`]) agrees
+//!   exactly, and the FEC-body path ([`EncFrame::from_fec_body`]) agrees
 //!   with the header path.
 
 use std::collections::HashSet;
@@ -20,7 +20,7 @@ use keytree::{KeyTree, MarkOutcome, NodeId};
 use crate::assign::{PacketPlan, UkaAssignment};
 use crate::layout::Layout;
 use crate::seal_context;
-use crate::wire::{EncPacket, Packet};
+use crate::wire::{EncFrame, Packet};
 
 /// One packet of the reference (user-by-user) UKA plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -213,7 +213,7 @@ pub fn verify_message(
                 }
                 for i in needs {
                     let child = outcome.encryptions[i].child;
-                    if pkt.entry(child as u16).is_none() {
+                    if !pkt.entries.iter().any(|&(id, _)| id == child as u16) {
                         return Err(format!(
                             "packet {pi} serves user {uid} but lacks encryption {child}"
                         ));
@@ -264,8 +264,9 @@ pub fn verify_message(
             Err(e) => return Err(format!("packet {pi} fails to re-parse: {e}")),
         }
         let body = pkt.fec_body(layout);
-        let back = EncPacket::from_fec_body(&body, layout, pkt.msg_id, pkt.block_id, pkt.seq)
-            .map_err(|e| format!("packet {pi} body fails to re-parse: {e}"))?;
+        let back = EncFrame::from_fec_body(&body, layout, pkt.msg_id, pkt.block_id, pkt.seq)
+            .map_err(|e| format!("packet {pi} body fails to re-parse: {e}"))?
+            .to_packet();
         if (back.max_kid, back.frm_id, back.to_id, &back.entries)
             != (pkt.max_kid, pkt.frm_id, pkt.to_id, &pkt.entries)
         {

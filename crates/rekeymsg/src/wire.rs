@@ -2,9 +2,16 @@
 //!
 //! Following the smoltcp idiom, each packet type has a plain `Repr`-style
 //! struct with `emit` (serialise into exact wire bytes) and `parse`
-//! (validate + decode); [`Packet::header`] reads the fixed fields alone, in
-//! place. `ENC`/`PARITY` packets always emit exactly
+//! (validate + decode), and the idiom holds for reading too: a checked
+//! wrapper over the buffer whose accessors read fields where they lie.
+//! [`Packet::header`] reads the fixed fields alone, in place, and
+//! [`EncFrame`] is an `ENC` packet kept as its wire bytes — what a receiver
+//! holds of the one packet that serves it, looking up the handful of
+//! encryptions on its path without copying the rest.
+//! `ENC`/`PARITY` packets always emit exactly
 //! [`Layout::enc_packet_len`] bytes; `USR`/`NACK` are variable length.
+
+use std::sync::Arc;
 
 use wirecrypto::{SealedKey, SEALED_KEY_LEN};
 
@@ -34,6 +41,8 @@ pub enum WireError {
     },
     /// A list field would overrun the packet.
     Overrun,
+    /// Not an `ENC` packet, handed to the reader of one.
+    NotEnc,
 }
 
 impl core::fmt::Display for WireError {
@@ -44,6 +53,7 @@ impl core::fmt::Display for WireError {
                 write!(f, "fixed-size packet of {got} bytes, expected {expected}")
             }
             WireError::Overrun => write!(f, "list field overruns packet"),
+            WireError::NotEnc => write!(f, "not an ENC packet"),
         }
     }
 }
@@ -65,6 +75,17 @@ fn split_fixed<'a>(
 ) -> Result<(&'a [u8; UNPROTECTED_HEADER_LEN], &'a [u8]), WireError> {
     check_len(bytes.len(), layout.enc_packet_len)?;
     bytes.split_first_chunk().ok_or(WireError::Truncated)
+}
+
+/// The one reader of an `ENC` packet's pair column: `(encryption ID, sealed
+/// key)` where they lie, up to the zero padding.
+fn pairs(column: &[u8]) -> impl Iterator<Item = (u16, &[u8; SEALED_KEY_LEN])> {
+    column.chunks_exact(PAIR_LEN).map_while(|pair| {
+        let (id, sealed) = pair.split_first_chunk()?;
+        let id = u16::from_be_bytes(*id);
+        let sealed = sealed.try_into().ok()?;
+        (id != 0).then_some((id, sealed))
+    })
 }
 
 /// The fixed fields of an `ENC` packet: all a receiver needs of a packet
@@ -94,8 +115,8 @@ impl EncHeader {
     }
 
     /// The fixed fields of the ENC packet a FEC-decoded body belongs to:
-    /// [`EncPacket::from_fec_body`] without the pairs, so a receiver can
-    /// tell whether a rebuilt packet serves it before parsing it.
+    /// [`EncFrame::from_fec_body`] without the copy, so a receiver can tell
+    /// whether a rebuilt packet serves it before keeping it.
     pub fn from_fec_body(
         body: &[u8],
         layout: &Layout,
@@ -232,16 +253,12 @@ impl EncPacket {
     /// Reads the fixed fields, then the pairs up to the zero padding.
     fn read(unprotected: [u8; UNPROTECTED_HEADER_LEN], body: &[u8]) -> Result<Self, WireError> {
         let header = EncHeader::read(unprotected, body)?;
-        let mut entries = Vec::new();
-        for pair in body[PROTECTED_HEADER_LEN..].chunks_exact(PAIR_LEN) {
-            let id = u16::from_be_bytes([pair[0], pair[1]]);
-            if id == 0 {
-                break; // padding reached
-            }
-            let sealed = SealedKey::from_slice(&pair[2..]).ok_or(WireError::Truncated)?;
-            entries.push((id, sealed));
-        }
-        Ok(EncPacket {
+        Ok(Self::from_parts(header, &body[PROTECTED_HEADER_LEN..]))
+    }
+
+    /// The struct for already-read fixed fields and the pair column.
+    fn from_parts(header: EncHeader, column: &[u8]) -> Self {
+        EncPacket {
             msg_id: header.msg_id,
             block_id: header.block_id,
             seq: header.seq,
@@ -249,12 +266,43 @@ impl EncPacket {
             max_kid: header.max_kid,
             frm_id: header.frm_id,
             to_id: header.to_id,
-            entries,
-        })
+            entries: pairs(column)
+                .map(|(id, sealed)| (id, SealedKey::from_bytes(*sealed)))
+                .collect(),
+        }
     }
 
-    /// Reconstructs an ENC packet from a FEC-decoded body (the packet's
-    /// unprotected header is re-synthesised from the known block/seq).
+    /// True when this packet serves user ID `m`.
+    pub fn serves(&self, m: u16) -> bool {
+        self.header().serves(m)
+    }
+}
+
+/// An `ENC` packet read where it lies: the wire frame as it was delivered,
+/// checked once exactly as [`Packet::parse`] checks an `ENC` packet (type
+/// bits, the layout's length, the fixed fields), and shared by reference
+/// count with everyone else it was delivered to. A user needs O(log_d N) of
+/// the encryptions in its packet; [`EncFrame::entry`] finds each in the ID
+/// column and copies out that sealed key alone.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EncFrame {
+    /// The whole frame, `layout.enc_packet_len` bytes.
+    bytes: Arc<[u8]>,
+    header: EncHeader,
+}
+
+impl EncFrame {
+    /// Checks `bytes` as an `ENC` packet under `layout` and keeps them.
+    pub fn new(bytes: Arc<[u8]>, layout: &Layout) -> Result<Self, WireError> {
+        let (_, Header::Enc(header)) = Packet::header(&bytes, layout)? else {
+            return Err(WireError::NotEnc);
+        };
+        Ok(EncFrame { bytes, header })
+    }
+
+    /// The frame of the ENC packet a FEC-decoded body belongs to: the
+    /// unprotected header is re-synthesised from the known block and `seq`
+    /// (a rebuilt packet is never flagged duplicate).
     pub fn from_fec_body(
         body: &[u8],
         layout: &Layout,
@@ -262,22 +310,40 @@ impl EncPacket {
         block_id: u8,
         seq: u8,
     ) -> Result<Self, WireError> {
-        check_len(body.len(), layout.fec_body_len())?;
-        Self::read([msg_id, block_id, seq & 0x7f], body)
+        // `new` checks the length: a body is a frame less these three bytes.
+        let unprotected = [msg_id & 0x3f, block_id, seq & 0x7f];
+        Self::new(unprotected.iter().chain(body).copied().collect(), layout)
+    }
+
+    /// The packet's fixed fields.
+    pub fn header(&self) -> EncHeader {
+        self.header
+    }
+
+    /// The pair column: everything past the fixed fields.
+    fn column(&self) -> &[u8] {
+        let fixed = UNPROTECTED_HEADER_LEN + PROTECTED_HEADER_LEN;
+        self.bytes.get(fixed..).unwrap_or_default()
+    }
+
+    /// The `(encryption ID, sealed key)` pairs, in wire order.
+    pub fn entries(&self) -> impl Iterator<Item = (u16, SealedKey)> + '_ {
+        pairs(self.column()).map(|(id, sealed)| (id, SealedKey::from_bytes(*sealed)))
     }
 
     /// The sealed encryption for a given encryption (child-node) ID, if
-    /// this packet carries it.
-    pub fn entry(&self, enc_id: u16) -> Option<&SealedKey> {
-        self.entries
-            .iter()
-            .find(|(id, _)| *id == enc_id)
-            .map(|(_, s)| s)
+    /// this packet carries it: the ID column is scanned in place and only
+    /// the key that matches is copied out.
+    // xcheck: no_alloc
+    pub fn entry(&self, enc_id: u16) -> Option<SealedKey> {
+        pairs(self.column())
+            .find(|&(id, _)| id == enc_id)
+            .map(|(_, sealed)| SealedKey::from_bytes(*sealed))
     }
 
-    /// True when this packet serves user ID `m`.
-    pub fn serves(&self, m: u16) -> bool {
-        self.header().serves(m)
+    /// The packet as a struct, every pair copied out.
+    pub fn to_packet(&self) -> EncPacket {
+        EncPacket::from_parts(self.header, self.column())
     }
 }
 
@@ -562,8 +628,12 @@ mod tests {
         let p = sample_enc();
         let body = p.fec_body(&layout());
         assert_eq!(body.len(), 1024);
-        let q = EncPacket::from_fec_body(&body, &layout(), p.msg_id, p.block_id, p.seq).unwrap();
-        assert_eq!(q, p);
+        let q = EncFrame::from_fec_body(&body, &layout(), p.msg_id, p.block_id, p.seq).unwrap();
+        assert_eq!(q.to_packet(), p);
+        assert_eq!(
+            q,
+            EncFrame::new(p.emit(&layout()).into(), &layout()).unwrap()
+        );
     }
 
     #[test]
@@ -654,8 +724,26 @@ mod tests {
     #[test]
     fn entry_lookup() {
         let p = sample_enc();
-        assert!(p.entry(341).is_some());
-        assert!(p.entry(999).is_none());
+        let frame = EncFrame::new(p.emit(&layout()).into(), &layout()).unwrap();
+        assert_eq!(frame.entry(341), Some(p.entries[1].1));
+        assert_eq!(frame.entry(999), None);
+        assert_eq!(frame.entry(0), None, "padding is not an entry");
+        assert_eq!(frame.header(), p.header());
+        assert_eq!(frame.to_packet(), p);
+    }
+
+    #[test]
+    fn enc_frame_is_for_enc_packets_only() {
+        let parity = ParityPacket {
+            msg_id: 13,
+            block_id: 2,
+            seq: 5,
+            body: vec![0; layout().fec_body_len()],
+        };
+        let frame = EncFrame::new(parity.emit(&layout()).into(), &layout());
+        assert_eq!(frame, Err(WireError::NotEnc));
+        let short = EncFrame::new(sample_enc().emit(&layout())[..100].into(), &layout());
+        assert!(matches!(short, Err(WireError::BadLength { .. })));
     }
 
     #[test]

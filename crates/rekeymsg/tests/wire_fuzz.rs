@@ -1,9 +1,10 @@
 //! Adversarial wire-format fuzzing: arbitrary bytes must never panic the
 //! parser, anything that parses must re-emit and re-parse stably, and the
-//! in-place header read must say what the full parse says.
+//! in-place readers — the header, and the ENC frame a receiver keeps —
+//! must say what the full parse says.
 
 use proptest::prelude::*;
-use rekeymsg::{Header, Layout, Packet};
+use rekeymsg::{EncFrame, EncPacket, Header, Layout, Packet, WireError, UNPROTECTED_HEADER_LEN};
 
 /// `Packet::header` against `Packet::parse` on the same bytes: field for
 /// field where both succeed, and no header where a fixed-size packet does
@@ -48,6 +49,42 @@ fn header_agrees_with_parse(bytes: &[u8], layout: &Layout) -> proptest::TestCase
     Ok(())
 }
 
+/// `EncFrame::new` against `Packet::parse` on the same bytes: it accepts
+/// exactly what parses as an ENC packet, with the parse's error otherwise,
+/// and then the header, every entry, the lookup by ID and the struct agree —
+/// as does the frame rebuilt from the FEC body, which is the same packet
+/// with the duplicate flag cleared.
+fn frame_agrees_with_parse(bytes: &[u8], layout: &Layout) -> proptest::TestCaseResult {
+    match (
+        Packet::parse(bytes, layout),
+        EncFrame::new(bytes.into(), layout),
+    ) {
+        (Ok(Packet::Enc(p)), Ok(frame)) => {
+            prop_assert_eq!(frame.header(), p.header());
+            prop_assert_eq!(frame.entries().collect::<Vec<_>>(), p.entries.clone());
+            for &(id, _) in &p.entries {
+                // The first pair under an ID is the one an ID names.
+                let first = p.entries.iter().find(|e| e.0 == id).map(|e| e.1);
+                prop_assert_eq!(frame.entry(id), first);
+            }
+            prop_assert_eq!(frame.entry(0), None);
+            let body = &bytes[UNPROTECTED_HEADER_LEN..];
+            let rebuilt = EncFrame::from_fec_body(body, layout, p.msg_id, p.block_id, p.seq);
+            let row = EncPacket {
+                duplicate: false,
+                ..p.clone()
+            };
+            prop_assert_eq!(rebuilt.map(|f| f.to_packet()), Ok(row));
+            prop_assert_eq!(frame.to_packet(), p);
+        }
+        (Ok(Packet::Enc(_)), Err(e)) => prop_assert!(false, "ENC packet refused: {e}"),
+        (Ok(other), frame) => prop_assert_eq!(frame, Err(WireError::NotEnc), "{:?}", other),
+        (Err(_), Err(WireError::NotEnc)) => prop_assert_ne!(bytes[0] >> 6, 0),
+        (Err(e), frame) => prop_assert_eq!(frame, Err(e)),
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -57,8 +94,11 @@ proptest! {
         let layout = Layout::DEFAULT;
         let _ = Packet::parse(&bytes, &layout);
         header_agrees_with_parse(&bytes, &layout)?;
+        frame_agrees_with_parse(&bytes, &layout)?;
         // Nor under a layout too small to hold the fixed fields.
-        header_agrees_with_parse(&bytes, &Layout { enc_packet_len: bytes.len() })?;
+        let tight = Layout { enc_packet_len: bytes.len() };
+        header_agrees_with_parse(&bytes, &tight)?;
+        frame_agrees_with_parse(&bytes, &tight)?;
     }
 
     /// Bytes of exactly the fixed packet length: every parse result
@@ -71,6 +111,7 @@ proptest! {
         // (ENC = 0b00, PARITY = 0b01 in the top two bits).
         bytes[0] &= 0x7f;
         header_agrees_with_parse(&bytes, &layout)?;
+        frame_agrees_with_parse(&bytes, &layout)?;
         if let Ok(pkt) = Packet::parse(&bytes, &layout) {
             let emitted = pkt.emit(&layout);
             header_agrees_with_parse(&emitted, &layout)?;

@@ -13,8 +13,9 @@
 //!   aggregation into `amax[i]`, reactive rounds, the multicast→unicast
 //!   switch rule, and escalating USR duplication (Figure 22).
 //! * [`UserSession`] — one rekey message at a user, fed frames (wire bytes):
-//!   header read in place, full parse of the one packet that serves it, other
-//!   frames kept as FEC shares; ID rederivation from `maxKID` (Theorem 4.2),
+//!   header read in place, the one ENC frame that serves it kept as it lies,
+//!   other frames kept as FEC shares in one flat arrival-order store counted
+//!   by [`ShareTracker`]; ID rederivation from `maxKID` (Theorem 4.2),
 //!   FEC recovery of the one packet it needs (the rows the held headers
 //!   bracket first), block-ID estimation, and NACK construction.
 
@@ -41,4 +42,6 @@ pub use adjust::{adjust_rho, update_num_nack, AdjustConfig};
 pub use server::{
     RoundDecision, ServerConfig, ServerController, ServerSession, ServerStats, UnicastSend,
 };
-pub use user::{nack_requests_into, DecodeWork, Ignored, Received, UserOutcome, UserSession};
+pub use user::{
+    nack_requests_into, DecodeWork, Ignored, Received, ShareTracker, UserOutcome, UserSession,
+};

@@ -1,20 +1,21 @@
 //! The user side of the rekey transport protocol (Figures 3 and 27).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use keytree::{ident, NodeId};
 use rekeymsg::estimate::BlockIdEstimator;
 use rekeymsg::{
-    EncHeader, EncPacket, Header, Layout, NackPacket, NackRequest, Packet, UsrPacket, WireError,
+    EncFrame, EncHeader, Header, Layout, NackPacket, NackRequest, Packet, UsrPacket, WireError,
     UNPROTECTED_HEADER_LEN,
 };
 
 /// How a user ended up with its keys (or didn't).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UserOutcome {
-    /// Received (or FEC-decoded) its specific ENC packet.
-    Enc(EncPacket),
+    /// Received its specific ENC packet — the delivered frame itself, kept
+    /// by reference count — or FEC-decoded it.
+    Enc(EncFrame),
     /// Served by unicast.
     Usr(UsrPacket),
     /// Still waiting.
@@ -24,7 +25,8 @@ pub enum UserOutcome {
 /// What [`UserSession::receive_frame`] did with a well-formed frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Received {
-    /// The user's own ENC packet or a USR packet: parsed in full, satisfied.
+    /// The user's own ENC packet (the frame is kept as it lies) or a USR
+    /// packet (parsed in full): satisfied.
     Mine,
     /// Another user's ENC packet, or a PARITY packet: held as a FEC share.
     Kept,
@@ -77,9 +79,12 @@ pub struct UserSession {
     /// Wire message ID this session accepts (`None` = first seen wins).
     expected_msg_id: Option<u8>,
     msg_id: Option<u8>,
-    /// Received shares: block -> share index -> the frame as it arrived;
-    /// its FEC body is what the server's parity was computed over.
-    shares: BTreeMap<u8, BTreeMap<usize, Arc<[u8]>>>,
+    /// Received shares in arrival order: `(block, share index, the frame as
+    /// it arrived)`; its FEC body is what the server's parity was computed
+    /// over. One entry per share `held` records.
+    shares: Vec<(u8, usize, Arc<[u8]>)>,
+    /// Which `(block, share index)` are in `shares`, and how many per block.
+    held: ShareTracker,
     /// Blocks rebuilt in full for nothing, not to be decoded again.
     exhausted: BTreeSet<u8>,
     /// What the latest [`UserSession::end_of_round`] decoded.
@@ -104,7 +109,8 @@ impl UserSession {
             current_id: None,
             expected_msg_id: None,
             msg_id: None,
-            shares: BTreeMap::new(),
+            shares: Vec::new(),
+            held: ShareTracker::default(),
             exhausted: BTreeSet::new(),
             decode_work: DecodeWork::default(),
             estimator: None,
@@ -152,9 +158,11 @@ impl UserSession {
 
     /// Handles one received frame: a packet's wire bytes, shared among
     /// everyone it was delivered to. The header is read in place; the one
-    /// ENC packet that serves this user, or a USR packet, is then parsed in
-    /// full, and any other ENC/PARITY frame is held by reference count as a
-    /// FEC share. `Err` is a frame that is not a packet under the layout.
+    /// ENC frame that serves this user is kept as it lies, a USR packet is
+    /// parsed in full, and any other ENC/PARITY frame is held by reference
+    /// count as a FEC share — a second frame for a `(block, share index)`
+    /// already held replaces the first and is not counted twice. `Err` is a
+    /// frame that is not a packet under the layout.
     pub fn receive_frame(&mut self, frame: &Arc<[u8]>) -> Result<Received, WireError> {
         if self.is_satisfied() {
             return Ok(Received::Ignored(Ignored::Satisfied));
@@ -164,7 +172,7 @@ impl UserSession {
         let (block_id, index, limit, enc) = match header {
             Header::Nack => return Ok(Received::Ignored(Ignored::WrongMessage)),
             _ if foreign => return Ok(Received::Ignored(Ignored::WrongMessage)),
-            Header::Usr => return self.accept(frame),
+            Header::Usr => return self.accept_usr(frame),
             Header::Enc(enc) => (enc.block_id, enc.seq as usize, self.k, Some(enc)),
             Header::Parity { block_id, seq } => {
                 (block_id, self.k + seq as usize, rse::MAX_SYMBOLS, None)
@@ -183,29 +191,38 @@ impl UserSession {
                 return Ok(Received::Ignored(Ignored::OutOfRange));
             };
             if enc.serves(m16) {
-                return self.accept(frame);
+                return self.accept_enc(frame);
             }
             self.estimator
                 .get_or_insert_with(|| BlockIdEstimator::new(m16, self.k, self.d))
                 .observe(&enc);
         }
-        let held = self.shares.entry(block_id).or_default();
-        held.insert(index, Arc::clone(frame));
+        if self.held.insert(block_id, index) {
+            self.shares.push((block_id, index, Arc::clone(frame)));
+        } else if let Some((_, _, held)) =
+            (self.shares.iter_mut()).find(|(b, i, _)| (*b, *i) == (block_id, index))
+        {
+            *held = Arc::clone(frame);
+        }
         Ok(Received::Kept)
     }
 
-    /// Parses in full the frame whose header said it is this user's.
-    fn accept(&mut self, frame: &[u8]) -> Result<Received, WireError> {
-        let outcome = match Packet::parse(frame, &self.layout)? {
-            Packet::Enc(enc) => UserOutcome::Enc(enc),
-            Packet::Usr(usr) => {
-                self.current_id = Some(usr.new_user_id as NodeId);
-                UserOutcome::Usr(usr)
-            }
+    /// Keeps the ENC frame whose header said it serves this user.
+    // xcheck: no_alloc
+    fn accept_enc(&mut self, frame: &Arc<[u8]>) -> Result<Received, WireError> {
+        let mine = EncFrame::new(Arc::clone(frame), &self.layout)?;
+        self.succeed(UserOutcome::Enc(mine));
+        Ok(Received::Mine)
+    }
+
+    /// Parses a USR frame in full.
+    fn accept_usr(&mut self, frame: &[u8]) -> Result<Received, WireError> {
+        let Packet::Usr(usr) = Packet::parse(frame, &self.layout)? else {
             // `parse` and `header` read the same type bits.
-            _ => return Ok(Received::Ignored(Ignored::WrongMessage)),
+            return Ok(Received::Ignored(Ignored::WrongMessage));
         };
-        self.succeed(outcome);
+        self.current_id = Some(usr.new_user_id as NodeId);
+        self.succeed(UserOutcome::Usr(usr));
         Ok(Received::Mine)
     }
 
@@ -214,7 +231,8 @@ impl UserSession {
         // Success in the current round (rounds increments at boundaries,
         // so during round r `self.rounds` is r - 1).
         self.success_round = Some(self.rounds + 1);
-        self.shares.clear();
+        self.shares = Vec::new();
+        self.held = ShareTracker::default();
     }
 
     /// Attempts FEC decoding of every candidate block with >= k shares not
@@ -223,7 +241,7 @@ impl UserSession {
     /// UKA orders packets by user ID, so the non-duplicate ENC headers held
     /// for a block bracket the `seq` the user's packet can have. The missing
     /// packets inside the bracket are rebuilt first, the rest after them,
-    /// each checked by its header and only the one that serves parsed. The
+    /// each checked by its header and only the one that serves kept. The
     /// bracket only orders the work: every missing packet is tried before a
     /// block is given up, so headers that lie cost time, not the key.
     /// `current_id` is not required up front: a user that heard parity only
@@ -239,21 +257,31 @@ impl UserSession {
         let in_range = |b: u8| range.is_none_or(|(lo, hi)| (lo..=hi).contains(&u32::from(b)));
         let msg_id = self.msg_id.unwrap_or(0);
         let (mut row, mut found) = (Vec::new(), None);
-        'blocks: for (&b, held) in &self.shares {
-            if held.len() < self.k || !in_range(b) || self.exhausted.contains(&b) {
+        let mut held: Vec<(usize, &Arc<[u8]>)> = Vec::new();
+        'blocks: for b in 0..=self.max_block_seen.unwrap_or(0) {
+            if self.held.count(b) < self.k || !in_range(b) || self.exhausted.contains(&b) {
                 continue;
             }
+            // A block's frames are gathered only now that it has `k` of them,
+            // in share-index order: which `k` the decoder takes is defined.
+            held.clear();
+            held.extend(
+                (self.shares.iter())
+                    .filter(|s| s.0 == b)
+                    .map(|s| (s.1, &s.2)),
+            );
+            held.sort_unstable_by_key(|&(index, _)| index);
             // The held frames are borrowed, and only rows that did not
             // arrive are rebuilt: an ENC packet that arrived does not serve
             // this user, or the session would be satisfied.
-            let bodies = (held.iter()).map(|(&i, frame)| (i, &frame[UNPROTECTED_HEADER_LEN..]));
+            let bodies = (held.iter()).map(|&(i, frame)| (i, &frame[UNPROTECTED_HEADER_LEN..]));
             let Ok(missing) = decoder.decode_missing(bodies) else {
                 continue;
             };
             self.decode_work.blocks += 1;
             let (mut lo, mut hi) = (0, self.k);
             if let Some(m) = self.current_id.and_then(|m| u16::try_from(m).ok()) {
-                for (&seq, frame) in held.range(..self.k) {
+                for &(seq, frame) in held.iter().take_while(|&&(seq, _)| seq < self.k) {
                     match Packet::header(frame, &self.layout) {
                         Ok((_, Header::Enc(h))) if h.duplicate => {}
                         Ok((_, Header::Enc(h))) if h.to_id < m => lo = seq + 1,
@@ -276,8 +304,8 @@ impl UserSession {
                 let id = wire_id(&mut self.current_id, self.old_id, self.d, h.max_kid);
                 let Some(m16) = id else { return };
                 if h.serves(m16) {
-                    // The header read, so the packet parses.
-                    found = EncPacket::from_fec_body(&row, &self.layout, msg_id, b, seq as u8).ok();
+                    // The header read, so the frame checks.
+                    found = EncFrame::from_fec_body(&row, &self.layout, msg_id, b, seq as u8).ok();
                     break 'blocks;
                 }
             }
@@ -303,7 +331,7 @@ impl UserSession {
             self.estimator.as_ref(),
             self.max_block_seen,
             self.k,
-            |b| self.shares.get(&b).map_or(0, |s| s.len()),
+            |b| self.held.count(b),
             &mut requests,
         );
         Some(NackPacket {
@@ -323,6 +351,57 @@ fn wire_id(current_id: &mut Option<NodeId>, old_id: NodeId, d: u32, max_kid: u16
         *current_id = ident::derive_current_id(old_id, max_kid as NodeId, d);
     }
     current_id.and_then(|m| u16::try_from(m).ok())
+}
+
+/// Distinct FEC share indices received, per block, as fixed-width bitsets:
+/// the share bookkeeping of both transport models — the byte-faithful
+/// [`UserSession`] keeps the frames beside it, the share-counting simulator
+/// user (`grouprekey::sim::SimUser`) keeps nothing else.
+///
+/// Block IDs are `u8` and share indices stay below [`rse::MAX_SYMBOLS`], so
+/// four `u64` words cover a block. The layout is flat — one `[u64; 4]` slot
+/// per block ID in a `Vec` that grows to the highest block seen — so
+/// recording a share is one indexed OR, and a parallel `counts` vector
+/// caches the population count for the round-boundary decode check.
+#[derive(Debug, Clone, Default)]
+pub struct ShareTracker {
+    words: Vec<[u64; 4]>,
+    counts: Vec<u16>,
+}
+
+impl ShareTracker {
+    /// Records share `index` of `block`; false when it was held already.
+    // xcheck: no_alloc
+    pub fn insert(&mut self, block: u8, index: usize) -> bool {
+        if index >= 256 {
+            // Unreachable for shares minted by the real encoder
+            // (MAX_SYMBOLS caps data + parity indices); ignore rather
+            // than corrupt a neighbouring block's words.
+            return false;
+        }
+        let b = usize::from(block);
+        if self.words.len() <= b {
+            self.words.resize(b + 1, [0u64; 4]);
+            self.counts.resize(b + 1, 0);
+        }
+        let word = &mut self.words[b][index / 64];
+        let bit = 1u64 << (index % 64);
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        self.counts[b] += u16::from(fresh);
+        fresh
+    }
+
+    /// Number of distinct shares held for `block`.
+    pub fn count(&self, block: u8) -> usize {
+        self.counts.get(usize::from(block)).map_or(0, |&c| c.into())
+    }
+
+    /// Drops all recorded shares, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.words.clear();
+        self.counts.clear();
+    }
 }
 
 /// Which parities an unsatisfied user asks for (Figure 27, Appendix D):
@@ -377,7 +456,7 @@ pub fn nack_requests_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rekeymsg::BlockSet;
+    use rekeymsg::{BlockSet, EncPacket};
     use wirecrypto::{SealedKey, SymKey};
 
     fn layout() -> Layout {
@@ -428,7 +507,7 @@ mod tests {
         assert_eq!(u.end_of_round(), None);
         assert_eq!(u.rounds_to_success(), Some(1));
         match u.outcome() {
-            UserOutcome::Enc(e) => assert!(e.serves(103)),
+            UserOutcome::Enc(e) => assert!(e.header().serves(103)),
             other => panic!("outcome {other:?}"),
         }
     }
@@ -448,8 +527,8 @@ mod tests {
         assert!(u.is_satisfied());
         match u.outcome() {
             UserOutcome::Enc(e) => {
-                assert!(e.serves(102));
-                assert_eq!(e.entries, b0.packets[1].entries);
+                assert!(e.header().serves(102));
+                assert_eq!(e.to_packet(), b0.packets[1]);
             }
             other => panic!("outcome {other:?}"),
         }

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use rekeymsg::estimate::BlockIdEstimator;
-use rekeymsg::{BlockSet, EncPacket, Header, Layout, NackPacket, NackRequest, Packet};
+use rekeymsg::{BlockSet, EncFrame, EncPacket, Header, Layout, NackPacket, NackRequest, Packet};
 use rekeyproto::{
     nack_requests_into, DecodeWork, Ignored, Received, RoundDecision, ServerConfig,
     ServerController, UserOutcome, UserSession,
@@ -65,6 +65,12 @@ fn id_beyond_the_wire_width_claims_no_packet() {
 
 fn frame(pkt: Packet) -> Arc<[u8]> {
     pkt.emit(&Layout::DEFAULT).into()
+}
+
+/// The outcome of a session that holds `pkt` as the server emitted it.
+fn holds(pkt: &EncPacket) -> UserOutcome {
+    let layout = Layout::DEFAULT;
+    UserOutcome::Enc(EncFrame::new(pkt.emit(&layout).into(), &layout).unwrap())
 }
 
 /// Share indices the server cannot have sent are dropped at the door. At
@@ -124,13 +130,62 @@ fn forged_share_indices_change_neither_nack_nor_decode() {
         let second = frame(Packet::Parity(parities[1].clone()));
         assert_eq!(session.receive_frame(&second), Ok(Received::Kept));
         assert_eq!(session.end_of_round(), None);
-        assert_eq!(session.outcome(), &UserOutcome::Enc(b0[1].clone()));
+        assert_eq!(session.outcome(), &holds(&b0[1]));
     }
     let late = frame(Packet::Enc(b0[1].clone()));
     assert_eq!(
         clean.receive_frame(&late),
         Ok(Received::Ignored(Ignored::Satisfied))
     );
+}
+
+/// A second frame for a `(block, share index)` already held replaces the
+/// first and is not counted twice: heard after the real packet, a forgery
+/// is what the block decodes from (to nothing of use); heard before it, the
+/// forgery is gone by the time the block decodes. The full-order reference,
+/// which keeps its shares in a map of maps, agrees on every NACK, round and
+/// outcome either way.
+#[test]
+fn a_second_frame_for_a_held_share_replaces_the_first() {
+    let k = 3;
+    let mut blocks = BlockSet::new((0..6).map(enc).collect(), k, Layout::DEFAULT);
+    let parities = blocks.mint_parities(0, 2).unwrap();
+    let b0 = blocks.block(0).unwrap().packets.clone();
+    let real = frame(Packet::Enc(b0[0].clone()));
+    let forged = frame(Packet::Enc(EncPacket {
+        frm_id: 300,
+        to_id: 300,
+        ..b0[0].clone()
+    }));
+    let [first_parity, second_parity] = [0, 1].map(|i| frame(Packet::Parity(parities[i].clone())));
+
+    // User 101's packet is block 0, seq 1.
+    for (heard, recovers) in [([&real, &forged], false), ([&forged, &real], true)] {
+        let mut session = UserSession::new(101, 4, k, Layout::DEFAULT).expect_msg_id(1);
+        let mut reference = FullOrderSession::new(101, k);
+        for share in [heard[0], &first_parity, heard[1]] {
+            assert_eq!(session.receive_frame(share), Ok(Received::Kept));
+            reference.receive_frame(share);
+        }
+        let nack = session
+            .end_of_round()
+            .expect("two distinct shares of three");
+        assert_eq!(nack.requests[0].count, 1, "the repeated index counts once");
+        assert_eq!(reference.end_of_round(), Some(nack));
+
+        assert_eq!(session.receive_frame(&second_parity), Ok(Received::Kept));
+        reference.receive_frame(&second_parity);
+        assert_eq!(session.end_of_round(), reference.end_of_round());
+        assert_eq!(session.decode_work.blocks, 1);
+        assert_eq!(session.rounds_to_success(), reference.success_round);
+        assert_eq!(session.outcome(), &reference.outcome);
+        let expect = if recovers {
+            holds(&b0[1])
+        } else {
+            UserOutcome::Pending
+        };
+        assert_eq!(session.outcome(), &expect);
+    }
 }
 
 /// A frame that is no packet under the layout is an error, not a panic and
@@ -357,10 +412,10 @@ proptest! {
         let original = blocks.block(my_block).unwrap().packets[my_seq].clone();
         let nack = session.end_of_round();
         if let Some(first_heard) = direct {
-            prop_assert_eq!(session.outcome(), &UserOutcome::Enc(first_heard));
+            prop_assert_eq!(session.outcome(), &holds(&first_heard));
             prop_assert_eq!(nack, None);
         } else if held[my_block] >= k {
-            prop_assert_eq!(session.outcome(), &UserOutcome::Enc(original));
+            prop_assert_eq!(session.outcome(), &holds(&original));
             prop_assert_eq!(session.rounds_to_success(), Some(1));
             prop_assert_eq!(nack, None);
         } else {
@@ -430,7 +485,7 @@ impl FullOrderSession {
         self.current_id.and_then(|m| u16::try_from(m).ok())
     }
 
-    fn succeed(&mut self, enc: EncPacket) {
+    fn succeed(&mut self, enc: EncFrame) {
         self.outcome = UserOutcome::Enc(enc);
         self.success_round = Some(self.rounds + 1);
         self.shares.clear();
@@ -458,9 +513,7 @@ impl FullOrderSession {
                 return;
             };
             if h.serves(m16) {
-                let Ok(Packet::Enc(mine)) = Packet::parse(frame, &layout) else {
-                    unreachable!("the header said ENC")
-                };
+                let mine = EncFrame::new(frame.into(), &layout).expect("the header said ENC");
                 return self.succeed(mine);
             }
             let k = self.k;
@@ -514,12 +567,12 @@ impl FullOrderSession {
             let used: Vec<usize> = shares.iter().take(self.k).map(|s| s.index).collect();
             for seq in (0..self.k).filter(|seq| !used.contains(seq)) {
                 let rebuilt =
-                    EncPacket::from_fec_body(&rows[seq], &Layout::DEFAULT, 1, b, seq as u8);
+                    EncFrame::from_fec_body(&rows[seq], &Layout::DEFAULT, 1, b, seq as u8);
                 if let Ok(enc) = rebuilt {
-                    let Some(m16) = self.wire_id(enc.max_kid) else {
+                    let Some(m16) = self.wire_id(enc.header().max_kid) else {
                         return;
                     };
-                    if enc.serves(m16) {
+                    if enc.header().serves(m16) {
                         return self.succeed(enc);
                     }
                 }
@@ -588,7 +641,8 @@ proptest! {
     /// `[frm_id, to_id]` puts the user on the wrong side of it: built into
     /// the message (`lie == 1`, the code is consistent) or forged on the
     /// way (`lie == 2`: the block decodes to garbage, so only whether and
-    /// when a packet is found is compared).
+    /// when a packet is found is compared). With `twice`, every frame that
+    /// arrives arrives again, and no share is counted for it.
     #[test]
     fn bracketed_session_agrees_with_full_order_decode(
         k in proptest::sample::select(vec![1usize, 3, 10, 32]),
@@ -598,6 +652,7 @@ proptest! {
         loss_pct in proptest::sample::select(vec![10u64, 30, 60]),
         parity_only in any::<bool>(),
         lie in 0usize..3,
+        twice in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let layout = Layout::DEFAULT;
@@ -646,8 +701,10 @@ proptest! {
                 for pkt in sent {
                     if delivered() {
                         let frame: Arc<[u8]> = pkt.emit(&layout).into();
-                        session.receive_frame(&frame).unwrap();
-                        reference.receive_frame(&frame);
+                        for _ in 0..=usize::from(twice) {
+                            session.receive_frame(&frame).unwrap();
+                            reference.receive_frame(&frame);
+                        }
                     }
                 }
             }

@@ -58,8 +58,10 @@ cargo test -q -p rekeymsg --test no_alloc_marks
 cargo test -q -p rse --test no_alloc_marks
 cargo test -q -p rse --features obs --test no_alloc_marks
 cargo test -q -p netsim --test no_alloc_marks
-# A budget, not a zero: a non-serving delivery may cost a share-map node.
+# The serving delivery is pinned at zero; 1000 non-serving ones at a
+# constant (the flat share store's and the tracker's amortised growth).
 cargo test -q -p rekeyproto --test alloc_budget
+# The count-model loop, and UserAgent::apply_enc off the kept frame: zero.
 cargo test -q -p grouprekey --test no_alloc_marks
 # The obs entry points and its event log, both feature legs: compiled out
 # and disarmed they allocate nothing (no_alloc_off, no_alloc_marks); armed,
