@@ -49,7 +49,8 @@ fn run_rep(
     let batch = make_batch(cell, &mut kg);
     let start = Instant::now();
     let outcome = tree.process_batch_in(batch, &mut kg, scratch);
-    let wide = rekeymsg::plan_and_seal(tree, &outcome, 1, &Layout::DEFAULT)
+    let mut plan_scratch = rekeymsg::PlanScratch::new();
+    let wide = rekeymsg::plan_and_seal(tree, &outcome, 1, &Layout::DEFAULT, &mut plan_scratch)
         .unwrap_or_else(|e| unreachable!("wide build has no wire cap: {e}"));
     let wall = start.elapsed().as_secs_f64() * 1000.0;
     black_box(&wide);

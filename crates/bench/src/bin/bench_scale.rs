@@ -7,10 +7,11 @@
 //! * `marking_ms` — wall time of one `process_batch_in` call (tree
 //!   update, relabelling, fresh-key minting) on a pre-built tree;
 //! * `seal_enc_per_sec` — raw sealing throughput over the batch's
-//!   encryption edges (`SealedKey::seal` under the child key with the
-//!   message-bound context), the cryptographic core of message build;
+//!   encryption edges (`wirecrypto::batch::seal_batch`: each sealed under
+//!   the child key with the message-bound context, eight at a time), the
+//!   cryptographic core of message build;
 //! * `message_build_ms` — message build wall time at every N: the full
-//!   `UkaAssignment::build` where the 16-bit wire IDs permit a real
+//!   `UkaAssignment::build_in` where the 16-bit wire IDs permit a real
 //!   message (N = 2^14), the wide build (`plan_and_seal`: UKA plans plus
 //!   every sealed encryption, all of the message except the 16-bit
 //!   packet serialization) beyond;
@@ -42,6 +43,7 @@ use bench::{make_batch, Cell};
 use keytree::{KeyTree, MarkOutcome, MarkScratch};
 use obs::json::JsonWriter;
 use rekeymsg::{seal_context, Layout, UkaAssignment};
+use wirecrypto::batch::seal_batch;
 use wirecrypto::{KeyGen, SealedKey};
 
 fn grid(smoke: bool) -> Vec<Cell> {
@@ -66,21 +68,20 @@ fn grid(smoke: bool) -> Vec<Cell> {
     cells
 }
 
-/// Seals every encryption edge of the outcome under its child key. Raw
-/// (packet-free) sealing works at any N: `seal_context` takes the full
-/// 32-bit node ID, only the packet wire format caps IDs at 16 bits.
+/// Seals every encryption edge of the outcome under its child key, eight
+/// at a time as the message build does. Raw (packet-free) sealing works at
+/// any N: `seal_context` takes the full 32-bit node ID, only the packet
+/// wire format caps IDs at 16 bits.
 fn seal_all(tree: &KeyTree, outcome: &MarkOutcome, msg_seq: u64) -> Vec<SealedKey> {
-    outcome
-        .encryptions
-        .iter()
-        .map(|edge| {
-            let (Some(kek), Some(plain)) = (tree.key_of(edge.child), tree.key_of(edge.parent))
-            else {
-                unreachable!("marking emits edges only over live keys")
-            };
-            SealedKey::seal(&kek, &plain, seal_context(msg_seq, edge.child))
-        })
-        .collect()
+    let triples = outcome.encryptions.iter().map(|edge| {
+        let (Some(kek), Some(plain)) = (tree.key_of(edge.child), tree.key_of(edge.parent)) else {
+            unreachable!("marking emits edges only over live keys")
+        };
+        (kek, plain, seal_context(msg_seq, edge.child))
+    });
+    let mut sealed = Vec::with_capacity(outcome.encryptions.len());
+    seal_batch(triples, |_, blob| sealed.push(blob));
+    sealed
 }
 
 struct CellReport {
@@ -88,7 +89,7 @@ struct CellReport {
     marking_ms: f64,
     encryptions: usize,
     seal_enc_per_sec: f64,
-    /// Full `UkaAssignment::build` where the wire permits, the wide
+    /// Full `UkaAssignment::build_in` where the wire permits, the wide
     /// `plan_and_seal` build beyond — populated at every N.
     message_build_ms: f64,
     /// The UKA planning stage alone (`rekeymsg::plan_in` with a warm
@@ -151,14 +152,16 @@ fn bench_cell(cell: Cell, reps: usize) -> CellReport {
 
         let start = Instant::now();
         if wire_permits_full_message(&tree) {
-            let assignment = UkaAssignment::build(&tree, &outcome, 1, &Layout::DEFAULT)
-                .unwrap_or_else(|e| unreachable!("wire-size precheck passed: {e}"));
+            let assignment =
+                UkaAssignment::build_in(&tree, &outcome, 1, &Layout::DEFAULT, &mut plan_scratch)
+                    .unwrap_or_else(|e| unreachable!("wire-size precheck passed: {e}"));
             black_box(&assignment);
         } else {
             // Wide build: the same plans and sealed bytes, minus the
             // 16-bit packet serialization the wire rules out at this N.
-            let wide = rekeymsg::plan_and_seal(&tree, &outcome, 1, &Layout::DEFAULT)
-                .unwrap_or_else(|e| unreachable!("wide build has no wire cap: {e}"));
+            let wide =
+                rekeymsg::plan_and_seal(&tree, &outcome, 1, &Layout::DEFAULT, &mut plan_scratch)
+                    .unwrap_or_else(|e| unreachable!("wide build has no wire cap: {e}"));
             black_box(&wide);
         }
         let wall = start.elapsed().as_secs_f64() * 1000.0;

@@ -11,7 +11,7 @@
 //!
 //! [`Batch`]: keytree::Batch
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use keytree::{Batch, MemberId};
 use wirecrypto::{mac, SymKey};
@@ -37,14 +37,16 @@ impl LeaveRequest {
         }
     }
 
-    fn payload(member: MemberId, interval: u64) -> Vec<u8> {
-        let mut v = b"leave".to_vec();
-        v.extend_from_slice(&member.to_le_bytes());
-        v.extend_from_slice(&interval.to_le_bytes());
-        v
+    fn payload(member: MemberId, interval: u64) -> [u8; 17] {
+        let mut bytes = [0u8; 17];
+        bytes[..5].copy_from_slice(b"leave");
+        bytes[5..9].copy_from_slice(&member.to_le_bytes());
+        bytes[9..].copy_from_slice(&interval.to_le_bytes());
+        bytes
     }
 
     /// Server-side verification against the member's individual key.
+    // xcheck: no_alloc
     pub fn verify(&self, individual_key: &SymKey) -> bool {
         self.tag == mac::mac64(individual_key, &Self::payload(self.member, self.interval))
     }
@@ -72,14 +74,16 @@ impl JoinRequest {
         }
     }
 
-    fn payload(member: MemberId, interval: u64) -> Vec<u8> {
-        let mut v = b"join".to_vec();
-        v.extend_from_slice(&member.to_le_bytes());
-        v.extend_from_slice(&interval.to_le_bytes());
-        v
+    fn payload(member: MemberId, interval: u64) -> [u8; 16] {
+        let mut bytes = [0u8; 16];
+        bytes[..4].copy_from_slice(b"join");
+        bytes[4..8].copy_from_slice(&member.to_le_bytes());
+        bytes[8..].copy_from_slice(&interval.to_le_bytes());
+        bytes
     }
 
     /// Server-side verification.
+    // xcheck: no_alloc
     pub fn verify(&self, individual_key: &SymKey) -> bool {
         self.tag == mac::mac64(individual_key, &Self::payload(self.member, self.interval))
     }
@@ -122,7 +126,10 @@ pub struct IntervalCollector {
     interval: u64,
     joins: HashMap<MemberId, SymKey>,
     join_order: Vec<MemberId>,
+    /// Queued leavers in arrival order, and the same members as a set (the
+    /// duplicate check must not scan the queue: it is L long).
     leaves: Vec<MemberId>,
+    leaving: HashSet<MemberId>,
 }
 
 impl IntervalCollector {
@@ -158,7 +165,7 @@ impl IntervalCollector {
         if !req.verify(&key) {
             return Err(RequestError::BadAuthentication);
         }
-        if self.leaves.contains(&req.member) {
+        if self.leaving.contains(&req.member) {
             return Err(RequestError::UnknownOrDuplicate);
         }
         // A member that joined and leaves within one interval simply
@@ -167,6 +174,7 @@ impl IntervalCollector {
             self.join_order.retain(|m| *m != req.member);
             return Ok(());
         }
+        self.leaving.insert(req.member);
         self.leaves.push(req.member);
         Ok(())
     }
@@ -209,6 +217,7 @@ impl IntervalCollector {
                 self.joins.remove(&m).map(|key| (m, key))
             })
             .collect();
+        self.leaving.clear();
         Batch::new(joins, std::mem::take(&mut self.leaves))
     }
 }
@@ -280,6 +289,24 @@ mod tests {
             c.submit_leave(req, |_| Some(key(7))),
             Err(RequestError::UnknownOrDuplicate)
         );
+    }
+
+    #[test]
+    fn leaves_keep_arrival_order_and_the_duplicate_set_resets_per_interval() {
+        let mut c = IntervalCollector::new();
+        for m in [30u32, 10, 20] {
+            c.submit_leave(LeaveRequest::sign(m, 0, &key(1)), |_| Some(key(1)))
+                .unwrap();
+        }
+        assert_eq!(
+            c.submit_leave(LeaveRequest::sign(10, 0, &key(1)), |_| Some(key(1))),
+            Err(RequestError::UnknownOrDuplicate)
+        );
+        assert_eq!(c.close_interval().leaves, vec![30, 10, 20]);
+        // A new interval starts with nobody queued.
+        c.submit_leave(LeaveRequest::sign(10, 1, &key(1)), |_| Some(key(1)))
+            .unwrap();
+        assert_eq!(c.close_interval().leaves, vec![10]);
     }
 
     #[test]

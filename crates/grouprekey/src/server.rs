@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use keytree::{Batch, CompactionPolicy, KeyTree, MarkOutcome, MarkScratch, MemberId};
-use rekeymsg::{build_usr_packet, Layout, UkaAssignment, UsrPacket};
+use rekeymsg::{build_usr_packet, Layout, PlanScratch, UkaAssignment, UsrPacket};
 use rekeyproto::{ServerConfig, ServerController, ServerSession};
 use wirecrypto::{KeyGen, SymKey};
 
@@ -58,6 +58,7 @@ pub struct KeyServer {
     msg_seq: u64,
     last_outcome: Option<Arc<MarkOutcome>>,
     scratch: MarkScratch,
+    plan_scratch: PlanScratch,
     compaction: CompactionPolicy,
 }
 
@@ -72,6 +73,7 @@ impl KeyServer {
             msg_seq: 0,
             last_outcome: None,
             scratch: MarkScratch::new(),
+            plan_scratch: PlanScratch::new(),
             compaction: options.compaction,
         }
     }
@@ -148,8 +150,14 @@ impl KeyServer {
         // Flight-recorder marker: the moment the new key set became live —
         // the interval boundary visible in a Perfetto trace.
         obs::trace::instant("rekey.install");
-        let assignment = UkaAssignment::build(&self.tree, &outcome, msg_seq, &self.layout)
-            .unwrap_or_else(|e| panic!("rekey message {msg_seq} cannot be built: {e}"));
+        let assignment = UkaAssignment::build_in(
+            &self.tree,
+            &outcome,
+            msg_seq,
+            &self.layout,
+            &mut self.plan_scratch,
+        )
+        .unwrap_or_else(|e| panic!("rekey message {msg_seq} cannot be built: {e}"));
         let session = self
             .controller
             .begin_message(assignment.packets.clone(), self.usr_len_hint());
@@ -214,6 +222,7 @@ impl KeyServer {
             msg_seq,
             last_outcome: None,
             scratch: MarkScratch::new(),
+            plan_scratch: PlanScratch::new(),
             compaction: options.compaction,
         })
     }

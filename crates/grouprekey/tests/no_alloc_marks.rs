@@ -6,8 +6,12 @@
 //! ([`run_message_transport_with`]) once the server has built its
 //! round-one schedule. And for the byte model's last step: a
 //! [`UserAgent`] that holds its path installs the new keys off the frame
-//! its session kept without allocating.
+//! its session kept without allocating. On the server side: the cipher's
+//! batch kernels allocate nothing (their callers own the output), and a
+//! warm [`IntervalCollector`] admits a leave and a join mid-interval
+//! without allocating — the request payload is a stack array.
 
+use grouprekey::frontend::{IntervalCollector, JoinRequest, LeaveRequest};
 use grouprekey::sim::{run_message_transport_with, SimConfig, SimUser, TransportScratch};
 use grouprekey::transport::Receiver;
 use grouprekey::UserAgent;
@@ -15,7 +19,8 @@ use keytree::{Batch, KeyTree};
 use netsim::{Network, NetworkConfig};
 use rekeymsg::{EncFrame, EncPacket, Layout, NackPacket, Packet, ParityPacket, UkaAssignment};
 use rekeyproto::{ServerConfig, ServerController};
-use wirecrypto::KeyGen;
+use wirecrypto::batch::{keystream16_batch, seal_batch};
+use wirecrypto::{KeyGen, SealedKey};
 
 #[global_allocator]
 static ALLOC: xcheck_rt::CountingAlloc = xcheck_rt::CountingAlloc;
@@ -214,4 +219,63 @@ fn apply_enc_on_an_agent_that_holds_its_path_allocates_nothing() {
             .unwrap_or_else(|e| panic!("member {member}: {e}"));
         assert_eq!(agent.group_key(), tree.group_key());
     }
+}
+
+#[test]
+fn batch_kernels_allocate_nothing() {
+    xcheck_rt::assert_counting();
+
+    // 13 inputs: one full group of eight and a padded tail.
+    let mut kg = KeyGen::from_seed(21);
+    let triples: Vec<_> = (0..13u64)
+        .map(|i| (kg.next_key(), kg.next_key(), i << 20))
+        .collect();
+    let mut sealed: Vec<SealedKey> = Vec::with_capacity(triples.len());
+    xcheck_rt::assert_zero_alloc("seal_batch", || {
+        seal_batch(triples.iter().copied(), |_, blob| sealed.push(blob))
+    });
+    assert_eq!(sealed.len(), 13);
+    for (blob, (kek, plain, context)) in sealed.iter().zip(&triples) {
+        assert_eq!(blob.unseal(kek, *context), Ok(*plain));
+    }
+
+    let mut derived = [[0u8; 16]; 13];
+    xcheck_rt::assert_zero_alloc("keystream16_batch", || {
+        keystream16_batch(
+            triples.iter().map(|&(key, _, nonce)| (key, nonce)),
+            |i, bytes| derived[i] = bytes,
+        )
+    });
+    assert!(derived.iter().all(|bytes| *bytes != [0u8; 16]));
+}
+
+#[test]
+fn a_warm_collector_admits_a_leave_and_a_join_without_allocating() {
+    xcheck_rt::assert_counting();
+
+    let mut kg = KeyGen::from_seed(33);
+    let keys: Vec<_> = (0..12).map(|_| kg.next_key()).collect();
+    let mut collector = IntervalCollector::new();
+    // Five requests of each kind leave the queues (grown 4 -> 8 at the
+    // fifth push) and the hash tables (7 of 8 buckets usable) with room
+    // for a sixth; signing is the requester's side and stays outside.
+    for m in 0..5u32 {
+        let leave = LeaveRequest::sign(m, 0, &keys[m as usize]);
+        collector
+            .submit_leave(leave, |m| Some(keys[m as usize]))
+            .unwrap();
+        let key = keys[6 + m as usize];
+        collector
+            .submit_join(JoinRequest::sign(100 + m, 0, &key), key, false)
+            .unwrap();
+    }
+    let leave = LeaveRequest::sign(5, 0, &keys[5]);
+    let join = JoinRequest::sign(105, 0, &keys[11]);
+    xcheck_rt::assert_zero_alloc("submit_leave + submit_join", || {
+        collector
+            .submit_leave(leave, |m| Some(keys[m as usize]))
+            .unwrap();
+        collector.submit_join(join, keys[11], false).unwrap();
+    });
+    assert_eq!(collector.pending(), (6, 6));
 }

@@ -23,7 +23,8 @@
 //! for the updated k-nodes are derived from a single per-batch seed, so
 //! a batch costs the key generator one draw however many nodes it updates.
 
-use wirecrypto::{KeyGen, StreamCipher};
+use wirecrypto::batch::keystream16_batch;
+use wirecrypto::KeyGen;
 
 use crate::ident;
 use crate::node::{MemberId, Node, NodeId};
@@ -376,14 +377,6 @@ impl MarkOutcome {
     }
 }
 
-/// Derives the fresh key of an updated k-node from the batch seed: a PRF
-/// of (seed, node ID), so one generator draw keys the whole batch.
-fn derive_node_key(seed: &SymKey, id: NodeId) -> SymKey {
-    let mut buf = [0u8; 16];
-    StreamCipher::new(seed, id as u64).apply(&mut buf);
-    SymKey::from_bytes(buf)
-}
-
 impl KeyTree {
     /// Runs the marking algorithm over one batch: updates the tree
     /// (replacements, pruning, splitting), relabels, mints fresh keys for
@@ -481,12 +474,14 @@ impl KeyTree {
             .collect();
 
         // Mint the fresh keys from one batch seed (no draw at all when
-        // nothing was updated, preserving the generator's sequence).
+        // nothing was updated, preserving the generator's sequence): each
+        // is a PRF of (seed, node ID) — the cipher's first 16 keystream
+        // bytes under the seed with the ID as nonce — eight nodes at a time.
         if !updated.is_empty() {
             let seed = keygen.next_key();
-            for &id in &updated {
-                self.set_key(id, derive_node_key(&seed, id));
-            }
+            keystream16_batch(updated.iter().map(|&id| (seed, id as u64)), |i, key| {
+                self.set_key(updated[i], SymKey::from_bytes(key));
+            });
         }
 
         let mut encryptions = Vec::new();
@@ -1027,6 +1022,50 @@ mod tests {
         assert_eq!(edges, vec![(10, 3), (11, 3), (1, 0), (2, 0), (3, 0)]);
         assert_delivery(&before, &tree, &outcome);
         tree.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn batch_key_derivation_matches_one_at_a_time_reference() {
+        // The updated k-nodes' keys come out of the cipher eight at a time;
+        // the tree must end up byte for byte where deriving each key alone
+        // — the first 16 keystream bytes under the batch seed, node ID as
+        // nonce — leaves it. Updated-node counts around the group size: no
+        // group, one lane, a short group, a full one, a full one and a
+        // tail, and a server-scale batch (170 groups and a tail of 5).
+        let spread: Vec<MemberId> = (0..512).map(|i| i * 32).collect();
+        let cases: [(u32, u32, Vec<MemberId>, usize); 6] = [
+            (16, 4, vec![], 0),
+            (4, 4, vec![0], 1),
+            (128, 2, vec![0], 7),
+            (256, 2, vec![0], 8),
+            (512, 2, vec![0], 9),
+            (16384, 4, spread, 1365),
+        ];
+        for (n, d, leaves, want) in cases {
+            let mut kg = keygen();
+            let mut tree = KeyTree::balanced(n, d, &mut kg);
+            let joins = (0..leaves.len() as u32)
+                .map(|i| join(&mut kg, 100_000 + i))
+                .collect();
+            let mut kg_ref = kg.clone();
+            let outcome =
+                tree.process_batch_in(Batch::new(joins, leaves), &mut kg, &mut MarkScratch::new());
+            assert_eq!(outcome.updated_knodes.len(), want, "n={n} d={d}");
+
+            // The seed is the batch's last generator draw (none at all
+            // when nothing was updated).
+            let draws = kg.generated() - kg_ref.generated();
+            assert_eq!(draws > 0, want > 0, "n={n} d={d}");
+            let seed = (0..draws).map(|_| kg_ref.next_key()).last();
+            let mut reference = tree.clone();
+            for &id in &outcome.updated_knodes {
+                let mut key = [0u8; 16];
+                wirecrypto::StreamCipher::new(&seed.expect("a draw was made"), id as u64)
+                    .apply(&mut key);
+                reference.set_key(id, SymKey::from_bytes(key));
+            }
+            assert_eq!(tree.snapshot(), reference.snapshot(), "n={n} d={d}");
+        }
     }
 
     #[test]

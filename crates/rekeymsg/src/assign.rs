@@ -33,7 +33,8 @@
 //! measures that cost exactly as the paper does (duplicated encryptions
 //! over total encryptions in the rekey subtree).
 
-use keytree::{ident, KeyTree, MarkOutcome, NodeId};
+use keytree::{ident, EncEdge, KeyTree, MarkOutcome, NodeId};
+use wirecrypto::batch::seal_batch;
 use wirecrypto::SealedKey;
 
 use crate::layout::Layout;
@@ -450,10 +451,10 @@ pub fn plan_in(
 /// Plans the UKA packing and seals the full edge list, without
 /// assembling wire packets.
 ///
-/// This is [`UkaAssignment::build`] minus the 16-bit wire stage: no
+/// This is [`UkaAssignment::build_in`] minus the 16-bit wire stage: no
 /// `maxKID`/ID range checks and no `EncPacket` assembly, so it stays
 /// total for populations whose node IDs overflow the `u16` wire space
-/// (N > 2^14 at degree 4). `build` runs it and then assembles packets;
+/// (N > 2^14 at degree 4). `build_in` runs it and then assembles packets;
 /// the bench harness calls it directly to measure the *cryptographic*
 /// cost of message build at every N. `sealed[i]` is the seal of
 /// `outcome.encryptions[i]`.
@@ -461,8 +462,10 @@ pub fn plan_in(
 /// Every edge is on some live user's path (the orphan-key invariant: each
 /// live k-node has a u-descendant), so sealing the whole edge list does
 /// exactly the work the plans require — without the distinct-index set
-/// and keyed cache a plan-driven walk would need. The first failing
-/// edge, in edge order, is the error returned.
+/// and keyed cache a plan-driven walk would need — and no edge depends on
+/// another, so they go through the cipher eight at a time
+/// ([`wirecrypto::batch::seal_batch`]). The first failing edge, in edge
+/// order, is the error returned.
 ///
 /// # Errors
 ///
@@ -473,23 +476,23 @@ pub fn plan_and_seal(
     outcome: &MarkOutcome,
     msg_seq: u64,
     layout: &Layout,
+    scratch: &mut PlanScratch,
 ) -> Result<(Vec<PacketPlan>, Vec<SealedKey>), AssignError> {
     let _span_build = obs::span("uka.build");
-    let plans = plan(tree, outcome, layout)?;
+    let plans = plan_in(tree, outcome, layout, scratch)?;
     let span_seal = obs::span("stage.seal");
     let mut sealed: Vec<SealedKey> = Vec::with_capacity(outcome.encryptions.len());
-    for edge in &outcome.encryptions {
-        let (Some(kek), Some(plain)) = (tree.key_of(edge.child), tree.key_of(edge.parent)) else {
-            return Err(AssignError::MissingKey {
-                child: edge.child,
-                parent: edge.parent,
-            });
-        };
-        sealed.push(SealedKey::seal(
-            &kek,
-            &plain,
-            seal_context(msg_seq, edge.child),
-        ));
+    let mut missing = None;
+    let triples = outcome.encryptions.iter().map_while(|edge| {
+        let keys = tree.key_of(edge.child).zip(tree.key_of(edge.parent));
+        if keys.is_none() {
+            missing = Some(*edge);
+        }
+        keys.map(|(kek, plain)| (kek, plain, seal_context(msg_seq, edge.child)))
+    });
+    seal_batch(triples, |_, blob| sealed.push(blob));
+    if let Some(EncEdge { child, parent }) = missing {
+        return Err(AssignError::MissingKey { child, parent });
     }
     drop(span_seal);
     obs::counter_add("uka.keys_sealed", sealed.len() as u64);
@@ -688,7 +691,24 @@ impl UkaAssignment {
     }
 
     /// Runs UKA and seals every encryption (each distinct encryption is
-    /// sealed once and copied wherever duplicated).
+    /// sealed once and copied wherever duplicated), planning in a fresh
+    /// scratch; a server that builds a message per interval keeps one and
+    /// calls [`UkaAssignment::build_in`].
+    ///
+    /// # Errors
+    ///
+    /// As [`UkaAssignment::build_in`].
+    pub fn build(
+        tree: &KeyTree,
+        outcome: &MarkOutcome,
+        msg_seq: u64,
+        layout: &Layout,
+    ) -> Result<UkaAssignment, AssignError> {
+        Self::build_in(tree, outcome, msg_seq, layout, &mut PlanScratch::new())
+    }
+
+    /// [`UkaAssignment::build`] with a caller-owned planner scratch: warm,
+    /// the planning core allocates nothing.
     ///
     /// # Errors
     ///
@@ -696,11 +716,12 @@ impl UkaAssignment {
     /// when a node ID exceeds the 16-bit wire range, or when a need-set
     /// exceeds the packet capacity — all indicate a tree/marking/layout
     /// mismatch upstream.
-    pub fn build(
+    pub fn build_in(
         tree: &KeyTree,
         outcome: &MarkOutcome,
         msg_seq: u64,
         layout: &Layout,
+        scratch: &mut PlanScratch,
     ) -> Result<UkaAssignment, AssignError> {
         let msg_id = (msg_seq & 0x3f) as u8;
         // 16-bit wire range: `maxKID` and every encryption ID a packet
@@ -716,7 +737,7 @@ impl UkaAssignment {
         {
             return Err(AssignError::IdOutOfRange(edge.child));
         }
-        let (plans, sealed) = plan_and_seal(tree, outcome, msg_seq, layout)?;
+        let (plans, sealed) = plan_and_seal(tree, outcome, msg_seq, layout, scratch)?;
 
         let mut packets = Vec::with_capacity(plans.len());
         let mut entries_emitted = 0;
@@ -870,7 +891,7 @@ mod tests {
         // The sealed builders surface the same error.
         let err = UkaAssignment::build(&tree, &outcome, 0, &tiny).unwrap_err();
         assert!(matches!(err, AssignError::PacketCapacity { .. }));
-        let err = plan_and_seal(&tree, &outcome, 0, &tiny).unwrap_err();
+        let err = plan_and_seal(&tree, &outcome, 0, &tiny, &mut PlanScratch::new()).unwrap_err();
         assert!(matches!(err, AssignError::PacketCapacity { .. }));
     }
 
@@ -925,6 +946,35 @@ mod tests {
                     .expect("entry must unseal");
                 assert_eq!(Some(got), tree.key_of(parent));
             }
+        }
+    }
+
+    #[test]
+    fn missing_key_names_exactly_the_first_failing_edge() {
+        // A parent ID outside the tree holds no key. Wherever the edge
+        // falls in the cipher's groups of eight — first lane, inside a
+        // group, in the short last group — the error is that edge, and an
+        // earlier failure wins over a later one.
+        let (tree, outcome) = setup(256, 64);
+        let n = outcome.encryptions.len();
+        let lanes = wirecrypto::batch::LANES;
+        assert!(
+            n > 3 * lanes && n % lanes != 0,
+            "want full groups and a tail, got {n}"
+        );
+        let absent: NodeId = tree.storage_len() as NodeId + 7;
+        for at in [0, lanes + 3, 2 * lanes, n - 1] {
+            let mut broken = outcome.clone();
+            broken.encryptions[at].parent = absent;
+            broken.encryptions[n - 1].parent = absent;
+            let want = AssignError::MissingKey {
+                child: outcome.encryptions[at].child,
+                parent: absent,
+            };
+            let got = plan_and_seal(&tree, &broken, 4, &Layout::DEFAULT, &mut PlanScratch::new());
+            assert_eq!(got.unwrap_err(), want, "edge {at} of {n}");
+            let got = UkaAssignment::build(&tree, &broken, 4, &Layout::DEFAULT);
+            assert_eq!(got.unwrap_err(), want, "edge {at} of {n}");
         }
     }
 

@@ -110,7 +110,7 @@ impl BlockSet {
     /// Panics when the message needs more than 256 blocks (wire limit of
     /// the 8-bit block ID).
     pub fn with_encoder(
-        mut packets: Vec<EncPacket>,
+        packets: Vec<EncPacket>,
         proto_encoder: BlockEncoder,
         layout: Layout,
     ) -> Self {
@@ -128,13 +128,14 @@ impl BlockSet {
         // Stamp block IDs / sequence numbers and pad the last (short)
         // block with cyclic duplicates.
         let mut per_block: Vec<Vec<EncPacket>> = Vec::with_capacity(block_count);
-        for (b, chunk) in packets.chunks_mut(k).enumerate() {
+        let mut packets = packets.into_iter();
+        for b in 0..block_count {
             let mut block_packets: Vec<EncPacket> = Vec::with_capacity(k);
-            for (s, pkt) in chunk.iter_mut().enumerate() {
+            for (s, mut pkt) in packets.by_ref().take(k).enumerate() {
                 pkt.block_id = b as u8;
                 pkt.seq = s as u8;
                 pkt.duplicate = false;
-                block_packets.push(pkt.clone());
+                block_packets.push(pkt);
             }
             let real = block_packets.len();
             let mut s = real;

@@ -4,6 +4,22 @@
 //! quarter-round mixing, feed-forward, little-endian serialisation) keyed
 //! with the crate's 128-bit [`SymKey`] expanded by repetition, as the
 //! original 128-bit ChaCha variant did.
+//!
+//! The block function is written once, generic over a lane count `W`: every
+//! state word is a `[u32; W]` holding that word of `W` *independent* blocks
+//! (different keys, different nonces), and every step is the scalar
+//! operation on one lane. [`StreamCipher`] is the `W = 1` instantiation;
+//! the batch entries of [`crate::batch`] are `W = 8`, where each state word
+//! is one AVX2 register. Lanes never mix — the diagonal round only permutes
+//! *which* words meet, not which lane — so no shuffle is needed (a single
+//! block's four rows in `[u32; 4]` need one per diagonal round, and do not
+//! vectorise without intrinsics).
+//!
+//! The loop over the lanes goes around a whole double round, not around
+//! each operation: a short loop over `W` around one `wrapping_add` is
+//! unrolled before the vectoriser runs and comes out half scalar, while
+//! the loop around eight quarter rounds is too large to unroll, stays a
+//! loop of trip count `W`, and is turned into one vector iteration.
 
 use crate::SymKey;
 
@@ -17,16 +33,111 @@ const CONSTANTS: [u32; 4] = [
     u32::from_le_bytes(*b"te k"),
 ];
 
-#[inline]
-fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
-    state[a] = state[a].wrapping_add(state[b]);
-    state[d] = (state[d] ^ state[a]).rotate_left(16);
-    state[c] = state[c].wrapping_add(state[d]);
-    state[b] = (state[b] ^ state[c]).rotate_left(12);
-    state[a] = state[a].wrapping_add(state[b]);
-    state[d] = (state[d] ^ state[a]).rotate_left(8);
-    state[c] = state[c].wrapping_add(state[d]);
-    state[b] = (state[b] ^ state[c]).rotate_left(7);
+/// The four little-endian words of each lane's 16-byte block (a key, or a
+/// key's ciphertext), transposed: `words[i][l]` is word `i` of `blocks[l]`.
+#[inline(always)]
+pub(crate) fn word_lanes<const W: usize>(blocks: [&[u8; 16]; W]) -> [[u32; W]; 4] {
+    let mut words = [[0u32; W]; 4];
+    for (l, b) in blocks.iter().enumerate() {
+        for (i, word) in words.iter_mut().enumerate() {
+            word[l] = u32::from_le_bytes([b[4 * i], b[4 * i + 1], b[4 * i + 2], b[4 * i + 3]]);
+        }
+    }
+    words
+}
+
+/// Lane `l` of [`word_lanes`]-shaped words, serialised back to 16 bytes.
+#[inline(always)]
+pub(crate) fn lane_bytes<const W: usize>(words: &[[u32; W]; 4], l: usize) -> [u8; 16] {
+    let mut bytes = [0u8; 16];
+    for (chunk, word) in bytes.chunks_exact_mut(4).zip(words) {
+        chunk.copy_from_slice(&word[l].to_le_bytes());
+    }
+    bytes
+}
+
+/// The ChaCha quarter round on lane `l`.
+#[inline(always)]
+fn quarter_round<const W: usize>(
+    s: &mut [[u32; W]; 16],
+    l: usize,
+    a: usize,
+    b: usize,
+    c: usize,
+    d: usize,
+) {
+    s[a][l] = s[a][l].wrapping_add(s[b][l]);
+    s[d][l] = (s[d][l] ^ s[a][l]).rotate_left(16);
+    s[c][l] = s[c][l].wrapping_add(s[d][l]);
+    s[b][l] = (s[b][l] ^ s[c][l]).rotate_left(12);
+    s[a][l] = s[a][l].wrapping_add(s[b][l]);
+    s[d][l] = (s[d][l] ^ s[a][l]).rotate_left(8);
+    s[c][l] = s[c][l].wrapping_add(s[d][l]);
+    s[b][l] = (s[b][l] ^ s[c][l]).rotate_left(7);
+}
+
+/// Keystream block `counter` of each lane's `(key, nonce)` stream, as
+/// words (serialised little-endian they are the 64 keystream bytes).
+#[inline(always)]
+pub(crate) fn block<const W: usize>(
+    key: &[[u32; W]; 4],
+    counter: u64,
+    nonce: &[u64; W],
+) -> [[u32; W]; 16] {
+    let mut state = [[0u32; W]; 16];
+    for i in 0..4 {
+        state[i] = [CONSTANTS[i]; W];
+        // 128-bit key repeated, as in the original 128-bit variant.
+        state[4 + i] = key[i];
+        state[8 + i] = key[i];
+    }
+    state[12] = [(counter & 0xffff_ffff) as u32; W];
+    state[13] = [(counter >> 32) as u32; W];
+    for l in 0..W {
+        state[14][l] = (nonce[l] & 0xffff_ffff) as u32;
+        state[15][l] = (nonce[l] >> 32) as u32;
+    }
+
+    let mut working = state;
+    for _ in 0..10 {
+        for l in 0..W {
+            // Column rounds.
+            quarter_round(&mut working, l, 0, 4, 8, 12);
+            quarter_round(&mut working, l, 1, 5, 9, 13);
+            quarter_round(&mut working, l, 2, 6, 10, 14);
+            quarter_round(&mut working, l, 3, 7, 11, 15);
+            // Diagonal rounds.
+            quarter_round(&mut working, l, 0, 5, 10, 15);
+            quarter_round(&mut working, l, 1, 6, 11, 12);
+            quarter_round(&mut working, l, 2, 7, 8, 13);
+            quarter_round(&mut working, l, 3, 4, 9, 14);
+        }
+    }
+    for i in 0..16 {
+        for l in 0..W {
+            working[i][l] = working[i][l].wrapping_add(state[i][l]);
+        }
+    }
+    working
+}
+
+/// The first 16 keystream bytes of each lane's `(key, nonce)` stream, as
+/// four words — all a sealed key or a derived key ever consumes. Kept out
+/// of line: the round loop wants every register, and inlined into a seal
+/// the values live around it spill into the loop.
+#[inline(never)]
+pub(crate) fn first_words<const W: usize>(key: &[[u32; W]; 4], nonce: &[u64; W]) -> [[u32; W]; 4] {
+    let out = block(key, 0, nonce);
+    [out[0], out[1], out[2], out[3]]
+}
+
+/// [`first_words`] of `(key, nonce)` pairs, serialised: per lane, exactly
+/// what `StreamCipher::new(key, nonce).apply(&mut [0; 16])` leaves.
+#[inline(always)]
+pub(crate) fn keystream16_lanes<const W: usize>(items: &[(SymKey, u64); W]) -> [[u8; 16]; W] {
+    let key = word_lanes(items.each_ref().map(|(key, _)| key.as_bytes()));
+    let words = first_words(&key, &items.each_ref().map(|&(_, nonce)| nonce));
+    core::array::from_fn(|l| lane_bytes(&words, l))
 }
 
 /// A seekable stream cipher instance bound to one key and nonce.
@@ -36,8 +147,8 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
 /// (rekey message, encryption) pair without carrying nonces on the wire.
 #[derive(Clone, Debug)]
 pub struct StreamCipher {
-    key_words: [u32; 8],
-    nonce_words: [u32; 2],
+    key: [[u32; 1]; 4],
+    nonce: u64,
     counter: u64,
     buffer: [u8; BLOCK_LEN],
     buffered: usize, // bytes of `buffer` already consumed
@@ -47,16 +158,9 @@ impl StreamCipher {
     /// Creates a cipher keyed by `key` with the given 64-bit nonce,
     /// positioned at the start of the keystream.
     pub fn new(key: &SymKey, nonce: u64) -> Self {
-        let kb = key.as_bytes();
-        let mut key_words = [0u32; 8];
-        for (i, w) in key_words.iter_mut().enumerate() {
-            // 128-bit key repeated, as in the original 128-bit variant.
-            let off = (i % 4) * 4;
-            *w = u32::from_le_bytes([kb[off], kb[off + 1], kb[off + 2], kb[off + 3]]);
-        }
         StreamCipher {
-            key_words,
-            nonce_words: [(nonce & 0xffff_ffff) as u32, (nonce >> 32) as u32],
+            key: word_lanes([key.as_bytes()]),
+            nonce,
             counter: 0,
             buffer: [0u8; BLOCK_LEN],
             buffered: BLOCK_LEN,
@@ -64,31 +168,10 @@ impl StreamCipher {
     }
 
     fn block(&self, counter: u64) -> [u8; BLOCK_LEN] {
-        let mut state = [0u32; 16];
-        state[0..4].copy_from_slice(&CONSTANTS);
-        state[4..12].copy_from_slice(&self.key_words);
-        state[12] = (counter & 0xffff_ffff) as u32;
-        state[13] = (counter >> 32) as u32;
-        state[14] = self.nonce_words[0];
-        state[15] = self.nonce_words[1];
-
-        let mut working = state;
-        for _ in 0..10 {
-            // Column rounds.
-            quarter_round(&mut working, 0, 4, 8, 12);
-            quarter_round(&mut working, 1, 5, 9, 13);
-            quarter_round(&mut working, 2, 6, 10, 14);
-            quarter_round(&mut working, 3, 7, 11, 15);
-            // Diagonal rounds.
-            quarter_round(&mut working, 0, 5, 10, 15);
-            quarter_round(&mut working, 1, 6, 11, 12);
-            quarter_round(&mut working, 2, 7, 8, 13);
-            quarter_round(&mut working, 3, 4, 9, 14);
-        }
+        let words = block(&self.key, counter, &[self.nonce]);
         let mut out = [0u8; BLOCK_LEN];
-        for i in 0..16 {
-            let word = working[i].wrapping_add(state[i]);
-            out[i * 4..(i + 1) * 4].copy_from_slice(&word.to_le_bytes());
+        for (bytes, [word]) in out.chunks_exact_mut(4).zip(words) {
+            bytes.copy_from_slice(&word.to_le_bytes());
         }
         out
     }
@@ -110,13 +193,6 @@ impl StreamCipher {
         }
     }
 
-    /// Produces `n` fresh keystream bytes (for key generation).
-    pub fn keystream(&mut self, n: usize) -> Vec<u8> {
-        let mut out = vec![0u8; n];
-        self.apply(&mut out);
-        out
-    }
-
     /// One-shot convenience: encrypt/decrypt `data` in place under
     /// `(key, nonce)` starting at stream offset zero.
     pub fn apply_oneshot(key: &SymKey, nonce: u64, data: &mut [u8]) {
@@ -130,6 +206,13 @@ mod tests {
 
     fn key(b: u8) -> SymKey {
         SymKey::from_bytes([b; 16])
+    }
+
+    /// The first `n` keystream bytes of `(key, nonce)`.
+    fn keystream(key: &SymKey, nonce: u64, n: usize) -> Vec<u8> {
+        let mut out = vec![0u8; n];
+        StreamCipher::new(key, nonce).apply(&mut out);
+        out
     }
 
     #[test]
@@ -146,15 +229,15 @@ mod tests {
     #[test]
     fn different_nonces_give_different_streams() {
         let k = key(9);
-        let a = StreamCipher::new(&k, 1).keystream(64);
-        let b = StreamCipher::new(&k, 2).keystream(64);
+        let a = keystream(&k, 1, 64);
+        let b = keystream(&k, 2, 64);
         assert_ne!(a, b);
     }
 
     #[test]
     fn different_keys_give_different_streams() {
-        let a = StreamCipher::new(&key(1), 5).keystream(64);
-        let b = StreamCipher::new(&key(2), 5).keystream(64);
+        let a = keystream(&key(1), 5, 64);
+        let b = keystream(&key(2), 5, 64);
         assert_ne!(a, b);
     }
 
@@ -175,7 +258,7 @@ mod tests {
     #[test]
     fn keystream_is_not_trivially_periodic() {
         let k = key(11);
-        let stream = StreamCipher::new(&k, 0).keystream(BLOCK_LEN * 4);
+        let stream = keystream(&k, 0, BLOCK_LEN * 4);
         let (first, rest) = stream.split_at(BLOCK_LEN);
         assert_ne!(first, &rest[..BLOCK_LEN]);
         assert_ne!(first, &rest[BLOCK_LEN..2 * BLOCK_LEN]);
@@ -186,7 +269,7 @@ mod tests {
         // Crude sanity check, not a randomness test: over 64 KiB the
         // population of set bits should be close to half.
         let k = key(200);
-        let stream = StreamCipher::new(&k, 1234).keystream(64 * 1024);
+        let stream = keystream(&k, 1234, 64 * 1024);
         let ones: u64 = stream.iter().map(|b| b.count_ones() as u64).sum();
         let total = (stream.len() * 8) as u64;
         let ratio = ones as f64 / total as f64;
@@ -197,16 +280,19 @@ mod tests {
     fn quarter_round_rfc7539_test_vector() {
         // The quarter-round function itself is the standard ChaCha one;
         // RFC 7539 §2.1.1 gives a known-answer vector for a single step.
-        let mut state = [0u32; 16];
-        state[0] = 0x11111111;
-        state[1] = 0x01020304;
-        state[2] = 0x9b8d6f43;
-        state[3] = 0x01234567;
-        quarter_round(&mut state, 0, 1, 2, 3);
-        assert_eq!(state[0], 0xea2a92f4);
-        assert_eq!(state[1], 0xcb1cf8ce);
-        assert_eq!(state[2], 0x4581472e);
-        assert_eq!(state[3], 0x5881c4bb);
+        // Every lane of the generic function computes it.
+        let mut state = [[0u32; 3]; 16];
+        state[0] = [0x11111111; 3];
+        state[1] = [0x01020304; 3];
+        state[2] = [0x9b8d6f43; 3];
+        state[3] = [0x01234567; 3];
+        for l in 0..3 {
+            quarter_round(&mut state, l, 0, 1, 2, 3);
+        }
+        assert_eq!(state[0], [0xea2a92f4; 3]);
+        assert_eq!(state[1], [0xcb1cf8ce; 3]);
+        assert_eq!(state[2], [0x4581472e; 3]);
+        assert_eq!(state[3], [0x5881c4bb; 3]);
     }
 
     #[test]
@@ -215,6 +301,8 @@ mod tests {
         let mut empty: [u8; 0] = [];
         c.apply(&mut empty);
         // Subsequent output still matches a fresh cipher.
-        assert_eq!(c.keystream(16), StreamCipher::new(&key(1), 0).keystream(16));
+        let mut next = [0u8; 16];
+        c.apply(&mut next);
+        assert_eq!(next.to_vec(), keystream(&key(1), 0, 16));
     }
 }

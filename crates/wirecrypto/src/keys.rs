@@ -65,10 +65,9 @@ impl KeyGen {
 
     /// Mints the next key.
     pub fn next_key(&mut self) -> SymKey {
-        let bytes = self.stream.keystream(16);
-        self.generated += 1;
         let mut key = [0u8; 16];
-        key.copy_from_slice(&bytes);
+        self.stream.apply(&mut key);
+        self.generated += 1;
         SymKey::from_bytes(key)
     }
 

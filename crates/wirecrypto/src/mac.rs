@@ -16,68 +16,105 @@ fn le_u64(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(word)
 }
 
-#[inline]
-fn sip_round(v: &mut [u64; 4]) {
-    v[0] = v[0].wrapping_add(v[1]);
-    v[1] = v[1].rotate_left(13);
-    v[1] ^= v[0];
-    v[0] = v[0].rotate_left(32);
-    v[2] = v[2].wrapping_add(v[3]);
-    v[3] = v[3].rotate_left(16);
-    v[3] ^= v[2];
-    v[0] = v[0].wrapping_add(v[3]);
-    v[3] = v[3].rotate_left(21);
-    v[3] ^= v[0];
-    v[2] = v[2].wrapping_add(v[1]);
-    v[1] = v[1].rotate_left(17);
-    v[1] ^= v[2];
-    v[2] = v[2].rotate_left(32);
+/// The SipHash round on lane `l`.
+#[inline(always)]
+fn sip_round<const W: usize>(v: &mut [[u64; W]; 4], l: usize) {
+    v[0][l] = v[0][l].wrapping_add(v[1][l]);
+    v[1][l] = v[1][l].rotate_left(13);
+    v[1][l] ^= v[0][l];
+    v[0][l] = v[0][l].rotate_left(32);
+    v[2][l] = v[2][l].wrapping_add(v[3][l]);
+    v[3][l] = v[3][l].rotate_left(16);
+    v[3][l] ^= v[2][l];
+    v[0][l] = v[0][l].wrapping_add(v[3][l]);
+    v[3][l] = v[3][l].rotate_left(21);
+    v[3][l] ^= v[0][l];
+    v[2][l] = v[2][l].wrapping_add(v[1][l]);
+    v[1][l] = v[1][l].rotate_left(17);
+    v[1][l] ^= v[2][l];
+    v[2][l] = v[2][l].rotate_left(32);
+}
+
+/// The MAC state of `W` independent computations, one lane each (lane `l`
+/// of every word belongs to message `l` under key `l`): [`mac64`] is
+/// `W = 1`, the batch seal of [`crate::batch`] `W = 8`. Every lane absorbs
+/// the same number of words — the callers' messages have one length. Each
+/// step is one loop over the lanes around the scalar rounds, which the
+/// compiler vectorises.
+pub(crate) struct SipLanes<const W: usize> {
+    v: [[u64; W]; 4],
+}
+
+impl<const W: usize> SipLanes<W> {
+    /// Keys each lane with the two little-endian halves of its key.
+    #[inline(always)]
+    pub(crate) fn new(k0: [u64; W], k1: [u64; W]) -> Self {
+        SipLanes {
+            v: [
+                k0.map(|k| k ^ 0x736f6d6570736575),
+                k1.map(|k| k ^ 0x646f72616e646f6d),
+                k0.map(|k| k ^ 0x6c7967656e657261),
+                k1.map(|k| k ^ 0x7465646279746573),
+            ],
+        }
+    }
+
+    /// The two compression rounds over lane `l`'s message word `m`.
+    #[inline(always)]
+    fn compress(&mut self, l: usize, m: u64) {
+        self.v[3][l] ^= m;
+        sip_round(&mut self.v, l);
+        sip_round(&mut self.v, l);
+        self.v[0][l] ^= m;
+    }
+
+    /// Absorbs one 8-byte message word per lane.
+    #[inline(always)]
+    pub(crate) fn absorb(&mut self, m: [u64; W]) {
+        for (l, &word) in m.iter().enumerate() {
+            self.compress(l, word);
+        }
+    }
+
+    /// Absorbs the final word — the `tail` bytes left after the whole
+    /// words (fewer than 8, little-endian) under the message length
+    /// `len` in the top byte — and finalises.
+    #[inline(always)]
+    pub(crate) fn finish(mut self, tail: [u64; W], len: usize) -> [u64; W] {
+        let mut mac = [0u64; W];
+        for l in 0..W {
+            self.compress(l, tail[l] | ((len as u64 & 0xff) << 56));
+            self.v[2][l] ^= 0xff;
+            for _ in 0..4 {
+                sip_round(&mut self.v, l);
+            }
+            mac[l] = self.v[0][l] ^ self.v[1][l] ^ self.v[2][l] ^ self.v[3][l];
+        }
+        mac
+    }
 }
 
 /// Computes the 64-bit MAC of `data` under `key`.
 pub fn mac64(key: &SymKey, data: &[u8]) -> u64 {
     let kb = key.as_bytes();
-    let k0 = le_u64(&kb[0..8]);
-    let k1 = le_u64(&kb[8..16]);
-
-    let mut v = [
-        k0 ^ 0x736f6d6570736575,
-        k1 ^ 0x646f72616e646f6d,
-        k0 ^ 0x6c7967656e657261,
-        k1 ^ 0x7465646279746573,
-    ];
-
+    let mut lanes = SipLanes::new([le_u64(&kb[0..8])], [le_u64(&kb[8..16])]);
     let mut chunks = data.chunks_exact(8);
     for chunk in &mut chunks {
-        let m = le_u64(chunk);
-        v[3] ^= m;
-        sip_round(&mut v);
-        sip_round(&mut v);
-        v[0] ^= m;
+        lanes.absorb([le_u64(chunk)]);
     }
+    let [mac] = lanes.finish([le_u64(chunks.remainder())], data.len());
+    mac
+}
 
-    // Final block: remaining bytes plus the length in the top byte.
-    let rem = chunks.remainder();
-    let mut last = [0u8; 8];
-    last[..rem.len()].copy_from_slice(rem);
-    last[7] = data.len() as u8;
-    let m = u64::from_le_bytes(last);
-    v[3] ^= m;
-    sip_round(&mut v);
-    sip_round(&mut v);
-    v[0] ^= m;
-
-    v[2] ^= 0xff;
-    for _ in 0..4 {
-        sip_round(&mut v);
-    }
-    v[0] ^ v[1] ^ v[2] ^ v[3]
+/// Folds a 64-bit MAC to the 32-bit sealed-blob tag.
+#[inline(always)]
+pub(crate) fn fold32(full: u64) -> u32 {
+    (full ^ (full >> 32)) as u32
 }
 
 /// Computes a 32-bit tag (the sealed-blob tag size).
 pub fn mac32(key: &SymKey, data: &[u8]) -> u32 {
-    let full = mac64(key, data);
-    (full ^ (full >> 32)) as u32
+    fold32(mac64(key, data))
 }
 
 /// Constant-time-ish comparison of two tags. With simulated crypto this is

@@ -6,7 +6,9 @@
 //! context (`(rekey message id, encryption id)`), which is unique because a
 //! key encrypts at most one other key per rekey message.
 
-use crate::{mac, StreamCipher, SymKey};
+use crate::chacha::{first_words, lane_bytes, word_lanes};
+use crate::mac::{fold32, tags_equal, SipLanes};
+use crate::SymKey;
 
 /// Wire length of a sealed key: 16-byte ciphertext + 4-byte tag. This is
 /// the `20` in the paper's USR-packet bound `3 + 20h` bytes.
@@ -37,24 +39,60 @@ pub struct SealedKey {
     bytes: [u8; SEALED_KEY_LEN],
 }
 
+/// The 4-byte tag of each lane: the MAC, under the lane's key, of its 16
+/// ciphertext bytes followed by its context — three whole message words.
+#[inline(always)]
+fn tag_lanes<const W: usize>(
+    key: &[[u32; W]; 4],
+    ct: &[[u32; W]; 4],
+    context: &[u64; W],
+) -> [u32; W] {
+    let pair = |lo: &[u32; W], hi: &[u32; W]| -> [u64; W] {
+        core::array::from_fn(|l| u64::from(lo[l]) | u64::from(hi[l]) << 32)
+    };
+    let mut mac = SipLanes::new(pair(&key[0], &key[1]), pair(&key[2], &key[3]));
+    mac.absorb(pair(&ct[0], &ct[1]));
+    mac.absorb(pair(&ct[2], &ct[3]));
+    mac.absorb(*context);
+    mac.finish([0; W], 24).map(fold32)
+}
+
+/// Seals `W` `(kek, plain, context)` triples, one per lane: the cipher's
+/// first 16 keystream bytes of `(kek, context)` over the plain key, then
+/// the tag binding ciphertext and context under the same key.
+/// [`SealedKey::seal`] is `W = 1`; the batch entry is `W = 8`.
+#[inline(always)]
+pub(crate) fn seal_lanes<const W: usize>(items: &[(SymKey, SymKey, u64); W]) -> [SealedKey; W] {
+    let key = word_lanes(items.each_ref().map(|(kek, _, _)| kek.as_bytes()));
+    let mut ct = word_lanes(items.each_ref().map(|(_, plain, _)| plain.as_bytes()));
+    let context = items.each_ref().map(|&(_, _, context)| context);
+    xor_words(&mut ct, &first_words(&key, &context));
+    let tag = tag_lanes(&key, &ct, &context);
+    core::array::from_fn(|l| {
+        let mut bytes = [0u8; SEALED_KEY_LEN];
+        bytes[..16].copy_from_slice(&lane_bytes(&ct, l));
+        bytes[16..].copy_from_slice(&tag[l].to_le_bytes());
+        SealedKey { bytes }
+    })
+}
+
+/// XORs each lane's keystream words into its data words.
+#[inline(always)]
+fn xor_words<const W: usize>(data: &mut [[u32; W]; 4], stream: &[[u32; W]; 4]) {
+    for (word, ks) in data.iter_mut().zip(stream) {
+        for l in 0..W {
+            word[l] ^= ks[l];
+        }
+    }
+}
+
 impl SealedKey {
     /// Seals `plain` under the key-encrypting key `kek` within `context`
     /// (a caller-chosen unique value — the protocol uses
     /// `(rekey message id << 32) | encryption id`).
     pub fn seal(kek: &SymKey, plain: &SymKey, context: u64) -> Self {
-        let mut ct = *plain.as_bytes();
-        StreamCipher::apply_oneshot(kek, context, &mut ct);
-
-        // Tag binds ciphertext and context under the same key.
-        let mut mac_input = [0u8; 24];
-        mac_input[..16].copy_from_slice(&ct);
-        mac_input[16..].copy_from_slice(&context.to_le_bytes());
-        let tag = mac::mac32(kek, &mac_input);
-
-        let mut bytes = [0u8; SEALED_KEY_LEN];
-        bytes[..16].copy_from_slice(&ct);
-        bytes[16..].copy_from_slice(&tag.to_le_bytes());
-        SealedKey { bytes }
+        let [sealed] = seal_lanes(&[(*kek, *plain, context)]);
+        sealed
     }
 
     /// Attempts to recover the sealed key with `kek` in `context`.
@@ -63,18 +101,15 @@ impl SealedKey {
         ct.copy_from_slice(&self.bytes[..16]);
         let mut tag_bytes = [0u8; 4];
         tag_bytes.copy_from_slice(&self.bytes[16..]);
-        let wire_tag = u32::from_le_bytes(tag_bytes);
 
-        let mut mac_input = [0u8; 24];
-        mac_input[..16].copy_from_slice(&ct);
-        mac_input[16..].copy_from_slice(&context.to_le_bytes());
-        if !mac::tags_equal(mac::mac32(kek, &mac_input), wire_tag) {
+        let key = word_lanes([kek.as_bytes()]);
+        let mut words = word_lanes([&ct]);
+        let [tag] = tag_lanes(&key, &words, &[context]);
+        if !tags_equal(tag, u32::from_le_bytes(tag_bytes)) {
             return Err(UnsealError::BadTag);
         }
-
-        let mut pt = ct;
-        StreamCipher::apply_oneshot(kek, context, &mut pt);
-        Ok(SymKey::from_bytes(pt))
+        xor_words(&mut words, &first_words(&key, &[context]));
+        Ok(SymKey::from_bytes(lane_bytes(&words, 0)))
     }
 
     /// Raw wire bytes.

@@ -62,6 +62,9 @@ cargo test -q -p netsim --test no_alloc_marks
 # constant (the flat share store's and the tracker's amortised growth).
 cargo test -q -p rekeyproto --test alloc_budget
 # The count-model loop, and UserAgent::apply_enc off the kept frame: zero.
+# The server side: wirecrypto's eight-lane seal and keystream kernels, and
+# a warm IntervalCollector admitting a leave and a join (the request
+# payload is a stack array): zero.
 cargo test -q -p grouprekey --test no_alloc_marks
 # The obs entry points and its event log, both feature legs: compiled out
 # and disarmed they allocate nothing (no_alloc_off, no_alloc_marks); armed,
