@@ -78,6 +78,17 @@ fn grid(smoke: bool) -> Vec<Cell> {
             }
         }
     }
+    if smoke {
+        // One cheap cell of the full grid, compaction on, so `bench_diff`
+        // against the committed report has a digest to compare.
+        cells.push(Cell {
+            kind: ScenarioKind::MassDeparture,
+            n: 1 << 10,
+            d: 4,
+            compaction: true,
+            intervals: 256,
+        });
+    }
     cells
 }
 

@@ -23,13 +23,14 @@
 //!   Improvements never fail — they are counted (`improved`) so a stale
 //!   baseline is visible without blocking CI.
 //! * **exact** — [`Kind::Exact`] keys (counts, digests, byte totals,
-//!   booleans, the schema string): any difference is a failure. These are
-//!   the determinism sentinels — a changed `digest` or
-//!   `bytes_on_wire_total` means the datapath's output changed, not its
-//!   speed.
+//!   booleans): any difference is a failure. These are the determinism
+//!   sentinels — a changed `digest` or `bytes_on_wire_total` means the
+//!   datapath's output changed, not its speed.
 //!
 //! A diff that compared nothing proves nothing, so zero matched rows is
-//! a `fail` verdict, as is any failed row. The verdict JSON
+//! a `fail` verdict, as is any failed row. The `schema` header is not a
+//! row: both reports must carry the same one before anything is compared,
+//! so two grids that share no cell compare nothing. The verdict JSON
 //! (`bench_diff/v1`) lists every failure with its rule and both values;
 //! `--check` turns a `fail` into a non-zero exit for CI.
 //!
@@ -87,11 +88,11 @@ impl Diff {
 }
 
 fn diff(spec: &Spec, baseline: &Value, candidate: &Value, band: f64) -> Result<Diff, String> {
-    // Identity keys are the coordinates and context keys describe the
-    // run: neither is a row to compare.
+    // Identity keys are the coordinates, context keys describe the run
+    // and the schema string is what chose `spec`: none is a row to compare.
     let compared_rows = |doc| -> Result<Vec<Row>, String> {
         let mut rows = spec.rows(doc)?;
-        rows.retain(|row| !matches!(row.kind, Kind::Id | Kind::Context));
+        rows.retain(|row| !matches!(row.kind, Kind::Id | Kind::Context) && row.column != "schema");
         Ok(rows)
     };
     let base_rows = compared_rows(baseline)?;
@@ -356,13 +357,19 @@ mod tests {
             )
         };
         let d = run(&FIGURES, &report(1), &report(2));
-        assert_eq!((d.compared, d.only_baseline, d.only_candidate), (3, 0, 0));
+        assert_eq!((d.compared, d.only_baseline, d.only_candidate), (2, 0, 0));
         assert_eq!(d.verdict(), "pass");
     }
 
     #[test]
     fn an_empty_intersection_is_a_failure() {
-        let row = |n: u32| format!("{{\"scale\": [{{\"n\": {n}, \"plan_ms\": 1.0}}]}}");
+        // The shared header is no intersection.
+        let row = |n: u32| {
+            format!(
+                "{{\"schema\": \"bench_scale/v4\", \"mode\": \"smoke\", \
+                 \"scale\": [{{\"n\": {n}, \"plan_ms\": 1.0}}]}}"
+            )
+        };
         let d = run(&SCALE, &row(4), &row(8));
         assert_eq!((d.compared, d.only_baseline, d.only_candidate), (0, 1, 1));
         assert!(d.failures.is_empty());

@@ -65,6 +65,16 @@ fn grid(smoke: bool) -> Vec<Cell> {
             }
         }
     }
+    if smoke {
+        // The cheapest cell of the full grid, so `bench_diff` against the
+        // committed report has a row to compare.
+        cells.push(Cell {
+            n: 1 << 14,
+            d: 4,
+            joins: 64,
+            leaves: 64,
+        });
+    }
     cells
 }
 

@@ -9,10 +9,6 @@
 //!
 //! Set `REKEY_QUICK=1` to cut message counts ~4x for smoke runs.
 
-#![forbid(unsafe_code)]
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 pub mod ablations;
 pub mod figures;
 pub mod jsonv;
@@ -124,7 +120,13 @@ pub fn grid_workers() -> usize {
 ///
 /// Resumes a cell's panic on the calling thread once every worker has
 /// been joined.
+#[expect(
+    clippy::disallowed_types,
+    reason = "a ticket counter hands grid cells to the scoped workers; results are slotted by index and published by the join, so Relaxed is enough"
+)]
 pub fn par<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
     let workers = grid_workers().min(items.len());
     if workers <= 1 {
         return items.iter().map(f).collect();
@@ -137,7 +139,7 @@ pub fn par<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> 
                 scope.spawn(|| {
                     let mut done: Vec<(usize, R)> = Vec::new();
                     loop {
-                        // xcheck-ordering: ticket counter only; results are slotted by index and published by the join
+                        // ordering: ticket counter only; results are slotted by index and published by the join
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(item) = items.get(i) else { break };
                         done.push((i, f(item)));
@@ -176,7 +178,7 @@ pub struct Cell {
 impl Cell {
     /// The cell `bench_scale` traces and snapshots and `bench_obs`
     /// measures the recorder on: the acceptance row (N = 2^20, d = 8,
-    /// 64/64) in full mode, the largest smoke cell otherwise.
+    /// 64/64) in full mode, N = 2^12 in smoke mode.
     pub fn acceptance(smoke: bool) -> Cell {
         Cell {
             n: if smoke { 1 << 12 } else { 1 << 20 },
@@ -406,7 +408,13 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "counts the cells that finished across the workers; read only after `par` has joined them"
+    )]
     fn a_panicking_cell_surfaces_after_every_worker_is_joined() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
         let finished = AtomicUsize::new(0);
         let items: Vec<usize> = (0..16).collect();
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -218,7 +218,8 @@ fn sentinel_intersects_every_committed_report_with_itself() {
         assert_eq!(code, Some(0), "{}: {verdict:?}", spec.file);
         assert_eq!(verdict.get("verdict").and_then(Value::as_str), Some("pass"));
         let count = |key| verdict.get(key).and_then(Value::as_f64).expect("count");
-        assert!(count("compared") >= 5.0, "{}: {verdict:?}", spec.file);
+        // BENCH_obs.json has the fewest: two walls and two exact counts.
+        assert!(count("compared") >= 4.0, "{}: {verdict:?}", spec.file);
         assert_eq!(
             count("only_baseline") + count("only_candidate"),
             0.0,
@@ -269,5 +270,30 @@ fn sentinel_check_exits_1_on_a_lost_saving_and_ignores_the_host() {
     let (code, verdict) = bench_diff(&committed(&report::FIGURES), &path);
     assert_eq!(code, Some(0), "{verdict:?}");
     assert!(verdict.get("compared").and_then(Value::as_f64) >= Some(80.0));
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn sentinel_check_exits_1_when_the_grids_share_no_cell() {
+    // A smoke grid disjoint from the committed one (every N prefixed with a
+    // 9) shares the `schema` header and nothing else: nothing was compared.
+    let spec = &report::SCALE;
+    let good = std::fs::read_to_string(committed(spec)).expect("committed");
+    let disjoint = good
+        .replace("\"mode\": \"full\"", "\"mode\": \"smoke\"")
+        .replace("{\"n\": ", "{\"n\": 9");
+    assert_eq!(
+        spec.check(&disjoint),
+        Vec::<String>::new(),
+        "a valid report"
+    );
+    let path = temp_file("disjoint_grid", &disjoint);
+    let (code, verdict) = bench_diff(&committed(spec), &path);
+    assert_eq!(code, Some(1), "{verdict:?}");
+    assert_eq!(verdict.get("compared"), Some(&Value::Num(0.0)));
+    assert_eq!(
+        verdict.get("failures").and_then(Value::as_arr),
+        Some(&[][..])
+    );
     let _ = std::fs::remove_file(&path);
 }

@@ -14,6 +14,9 @@
 //! oracle; property tests in `tests/bulk_kernels.rs` pin that equivalence
 //! down, including the `len ∈ {0, 1, 7, 8, 9}` edges around vector widths.
 
+// A silent truncation here corrupts algebra instead of crashing.
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
+
 use crate::Gf256;
 
 /// Plain slice XOR: `dst[i] ^= src[i]` — the `coeff == 1` fast path.

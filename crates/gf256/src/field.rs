@@ -1,5 +1,8 @@
 //! The [`Gf256`] element type and its operator implementations.
 
+// A silent truncation here corrupts algebra instead of crashing.
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
+
 use core::fmt;
 use core::iter::{Product, Sum};
 use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -144,7 +147,10 @@ impl From<Gf256> for u8 {
 impl Add for Gf256 {
     type Output = Gf256;
     #[inline]
-    #[allow(clippy::suspicious_arithmetic_impl)] // XOR IS addition in GF(2^8)
+    #[expect(
+        clippy::suspicious_arithmetic_impl,
+        reason = "XOR IS addition in GF(2^8)"
+    )]
     fn add(self, rhs: Self) -> Self {
         Gf256(self.0 ^ rhs.0)
     }
@@ -152,7 +158,10 @@ impl Add for Gf256 {
 
 impl AddAssign for Gf256 {
     #[inline]
-    #[allow(clippy::suspicious_op_assign_impl)] // XOR IS addition in GF(2^8)
+    #[expect(
+        clippy::suspicious_op_assign_impl,
+        reason = "XOR IS addition in GF(2^8)"
+    )]
     fn add_assign(&mut self, rhs: Self) {
         self.0 ^= rhs.0;
     }
@@ -161,7 +170,10 @@ impl AddAssign for Gf256 {
 impl Sub for Gf256 {
     type Output = Gf256;
     #[inline]
-    #[allow(clippy::suspicious_arithmetic_impl)] // XOR IS subtraction in GF(2^8)
+    #[expect(
+        clippy::suspicious_arithmetic_impl,
+        reason = "XOR IS subtraction in GF(2^8)"
+    )]
     fn sub(self, rhs: Self) -> Self {
         // Characteristic 2: subtraction is addition.
         Gf256(self.0 ^ rhs.0)
@@ -170,7 +182,10 @@ impl Sub for Gf256 {
 
 impl SubAssign for Gf256 {
     #[inline]
-    #[allow(clippy::suspicious_op_assign_impl)] // XOR IS subtraction in GF(2^8)
+    #[expect(
+        clippy::suspicious_op_assign_impl,
+        reason = "XOR IS subtraction in GF(2^8)"
+    )]
     fn sub_assign(&mut self, rhs: Self) {
         self.0 ^= rhs.0;
     }
@@ -205,8 +220,11 @@ impl MulAssign for Gf256 {
 impl Div for Gf256 {
     type Output = Gf256;
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "Div mirrors integer `/` — panicking on zero divisor is the documented contract; fallible callers use checked_div"
+    )]
     fn div(self, rhs: Self) -> Self {
-        // xcheck-allow(no-unwrap-in-wire-crates): Div mirrors integer `/` — panicking on zero divisor is the documented contract; fallible callers use checked_div
         self.checked_div(rhs).expect("division by zero in GF(2^8)")
     }
 }

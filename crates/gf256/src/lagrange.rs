@@ -18,6 +18,9 @@
 //! amortizes the quadratic part across all of them. In characteristic 2
 //! every `-` above is `+` (XOR).
 
+// A silent truncation here corrupts algebra instead of crashing.
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
+
 use crate::Gf256;
 
 /// Precomputed barycentric weights for a fixed set of interpolation

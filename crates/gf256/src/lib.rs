@@ -34,8 +34,16 @@
 //! assert_eq!(a * a.inv().unwrap(), Gf256::ONE);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+// Panic-free outside tests; an exception is a reasoned `#[expect]` (ci.sh denies clippy warnings).
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 mod field;
 mod tables;

@@ -29,6 +29,10 @@ use crate::transport::{self, ByteReceiver, SimConfig, TransportScratch};
 fn require<T>(value: Option<T>, what: &str) -> T {
     match value {
         Some(v) => v,
+        #[expect(
+            clippy::panic,
+            reason = "the documented `# Panics` of `Group::rekey` (driver misuse); ROADMAP 4b: becomes RekeyError"
+        )]
         None => panic!("driver invariant violated: {what}"),
     }
 }
@@ -226,6 +230,10 @@ impl Group {
         // Apply outcomes cryptographically.
         for (agent, r) in self.agents.values_mut().zip(&receivers) {
             let m = agent.member();
+            #[expect(
+                clippy::panic,
+                reason = "the simulated network delivers the server's own bytes, so a failed apply is a bug here; ROADMAP 4b: becomes RekeyError"
+            )]
             match r.session.outcome() {
                 UserOutcome::Enc(pkt) => agent
                     .apply_enc(pkt, msg_seq)

@@ -276,6 +276,10 @@ impl ExperimentRun {
         let mut kg = KeyGen::from_seed(self.rng.gen());
 
         let (tree, outcome) = one_batch(p.n, p.degree, p.joins, p.leaves, &mut kg, &mut self.rng);
+        #[expect(
+            clippy::unreachable,
+            reason = "holds at every figure's parameters (N inside the 16-bit wire ID range, the paper layout); ROADMAP 3 lifts the range and 4b turns what is left into RekeyError"
+        )]
         let assignment = UkaAssignment::build(&tree, &outcome, self.msg_seq, &p.protocol.layout)
             .unwrap_or_else(|e| {
                 unreachable!("marking outcome always seals against its own tree: {e}")
@@ -304,6 +308,10 @@ impl ExperimentRun {
         self.users.clear();
         self.users
             .extend(members.iter().enumerate().map(|(idx, &m)| {
+                #[expect(
+                    clippy::unreachable,
+                    reason = "invariant: `member_ids` lists exactly the members the index resolves"
+                )]
                 let Some(uid) = tree.node_of_member(m) else {
                     unreachable!("member {m} listed by its own tree");
                 };

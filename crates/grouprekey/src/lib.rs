@@ -57,8 +57,16 @@
 //! assert_ne!(server.tree().group_key().unwrap(), key0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+// Panic-free outside tests; an exception is a reasoned `#[expect]` (ci.sh denies clippy warnings).
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 mod agent;
 /// The application data path: group-key encryption of app traffic.

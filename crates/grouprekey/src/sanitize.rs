@@ -13,6 +13,11 @@
 //! A sanitizer finding is always a bug in the pipeline, never a recoverable
 //! condition, so violations panic with the checker's description.
 
+#![expect(
+    clippy::panic,
+    reason = "this module's job: a sanitizer finding is a bug in the pipeline, reported by panicking with the checker's description"
+)]
+
 use keytree::{Batch, KeyTree, MarkOutcome};
 use rekeymsg::{BlockSet, Layout, UkaAssignment};
 

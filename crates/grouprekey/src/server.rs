@@ -96,11 +96,6 @@ impl KeyServer {
         &self.controller
     }
 
-    /// Mutable access to the controller for feedback absorption.
-    pub fn controller_mut(&mut self) -> &mut ServerController {
-        &mut self.controller
-    }
-
     /// Current full message sequence number (next message gets this + 1).
     pub fn msg_seq(&self) -> u64 {
         self.msg_seq
@@ -150,6 +145,10 @@ impl KeyServer {
         // Flight-recorder marker: the moment the new key set became live —
         // the interval boundary visible in a Perfetto trace.
         obs::trace::instant("rekey.install");
+        #[expect(
+            clippy::panic,
+            reason = "the documented `# Panics` of `rekey` (wire ID range, packet capacity); ROADMAP 4b: becomes RekeyError"
+        )]
         let assignment = UkaAssignment::build_in(
             &self.tree,
             &outcome,

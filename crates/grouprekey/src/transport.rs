@@ -135,6 +135,10 @@ impl Receiver for ByteReceiver {
         // The NACK crosses the (lossless) reverse path as bytes as well, so
         // the server acts on what the wire format carries.
         let bytes = Packet::Nack(sent).emit(&self.layout);
+        #[expect(
+            clippy::unreachable,
+            reason = "invariant: emit and parse are inverses on every packet the wire types can hold (wire_fuzz)"
+        )]
         let Ok(Packet::Nack(parsed)) = Packet::parse(&bytes, &self.layout) else {
             unreachable!("a NACK emits and parses back as a NACK")
         };

@@ -1,4 +1,4 @@
-//! Dynamic half of the `// xcheck: no_alloc` contract for the count model
+//! The `// xcheck: no_alloc` contract, pinned, for the count model
 //! of the transport loop: once a rekey message is underway (share bitsets
 //! sized, block-ID estimator constructed, NACK scratch warm), `SimUser`'s
 //! `receive` and `end_of_round_into` must perform zero heap allocations,

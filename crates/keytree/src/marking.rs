@@ -567,6 +567,10 @@ impl KeyTree {
 
         // ---- Phase 1: update the key tree -------------------------------
         for m in &batch.leaves {
+            #[expect(
+                clippy::panic,
+                reason = "the documented `# Panics` of the batch entry points; ROADMAP 4a: becomes a typed BatchError, checked before any mutation"
+            )]
             let Some(id) = self.node_of_member(*m) else {
                 panic!("leave request for unknown member {m}");
             };
@@ -624,10 +628,18 @@ impl KeyTree {
             // range end. One monotone scan covers every split round.
             let mut cursor: NodeId = 0;
             while next_join < j {
+                #[expect(
+                    clippy::unreachable,
+                    reason = "invariant: the bootstrap above planted a root k-node, and a batch never removes the last one while joins remain"
+                )]
                 let Some(nk) = self.max_knode_id() else {
                     unreachable!("bootstrap guarantees a k-node exists")
                 };
                 let high = d as u64 * nk as u64 + d as u64;
+                #[expect(
+                    clippy::panic,
+                    reason = "a size limit (2^32 node IDs); ROADMAP 4a: becomes a typed BatchError, checked before any mutation"
+                )]
                 let Ok(high) = NodeId::try_from(high) else {
                     panic!("tree exceeds NodeId range")
                 };
@@ -660,7 +672,12 @@ impl KeyTree {
                     },
                 );
                 if let Some(member) = occupant {
-                    let Some(key) = occupant_key else {
+                    #[expect(
+                        clippy::unreachable,
+                        reason = "invariant: a u-node's key column is written with its occupant (`set_node`)"
+                    )]
+                    let Some(key) = occupant_key
+                    else {
                         unreachable!("occupied slot {split} holds a key")
                     };
                     self.set_node(child, Node::U { member, key });
@@ -886,9 +903,17 @@ impl KeyTree {
                 // No hole below the tail: the occupied region is dense.
                 break;
             };
+            #[expect(
+                clippy::unreachable,
+                reason = "invariant: `highest_unode_id` scans the tag column for a u-node, which has an occupant"
+            )]
             let Some(member) = self.member_at(src) else {
                 unreachable!("highest_unode_id returned a non-u slot")
             };
+            #[expect(
+                clippy::unreachable,
+                reason = "invariant: a u-node's key column is written with its occupant (`set_node`)"
+            )]
             let Some(key) = self.key_of(src) else {
                 unreachable!("occupied slot {src} holds a key")
             };

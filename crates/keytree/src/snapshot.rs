@@ -61,6 +61,10 @@ struct Reader<'a> {
     pos: usize,
 }
 
+#[expect(
+    clippy::unreachable,
+    reason = "invariant: `take(n)` returns exactly n bytes or `Truncated`"
+)]
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
         if self.pos + n > self.buf.len() {

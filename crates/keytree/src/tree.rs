@@ -421,6 +421,10 @@ impl KeyTree {
     pub(crate) fn set_key(&mut self, id: NodeId, key: SymKey) {
         match self.tags.get(id as usize) {
             Some(&TAG_K) | Some(&TAG_U) => self.keys[id as usize] = key,
+            #[expect(
+                clippy::panic,
+                reason = "invariant: crate-private, and marking rekeys only the k-nodes it has just collected"
+            )]
             _ => panic!("cannot set key on an n-node (id {id})"),
         }
     }

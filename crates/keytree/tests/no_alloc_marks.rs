@@ -1,4 +1,4 @@
-//! Dynamic half of the `// xcheck: no_alloc` contract for
+//! The `// xcheck: no_alloc` contract, pinned, for
 //! [`KeyTree::mark_batch_compacting_in`], compaction off and on: with a
 //! warm scratch, warm moves/relocations buffers, and batches that
 //! do not grow the tree's storage, phases 1–2 of batch processing — tail

@@ -1,4 +1,4 @@
-//! Dynamic half of the `// xcheck: no_alloc` contract for the netsim
+//! The `// xcheck: no_alloc` contract, pinned, for the netsim
 //! per-packet hot paths: with a warm `delivered` scratch buffer,
 //! [`Network::multicast_into`], [`Network::multicast_to_into`], and
 //! [`Network::unicast`] must perform zero heap allocations.

@@ -3,9 +3,8 @@
 //! The paper this workspace reproduces is a *performance analysis*:
 //! server cost per stage, bandwidth overhead, rounds to success. This
 //! crate gives every pipeline stage a first-class way to report where
-//! the time and bytes actually go, with the same discipline as the
-//! sibling `xcheck` crate — no dependencies, deterministic output, and
-//! zero cost when switched off.
+//! the time and bytes actually go: no dependencies, deterministic
+//! output, and zero cost when switched off.
 //!
 //! Three instruments:
 //!
@@ -40,8 +39,16 @@
 //! expose an `obs` feature that forwards to `obs/enabled`, so one
 //! `--features obs` at the workspace root lights up the whole pipeline.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+// Panic-free outside tests; an exception is a reasoned `#[expect]` (ci.sh denies clippy warnings).
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 /// Fixed-bucket log2 histograms behind span aggregation.
 pub mod hist;
@@ -52,9 +59,13 @@ pub mod series;
 /// Bounded event log with Chrome/Perfetto export (`trace/v1`).
 pub mod trace;
 
-// Compiled in both builds so each entry point below is written once;
-// without the feature nothing reaches the recording half of it.
-#[cfg_attr(not(feature = "enabled"), allow(dead_code))]
+#[cfg_attr(
+    not(any(test, feature = "enabled")),
+    expect(
+        dead_code,
+        reason = "compiled in both builds so each entry point below is written once; without the feature nothing reaches the recording half of it"
+    )
+)]
 mod registry;
 
 use json::JsonWriter;

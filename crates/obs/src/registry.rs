@@ -9,6 +9,11 @@
 //! without reference counting; the set of distinct metric names bounds
 //! the leak.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "slots are shared by concurrent recorders: every access is a Relaxed operation on an independent statistic (counts sum exactly, a cross-field view may tear) and publishes no other memory; each site's `ordering:` comment says which case it is"
+)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -59,54 +64,54 @@ impl Slot {
 
     /// Records one histogram observation.
     pub(crate) fn record(&self, value: u64) {
-        // xcheck-ordering: independent monotonic stats; readers tolerate torn cross-field views
+        // ordering: independent monotonic stats; readers tolerate torn cross-field views
         self.count.fetch_add(1, Ordering::Relaxed);
-        self.total.fetch_add(value, Ordering::Relaxed); // xcheck-ordering: same
-        self.min.fetch_min(value, Ordering::Relaxed); // xcheck-ordering: same
-        self.max.fetch_max(value, Ordering::Relaxed); // xcheck-ordering: same
+        self.total.fetch_add(value, Ordering::Relaxed); // ordering: same
+        self.min.fetch_min(value, Ordering::Relaxed); // ordering: same
+        self.max.fetch_max(value, Ordering::Relaxed); // ordering: same
         if let Some(bucket) = self.buckets.get(bucket_of(value)) {
-            bucket.fetch_add(1, Ordering::Relaxed); // xcheck-ordering: same
+            bucket.fetch_add(1, Ordering::Relaxed); // ordering: same
         }
     }
 
     /// Adds to a counter.
     pub(crate) fn add(&self, delta: u64) {
-        // xcheck-ordering: pure accumulators; no other memory is published through them
+        // ordering: pure accumulators; no other memory is published through them
         self.count.fetch_add(1, Ordering::Relaxed);
-        self.total.fetch_add(delta, Ordering::Relaxed); // xcheck-ordering: same
+        self.total.fetch_add(delta, Ordering::Relaxed); // ordering: same
     }
 
     /// Sets a gauge.
     pub(crate) fn set(&self, value: u64) {
-        // xcheck-ordering: last-writer-wins gauge; no cross-field invariant to order against
+        // ordering: last-writer-wins gauge; no cross-field invariant to order against
         self.count.fetch_add(1, Ordering::Relaxed);
-        self.total.store(value, Ordering::Relaxed); // xcheck-ordering: same
+        self.total.store(value, Ordering::Relaxed); // ordering: same
     }
 
     fn reset(&self) {
-        // xcheck-ordering: callers quiesce recorders before reset; no ordering can save a racing reset anyway
+        // ordering: callers quiesce recorders before reset; no ordering can save a racing reset anyway
         self.count.store(0, Ordering::Relaxed);
-        self.total.store(0, Ordering::Relaxed); // xcheck-ordering: same
-        self.min.store(u64::MAX, Ordering::Relaxed); // xcheck-ordering: same
-        self.max.store(0, Ordering::Relaxed); // xcheck-ordering: same
+        self.total.store(0, Ordering::Relaxed); // ordering: same
+        self.min.store(u64::MAX, Ordering::Relaxed); // ordering: same
+        self.max.store(0, Ordering::Relaxed); // ordering: same
         for bucket in &self.buckets {
-            bucket.store(0, Ordering::Relaxed); // xcheck-ordering: same
+            bucket.store(0, Ordering::Relaxed); // ordering: same
         }
     }
 
     fn stats(&self) -> SeriesStats {
-        // xcheck-ordering: snapshot reads are advisory; fields may tear between loads by design
+        // ordering: snapshot reads are advisory; fields may tear between loads by design
         let count = self.count.load(Ordering::Relaxed);
         let min = if count == 0 {
             0
         } else {
-            self.min.load(Ordering::Relaxed) // xcheck-ordering: same
+            self.min.load(Ordering::Relaxed) // ordering: same
         };
-        let max = self.max.load(Ordering::Relaxed); // xcheck-ordering: same
+        let max = self.max.load(Ordering::Relaxed); // ordering: same
         let counts: Vec<u64> = self
             .buckets
             .iter()
-            .map(|b| b.load(Ordering::Relaxed)) // xcheck-ordering: same
+            .map(|b| b.load(Ordering::Relaxed)) // ordering: same
             .collect();
         // Quantile estimates are bucket upper bounds; clamping into the
         // observed [min, max] tightens them for free (a single
@@ -115,7 +120,7 @@ impl Slot {
         SeriesStats {
             name: self.name.to_string(),
             count,
-            total: self.total.load(Ordering::Relaxed), // xcheck-ordering: same
+            total: self.total.load(Ordering::Relaxed), // ordering: same
             min,
             max,
             p50: clamp(quantile(&counts, 0.50)),
@@ -175,12 +180,12 @@ pub(crate) fn snapshot_all() -> Snapshot {
             Kind::SpanNs => snap.spans.push(slot.stats()),
             Kind::Counter => snap.counters.push(Metric {
                 name: slot.name.to_string(),
-                // xcheck-ordering: advisory snapshot read of a monotonic counter
+                // ordering: advisory snapshot read of a monotonic counter
                 value: slot.total.load(Ordering::Relaxed),
             }),
             Kind::Gauge => snap.gauges.push(Metric {
                 name: slot.name.to_string(),
-                // xcheck-ordering: advisory snapshot read of a last-writer-wins gauge
+                // ordering: advisory snapshot read of a last-writer-wins gauge
                 value: slot.total.load(Ordering::Relaxed),
             }),
         }

@@ -39,6 +39,11 @@
 //! [`TrackInfo::dropped`]: crate::trace::TrackInfo::dropped
 //! [`Trace`]: crate::trace::Trace
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "two atomics: RECORDING is an advisory latch and NEXT_TRACK a ticket counter; the events themselves are ordered and published by the log's mutex, so Relaxed is enough at every site (each carries its `ordering:` comment)"
+)]
+
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -223,7 +228,7 @@ static LOG: Mutex<Log> = Mutex::new(Log {
 
 thread_local! {
     /// The calling thread's track, taken on its first event.
-    // xcheck-ordering: a ticket counter; only the uniqueness of the tickets matters, nothing is published through it
+    // ordering: a ticket counter; only the uniqueness of the tickets matters, nothing is published through it
     static TRACK: u32 = NEXT_TRACK.fetch_add(1, Ordering::Relaxed);
 }
 
@@ -296,13 +301,13 @@ pub fn enable() {
     let room = CAPACITY.saturating_sub(log.events.len());
     log.events.reserve_exact(room);
     drop(log);
-    // xcheck-ordering: advisory latch (see `RECORDING`); the reservation above is published by the log's mutex
+    // ordering: advisory latch (see `RECORDING`); the reservation above is published by the log's mutex
     RECORDING.store(true, Ordering::Relaxed);
 }
 
 /// Stops recording; already-recorded events stay drainable.
 pub fn disable() {
-    // xcheck-ordering: advisory latch (see `RECORDING`); a racing event may still land
+    // ordering: advisory latch (see `RECORDING`); a racing event may still land
     RECORDING.store(false, Ordering::Relaxed);
 }
 
@@ -312,7 +317,7 @@ pub fn disable() {
 #[must_use]
 // xcheck: no_alloc
 pub fn is_recording() -> bool {
-    // xcheck-ordering: advisory latch (see `RECORDING`); the off path is this one load
+    // ordering: advisory latch (see `RECORDING`); the off path is this one load
     crate::enabled() && RECORDING.load(Ordering::Relaxed)
 }
 

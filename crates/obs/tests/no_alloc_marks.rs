@@ -9,8 +9,8 @@
 //!   read and a push into the reserved log.
 //!
 //! Complements `no_alloc_off.rs`, which pins the aggregate-instrument
-//! stubs; together they back the static `no-alloc-static` marks with the
-//! dynamic counting-allocator contract.
+//! stubs; together they hold every `// xcheck: no_alloc` mark in this
+//! crate to the counting allocator.
 
 #[global_allocator]
 static ALLOC: xcheck_rt::CountingAlloc = xcheck_rt::CountingAlloc;

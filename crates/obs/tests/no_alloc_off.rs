@@ -3,7 +3,8 @@
 //! span guards, reset, and snapshot — performs **zero heap allocations**.
 //! The feature-on build of the same calls performs plenty; the `xcheck-rt`
 //! counting allocator is validated against that, so a broken counter
-//! cannot pass the off-path silently.
+//! cannot pass the off-path silently — and once their slots are
+//! registered, the marked entry points allocate nothing there either.
 
 #[global_allocator]
 static ALLOC: xcheck_rt::CountingAlloc = xcheck_rt::CountingAlloc;
@@ -35,6 +36,9 @@ fn off_path_records_nothing_and_allocates_nothing() {
             allocs > 0,
             "enabled-path hammer must allocate (registry slots, snapshot vectors)"
         );
+        // With the four slots registered, the marked entry points
+        // (`span`, `counter_add`, `gauge_set`) record without allocating.
+        xcheck_rt::assert_zero_alloc("obs entry points, slots registered", || hammer(4096));
         return;
     }
 

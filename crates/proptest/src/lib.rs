@@ -18,9 +18,6 @@
 //! property test; swapping back to the real crate is one
 //! `[workspace.dependencies]` edit.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod collection;
 pub mod prelude;
 pub mod sample;

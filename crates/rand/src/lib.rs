@@ -16,9 +16,6 @@
 //! back to the real crate by flipping one `[workspace.dependencies]`
 //! entry.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod rngs;
 
 /// Low-level uniform bit source. Object-safe: `next_u64` is the one

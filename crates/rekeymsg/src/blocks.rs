@@ -91,6 +91,10 @@ impl BlockSet {
     /// Panics when `k` is not a valid block size or when the message needs
     /// more than 256 blocks (wire limit of the 8-bit block ID).
     pub fn new(packets: Vec<EncPacket>, k: usize, layout: Layout) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "the documented `# Panics`: a configuration error at construction, before any state exists"
+        )]
         let Ok(proto_encoder) = BlockEncoder::new(k) else {
             panic!("invalid block size {k}");
         };

@@ -1,4 +1,4 @@
-//! Dynamic half of the `// xcheck: no_alloc` contract for the
+//! The `// xcheck: no_alloc` contract, pinned, for the
 //! run-aggregated UKA planner: with a warm [`PlanScratch`] and a batch of
 //! the same shape as a previous one, [`PlanScratch::compute`] — the whole
 //! planning core, chain derivation and window enumeration included — must

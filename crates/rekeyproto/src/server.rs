@@ -87,6 +87,10 @@ impl ServerController {
     ///
     /// Panics when `cfg.block_size` is not a valid FEC block size.
     pub fn new(cfg: ServerConfig) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "the documented `# Panics`: a configuration error at construction, before any state exists"
+        )]
         let Ok(mut proto_encoder) = rse::BlockEncoder::new(cfg.block_size) else {
             panic!("invalid block size {}", cfg.block_size)
         };
@@ -280,6 +284,10 @@ impl ServerSession {
             self.phase = Phase::Done;
             return Vec::new();
         }
+        #[expect(
+            clippy::panic,
+            reason = "a size limit (255 shares a block against rho * k); ROADMAP 4b: becomes RekeyError"
+        )]
         let sched = self
             .blocks
             .round_one_schedule_ordered(self.rho, self.cfg.send_order)
@@ -293,6 +301,10 @@ impl ServerSession {
             match p {
                 Packet::Enc(_) => self.stats.enc_multicast += 1,
                 Packet::Parity(_) => self.stats.parity_multicast += 1,
+                #[expect(
+                    clippy::unreachable,
+                    reason = "invariant: both callers pass a schedule `BlockSet` built, which holds ENC and PARITY only"
+                )]
                 _ => unreachable!("server multicasts only ENC/PARITY"),
             }
         }

@@ -1,4 +1,4 @@
-//! Dynamic half of the `// xcheck: no_alloc` contract for
+//! The `// xcheck: no_alloc` contract, pinned, for
 //! [`BlockEncoder::parity_into`]: once the coefficient-row cache is warm,
 //! encoding a parity packet into a caller-provided buffer must perform
 //! zero heap allocations. The decode side gets a budget, not a zero: it

@@ -1,10 +1,10 @@
-//! Runtime companion to the `xcheck` static analyzer.
+//! The allocation-counting test harness.
 //!
-//! The static `no-alloc-static` rule scans functions marked
-//! `// xcheck: no_alloc` for allocation smells; this crate supplies the
-//! *dynamic* half of that contract: a counting [`GlobalAlloc`] wrapper
-//! around [`System`] plus assertion helpers, so a test can pin a marked
-//! hot path at exactly zero steady-state heap allocations.
+//! A function marked `// xcheck: no_alloc` promises zero steady-state
+//! heap allocations; this crate is what holds it to that: a counting
+//! [`GlobalAlloc`] wrapper around [`System`] plus assertion helpers, so
+//! a test can pin a marked hot path — callees included, which no
+//! token-level scan sees — at exactly zero allocations.
 //!
 //! Usage, from a test binary (integration test or unit-test module):
 //!
@@ -25,8 +25,6 @@
 //! crate that links it, tests and production binaries alike).
 //! [`assert_counting`] exists so a binary that forgot the declaration
 //! cannot pass the zero-allocation assertion vacuously.
-//
-// xcheck-allow(forbid-unsafe-code): implementing GlobalAlloc requires an unsafe trait impl; it is pure delegation to System plus a per-thread counter
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -55,6 +53,10 @@ fn bump() {
 
 // SAFETY: pure delegation to `System`; the counter is a const-init
 // thread-local cell with no effect on allocation behavior.
+#[expect(
+    unsafe_code,
+    reason = "implementing GlobalAlloc requires an unsafe trait impl; it is pure delegation to System plus a per-thread counter"
+)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         bump();

@@ -12,8 +12,6 @@
 //! * [`wirecrypto`] — cipher/MAC/sealing/registration substrate,
 //! * [`netsim`] — the lossy-multicast network simulator.
 
-#![forbid(unsafe_code)]
-
 pub use gf256;
 pub use grouprekey;
 pub use keytree;

@@ -5,7 +5,7 @@
 //! decisions. This is the justification for using the fast model in the
 //! figure experiments.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use keytree::{Batch, KeyTree, MemberId, NodeId};
 use netsim::{Network, NetworkConfig};
@@ -55,7 +55,7 @@ fn scenario(seed: u64, alpha: f64, p_high: f64, max_rounds: usize, k: usize) -> 
 }
 
 /// Per-user success rounds, round-one NACK count, bandwidth overhead.
-type Delivery = (HashMap<NodeId, usize>, usize, f64);
+type Delivery = (BTreeMap<NodeId, usize>, usize, f64);
 
 /// Delivers the scenario's message through the one transport loop to
 /// receivers of model `R`, on a network seeded by the scenario alone.

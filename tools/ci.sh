@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# The full local gate: formatting, lints, rustdoc with warnings denied, the
-# xcheck static-analysis pass (with its machine-readable report), the test
-# suite with the deep invariant sanitizer live (bench's figure_identity,
-# the one worker-count gate left, runs there), the dynamic no-alloc
-# harness (the obs event log's armed and disarmed paths included), one
-# smoke/check/sentinel cycle per tracked BENCH report, and the obs build.
+# The full local gate: formatting, the project lints (clippy on both feature
+# legs, plus the check that every crate is wired to them), rustdoc with
+# warnings denied, the test suite with the deep invariant sanitizer live
+# (bench's figure_identity, the one worker-count gate left, runs there), the
+# dynamic no-alloc harness (the obs event log's armed and disarmed paths
+# included), one smoke/check/sentinel cycle per tracked BENCH report, and the
+# obs build.
 # Everything runs offline against the vendored in-tree dependency shims.
 # Each stage's wall time is reported in a summary at the end.
 set -euo pipefail
@@ -34,16 +35,44 @@ stage "cargo fmt --check"
 cargo fmt --check
 
 stage "cargo clippy --workspace --all-targets -- -D warnings"
+# The project rules are lint levels: [workspace.lints] in the root
+# Cargo.toml, clippy.toml, and the attribute lines checked below.
 cargo clippy --workspace --all-targets -- -D warnings
+# Again with the feature-gated code compiled in (sanitize.rs, live obs).
+cargo clippy --workspace --all-targets --features sanitize,obs -- -D warnings
+
+stage "lint wiring: the table, its heirs, the per-crate attribute lines"
+# clippy proves a lint fires where it is switched on; this proves it is
+# switched on everywhere it was: no table line dropped, every member but
+# xcheck-rt (its GlobalAlloc impl needs `unsafe`) inheriting the table, the
+# nine panic-free crates and gf256's three arithmetic files still carrying
+# their attribute.
+unwired() {
+    echo "ci.sh: lint wiring: $1" >&2
+    exit 1
+}
+for lint in unsafe_code missing_docs todo unimplemented iter_over_hash_type \
+    allow_attributes allow_attributes_without_reason; do
+    grep -q "^$lint = \"" Cargo.toml || unwired "[workspace.lints] lacks $lint"
+done
+for manifest in Cargo.toml crates/*/Cargo.toml; do
+    [ "$manifest" = crates/xcheck-rt/Cargo.toml ] && continue
+    grep -A1 -x '\[lints\]' "$manifest" | grep -qx 'workspace = true' ||
+        unwired "$manifest lacks [lints] workspace = true"
+done
+for crate in wirecrypto rekeymsg rse netsim grouprekey keytree rekeyproto obs gf256; do
+    grep -q 'clippy::unreachable' "crates/$crate/src/lib.rs" ||
+        unwired "crates/$crate/src/lib.rs lacks the panic-free attribute"
+done
+for file in field lagrange bulk; do
+    grep -q '^#!\[cfg_attr(not(test), warn(clippy::cast_possible_truncation))\]' \
+        "crates/gf256/src/$file.rs" || unwired "gf256/src/$file.rs lacks the cast attribute"
+done
 
 stage "cargo doc --workspace --no-deps (rustdoc warnings denied)"
 # Intra-doc links are checked here, so a deleted or renamed item cannot
 # leave prose pointing at nothing.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
-
-stage "xcheck static analysis (--json target/xcheck.json)"
-mkdir -p target
-cargo run -q -p xcheck -- --json target/xcheck.json
 
 stage "cargo test --workspace --features sanitize"
 cargo test --workspace -q --features sanitize
