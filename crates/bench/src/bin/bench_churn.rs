@@ -1,4 +1,4 @@
-//! Long-horizon churn benchmark over the scenario engine: emits
+//! Long-horizon churn report over the scenario engine: emits
 //! `BENCH_churn.json`.
 //!
 //! Sweeps the five adversarial trace families (`flash_crowd`, `diurnal`,
@@ -16,7 +16,10 @@
 //!   track the *current* group size;
 //! * `resident_bytes_peak` / `resident_bytes_final` — memory: a
 //!   mass-departure trace must not pin the SoA arrays at peak forever;
-//! * `relocations_total` and the mean per-interval batch wall.
+//! * `relocations_total` — members compaction moved.
+//!
+//! Every row is exact (the scenario engine is seeded and sequential) and
+//! nothing is timed; the interval's speed is the repository benchmark's.
 //!
 //! The `identity` section runs the mass-departure acceptance row
 //! (compaction on) a second time in the same process and compares the
@@ -38,8 +41,6 @@
 //! in the event log and writes Chrome trace-event JSON (open in
 //! Perfetto; requires `--features obs`). The replay's digest must match
 //! the grid run's — recording must not perturb the rekey stream.
-
-use std::time::Instant;
 
 use bench::report::{self, Cli, CHURN};
 use grouprekey::scenario::{self, ScenarioConfig, ScenarioKind, ScenarioReport};
@@ -127,16 +128,13 @@ struct CellReport {
     users_final: usize,
     mean_depth_final: f64,
     max_depth_final: u32,
-    batch_wall_ms_mean: f64,
     /// Whether `resident_bytes` strictly dropped at any point in the
     /// trajectory — the memory-reclamation acceptance signal.
     resident_nonmonotonic: bool,
 }
 
 fn bench_cell(cell: Cell) -> CellReport {
-    let start = Instant::now();
     let report = scenario::run(config_for(cell));
-    let wall_ms = start.elapsed().as_secs_f64() * 1000.0;
     let last = report.stats.last().expect("at least one interval");
     let resident_nonmonotonic = report
         .stats
@@ -147,7 +145,6 @@ fn bench_cell(cell: Cell) -> CellReport {
         users_final: last.users,
         mean_depth_final: last.mean_depth,
         max_depth_final: last.max_depth,
-        batch_wall_ms_mean: wall_ms / report.stats.len().max(1) as f64,
         resident_nonmonotonic,
         report,
     }
@@ -179,7 +176,7 @@ fn render(cli: &Cli, cells: &[CellReport], id_cell: Cell, replay_matches: bool) 
         cell_fields(&mut w, r.cell);
         w.field_u64("intervals", r.cell.intervals as u64);
         w.field_u64("users_final", r.users_final as u64);
-        report::measured(
+        report::ratio(
             &mut w,
             "enc_per_member_mean",
             r.report.mean_enc_per_member(),
@@ -187,7 +184,7 @@ fn render(cli: &Cli, cells: &[CellReport], id_cell: Cell, replay_matches: bool) 
         w.field_u64("bytes_on_wire_total", r.report.total_bytes_on_wire() as u64);
         w.field_u64("max_depth_run", u64::from(r.report.max_depth()));
         w.field_u64("max_depth_final", u64::from(r.max_depth_final));
-        report::measured(&mut w, "mean_depth_final", r.mean_depth_final);
+        report::ratio(&mut w, "mean_depth_final", r.mean_depth_final);
         w.field_u64("resident_bytes_peak", r.report.peak_resident_bytes() as u64);
         w.field_u64(
             "resident_bytes_final",
@@ -195,7 +192,6 @@ fn render(cli: &Cli, cells: &[CellReport], id_cell: Cell, replay_matches: bool) 
         );
         w.field_bool("resident_nonmonotonic", r.resident_nonmonotonic);
         w.field_u64("relocations_total", r.report.total_relocations() as u64);
-        report::measured(&mut w, "batch_wall_ms_mean", r.batch_wall_ms_mean);
         w.field_str("digest", &format!("{:016x}", r.report.digest));
         w.end_object();
     }
@@ -219,7 +215,7 @@ fn run(cli: &Cli) -> std::io::Result<String> {
         }
         eprintln!(
             "  {:<14} N={:<5} d={:<2} compact={:<5} users {:>5} depth {}->{} \
-             enc/mem {:>6.3} reloc {:>5} {:>7.3} ms/batch",
+             enc/mem {:>6.3} reloc {:>5}",
             cell.kind.name(),
             cell.n,
             cell.d,
@@ -229,7 +225,6 @@ fn run(cli: &Cli) -> std::io::Result<String> {
             r.max_depth_final,
             r.report.mean_enc_per_member(),
             r.report.total_relocations(),
-            r.batch_wall_ms_mean,
         );
         reports.push(r);
     }

@@ -1,11 +1,13 @@
-//! Figure-regeneration and tracked-benchmark harness.
+//! Figure-regeneration and tracked-report harness.
 //!
 //! One function per figure/table of the paper's evaluation ([`figures`],
 //! [`ablations`]); the `all_figures` binary runs them all, or the subset
 //! named in `REKEY_FIGURES`. Output is aligned plain text (one block per
-//! sub-figure) so EXPERIMENTS.md can quote it directly. The five
+//! sub-figure) so EXPERIMENTS.md can quote it directly. The three
 //! `bench_*` binaries that emit the committed `BENCH_*.json` reports, and
-//! `bench_diff` that compares them, share [`report`].
+//! `bench_diff` that compares them, share [`report`]; those reports hold
+//! exact facts and no timing (the repository benchmark, `BENCHMARK.json`,
+//! is the one speed gate).
 //!
 //! Set `REKEY_QUICK=1` to cut message counts ~4x for smoke runs.
 
@@ -80,9 +82,10 @@ thread_local! {
 
 /// Runs `body` with [`par`]'s worker count pinned to `workers` on the
 /// current thread, restoring the previous setting afterwards (also on
-/// panic). `bench_figures` times its serial leg under `with_workers(1, ..)`;
-/// being thread-local, the pin cannot race between concurrent tests the
-/// way an environment variable would.
+/// panic). `tests/figure_identity.rs` renders each figure under
+/// `with_workers(1, ..)` and `with_workers(4, ..)`; being thread-local, the
+/// pin cannot race between concurrent tests the way an environment variable
+/// would.
 pub fn with_workers<R>(workers: usize, body: impl FnOnce() -> R) -> R {
     struct Restore(Option<usize>);
     impl Drop for Restore {
@@ -161,55 +164,6 @@ pub fn par<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> 
     cells.into_iter().map(|(_, r)| r).collect()
 }
 
-/// One cell of the server-cost grid `bench_scale` sweeps and `bench_obs`
-/// measures the recorder on: group size, tree degree, and batch shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Cell {
-    /// Group size N.
-    pub n: u32,
-    /// Key-tree degree.
-    pub d: u32,
-    /// Joins in the batch.
-    pub joins: usize,
-    /// Leaves in the batch.
-    pub leaves: usize,
-}
-
-impl Cell {
-    /// The cell `bench_scale` traces and snapshots and `bench_obs`
-    /// measures the recorder on: the acceptance row (N = 2^20, d = 8,
-    /// 64/64) in full mode, N = 2^12 in smoke mode.
-    pub fn acceptance(smoke: bool) -> Cell {
-        Cell {
-            n: if smoke { 1 << 12 } else { 1 << 20 },
-            d: 8,
-            joins: 64,
-            leaves: 64,
-        }
-    }
-
-    /// Writes the four coordinates into the object `w` has open.
-    pub fn write_fields(&self, w: &mut obs::json::JsonWriter) {
-        w.field_u64("n", u64::from(self.n));
-        w.field_u64("d", u64::from(self.d));
-        w.field_u64("joins", self.joins as u64);
-        w.field_u64("leaves", self.leaves as u64);
-    }
-}
-
-/// The cell's batch: leaves strided across the lower half of the member
-/// IDs, joins appended past N with keys from `keygen`.
-pub fn make_batch(cell: Cell, keygen: &mut wirecrypto::KeyGen) -> keytree::Batch {
-    let n = cell.n;
-    let stride = (n / (2 * cell.leaves.max(1)) as u32).max(1);
-    let leaves: Vec<keytree::MemberId> =
-        (0..cell.leaves as u32).map(|i| (i * stride) % n).collect();
-    let joins: Vec<(keytree::MemberId, wirecrypto::SymKey)> = (0..cell.joins as u32)
-        .map(|i| (n + i, keygen.next_key()))
-        .collect();
-    keytree::Batch::new(joins, leaves)
-}
-
 /// `std::fs::write` whose error names the path.
 pub fn write_file(path: &str, text: &str) -> std::io::Result<()> {
     std::fs::write(path, text)
@@ -218,7 +172,7 @@ pub fn write_file(path: &str, text: &str) -> std::io::Result<()> {
 
 /// Errs, with the one line the binary should print, when `what` needs the
 /// instrumentation this build compiled out.
-pub fn needs_obs_build(what: &str) -> Result<(), String> {
+fn needs_obs_build(what: &str) -> Result<(), String> {
     if obs::enabled() {
         return Ok(());
     }

@@ -1,24 +1,30 @@
 //! What a BENCH report is — the one place that knows.
 //!
-//! Five binaries (`bench_rekey`, `bench_scale`, `bench_churn`,
-//! `bench_figures`, `bench_obs`) each measure something and commit the
-//! result as a `BENCH_*.json`; `bench_diff` compares a fresh run against
-//! the committed one. Everything those six share lives here:
+//! Three binaries (`bench_scale`, `bench_churn`, `bench_figures`) each
+//! compute something and commit the result as a `BENCH_*.json`;
+//! `bench_diff` compares a fresh run against the committed one. A report
+//! row is an exact fact — a count, a byte total, a depth, a digest — that
+//! any run on any host reproduces to the last digit. Nothing here is
+//! timed: speed is gated by the repository benchmark (`BENCHMARK.json`,
+//! alternated parent/change pairs) and nowhere else. Everything the four
+//! share lives here:
 //!
 //! * the command line ([`main`]): `--smoke`, `--out PATH`, `--check PATH`
 //!   plus whichever of `--obs-out` / `--trace-out` / `--series-out` the
 //!   binary implements ([`Spec::sinks`]). An unknown flag or a missing
 //!   value prints one usage line and exits 2. `--check` validates an
 //!   existing report; a generating run validates its own output the same
-//!   way, so a regression fails the run that measured it;
-//! * the JSON text ([`begin`], [`measured`], [`finish`]), written through
+//!   way, so a broken gate fails the run that computed it;
+//! * the JSON text ([`begin`], [`ratio`], [`finish`]), written through
 //!   [`JsonWriter`] with one row per line so committed reports diff
-//!   cleanly. A non-finite measurement is written as `null`, which every
-//!   check rejects — a `0.0` would read as an improvement;
+//!   cleanly. A non-finite ratio is written as `null`, which every check
+//!   rejects;
 //! * one [`Spec`] per schema string: a column table giving every key a
-//!   [`Kind`], and the report's gates as a plain function over the parsed
-//!   document. Gates are functions, not `(path, comparator, bound)`
-//!   triples, because the real ones are relations between columns
+//!   [`Kind`] — there are two, so a stopwatch column can only be declared
+//!   [`Kind::Exact`] and fails the first diff against another run — and
+//!   the report's gates as a plain function over the parsed document.
+//!   Gates are functions, not `(path, comparator, bound)` triples, because
+//!   the real ones are relations between columns
 //!   (`max_depth_final <= ideal(users_final, d) + 2`).
 
 use obs::json::JsonWriter;
@@ -35,12 +41,6 @@ pub enum Kind {
     /// Deterministic output (counts, digests, byte totals, identity
     /// verdicts): any difference is a failure.
     Exact,
-    /// A measurement where lower is better (latency).
-    Lower,
-    /// A measurement where higher is better (throughput, saving).
-    Higher,
-    /// Describes the run or the host, not the code under test: ignored.
-    Context,
 }
 
 /// One report schema: where it is committed, which optional flags its
@@ -83,21 +83,14 @@ impl Spec {
 
     /// The kind of the key at `column`, `None` when the table lacks it.
     pub fn kind(&self, column: &str) -> Option<Kind> {
-        match column {
-            "schema" => Some(Kind::Exact),
-            "mode" => Some(Kind::Context),
-            _ => self
-                .columns
-                .iter()
-                .find(|(path, _)| *path == column)
-                .map(|&(_, kind)| kind),
-        }
+        let found = self.columns.iter().find(|(path, _)| *path == column);
+        found.map(|&(_, kind)| kind)
     }
 
     /// Validates report text. Returns the problems found (empty = valid):
     /// it must parse, carry this schema and a known mode, hold every
-    /// column of the table and no key outside it, measure nothing as
-    /// `null`, and pass the spec's gates.
+    /// column of the table and no key outside it, hold no `null`, and
+    /// pass the spec's gates.
     pub fn check(&self, text: &str) -> Vec<String> {
         let doc = match jsonv::parse(text) {
             Ok(doc) => doc,
@@ -115,12 +108,8 @@ impl Spec {
             problems.push("mode is neither \"smoke\" nor \"full\"".to_string());
         }
         for row in &rows {
-            match (row.kind, row.leaf) {
-                (_, Value::Null) => problems.push(format!("{} is null", row.path)),
-                (Kind::Lower | Kind::Higher, v) if v.as_f64().is_none() => {
-                    problems.push(format!("{} is not a number", row.path));
-                }
-                _ => {}
+            if *row.leaf == Value::Null {
+                problems.push(format!("{} is null", row.path));
             }
         }
         for (column, _) in self.columns {
@@ -134,9 +123,10 @@ impl Spec {
         problems
     }
 
-    /// Flattens a report into one row per scalar. A key the column table
-    /// lacks is an error: guessing what it means is the bug the table
-    /// exists to prevent.
+    /// Flattens a report into one row per scalar under the `schema`/`mode`
+    /// header (which names the report and the grid, and is no row). A key
+    /// the column table lacks is an error: guessing what it means is the
+    /// bug the table exists to prevent.
     pub fn rows<'a>(&self, doc: &'a Value) -> Result<Vec<Row<'a>>, String> {
         let mut rows = Vec::new();
         self.flatten(doc, "", "", &mut rows)?;
@@ -154,6 +144,9 @@ impl Spec {
             Value::Obj(fields) => {
                 let here = format!("{path}{}", self.coordinate(column, fields));
                 for (key, child) in fields {
+                    if column.is_empty() && matches!(key.as_str(), "schema" | "mode") {
+                        continue;
+                    }
                     self.flatten(child, &join(column, key), &join(&here, key), rows)?;
                 }
             }
@@ -212,9 +205,9 @@ pub struct Row<'a> {
     /// Its column path, the key into [`Spec::columns`].
     pub column: String,
     /// Where it sits: the column path with each enclosing object's
-    /// identity coordinate attached (`scale[d=8,n=4096].plan_ms`), or a
-    /// positional index where an array element has none — so two reports'
-    /// rows match by *what they measured*, not by array position.
+    /// identity coordinate attached (`scale[d=8,n=4096].encryptions`), or
+    /// a positional index where an array element has none — so two
+    /// reports' rows match by *what they describe*, not by array position.
     pub path: String,
     /// What the column table says the key means.
     pub kind: Kind,
@@ -370,9 +363,9 @@ pub fn begin(spec: &Spec, cli: &Cli) -> JsonWriter {
     w
 }
 
-/// Writes one measured value: three decimals, or `null` when the
-/// measurement is not finite.
-pub fn measured(w: &mut JsonWriter, key: &str, value: f64) {
+/// Writes one ratio of two exact counts (bytes per node, encryptions per
+/// member, mean depth): three decimals, or `null` when it is not finite.
+pub fn ratio(w: &mut JsonWriter, key: &str, value: f64) {
     if value.is_finite() {
         w.field_f64(key, value, 3);
     } else {
@@ -390,77 +383,34 @@ pub fn finish(mut w: JsonWriter) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// The five specs
+// The three specs
 // ---------------------------------------------------------------------------
 
-use Kind::{Context, Exact, Higher, Id, Lower};
+use Kind::{Exact, Id};
 
 /// Every report schema `bench_diff` can compare.
-pub static SPECS: [&Spec; 5] = [&REKEY, &SCALE, &CHURN, &FIGURES, &OBS];
+pub static SPECS: [&Spec; 3] = [&SCALE, &CHURN, &FIGURES];
 
-/// `BENCH_rekey.json`: the rekey datapath.
-pub static REKEY: Spec = Spec {
-    schema: "bench_rekey/v3",
-    file: "BENCH_rekey.json",
-    sinks: &["--obs-out", "--trace-out"],
-    quick_env: true,
-    columns: &[
-        ("encode.k", Id),
-        ("encode.packet_len", Id),
-        ("encode.parity_pps", Higher),
-        ("encode.parity_mbps", Higher),
-        ("decode.k", Id),
-        ("decode.packet_len", Id),
-        ("decode.erasures", Id),
-        ("decode.decode_ms", Lower),
-        ("decode.first_row_ms", Lower),
-        ("batch_rekey.n", Id),
-        ("batch_rekey.joins", Id),
-        ("batch_rekey.leaves", Id),
-        ("batch_rekey.full_message", Exact),
-        ("batch_rekey.wall_ms", Lower),
-    ],
-    gates: |doc, problems| {
-        // One rebuilt packet of a half-erased block is a small part of all.
-        let ms = |key| at(doc, key).and_then(Value::as_f64);
-        let (first, all) = (ms("decode.first_row_ms"), ms("decode.decode_ms"));
-        if !first
-            .zip(all)
-            .is_some_and(|(first, all)| first <= all / 4.0)
-        {
-            problems.push(format!(
-                "decode.first_row_ms = {first:?}, want at most a quarter of decode_ms = {all:?}"
-            ));
-        }
-    },
-};
-
-/// `BENCH_scale.json`: the million-user server pipeline.
+/// `BENCH_scale.json`: what one batch costs the million-user key tree.
 pub static SCALE: Spec = Spec {
-    schema: "bench_scale/v4",
+    schema: "bench_scale/v5",
     file: "BENCH_scale.json",
-    sinks: &["--obs-out", "--trace-out"],
+    sinks: &[],
     quick_env: true,
     columns: &[
         ("scale.n", Id),
         ("scale.d", Id),
         ("scale.joins", Id),
         ("scale.leaves", Id),
-        ("scale.marking_ms", Lower),
         ("scale.encryptions", Exact),
-        ("scale.seal_enc_per_sec", Higher),
-        ("scale.message_build_ms", Lower),
-        ("scale.plan_ms", Lower),
         ("scale.resident_bytes_per_node", Exact),
-        ("scale.aos_bytes_per_node", Exact),
-        ("scale.bytes_reduction_pct", Higher),
     ],
     gates: scale_gates,
 };
 
 /// `BENCH_churn.json`: long-horizon churn over the scenario engine.
 pub static CHURN: Spec = Spec {
-    schema: "bench_churn/v2",
+    schema: "bench_churn/v3",
     file: "BENCH_churn.json",
     sinks: &["--obs-out", "--trace-out", "--series-out"],
     quick_env: true,
@@ -485,70 +435,34 @@ pub static CHURN: Spec = Spec {
         ("churn.resident_bytes_final", Exact),
         ("churn.resident_nonmonotonic", Exact),
         ("churn.relocations_total", Exact),
-        ("churn.batch_wall_ms_mean", Lower),
         ("churn.digest", Exact),
     ],
     gates: churn_gates,
 };
 
-/// `BENCH_figures.json`: the simulation engine behind the figures.
+/// `BENCH_figures.json`: the text of every figure, by digest.
 pub static FIGURES: Spec = Spec {
-    schema: "bench_figures/v1",
+    schema: "bench_figures/v2",
     file: "BENCH_figures.json",
     sinks: &[],
     quick_env: false,
     columns: &[
-        // The host's core count, not a property of the engine.
-        ("workers", Context),
         ("figures.name", Id),
-        ("figures.serial_ms", Lower),
-        ("figures.parallel_ms", Lower),
-        ("figures.speedup", Higher),
-        ("figures.byte_identical", Exact),
-        ("totals.serial_ms", Lower),
-        ("totals.parallel_ms", Lower),
-        ("totals.speedup", Higher),
-        ("totals.byte_identical", Exact),
-        ("engine.users", Id),
-        ("engine.messages", Id),
-        ("engine.packets", Exact),
-        ("engine.wall_s", Lower),
-        ("engine.packets_per_sec", Higher),
+        ("figures.bytes", Exact),
+        ("figures.digest", Exact),
     ],
     gates: |doc, problems| {
-        let identical = |row: &Value| is_true(row, "byte_identical");
-        if !rows(doc, "figures").iter().all(identical) || !is_true(doc, "totals.byte_identical") {
-            problems.push("parallel figure output diverged from serial".to_string());
+        // The committed report is the digest of every figure, not of some.
+        if mode(doc) != Some("full") {
+            return;
+        }
+        for (name, _) in crate::ALL_FIGURES {
+            let is = |row: &Value| row.get("name").and_then(Value::as_str) == Some(*name);
+            if !rows(doc, "figures").iter().any(is) {
+                problems.push(format!("full-mode report is missing figure {name}"));
+            }
         }
     },
-};
-
-/// `BENCH_obs.json`: what the event log costs.
-pub static OBS: Spec = Spec {
-    schema: "bench_obs/v3",
-    file: "BENCH_obs.json",
-    sinks: &["--trace-out"],
-    quick_env: true,
-    columns: &[
-        ("cell.n", Id),
-        ("cell.d", Id),
-        ("cell.joins", Id),
-        ("cell.leaves", Id),
-        // Run shape: leg repetitions and the size of one recorded build,
-        // which differ smoke to full.
-        ("reps", Context),
-        ("events", Context),
-        ("tracks", Context),
-        ("recorder_off_ms", Lower),
-        ("recorder_on_ms", Lower),
-        // A ratio of the two walls above. The full-mode gate below (<= 5)
-        // is tighter than any band; on the smoke cell's sub-ms walls it
-        // is scheduling noise (measured -12 % .. +43 % over 40 runs).
-        ("overhead_pct", Context),
-        ("off_path_allocs", Exact),
-        ("dropped", Exact),
-    ],
-    gates: obs_gates,
 };
 
 fn mode(doc: &Value) -> Option<&str> {
@@ -573,26 +487,11 @@ fn rows<'a>(doc: &'a Value, key: &str) -> &'a [Value] {
 }
 
 fn scale_gates(doc: &Value, problems: &mut Vec<String>) {
-    if mode(doc) != Some("full") {
-        return;
-    }
-    // The acceptance row must be present in a full-mode report with the
-    // run-aggregated planner's perf bound holding (the pre-rewrite
-    // planner spent ~225 ms in this cell).
-    const BOUND_MS: f64 = 25.0;
+    // A full-mode report must reach the size the grid exists for.
     let acceptance = [1048576.0, 8.0, 64.0, 64.0].map(Some);
-    let is_acceptance = |r: &&Value| ["n", "d", "joins", "leaves"].map(|k| num(r, k)) == acceptance;
-    let Some(row) = rows(doc, "scale").iter().find(is_acceptance) else {
+    let is_acceptance = |r: &Value| ["n", "d", "joins", "leaves"].map(|k| num(r, k)) == acceptance;
+    if mode(doc) == Some("full") && !rows(doc, "scale").iter().any(is_acceptance) {
         problems.push("full-mode report is missing the N=2^20, d=8, J=L=64 row".to_string());
-        return;
-    };
-    for key in ["message_build_ms", "plan_ms"] {
-        if !num(row, key).is_some_and(|v| v > 0.0 && v <= BOUND_MS) {
-            let v = num(row, key);
-            problems.push(format!(
-                "acceptance row {key} = {v:?} ms, want (0, {BOUND_MS}]"
-            ));
-        }
     }
 }
 
@@ -659,24 +558,5 @@ fn churn_gates(doc: &Value, problems: &mut Vec<String>) {
                 "{label}: resident_bytes stuck near peak: final {fin} vs peak {peak}"
             ));
         }
-    }
-}
-
-fn obs_gates(doc: &Value, problems: &mut Vec<String>) {
-    const OVERHEAD_BOUND_PCT: f64 = 5.0;
-    // A disarmed recorder must be free, and a log that overflows is
-    // undersized for the cell.
-    for key in ["off_path_allocs", "dropped"] {
-        if num(doc, key) != Some(0.0) {
-            problems.push(format!("{key} = {:?}, want exactly 0", num(doc, key)));
-        }
-    }
-    // The timing gate binds only in full mode: the smoke cell's sub-ms
-    // walls make percentages pure scheduling noise.
-    let overhead = num(doc, "overhead_pct");
-    if mode(doc) == Some("full") && !overhead.is_some_and(|p| p <= OVERHEAD_BOUND_PCT) {
-        problems.push(format!(
-            "recorder overhead {overhead:?}% exceeds the {OVERHEAD_BOUND_PCT}% bound"
-        ));
     }
 }

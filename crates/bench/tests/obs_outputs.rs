@@ -1,7 +1,7 @@
-//! The side outputs of an obs-enabled bench run, parsed and checked for
-//! structure: the Chrome trace export (balanced B/E nesting, monotone
-//! per-track timestamps, every track labelled), the
-//! `obs_scale/v1` per-stage snapshot, and the `obs_series/v1` columns.
+//! The side outputs of an obs-enabled `bench_churn` run, parsed and
+//! checked for structure: the Chrome trace export (balanced B/E nesting,
+//! monotone per-track timestamps, every track labelled, the stages of a
+//! real interval nested where they run) and the `obs_series/v1` columns.
 //! Needs `--features obs`; without it there is nothing to record.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -98,62 +98,6 @@ fn validate_trace(doc: &Value) -> TraceShape {
 }
 
 #[test]
-fn scale_trace_and_stage_snapshot_have_the_expected_structure() {
-    if !obs::enabled() {
-        return;
-    }
-    let (out, trace, snap) = (
-        temp_path("scale"),
-        temp_path("scale_trace"),
-        temp_path("scale_obs"),
-    );
-    run(Command::new(env!("CARGO_BIN_EXE_bench_scale"))
-        .arg("--smoke")
-        .args(["--out", out.to_str().expect("utf8")])
-        .args(["--trace-out", trace.to_str().expect("utf8")])
-        .args(["--obs-out", snap.to_str().expect("utf8")]));
-    let _ = std::fs::remove_file(&out);
-
-    // The datapath is sequential: the traced acceptance cell is one track
-    // (the caller's), its stages closed and nested in the batch and build
-    // spans that run them. (No `stage.encode`: the cell builds the
-    // assignment, not the FEC blocks.)
-    let shape = validate_trace(&load(&trace));
-    assert_eq!(shape.labels.len(), 1, "tracks: {:?}", shape.labels);
-    for (stage, parent) in [
-        ("stage.mark", "keytree.mark_batch"),
-        ("stage.mint", "keytree.mark_batch"),
-        ("stage.seal", "uka.build"),
-    ] {
-        assert!(
-            shape
-                .nesting
-                .contains(&(stage.to_string(), parent.to_string())),
-            "{stage} not nested under {parent}: {:?}",
-            shape.nesting
-        );
-    }
-
-    let snap = load(&snap);
-    assert_eq!(text(&snap, "schema"), "obs_scale/v1");
-    assert!(number(&snap, "coverage_pct") > 0.0);
-    let obs = snap.get("obs").expect("embedded snapshot");
-    assert_eq!(text(obs, "schema"), "obs/v2");
-    assert_eq!(obs.get("enabled"), Some(&Value::Bool(true)));
-    let spans = obs.get("spans").and_then(Value::as_arr).expect("spans");
-    let names: Vec<&str> = spans.iter().map(|s| text(s, "name")).collect();
-    for expected in [
-        "stage.mark",
-        "stage.mint",
-        "stage.seal",
-        "keytree.mark_batch",
-        "uka.build",
-    ] {
-        assert!(names.contains(&expected), "missing {expected}: {names:?}");
-    }
-}
-
-#[test]
 fn churn_trace_and_series_have_the_expected_structure() {
     if !obs::enabled() {
         return;
@@ -169,7 +113,26 @@ fn churn_trace_and_series_have_the_expected_structure() {
         .args(["--trace-out", trace.to_str().expect("utf8")])
         .args(["--series-out", series.to_str().expect("utf8")]));
     let _ = std::fs::remove_file(&out);
-    validate_trace(&load(&trace));
+    // The datapath is sequential: the traced replay is one track (the
+    // caller's), every stage of a real interval closed and nested in the
+    // span that runs it.
+    let shape = validate_trace(&load(&trace));
+    assert_eq!(shape.labels.len(), 1, "tracks: {:?}", shape.labels);
+    for (stage, parent) in [
+        ("rekey.batch", "scenario.interval"),
+        ("stage.mark", "keytree.mark_batch"),
+        ("stage.mint", "keytree.mark_batch"),
+        ("stage.seal", "uka.build"),
+        ("stage.encode", "fec.block_build"),
+    ] {
+        assert!(
+            shape
+                .nesting
+                .contains(&(stage.to_string(), parent.to_string())),
+            "{stage} not nested under {parent}: {:?}",
+            shape.nesting
+        );
+    }
 
     let series = load(&series);
     assert_eq!(text(&series, "schema"), "obs_series/v1");

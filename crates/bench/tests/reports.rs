@@ -1,4 +1,4 @@
-//! The five committed `BENCH_*.json` reports against their `Spec`s, the
+//! The three committed `BENCH_*.json` reports against their `Spec`s, the
 //! report writer against the reader, and the `--check` / `bench_diff
 //! --check` exit codes CI relies on.
 
@@ -17,6 +17,12 @@ fn temp_file(tag: &str, text: &str) -> PathBuf {
     let path = std::env::temp_dir().join(format!("bench_reports_{tag}_{}", std::process::id()));
     std::fs::write(&path, text).expect("write temp file");
     path
+}
+
+/// The bytes of the scalar that follows the `"key": ` starting at `key_at`.
+fn value_range(text: &str, key_at: usize, key: &str) -> std::ops::Range<usize> {
+    let start = key_at + key.len() + 4;
+    start..start + text[start..].find([',', '\n', '}']).expect("value ends")
 }
 
 #[test]
@@ -42,17 +48,6 @@ fn committed_reports_are_full_mode_and_pass_their_spec() {
 }
 
 #[test]
-fn committed_figures_report_compares_serial_against_a_real_fan_out() {
-    // At one worker the "parallel" column is the serial run timed twice.
-    let text = std::fs::read_to_string(committed(&report::FIGURES)).expect("committed");
-    let workers = parse(&text)
-        .expect("parses")
-        .get("workers")
-        .and_then(Value::as_f64);
-    assert!(workers >= Some(2.0), "workers = {workers:?}");
-}
-
-#[test]
 fn check_rejects_unclassified_null_and_missing_keys() {
     for spec in SPECS {
         let text = std::fs::read_to_string(committed(spec)).expect(spec.file);
@@ -69,16 +64,12 @@ fn check_rejects_unclassified_null_and_missing_keys() {
             "{unclassified:?}"
         );
 
-        // A measurement that was not finite is written as null.
+        // A ratio that was not finite is written as null.
         let (column, _) = spec.columns.last().expect("columns");
         let key = column.rsplit('.').next().expect("key");
-        let at = text
-            .rfind(&format!("\"{key}\": "))
-            .expect("last key present")
-            + key.len()
-            + 4;
-        let end = at + text[at..].find([',', '\n', '}']).expect("value ends");
-        let nulled = format!("{}null{}", &text[..at], &text[end..]);
+        let key_at = text.rfind(&format!("\"{key}\": ")).expect("key present");
+        let value = value_range(&text, key_at, key);
+        let nulled = format!("{}null{}", &text[..value.start], &text[value.end..]);
         let problems = spec.check(&nulled);
         assert!(
             problems
@@ -104,11 +95,11 @@ fn a_rendered_report_parses_back_to_what_was_written() {
     let mut w = report::begin(&report::SCALE, &cli);
     w.key("scale");
     w.begin_array();
-    for (n, ms) in [(1024u64, 0.125), (4096, f64::INFINITY)] {
+    for (n, bytes) in [(1024u64, 27.125), (4096, f64::INFINITY)] {
         w.begin_object();
         w.field_u64("n", n);
-        report::measured(&mut w, "plan_ms", ms);
-        report::measured(&mut w, "seal_enc_per_sec", 4750593.824);
+        w.field_u64("encryptions", 940);
+        report::ratio(&mut w, "resident_bytes_per_node", bytes);
         w.end_object();
     }
     w.end_array();
@@ -125,23 +116,23 @@ fn a_rendered_report_parses_back_to_what_was_written() {
     let doc = parse(&text).expect("parses");
     assert_eq!(
         doc.get("schema").and_then(Value::as_str),
-        Some("bench_scale/v4")
+        Some("bench_scale/v5")
     );
     assert_eq!(doc.get("mode").and_then(Value::as_str), Some("smoke"));
     let rows = doc.get("scale").and_then(Value::as_arr).expect("rows");
     assert_eq!(rows[0].get("n"), Some(&Value::Num(1024.0)));
-    assert_eq!(rows[0].get("plan_ms"), Some(&Value::Num(0.125)));
+    assert_eq!(rows[0].get("encryptions"), Some(&Value::Num(940.0)));
     assert_eq!(
-        rows[0].get("seal_enc_per_sec"),
-        Some(&Value::Num(4750593.824))
+        rows[0].get("resident_bytes_per_node"),
+        Some(&Value::Num(27.125))
     );
-    // Not finite: null, never a 0.0 that reads as an improvement.
-    assert_eq!(rows[1].get("plan_ms"), Some(&Value::Null));
+    // Not finite: null, which no check accepts.
+    assert_eq!(rows[1].get("resident_bytes_per_node"), Some(&Value::Null));
     let problems = report::SCALE.check(&text);
     assert!(
         problems
             .iter()
-            .any(|p| p == "scale[n=4096].plan_ms is null"),
+            .any(|p| p == "scale[n=4096].resident_bytes_per_node is null"),
         "{problems:?}"
     );
 }
@@ -160,39 +151,42 @@ fn check_exit(bin: &str, path: &std::path::Path) -> (Option<i32>, String) {
 
 #[test]
 fn check_flag_exits_1_on_input_that_is_not_the_report() {
-    let bench_rekey = env!("CARGO_BIN_EXE_bench_rekey");
-    let good = std::fs::read_to_string(committed(&report::REKEY)).expect("committed");
+    let bench_scale = env!("CARGO_BIN_EXE_bench_scale");
+    let good = std::fs::read_to_string(committed(&report::SCALE)).expect("committed");
     assert_eq!(
-        check_exit(bench_rekey, &committed(&report::REKEY)).0,
+        check_exit(bench_scale, &committed(&report::SCALE)).0,
         Some(0)
     );
+    let without_acceptance_row: String = good
+        .lines()
+        .filter(|line| !line.contains("\"n\": 1048576, \"d\": 8, \"joins\": 64,"))
+        .flat_map(|line| [line, "\n"])
+        .collect();
+    assert_ne!(good, without_acceptance_row);
     let cases = [
         ("truncated", good[..good.len() / 2].to_string()),
         // Balanced braces, not JSON: the old brace counter accepted this.
         ("not_json", "{\"a\": }".to_string()),
         (
             "wrong_version",
-            good.replace("bench_rekey/v3", "bench_rekey/v2"),
+            good.replace("bench_scale/v5", "bench_scale/v4"),
         ),
-        // One rebuilt packet as dear as the whole half-erased block.
-        (
-            "slow_first_row",
-            good.replace("\"first_row_ms\": 0.", "\"first_row_ms\": 9."),
-        ),
+        // A full-mode grid that stops short of the million-user cell.
+        ("no_acceptance_row", without_acceptance_row),
     ];
     for (tag, text) in cases {
         let path = temp_file(tag, &text);
-        let (code, stderr) = check_exit(bench_rekey, &path);
+        let (code, stderr) = check_exit(bench_scale, &path);
         assert_eq!(code, Some(1), "{tag}: {stderr}");
         assert!(stderr.contains("BENCH check FAILED"), "{tag}: {stderr}");
         let _ = std::fs::remove_file(&path);
     }
     // Another report's file is the wrong schema, and a missing file fails.
-    let (code, stderr) = check_exit(bench_rekey, &committed(&report::SCALE));
+    let (code, stderr) = check_exit(bench_scale, &committed(&report::CHURN));
     assert_eq!(code, Some(1), "{stderr}");
-    assert!(stderr.contains("schema is not bench_rekey/v3"), "{stderr}");
+    assert!(stderr.contains("schema is not bench_scale/v5"), "{stderr}");
     assert_eq!(
-        check_exit(bench_rekey, &PathBuf::from("/no/such/report")).0,
+        check_exit(bench_scale, &PathBuf::from("/no/such/report")).0,
         Some(1)
     );
 }
@@ -218,8 +212,8 @@ fn sentinel_intersects_every_committed_report_with_itself() {
         assert_eq!(code, Some(0), "{}: {verdict:?}", spec.file);
         assert_eq!(verdict.get("verdict").and_then(Value::as_str), Some("pass"));
         let count = |key| verdict.get(key).and_then(Value::as_f64).expect("count");
-        // BENCH_obs.json has the fewest: two walls and two exact counts.
-        assert!(count("compared") >= 4.0, "{}: {verdict:?}", spec.file);
+        // BENCH_scale.json has the fewest: two facts for each of 18 cells.
+        assert!(count("compared") >= 36.0, "{}: {verdict:?}", spec.file);
         assert_eq!(
             count("only_baseline") + count("only_candidate"),
             0.0,
@@ -229,48 +223,58 @@ fn sentinel_intersects_every_committed_report_with_itself() {
     }
 }
 
-#[test]
-fn sentinel_check_exits_1_on_a_lost_saving_and_ignores_the_host() {
-    let spec = &report::SCALE;
+/// The committed report with the last character of the first `key` value
+/// swapped for another digit, diffed against the original: the exit code
+/// and the paths that failed.
+fn diff_after_changing_one_character(spec: &Spec, key: &str) -> (Option<i32>, Vec<String>) {
     let good = std::fs::read_to_string(committed(spec)).expect("committed");
-    // Every row's SoA saving gone: higher-better despite the `_pct` name.
-    const KEY: &str = "\"bytes_reduction_pct\": ";
-    let lost: String = good
-        .lines()
-        .map(|line| match line.find(KEY) {
-            Some(at) => {
-                let end = at + line[at..].find('}').expect("row closes");
-                format!("{}{KEY}0.000{}\n", &line[..at], &line[end..])
-            }
-            None => format!("{line}\n"),
-        })
-        .collect();
+    let key_at = good.find(&format!("\"{key}\": ")).expect("key present");
+    let value = value_range(&good, key_at, key);
+    let digit = good[value.clone()].rfind(|c: char| c.is_ascii_alphanumeric());
+    let at = value.start + digit.expect("a digit");
+    let swapped = if &good[at..=at] == "0" { "1" } else { "0" };
+    let edited = format!("{}{swapped}{}", &good[..at], &good[at + 1..]);
     assert_eq!(
-        spec.check(&lost),
+        spec.check(&edited),
         Vec::<String>::new(),
         "still a valid report"
     );
-    let path = temp_file("lost_saving", &lost);
+    let path = temp_file(key, &edited);
     let (code, verdict) = bench_diff(&committed(spec), &path);
-    assert_eq!(code, Some(1), "{verdict:?}");
-    assert_eq!(verdict.get("improved"), Some(&Value::Num(0.0)));
-    let failures = verdict
-        .get("failures")
-        .and_then(Value::as_arr)
-        .expect("failures");
-    assert_eq!(failures.len(), 18, "one per scale row");
     let _ = std::fs::remove_file(&path);
+    let failures = verdict.get("failures").and_then(Value::as_arr);
+    let path_of = |f: &Value| f.get("path").and_then(Value::as_str).map(str::to_string);
+    let paths = failures.expect("failures").iter().filter_map(path_of);
+    (code, paths.collect())
+}
 
-    // A figures report from a host with another core count (a `1` put in
-    // front of the committed one) still intersects row for row.
-    let figures = std::fs::read_to_string(committed(&report::FIGURES)).expect("committed");
-    let other_host = figures.replacen("\"workers\": ", "\"workers\": 1", 1);
-    assert_ne!(figures, other_host);
-    let path = temp_file("other_host", &other_host);
-    let (code, verdict) = bench_diff(&committed(&report::FIGURES), &path);
-    assert_eq!(code, Some(0), "{verdict:?}");
-    assert!(verdict.get("compared").and_then(Value::as_f64) >= Some(80.0));
-    let _ = std::fs::remove_file(&path);
+#[test]
+fn sentinel_check_exits_1_on_one_changed_character_of_a_figure_digest() {
+    let (code, failed) = diff_after_changing_one_character(&report::FIGURES, "digest");
+    assert_eq!(code, Some(1), "{failed:?}");
+    assert_eq!(failed, ["figures[name=fig06].digest"]);
+}
+
+#[test]
+fn sentinel_check_exits_1_on_the_last_digit_of_a_ratio() {
+    // No band: a byte-per-node or encryptions-per-member figure that moved
+    // in its third decimal is a changed output, in either direction.
+    for (spec, key, path) in [
+        (
+            &report::SCALE,
+            "resident_bytes_per_node",
+            "scale[d=4,joins=64,leaves=64,n=16384].resident_bytes_per_node",
+        ),
+        (
+            &report::CHURN,
+            "enc_per_member_mean",
+            "churn[compaction=false,d=4,intervals=256,kind=flash_crowd,n=1024].enc_per_member_mean",
+        ),
+    ] {
+        let (code, failed) = diff_after_changing_one_character(spec, key);
+        assert_eq!(code, Some(1), "{key}: {failed:?}");
+        assert_eq!(failed, [path], "{key}");
+    }
 }
 
 #[test]

@@ -333,35 +333,18 @@ impl KeyTree {
     }
 
     /// Length of the underlying node storage (the last allocated ID + 1).
-    /// The denominator for the bench's bytes-per-node metric.
+    /// The denominator for `bench_scale`'s bytes-per-node column.
     pub fn storage_len(&self) -> usize {
         self.tags.len()
     }
 
     /// Bytes of heap resident in the tree's column arrays and member
-    /// index. The denominator for the bytes-per-node bench metric.
+    /// index. The numerator of `bench_scale`'s bytes-per-node column.
     pub fn resident_bytes(&self) -> usize {
         self.tags.capacity() * std::mem::size_of::<u8>()
             + self.keys.capacity() * std::mem::size_of::<SymKey>()
             + self.occupants.capacity() * std::mem::size_of::<MemberId>()
             + self.member_slot.capacity() * std::mem::size_of::<NodeId>()
-    }
-
-    /// Bytes the pre-SoA layout (`Vec<Node>` + `HashMap<MemberId,
-    /// NodeId>`) would hold resident for this tree: one tagged-enum slot
-    /// per storage entry plus the hash-map member index, whose table
-    /// (std's hashbrown) allocates `(key, value)` plus one control byte
-    /// per bucket, with buckets the next power of two holding
-    /// `len / 0.875`.
-    pub fn aos_equivalent_bytes(&self) -> usize {
-        let node_bytes = self.storage_len() * std::mem::size_of::<Node>();
-        let map_entry = std::mem::size_of::<(MemberId, NodeId)>() + 1;
-        let buckets = if self.user_count == 0 {
-            0
-        } else {
-            (self.user_count * 8 / 7 + 1).next_power_of_two()
-        };
-        node_bytes + buckets * map_entry
     }
 
     // ----- crate-internal mutation API used by the marking algorithm -----
@@ -762,18 +745,6 @@ mod tests {
         assert_eq!(t3.height(), 2);
         assert_eq!(t3.max_knode_id(), Some(3));
         t3.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn soa_layout_is_leaner_than_aos_equivalent() {
-        let mut kg = keygen();
-        let t = KeyTree::balanced(4096, 4, &mut kg);
-        let soa = t.resident_bytes();
-        let aos = t.aos_equivalent_bytes();
-        assert!(
-            (soa as f64) < 0.75 * aos as f64,
-            "SoA {soa} bytes vs AoS-equivalent {aos} bytes"
-        );
     }
 
     #[test]

@@ -203,9 +203,9 @@ impl JsonWriter {
 }
 
 /// Structural well-formedness check: balanced braces/brackets outside
-/// strings, object at the top level. The same validation the BENCH
-/// `--check` paths use, shared here so every obs consumer validates
-/// snapshots identically.
+/// strings, object at the top level. A cheap sanity check for this
+/// crate's own writers and their tests, not a parser: the BENCH `--check`
+/// paths parse for real (`bench::jsonv`).
 #[must_use]
 pub fn well_formed(text: &str) -> bool {
     let trimmed = text.trim();

@@ -454,10 +454,8 @@ pub fn plan_in(
 /// This is [`UkaAssignment::build_in`] minus the 16-bit wire stage: no
 /// `maxKID`/ID range checks and no `EncPacket` assembly, so it stays
 /// total for populations whose node IDs overflow the `u16` wire space
-/// (N > 2^14 at degree 4). `build_in` runs it and then assembles packets;
-/// the bench harness calls it directly to measure the *cryptographic*
-/// cost of message build at every N. `sealed[i]` is the seal of
-/// `outcome.encryptions[i]`.
+/// (N > 2^14 at degree 4). `build_in` runs it and then assembles packets.
+/// `sealed[i]` is the seal of `outcome.encryptions[i]`.
 ///
 /// Every edge is on some live user's path (the orphan-key invariant: each
 /// live k-node has a u-descendant), so sealing the whole edge list does
@@ -471,7 +469,7 @@ pub fn plan_in(
 ///
 /// Fails when an encryption edge refers to a key absent from the tree or
 /// when a need-set exceeds the packet capacity.
-pub fn plan_and_seal(
+pub(crate) fn plan_and_seal(
     tree: &KeyTree,
     outcome: &MarkOutcome,
     msg_seq: u64,

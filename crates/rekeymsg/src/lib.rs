@@ -62,8 +62,8 @@ pub mod sanitize;
 pub mod wire;
 
 pub use assign::{
-    naive_plan_stats, plan, plan_and_seal, plan_in, AssignError, AssignmentStats,
-    NaiveAssignmentStats, PacketPlan, PlanScratch, UkaAssignment, UserRun,
+    naive_plan_stats, plan, plan_in, AssignError, AssignmentStats, NaiveAssignmentStats,
+    PacketPlan, PlanScratch, UkaAssignment, UserRun,
 };
 pub use blocks::{BlockSet, SendItem, SendOrder};
 pub use layout::{Layout, UNPROTECTED_HEADER_LEN};

@@ -56,6 +56,32 @@ fn fig6_join_leave_shape() {
     assert!(peak > huge, "peak {peak} vs huge-L {huge}");
 }
 
+/// Figure 6, the default point (N = 4096, d = 4, J = 0, L = N/4): the
+/// paper reports ~107 ENC packets, our figure 75–76. Both are this
+/// algorithm; the difference is where the leavers sit. Uniformly random
+/// leavers empty some leaf parents and leave others whole (≈ 76 packets);
+/// one leaver under every leaf parent — the worst placement — updates
+/// every k-node and gives exactly the paper's 107.
+#[test]
+fn fig6_default_point_is_76_for_random_leavers_and_107_for_one_per_sibling_group() {
+    let (n, d) = (4096u32, 4u32);
+    let random = workload_stats(n, d, 0, (n / d) as usize, 20, 3300, &Layout::DEFAULT);
+    assert!(
+        (74.0..78.0).contains(&random.enc_packets),
+        "uniform leavers: {} packets",
+        random.enc_packets
+    );
+
+    let mut kg = wirecrypto::KeyGen::from_seed(3300);
+    let mut tree = keytree::KeyTree::balanced(n, d, &mut kg);
+    let one_per_leaf_parent: Vec<u32> = (0..n / d).map(|i| i * d).collect();
+    let batch = keytree::Batch::new(Vec::new(), one_per_leaf_parent);
+    let outcome = tree.process_batch(&batch, &mut kg);
+    let plans = rekeymsg::plan(&tree, &outcome, &Layout::DEFAULT).expect("DEFAULT fits h = 6");
+    assert_eq!(outcome.encryptions.len(), 4436);
+    assert_eq!(plans.len(), 107);
+}
+
 /// Figure 7: duplication overhead is small (< (log_d N - 1) / 46 + eps)
 /// and grows with log N.
 #[test]

@@ -4,8 +4,10 @@
 # warnings denied, the test suite with the deep invariant sanitizer live
 # (bench's figure_identity, the one worker-count gate left, runs there), the
 # dynamic no-alloc harness (the obs event log's armed and disarmed paths
-# included), one smoke/check/sentinel cycle per tracked BENCH report, and the
-# obs build.
+# included), one smoke/check/sentinel cycle for each of the three tracked
+# BENCH reports (exact facts, so each smoke run is also repeated and the two
+# files compared byte for byte), and the obs build. Speed is not gated here:
+# that is BENCHMARK.json's alternated parent/change pairs.
 # Everything runs offline against the vendored in-tree dependency shims.
 # Each stage's wall time is reported in a summary at the end.
 set -euo pipefail
@@ -115,39 +117,37 @@ cargo test -q -p rekeymsg --features sanitize --test plan_identity
 # never clobbers the committed full-mode baseline), `--check` on it and on
 # the committed report (a real parse against the report's Spec: schema,
 # every column present and classified, nothing null, the acceptance
-# gates), then the regression sentinel. bench_diff matches rows by
-# identity coordinates, so a smoke grid and a full grid compare exactly
-# where they intersect — timing keys within the tolerance band,
-# deterministic keys (digests, byte totals, counts) exactly — and it
-# fails when nothing intersects. tests/reports.rs holds the committed
-# reports to "mode": "full".
-for name in rekey figures scale churn obs; do
-    stage "bench_$name: smoke run, --check smoke + committed, bench_diff vs committed"
+# gates), a second smoke run that must reproduce the first byte for byte
+# (a report row is a fact, not a measurement), then the sentinel.
+# bench_diff matches rows by identity coordinates, so a smoke grid and a
+# full grid compare exactly where they intersect — every row for equality:
+# digests, byte totals, counts, ratios of counts — and it fails when
+# nothing intersects. tests/reports.rs holds the committed reports to
+# "mode": "full".
+for name in figures scale churn; do
+    stage "bench_$name: smoke run twice (cmp), --check smoke + committed, bench_diff vs committed"
     features=""
-    case "$name" in
-        # Every scenario batch goes through the deep secrecy/delivery
-        # oracles and the Theorem 4.2 / explicit-relocation
-        # re-derivations, so the smoke sweep is also an end-to-end
-        # compaction correctness gate.
-        churn) features="--features sanitize" ;;
-        # bench_obs measures the recorder, so it needs it compiled in.
-        obs) features="--features bench/obs" ;;
-    esac
+    # Every scenario batch goes through the deep secrecy/delivery oracles
+    # and the Theorem 4.2 / explicit-relocation re-derivations, so the
+    # smoke sweep is also an end-to-end compaction correctness gate.
+    if [ "$name" = churn ]; then features="--features sanitize"; fi
     smoke="target/BENCH_${name}.smoke.json"
     # shellcheck disable=SC2086  # $features is zero or two words
     run_bench() { cargo run -q --release -p bench $features --bin "bench_$name" -- "$@"; }
     run_bench --smoke --out "$smoke"
     run_bench --check "$smoke"
     run_bench --check "BENCH_${name}.json"
+    run_bench --smoke --out "$smoke.again"
+    cmp "$smoke" "$smoke.again"
     cargo run -q --release -p bench --bin bench_diff -- \
         --baseline "BENCH_${name}.json" --candidate "$smoke" \
         --out "target/bench_diff_${name}.json" --check
 done
 
 stage "obs gate: build + test with --features obs"
-# crates/bench/tests/obs_outputs.rs runs traced bench_scale / bench_churn
-# smoke cycles here and checks the Chrome trace export, the obs_scale/v1
-# stage snapshot and the obs_series/v1 columns structurally.
+# crates/bench/tests/obs_outputs.rs runs a traced bench_churn smoke cycle
+# here and checks the Chrome trace export and the obs_series/v1 columns
+# structurally.
 cargo build -q --workspace --features obs
 cargo test -q --workspace --features obs
 
