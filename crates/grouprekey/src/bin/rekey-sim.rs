@@ -127,6 +127,10 @@ fn main() {
     if a.multicast_only {
         params = params.multicast_only();
     }
+    if let Err(e) = params.net.validate() {
+        eprintln!("{e}");
+        usage();
+    }
 
     if a.csv {
         println!("msg,enc,rho,nacks_r1,bw_overhead,rounds_all,avg_rounds_user,usr_pkts,missed");

@@ -15,9 +15,18 @@
 //! (default 1%).
 //!
 //! Everything is driven by explicit simulation time and a seeded RNG, so
-//! runs are exactly reproducible. There is no event queue: the caller (the
-//! transport loop in `grouprekey`) advances the clock itself, one send
-//! interval per packet, and asks each link whether the packet got through.
+//! runs are exactly reproducible. There is no event queue and no timeline:
+//! the caller (the transport loop in `grouprekey`) advances the clock itself,
+//! one send interval per packet, and asks each link whether the packet got
+//! through. A link answers from the state it last reported and the time
+//! since, through the chain's closed-form transition
+//! `P(bad at t + dt | s) = p + (1{s = bad} - p) exp(-dt / (c p (1 - p)))` —
+//! one uniform draw per query, the same law as replaying every good and bad
+//! period in between ([`MarkovLink`]; its tests keep that replay as the
+//! oracle). A link nobody asks costs nothing.
+//!
+//! [`NetworkConfig::validate`] states which configurations can be simulated;
+//! [`Network::new`] panics on the rest.
 
 //! # Example
 //!
@@ -50,7 +59,7 @@ mod link;
 mod network;
 
 pub use link::{LossModel, MarkovLink};
-pub use network::{Network, NetworkConfig, UserClass};
+pub use network::{NetConfigError, Network, NetworkConfig, UserClass};
 
 /// Simulation time in milliseconds.
 pub type SimTime = f64;

@@ -1,8 +1,9 @@
-//! The two-state Markov burst-loss link.
+//! The two-state Markov burst-loss link, observed at packet times.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::network::{check_positive, check_rate};
 use crate::SimTime;
 
 /// How a link loses packets.
@@ -19,28 +20,39 @@ pub enum LossModel {
     Independent,
 }
 
+/// Past this exponent `exp(-x) < 2^-53`, the grid of a uniform `f64` draw:
+/// the link has forgotten its state and the next one is drawn at `p`.
+const FORGOTTEN: f64 = 37.0;
+
 /// A link alternating between *good* (delivering) and *bad* (dropping)
 /// periods with exponentially distributed holding times.
 ///
 /// Parameterised by the stationary loss rate `p` and the burst cycle `c`
 /// (default 100 ms): mean bad duration `c * p`, mean good duration
-/// `c * (1 - p)`. Queries must come at non-decreasing times.
+/// `c * (1 - p)`. The link keeps no timeline. A continuous-time chain
+/// looked at only when a packet is sent is itself a Markov chain, with
+/// `P(bad at t + dt | state at t) = p + (1{bad} - p) exp(-dt / (c p (1 - p)))`,
+/// so a query draws the next state from the last: one uniform draw, exact
+/// in law (DESIGN.md "Asking a link"). Queries must come at non-decreasing
+/// times; asking again at the same instant repeats the answer, undrawn.
 #[derive(Debug, Clone)]
 pub struct MarkovLink {
     loss_rate: f64,
     independent: bool,
-    mean_bad_ms: f64,
-    mean_good_ms: f64,
+    /// `1 / (c p (1 - p))`, the sum of the chain's two rates per ms; read
+    /// only when `p > 0`, formed only then.
+    decay_per_ms: f64,
     bad: bool,
-    /// Time at which the current period ends.
-    until: SimTime,
     rng: SmallRng,
     last_query: SimTime,
+    /// The last `dt` whose `exp` was taken, and its value: packets are
+    /// evenly spaced, so most queries repeat it.
+    memo: (SimTime, f64),
 }
 
 impl MarkovLink {
     /// Creates a link with stationary loss rate `p` (`0 <= p < 1`) and the
-    /// given burst cycle in milliseconds.
+    /// given burst cycle in milliseconds; panics as [`MarkovLink::with_model`].
     pub fn new(p: f64, burst_cycle_ms: f64, seed: u64) -> Self {
         Self::with_model(
             p,
@@ -52,37 +64,35 @@ impl MarkovLink {
     }
 
     /// Creates a link with an explicit loss model.
+    ///
+    /// # Panics
+    /// On a rate or cycle [`crate::NetworkConfig::validate`] refuses.
+    #[expect(
+        clippy::panic,
+        reason = "documented: a bad rate here is a caller bug; NetworkConfig::validate is the door that returns it"
+    )]
     pub fn with_model(p: f64, model: LossModel, seed: u64) -> Self {
-        assert!((0.0..1.0).contains(&p), "loss rate {p} outside [0, 1)");
+        let (independent, cycle_ms) = match model {
+            LossModel::Burst { cycle_ms } => (false, cycle_ms),
+            LossModel::Independent => (true, f64::INFINITY), // no cycle to check or use
+        };
+        if let Err(e) = check_rate("loss rate", p).and(check_positive("burst cycle", cycle_ms)) {
+            panic!("{e}");
+        }
         let mut rng = SmallRng::seed_from_u64(seed);
-        match model {
-            LossModel::Burst { cycle_ms } => {
-                assert!(cycle_ms > 0.0);
-                // Start in the stationary distribution.
-                let bad = p > 0.0 && rng.gen_bool(p);
-                let mut link = MarkovLink {
-                    loss_rate: p,
-                    independent: false,
-                    mean_bad_ms: cycle_ms * p,
-                    mean_good_ms: cycle_ms * (1.0 - p),
-                    bad,
-                    until: 0.0,
-                    rng,
-                    last_query: 0.0,
-                };
-                link.until = link.sample_holding();
-                link
-            }
-            LossModel::Independent => MarkovLink {
-                loss_rate: p,
-                independent: true,
-                mean_bad_ms: 0.0,
-                mean_good_ms: 0.0,
-                bad: false,
-                until: 0.0,
-                rng,
-                last_query: 0.0,
+        MarkovLink {
+            loss_rate: p,
+            independent,
+            decay_per_ms: if p > 0.0 {
+                1.0 / (cycle_ms * p * (1.0 - p))
+            } else {
+                0.0
             },
+            // A burst link starts in the stationary distribution.
+            bad: !independent && p > 0.0 && rng.gen_bool(p),
+            rng,
+            last_query: 0.0,
+            memo: (0.0, 1.0),
         }
     }
 
@@ -96,45 +106,35 @@ impl MarkovLink {
         self.loss_rate
     }
 
-    fn sample_holding(&mut self) -> SimTime {
-        let mean = if self.bad {
-            self.mean_bad_ms
-        } else {
-            self.mean_good_ms
-        };
-        if mean <= 0.0 {
-            return 0.0;
-        }
-        let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-        -mean * u.ln()
-    }
-
-    fn advance_to(&mut self, now: SimTime) {
-        debug_assert!(
-            now >= self.last_query - 1e-9,
-            "MarkovLink queried backwards in time: {now} < {}",
-            self.last_query
-        );
-        self.last_query = now;
-        if self.loss_rate == 0.0 {
-            return;
-        }
-        while self.until <= now {
-            self.bad = !self.bad;
-            let hold = self.sample_holding();
-            self.until += hold;
-        }
-    }
-
     /// Sends one packet at simulation time `now`; returns true when the
     /// packet gets through.
     pub fn transmit(&mut self, now: SimTime) -> bool {
+        let dt = now - self.last_query;
+        debug_assert!(
+            dt >= -1e-9,
+            "MarkovLink queried backwards in time: {now} < {}",
+            self.last_query
+        );
+        self.last_query = self.last_query.max(now);
+        let p = self.loss_rate;
         if self.independent {
-            debug_assert!(now >= self.last_query - 1e-9);
-            self.last_query = now;
-            return self.loss_rate == 0.0 || !self.rng.gen_bool(self.loss_rate);
+            return p == 0.0 || !self.rng.gen_bool(p);
         }
-        self.advance_to(now);
+        if dt <= 0.0 || p == 0.0 {
+            return !self.bad;
+        }
+        let x = dt * self.decay_per_ms;
+        let memory = if x > FORGOTTEN {
+            0.0
+        } else {
+            if self.memo.0 != dt {
+                self.memo = (dt, (-x).exp());
+            }
+            self.memo.1
+        };
+        // In [0, 1] for every p in [0, 1): `memory <= 1` and rounding is monotone.
+        let pull = if self.bad { 1.0 - p } else { -p };
+        self.bad = self.rng.gen_bool(p + pull * memory);
         !self.bad
     }
 }
@@ -269,5 +269,242 @@ mod tests {
             (cond - p).abs() < 0.03,
             "independent loss must be memoryless even at dense spacing: {cond}"
         );
+    }
+
+    // ---- The law oracle: the closed form against the formula and against
+    // the event-driven link it replaced (DESIGN.md "Asking a link"). ----
+
+    /// The holding-time replay `MarkovLink` was until PR 24, kept as the
+    /// reference: it walks every good and bad period between two queries.
+    struct ReplayLink {
+        mean_ms: [f64; 2], // good, bad
+        bad: bool,
+        until: SimTime,
+        rng: SmallRng,
+    }
+
+    impl ReplayLink {
+        fn new(p: f64, cycle_ms: f64, seed: u64) -> Self {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut link = ReplayLink {
+                mean_ms: [cycle_ms * (1.0 - p), cycle_ms * p],
+                bad: rng.gen_bool(p),
+                until: 0.0,
+                rng,
+            };
+            link.until = link.holding();
+            link
+        }
+
+        fn holding(&mut self) -> SimTime {
+            let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
+            -self.mean_ms[usize::from(self.bad)] * u.ln()
+        }
+
+        fn transmit(&mut self, now: SimTime) -> bool {
+            while self.until <= now {
+                self.bad = !self.bad;
+                self.until += self.holding();
+            }
+            !self.bad
+        }
+    }
+
+    type Ask = Box<dyn FnMut(SimTime) -> bool>;
+
+    /// Both engines at cycle 100 ms, closed form first.
+    fn engines(p: f64, seed: u64) -> [(&'static str, Ask); 2] {
+        let mut closed = MarkovLink::new(p, 100.0, seed);
+        let mut replay = ReplayLink::new(p, 100.0, seed);
+        [
+            ("closed form", Box::new(move |t| closed.transmit(t))),
+            ("replay", Box::new(move |t| replay.transmit(t))),
+        ]
+    }
+
+    /// `P(bad at t + dt | state at t)` at cycle 100 ms.
+    fn law(p: f64, from_bad: bool, dt: f64) -> f64 {
+        let at = if from_bad { 1.0 } else { 0.0 };
+        p + (at - p) * (-dt / (100.0 * p * (1.0 - p))).exp()
+    }
+
+    /// Whether each query in `times` was lost.
+    fn observe(ask: &mut Ask, times: impl Iterator<Item = SimTime>) -> Vec<(SimTime, bool)> {
+        times.map(|t| (t, !ask(t))).collect()
+    }
+
+    /// Checks every consecutive pair of observations against [`law`]: per
+    /// distinct gap and starting state, the share of pairs ending bad is a
+    /// binomial proportion (given the first state, the second is one
+    /// independent draw), and must be within 4 sigma of the formula.
+    fn assert_two_point_law(what: &str, p: f64, seen: &[(SimTime, bool)]) {
+        // (gap, from_bad) -> (pairs, pairs ending bad)
+        let mut groups: Vec<((u64, bool), (u64, u64))> = Vec::new();
+        for pair in seen.windows(2) {
+            let key = ((pair[1].0 - pair[0].0).to_bits(), pair[0].1);
+            let at = groups.iter().position(|g| g.0 == key).unwrap_or_else(|| {
+                groups.push((key, (0, 0)));
+                groups.len() - 1
+            });
+            groups[at].1 .0 += 1;
+            groups[at].1 .1 += u64::from(pair[1].1);
+        }
+        for ((gap, from_bad), (n, bad)) in groups {
+            let gap = f64::from_bits(gap);
+            let q = law(p, from_bad, gap);
+            let got = bad as f64 / n as f64;
+            let sigma = (q * (1.0 - q) / n as f64).sqrt();
+            assert!(n >= 1000, "{what}: p {p} gap {gap}: only {n} pairs");
+            assert!(
+                (got - q).abs() <= 4.0 * sigma,
+                "{what}: p {p}, gap {gap} ms, from_bad {from_bad}: {got} over {n} pairs, law {q}, sigma {sigma}"
+            );
+        }
+    }
+
+    #[test]
+    fn transition_probabilities_match_the_formula_at_every_spacing() {
+        for p in [0.02, 0.2, 0.5] {
+            for dt in [0.25, 1.0, 10.0, 100.0, 1000.0] {
+                for (what, mut ask) in engines(p, 31) {
+                    let seen = observe(&mut ask, (0..200_000).map(|i| i as f64 * dt));
+                    assert_two_point_law(what, p, &seen);
+                }
+            }
+        }
+    }
+
+    /// The transport's schedule: a round is a train of packets 100 ms apart,
+    /// rounds are seconds apart, and a receiver that already has its keys is
+    /// not asked for a whole train.
+    #[test]
+    fn trains_gaps_and_skipped_trains_match_the_formula() {
+        let schedule = || {
+            (0..30_000u64)
+                .filter(|train| train % 3 != 2)
+                .flat_map(|train| (0..12u64).map(move |i| (train * 4100 + i * 100) as f64))
+        };
+        for p in [0.2, 0.5] {
+            for (what, mut ask) in engines(p, 32) {
+                // Gaps of 100, 3000 and 7100 ms.
+                assert_two_point_law(what, p, &observe(&mut ask, schedule()));
+            }
+        }
+    }
+
+    /// Chapman–Kolmogorov, empirically: a query in the middle of an
+    /// interval does not perturb the process. Asked at gaps 3, 7, 3, 7, ...
+    /// ms, every second answer obeys the law of a 10 ms gap.
+    #[test]
+    fn an_intermediate_query_changes_nothing() {
+        for p in [0.2, 0.5] {
+            for (what, mut ask) in engines(p, 33) {
+                let times = (0..400_000u64).map(|i| (i / 2 * 10 + i % 2 * 3) as f64);
+                let seen = observe(&mut ask, times);
+                assert_two_point_law(what, p, &seen);
+                let every_second: Vec<_> = seen.iter().copied().step_by(2).collect();
+                assert_two_point_law(what, p, &every_second);
+            }
+        }
+    }
+
+    /// Lengths of runs of consecutive losses, bucketed 1, 2, 3-4, 5-8, ...
+    fn loss_runs(seen: &[(SimTime, bool)]) -> Vec<u64> {
+        let mut buckets = vec![0u64; 12];
+        let mut run = 0u64;
+        for &(_, lost) in seen {
+            if lost {
+                run += 1;
+            } else if run > 0 {
+                buckets[(u64::BITS - (run - 1).leading_zeros()) as usize] += 1;
+                run = 0;
+            }
+        }
+        buckets
+    }
+
+    #[test]
+    fn loss_run_lengths_match_the_replay_link() {
+        for dt in [1.0, 100.0] {
+            let [closed, replay] = engines(0.2, 34).map(|(_, mut ask)| {
+                loss_runs(&observe(&mut ask, (0..1_000_000).map(|i| i as f64 * dt)))
+            });
+            let (n_closed, n_replay) = (closed.iter().sum::<u64>(), replay.iter().sum::<u64>());
+            for (bucket, (&a, &b)) in closed.iter().zip(&replay).enumerate() {
+                let (fa, fb) = (a as f64 / n_closed as f64, b as f64 / n_replay as f64);
+                let pooled = (a + b) as f64 / (n_closed + n_replay) as f64;
+                let sigma =
+                    (pooled * (1.0 - pooled) * (1.0 / n_closed as f64 + 1.0 / n_replay as f64))
+                        .sqrt();
+                assert!(
+                    (fa - fb).abs() <= 4.0 * sigma,
+                    "spacing {dt} ms, bucket {bucket}: closed form {fa} of {n_closed} runs, replay {fb} of {n_replay}"
+                );
+            }
+        }
+    }
+
+    // ---- Edge cases of the formula. ----
+
+    #[test]
+    fn a_lossless_link_never_forms_the_rate() {
+        // 1 / (c * 0 * 1) would be infinite, and 0 * inf a NaN exponent.
+        let mut link = MarkovLink::new(0.0, 100.0, 3);
+        assert_eq!(link.decay_per_ms, 0.0);
+        assert!((0..1000).all(|i| link.transmit(i as f64 * 0.5)));
+    }
+
+    #[test]
+    fn extreme_rates_give_probabilities_in_the_unit_interval() {
+        // `gen_bool` panics on a probability outside [0, 1] or NaN, so
+        // surviving the queries is the assertion.
+        for (p, expect_delivery) in [(f64::MIN_POSITIVE, true), (1.0 - f64::EPSILON, false)] {
+            for cycle_ms in [f64::MIN_POSITIVE, 100.0, f64::MAX] {
+                let mut link = MarkovLink::new(p, cycle_ms, 4);
+                assert!(link.decay_per_ms >= 0.0, "p {p}, cycle {cycle_ms}");
+                let mut now = 0.0;
+                for dt in [f64::MIN_POSITIVE, 1e-9, 0.25, 100.0, 1e12, 1e300] {
+                    for _ in 0..200 {
+                        now += dt;
+                        assert_eq!(link.transmit(now), expect_delivery, "p {p}, dt {dt}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn asking_again_at_the_same_instant_draws_nothing() {
+        let mut link = MarkovLink::new(0.5, 100.0, 5);
+        let first = link.transmit(0.0);
+        let mut answers = vec![first, link.transmit(-1e-9)];
+        link.transmit(40.0);
+        let untouched = link.clone();
+        // Same instant, and as early as the backwards-query check tolerates.
+        answers.extend([link.transmit(40.0), link.transmit(40.0 - 5e-10)]);
+        assert_eq!(answers[0], answers[1]);
+        assert_eq!(answers[2], answers[3]);
+        assert_eq!(answers[2], !untouched.bad);
+        // No draw was spent: both copies go on to the same future.
+        let future = |mut l: MarkovLink| -> Vec<bool> {
+            (1..200)
+                .map(|i| l.transmit(40.0 + i as f64 * 7.0))
+                .collect()
+        };
+        assert_eq!(future(link), future(untouched));
+    }
+
+    #[test]
+    fn the_exp_is_skipped_or_remembered() {
+        // p = 0.02 at 100 ms: exponent 51, past f64 resolution, never taken.
+        let mut low = MarkovLink::new(0.02, 100.0, 6);
+        // p = 0.2 at 100 ms: exponent 6.25, taken once for the whole train.
+        let mut high = MarkovLink::new(0.2, 100.0, 6);
+        for i in 1..50 {
+            low.transmit(i as f64 * 100.0);
+            high.transmit(i as f64 * 100.0);
+        }
+        assert_eq!(low.memo, (0.0, 1.0));
+        assert_eq!(high.memo, (100.0, (-6.25f64).exp()));
     }
 }

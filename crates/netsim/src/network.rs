@@ -58,6 +58,68 @@ impl Default for NetworkConfig {
     }
 }
 
+/// Why a [`NetworkConfig`] (or one link of it) cannot be simulated.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum NetConfigError {
+    /// A loss rate that is NaN or outside `[0, 1)`: which one, and its value.
+    LossRate(&'static str, f64),
+    /// `alpha` is NaN or outside `[0, 1]`.
+    Alpha(f64),
+    /// `n_users` is zero.
+    NoUsers,
+    /// A burst cycle or send interval that is not above zero (or NaN).
+    NotPositive(&'static str, f64),
+}
+
+impl std::fmt::Display for NetConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            NetConfigError::LossRate(what, p) => write!(f, "{what} {p} outside [0, 1)"),
+            NetConfigError::Alpha(a) => write!(f, "alpha {a} outside [0, 1]"),
+            NetConfigError::NoUsers => write!(f, "need at least one user"),
+            NetConfigError::NotPositive(what, v) => write!(f, "{what} {v} ms is not above zero"),
+        }
+    }
+}
+
+impl std::error::Error for NetConfigError {}
+
+pub(crate) fn check_rate(what: &'static str, p: f64) -> Result<(), NetConfigError> {
+    if (0.0..1.0).contains(&p) {
+        Ok(())
+    } else {
+        Err(NetConfigError::LossRate(what, p))
+    }
+}
+
+pub(crate) fn check_positive(what: &'static str, ms: f64) -> Result<(), NetConfigError> {
+    if ms > 0.0 {
+        Ok(())
+    } else {
+        Err(NetConfigError::NotPositive(what, ms))
+    }
+}
+
+impl NetworkConfig {
+    /// The one statement of what can be simulated: every loss rate in
+    /// `[0, 1)`, `alpha` in `[0, 1]`, at least one user, burst cycle and
+    /// send interval above zero (NaN fails each). [`Network::new`] and
+    /// [`MarkovLink::with_model`] panic on exactly what this refuses.
+    pub fn validate(&self) -> Result<(), NetConfigError> {
+        if self.n_users == 0 {
+            return Err(NetConfigError::NoUsers);
+        }
+        if !(0.0..=1.0).contains(&self.alpha) {
+            return Err(NetConfigError::Alpha(self.alpha));
+        }
+        check_rate("p_high", self.p_high)?;
+        check_rate("p_low", self.p_low)?;
+        check_rate("p_source", self.p_source)?;
+        check_positive("burst cycle", self.burst_cycle_ms)?;
+        check_positive("send interval", self.send_interval_ms)
+    }
+}
+
 /// The simulated network: one source link plus per-user receiver links.
 #[derive(Debug)]
 pub struct Network {
@@ -70,9 +132,17 @@ pub struct Network {
 impl Network {
     /// Builds the topology: exactly `round(alpha * n)` high-loss users,
     /// assigned pseudo-randomly by the seed.
+    ///
+    /// # Panics
+    /// On a configuration [`NetworkConfig::validate`] refuses.
+    #[expect(
+        clippy::panic,
+        reason = "documented: an unchecked config is a caller bug; NetworkConfig::validate is the door that returns it"
+    )]
     pub fn new(config: NetworkConfig) -> Self {
-        assert!(config.n_users > 0, "need at least one user");
-        assert!((0.0..=1.0).contains(&config.alpha));
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         let mut rng = SmallRng::seed_from_u64(config.seed ^ 0xC0FF_EE00_D15E_A5E5);
 
         // Choose the high-loss subset by a seeded shuffle of indices.
@@ -322,5 +392,56 @@ mod tests {
         let mut got = vec![true; 7];
         net.multicast_to_into(0.0, &listeners, &mut got);
         assert_eq!(got.len(), 3, "one flag per listener, stale flags cleared");
+    }
+
+    #[test]
+    fn validate_names_what_cannot_be_simulated() {
+        let ok = NetworkConfig::default();
+        assert_eq!(ok.validate(), Ok(()));
+        let bad = |edit: fn(&mut NetworkConfig)| {
+            let mut config = ok;
+            edit(&mut config);
+            config.validate().unwrap_err()
+        };
+        assert_eq!(bad(|c| c.n_users = 0), NetConfigError::NoUsers);
+        assert_eq!(bad(|c| c.alpha = 1.5), NetConfigError::Alpha(1.5));
+        assert_eq!(
+            bad(|c| c.p_high = 1.0),
+            NetConfigError::LossRate("p_high", 1.0)
+        );
+        assert_eq!(
+            bad(|c| c.p_low = -0.1),
+            NetConfigError::LossRate("p_low", -0.1)
+        );
+        assert_eq!(
+            bad(|c| c.burst_cycle_ms = 0.0),
+            NetConfigError::NotPositive("burst cycle", 0.0)
+        );
+        assert_eq!(
+            bad(|c| c.send_interval_ms = -100.0),
+            NetConfigError::NotPositive("send interval", -100.0)
+        );
+        // NaN compares false with everything, itself included.
+        assert!(matches!(
+            bad(|c| c.alpha = f64::NAN),
+            NetConfigError::Alpha(_)
+        ));
+        assert!(matches!(
+            bad(|c| c.p_source = f64::NAN),
+            NetConfigError::LossRate("p_source", _)
+        ));
+        assert!(matches!(
+            bad(|c| c.burst_cycle_ms = f64::NAN),
+            NetConfigError::NotPositive("burst cycle", _)
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "p_high 1 outside [0, 1)")]
+    fn new_panics_with_what_validate_returns() {
+        let _ = Network::new(NetworkConfig {
+            p_high: 1.0,
+            ..NetworkConfig::default()
+        });
     }
 }

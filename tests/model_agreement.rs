@@ -2,8 +2,10 @@
 //! `SimUser`s and `UserSession`s fed wire bytes — must produce *identical*
 //! delivery dynamics when the one loop drives them with the same network
 //! randomness: same per-user success rounds, same NACK counts, same server
-//! decisions. This is the justification for using the fast model in the
-//! figure experiments.
+//! decisions — for every message of a sequence delivered over one network
+//! and one clock, so what a link remembers from one message to the next is
+//! the same in both. This is the justification for using the fast model in
+//! the figure experiments.
 
 use std::collections::BTreeMap;
 
@@ -16,10 +18,22 @@ use wirecrypto::KeyGen;
 use grouprekey::sim::SimUser;
 use grouprekey::transport::{self, ByteReceiver, Receiver, SimConfig, TransportScratch};
 
-struct Scenario {
+/// Messages delivered back to back on one network and one clock: the loss
+/// processes (a link mid-burst at the end of a message is mid-burst at the
+/// start of the next) and the clock persist, as in `ExperimentRun` and
+/// `driver::Group`. The controller state does not move (`adapt_rho` off).
+const MESSAGES: u32 = 5;
+
+/// One rekey message: the tree after its batch, and what the batch made.
+struct Message {
+    msg_seq: u64,
     tree: KeyTree,
     outcome: keytree::MarkOutcome,
     assignment: UkaAssignment,
+}
+
+struct Scenario {
+    messages: Vec<Message>,
     proto: ServerConfig,
     net_cfg: NetworkConfig,
 }
@@ -28,9 +42,22 @@ fn scenario(seed: u64, alpha: f64, p_high: f64, max_rounds: usize, k: usize) -> 
     let n = 128u32;
     let mut kg = KeyGen::from_seed(seed);
     let mut tree = KeyTree::balanced(n, 4, &mut kg);
-    let leaves: Vec<u32> = (0..32u32).map(|i| i * 4).collect();
-    let outcome = tree.process_batch(&Batch::new(vec![], leaves), &mut kg);
-    let assignment = UkaAssignment::build(&tree, &outcome, 1, &Layout::DEFAULT).unwrap();
+    let messages = (0..MESSAGES)
+        .map(|m| {
+            // Sixteen fresh leavers a message, spread over the tree.
+            let leaves: Vec<u32> = (0..16u32).map(|i| i * 8 + m).collect();
+            let outcome = tree.process_batch(&Batch::new(vec![], leaves), &mut kg);
+            let msg_seq = u64::from(m) + 1;
+            let assignment =
+                UkaAssignment::build(&tree, &outcome, msg_seq, &Layout::DEFAULT).unwrap();
+            Message {
+                msg_seq,
+                tree: tree.clone(),
+                outcome,
+                assignment,
+            }
+        })
+        .collect();
     let proto = ServerConfig {
         block_size: k,
         initial_rho: 1.0,
@@ -46,9 +73,7 @@ fn scenario(seed: u64, alpha: f64, p_high: f64, max_rounds: usize, k: usize) -> 
         ..NetworkConfig::default()
     };
     Scenario {
-        tree,
-        outcome,
-        assignment,
+        messages,
         proto,
         net_cfg,
     }
@@ -57,74 +82,84 @@ fn scenario(seed: u64, alpha: f64, p_high: f64, max_rounds: usize, k: usize) -> 
 /// Per-user success rounds, round-one NACK count, bandwidth overhead.
 type Delivery = (BTreeMap<NodeId, usize>, usize, f64);
 
-/// Delivers the scenario's message through the one transport loop to
-/// receivers of model `R`, on a network seeded by the scenario alone.
+/// Delivers the scenario's messages, in order, through the one transport
+/// loop to receivers of model `R`, on one network seeded by the scenario
+/// alone and one clock. A member's link is its member ID for as long as it
+/// stays.
 fn deliver<R: Receiver>(
     sc: &Scenario,
-    receiver: impl Fn(usize, NodeId) -> R,
-    usr_packet: impl Fn(MemberId) -> Packet,
-) -> Delivery {
+    receiver: impl Fn(&Message, usize, NodeId) -> R,
+    usr_packet: impl Fn(&Message, MemberId) -> Packet,
+) -> Vec<Delivery> {
     let controller = ServerController::new(sc.proto);
-    let mut session = controller.begin_message(sc.assignment.packets.clone(), 100);
     let mut net = Network::new(sc.net_cfg);
     let mut clock = 0.0f64;
+    let mut scratch = TransportScratch::new();
 
-    // Users in sorted member order; a user's link is its position.
-    let mut members = sc.tree.member_ids();
-    members.sort_unstable();
-    let mut receivers: Vec<R> = members
+    sc.messages
         .iter()
-        .enumerate()
-        .map(|(idx, &m)| receiver(idx, sc.tree.node_of_member(m).unwrap()))
-        .collect();
+        .map(|msg| {
+            let mut session = controller.begin_message(msg.assignment.packets.clone(), 100);
+            let mut members = msg.tree.member_ids();
+            members.sort_unstable();
+            let mut receivers: Vec<R> = members
+                .iter()
+                .map(|&m| receiver(msg, m as usize, msg.tree.node_of_member(m).unwrap()))
+                .collect();
 
-    let stats = transport::run(
-        &mut net,
-        &mut clock,
-        &mut session,
-        &mut receivers,
-        &SimConfig::default(),
-        &mut TransportScratch::new(),
-        |slot| usr_packet(members[slot]),
-    );
-    assert_eq!(stats.unserved, 0, "run did not converge");
+            let stats = transport::run(
+                &mut net,
+                &mut clock,
+                &mut session,
+                &mut receivers,
+                &SimConfig::default(),
+                &mut scratch,
+                |slot| usr_packet(msg, members[slot]),
+            );
+            assert_eq!(stats.unserved, 0, "run did not converge");
 
-    let per_user = receivers
-        .iter()
-        .map(|r| (r.node_id(), r.success_round().expect("all served")))
-        .collect();
-    (
-        per_user,
-        session.first_round_nack_count(),
-        session.bandwidth_overhead(),
-    )
+            let per_user = receivers
+                .iter()
+                .map(|r| (r.node_id(), r.success_round().expect("all served")))
+                .collect();
+            (
+                per_user,
+                session.first_round_nack_count(),
+                session.bandwidth_overhead(),
+            )
+        })
+        .collect()
 }
 
 /// Real packets cross the network as bytes into `UserSession`s.
-fn run_byte_faithful(sc: &Scenario) -> Delivery {
+fn run_byte_faithful(sc: &Scenario) -> Vec<Delivery> {
     let layout = Layout::DEFAULT;
     deliver(
         sc,
-        |link, node| ByteReceiver {
-            session: UserSession::new(node, 4, sc.proto.block_size, layout),
+        |msg, link, node| ByteReceiver {
+            session: UserSession::new(node, 4, sc.proto.block_size, layout)
+                .expect_msg_id((msg.msg_seq & 0x3f) as u8),
             link,
             node,
             layout,
         },
-        |m| Packet::Usr(build_usr_packet(&sc.tree, &sc.outcome, m, 1).unwrap()),
+        |msg, m| {
+            let usr = build_usr_packet(&msg.tree, &msg.outcome, m, msg.msg_seq);
+            Packet::Usr(usr.unwrap())
+        },
     )
 }
 
 /// Share-counting `SimUser`s see the borrowed packets.
-fn run_fast_model(sc: &Scenario) -> Delivery {
+fn run_fast_model(sc: &Scenario) -> Vec<Delivery> {
     let k = sc.proto.block_size;
     deliver(
         sc,
-        |link, node| {
-            let tb = sc.assignment.packet_of_user(node).map(|pi| (pi / k) as u8);
+        |msg, link, node| {
+            let tb = msg.assignment.packet_of_user(node).map(|pi| (pi / k) as u8);
             SimUser::new(link, node, k, 4, tb)
         },
-        |_| {
+        |_, _| {
             Packet::Usr(UsrPacket {
                 msg_id: 0,
                 new_user_id: 0,
@@ -139,26 +174,36 @@ fn assert_agreement(seed: u64, alpha: f64, p_high: f64, max_rounds: usize) {
 }
 
 fn assert_models_agree(sc: &Scenario) {
-    let (bytes_rounds, bytes_nacks, bytes_bw) = run_byte_faithful(sc);
-    let (fast_rounds, fast_nacks, fast_bw) = run_fast_model(sc);
+    let bytes = run_byte_faithful(sc);
+    let fast = run_fast_model(sc);
+    assert_eq!(bytes.len(), MESSAGES as usize);
+    assert_eq!(fast.len(), MESSAGES as usize);
 
-    assert_eq!(bytes_nacks, fast_nacks, "round-1 NACK counts differ");
-    assert!(
-        (bytes_bw - fast_bw).abs() < 1e-12,
-        "bandwidth overhead differs: bytes {bytes_bw} vs fast {fast_bw}"
-    );
-    assert_eq!(
-        bytes_rounds.len(),
-        fast_rounds.len(),
-        "user population differs"
-    );
-    for (node, r) in &bytes_rounds {
+    for (m, ((bytes_rounds, bytes_nacks, bytes_bw), (fast_rounds, fast_nacks, fast_bw))) in
+        bytes.iter().zip(&fast).enumerate()
+    {
+        let m = m + 1;
         assert_eq!(
-            fast_rounds.get(node),
-            Some(r),
-            "node {node}: byte-faithful round {r} vs fast {:?}",
-            fast_rounds.get(node)
+            bytes_nacks, fast_nacks,
+            "message {m}: round-1 NACK counts differ"
         );
+        assert!(
+            (bytes_bw - fast_bw).abs() < 1e-12,
+            "message {m}: bandwidth overhead differs: bytes {bytes_bw} vs fast {fast_bw}"
+        );
+        assert_eq!(
+            bytes_rounds.len(),
+            fast_rounds.len(),
+            "message {m}: user population differs"
+        );
+        for (node, r) in bytes_rounds {
+            assert_eq!(
+                fast_rounds.get(node),
+                Some(r),
+                "message {m}, node {node}: byte-faithful round {r} vs fast {:?}",
+                fast_rounds.get(node)
+            );
+        }
     }
 }
 
@@ -194,6 +239,7 @@ fn agreement_many_seeds() {
 #[test]
 fn agreement_with_duplicate_padded_block() {
     let sc = scenario(15, 1.0, 0.30, 2, 16);
-    assert!(sc.assignment.packets.len() < 16, "the block must be padded");
+    let padded = |m: &Message| m.assignment.packets.len() < 16;
+    assert!(sc.messages.iter().all(padded), "the block must be padded");
     assert_models_agree(&sc);
 }

@@ -4,7 +4,8 @@
 # warnings denied, the test suite with the deep invariant sanitizer live
 # (bench's figure_identity, the one worker-count gate left, runs there), the
 # dynamic no-alloc harness (the obs event log's armed and disarmed paths
-# included), one smoke/check/sentinel cycle for each of the three tracked
+# included), the statistical engine-agreement gate (optimised build), one
+# smoke/check/sentinel cycle for each of the three tracked
 # BENCH reports (exact facts, so each smoke run is also repeated and the two
 # files compared byte for byte), and the obs build. Speed is not gated here:
 # that is BENCHMARK.json's alternated parent/change pairs.
@@ -106,6 +107,14 @@ cargo test -q -p obs --features enabled --test no_alloc_off
 cargo test -q -p obs --test no_alloc_marks
 cargo test -q -p obs --features enabled --test no_alloc_marks
 cargo test -q -p obs --features enabled --test trace_log
+
+stage "engine agreement (statistical gate over seeds, --release)"
+# What stands in for digest identity when a change is exact in law but draws
+# different random numbers (DESIGN.md "Asking a link"): two seed sets of this
+# engine agree, a link with p_high off by 10 % is rejected, and the committed
+# table of the last replaced engine agrees with this one. ~900 messages at
+# N = 4096, so the three cases are ignored in debug builds and run here.
+cargo test --release -q -p bench --test engine_agreement
 
 stage "UKA plan identity (run-aggregated planner vs user-by-user oracle)"
 # Proptest bit-identity of the O(E) run-aggregated planner against the
