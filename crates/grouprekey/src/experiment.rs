@@ -23,7 +23,7 @@ use keytree::{Batch, KeyTree, MemberId};
 use netsim::{Network, NetworkConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rekeymsg::{assign, Layout, UkaAssignment};
+use rekeymsg::{assign, Layout, PlanScratch, UkaAssignment};
 use rekeyproto::{ServerConfig, ServerController};
 use wirecrypto::{KeyGen, SymKey};
 
@@ -242,6 +242,7 @@ pub struct ExperimentRun {
     msg_seq: u64,
     users: Vec<SimUser>,
     scratch: TransportScratch,
+    plan: PlanScratch,
 }
 
 impl ExperimentRun {
@@ -260,6 +261,7 @@ impl ExperimentRun {
             msg_seq: 0,
             users: Vec::new(),
             scratch: TransportScratch::new(),
+            plan: PlanScratch::new(),
             params,
         }
     }
@@ -280,10 +282,14 @@ impl ExperimentRun {
             clippy::unreachable,
             reason = "holds at every figure's parameters (N inside the 16-bit wire ID range, the paper layout); ROADMAP 3 lifts the range and 4b turns what is left into RekeyError"
         )]
-        let assignment = UkaAssignment::build(&tree, &outcome, self.msg_seq, &p.protocol.layout)
-            .unwrap_or_else(|e| {
-                unreachable!("marking outcome always seals against its own tree: {e}")
-            });
+        let assignment = UkaAssignment::build_in(
+            &tree,
+            &outcome,
+            self.msg_seq,
+            &p.protocol.layout,
+            &mut self.plan,
+        )
+        .unwrap_or_else(|e| unreachable!("marking outcome always seals against its own tree: {e}"));
         let usr_hint = p.protocol.layout.usr_packet_len(tree.height() as usize + 1);
 
         let num_nack_used = self.controller.num_nack;

@@ -22,9 +22,10 @@
 //! (*runs*) and packs whole runs: within a run the marginal cost of
 //! every user after the first is zero, hence the greedy split points are
 //! identical to the user-by-user walk, packet by packet, field by field.
-//! Cost: O(E·h) for E encryption edges instead of O(N·h) for N users
-//! (plus tag scans that touch only vacant window prefixes/suffixes). The
-//! user-by-user walk survives as the test oracle
+//! Cost: O(E + W + emitted) for E edges, W windows and the entries packed,
+//! instead of O(N·h) for N users: no search, and one sort per packet over
+//! its own entries (plus tag scans that touch only vacant window
+//! prefixes/suffixes). The user-by-user walk survives as the test oracle
 //! (`crate::sanitize::reference_plan`, built for tests and
 //! `--features sanitize`).
 //!
@@ -83,17 +84,8 @@ impl PacketPlan {
     /// True when `uid` — which must be a current u-node ID — is served by
     /// this packet. O(log runs).
     pub fn covers_user(&self, uid: NodeId) -> bool {
-        self.user_runs
-            .binary_search_by(|r| {
-                if r.hi < uid {
-                    core::cmp::Ordering::Less
-                } else if r.lo > uid {
-                    core::cmp::Ordering::Greater
-                } else {
-                    core::cmp::Ordering::Equal
-                }
-            })
-            .is_ok()
+        let i = self.user_runs.partition_point(|r| r.hi < uid);
+        self.user_runs.get(i).is_some_and(|r| r.lo <= uid)
     }
 }
 
@@ -122,11 +114,20 @@ impl AssignmentStats {
     }
 }
 
-/// Position of `id` in the descending `updated` list, if present.
-pub(crate) fn updated_pos(updated: &[NodeId], id: NodeId) -> Option<usize> {
-    updated
-        .binary_search_by(|&probe| probe.cmp(&id).reverse())
-        .ok()
+/// "No position": a frontier edge's child in `PlanScratch::child_pos`.
+const NONE: u32 = u32::MAX;
+
+/// An updated k-node's row in the planner's tables, indexed like
+/// `MarkOutcome::updated_knodes`: how many edges its chain up to the root
+/// has (zero at the root, whose `edge` and `parent` are unset), its own
+/// edge, its parent's position, and its group — the edges it is the parent
+/// of, `group.0..group.1`.
+#[derive(Debug, Clone, Copy, Default)]
+struct KnodeRow {
+    chain: u32,
+    edge: u32,
+    parent: u32,
+    group: (u32, u32),
 }
 
 /// One clipped per-level frontier window awaiting packing: the IDs
@@ -138,6 +139,8 @@ struct RunWindow {
     hi: NodeId,
     /// Index into `MarkOutcome::encryptions` of the frontier edge.
     edge: u32,
+    /// Position of the edge's parent, where its need-chain starts.
+    parent: u32,
 }
 
 /// Packed representation of one planned packet inside [`PlanScratch`]:
@@ -151,11 +154,11 @@ struct PacketMeta {
 }
 
 /// Reusable scratch for the run-aggregated UKA planner: epoch-stamped
-/// packet membership plus arena buffers for ancestor need-chains, sorted
-/// frontier windows, and the packed plan output. With a warm scratch
-/// (same batch shape as a previous call) [`PlanScratch::compute`]
-/// performs zero heap allocations — the dynamic
-/// `tests/no_alloc_marks.rs` harness pins that.
+/// packet membership, tables sized by the outcome's edges and updated
+/// k-nodes, the frontier windows, and the packed plan output. With a warm
+/// scratch (same batch shape as a previous call) [`PlanScratch::compute`]
+/// performs zero heap allocations — the dynamic `tests/no_alloc_marks.rs`
+/// harness pins that.
 #[derive(Debug, Default)]
 pub struct PlanScratch {
     /// Current packet stamp; bumped per packet and per `compute` call, so
@@ -163,17 +166,20 @@ pub struct PlanScratch {
     stamp: u64,
     /// Per encryption index: stamp of the packet that last took it.
     in_packet: Vec<u64>,
-    /// Per updated-k-node position: offset/len of its ancestor need-chain
-    /// (encryption indices on the node→root path) in `chain_arena`.
-    chain_off: Vec<u32>,
-    chain_len: Vec<u32>,
-    chain_arena: Vec<u32>,
-    /// Clipped frontier windows, sorted ascending by `lo`.
+    /// Per updated k-node: its row. Per edge: its child's position among
+    /// the updated k-nodes, `NONE` for a frontier edge.
+    rows: Vec<KnodeRow>,
+    child_pos: Vec<u32>,
+    /// Clipped frontier windows, ascending by `lo`.
     windows: Vec<RunWindow>,
-    /// Packed output: one meta per packet over the two arenas.
+    /// Packed output: one meta per packet over the two arenas; an entry is
+    /// `child << 32 | edge index`, so a plain sort orders a packet.
     packets: Vec<PacketMeta>,
-    enc_arena: Vec<u32>,
+    enc_arena: Vec<u64>,
     run_arena: Vec<UserRun>,
+    /// Chain-walk steps of the last `compute` (the complexity pin).
+    #[cfg(test)]
+    walk_steps: usize,
 }
 
 impl PlanScratch {
@@ -182,14 +188,11 @@ impl PlanScratch {
         PlanScratch::default()
     }
 
-    /// Derives the per-updated-node ancestor need-chains and the sorted
-    /// frontier run windows for `outcome`. Returns false when there is
-    /// nothing to plan (no encryptions, or no users / k-nodes).
+    /// Fills the tables and the ascending frontier windows for `outcome`.
+    /// Returns false when there is nothing to plan (no encryptions, or no
+    /// users / k-nodes).
     // xcheck: no_alloc
     fn prepare(&mut self, tree: &KeyTree, outcome: &MarkOutcome) -> bool {
-        self.chain_arena.clear();
-        self.chain_off.clear();
-        self.chain_len.clear();
         self.windows.clear();
         if outcome.encryptions.is_empty() {
             return false;
@@ -197,63 +200,145 @@ impl PlanScratch {
         let (Some(maxk), Some(maxu)) = (tree.max_knode_id(), tree.highest_unode_id()) else {
             return false;
         };
-        let degree = tree.degree();
-        let updated = &outcome.updated_knodes[..];
-
-        // Ancestor chains: chain(p) = own edge (if any) ++ chain(parent).
-        // `updated` is descending and parents have smaller IDs than
-        // children, so walking positions high→low (IDs low→high) finds
-        // every parent chain already built.
-        self.chain_off.resize(updated.len(), 0);
-        self.chain_len.resize(updated.len(), 0);
-        for pos in (0..updated.len()).rev() {
-            let p = updated[pos];
-            let off = self.chain_arena.len() as u32;
-            if let Some(i) = outcome.encryption_by_child(p) {
-                self.chain_arena.push(i as u32);
-            }
-            if let Some(par) = ident::parent(p, degree) {
-                if let Some(ppos) = updated_pos(updated, par) {
-                    let poff = self.chain_off[ppos] as usize;
-                    let plen = self.chain_len[ppos] as usize;
-                    self.chain_arena.extend_from_within(poff..poff + plen);
-                }
-            }
-            self.chain_off[pos] = off;
-            self.chain_len[pos] = self.chain_arena.len() as u32 - off;
-        }
+        self.fill_tables(outcome);
 
         // Frontier windows: for every edge whose child is NOT an updated
         // k-node, the child's descendants at each level form one
         // contiguous ID interval; clip each to the user zone
-        // (maxk, maxu] — Lemma 4.1 puts every u-node there — and keep the
-        // non-empty clips. Frontier subtrees are disjoint and BFS levels
-        // are disjoint ID bands, so the windows never overlap.
-        let (maxk, maxu) = (maxk as u64, maxu as u64);
-        let d = degree.max(2) as u64;
-        for (i, edge) in outcome.encryptions.iter().enumerate() {
-            if updated_pos(updated, edge.child).is_some() {
-                continue;
-            }
-            let (mut lo, mut hi) = (edge.child as u64, edge.child as u64);
-            while lo <= maxu {
-                if hi > maxk {
-                    let clo = lo.max(maxk + 1);
-                    let chi = hi.min(maxu);
-                    if clo <= chi {
-                        self.windows.push(RunWindow {
-                            lo: clo as NodeId,
-                            hi: chi as NodeId,
-                            edge: i as u32,
-                        });
-                    }
-                }
-                lo = d * lo + 1;
-                hi = d * hi + d;
+        // (maxk, maxu] — Lemma 4.1 puts every u-node there, and it spans
+        // at most two levels — and keep the non-empty clips. Frontier
+        // subtrees are disjoint and BFS levels are disjoint ID bands, so a
+        // pre-order DFS per level, children ascending, lists them in order.
+        let degree = tree.degree().max(2);
+        let zone = (u64::from(maxk) + 1, u64::from(maxu));
+        let (edges, levels) = (&outcome.encryptions[..], ident::level(maxu, degree));
+        if let Some(&root) = outcome.updated_knodes.last() {
+            let (pos, level) = (self.rows.len() as u32 - 1, ident::level(root, degree) + 1);
+            for target in ident::level(maxk.saturating_add(1), degree)..=levels {
+                self.windows_below(edges, pos, level, target, u64::from(degree), zone);
             }
         }
-        self.windows.sort_unstable_by_key(|w| w.lo);
         true
+    }
+
+    /// Appends, in pre-order with children ascending, the windows at level
+    /// `target` under the group of updated position `pos`, whose children
+    /// sit at `level`. Recursion stops at `target`, so it is never deeper
+    /// than a node ID has levels, whatever the outcome.
+    // xcheck: no_alloc
+    fn windows_below(
+        &mut self,
+        edges: &[EncEdge],
+        pos: u32,
+        level: u32,
+        target: u32,
+        d: u64,
+        zone: (u64, u64),
+    ) {
+        if level > target {
+            return;
+        }
+        let group = self.rows[pos as usize].group;
+        for e in group.0..group.1 {
+            let c = self.child_pos[e as usize];
+            if c != NONE {
+                self.windows_below(edges, c, level + 1, target, d, zone);
+                continue;
+            }
+            let child = u64::from(edges[e as usize].child);
+            let (mut lo, mut hi) = (child, child);
+            for _ in level..target {
+                lo = lo.saturating_mul(d).saturating_add(1);
+                hi = hi.saturating_mul(d).saturating_add(d);
+            }
+            let (lo, hi) = (lo.max(zone.0), hi.min(zone.1));
+            if lo <= hi {
+                self.windows.push(RunWindow {
+                    lo: lo as NodeId,
+                    hi: hi as NodeId,
+                    edge: e,
+                    parent: pos,
+                });
+            }
+        }
+    }
+
+    /// The tables, in two linear passes. Edges come grouped by parent in
+    /// `updated_knodes` order, so one cursor finds each group; children
+    /// ascend within a group, so the groups read backwards list every
+    /// child ascending, and one merge with `updated_knodes` read backwards
+    /// finds each updated node's own edge. Malformed outcomes stay total: an
+    /// edge the cursor misses, or outside its group's run, serves nobody;
+    /// one whose child is not below its parent in the list is a leaf.
+    // xcheck: no_alloc
+    fn fill_tables(&mut self, outcome: &MarkOutcome) {
+        let (updated, edges) = (&outcome.updated_knodes[..], &outcome.encryptions[..]);
+        self.rows.clear();
+        self.rows.resize(updated.len(), KnodeRow::default());
+        self.child_pos.clear();
+        self.child_pos.resize(edges.len(), NONE);
+
+        let mut cursor = 0;
+        for (e, edge) in (0..).zip(edges) {
+            while updated.get(cursor).is_some_and(|&p| p > edge.parent) {
+                cursor += 1;
+            }
+            if updated.get(cursor) != Some(&edge.parent) {
+                continue;
+            }
+            let (lo, hi) = self.rows[cursor].group;
+            if lo == hi || hi == e {
+                self.rows[cursor].group = (if lo == hi { e } else { lo }, e + 1);
+            }
+        }
+
+        // `updated[below - 1]` is the next candidate child.
+        let mut below = updated.len();
+        for pos in (0..updated.len()).rev() {
+            let KnodeRow { chain, group, .. } = self.rows[pos];
+            for e in group.0..group.1 {
+                let child = edges[e as usize].child;
+                while below > 0 && updated[below - 1] < child {
+                    below -= 1;
+                }
+                // `below == 0` wraps to `usize::MAX`, which is no position.
+                let c = below.wrapping_sub(1);
+                if c < pos && updated[c] == child && self.rows[c].chain == 0 {
+                    self.child_pos[e as usize] = c as u32;
+                    let row = &mut self.rows[c];
+                    (row.chain, row.edge, row.parent) = (chain + 1, e, pos as u32);
+                }
+            }
+        }
+    }
+
+    /// Walks a window's need-set — its edge, then the chain up from its
+    /// parent — to the first edge the open packet already holds, and
+    /// returns how many edges it passed; with `take` they join the packet.
+    /// Stopping there is exact: the packet's edges are closed upward, each
+    /// having gone in with every edge above it.
+    // xcheck: no_alloc
+    fn walk(&mut self, edges: &[EncEdge], w: RunWindow, take: bool) -> usize {
+        let (mut e, mut pos, mut fresh) = (w.edge as usize, w.parent, 0);
+        loop {
+            #[cfg(test)]
+            {
+                self.walk_steps += 1;
+            }
+            if self.in_packet[e] == self.stamp {
+                break fresh;
+            }
+            if take {
+                self.in_packet[e] = self.stamp;
+                self.enc_arena
+                    .push((u64::from(edges[e].child) << 32) | e as u64);
+            }
+            fresh += 1;
+            match self.rows.get(pos as usize) {
+                Some(row) if row.chain > 0 => (e, pos) = (row.edge as usize, row.parent),
+                _ => break fresh,
+            }
+        }
     }
 
     /// Runs the greedy UKA packing over the prepared run windows, filling
@@ -278,18 +363,19 @@ impl PlanScratch {
         self.packets.clear();
         self.enc_arena.clear();
         self.run_arena.clear();
+        #[cfg(test)]
+        {
+            self.walk_steps = 0;
+        }
         if !self.prepare(tree, outcome) {
             return Ok(0);
         }
         let capacity = layout.encryptions_per_packet();
-        let updated = &outcome.updated_knodes[..];
-        self.in_packet.resize(outcome.encryptions.len(), 0);
+        let edges = &outcome.encryptions[..];
+        self.in_packet.resize(edges.len(), 0);
         self.stamp += 1;
 
-        let mut enc_start = 0usize;
-        let mut run_start = 0usize;
-        let mut frm: NodeId = 0;
-        let mut open = false;
+        let (mut enc_start, mut run_start, mut frm, mut open) = (0, 0, 0, false);
         for wi in 0..self.windows.len() {
             let w = self.windows[wi];
             // Vacant windows (every slot an empty or relocated-away
@@ -297,14 +383,7 @@ impl PlanScratch {
             let Some(first) = tree.first_user_in(w.lo, w.hi) else {
                 continue;
             };
-            let parent = outcome.encryptions[w.edge as usize].parent;
-            let (coff, clen) = match updated_pos(updated, parent) {
-                Some(ppos) => (self.chain_off[ppos] as usize, self.chain_len[ppos] as usize),
-                // Unreachable for outcomes the marking produces (edge
-                // parents are always updated k-nodes); stay total.
-                None => (0, 0),
-            };
-            let need_len = 1 + clen;
+            let need_len = 1 + self.rows[w.parent as usize].chain as usize;
             if need_len > capacity {
                 return Err(AssignError::PacketCapacity {
                     user: first,
@@ -312,13 +391,9 @@ impl PlanScratch {
                     capacity,
                 });
             }
-            let mut extra = usize::from(self.in_packet[w.edge as usize] != self.stamp);
-            for k in 0..clen {
-                let e = self.chain_arena[coff + k] as usize;
-                extra += usize::from(self.in_packet[e] != self.stamp);
-            }
+            let extra = self.walk(edges, w, false);
             if open && (self.enc_arena.len() - enc_start) + extra > capacity {
-                self.close_packet(tree, outcome, frm, enc_start);
+                self.close_packet(tree, frm, enc_start);
                 enc_start = self.enc_arena.len();
                 run_start = self.run_arena.len();
                 self.stamp += 1;
@@ -328,26 +403,12 @@ impl PlanScratch {
                 frm = first;
                 open = true;
             }
-            if self.in_packet[w.edge as usize] != self.stamp {
-                self.in_packet[w.edge as usize] = self.stamp;
-                self.enc_arena.push(w.edge);
-            }
-            for k in 0..clen {
-                let e = self.chain_arena[coff + k] as usize;
-                if self.in_packet[e] != self.stamp {
-                    self.in_packet[e] = self.stamp;
-                    self.enc_arena.push(e as u32);
-                }
-            }
+            self.walk(edges, w, true);
             // Adjacent windows (same frontier node across levels, or
             // abutting siblings) merge into one stored run.
-            let merged = self.run_arena.len() > run_start
-                && self
-                    .run_arena
-                    .last()
-                    .is_some_and(|last| last.hi + 1 == w.lo);
+            let in_packet = self.run_arena.len() > run_start;
             match self.run_arena.last_mut() {
-                Some(last) if merged => last.hi = w.hi,
+                Some(last) if in_packet && last.hi + 1 == w.lo => last.hi = w.hi,
                 _ => self.run_arena.push(UserRun {
                     lo: first,
                     hi: w.hi,
@@ -355,34 +416,23 @@ impl PlanScratch {
             }
         }
         if open {
-            self.close_packet(tree, outcome, frm, enc_start);
+            self.close_packet(tree, frm, enc_start);
         }
         Ok(self.packets.len())
     }
 
     /// Seals the open packet: trims the final run to its last real user
-    /// (the packet's `to_id`), sorts the packet's encryption segment by
-    /// encryption (child) ID, and records the packet meta.
+    /// (the packet's `to_id`), sorts the packet's entries by encryption
+    /// (child) ID, and records the packet meta.
     // xcheck: no_alloc
-    fn close_packet(
-        &mut self,
-        tree: &KeyTree,
-        outcome: &MarkOutcome,
-        frm: NodeId,
-        enc_start: usize,
-    ) {
-        let to = match self.run_arena.last_mut() {
-            Some(last) => {
-                // The final run is non-vacant by construction; fall back
-                // to its first user to stay total.
-                let to = tree.last_user_in(last.lo, last.hi).unwrap_or(last.lo);
-                last.hi = to;
-                to
-            }
-            None => frm,
-        };
-        self.enc_arena[enc_start..]
-            .sort_unstable_by_key(|&i| outcome.encryptions[i as usize].child);
+    fn close_packet(&mut self, tree: &KeyTree, frm: NodeId, enc_start: usize) {
+        let to = self.run_arena.last_mut().map_or(frm, |last| {
+            // The final run is non-vacant by construction; fall back to
+            // its first user to stay total.
+            last.hi = tree.last_user_in(last.lo, last.hi).unwrap_or(last.lo);
+            last.hi
+        });
+        self.enc_arena[enc_start..].sort_unstable();
         self.packets.push(PacketMeta {
             frm,
             to,
@@ -402,7 +452,7 @@ impl PlanScratch {
                 to_id: m.to,
                 enc_indices: self.enc_arena[e0..m.enc_end as usize]
                     .iter()
-                    .map(|&i| i as usize)
+                    .map(|&key| key as u32 as usize)
                     .collect(),
                 user_runs: self.run_arena[r0..m.run_end as usize].to_vec(),
             });
@@ -428,8 +478,7 @@ pub fn plan(
     outcome: &MarkOutcome,
     layout: &Layout,
 ) -> Result<Vec<PacketPlan>, AssignError> {
-    let mut scratch = PlanScratch::default();
-    plan_in(tree, outcome, layout, &mut scratch)
+    plan_in(tree, outcome, layout, &mut PlanScratch::default())
 }
 
 /// [`plan`] with a caller-owned scratch: with a warm scratch the planning
@@ -588,27 +637,11 @@ pub fn naive_plan_stats(
     layout: &Layout,
 ) -> NaiveAssignmentStats {
     let capacity = layout.encryptions_per_packet();
-    let total = outcome.encryptions.len();
-    let empty = NaiveAssignmentStats {
-        packets: 0,
-        avg_packets_per_user: 0.0,
-        max_packets_per_user: 0,
-        single_packet_fraction: 1.0,
-    };
-    if total == 0 {
-        return empty;
-    }
     let mut scratch = PlanScratch::default();
-    if !scratch.prepare(tree, outcome) {
-        return empty;
-    }
-    let packets = total.div_ceil(capacity);
-
-    let updated = &outcome.updated_knodes[..];
-    let mut sum = 0usize;
-    let mut max = 0usize;
-    let mut single = 0usize;
-    let mut users = 0usize;
+    // Nothing to plan (no edges, users or k-nodes) packs nothing either.
+    let planned = scratch.prepare(tree, outcome);
+    let packets = planned.then(|| outcome.encryptions.len().div_ceil(capacity));
+    let (mut sum, mut max, mut single, mut users) = (0usize, 0usize, 0usize, 0usize);
     let mut pkts: Vec<usize> = Vec::new();
     for w in &scratch.windows {
         let count = tree.count_users_in(w.lo, w.hi);
@@ -617,38 +650,24 @@ pub fn naive_plan_stats(
         }
         pkts.clear();
         pkts.push(w.edge as usize / capacity);
-        let parent = outcome.encryptions[w.edge as usize].parent;
-        if let Some(ppos) = updated_pos(updated, parent) {
-            let off = scratch.chain_off[ppos] as usize;
-            let len = scratch.chain_len[ppos] as usize;
-            pkts.extend(
-                scratch.chain_arena[off..off + len]
-                    .iter()
-                    .map(|&e| e as usize / capacity),
-            );
+        let mut pos = w.parent;
+        while let Some(row) = scratch.rows.get(pos as usize).filter(|r| r.chain > 0) {
+            pkts.push(row.edge as usize / capacity);
+            pos = row.parent;
         }
         pkts.sort_unstable();
         pkts.dedup();
         users += count;
         sum += pkts.len() * count;
         max = max.max(pkts.len());
-        if pkts.len() == 1 {
-            single += count;
-        }
+        single += count * usize::from(pkts.len() == 1);
     }
+    let per_user = |n: usize| n as f64 / users.max(1) as f64;
     NaiveAssignmentStats {
-        packets,
-        avg_packets_per_user: if users == 0 {
-            0.0
-        } else {
-            sum as f64 / users as f64
-        },
+        packets: packets.unwrap_or(0),
+        avg_packets_per_user: per_user(sum),
         max_packets_per_user: max,
-        single_packet_fraction: if users == 0 {
-            1.0
-        } else {
-            single as f64 / users as f64
-        },
+        single_packet_fraction: if users == 0 { 1.0 } else { per_user(single) },
     }
 }
 
@@ -1090,6 +1109,148 @@ mod tests {
             let cold = plan(&tree, &outcome, &Layout::DEFAULT).unwrap();
             let warm = plan_in(&tree, &outcome, &Layout::DEFAULT, &mut scratch).unwrap();
             assert_eq!(cold, warm, "round {round}");
+        }
+    }
+
+    #[test]
+    fn chain_walk_steps_are_linear_in_windows_and_entries() {
+        // Each window walks twice (count, then take), and each walk stops
+        // at the first edge the open packet already holds.
+        let mut scratch = PlanScratch::new();
+        let mut planned = 0;
+        for (n, l) in [(64u32, 16u32), (300, 77), (1024, 256), (4096, 100)] {
+            let (tree, outcome) = setup(n, l);
+            for cap in [5usize, 8, 12, 46] {
+                let layout = Layout::new(3 + 6 + 22 * cap);
+                if scratch.compute(&tree, &outcome, &layout).is_err() {
+                    continue;
+                }
+                planned += 1;
+                let (windows, entries) = (scratch.windows.len(), scratch.enc_arena.len());
+                let steps = scratch.walk_steps;
+                assert!(
+                    steps > 0 && steps <= 2 * (windows + entries),
+                    "n={n} cap={cap}"
+                );
+                // The walk it replaced went over every served window's
+                // whole need-set twice.
+                let whole: usize = (scratch.windows.iter())
+                    .filter(|w| tree.first_user_in(w.lo, w.hi).is_some())
+                    .map(|w| 2 * (1 + scratch.rows[w.parent as usize].chain as usize))
+                    .sum();
+                assert!(steps < whole, "n={n} cap={cap}: {steps} steps of {whole}");
+            }
+        }
+        assert!(planned >= 12, "only {planned} cases planned");
+    }
+
+    /// Bends `outcome` out of shape: `a` and `b` pick edges or updated
+    /// positions modulo their counts; absent IDs lie beyond the tree's
+    /// storage, up to `NodeId::MAX`.
+    fn bend(tree: &KeyTree, outcome: &mut MarkOutcome, kind: u8, a: u32, b: u32) {
+        let absent = if b.is_multiple_of(2) {
+            tree.storage_len() as NodeId + b % 64
+        } else {
+            NodeId::MAX - b % 8
+        };
+        let (edges, updated) = (&mut outcome.encryptions, &mut outcome.updated_knodes);
+        let (e, f) = (a as usize % edges.len(), b as usize % edges.len());
+        let u = a as usize % updated.len().max(1);
+        match kind {
+            0 => edges.swap(e, f),
+            1 if !updated.is_empty() => drop(updated.remove(u)),
+            2 => edges[e].parent = absent,
+            3 => edges[e].child = absent,
+            4 if !updated.is_empty() => updated[u] = absent,
+            5 => edges[e].parent = edges[f].child,
+            _ => updated.insert(u, absent),
+        }
+    }
+
+    /// The first edge whose key the tree lacks, as the error sealing owes.
+    fn first_missing(tree: &KeyTree, outcome: &MarkOutcome) -> Option<AssignError> {
+        outcome
+            .encryptions
+            .iter()
+            .find(|e| tree.key_of(e.child).is_none() || tree.key_of(e.parent).is_none())
+            .map(|e| AssignError::MissingKey {
+                child: e.child,
+                parent: e.parent,
+            })
+    }
+
+    /// Plans a malformed outcome cold and through a warm scratch, seals it,
+    /// and replans the pristine outcome on the same scratch: plans (within
+    /// capacity) or a typed error, never a panic; sealing names the first
+    /// missing key; the scratch keeps no state from the bent outcome.
+    fn check_total(tree: &KeyTree, pristine: &MarkOutcome, bent: &MarkOutcome, name: &str) {
+        let layout = Layout::DEFAULT;
+        let mut warm = PlanScratch::new();
+        let cold = plan(tree, pristine, &layout).unwrap();
+        assert_eq!(plan_in(tree, pristine, &layout, &mut warm).unwrap(), cold);
+        match plan_in(tree, bent, &layout, &mut warm) {
+            Ok(plans) => {
+                for p in &plans {
+                    assert!(
+                        p.enc_indices.len() <= layout.encryptions_per_packet(),
+                        "{name}"
+                    );
+                    assert!(p.enc_indices.iter().all(|&i| i < bent.encryptions.len()));
+                }
+            }
+            Err(AssignError::PacketCapacity { .. }) => {}
+            Err(other) => panic!("{name}: unexpected {other:?}"),
+        }
+        let sealed = plan_and_seal(tree, bent, 4, &layout, &mut warm);
+        assert_eq!(sealed.err(), first_missing(tree, bent), "{name}");
+        assert_eq!(plan_in(tree, pristine, &layout, &mut warm).unwrap(), cold);
+    }
+
+    #[test]
+    fn malformed_outcomes_plan_or_fail_typed() {
+        let (tree, outcome) = setup(1024, 256);
+        // A parent missing from `updated_knodes` (an interior one, and the
+        // root).
+        let mut no_parent = outcome.clone();
+        no_parent
+            .updated_knodes
+            .remove(no_parent.updated_knodes.len() / 2);
+        check_total(&tree, &outcome, &no_parent, "missing parent");
+        let mut no_root = outcome.clone();
+        no_root.updated_knodes.pop();
+        check_total(&tree, &outcome, &no_root, "missing root");
+        // Edges out of group order.
+        let mut shuffled = outcome.clone();
+        shuffled.encryptions.reverse();
+        shuffled.encryptions.rotate_left(7);
+        check_total(&tree, &outcome, &shuffled, "out of group order");
+        // IDs beyond the tree's storage, in edges and updated k-nodes.
+        let mut beyond = outcome.clone();
+        let absent = tree.storage_len() as NodeId + 5;
+        beyond.encryptions[3].child = absent;
+        beyond.encryptions[9].parent = NodeId::MAX;
+        beyond.updated_knodes.insert(0, NodeId::MAX);
+        beyond.updated_knodes.push(absent);
+        check_total(&tree, &outcome, &beyond, "beyond storage");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn bent_outcomes_plan_totally(
+            bends in proptest::collection::vec(
+                (0u8..7, proptest::prelude::any::<u32>(), proptest::prelude::any::<u32>()),
+                1..5,
+            ),
+            leaves in 8u32..96,
+        ) {
+            let (tree, pristine) = setup(256, leaves);
+            let mut bent = pristine.clone();
+            for &(kind, a, b) in &bends {
+                bend(&tree, &mut bent, kind, a, b);
+            }
+            check_total(&tree, &pristine, &bent, &format!("{bends:?}"));
         }
     }
 }

@@ -1,11 +1,14 @@
-//! Property-based bit-identity of the run-aggregated UKA planner against
-//! the user-by-user reference oracle (`rekeymsg::sanitize::reference_plan`),
-//! across random populations, degrees, churn, layout capacities, and
-//! compaction (relocation batches included). Runs under
-//! `--features sanitize`, where the oracle is compiled into the crate.
+//! Bit-identity of the run-aggregated UKA planner against the user-by-user
+//! reference oracle (`rekeymsg::sanitize::reference_plan`): a proptest
+//! across random populations (n < 400), degrees, churn, layout capacities
+//! and compaction (relocation batches included), and deterministic cases
+//! at the sizes the proptest does not reach — the `server_scale` shape,
+//! N = 4096 at d = 2 and d = 8, and a join-heavy batch whose user zone
+//! spans two levels. Runs under `--features sanitize`, where the oracle is
+//! compiled into the crate.
 #![cfg(feature = "sanitize")]
 
-use keytree::{Batch, CompactionPolicy, KeyTree, MarkScratch, MemberId};
+use keytree::{ident, Batch, CompactionPolicy, KeyTree, MarkScratch, MemberId};
 use proptest::prelude::*;
 use rekeymsg::sanitize::{check_plan_identity, reference_plan};
 use rekeymsg::{assign, AssignError, Layout, PlanScratch};
@@ -74,19 +77,19 @@ fn dedup_leavers(seeds: &[u32], members: &[MemberId]) -> Vec<MemberId> {
 }
 
 /// Plans one outcome both ways and requires identical packets — or the
-/// same capacity-overflow error naming the same first user.
-fn check_one(tree: &KeyTree, outcome: &keytree::MarkOutcome, layout: &Layout) {
-    match assign::plan(tree, outcome, layout) {
-        Ok(plans) => {
-            check_plan_identity(tree, outcome, &plans, layout)
-                .unwrap_or_else(|e| panic!("planner diverged from oracle: {e}"));
-            // A warm scratch replans bit-identically.
-            let mut scratch = PlanScratch::new();
-            let w1 = assign::plan_in(tree, outcome, layout, &mut scratch).unwrap();
-            let w2 = assign::plan_in(tree, outcome, layout, &mut scratch).unwrap();
-            assert_eq!(plans, w1);
-            assert_eq!(plans, w2);
-        }
+/// same capacity-overflow error naming the same first user. `warm` is a
+/// scratch earlier outcomes have run through: it must replan exactly like
+/// a cold one, twice.
+fn check_one(
+    tree: &KeyTree,
+    outcome: &keytree::MarkOutcome,
+    layout: &Layout,
+    warm: &mut PlanScratch,
+) {
+    let cold = assign::plan(tree, outcome, layout);
+    match &cold {
+        Ok(plans) => check_plan_identity(tree, outcome, plans, layout)
+            .unwrap_or_else(|e| panic!("planner diverged from oracle: {e}")),
         Err(AssignError::PacketCapacity { user, .. }) => {
             let err = reference_plan(tree, outcome, layout)
                 .expect_err("planner overflowed but the oracle packed successfully");
@@ -97,6 +100,8 @@ fn check_one(tree: &KeyTree, outcome: &keytree::MarkOutcome, layout: &Layout) {
         }
         Err(other) => panic!("unexpected planner error: {other}"),
     }
+    assert_eq!(assign::plan_in(tree, outcome, layout, warm), cold);
+    assert_eq!(assign::plan_in(tree, outcome, layout, warm), cold);
 }
 
 proptest! {
@@ -117,6 +122,7 @@ proptest! {
             CompactionPolicy::DISABLED
         };
 
+        let mut warm = PlanScratch::new();
         let mut next_member = w.n;
         for (leaf_seeds, joins) in [(&w.leaves1, w.joins1), (&w.leaves2, w.joins2)] {
             let mut members = tree.member_ids();
@@ -134,7 +140,107 @@ proptest! {
                 &mut scratch,
                 &policy,
             );
-            check_one(&tree, &outcome, &layout);
+            check_one(&tree, &outcome, &layout, &mut warm);
         }
     }
+}
+
+/// Runs `batches` of `(joins, leaves)` over a balanced tree of `n` members
+/// — fresh joiners, leavers drawn without replacement from a fixed
+/// splitmix64 stream — and checks every outcome under every layout with
+/// one scratch warmed across all of them. Returns how many outcomes had a
+/// user zone spanning two levels.
+fn churn_and_check(
+    n: u32,
+    degree: u32,
+    batches: &[(u32, usize)],
+    policy: CompactionPolicy,
+    layouts: &[Layout],
+) -> usize {
+    let mut kg = KeyGen::from_seed(u64::from(n) ^ u64::from(degree) << 32);
+    let mut tree = KeyTree::balanced(n, degree, &mut kg);
+    let mut mark = MarkScratch::new();
+    let mut warm = PlanScratch::new();
+    let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ u64::from(n);
+    let mut next_member = n;
+    let mut two_level = 0;
+    for &(joins, leaves) in batches {
+        let mut members = tree.member_ids();
+        members.sort_unstable();
+        let mut leavers = Vec::with_capacity(leaves);
+        for _ in 0..leaves.min(members.len()) {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            leavers.push(members.swap_remove((z ^ (z >> 31)) as usize % members.len()));
+        }
+        leavers.sort_unstable();
+        let join_list: Vec<(MemberId, SymKey)> = (0..joins)
+            .map(|i| (next_member + i, kg.next_key()))
+            .collect();
+        next_member += joins;
+        let outcome = tree.process_batch_compacting_in(
+            Batch::new(join_list, leavers),
+            &mut kg,
+            &mut mark,
+            &policy,
+        );
+        let (maxk, maxu) = (
+            tree.max_knode_id().unwrap(),
+            tree.highest_unode_id().unwrap(),
+        );
+        two_level += usize::from(ident::level(maxk + 1, degree) != ident::level(maxu, degree));
+        for layout in layouts {
+            check_one(&tree, &outcome, layout, &mut warm);
+        }
+    }
+    two_level
+}
+
+#[test]
+fn server_scale_shape_matches_reference() {
+    // N = 16384, d = 4, J = L = 512, three successive batches; a
+    // 12-encryption layout besides the paper's forces many more splits.
+    for policy in [CompactionPolicy::DISABLED, CompactionPolicy::DEFAULT_ON] {
+        churn_and_check(
+            16384,
+            4,
+            &[(512, 512); 3],
+            policy,
+            &[Layout::DEFAULT, Layout::new(3 + 6 + 22 * 12)],
+        );
+    }
+}
+
+#[test]
+fn n4096_at_degree_two_and_eight_matches_reference() {
+    // At d = 2 the 13-level paths overflow an 8-encryption packet: the
+    // typed error must name the oracle's first user.
+    for degree in [2, 8] {
+        churn_and_check(
+            4096,
+            degree,
+            &[(256, 256), (64, 400)],
+            CompactionPolicy::DISABLED,
+            &[Layout::DEFAULT, Layout::new(3 + 6 + 22 * 8)],
+        );
+    }
+}
+
+#[test]
+fn join_heavy_batch_spanning_two_levels_matches_reference() {
+    // Joins split leaves, pushing users one level down while the rest
+    // stay put: the user zone spans two levels, so windows come from two
+    // per-level passes.
+    let two_level = churn_and_check(
+        1024,
+        4,
+        &[(600, 8), (300, 40)],
+        CompactionPolicy::DISABLED,
+        &[Layout::DEFAULT, Layout::new(3 + 6 + 22 * 5)],
+    );
+    assert_eq!(
+        two_level, 2,
+        "both batches must leave a two-level user zone"
+    );
 }

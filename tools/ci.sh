@@ -117,9 +117,11 @@ stage "engine agreement (statistical gate over seeds, --release)"
 cargo test --release -q -p bench --test engine_agreement
 
 stage "UKA plan identity (run-aggregated planner vs user-by-user oracle)"
-# Proptest bit-identity of the O(E) run-aggregated planner against the
-# sanitize-featured reference walk, across random (N, d, churn, layout
-# capacity, compaction) including relocation batches and forced splits.
+# Bit-identity of the run-aggregated planner against the sanitize-featured
+# reference walk: a proptest across random (N, d, churn, layout capacity,
+# compaction) including relocation batches and forced splits, plus
+# deterministic cases at the server_scale shape, N = 4096 at d = 2 and 8,
+# and a two-level user zone.
 cargo test -q -p rekeymsg --features sanitize --test plan_identity
 
 # One cycle per tracked report: a smoke run (written under target/, so it
