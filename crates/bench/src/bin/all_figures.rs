@@ -22,7 +22,7 @@ use bench::report::{fail, Args};
 use bench::{Mode, ObsSink, ALL_FIGURES};
 
 fn main() -> io::Result<()> {
-    let args = Args::parse(&["--obs-out"], &[]);
+    let args = Args::parse(&["--obs-out"]);
     let obs_sink = ObsSink::resolve(args.value("--obs-out")).unwrap_or_else(|msg| fail(msg));
 
     let figures: Vec<&(&str, bench::FigFn)> = match std::env::var("REKEY_FIGURES") {

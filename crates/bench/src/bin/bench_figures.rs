@@ -13,24 +13,26 @@
 //! The figure engine's speed is the repository benchmark's `sim_figures`
 //! workload.
 //!
-//! Flags are the shared report flags (`bench::report`), without the obs
-//! sinks: `--smoke` renders a cheap figure subset (same JSON shape).
+//! The one flag is `--out PATH` (`bench::report`).
 
-use bench::report::{self, Cli, FIGURES};
-use bench::{Mode, ALL_FIGURES, SMOKE_FIGURES};
+use bench::report::{self, Cli, Spec};
+use bench::{Mode, ALL_FIGURES};
 use wirecrypto::{mac::mac64, SymKey};
 
-fn run(cli: &Cli) -> std::io::Result<String> {
+const SPEC: Spec = Spec {
+    schema: "bench_figures/v2",
+    file: "BENCH_figures.json",
+    sinks: &[],
+};
+
+fn run(_: &Cli) -> std::io::Result<String> {
     // A fixed, public key: the digest detects change, it authenticates nothing.
     let key = SymKey::from_bytes(*b"BENCH_figures/v2");
-    let selected = ALL_FIGURES
-        .iter()
-        .filter(|(name, _)| !cli.smoke || SMOKE_FIGURES.contains(name));
-    eprintln!("figures: quick-mode grid ({})", cli.mode());
-    let mut w = report::begin(&FIGURES, cli);
+    eprintln!("figures: quick-mode grid");
+    let mut w = report::begin(&SPEC);
     w.key("figures");
     w.begin_array();
-    for &(name, f) in selected {
+    for &(name, f) in ALL_FIGURES {
         let mut text: Vec<u8> = Vec::new();
         f(Mode::QUICK, &mut text)?;
         let digest = format!("{:016x}", mac64(&key, &text));
@@ -46,5 +48,5 @@ fn run(cli: &Cli) -> std::io::Result<String> {
 }
 
 fn main() {
-    report::main(&FIGURES, run);
+    report::main(&SPEC, run);
 }

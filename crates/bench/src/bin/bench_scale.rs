@@ -14,12 +14,17 @@
 //! repository benchmark's `server_scale` workload (`keytree.mark.ms`,
 //! `rekeymsg.build.ms`, `server.rekey.ms`).
 //!
-//! Flags are the shared report flags (`bench::report`): `--smoke` shrinks
-//! the grid (same JSON shape).
+//! The one flag is `--out PATH` (`bench::report`).
 
-use bench::report::{self, Cli, SCALE};
+use bench::report::{self, Cli, Spec};
 use keytree::{Batch, KeyTree, MarkScratch, MemberId};
 use wirecrypto::{KeyGen, SymKey};
+
+const SPEC: Spec = Spec {
+    schema: "bench_scale/v5",
+    file: "BENCH_scale.json",
+    sinks: &[],
+};
 
 /// One cell of the grid: group size, tree degree, and batch shape.
 #[derive(Clone, Copy)]
@@ -30,16 +35,11 @@ struct Cell {
     leaves: usize,
 }
 
-fn grid(smoke: bool) -> Vec<Cell> {
-    let (sizes, churn): (&[u32], &[(usize, usize)]) = if smoke {
-        (&[1 << 10, 1 << 12], &[(64, 64)])
-    } else {
-        (&[1 << 14, 1 << 17, 1 << 20], &[(64, 64), (512, 512)])
-    };
+fn grid() -> Vec<Cell> {
     let mut cells = Vec::new();
-    for &n in sizes {
+    for n in [1 << 14, 1 << 17, 1 << 20] {
         for d in [4u32, 8, 16] {
-            for &(joins, leaves) in churn {
+            for (joins, leaves) in [(64, 64), (512, 512)] {
                 cells.push(Cell {
                     n,
                     d,
@@ -48,16 +48,6 @@ fn grid(smoke: bool) -> Vec<Cell> {
                 });
             }
         }
-    }
-    if smoke {
-        // The cheapest cell of the full grid, so `bench_diff` against the
-        // committed report has a row to compare.
-        cells.push(Cell {
-            n: 1 << 14,
-            d: 4,
-            joins: 64,
-            leaves: 64,
-        });
     }
     cells
 }
@@ -85,10 +75,10 @@ fn bench_cell(cell: Cell) -> (usize, f64) {
     (outcome.encryptions.len(), bytes_per_node)
 }
 
-fn run(cli: &Cli) -> std::io::Result<String> {
-    let cells = grid(cli.smoke);
-    eprintln!("scale: {} cells ({})", cells.len(), cli.mode());
-    let mut w = report::begin(&SCALE, cli);
+fn run(_: &Cli) -> std::io::Result<String> {
+    let cells = grid();
+    eprintln!("scale: {} cells", cells.len());
+    let mut w = report::begin(&SPEC);
     w.key("scale");
     w.begin_array();
     for cell in cells {
@@ -106,7 +96,7 @@ fn run(cli: &Cli) -> std::io::Result<String> {
         w.field_u64("joins", cell.joins as u64);
         w.field_u64("leaves", cell.leaves as u64);
         w.field_u64("encryptions", encryptions as u64);
-        report::ratio(&mut w, "resident_bytes_per_node", bytes_per_node);
+        report::ratio(&mut w, "resident_bytes_per_node", bytes_per_node)?;
         w.end_object();
     }
     w.end_array();
@@ -114,5 +104,5 @@ fn run(cli: &Cli) -> std::io::Result<String> {
 }
 
 fn main() {
-    report::main(&SCALE, run);
+    report::main(&SPEC, run);
 }

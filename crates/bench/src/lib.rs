@@ -4,16 +4,15 @@
 //! [`ablations`]); the `all_figures` binary runs them all, or the subset
 //! named in `REKEY_FIGURES`. Output is aligned plain text (one block per
 //! sub-figure) so EXPERIMENTS.md can quote it directly. The three
-//! `bench_*` binaries that emit the committed `BENCH_*.json` reports, and
-//! `bench_diff` that compares them, share [`report`]; those reports hold
-//! exact facts and no timing (the repository benchmark, `BENCHMARK.json`,
-//! is the one speed gate).
+//! `bench_*` binaries that emit the committed `BENCH_*.json` reports share
+//! [`report`]; those reports hold exact facts and no timing, so a fresh
+//! run is compared with the committed file by `cmp` (the repository
+//! benchmark, `BENCHMARK.json`, is the one speed gate).
 //!
-//! Set `REKEY_QUICK=1` to cut message counts ~4x for smoke runs.
+//! Set `REKEY_QUICK=1` to cut `all_figures`' message counts ~4x.
 
 pub mod ablations;
 pub mod figures;
-pub mod jsonv;
 pub mod report;
 
 /// Whether the environment variable `name` is set to anything but `0`.
@@ -316,16 +315,6 @@ pub const ALL_FIGURES: &[(&str, FigFn)] = &[
     ("ablation_send_order", ablations::ablation_send_order),
     ("ablation_loss_model", ablations::ablation_loss_model),
     ("ablation_uka", ablations::ablation_uka),
-];
-
-/// Cheap-but-representative subset of [`ALL_FIGURES`] for `bench_figures
-/// --smoke` and the grid identity test: one workload grid, one adaptive
-/// trajectory, one table, one ablation.
-pub const SMOKE_FIGURES: [&str; 4] = [
-    "fig06",
-    "fig14",
-    "sigcomm_sparseness",
-    "ablation_loss_model",
 ];
 
 #[cfg(test)]

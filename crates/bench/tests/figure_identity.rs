@@ -15,10 +15,19 @@ fn render(workers: usize, fig: FigFn) -> Vec<u8> {
     out
 }
 
+/// A cheap but representative subset of the figures: one workload grid,
+/// one adaptive trajectory, one table, one ablation.
+const SAMPLED: [&str; 4] = [
+    "fig06",
+    "fig14",
+    "sigcomm_sparseness",
+    "ablation_loss_model",
+];
+
 #[test]
-fn smoke_figures_are_byte_identical_at_one_and_four_grid_workers() {
+fn sampled_figures_are_byte_identical_at_one_and_four_grid_workers() {
     for (name, fig) in bench::ALL_FIGURES {
-        if !bench::SMOKE_FIGURES.contains(name) {
+        if !SAMPLED.contains(name) {
             continue;
         }
         let serial = render(1, *fig);

@@ -1,115 +1,90 @@
 //! `bench_churn`, the one report binary with sinks, must honor
 //! `--obs-out`/`REKEY_OBS=1` when the metrics layer is compiled in, and
-//! fail fast — one clear line, nonzero exit — when it is not. Both sides
-//! branch on [`obs::enabled`] so the same test covers whichever way this
-//! binary was built. A malformed command line is one usage line and exit
-//! 2, never a panic.
+//! fail fast — one clear line, nonzero exit — when it is not. The sinks
+//! are tested in-process and branch on [`obs::enabled`], so the same test
+//! covers whichever way this crate was built; the binary is spawned only
+//! where it exits before running anything. A malformed command line is one
+//! usage line and exit 2, never a panic.
 
-use std::path::PathBuf;
 use std::process::Command;
 
-use bench::jsonv::{parse, Value};
+use bench::{ObsSink, TraceSink};
 
-fn temp_path(tag: &str) -> PathBuf {
+fn temp_path(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("bench_obs_{tag}_{}.json", std::process::id()))
 }
 
-fn bench_churn() -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_bench_churn"));
-    // Quick workload; make sure an ambient REKEY_OBS doesn't leak in.
-    cmd.env("REKEY_QUICK", "1").env_remove("REKEY_OBS");
-    cmd
+#[test]
+fn obs_sink_writes_the_snapshot_or_errors_cleanly() {
+    let path = temp_path("sink");
+    let resolved = ObsSink::resolve(Some(path.to_str().expect("utf8").to_string()));
+    let trace = TraceSink::resolve(Some("unused.json".to_string()));
+    if !obs::enabled() {
+        for e in [resolved.expect_err("no obs"), trace.expect_err("no obs")] {
+            assert!(e.contains("rebuild with `--features obs`"), "{e}");
+            assert_eq!(e.lines().count(), 1, "{e}");
+        }
+        return;
+    }
+    assert!(trace.is_ok_and(|t| t.active()));
+    let sink = resolved.expect("obs build");
+    assert!(sink.active);
+    drop(obs::span("rekey.batch"));
+    let mut err = Vec::new();
+    sink.emit(&obs::snapshot(), &mut err).expect("emit");
+    let err = String::from_utf8(err).expect("utf8");
+    assert!(err.contains("obs spans"), "table on stderr: {err}");
+    assert!(err.ends_with(&format!("wrote obs snapshot to {}\n", path.display())));
+    let json = std::fs::read_to_string(&path).expect("snapshot written");
+    let _ = std::fs::remove_file(&path);
+    assert!(obs::json::well_formed(&json));
+    assert!(json.contains("\"schema\": \"obs/v2\""), "{json}");
+    assert!(json.contains("rekey.batch"), "{json}");
 }
 
 #[test]
-fn obs_out_flag_writes_snapshot_or_errors_cleanly() {
-    let obs_path = temp_path("flag");
-    let out_path = temp_path("flag_main");
-    let result = bench_churn()
-        .args([
-            "--smoke",
-            "--out",
-            out_path.to_str().expect("utf8 temp path"),
-            "--obs-out",
-            obs_path.to_str().expect("utf8 temp path"),
-        ])
+fn an_inactive_sink_emits_nothing() {
+    let sink = ObsSink::default();
+    let mut err = Vec::new();
+    sink.emit(&obs::snapshot(), &mut err).expect("emit");
+    assert!(err.is_empty());
+    assert!(!TraceSink::default().active());
+}
+
+fn bench_churn(args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_bench_churn"))
+        .args(args)
+        .env_remove("REKEY_OBS")
         .output()
-        .expect("spawn bench_churn");
-    if obs::enabled() {
-        assert!(
-            result.status.success(),
-            "obs build must honor --obs-out: {}",
-            String::from_utf8_lossy(&result.stderr)
-        );
-        let text = std::fs::read_to_string(&obs_path).expect("snapshot written");
-        let snap = parse(&text).expect("snapshot parses");
-        assert_eq!(snap.get("schema").and_then(Value::as_str), Some("obs/v2"));
-        let spans = snap.get("spans").and_then(Value::as_arr).expect("spans");
-        let name = |s: &Value| s.get("name").and_then(Value::as_str).map(str::to_string);
-        let names: Vec<String> = spans.iter().filter_map(name).collect();
-        assert!(names.iter().any(|n| n == "rekey.batch"), "{names:?}");
-        // The report itself came out too, and passes its own check.
-        let report = std::fs::read_to_string(&out_path).expect("report written");
-        assert_eq!(bench::report::CHURN.check(&report), Vec::<String>::new());
-        let stderr = String::from_utf8_lossy(&result.stderr);
-        assert!(stderr.contains("obs spans"), "table on stderr: {stderr}");
-    } else {
-        assert_eq!(result.status.code(), Some(1), "nonzero exit");
-        let stderr = String::from_utf8_lossy(&result.stderr);
-        assert_eq!(
-            stderr.lines().count(),
-            1,
-            "exactly one error line, got: {stderr}"
-        );
-        assert!(
-            stderr.contains("rebuild with `--features obs`"),
-            "error names the fix: {stderr}"
-        );
-        assert!(!obs_path.exists(), "no snapshot from a no-op build");
-    }
-    let _ = std::fs::remove_file(&obs_path);
-    let _ = std::fs::remove_file(&out_path);
+        .expect("spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+    (out.status.code(), stderr)
 }
 
 #[test]
-fn rekey_obs_env_takes_the_same_gate() {
-    let out_path = temp_path("env_main");
-    let result = bench_churn()
-        .env("REKEY_OBS", "1")
-        .args(["--smoke", "--out", out_path.to_str().expect("utf8")])
-        .output()
-        .expect("spawn bench_churn");
-    let stderr = String::from_utf8_lossy(&result.stderr);
+fn a_sink_on_a_build_without_obs_exits_1_before_running() {
     if obs::enabled() {
-        assert!(result.status.success(), "{stderr}");
-        assert!(stderr.contains("obs spans"), "table on stderr: {stderr}");
-    } else {
-        assert_eq!(result.status.code(), Some(1));
-        assert!(stderr.contains("rebuild with `--features obs`"), "{stderr}");
+        return; // an obs build would run the whole grid
     }
-    let _ = std::fs::remove_file(&out_path);
+    let path = temp_path("flag");
+    let (code, stderr) = bench_churn(&["--obs-out", path.to_str().expect("utf8")]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("rebuild with `--features obs`"), "{stderr}");
+    assert!(!path.exists(), "no snapshot from a no-op build");
 }
 
 #[test]
 fn missing_value_or_unknown_flag_is_one_usage_line() {
-    let churn = env!("CARGO_BIN_EXE_bench_churn");
-    let cases = [
-        (churn, &["--out"][..], "usage: [--smoke] [--out VALUE]"),
-        (churn, &["--smoke", "--check"], "usage: [--smoke]"),
-        (churn, &["--reps", "3"], "usage: [--smoke]"),
-        // The tolerance band is gone, and so is its flag.
-        (
-            env!("CARGO_BIN_EXE_bench_diff"),
-            &["--band", "3"],
-            "usage: [--check] [--baseline",
-        ),
-    ];
-    for (bin, args, usage) in cases {
-        let result = Command::new(bin).args(args).output().expect("spawn");
-        assert_eq!(result.status.code(), Some(2), "{args:?}");
-        let stderr = String::from_utf8_lossy(&result.stderr);
-        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
-        assert!(stderr.contains(usage), "{stderr}");
-        assert!(!stderr.contains("panicked"), "{stderr}");
+    let usage = "usage: [--out VALUE] [--obs-out VALUE] [--trace-out VALUE] [--series-out VALUE]";
+    for args in [
+        &["--out"][..],
+        &["--smoke"],
+        &["--check", "BENCH_churn.json"],
+    ] {
+        let (code, stderr) = bench_churn(args);
+        assert_eq!(code, Some(2), "{args:?}");
+        assert!(stderr.ends_with(&format!("{usage}\n")), "{stderr}");
     }
 }

@@ -258,29 +258,27 @@ impl MarkScratch {
 /// pruning/revival, so a batch's cost stays `O((J + L + moves) log N)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactionPolicy {
-    /// Trigger slack: compact only once `nk` exceeds
-    /// `slack * ideal_nk + d`, where `ideal_nk ~ (U - 1) / (d - 1)` is the
-    /// maximum k-node ID of a compact tree holding the current `U` users.
-    /// Larger values tolerate more sparseness before paying relocations.
-    pub slack: u32,
     /// Relocation budget per batch (amortization knob). Zero switches
     /// compaction off: [`KeyTree::process_batch_compacting_in`] then
     /// behaves exactly like [`KeyTree::process_batch_in`].
     pub max_moves_per_batch: usize,
 }
 
+/// Trigger slack: compact only once `nk` exceeds `SLACK * ideal_nk + d`,
+/// where `ideal_nk ~ (U - 1) / (d - 1)` is the maximum k-node ID of a
+/// compact tree holding the current `U` users.
+const SLACK: u64 = 2;
+
 impl CompactionPolicy {
     /// Compaction off — the default, so existing pipelines (and their
     /// byte-identical baselines) are unaffected unless a caller opts in.
     pub const DISABLED: CompactionPolicy = CompactionPolicy {
-        slack: 2,
         max_moves_per_batch: 0,
     };
 
     /// The recommended on-switch: trigger at 2x the compact tree size,
     /// amortize at most 64 relocations per batch.
     pub const DEFAULT_ON: CompactionPolicy = CompactionPolicy {
-        slack: 2,
         max_moves_per_batch: 64,
     };
 
@@ -299,7 +297,7 @@ impl CompactionPolicy {
     fn should_compact(&self, nk: NodeId, users: usize, d: u32) -> bool {
         self.max_moves_per_batch > 0
             && users > 0
-            && u64::from(nk) > u64::from(self.slack) * Self::ideal_nk(users, d) + u64::from(d)
+            && u64::from(nk) > SLACK * Self::ideal_nk(users, d) + u64::from(d)
     }
 
     /// Whether, mid-compaction, another relocation is still worth doing
@@ -1580,7 +1578,6 @@ mod tests {
         let leaves: Vec<MemberId> = (0..1024).filter(|m| m % 16 != 0).collect();
         tree.process_batch_in(Batch::new(vec![], leaves), &mut kg, &mut scratch);
         let tiny = CompactionPolicy {
-            slack: 2,
             max_moves_per_batch: 3,
         };
         let outcome =

@@ -82,7 +82,6 @@ fn mark_batch_compacting_in_is_allocation_free_mid_compaction() {
     // A small per-batch budget spreads the compaction over several
     // batches, so the measured round is still actively relocating.
     let policy = CompactionPolicy {
-        slack: 2,
         max_moves_per_batch: 4,
     };
 

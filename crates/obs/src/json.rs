@@ -204,8 +204,8 @@ impl JsonWriter {
 
 /// Structural well-formedness check: balanced braces/brackets outside
 /// strings, object at the top level. A cheap sanity check for this
-/// crate's own writers and their tests, not a parser: the BENCH `--check`
-/// paths parse for real (`bench::jsonv`).
+/// crate's writers and the tests of their output, not a parser: nothing in
+/// the workspace reads JSON back.
 #[must_use]
 pub fn well_formed(text: &str) -> bool {
     let trimmed = text.trim();

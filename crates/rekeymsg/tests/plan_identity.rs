@@ -117,7 +117,7 @@ proptest! {
         // An aggressive policy on batch 1's mass leaves makes batch 2 a
         // relocation batch (joiner-labeled moved users, shrunken tail).
         let policy = if w.compact {
-            CompactionPolicy { slack: 2, max_moves_per_batch: 8 }
+            CompactionPolicy { max_moves_per_batch: 8 }
         } else {
             CompactionPolicy::DISABLED
         };

@@ -38,8 +38,6 @@ pub struct ServerConfig {
     pub send_order: SendOrder,
     /// Wire layout.
     pub layout: Layout,
-    /// UDP header bytes counted in the unicast switch rule.
-    pub udp_header_len: usize,
     /// RNG seed for the probabilistic `rho` decrease.
     pub seed: u64,
 }
@@ -57,11 +55,14 @@ impl Default for ServerConfig {
             early_unicast_by_bytes: false,
             send_order: SendOrder::Interleaved,
             layout: Layout::DEFAULT,
-            udp_header_len: 8,
             seed: 7,
         }
     }
 }
+
+/// UDP header bytes counted per packet in USR byte totals and in the
+/// unicast switch rule.
+const UDP_HEADER_LEN: usize = 8;
 
 /// Cross-message server state: `rho`, `numNACK`, adaptation RNG, and the
 /// warmed prototype FEC encoder every message's blocks are cloned from.
@@ -393,8 +394,7 @@ impl ServerSession {
         let duplicates = self.usr_duplicates;
         self.usr_duplicates += 1;
         self.stats.usr_sent += targets.len() * duplicates;
-        self.stats.usr_bytes +=
-            targets.len() * duplicates * (self.usr_len_hint + self.cfg.udp_header_len);
+        self.stats.usr_bytes += targets.len() * duplicates * (self.usr_len_hint + UDP_HEADER_LEN);
         UnicastSend {
             targets,
             duplicates,
@@ -408,10 +408,9 @@ impl ServerSession {
         for &u in &self.round_nackers {
             distinct.insert(u, ());
         }
-        let usr_bytes = distinct.len() * (self.usr_len_hint + self.cfg.udp_header_len);
+        let usr_bytes = distinct.len() * (self.usr_len_hint + UDP_HEADER_LEN);
         let parity_packets: usize = self.amax.iter().sum();
-        let parity_bytes =
-            parity_packets * (self.cfg.layout.enc_packet_len + self.cfg.udp_header_len);
+        let parity_bytes = parity_packets * (self.cfg.layout.enc_packet_len + UDP_HEADER_LEN);
         usr_bytes <= parity_bytes && !distinct.is_empty()
     }
 
