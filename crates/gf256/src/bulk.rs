@@ -6,13 +6,17 @@
 //! loop of Reed–Solomon coding (`k` passes per parity packet and per
 //! rebuilt data packet), so a server or a lossy receiver spends almost all
 //! of its FEC time there. [`mul_acc_slice_wide`] is the one kernel the
-//! coder runs: a branch-free carry-less formulation (eight shift/mask steps
-//! per byte, no table loads at all) that LLVM autovectorizes — 32 bytes per
-//! vector op with AVX2.
+//! coder runs: the eight multiples `coeff · alpha^b` are computed once per
+//! call, and each byte's product is the XOR of the multiples its set bits
+//! select — eight mask-and-XOR steps per byte, no table loads and no
+//! per-byte reduction — which LLVM autovectorizes, 32 bytes per vector op
+//! with AVX2.
 //!
 //! It agrees byte-for-byte with the scalar path, which is kept as its
-//! oracle; property tests in `tests/bulk_kernels.rs` pin that equivalence
-//! down, including the `len ∈ {0, 1, 7, 8, 9}` edges around vector widths.
+//! oracle: exhaustively (every coefficient times every byte value, on an
+//! unaligned slice) in this module's tests, and by the property tests in
+//! `tests/bulk_kernels.rs`, including the `len ∈ {0, 1, 7, 8, 9}` edges
+//! around vector widths.
 
 // A silent truncation here corrupts algebra instead of crashing.
 #![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
@@ -30,11 +34,14 @@ fn xor_slice(src: &[u8], dst: &mut [u8]) {
 /// for autovectorization.
 ///
 /// Instead of table lookups (which vectorize poorly — a gather per byte),
-/// the product is computed as a carry-less shift-and-add over the bits of
-/// `coeff`: eight branch-free steps of "conditionally accumulate, then
-/// double in GF(2^8)". Every step is pure byte-wise logic, so LLVM turns
-/// the loop into SIMD code (16 lanes under SSE2, 32 under AVX2) — this is
-/// the fastest multiply the workspace can express without `unsafe`.
+/// the product uses linearity over the bits of the source byte:
+/// `coeff · s = ⊕_b s_b · (coeff · alpha^b)`. The eight multiples
+/// `m_b = coeff · alpha^b` are computed once per call; each byte then XORs
+/// together the `m_b` whose bit `b` is set, selected by a mask that is the
+/// sign of the byte shifted so bit `b` lands on top. Every step is pure
+/// byte-wise logic, so LLVM turns the loop into SIMD code (16 lanes under
+/// SSE2, 32 under AVX2) — this is the fastest multiply the workspace can
+/// express without `unsafe`.
 ///
 /// # Panics
 ///
@@ -53,20 +60,18 @@ pub fn mul_acc_slice_wide(coeff: Gf256, src: &[u8], dst: &mut [u8]) {
         xor_slice(src, dst);
         return;
     }
-    let c = coeff.value();
-    for (d, s) in dst.iter_mut().zip(src.iter()) {
-        let mut x = *s;
+    let mut multiples = [0u8; 8];
+    let mut m = coeff;
+    for slot in &mut multiples {
+        *slot = m.value();
+        m *= Gf256::ALPHA;
+    }
+    for (d, &s) in dst.iter_mut().zip(src) {
         let mut acc = 0u8;
-        let mut cc = c;
-        // Eight unrolled "Russian peasant" steps; the masks make every
-        // step branch-free so the whole body maps onto vector lanes.
-        let mut step = 0;
-        while step < 8 {
-            acc ^= x & 0u8.wrapping_sub(cc & 1);
-            let hi = 0u8.wrapping_sub(x >> 7);
-            x = (x << 1) ^ (hi & 0x1d); // xtime: reduce by 0x11d
-            cc >>= 1;
-            step += 1;
+        for (b, &m) in multiples.iter().enumerate() {
+            // All ones when bit b of s is set: its sign once it is on top.
+            let mask = ((s << (7 - b)) as i8 >> 7) as u8;
+            acc ^= m & mask;
         }
         *d ^= acc;
     }
@@ -76,15 +81,21 @@ pub fn mul_acc_slice_wide(coeff: Gf256, src: &[u8], dst: &mut [u8]) {
 mod tests {
     use super::*;
 
+    /// Every coefficient times every byte value, on a 1021-byte slice that
+    /// starts 3 bytes into its buffer, where an FEC body sits in a wire
+    /// frame: the vector body, the tail and the unaligned start all run.
     #[test]
     fn wide_mul_acc_matches_scalar_kernel() {
-        let src: Vec<u8> = (0..=255).collect();
-        for coeff in [0u8, 1, 2, 0x1d, 0x80, 0xee, 0xff] {
+        const AT: usize = 3;
+        // 167 is odd, so every 256 consecutive bytes hold each value once.
+        let src: Vec<u8> = (0..AT + 1021).map(|i| (i * 167 + 13) as u8).collect();
+        let dst: Vec<u8> = (0..src.len()).map(|i| (i * 89 + 201) as u8).collect();
+        for coeff in 0..=255 {
             let coeff = Gf256::new(coeff);
-            let mut fast = vec![0xA5u8; src.len()];
-            let mut slow = fast.clone();
-            mul_acc_slice_wide(coeff, &src, &mut fast);
-            Gf256::mul_acc_slice(coeff, &src, &mut slow);
+            let mut fast = dst.clone();
+            let mut slow = dst.clone();
+            mul_acc_slice_wide(coeff, &src[AT..], &mut fast[AT..]);
+            Gf256::mul_acc_slice(coeff, &src[AT..], &mut slow[AT..]);
             assert_eq!(fast, slow, "coeff = {coeff}");
         }
     }

@@ -17,22 +17,44 @@
 //! packet over the received points when decoding — so [`LagrangeCtx`]
 //! amortizes the quadratic part across all of them. In characteristic 2
 //! every `-` above is `+` (XOR).
+//!
+//! Every factor above is a nonzero difference, so the whole computation
+//! runs in the log domain: a product is a sum of discrete logs modulo 255
+//! and an inverse is a negated log. The weights are stored as logs,
+//!
+//! ```text
+//! log w_i = -sum_{j != i} log(x_i + x_j)              mod 255
+//! row[i]  = alpha^(log l(x) + log w_i - log(x + x_i)  mod 255)
+//! ```
+//!
+//! so a pair of nodes costs one table read and an integer add (each pair
+//! is read once and added to both of its nodes), there are no inversions,
+//! and a row coefficient is one read of the exp table.
 
 // A silent truncation here corrupts algebra instead of crashing.
 #![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
 
-use crate::Gf256;
+use crate::tables::LOG;
+use crate::{Gf256, FIELD_SIZE, GROUP_ORDER};
+
+/// Discrete log of a nonzero difference, widened for summing.
+#[inline]
+fn log_of(diff: Gf256) -> usize {
+    usize::from(LOG[usize::from(diff.value())])
+}
 
 /// Precomputed barycentric weights for a fixed set of interpolation
 /// nodes.
 ///
 /// Construction is O(k²); each subsequent [`row`](LagrangeCtx::row) is
 /// O(k). The produced rows are byte-for-byte identical to the textbook
-/// O(k²) construction (property-tested in `tests/bulk_kernels.rs`).
+/// O(k²) construction (tested exhaustively in this module and by
+/// property tests in `tests/bulk_kernels.rs`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LagrangeCtx {
     nodes: Vec<Gf256>,
-    weights: Vec<Gf256>,
+    /// `log w_i` in `0..255`.
+    log_weights: Vec<usize>,
 }
 
 impl LagrangeCtx {
@@ -42,22 +64,27 @@ impl LagrangeCtx {
     /// by zero).
     pub fn new(nodes: impl IntoIterator<Item = Gf256>) -> Option<Self> {
         let nodes: Vec<Gf256> = nodes.into_iter().collect();
-        let mut weights = Vec::with_capacity(nodes.len());
-        for (i, &xi) in nodes.iter().enumerate() {
-            let mut denom = Gf256::ONE;
-            for (j, &xj) in nodes.iter().enumerate() {
-                if i == j {
-                    continue;
-                }
-                let diff = xi + xj; // xi - xj in characteristic 2
-                if diff.is_zero() {
-                    return None;
-                }
-                denom *= diff;
+        // A zero difference is exactly a repeated node; with none, every
+        // difference below has a log.
+        let mut seen = [false; FIELD_SIZE];
+        for n in &nodes {
+            if std::mem::replace(&mut seen[usize::from(n.value())], true) {
+                return None;
             }
-            weights.push(denom.inv()?);
         }
-        Some(LagrangeCtx { nodes, weights })
+        // Each node's sum of difference logs, reduced and negated after.
+        let mut log_weights = vec![0usize; nodes.len()];
+        for (i, &xi) in nodes.iter().enumerate() {
+            for (j, &xj) in nodes.iter().enumerate().skip(i + 1) {
+                let l = log_of(xi + xj);
+                log_weights[i] += l;
+                log_weights[j] += l;
+            }
+        }
+        for lw in &mut log_weights {
+            *lw = (GROUP_ORDER - *lw % GROUP_ORDER) % GROUP_ORDER;
+        }
+        Some(LagrangeCtx { nodes, log_weights })
     }
 
     /// Number of interpolation nodes.
@@ -94,16 +121,10 @@ impl LagrangeCtx {
             out[hit] = Gf256::ONE;
             return;
         }
-        let mut l = Gf256::ONE;
-        for &n in &self.nodes {
-            l *= x + n; // x - n in characteristic 2; nonzero (x is no node)
-        }
-        for ((o, &n), &w) in out.iter_mut().zip(&self.nodes).zip(&self.weights) {
-            // (x + n) is nonzero here, so the inverse always exists.
-            *o = match (x + n).inv() {
-                Some(d) => l * w * d,
-                None => Gf256::ZERO,
-            };
+        // x is no node, so every x - n (x + n in characteristic 2) has a log.
+        let log_l = self.nodes.iter().map(|&n| log_of(x + n)).sum::<usize>() % GROUP_ORDER;
+        for ((o, &n), &lw) in out.iter_mut().zip(&self.nodes).zip(&self.log_weights) {
+            *o = Gf256::alpha_pow(log_l + lw + GROUP_ORDER - log_of(x + n));
         }
     }
 
@@ -142,6 +163,39 @@ mod tests {
             row[i] = num / den;
         }
         row
+    }
+
+    /// Textbook weight `1 / prod_{j != i} (x_i - x_j)`, by multiplication.
+    fn naive_weight(nodes: &[Gf256], i: usize) -> Gf256 {
+        let den: Gf256 = (nodes.iter().enumerate())
+            .filter(|&(j, _)| j != i)
+            .map(|(_, &xj)| nodes[i] + xj)
+            .product();
+        Gf256::ONE / den
+    }
+
+    #[test]
+    fn log_domain_matches_textbook_for_every_k_up_to_64() {
+        for k in 1..=64usize {
+            // Node 0 (which has no log) mid-set, distinct powers around it.
+            let mut nodes: Vec<Gf256> = (1..k).map(|j| Gf256::alpha_pow(7 * j)).collect();
+            nodes.insert(k / 2, Gf256::ZERO);
+            let ctx = LagrangeCtx::new(nodes.clone()).unwrap();
+            for (i, &lw) in ctx.log_weights.iter().enumerate() {
+                assert!(lw < GROUP_ORDER, "k={k} i={i}");
+                assert_eq!(Gf256::alpha_pow(lw), naive_weight(&nodes, i), "k={k} i={i}");
+            }
+            for x in 0..=255u8 {
+                let x = Gf256::new(x);
+                assert_eq!(ctx.row(x), naive_row(&nodes, x), "k={k} x={x}");
+            }
+            // Any repeat, node 0 included, has a zero difference.
+            for dup in [0, k - 1] {
+                let mut twice = nodes.clone();
+                twice.push(nodes[dup]);
+                assert!(LagrangeCtx::new(twice).is_none(), "k={k} dup={dup}");
+            }
+        }
     }
 
     #[test]

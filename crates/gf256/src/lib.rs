@@ -6,19 +6,21 @@
 //!
 //! * [`Gf256`] — a field element with full operator overloads,
 //! * [`bulk`] — the slice-at-a-time multiply-accumulate kernel
-//!   ([`mul_acc_slice_wide`], autovectorizable) that both the encode and the
-//!   decode hot path run; the scalar [`Gf256::mul_acc_slice`] is its test
-//!   oracle,
-//! * [`lagrange`] — barycentric Lagrange basis rows: O(k²) weight setup once
-//!   per node set, O(k) per row thereafter. One [`LagrangeCtx`] row dotted
-//!   with the packets at its nodes is the whole erasure-code algebra: a
-//!   parity is the data's interpolant evaluated at a new point, a lost data
-//!   packet is the received shares' interpolant evaluated at its own.
+//!   ([`mul_acc_slice_wide`]: eight precomputed multiples of the
+//!   coefficient, selected per byte by its bits; autovectorizable) that both
+//!   the encode and the decode hot path run; the scalar
+//!   [`Gf256::mul_acc_slice`] is its test oracle,
+//! * [`lagrange`] — barycentric Lagrange basis rows, computed in the log
+//!   domain: O(k²) table reads and integer adds once per node set, O(k) per
+//!   row thereafter. One [`LagrangeCtx`] row dotted with the packets at its
+//!   nodes is the whole erasure-code algebra: a parity is the data's
+//!   interpolant evaluated at a new point, a lost data packet is the
+//!   received shares' interpolant evaluated at its own.
 //!
 //! The field is realised as GF(2)\[x\] / (x^8 + x^4 + x^3 + x^2 + 1), i.e.
-//! reduction polynomial `0x11d`, with generator `alpha = 0x02`. All
-//! multiplicative arithmetic goes through compile-time log/exp tables, so a
-//! multiply is two table lookups and an add; this matches the cost model the
+//! reduction polynomial `0x11d`, with generator `alpha = 0x02`. Element
+//! arithmetic goes through compile-time log/exp tables, so a multiply is
+//! two table lookups and an add; this matches the cost model the
 //! paper assumes when it says parity-packet encoding time is linear in block
 //! size.
 //!

@@ -49,6 +49,8 @@ pub struct Group {
     free_indices: Vec<usize>,
     clock: f64,
     degree: u32,
+    /// The transport loop's buffers, reused across rekeys.
+    scratch: TransportScratch,
     /// Cap on delivery rounds per message (safety valve).
     pub max_rounds: usize,
 }
@@ -83,6 +85,7 @@ impl Group {
             free_indices,
             clock: 0.0,
             degree: options.degree,
+            scratch: TransportScratch::new(),
             max_rounds: 64,
         }
     }
@@ -213,7 +216,7 @@ impl Group {
                 deadline_rounds: usize::MAX,
                 max_total_rounds: self.max_rounds,
             },
-            &mut TransportScratch::new(),
+            &mut self.scratch,
             |slot| {
                 Packet::Usr(require(
                     server.usr_packet(members[slot]),

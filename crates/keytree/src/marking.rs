@@ -321,7 +321,9 @@ pub struct MarkOutcome {
     /// paper's bottom-up traversal order.
     pub updated_knodes: Vec<NodeId>,
     /// The encryptions of the rekey message, grouped by parent in
-    /// `updated_knodes` order, children ascending within a parent.
+    /// `updated_knodes` order (descending IDs), children ascending within
+    /// a parent. [`MarkOutcome::encryption_by_child`] searches by this
+    /// order.
     pub encryptions: Vec<EncEdge>,
     /// Users whose u-node IDs changed due to splitting.
     pub moves: Vec<UserMove>,
@@ -338,19 +340,21 @@ pub struct MarkOutcome {
     pub joined: Vec<MemberId>,
     /// Maximum k-node ID after the batch (the `maxKID` wire field).
     pub nk: Option<NodeId>,
-    /// `(child, index into encryptions)`, sorted by child for binary
-    /// search.
-    index_by_child: Vec<(NodeId, usize)>,
+    /// Degree of the tree the batch ran on: a child's parent is its key in
+    /// the order of [`MarkOutcome::encryptions`].
+    degree: u32,
 }
 
 impl MarkOutcome {
     /// The index (into [`Self::encryptions`]) of the encryption whose
-    /// encrypting key is node `child`, if one exists.
+    /// encrypting key is node `child`, if one exists: a binary search of
+    /// `encryptions` by its order, parent descending, then child
+    /// ascending.
     pub fn encryption_by_child(&self, child: NodeId) -> Option<usize> {
-        self.index_by_child
-            .binary_search_by_key(&child, |&(c, _)| c)
+        let parent = ident::parent(child, self.degree)?;
+        self.encryptions
+            .binary_search_by(|e| parent.cmp(&e.parent).then(e.child.cmp(&child)))
             .ok()
-            .map(|pos| self.index_by_child[pos].1)
     }
 
     /// Indices of the encryptions a user at u-node `user_id` needs: those
@@ -497,13 +501,6 @@ impl KeyTree {
                 });
             }
         }
-        let mut index_by_child: Vec<(NodeId, usize)> = encryptions
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e.child, i))
-            .collect();
-        index_by_child.sort_unstable_by_key(|&(c, _)| c);
-
         obs::counter_add("keytree.keys_minted", updated.len() as u64);
         obs::counter_add("keytree.encryptions", encryptions.len() as u64);
         drop(span_mint);
@@ -526,7 +523,7 @@ impl KeyTree {
             departed: leaves,
             joined: joins.into_iter().map(|(m, _)| m).collect(),
             nk: self.max_knode_id(),
-            index_by_child,
+            degree: d,
         }
     }
 

@@ -5,7 +5,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use keytree::{ident, Batch, KeyTree, MemberId, NodeId};
+use keytree::{ident, Batch, CompactionPolicy, KeyTree, MarkScratch, MemberId, NodeId};
 use proptest::prelude::*;
 use wirecrypto::{KeyGen, SymKey};
 
@@ -140,6 +140,49 @@ proptest! {
                 prop_assert!(tree.key_of(e.parent).is_some());
                 prop_assert_eq!(ident::parent(e.child, d), Some(e.parent));
                 prop_assert!(outcome.updated_knodes.contains(&e.parent));
+            }
+        }
+    }
+
+    /// `encryption_by_child` (a binary search of `encryptions` by its
+    /// documented order) finds exactly what a linear scan finds, for every
+    /// node ID the tree can hold and a margin past it, across batches that
+    /// join, leave, split and compact.
+    #[test]
+    fn encryption_by_child_is_a_linear_scan(
+        (n0, d, rounds) in (
+            1u32..300,
+            prop::sample::select(vec![2u32, 3, 4, 8]),
+            proptest::collection::vec((0usize..60, 0usize..150), 1..6),
+        ),
+        seed in any::<u64>(),
+    ) {
+        let mut kg = KeyGen::from_seed(seed);
+        let mut tree = KeyTree::balanced(n0, d, &mut kg);
+        let mut scratch = MarkScratch::new();
+        let policy = CompactionPolicy { max_moves_per_batch: 16 };
+        let mut next_member = n0;
+        for (j, l) in rounds {
+            let mut members = tree.member_ids();
+            members.sort_unstable();
+            // Every third member from a seeded offset, up to l of them.
+            let skip = (seed % 3) as usize;
+            let leaves: Vec<MemberId> =
+                members.iter().copied().skip(skip).step_by(3).take(l).collect();
+            let joins: Vec<(MemberId, SymKey)> = (next_member..next_member + j as u32)
+                .map(|m| (m, kg.next_key()))
+                .collect();
+            next_member += j as u32;
+            let outcome = tree.process_batch_compacting_in(
+                Batch::new(joins, leaves),
+                &mut kg,
+                &mut scratch,
+                &policy,
+            );
+            let bound = tree.storage_len() as NodeId + 2 * d;
+            for id in 0..bound {
+                let scan = outcome.encryptions.iter().position(|e| e.child == id);
+                prop_assert_eq!(outcome.encryption_by_child(id), scan, "node {}", id);
             }
         }
     }

@@ -3,6 +3,7 @@
 # legs, plus the check that every crate is wired to them), rustdoc with
 # warnings denied, the test suite with the deep invariant sanitizer live
 # (bench's figure_identity, the one worker-count gate left, runs there), the
+# gf256/rse suites again in an optimised build (the vectorized kernel), the
 # dynamic no-alloc harness (the obs event log's armed and disarmed paths
 # included), the statistical engine-agreement gate (optimised build), one
 # full run of each of the three tracked BENCH reports compared byte for byte
@@ -79,6 +80,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
 
 stage "cargo test --workspace --features sanitize"
 cargo test --workspace -q --features sanitize
+
+stage "cargo test --release -p gf256 -p rse (the vectorized FEC kernel)"
+# mul_acc_slice_wide is only vectorized in an optimised build, so the debug
+# suite above tests its source but not the machine code the coder and the
+# benchmark run; its exhaustive and property oracles run again on that here.
+cargo test --release -q -p gf256 -p rse
 
 stage "dynamic no-alloc harness (xcheck-rt counting allocator)"
 cargo test -q -p xcheck-rt
