@@ -8,7 +8,8 @@
 //! Every function writes to a caller-supplied `Write` and fans its
 //! independent grid cells out with [`crate::par`]: each cell owns its
 //! seeded network and controller, so the produced bytes are identical to
-//! a serial run at any worker count (see `tests/parallel_figures.rs`).
+//! a serial run at any worker count (see
+//! `crates/bench/tests/figure_identity.rs`).
 
 use std::io::{self, Write};
 

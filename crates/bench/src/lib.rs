@@ -115,7 +115,7 @@ pub fn grid_workers() -> usize {
 /// are byte-identical to a serial run at any worker count. Workers claim
 /// cells from a shared index, so an expensive cell does not hold up the
 /// ones behind it. This is the repo's only level of parallelism: a cell
-/// runs the sequential rekey pipeline (DESIGN.md "Why the datapath is
+/// runs the sequential rekey pipeline (DESIGN.md "Why the rekey path is
 /// sequential").
 ///
 /// # Panics

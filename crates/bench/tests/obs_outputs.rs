@@ -97,7 +97,7 @@ fn recorded_trace_and_series_have_the_expected_structure() {
         assert!(trace.events.is_empty());
         return;
     }
-    // The datapath is sequential: the recorded run is one track (the
+    // The rekey path is sequential: the recorded run is one track (the
     // caller's), every stage of a real interval closed and nested in the
     // span that runs it.
     let nesting = nesting(&trace);

@@ -37,9 +37,6 @@
 //! * [`experiment`] — parameterised runners that regenerate each figure.
 //! * [`frontend`] — authenticated join/leave requests and per-interval
 //!   batch collection (the key-management component's request path).
-//! * [`datapath`] — the application data channel keyed by group-key
-//!   epoch, with bounded buffering across rekeys (the soft real-time
-//!   requirement's reason to exist).
 //!
 //! # Quickstart
 //!
@@ -69,8 +66,6 @@
 )]
 
 mod agent;
-/// The application data path: group-key encryption of app traffic.
-pub mod datapath;
 /// Byte-faithful end-to-end driver: server, network, and user agents.
 pub mod driver;
 /// Parameterised experiment runners that regenerate the paper's figures.

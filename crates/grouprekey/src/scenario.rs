@@ -485,7 +485,7 @@ impl ScenarioEngine {
 /// Appends one scenario interval to `series` as an `obs_series/v1` row:
 /// the churn/size/cost columns of [`IntervalStats`] plus whatever the
 /// obs span totals and counters advanced by during the interval.
-pub fn record_interval(series: &mut obs::series::SeriesRecorder, stats: &IntervalStats) {
+fn record_interval(series: &mut obs::series::SeriesRecorder, stats: &IntervalStats) {
     series.begin_interval(stats.interval as u64);
     series.set("users", stats.users as f64);
     series.set("joins", stats.joins as f64);

@@ -66,9 +66,6 @@ pub struct BlockSet {
     real_packets: usize,
 }
 
-/// One packet in the send schedule.
-pub type SendItem = Packet;
-
 /// Order in which a round's packets leave the server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SendOrder {
@@ -217,82 +214,60 @@ impl BlockSet {
         self.blocks[block_id].mint(msg_id, count)
     }
 
-    /// Mints `counts[b]` fresh PARITY packets for every block `b`, block
-    /// by block: exactly [`BlockSet::mint_parities`] per block, stopping at
-    /// the first error in block order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `counts` does not have one entry per block.
-    pub fn mint_parities_many(
-        &mut self,
-        counts: &[usize],
-    ) -> Result<Vec<Vec<ParityPacket>>, RseError> {
-        assert_eq!(counts.len(), self.blocks.len(), "one count entry per block");
-        let msg_id = self.msg_id;
-        self.blocks
-            .iter_mut()
-            .zip(counts)
-            .map(|(block, &count)| block.mint(msg_id, count))
-            .collect()
-    }
-
-    /// Mints the proactive parities for every block: `ceil((rho - 1) * k)`
-    /// each, rounded as the paper specifies.
-    pub fn mint_proactive(&mut self, rho: f64) -> Result<Vec<Vec<ParityPacket>>, RseError> {
-        let per_block = proactive_parity_count(rho, self.k);
-        let counts = vec![per_block; self.blocks.len()];
-        self.mint_parities_many(&counts)
-    }
-
-    /// The round-one multicast schedule: ENC and PARITY packets ordered
-    /// across blocks per `order` (interleaving is the paper's burst-loss
-    /// mitigation).
-    pub fn round_one_schedule_ordered(
+    /// The round-one multicast schedule: every block's ENC packets plus
+    /// its proactive parities (`ceil((rho - 1) * k)` each, rounded as the
+    /// paper specifies), ordered across blocks per `order` (interleaving is
+    /// the paper's burst-loss mitigation). Minting stops at the first error
+    /// in block order.
+    pub fn round_one_schedule(
         &mut self,
         rho: f64,
         order: SendOrder,
-    ) -> Result<Vec<SendItem>, RseError> {
-        let parities = self.mint_proactive(rho)?;
-        let lanes: Vec<Vec<Packet>> = self
+    ) -> Result<Vec<Packet>, RseError> {
+        let per_block = proactive_parity_count(rho, self.k);
+        let msg_id = self.msg_id;
+        let lanes = self
             .blocks
-            .iter()
-            .zip(parities)
-            .map(|(b, par)| {
-                b.packets
+            .iter_mut()
+            .map(|b| {
+                let par = b.mint(msg_id, per_block)?;
+                Ok(b.packets
                     .iter()
                     .cloned()
                     .map(Packet::Enc)
                     .chain(par.into_iter().map(Packet::Parity))
-                    .collect()
+                    .collect())
             })
-            .collect();
+            .collect::<Result<Vec<Vec<Packet>>, RseError>>()?;
         Ok(apply_order(lanes, order))
     }
 
-    /// Round-one schedule in the default interleaved order.
-    pub fn round_one_schedule(&mut self, rho: f64) -> Result<Vec<SendItem>, RseError> {
-        self.round_one_schedule_ordered(rho, SendOrder::Interleaved)
-    }
-
-    /// Schedule for a reactive round: `amax[i]` fresh parities per block.
-    pub fn reactive_schedule_ordered(
+    /// Schedule for a reactive round: `amax[b]` fresh parities for every
+    /// block `b`, ordered across blocks per `order`. Minting stops at the
+    /// first error in block order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `amax` does not have one entry per block.
+    pub fn reactive_schedule(
         &mut self,
         amax: &[usize],
         order: SendOrder,
-    ) -> Result<Vec<SendItem>, RseError> {
+    ) -> Result<Vec<Packet>, RseError> {
         assert_eq!(amax.len(), self.blocks.len(), "one amax entry per block");
-        let lanes: Vec<Vec<Packet>> = self
-            .mint_parities_many(amax)?
-            .into_iter()
-            .map(|pars| pars.into_iter().map(Packet::Parity).collect())
-            .collect();
+        let msg_id = self.msg_id;
+        let lanes = self
+            .blocks
+            .iter_mut()
+            .zip(amax)
+            .map(|(b, &count)| {
+                Ok(b.mint(msg_id, count)?
+                    .into_iter()
+                    .map(Packet::Parity)
+                    .collect())
+            })
+            .collect::<Result<Vec<Vec<Packet>>, RseError>>()?;
         Ok(apply_order(lanes, order))
-    }
-
-    /// Reactive schedule in the default interleaved order.
-    pub fn reactive_schedule(&mut self, amax: &[usize]) -> Result<Vec<SendItem>, RseError> {
-        self.reactive_schedule_ordered(amax, SendOrder::Interleaved)
     }
 
     /// The layout this message was built with.
@@ -446,7 +421,7 @@ mod tests {
     #[test]
     fn round_one_schedule_interleaves_blocks() {
         let mut bs = BlockSet::new(packets(10), 5, layout());
-        let sched = bs.round_one_schedule(1.4).unwrap();
+        let sched = bs.round_one_schedule(1.4, SendOrder::Interleaved).unwrap();
         // 10 ENC + 2 parities per block * 2 blocks = 14 packets.
         assert_eq!(sched.len(), 14);
         // First two sends come from different blocks.
@@ -465,24 +440,31 @@ mod tests {
 
     #[test]
     fn reactive_schedule_respects_amax() {
-        let mut bs = BlockSet::new(packets(15), 5, layout());
-        let sched = bs.reactive_schedule(&[2, 0, 1]).unwrap();
-        assert_eq!(sched.len(), 3);
-        let blocks: Vec<u8> = sched
-            .iter()
-            .map(|p| match p {
-                Packet::Parity(q) => q.block_id,
-                _ => panic!("reactive round sends only parity"),
-            })
-            .collect();
-        assert_eq!(blocks, vec![0, 2, 0]);
+        for (order, expect) in [
+            (SendOrder::Interleaved, vec![0, 2, 0]),
+            (SendOrder::Sequential, vec![0, 0, 2]),
+        ] {
+            let mut bs = BlockSet::new(packets(15), 5, layout());
+            let sched = bs.reactive_schedule(&[2, 0, 1], order).unwrap();
+            let blocks: Vec<u8> = sched
+                .iter()
+                .map(|p| match p {
+                    Packet::Parity(q) => q.block_id,
+                    _ => panic!("reactive round sends only parity"),
+                })
+                .collect();
+            assert_eq!(blocks, expect, "{order:?}");
+        }
     }
 
     #[test]
     fn empty_message_yields_no_blocks() {
         let mut bs = BlockSet::new(vec![], 10, layout());
         assert_eq!(bs.block_count(), 0);
-        assert!(bs.round_one_schedule(2.0).unwrap().is_empty());
+        assert!(bs
+            .round_one_schedule(2.0, SendOrder::Interleaved)
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -497,9 +479,7 @@ mod tests {
     #[test]
     fn sequential_order_concatenates_blocks() {
         let mut bs = BlockSet::new(packets(10), 5, layout());
-        let sched = bs
-            .round_one_schedule_ordered(1.4, SendOrder::Sequential)
-            .unwrap();
+        let sched = bs.round_one_schedule(1.4, SendOrder::Sequential).unwrap();
         let bid = |p: &Packet| match p {
             Packet::Enc(e) => e.block_id,
             Packet::Parity(q) => q.block_id,

@@ -65,7 +65,7 @@ pub use assign::{
     naive_plan_stats, plan, plan_in, AssignError, AssignmentStats, NaiveAssignmentStats,
     PacketPlan, PlanScratch, UkaAssignment, UserRun,
 };
-pub use blocks::{BlockSet, SendItem, SendOrder};
+pub use blocks::{BlockSet, SendOrder};
 pub use layout::{Layout, UNPROTECTED_HEADER_LEN};
 pub use wire::{
     EncFrame, EncHeader, EncPacket, Header, NackPacket, NackRequest, Packet, ParityPacket,

@@ -1,7 +1,5 @@
 //! The key-server side of the rekey transport protocol (Figures 2, 22, 26).
 
-use std::collections::BTreeMap;
-
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -29,11 +27,6 @@ pub struct ServerConfig {
     pub adapt_rho: bool,
     /// Whether the `numNACK` deadline heuristics run between messages.
     pub adapt_num_nack: bool,
-    /// Enable the optional early switch to unicast when the USR bytes for
-    /// all nackers are no more than the next round's PARITY bytes. The
-    /// paper offers this for large rekey intervals; experiments use plain
-    /// round-count switching, so the default is off.
-    pub early_unicast_by_bytes: bool,
     /// Order in which a round's packets are multicast.
     pub send_order: SendOrder,
     /// Wire layout.
@@ -52,7 +45,6 @@ impl Default for ServerConfig {
             max_multicast_rounds: 2,
             adapt_rho: true,
             adapt_num_nack: true,
-            early_unicast_by_bytes: false,
             send_order: SendOrder::Interleaved,
             layout: Layout::DEFAULT,
             seed: 7,
@@ -60,8 +52,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// UDP header bytes counted per packet in USR byte totals and in the
-/// unicast switch rule.
+/// UDP header bytes counted per packet in USR byte totals.
 const UDP_HEADER_LEN: usize = 8;
 
 /// Cross-message server state: `rho`, `numNACK`, adaptation RNG, and the
@@ -116,8 +107,8 @@ impl ServerController {
     }
 
     /// Opens a session for one rekey message. `usr_len_hint` is the
-    /// typical USR packet length (3 + 20h) used by the early-unicast byte
-    /// rule.
+    /// typical USR packet length (3 + 20h) counted per USR packet in
+    /// [`ServerStats::usr_bytes`].
     pub fn begin_message(&self, enc_packets: Vec<EncPacket>, usr_len_hint: usize) -> ServerSession {
         ServerSession::new(
             enc_packets,
@@ -291,7 +282,7 @@ impl ServerSession {
         )]
         let sched = self
             .blocks
-            .round_one_schedule_ordered(self.rho, self.cfg.send_order)
+            .round_one_schedule(self.rho, self.cfg.send_order)
             .unwrap_or_else(|e| panic!("parity space exhausted in round one: {e}"));
         self.count_multicast(&sched);
         sched
@@ -348,8 +339,7 @@ impl ServerSession {
                     self.phase = Phase::Done;
                     return RoundDecision::Done;
                 }
-                let early = self.cfg.early_unicast_by_bytes && self.unicast_is_cheaper();
-                if self.round >= self.cfg.max_multicast_rounds || early {
+                if self.round >= self.cfg.max_multicast_rounds {
                     self.phase = Phase::Unicast;
                     return RoundDecision::Unicast(self.unicast_wave());
                 }
@@ -363,7 +353,7 @@ impl ServerSession {
                 self.round += 1;
                 match self
                     .blocks
-                    .reactive_schedule_ordered(&self.amax_scratch, self.cfg.send_order)
+                    .reactive_schedule(&self.amax_scratch, self.cfg.send_order)
                 {
                     Ok(sched) => {
                         self.count_multicast(&sched);
@@ -399,19 +389,6 @@ impl ServerSession {
             targets,
             duplicates,
         }
-    }
-
-    /// The early-switch rule: unicast now if serving every nacker by USR
-    /// costs no more bytes than the parities of another multicast round.
-    fn unicast_is_cheaper(&self) -> bool {
-        let mut distinct: BTreeMap<NodeId, ()> = BTreeMap::new();
-        for &u in &self.round_nackers {
-            distinct.insert(u, ());
-        }
-        let usr_bytes = distinct.len() * (self.usr_len_hint + UDP_HEADER_LEN);
-        let parity_packets: usize = self.amax.iter().sum();
-        let parity_bytes = parity_packets * (self.cfg.layout.enc_packet_len + UDP_HEADER_LEN);
-        usr_bytes <= parity_bytes && !distinct.is_empty()
     }
 
     /// Proactive parities per block at this session's `rho`.
@@ -532,36 +509,6 @@ mod tests {
             }
             other => panic!("expected unicast, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn early_unicast_when_bytes_favour_it() {
-        // One nacker wanting many parities: USR (~108 B) < parities (5 *
-        // 1035 B) -> switch at the end of round one.
-        let ctl = ServerController::new(ServerConfig {
-            early_unicast_by_bytes: true,
-            ..cfg()
-        });
-        let mut s = ctl.begin_message((0..10u16).map(enc).collect(), 100);
-        s.start();
-        s.accept_nack(101, &nack(&[(5, 0)]));
-        match s.end_of_round() {
-            RoundDecision::Unicast(w) => assert_eq!(w.targets, vec![101]),
-            other => panic!("expected early unicast, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn early_unicast_not_taken_when_parities_cheaper() {
-        // Large USR hint makes unicast look expensive: stay multicast.
-        let ctl = ServerController::new(ServerConfig {
-            early_unicast_by_bytes: true,
-            ..cfg()
-        });
-        let mut s = ctl.begin_message((0..10u16).map(enc).collect(), 10_000);
-        s.start();
-        s.accept_nack(101, &nack(&[(1, 0)]));
-        assert!(matches!(s.end_of_round(), RoundDecision::Multicast(_)));
     }
 
     #[test]

@@ -192,12 +192,6 @@ impl StreamCipher {
             self.buffered += 1;
         }
     }
-
-    /// One-shot convenience: encrypt/decrypt `data` in place under
-    /// `(key, nonce)` starting at stream offset zero.
-    pub fn apply_oneshot(key: &SymKey, nonce: u64, data: &mut [u8]) {
-        StreamCipher::new(key, nonce).apply(data);
-    }
 }
 
 #[cfg(test)]
@@ -220,9 +214,9 @@ mod tests {
         let k = key(7);
         let mut data = b"the quick brown fox jumps over the lazy dog".to_vec();
         let orig = data.clone();
-        StreamCipher::apply_oneshot(&k, 42, &mut data);
+        StreamCipher::new(&k, 42).apply(&mut data);
         assert_ne!(data, orig, "ciphertext must differ from plaintext");
-        StreamCipher::apply_oneshot(&k, 42, &mut data);
+        StreamCipher::new(&k, 42).apply(&mut data);
         assert_eq!(data, orig);
     }
 

@@ -112,11 +112,6 @@ pub(crate) fn fold32(full: u64) -> u32 {
     (full ^ (full >> 32)) as u32
 }
 
-/// Computes a 32-bit tag (the sealed-blob tag size).
-pub fn mac32(key: &SymKey, data: &[u8]) -> u32 {
-    fold32(mac64(key, data))
-}
-
 /// Constant-time-ish comparison of two tags. With simulated crypto this is
 /// about interface hygiene, not a real side-channel defence.
 pub fn tags_equal(a: u32, b: u32) -> bool {
@@ -164,14 +159,6 @@ mod tests {
                 assert_ne!(macs[i], macs[j], "lengths {i} and {j} collide");
             }
         }
-    }
-
-    #[test]
-    fn mac32_mixes_both_halves() {
-        let k = key(4);
-        let t = mac32(&k, b"data");
-        let full = mac64(&k, b"data");
-        assert_eq!(t, (full ^ (full >> 32)) as u32);
     }
 
     #[test]

@@ -174,3 +174,15 @@ git ls-files 'crates/*/src/*.rs' | xargs wc -l | awk '
         close("sort -k2")
         printf "    %6d  total\n", all
     }'
+echo "    Rust lines tracked by ROADMAP (crates/<crate>, src, tests, examples):"
+git ls-files 'crates/*.rs' 'src/*.rs' 'tests/*.rs' 'examples/*.rs' | xargs wc -l | awk '
+    $2 != "total" {
+        split($2, part, "/")
+        row = part[1] == "crates" ? "crates/" part[2] : part[1]
+        lines[row] += $1; all += $1
+    }
+    END {
+        for (row in lines) printf "    %6d  %s\n", lines[row], row | "sort -k2"
+        close("sort -k2")
+        printf "    %6d  total\n", all
+    }'
