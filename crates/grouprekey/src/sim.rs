@@ -6,9 +6,11 @@
 //! Reed–Solomon parities, real `AdjustRho` — and the round loop is the one
 //! in [`crate::transport`], but each [`SimUser`] tracks which FEC *shares*
 //! it received rather than their bytes (why that is exact is argued there),
-//! so memory stays O(counts). The byte-faithful path — parse, decode,
-//! unseal — is exercised end-to-end by [`crate::driver`] and the
-//! integration tests.
+//! so memory stays O(counts). The loop hands a user the round's schedule
+//! itself, borrowed, and walks it for that user alone until the user is
+//! satisfied: the count model allocates nothing per round. The
+//! byte-faithful path — parse, decode, unseal — is exercised end-to-end by
+//! [`crate::driver`] and the integration tests.
 //!
 //! [`SimUser`]: crate::sim::SimUser
 
@@ -70,9 +72,14 @@ impl SimUser {
 /// records which shares arrived instead of their bytes.
 impl Receiver for SimUser {
     type Frame<'p> = &'p Packet;
+    type Frames<'p> = &'p [Packet];
 
-    fn frame<'p>(pkt: &'p Packet, _layout: &Layout) -> &'p Packet {
-        pkt
+    fn frames<'p>(packets: &'p [Packet], _layout: &Layout) -> &'p [Packet] {
+        packets
+    }
+
+    fn receive_at(&mut self, frames: &&[Packet], j: usize, round: usize) {
+        self.receive(&&frames[j], round);
     }
 
     fn net_index(&self) -> usize {

@@ -3,8 +3,8 @@
 //! The paper's protocol — multicast ENC + PARITY, collect NACKs,
 //! retransmit `amax` parities, switch to unicast — is driven by [`run`] and
 //! by nothing else. The loop owns time (one clock tick per packet, one
-//! round trip per round), the order of network draws, the NACK boundary,
-//! the round cap and the per-user statistics; a [`Receiver`] owns what a
+//! round trip per round), the network questions, the NACK boundary, the
+//! round cap and the per-user statistics; a [`Receiver`] owns what a
 //! delivered packet *means*. Two models implement it:
 //!
 //! * the **count model**, [`crate::sim::SimUser`]: a frame is the borrowed
@@ -13,15 +13,19 @@
 //!   distinct shares of a block reconstruct it — `rse`'s tests prove it)
 //!   and decoding is deterministic in the share set.
 //! * the **byte model**, [`ByteReceiver`]: a frame is the packet's wire
-//!   bytes, emitted once per send and shared by the real [`UserSession`]s it
-//!   reaches: header read in place, the serving frame kept where it lies,
-//!   FEC off the frames.
+//!   bytes, emitted once per round and shared by the real [`UserSession`]s
+//!   it reaches: header read in place, the serving frame kept where it
+//!   lies, FEC off the frames.
 //!
-//! Both see the same loss draws in the same order (listeners are the
-//! unsatisfied receivers in slice order, a list kept between packets and
-//! rounds and only ever shrunk; every unicast copy is drawn), so
-//! the same seed gives both models the same rounds, NACKs and overhead —
-//! `tests/model_agreement.rs` holds them to it.
+//! A multicast round is delivered receiver by receiver: each listener (the
+//! unsatisfied receivers in slice order, a list kept between rounds and
+//! only ever shrunk) walks the schedule until it is satisfied, the source
+//! link drawn once per packet sent and its own link only when the source
+//! delivered. Every link is asked the same questions at the same times as
+//! in a packet-by-packet walk, and links share no randomness, so the order
+//! across links is free. Both models see the same draws (every unicast
+//! copy is drawn too), so the same seed gives them the same rounds, NACKs
+//! and overhead — `tests/model_agreement.rs` holds them to it.
 //!
 //! [`run`]: crate::transport::run
 //! [`Receiver`]: crate::transport::Receiver
@@ -42,9 +46,13 @@ pub trait Receiver {
     /// What the network hands this receiver for one sent packet.
     type Frame<'p>;
 
-    /// Turns one packet the server sends into the frame its listeners are
-    /// handed; called once per send, before the loss draws.
-    fn frame<'p>(pkt: &'p Packet, layout: &Layout) -> Self::Frame<'p>;
+    /// The frames of one send: a multicast round's schedule, or one USR
+    /// packet, in order.
+    type Frames<'p>;
+
+    /// Turns the packets of one send into the frames receivers are handed:
+    /// each packet once, however many receivers it reaches.
+    fn frames<'p>(packets: &'p [Packet], layout: &Layout) -> Self::Frames<'p>;
 
     /// Index of this receiver's link in the [`Network`].
     fn net_index(&self) -> usize;
@@ -55,13 +63,16 @@ pub trait Receiver {
 
     /// True once the receiver stops listening. Only [`Receiver::receive`]
     /// and [`Receiver::end_of_round_into`] may turn it true, and nothing
-    /// turns it false again: [`run`] drops a satisfied receiver from its
-    /// listener list for good, after a packet's deliveries and after a
-    /// round boundary.
+    /// turns it false again: [`run`] stops walking a multicast round for a
+    /// receiver at the frame that satisfies it, and drops it from its
+    /// listener list for good after the round and after a round boundary.
     fn is_satisfied(&self) -> bool;
 
     /// One frame got through, during round `round`.
     fn receive(&mut self, frame: &Self::Frame<'_>, round: usize);
+
+    /// Frame `j` of `frames` got through: [`Receiver::receive`] on it.
+    fn receive_at(&mut self, frames: &Self::Frames<'_>, j: usize, round: usize);
 
     /// Round boundary, called on the receivers still on the listener list
     /// (the unsatisfied, and those a unicast wave has just satisfied):
@@ -88,9 +99,14 @@ pub struct ByteReceiver {
 
 impl Receiver for ByteReceiver {
     type Frame<'p> = Arc<[u8]>;
+    type Frames<'p> = Vec<Arc<[u8]>>;
 
-    fn frame(pkt: &Packet, layout: &Layout) -> Arc<[u8]> {
-        pkt.emit(layout).into()
+    fn frames(packets: &[Packet], layout: &Layout) -> Vec<Arc<[u8]>> {
+        packets.iter().map(|pkt| pkt.emit(layout).into()).collect()
+    }
+
+    fn receive_at(&mut self, frames: &Vec<Arc<[u8]>>, j: usize, round: usize) {
+        self.receive(&frames[j], round);
     }
 
     fn net_index(&self) -> usize {
@@ -170,7 +186,7 @@ impl Default for SimConfig {
 }
 
 /// Outcome of one message's delivery.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TransportStats {
     /// Rounds (multicast rounds plus unicast waves) used.
     pub total_rounds: usize,
@@ -186,18 +202,20 @@ pub struct TransportStats {
 ///
 /// One instance per experiment (or per thread) makes the loop's own
 /// per-packet and per-round work allocation-free: the listener list (slots
-/// of the receivers still unsatisfied, kept across packets and rounds of a
-/// message — they are who a multicast is drawn for and who is visited at a
-/// round boundary), their link indices, delivery flags, unicast target map,
-/// and the NACK packet threaded through the listeners at a round boundary
-/// all reuse their capacity across packets, rounds, and messages.
+/// of the receivers still unsatisfied, kept across rounds of a message —
+/// they are who a multicast round is drawn for and who is visited at a
+/// round boundary), a multicast round's send times and source-link
+/// answers, the unicast target map, and the NACK packet threaded through
+/// the listeners at a round boundary all reuse their capacity across
+/// rounds and messages.
 #[derive(Debug, Default)]
 pub struct TransportScratch {
-    delivered: Vec<bool>,
     /// Slots of the unsatisfied receivers, in slice order.
     listener_slots: Vec<usize>,
-    /// Their link indices, in step.
-    listeners: Vec<usize>,
+    /// The multicast round's send times, as the clock reads them.
+    send_times: Vec<f64>,
+    /// The source link's answer for each packet sent so far this round.
+    source_ok: Vec<bool>,
     by_node: HashMap<NodeId, usize>,
     nack: NackPacket,
 }
@@ -210,29 +228,72 @@ impl TransportScratch {
 
     /// Drops the listeners that are satisfied by now, keeping slice order.
     fn retain_listening<R: Receiver>(&mut self, receivers: &[R]) {
-        let before = self.listener_slots.len();
         self.listener_slots
             .retain(|&slot| !receivers[slot].is_satisfied());
-        if self.listener_slots.len() < before {
-            self.listeners.clear();
-            self.listeners.extend(
-                self.listener_slots
-                    .iter()
-                    .map(|&s| receivers[s].net_index()),
-            );
+    }
+}
+
+/// One multicast round, receiver by receiver.
+///
+/// Each listener, in slice order, walks the schedule until it is
+/// satisfied. The source link is drawn once per packet, when the first
+/// listener reaches it — so exactly the packets up to the furthest any
+/// listener reached, in send order — and a listener's own link only when
+/// the source delivered. That is every question the packet-major walk
+/// (all listeners per packet) asks, at the same times, and each link owns
+/// its RNG, so the draws are the same (DESIGN.md "One transport loop").
+/// The clock ends where the packet-major walk leaves it: one send interval
+/// per packet sent, plus one for the packet at which nobody is left.
+fn multicast_round<R: Receiver>(
+    net: &mut Network,
+    clock: &mut f64,
+    schedule: &[Packet],
+    layout: &Layout,
+    receivers: &mut [R],
+    round: usize,
+    scratch: &mut TransportScratch,
+) {
+    let send_interval = net.config().send_interval_ms;
+    let (times, source_ok) = (&mut scratch.send_times, &mut scratch.source_ok);
+    times.clear();
+    let mut now = *clock;
+    times.extend(schedule.iter().map(|_| {
+        now += send_interval;
+        now
+    }));
+    source_ok.clear();
+    let frames = R::frames(schedule, layout);
+    for &slot in &scratch.listener_slots {
+        let r = &mut receivers[slot];
+        let link = r.net_index();
+        for (j, &now) in times.iter().enumerate() {
+            if j == source_ok.len() {
+                source_ok.push(net.source_delivers(now));
+            }
+            if source_ok[j] && net.link_delivers(link, now) {
+                r.receive_at(&frames, j, round);
+                if r.is_satisfied() {
+                    break;
+                }
+            }
         }
+    }
+    if let Some(&end) = times.get(source_ok.len()).or(times.last()) {
+        *clock = end;
     }
 }
 
 /// Delivers one rekey message to `receivers` over the network.
 ///
-/// `session` must be freshly created (not yet started). The clock advances
-/// by one send interval per packet; round boundaries add one round-trip
-/// time; the reverse path is lossless (see DESIGN.md). `usr_packet(slot)`
-/// supplies the USR packet for `receivers[slot]` when the server unicasts
-/// to it. Stops when the server declares the message complete, or once
-/// `cfg.max_total_rounds` is exceeded (`total_rounds` then reads one past
-/// the cap).
+/// `session` must be freshly created (not yet started). A multicast round
+/// is delivered receiver by receiver; the clock advances by one send
+/// interval per packet (and one more for the packet at which every
+/// receiver is satisfied, if one is), round boundaries add one round-trip
+/// time, and the reverse path is lossless (see DESIGN.md).
+/// `usr_packet(slot)` supplies the USR packet for `receivers[slot]` when
+/// the server unicasts to it. Stops when the server declares the message
+/// complete, or once `cfg.max_total_rounds` is exceeded (`total_rounds`
+/// then reads one past the cap).
 pub fn run<R: Receiver>(
     net: &mut Network,
     clock: &mut f64,
@@ -240,7 +301,39 @@ pub fn run<R: Receiver>(
     receivers: &mut [R],
     cfg: &SimConfig,
     scratch: &mut TransportScratch,
+    usr_packet: impl FnMut(usize) -> Packet,
+) -> TransportStats {
+    run_with(
+        net,
+        clock,
+        session,
+        receivers,
+        cfg,
+        scratch,
+        usr_packet,
+        multicast_round,
+    )
+}
+
+/// How [`run_with`] delivers one multicast round: [`multicast_round`], or
+/// the packet-major reference it is tested against.
+type DeliverRound<R> =
+    fn(&mut Network, &mut f64, &[Packet], &Layout, &mut [R], usize, &mut TransportScratch);
+
+/// [`run`], with the multicast round's delivery named.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "run's seven, plus the round under test"
+)]
+fn run_with<R: Receiver>(
+    net: &mut Network,
+    clock: &mut f64,
+    session: &mut ServerSession,
+    receivers: &mut [R],
+    cfg: &SimConfig,
+    scratch: &mut TransportScratch,
     mut usr_packet: impl FnMut(usize) -> Packet,
+    deliver_round: DeliverRound<R>,
 ) -> TransportStats {
     let _span_msg = obs::span("transport.message");
     let send_interval = net.config().send_interval_ms;
@@ -249,8 +342,6 @@ pub fn run<R: Receiver>(
     scratch.by_node.clear();
     scratch.listener_slots.clear();
     scratch.listener_slots.extend(0..receivers.len());
-    scratch.listeners.clear();
-    scratch.listeners.extend(receivers.iter().map(R::net_index));
     scratch.retain_listening(receivers);
 
     let mut round = 1usize;
@@ -261,20 +352,8 @@ pub fn run<R: Receiver>(
         obs::counter_add("transport.rounds", 1);
         match &action {
             RoundDecision::Multicast(schedule) => {
-                for pkt in schedule {
-                    *clock += send_interval;
-                    if scratch.listeners.is_empty() {
-                        break;
-                    }
-                    let frame = R::frame(pkt, &layout);
-                    net.multicast_to_into(*clock, &scratch.listeners, &mut scratch.delivered);
-                    for (&slot, &ok) in scratch.listener_slots.iter().zip(&scratch.delivered) {
-                        if ok {
-                            receivers[slot].receive(&frame, round);
-                        }
-                    }
-                    scratch.retain_listening(receivers);
-                }
+                deliver_round(net, clock, schedule, &layout, receivers, round, scratch);
+                scratch.retain_listening(receivers);
             }
             RoundDecision::Unicast(wave) => {
                 // Only a message that gets this far pays for the map.
@@ -289,11 +368,11 @@ pub fn run<R: Receiver>(
                         continue;
                     };
                     let pkt = usr_packet(slot);
-                    let frame = R::frame(&pkt, &layout);
+                    let frames = R::frames(std::slice::from_ref(&pkt), &layout);
                     for _ in 0..wave.duplicates {
                         *clock += send_interval;
                         if net.unicast(*clock, receivers[slot].net_index()) {
-                            receivers[slot].receive(&frame, round);
+                            receivers[slot].receive_at(&frames, 0, round);
                         }
                     }
                 }
@@ -348,3 +427,6 @@ pub fn run<R: Receiver>(
     }
     stats
 }
+
+#[cfg(test)]
+mod delivery_order;

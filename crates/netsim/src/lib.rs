@@ -39,7 +39,12 @@
 //!     seed: 7,
 //!     ..NetworkConfig::default()
 //! });
-//! let delivered = net.multicast(0.0);
+//! // One packet at t = 0 ms: the source link first, then each listener's
+//! // own link, and only if the source delivered.
+//! let source_ok = net.source_delivers(0.0);
+//! let delivered: Vec<bool> = (0..8)
+//!     .map(|user| source_ok && net.link_delivers(user, 0.0))
+//!     .collect();
 //! assert_eq!(delivered.len(), 8);
 //! // Same seed, same losses: simulations are exactly reproducible.
 //! ```

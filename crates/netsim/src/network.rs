@@ -198,39 +198,33 @@ impl Network {
         self.classes[user]
     }
 
-    /// Multicasts one packet at time `now`: the packet first crosses the
-    /// source link (loss there hits everyone), then each receiver link.
-    /// Returns per-user delivery flags.
-    pub fn multicast(&mut self, now: SimTime) -> Vec<bool> {
-        let mut delivered = Vec::new();
-        self.multicast_into(now, &mut delivered);
-        delivered
-    }
-
-    /// Allocation-free [`Network::multicast`]: clears `delivered` and
-    /// fills it with one flag per user, reusing the buffer's capacity.
-    /// The per-packet hot path of the transport simulation calls this
-    /// thousands of times per rekey message with the same scratch buffer.
+    /// Sends one multicast packet across the source link at time `now`;
+    /// true when it reaches the backbone (a loss there hits every user).
+    /// Ask once per packet sent, then [`Network::link_delivers`] for each
+    /// listener, and only if this said true.
     // xcheck: no_alloc
-    pub fn multicast_into(&mut self, now: SimTime, delivered: &mut Vec<bool>) {
+    pub fn source_delivers(&mut self, now: SimTime) -> bool {
         obs::counter_add("net.multicast_packets", 1);
-        delivered.clear();
-        if !self.source.transmit(now) {
-            delivered.resize(self.receivers.len(), false);
-            return;
-        }
-        delivered.extend(self.receivers.iter_mut().map(|link| link.transmit(now)));
-        obs::counter_add(
-            "net.deliveries",
-            delivered.iter().filter(|&&ok| ok).count() as u64,
-        );
+        self.source.transmit(now)
     }
 
-    /// Multicast where only a subset of users still listens (the common
-    /// case in later rounds); non-listening links still advance their loss
-    /// process implicitly through future queries. Clears `delivered` and
-    /// fills it with one flag per entry of `listeners`, in order, reusing
-    /// the buffer's capacity across packets.
+    /// Carries a multicast packet that crossed the source link at time
+    /// `now` over `user`'s receiver link; true when it gets through. A link
+    /// nobody asks is not drawn: its loss process catches up at the next
+    /// query.
+    // xcheck: no_alloc
+    pub fn link_delivers(&mut self, user: usize, now: SimTime) -> bool {
+        let ok = self.receivers[user].transmit(now);
+        if ok {
+            obs::counter_add("net.deliveries", 1);
+        }
+        ok
+    }
+
+    /// One multicast packet to the users in `listeners`, asked as
+    /// [`Network::source_delivers`] then [`Network::link_delivers`] per
+    /// listener, in order. Clears `delivered` and fills it with one flag per
+    /// entry of `listeners`, reusing the buffer's capacity across packets.
     // xcheck: no_alloc
     pub fn multicast_to_into(
         &mut self,
@@ -238,17 +232,12 @@ impl Network {
         listeners: &[usize],
         delivered: &mut Vec<bool>,
     ) {
-        obs::counter_add("net.multicast_packets", 1);
         delivered.clear();
-        let source_ok = self.source.transmit(now);
+        let source_ok = self.source_delivers(now);
         delivered.extend(
             listeners
                 .iter()
-                .map(|&u| source_ok && self.receivers[u].transmit(now)),
-        );
-        obs::counter_add(
-            "net.deliveries",
-            delivered.iter().filter(|&&ok| ok).count() as u64,
+                .map(|&u| source_ok && self.link_delivers(u, now)),
         );
     }
 
@@ -278,6 +267,14 @@ mod tests {
         })
     }
 
+    /// One packet multicast to every user: a delivery flag per user.
+    fn multicast(net: &mut Network, now: SimTime) -> Vec<bool> {
+        let everyone: Vec<usize> = (0..net.n_users()).collect();
+        let mut delivered = Vec::new();
+        net.multicast_to_into(now, &everyone, &mut delivered);
+        delivered
+    }
+
     #[test]
     fn high_loss_population_matches_alpha() {
         let net = small(1000, 0.20, 3);
@@ -302,7 +299,7 @@ mod tests {
         let rounds = 4000;
         for i in 0..rounds {
             // Wide spacing to decorrelate the burst process.
-            let got = net.multicast(i as f64 * 500.0);
+            let got = multicast(&mut net, i as f64 * 500.0);
             for (u, ok) in got.iter().enumerate() {
                 if *ok {
                     received[u] += 1;
@@ -343,7 +340,7 @@ mod tests {
         });
         let mut saw_all_false = false;
         for i in 0..2000 {
-            let got = net.multicast(i as f64 * 300.0);
+            let got = multicast(&mut net, i as f64 * 300.0);
             let any = got.iter().any(|&b| b);
             let all = got.iter().all(|&b| b);
             assert!(any == all, "partial delivery despite lossless receivers");
@@ -357,7 +354,7 @@ mod tests {
         let run = |seed: u64| -> Vec<bool> {
             let mut net = small(64, 0.3, seed);
             (0..200)
-                .flat_map(|i| net.multicast(i as f64 * 40.0))
+                .flat_map(|i| multicast(&mut net, i as f64 * 40.0))
                 .collect()
         };
         assert_eq!(run(12), run(12));
@@ -392,6 +389,63 @@ mod tests {
         let mut got = vec![true; 7];
         net.multicast_to_into(0.0, &listeners, &mut got);
         assert_eq!(got.len(), 3, "one flag per listener, stale flags cleared");
+    }
+
+    /// The per-link queries, asked link by link — the source once per
+    /// packet, then each listener's whole train — answer what one
+    /// `multicast_to_into` per packet answers, and leave every link in the
+    /// same state: a link owns its RNG, so only its own questions matter.
+    #[test]
+    fn link_by_link_queries_agree_with_multicast_to_into() {
+        for independent_loss in [false, true] {
+            for p in [0.0, 0.02, 0.2] {
+                let config = NetworkConfig {
+                    n_users: 48,
+                    alpha: 0.5,
+                    p_high: p,
+                    p_low: p / 2.0,
+                    p_source: p,
+                    independent_loss,
+                    seed: 23,
+                    ..NetworkConfig::default()
+                };
+                let (mut packet_major, mut link_major) =
+                    (Network::new(config), Network::new(config));
+                let listeners: Vec<usize> = (0..48).filter(|u| u % 5 != 2).collect();
+                let times: Vec<SimTime> = (0..400).map(|i| f64::from(i) * 37.5).collect();
+
+                let mut flags = Vec::new();
+                let by_packet: Vec<Vec<bool>> = times
+                    .iter()
+                    .map(|&now| {
+                        packet_major.multicast_to_into(now, &listeners, &mut flags);
+                        flags.clone()
+                    })
+                    .collect();
+
+                let source: Vec<bool> = times
+                    .iter()
+                    .map(|&t| link_major.source_delivers(t))
+                    .collect();
+                let mut by_link = vec![vec![false; listeners.len()]; times.len()];
+                for (i, &u) in listeners.iter().enumerate() {
+                    for (j, &now) in times.iter().enumerate() {
+                        by_link[j][i] = source[j] && link_major.link_delivers(u, now);
+                    }
+                }
+
+                let what = format!("p {p}, independent {independent_loss}");
+                assert_eq!(by_packet, by_link, "{what}: delivery flags");
+                assert_eq!(
+                    format!("{packet_major:?}"),
+                    format!("{link_major:?}"),
+                    "{what}: link states afterwards"
+                );
+                if p > 0.0 {
+                    assert!(by_packet.iter().flatten().any(|&ok| !ok), "{what}: no loss");
+                }
+            }
+        }
     }
 
     #[test]

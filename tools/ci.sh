@@ -5,7 +5,8 @@
 # (bench's figure_identity, the one worker-count gate left, runs there), the
 # gf256/rse suites again in an optimised build (the vectorized kernel), the
 # dynamic no-alloc harness (the obs event log's armed and disarmed paths
-# included), the statistical engine-agreement gate (optimised build), one
+# included), the statistical engine-agreement gate and the transport's
+# delivery-order oracle (optimised builds), one
 # full run of each of the three tracked BENCH reports compared byte for byte
 # with the committed file (a report holds exact facts, so `cmp` is the whole
 # sentinel), and the obs build. Speed is not gated here: that is
@@ -96,6 +97,8 @@ cargo test -q -p rekeymsg --test no_alloc_marks
 # on, too.
 cargo test -q -p rse --test no_alloc_marks
 cargo test -q -p rse --features obs --test no_alloc_marks
+# The per-link queries the transport asks (source_delivers, link_delivers),
+# multicast_to_into and unicast: zero.
 cargo test -q -p netsim --test no_alloc_marks
 # The serving delivery is pinned at zero; 1000 non-serving ones at a
 # constant (the flat share store's and the tracker's amortised growth).
@@ -130,6 +133,15 @@ stage "UKA plan identity (run-aggregated planner vs user-by-user oracle)"
 # deterministic cases at the server_scale shape, N = 4096 at d = 2 and 8,
 # and a two-level user zone.
 cargo test -q -p rekeymsg --features sanitize --test plan_identity
+
+stage "transport delivery order (receiver-major rounds vs packet-major reference, --release)"
+# A multicast round is walked receiver by receiver; the packet-major walk it
+# replaced is a test-only reference, and a proptest holds the two to the same
+# stats, success rounds, server state, clock bits and link states, for both
+# receiver models (DESIGN.md "One transport loop"). Then the two models must
+# still agree with each other, message by message.
+cargo test --release -q -p grouprekey --lib delivery_order
+cargo test --release -q --test model_agreement
 
 # One stage per tracked report: regenerate its one full grid under target/
 # (so it never clobbers the committed file) and `cmp` it with the committed
