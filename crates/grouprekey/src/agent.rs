@@ -1,10 +1,10 @@
-//! The user-side key store.
-
-use std::collections::BTreeMap;
+//! The user-side key store. An agent holds its path and nothing else — per
+//! level, root first, the node ID and its key if held — so a key off the
+//! path is never stored and nothing is pruned.
 
 use keytree::{ident, MemberId, NodeId};
 use rekeymsg::{seal_context, EncFrame, UsrPacket};
-use wirecrypto::SymKey;
+use wirecrypto::{SealedKey, SymKey};
 
 /// Why applying a rekey packet failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,29 +46,32 @@ impl std::error::Error for ApplyError {}
 #[derive(Debug, Clone)]
 pub struct UserAgent {
     member: MemberId,
-    node_id: NodeId,
     individual: SymKey,
     degree: u32,
-    keys: BTreeMap<NodeId, SymKey>,
+    /// The path, root first: `path[l]` is the level-`l` node and the key
+    /// held for it. The last slot is the u-node, holding the individual key.
+    path: Vec<(NodeId, Option<SymKey>)>,
 }
 
 impl UserAgent {
     /// Creates an agent for a member admitted at u-node `node_id` with the
     /// given individual key.
     pub fn new(member: MemberId, node_id: NodeId, individual: SymKey, degree: u32) -> Self {
-        let mut keys = BTreeMap::new();
-        keys.insert(node_id, individual);
-        UserAgent {
+        let mut path = Vec::with_capacity(ident::level(node_id, degree) as usize + 1);
+        path.push((0, None));
+        let mut agent = UserAgent {
             member,
-            node_id,
             individual,
             degree,
-            keys,
-        }
+            path,
+        };
+        agent.relocate(node_id);
+        agent
     }
 
     /// Creates an agent that already holds its full current path (as after
-    /// a successful registration + initial rekey).
+    /// a successful registration + initial rekey). Keys for nodes off the
+    /// path are not stored.
     pub fn with_path(
         member: MemberId,
         node_id: NodeId,
@@ -78,7 +81,9 @@ impl UserAgent {
     ) -> Self {
         let mut agent = UserAgent::new(member, node_id, individual, degree);
         for (id, k) in path_keys {
-            agent.keys.insert(id, k);
+            if let Some(slot) = agent.path.iter_mut().find(|slot| slot.0 == id) {
+                slot.1 = Some(k);
+            }
         }
         agent
     }
@@ -90,22 +95,22 @@ impl UserAgent {
 
     /// The u-node ID the agent believes it occupies.
     pub fn node_id(&self) -> NodeId {
-        self.node_id
+        self.path.last().map_or(0, |slot| slot.0)
     }
 
     /// The group key, if held.
     pub fn group_key(&self) -> Option<SymKey> {
-        self.keys.get(&0).copied()
+        self.path.first().and_then(|slot| slot.1)
     }
 
     /// The key held for a node, if any.
     pub fn key_of(&self, node: NodeId) -> Option<SymKey> {
-        self.keys.get(&node).copied()
+        self.path.iter().find(|slot| slot.0 == node)?.1
     }
 
     /// Number of keys currently held (1 individual + path keys).
     pub fn keys_held(&self) -> usize {
-        self.keys.len()
+        self.path.iter().filter(|slot| slot.1.is_some()).count()
     }
 
     /// Applies the user's specific ENC packet from rekey message
@@ -115,68 +120,43 @@ impl UserAgent {
     // xcheck: no_alloc
     pub fn apply_enc(&mut self, pkt: &EncFrame, msg_seq: u64) -> Result<(), ApplyError> {
         let max_kid = pkt.header().max_kid;
-        let new_id = ident::derive_current_id(self.node_id, max_kid as NodeId, self.degree)
+        let new_id = ident::derive_current_id(self.node_id(), max_kid as NodeId, self.degree)
             .ok_or(ApplyError::NotInGroup)?;
         self.relocate(new_id);
 
-        for c in ident::path_iter(new_id, self.degree) {
+        for level in (0..self.path.len()).rev() {
+            let (c, kek) = self.path[level];
             let c16 = u16::try_from(c).map_err(|_| ApplyError::MissingKey { node: c })?;
             let Some(sealed) = pkt.entry(c16) else {
                 continue;
             };
-            let kek = self
-                .keys
-                .get(&c)
-                .copied()
-                .ok_or(ApplyError::MissingKey { node: c })?;
-            let Some(parent) = ident::parent(c, self.degree) else {
+            let kek = kek.ok_or(ApplyError::MissingKey { node: c })?;
+            let Some(parent) = level.checked_sub(1) else {
                 // Entries never encrypt above the root; tolerate a
                 // malformed packet rather than panic on hostile input.
                 continue;
             };
-            let key = sealed
-                .unseal(&kek, seal_context(msg_seq, c))
-                .map_err(|_| ApplyError::BadSeal { node: c })?;
-            self.keys.insert(parent, key);
+            self.path[parent].1 = Some(unseal(&sealed, &kek, msg_seq, c)?);
         }
-        self.prune();
         Ok(())
     }
 
     /// Applies a USR packet: the sealed keys arrive in increasing
     /// encryption-ID order (root-side first) without explicit IDs; they
-    /// correspond to the topmost `t` non-root path nodes.
+    /// correspond to the topmost `t` non-root path nodes, levels `1..=t`.
+    // xcheck: no_alloc
     pub fn apply_usr(&mut self, pkt: &UsrPacket, msg_seq: u64) -> Result<(), ApplyError> {
-        let new_id = pkt.new_user_id as NodeId;
-        self.relocate(new_id);
-
-        // Non-root path nodes in increasing-ID order (child of root first).
-        let mut path = ident::path_to_root(new_id, self.degree);
-        path.pop(); // drop the root
-        path.reverse(); // ascending IDs
-        if pkt.sealed.len() > path.len() {
+        self.relocate(pkt.new_user_id as NodeId);
+        if pkt.sealed.len() >= self.path.len() {
             return Err(ApplyError::UsrShapeMismatch);
         }
-        let children = &path[..pkt.sealed.len()];
         // Unseal bottom-up: the deepest encrypting key is one the agent
         // already holds (an unchanged auxiliary key or its individual key).
-        for (c, sealed) in children.iter().zip(&pkt.sealed).rev() {
-            let kek = self
-                .keys
-                .get(c)
-                .copied()
-                .ok_or(ApplyError::MissingKey { node: *c })?;
-            let Some(parent) = ident::parent(*c, self.degree) else {
-                // `children` excludes the root, so every entry has a
-                // parent; skip rather than panic if that ever breaks.
-                continue;
-            };
-            let key = sealed
-                .unseal(&kek, seal_context(msg_seq, *c))
-                .map_err(|_| ApplyError::BadSeal { node: *c })?;
-            self.keys.insert(parent, key);
+        for (parent, sealed) in pkt.sealed.iter().enumerate().rev() {
+            let (c, kek) = self.path[parent + 1];
+            let kek = kek.ok_or(ApplyError::MissingKey { node: c })?;
+            self.path[parent].1 = Some(unseal(sealed, &kek, msg_seq, c)?);
         }
-        self.prune();
         Ok(())
     }
 
@@ -191,22 +171,37 @@ impl UserAgent {
     }
 
     /// Moves the agent to a (possibly) new u-node ID, re-keying its
-    /// individual key.
+    /// individual key: the ancestors both paths share keep their keys, the
+    /// old u-node and the other levels hold none. Only growing the path past
+    /// its capacity allocates.
     fn relocate(&mut self, new_id: NodeId) {
-        if new_id != self.node_id {
-            self.keys.remove(&self.node_id);
-            self.node_id = new_id;
+        let d = self.degree;
+        if self.node_id() != new_id {
+            if let Some(leaf) = self.path.last_mut() {
+                leaf.1 = None;
+            }
+            self.path
+                .resize(ident::level(new_id, d) as usize + 1, (0, None));
+            // Appended slots read node 0, which names only the root: the
+            // walk stops at the deepest shared ancestor, the root at worst.
+            let up = self.path.iter_mut().rev().zip(ident::path_iter(new_id, d));
+            for (slot, id) in up.take_while(|(slot, id)| slot.0 != *id) {
+                *slot = (id, None);
+            }
         }
-        self.keys.insert(new_id, self.individual);
+        if let Some(leaf) = self.path.last_mut() {
+            leaf.1 = Some(self.individual);
+        }
     }
+}
 
-    /// Drops keys no longer on the agent's path.
-    // xcheck: no_alloc
-    fn prune(&mut self) {
-        let (me, d) = (self.node_id, self.degree);
-        self.keys
-            .retain(|&id, _| ident::is_ancestor_or_self(id, me, d));
-    }
+/// Unseals the key that `sealed`, found at encrypting node `c` of message
+/// `msg_seq`, carries under `kek`.
+fn unseal(sealed: &SealedKey, kek: &SymKey, msg_seq: u64, c: NodeId) -> Result<SymKey, ApplyError> {
+    obs::counter_add("agent.unseals", 1);
+    sealed
+        .unseal(kek, seal_context(msg_seq, c))
+        .map_err(|_| ApplyError::BadSeal { node: c })
 }
 
 #[cfg(test)]
@@ -339,7 +334,7 @@ mod tests {
     }
 
     #[test]
-    fn keys_pruned_to_path() {
+    fn holds_exactly_its_path() {
         let (before, after, _outcome, assignment) = scenario(64, vec![3], 0);
         let mut agent = agent_for(&before, 0, 4);
         let uid = after.node_of_member(0).unwrap();
@@ -347,6 +342,15 @@ mod tests {
         agent.apply_enc(&frame(&assignment.packets[pi]), 1).unwrap();
         // Height-3 tree: path holds 4 keys (leaf + 2 aux + root).
         assert_eq!(agent.keys_held(), 4);
+        // A key offered for a node off the path is not stored.
+        let off_path = UserAgent::with_path(
+            0,
+            uid,
+            after.key_of(uid).unwrap(),
+            4,
+            [(2, SymKey::from_bytes([9; 16]))],
+        );
+        assert_eq!((off_path.keys_held(), off_path.key_of(2)), (1, None));
     }
 
     #[test]
@@ -364,3 +368,6 @@ mod tests {
         assert_eq!(agent.apply_usr(&usr, 1), Err(ApplyError::UsrShapeMismatch));
     }
 }
+
+#[cfg(test)]
+mod map_reference;

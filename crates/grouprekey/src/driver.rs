@@ -231,6 +231,7 @@ impl Group {
         );
 
         // Apply outcomes cryptographically.
+        let apply = obs::span("agent.apply");
         for (agent, r) in self.agents.values_mut().zip(&receivers) {
             let m = agent.member();
             #[expect(
@@ -256,6 +257,7 @@ impl Group {
                 }
             }
         }
+        drop(apply);
 
         MessageReport::of_message(
             msg_seq,

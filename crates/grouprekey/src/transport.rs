@@ -131,6 +131,7 @@ impl Receiver for ByteReceiver {
             Ok(Received::Ignored(Ignored::WrongMessage)) => "transport.frame.wrong_message",
             Ok(Received::Ignored(Ignored::OutOfRange)) => "transport.frame.out_of_range",
             Ok(Received::Ignored(Ignored::Satisfied)) => "transport.frame.satisfied",
+            Ok(Received::Ignored(Ignored::RuledOut)) => "transport.frame.ruled_out",
             Err(_) => "transport.frame.malformed",
         };
         obs::counter_add(counter, 1);

@@ -6,7 +6,9 @@
 //! ([`run_message_transport_with`]) once the server has built its
 //! round-one schedule. And for the byte model's last step: a
 //! [`UserAgent`] that holds its path installs the new keys off the frame
-//! its session kept without allocating. On the server side: the cipher's
+//! its session kept, or off a USR packet, without allocating, and one that
+//! a split moved a level down allocates at most once, to grow its path.
+//! On the server side: the cipher's
 //! batch kernels allocate nothing (their callers own the output), and a
 //! warm [`IntervalCollector`] admits a leave and a join mid-interval
 //! without allocating — the request payload is a stack array.
@@ -17,7 +19,9 @@ use grouprekey::transport::Receiver;
 use grouprekey::UserAgent;
 use keytree::{Batch, KeyTree};
 use netsim::{Network, NetworkConfig};
-use rekeymsg::{EncFrame, EncPacket, Layout, NackPacket, Packet, ParityPacket, UkaAssignment};
+use rekeymsg::{
+    build_usr_packet, EncFrame, EncPacket, Layout, NackPacket, Packet, ParityPacket, UkaAssignment,
+};
 use rekeyproto::{ServerConfig, ServerController};
 use wirecrypto::batch::{keystream16_batch, seal_batch};
 use wirecrypto::{KeyGen, SealedKey};
@@ -194,9 +198,17 @@ fn count_model_loop_allocates_nothing_after_the_round_one_schedule() {
     );
 }
 
+/// With `--features obs` the first unseal in the process registers the
+/// `agent.unseals` counter: an allocation that belongs to no agent, made
+/// here before an agent pin measures.
+fn register_agent_counters() {
+    obs::counter_add("agent.unseals", 0);
+}
+
 #[test]
 fn apply_enc_on_an_agent_that_holds_its_path_allocates_nothing() {
     xcheck_rt::assert_counting();
+    register_agent_counters();
 
     // 1024 users, 16 leaves: every survivor's path has new keys on it, and
     // several of the 46 pairs in its packet are not for it.
@@ -219,6 +231,64 @@ fn apply_enc_on_an_agent_that_holds_its_path_allocates_nothing() {
             .unwrap_or_else(|e| panic!("member {member}: {e}"));
         assert_eq!(agent.group_key(), tree.group_key());
     }
+}
+
+#[test]
+fn apply_usr_on_an_agent_that_holds_its_path_allocates_nothing() {
+    xcheck_rt::assert_counting();
+    register_agent_counters();
+
+    // The USR packet names the user's ID and carries its changed path keys
+    // root side first; the agent indexes its path slots, it does not build
+    // the path.
+    let mut kg = KeyGen::from_seed(9);
+    let mut tree = KeyTree::balanced(1024, 4, &mut kg);
+    let before = tree.clone();
+    let leaves: Vec<u32> = (0..16u32).map(|i| i * 64 + 1).collect();
+    let outcome = tree.process_batch(&Batch::new(vec![], leaves), &mut kg);
+
+    for member in [0u32, 2, 500, 1023] {
+        let path = before.keys_for_member(member).unwrap();
+        let node = before.node_of_member(member).unwrap();
+        let mut agent = UserAgent::with_path(member, node, path[0].1, 4, path);
+        let usr = build_usr_packet(&tree, &outcome, member, 1).unwrap();
+        xcheck_rt::assert_zero_alloc("UserAgent::apply_usr", || agent.apply_usr(&usr, 1))
+            .unwrap_or_else(|e| panic!("member {member}: {e}"));
+        assert_eq!(agent.group_key(), tree.group_key());
+    }
+}
+
+#[test]
+fn apply_enc_for_a_member_a_split_moved_allocates_at_most_once() {
+    xcheck_rt::assert_counting();
+    register_agent_counters();
+
+    // A full 64-member tree and one join: the first u-node splits and its
+    // member moves one level down, so its path grows past the four slots
+    // it had. Growing them is the one allocation allowed.
+    let layout = Layout::DEFAULT;
+    let mut kg = KeyGen::from_seed(8);
+    let mut tree = KeyTree::balanced(64, 4, &mut kg);
+    let before = tree.clone();
+    let outcome = tree.process_batch(&Batch::new(vec![(100, kg.next_key())], vec![]), &mut kg);
+    let [moved] = outcome.moves[..] else {
+        panic!("one split move, not {:?}", outcome.moves);
+    };
+    let assignment = UkaAssignment::build(&tree, &outcome, 1, &layout).unwrap();
+
+    let member = moved.member;
+    let path = before.keys_for_member(member).unwrap();
+    let node = before.node_of_member(member).unwrap();
+    let mut agent = UserAgent::with_path(member, node, path[0].1, 4, path);
+    let uid = tree.node_of_member(member).unwrap();
+    let pkt = &assignment.packets[assignment.packet_of_user(uid).unwrap()];
+    let frame = EncFrame::new(pkt.emit(&layout).into(), &layout).unwrap();
+    let (allocs, applied) = xcheck_rt::count_in(|| agent.apply_enc(&frame, 1));
+    applied.unwrap_or_else(|e| panic!("member {member}: {e}"));
+    assert!(allocs <= 1, "{allocs} allocations for a one-level move");
+    assert_eq!(agent.node_id(), uid);
+    assert_eq!(agent.keys_held(), 5, "a path one level deeper");
+    assert_eq!(agent.group_key(), tree.group_key());
 }
 
 #[test]

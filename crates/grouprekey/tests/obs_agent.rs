@@ -1,0 +1,44 @@
+//! With the metrics layer compiled in, the byte-faithful driver reports
+//! what installing the keys cost its receivers: one `agent.apply` span per
+//! rekey around the loop over the agents, and `agent.unseals`, one per key
+//! unsealed — exactly the encryptions each member needs, which is what its
+//! USR packet would carry. One test, alone in its binary: the registry is
+//! process-wide, and the counts below are exact. A no-op build runs the
+//! rekey and counts nothing.
+
+use grouprekey::driver::Group;
+use grouprekey::ServerOptions;
+use keytree::Batch;
+use netsim::NetworkConfig;
+
+#[test]
+fn one_rekey_records_its_install_span_and_every_unseal() {
+    let net = NetworkConfig {
+        n_users: 1024,
+        alpha: 1.0,
+        p_high: 0.3,
+        seed: 5,
+        ..NetworkConfig::default()
+    };
+    let mut group = Group::new(1024, ServerOptions::default(), net);
+    obs::reset();
+    group.rekey(Batch::new(vec![], (0..1024).step_by(16).collect()));
+    assert!(group.all_agents_synchronized());
+
+    if !obs::enabled() {
+        return;
+    }
+    let snap = obs::snapshot();
+    assert_eq!(snap.span("agent.apply").map(|s| s.count), Some(1));
+    let needed: usize = (group.agents.keys())
+        .map(|&m| {
+            group
+                .server
+                .usr_packet(m)
+                .expect("live member")
+                .sealed
+                .len()
+        })
+        .sum();
+    assert_eq!(snap.counter("agent.unseals"), needed as u64);
+}

@@ -60,6 +60,7 @@ fn one_rekey_records_its_spans_and_every_delivery_by_outcome() {
         "wrong_message",
         "out_of_range",
         "satisfied",
+        "ruled_out",
         "malformed",
     ]
     .into_iter()

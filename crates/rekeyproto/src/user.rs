@@ -44,6 +44,9 @@ pub enum Ignored {
     OutOfRange,
     /// The session already holds what it needs.
     Satisfied,
+    /// A share of a block outside the block-ID estimate (Appendix D): no
+    /// decode or NACK looks at that block again, so it is not held.
+    RuledOut,
 }
 
 /// What one round boundary's FEC recovery did, for whoever counts it.
@@ -161,8 +164,9 @@ impl UserSession {
     /// ENC frame that serves this user is kept as it lies, a USR packet is
     /// parsed in full, and any other ENC/PARITY frame is held by reference
     /// count as a FEC share — a second frame for a `(block, share index)`
-    /// already held replaces the first and is not counted twice. `Err` is a
-    /// frame that is not a packet under the layout.
+    /// already held replaces the first and is not counted twice — unless
+    /// the block-ID estimate, having seen this header, rules its block out.
+    /// `Err` is a frame that is not a packet under the layout.
     pub fn receive_frame(&mut self, frame: &Arc<[u8]>) -> Result<Received, WireError> {
         if self.is_satisfied() {
             return Ok(Received::Ignored(Ignored::Satisfied));
@@ -197,7 +201,16 @@ impl UserSession {
                 .get_or_insert_with(|| BlockIdEstimator::new(m16, self.k, self.d))
                 .observe(&enc);
         }
+        // `high` only falls and `low` only rises, and decode and NACK look
+        // only inside the range: a block outside it now stays unread.
+        if !self.candidate(block_id) {
+            return Ok(Received::Ignored(Ignored::RuledOut));
+        }
         if self.held.insert(block_id, index) {
+            if self.shares.capacity() == 0 {
+                // Two blocks' worth: the one being heard and the next.
+                self.shares.reserve_exact(2 * self.k);
+            }
             self.shares.push((block_id, index, Arc::clone(frame)));
         } else if let Some((_, _, held)) =
             (self.shares.iter_mut()).find(|(b, i, _)| (*b, *i) == (block_id, index))
@@ -224,6 +237,13 @@ impl UserSession {
         self.current_id = Some(usr.new_user_id as NodeId);
         self.succeed(UserOutcome::Usr(usr));
         Ok(Received::Mine)
+    }
+
+    /// Whether block `b` can hold the user's packet: inside the block-ID
+    /// estimate, or any block before a header has bounded it.
+    fn candidate(&self, b: u8) -> bool {
+        let range = self.estimator.as_ref().and_then(BlockIdEstimator::range);
+        range.is_none_or(|(lo, hi)| (lo..=hi).contains(&u32::from(b)))
     }
 
     fn succeed(&mut self, outcome: UserOutcome) {
@@ -253,13 +273,11 @@ impl UserSession {
             return;
         };
         // Every block with k shares, inside the estimated range if there is one.
-        let range = self.estimator.as_ref().and_then(|e| e.range());
-        let in_range = |b: u8| range.is_none_or(|(lo, hi)| (lo..=hi).contains(&u32::from(b)));
         let msg_id = self.msg_id.unwrap_or(0);
         let (mut row, mut found) = (Vec::new(), None);
         let mut held: Vec<(usize, &Arc<[u8]>)> = Vec::new();
         'blocks: for b in 0..=self.max_block_seen.unwrap_or(0) {
-            if self.held.count(b) < self.k || !in_range(b) || self.exhausted.contains(&b) {
+            if self.held.count(b) < self.k || !self.candidate(b) || self.exhausted.contains(&b) {
                 continue;
             }
             // A block's frames are gathered only now that it has `k` of them,
@@ -359,14 +377,15 @@ fn wire_id(current_id: &mut Option<NodeId>, old_id: NodeId, d: u32, max_kid: u16
 /// user (`grouprekey::sim::SimUser`) keeps nothing else.
 ///
 /// Block IDs are `u8` and share indices stay below [`rse::MAX_SYMBOLS`], so
-/// four `u64` words cover a block. The layout is flat — one `[u64; 4]` slot
-/// per block ID in a `Vec` that grows to the highest block seen — so
-/// recording a share is one indexed OR, and a parallel `counts` vector
-/// caches the population count for the round-boundary decode check.
+/// four `u64` words cover a block. The layout is flat — one slot per block
+/// ID in a `Vec` that grows to the highest block seen, sized for the first
+/// few blocks at the first share — so recording a share is one indexed OR,
+/// and the slot caches its population count for the round-boundary decode
+/// check.
 #[derive(Debug, Clone, Default)]
 pub struct ShareTracker {
-    words: Vec<[u64; 4]>,
-    counts: Vec<u16>,
+    /// Per block: the share indices held, and how many.
+    blocks: Vec<([u64; 4], u16)>,
 }
 
 impl ShareTracker {
@@ -380,27 +399,32 @@ impl ShareTracker {
             return false;
         }
         let b = usize::from(block);
-        if self.words.len() <= b {
-            self.words.resize(b + 1, [0u64; 4]);
-            self.counts.resize(b + 1, 0);
+        if self.blocks.len() <= b {
+            if self.blocks.capacity() == 0 {
+                // Blocks are heard in ascending order: room for the first
+                // few at once instead of a regrowth per block or two.
+                self.blocks.reserve_exact((b + 1).max(8));
+            }
+            self.blocks.resize(b + 1, ([0; 4], 0));
         }
-        let word = &mut self.words[b][index / 64];
+        let (words, count) = &mut self.blocks[b];
         let bit = 1u64 << (index % 64);
-        let fresh = *word & bit == 0;
-        *word |= bit;
-        self.counts[b] += u16::from(fresh);
+        let fresh = words[index / 64] & bit == 0;
+        words[index / 64] |= bit;
+        *count += u16::from(fresh);
         fresh
     }
 
     /// Number of distinct shares held for `block`.
     pub fn count(&self, block: u8) -> usize {
-        self.counts.get(usize::from(block)).map_or(0, |&c| c.into())
+        self.blocks
+            .get(usize::from(block))
+            .map_or(0, |slot| slot.1.into())
     }
 
     /// Drops all recorded shares, keeping the allocation.
     pub fn clear(&mut self) {
-        self.words.clear();
-        self.counts.clear();
+        self.blocks.clear();
     }
 }
 

@@ -1,28 +1,33 @@
-//! What a delivery costs in heap traffic. One that does not serve the user
-//! is a header read in place, a bit in the share tracker and a reference
-//! count on the shared frame pushed onto one flat store: the allocations
-//! left are that store's and the tracker's amortised growth, a constant for
-//! any number of blocks. The one that does serve the user is the same
-//! reference count and nothing else. At the parent commit the share map
-//! cost a tree node every few deliveries and a block, and the serving
-//! delivery copied every pair of the packet into a growing vector.
+//! What a delivery costs in heap traffic. A share of a block the user's
+//! block-ID estimate has ruled out is turned away after the header read:
+//! nothing allocated, no reference kept. A share that is kept is a bit in
+//! the share tracker and a reference count pushed onto one flat store: the
+//! allocations left are that store's and the tracker's amortised growth,
+//! each sized once up front, a constant for any number of blocks. The
+//! delivery that serves the user is the same reference count and nothing
+//! else.
 
 use std::sync::Arc;
 
 use rekeymsg::{BlockSet, EncPacket, Layout, Packet};
-use rekeyproto::{Received, UserOutcome, UserSession};
+use rekeyproto::{Ignored, Received, UserOutcome, UserSession};
 use wirecrypto::{SealedKey, SymKey};
 
 #[global_allocator]
 static ALLOC: xcheck_rt::CountingAlloc = xcheck_rt::CountingAlloc;
 
-#[test]
-fn deliveries_cost_a_constant_and_the_serving_one_nothing() {
-    xcheck_rt::assert_counting();
+const K: usize = 8;
+const LAYOUT: Layout = Layout::DEFAULT;
 
-    // 100 blocks of k = 8 single-user ENC packets (IDs 1001..=1800 under
-    // maxKID 1000, degree 4) and two parities each: 1000 frames.
-    let (k, layout) = (8, Layout::DEFAULT);
+/// One block's frames: its `K` ENC packets and its parities.
+struct BlockFrames {
+    data: Vec<Arc<[u8]>>,
+    parity: Vec<Arc<[u8]>>,
+}
+
+/// 100 blocks of `K` single-user ENC packets (IDs 1001..=1800 under maxKID
+/// 1000, degree 4: nobody moves) and `parities` parities each.
+fn message(parities: usize) -> Vec<BlockFrames> {
     let sealed = SealedKey::seal(
         &SymKey::from_bytes([1; 16]),
         &SymKey::from_bytes([2; 16]),
@@ -40,59 +45,90 @@ fn deliveries_cost_a_constant_and_the_serving_one_nothing() {
             entries: vec![(1001 + i, sealed)],
         })
         .collect();
-    let mut blocks = BlockSet::new(packets, k, layout);
-    let mut frames: Vec<Arc<[u8]>> = Vec::with_capacity(1000);
-    for b in 0..blocks.block_count() {
-        let parities = blocks.mint_parities(b, 2).unwrap();
-        let data = blocks
-            .block(b)
-            .unwrap()
-            .packets
-            .iter()
-            .cloned()
-            .map(Packet::Enc);
-        frames.extend(
-            data.chain(parities.into_iter().map(Packet::Parity))
-                .map(|pkt| Arc::from(pkt.emit(&layout))),
-        );
-    }
-    assert_eq!(frames.len(), 1000);
+    let mut blocks = BlockSet::new(packets, K, LAYOUT);
+    let frame = |pkt: Packet| -> Arc<[u8]> { pkt.emit(&LAYOUT).into() };
+    (0..blocks.block_count())
+        .map(|b| {
+            let minted = blocks.mint_parities(b, parities).unwrap();
+            let data = &blocks.block(b).unwrap().packets;
+            BlockFrames {
+                data: data.iter().cloned().map(Packet::Enc).map(frame).collect(),
+                parity: minted.into_iter().map(Packet::Parity).map(frame).collect(),
+            }
+        })
+        .collect()
+}
 
-    // User 1900 is served by none of them. Warm: the first ENC frame
-    // derives the ID and builds the estimator.
-    let mut session = UserSession::new(1900, 4, k, layout).expect_msg_id(5);
-    assert_eq!(session.receive_frame(&frames[0]), Ok(Received::Kept));
+#[test]
+fn ruled_out_shares_cost_nothing_and_neither_does_the_serving_one() {
+    xcheck_rt::assert_counting();
+    let blocks = message(2);
+    assert_eq!(blocks.len(), 100);
 
-    let (allocs, ()) = xcheck_rt::count_in(|| {
-        for frame in &frames {
-            assert_eq!(session.receive_frame(frame), Ok(Received::Kept));
+    // User 1400's packet is block 49, seq 7. Two headers pin its block:
+    // block 49 seq 6 lies just below it (low = 49), block 50 seq 0 just
+    // above it (high = 49), so block 50 is ruled out by its own header.
+    let mut session = UserSession::new(1400, 4, K, LAYOUT).expect_msg_id(5);
+    let ruled_out = Ok(Received::Ignored(Ignored::RuledOut));
+    assert_eq!(
+        session.receive_frame(&blocks[49].data[6]),
+        Ok(Received::Kept)
+    );
+    assert_eq!(session.receive_frame(&blocks[50].data[0]), ruled_out);
+
+    // Every frame of every other block: 990 deliveries, turned away.
+    let others: Vec<&Arc<[u8]>> = (blocks.iter().enumerate())
+        .filter(|&(b, _)| b != 49)
+        .flat_map(|(_, frames)| frames.data.iter().chain(&frames.parity))
+        .collect();
+    assert_eq!(others.len(), 990);
+    xcheck_rt::assert_zero_alloc("deliveries of ruled-out blocks", || {
+        for frame in &others {
+            assert_eq!(session.receive_frame(frame), ruled_out);
         }
     });
-    // 18 today: the store doubles eight times to hold 1000 shares, the
-    // tracker's two vectors five times each to reach block 99.
     assert!(
-        allocs <= 24,
-        "{allocs} allocations for 1000 non-serving deliveries"
+        others.iter().all(|frame| Arc::strong_count(frame) == 1),
+        "a ruled-out share is not held"
     );
-    assert!(!session.is_satisfied());
-    drop(session);
 
-    // User 1400's packet is block 49, seq 7: with shares held, hearing it
-    // allocates nothing, and what the session keeps is the delivered frame
-    // itself.
-    let at = 49 * (k + 2) + 7;
-    let mut session = UserSession::new(1400, 4, k, layout).expect_msg_id(5);
-    for frame in &frames[..at] {
+    // The rest of its own block is kept; hearing its packet then allocates
+    // nothing, and what the session keeps is the delivered frame itself.
+    let own = &blocks[49];
+    for frame in own.data[..6].iter().chain(&own.parity) {
         assert_eq!(session.receive_frame(frame), Ok(Received::Kept));
     }
     let mine = xcheck_rt::assert_zero_alloc("the serving delivery", || {
-        session.receive_frame(&frames[at])
+        session.receive_frame(&own.data[7])
     });
     assert_eq!(mine, Ok(Received::Mine));
     let UserOutcome::Enc(kept) = session.outcome() else {
         panic!("outcome {:?}", session.outcome());
     };
     assert!(kept.header().serves(1400));
-    assert_eq!(Arc::strong_count(&frames[at]), 2, "kept, not copied");
-    assert_eq!(Arc::strong_count(&frames[0]), 1, "shares let go");
+    assert_eq!(Arc::strong_count(&own.data[7]), 2, "kept, not copied");
+    assert_eq!(Arc::strong_count(&own.data[0]), 1, "shares let go");
+}
+
+#[test]
+fn kept_shares_cost_a_constant() {
+    xcheck_rt::assert_counting();
+    let blocks = message(10);
+
+    // Parity only: no ENC header bounds the estimate, so all 1000 shares
+    // are kept.
+    let mut session = UserSession::new(1900, 4, K, LAYOUT).expect_msg_id(5);
+    let (allocs, ()) = xcheck_rt::count_in(|| {
+        for frame in blocks.iter().flat_map(|frames| &frames.parity) {
+            assert_eq!(session.receive_frame(frame), Ok(Received::Kept));
+        }
+    });
+    // 12 today: the store is sized for 2k shares at the first one and
+    // doubles six times to hold 1000; the tracker is sized for eight
+    // blocks at the first share and doubles four times to reach block 99.
+    assert!(
+        allocs <= 16,
+        "{allocs} allocations for 1000 kept deliveries"
+    );
+    assert!(!session.is_satisfied());
 }

@@ -96,18 +96,22 @@ fn forged_share_indices_change_neither_nack_nor_decode() {
     };
 
     // User 101's packet is block 0, seq 1; it hears seq 0, one parity and
-    // the first packet of block 1, which pins its block.
+    // the first packet of block 1, which pins its block (and so rules its
+    // own block out).
     let next_block = blocks.block(1).unwrap().packets[0].clone();
     let heard = [
-        Packet::Enc(b0[0].clone()),
-        Packet::Parity(parities[0].clone()),
-        Packet::Enc(next_block),
+        (Packet::Enc(b0[0].clone()), Received::Kept),
+        (Packet::Parity(parities[0].clone()), Received::Kept),
+        (
+            Packet::Enc(next_block),
+            Received::Ignored(Ignored::RuledOut),
+        ),
     ];
     let mut clean = UserSession::new(101, 4, k, Layout::DEFAULT);
     let mut forged = UserSession::new(101, 4, k, Layout::DEFAULT);
     for session in [&mut clean, &mut forged] {
-        for pkt in heard.clone() {
-            assert_eq!(session.receive_frame(&frame(pkt)), Ok(Received::Kept));
+        for (pkt, did) in heard.clone() {
+            assert_eq!(session.receive_frame(&frame(pkt)), Ok(did));
         }
     }
     for pkt in [Packet::Enc(forged_enc), Packet::Parity(forged_parity)] {
@@ -346,7 +350,8 @@ proptest! {
     /// server's ENC packet for its user, field for field, iff that packet
     /// (or a last-block duplicate of it) or any `k` shares of its block
     /// arrived; otherwise it NACKs `k - held` for every short block of a
-    /// contiguous range around its own.
+    /// contiguous range around its own — `held` counting every share that
+    /// arrived, the ones of blocks the estimate had ruled out included.
     #[test]
     fn frame_fed_session_recovers_iff_packet_or_k_shares_arrived(
         k in proptest::sample::select(vec![1usize, 3, 10, 32]),
@@ -398,6 +403,8 @@ proptest! {
                 let expect = match (&direct, mine) {
                     (Some(_), _) => Received::Ignored(Ignored::Satisfied),
                     (None, true) => Received::Mine,
+                    // Another block's share may be ruled out; never its own.
+                    (None, false) if b != my_block && did == Received::Ignored(Ignored::RuledOut) => did,
                     (None, false) => Received::Kept,
                 };
                 prop_assert_eq!(did, expect);
@@ -442,8 +449,12 @@ proptest! {
 }
 
 /// Recovery as it was before the bracket, assembled from the public pieces:
-/// `UserSession`'s receive rules for ENC and PARITY frames of message 1,
-/// but at every round boundary every candidate block is decoded in full
+/// `UserSession`'s receive rules for ENC and PARITY frames of message 1 (a
+/// block the estimate has ruled out is not held — a lying header can drive
+/// `low` above `high`, and a block ruled out as below `low` then returns as
+/// `[high, high]`; the keep-every-share reference over real messages is
+/// `ruled_out_identity.rs`), but at every round boundary every candidate
+/// block is decoded in full
 /// (`Decoder::decode`), again each round, and its missing packets are tried
 /// in ascending order. The oracle for the order and for the memo.
 struct FullOrderSession {
@@ -521,6 +532,9 @@ impl FullOrderSession {
                 .get_or_insert_with(|| BlockIdEstimator::new(m16, k, Self::D))
                 .observe(&h);
         }
+        if !self.in_range(block_id) {
+            return;
+        }
         let held = self.shares.entry(block_id).or_default();
         held.insert(index, frame[rekeymsg::UNPROTECTED_HEADER_LEN..].to_vec());
     }
@@ -547,11 +561,14 @@ impl FullOrderSession {
         })
     }
 
-    fn decode_everything(&mut self) {
+    fn in_range(&self, b: u8) -> bool {
         let range = self.estimator.as_ref().and_then(|e| e.range());
-        let in_range = |b: u8| range.is_none_or(|(lo, hi)| (lo..=hi).contains(&u32::from(b)));
+        range.is_none_or(|(lo, hi)| (lo..=hi).contains(&u32::from(b)))
+    }
+
+    fn decode_everything(&mut self) {
         let candidates: Vec<u8> = (self.shares.iter())
-            .filter(|(&b, held)| held.len() >= self.k && in_range(b))
+            .filter(|(&b, held)| held.len() >= self.k && self.in_range(b))
             .map(|(&b, _)| b)
             .collect();
         for b in candidates {

@@ -5,8 +5,9 @@
 # (bench's figure_identity, the one worker-count gate left, runs there), the
 # gf256/rse suites again in an optimised build (the vectorized kernel), the
 # dynamic no-alloc harness (the obs event log's armed and disarmed paths
-# included), the statistical engine-agreement gate and the transport's
-# delivery-order oracle (optimised builds), one
+# included), the statistical engine-agreement gate, the transport's
+# delivery-order oracle and the receiver identity oracles (optimised
+# builds), one
 # full run of each of the three tracked BENCH reports compared byte for byte
 # with the committed file (a report holds exact facts, so `cmp` is the whole
 # sentinel), and the obs build. Speed is not gated here: that is
@@ -100,13 +101,15 @@ cargo test -q -p rse --features obs --test no_alloc_marks
 # The per-link queries the transport asks (source_delivers, link_delivers),
 # multicast_to_into and unicast: zero.
 cargo test -q -p netsim --test no_alloc_marks
-# The serving delivery is pinned at zero; 1000 non-serving ones at a
-# constant (the flat share store's and the tracker's amortised growth).
+# The serving delivery and 990 deliveries of ruled-out blocks are pinned at
+# zero (no reference held either); 1000 kept ones at a constant (the flat
+# share store's and the tracker's growth after one sizing each).
 cargo test -q -p rekeyproto --test alloc_budget
-# The count-model loop, and UserAgent::apply_enc off the kept frame: zero.
-# The server side: wirecrypto's eight-lane seal and keystream kernels, and
-# a warm IntervalCollector admitting a leave and a join (the request
-# payload is a stack array): zero.
+# The count-model loop, UserAgent::apply_enc off the kept frame and
+# apply_usr off a USR packet: zero; apply_enc for a member a split moved one
+# level down: at most one (its path grows). The server side: wirecrypto's
+# eight-lane seal and keystream kernels, and a warm IntervalCollector
+# admitting a leave and a join (the request payload is a stack array): zero.
 cargo test -q -p grouprekey --test no_alloc_marks
 # The obs entry points and its event log, both feature legs: compiled out
 # and disarmed they allocate nothing (no_alloc_off, no_alloc_marks); armed,
@@ -142,6 +145,17 @@ stage "transport delivery order (receiver-major rounds vs packet-major reference
 # still agree with each other, message by message.
 cargo test --release -q -p grouprekey --lib delivery_order
 cargo test --release -q --test model_agreement
+
+stage "receiver identity (agent oracle, share-skip reference, --release)"
+# A receiver does only its own work (DESIGN.md "Only the receiver's own
+# work"). The agent holds its path, not a key map; the key map is a
+# test-only reference, and a proptest holds the two to the same ID, path
+# keys, group key and result at every step (splits, compaction, ENC and USR,
+# hostile packets). A session holds no share of a block its estimate ruled
+# out; over real messages every user's NACKs, success round and outcome
+# equal those of a reference that keeps every share.
+cargo test --release -q -p grouprekey --lib map_reference
+cargo test --release -q -p rekeyproto --test ruled_out_identity
 
 # One stage per tracked report: regenerate its one full grid under target/
 # (so it never clobbers the committed file) and `cmp` it with the committed
