@@ -51,8 +51,8 @@ pub struct MessageReport {
     pub unserved_users: usize,
     /// Users that missed the deadline (strictly more rounds than allowed).
     pub missed_deadline: usize,
-    /// USR packets unicast (with duplicates) — the early-unicast tail of
-    /// the paper's hybrid delivery.
+    /// USR packets unicast (with duplicates) — the unicast tail of the
+    /// paper's hybrid delivery, once the multicast rounds are used up.
     pub usr_packets: usize,
     /// Unicast bytes (USR + UDP headers).
     pub usr_bytes: usize,

@@ -109,7 +109,8 @@ impl KeyServer {
     }
 
     /// Typical USR packet length for the current tree (the `3 + 20h`
-    /// bound), used by the early-unicast byte rule.
+    /// bound): what the session counts per USR packet it unicasts in
+    /// `ServerStats::usr_bytes`.
     pub fn usr_len_hint(&self) -> usize {
         self.layout.usr_packet_len(self.tree.height() as usize + 1)
     }

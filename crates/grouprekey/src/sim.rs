@@ -8,7 +8,8 @@
 //! it received rather than their bytes (why that is exact is argued there),
 //! so memory stays O(counts). The loop hands a user the round's schedule
 //! itself, borrowed, and walks it for that user alone until the user is
-//! satisfied: the count model allocates nothing per round. The
+//! satisfied, counting the other packets' shares only if it never is: the
+//! count model allocates nothing per round. The
 //! byte-faithful path — parse, decode, unseal — is exercised end-to-end by
 //! [`crate::driver`] and the integration tests.
 //!
@@ -66,6 +67,19 @@ impl SimUser {
             satisfied_round: None,
         }
     }
+
+    /// Whether `pkt` is the user's own: a USR packet, or the ENC packet
+    /// that serves it. A node ID beyond the 16-bit wire fields is served
+    /// by no ENC packet (narrowing 65536 + m to m would claim user m's),
+    /// exactly as in `UserSession`.
+    // xcheck: no_alloc
+    fn is_own(&self, pkt: &Packet) -> bool {
+        match pkt {
+            Packet::Enc(enc) => u16::try_from(self.node_id).is_ok_and(|m16| enc.serves(m16)),
+            Packet::Usr(_) => true,
+            Packet::Parity(_) | Packet::Nack(_) => false,
+        }
+    }
 }
 
 /// The count model: a frame is the packet itself, borrowed, and the user
@@ -108,20 +122,18 @@ impl Receiver for SimUser {
         if self.is_satisfied() {
             return;
         }
+        if self.is_own(pkt) {
+            self.satisfied_round = Some(round);
+            self.shares.clear();
+            return;
+        }
         match pkt {
             Packet::Enc(enc) => {
                 self.max_block_seen = Some(self.max_block_seen.unwrap_or(0).max(enc.block_id));
-                // A node ID beyond the 16-bit wire fields is served by no
-                // ENC packet (narrowing 65536 + m to m would claim user m's)
-                // and forms no estimate, exactly as in `UserSession`.
+                // An ID the wire cannot carry forms no estimate either.
                 let Ok(m16) = u16::try_from(self.node_id) else {
                     return;
                 };
-                if enc.serves(m16) {
-                    self.satisfied_round = Some(round);
-                    self.shares.clear();
-                    return;
-                }
                 self.estimator
                     .get_or_insert_with(|| BlockIdEstimator::new(m16, self.k, self.d))
                     .observe(&enc.header());
@@ -131,12 +143,19 @@ impl Receiver for SimUser {
                 self.max_block_seen = Some(self.max_block_seen.unwrap_or(0).max(par.block_id));
                 self.shares.insert(par.block_id, self.k + par.seq as usize);
             }
-            Packet::Usr(_) => {
-                self.satisfied_round = Some(round);
-                self.shares.clear();
-            }
-            Packet::Nack(_) => {}
+            Packet::Usr(_) | Packet::Nack(_) => {}
         }
+    }
+
+    /// Takes only the user's own packet, told from the header it reads
+    /// anyway; anything else waits for [`Receiver::receive_at`].
+    // xcheck: no_alloc
+    fn walk_at(&mut self, frames: &&[Packet], j: usize, round: usize) -> bool {
+        let own = self.is_own(&frames[j]);
+        if own {
+            self.receive_at(frames, j, round);
+        }
+        own
     }
 
     /// Round boundary: attempts FEC recovery, then fills the caller's
@@ -241,6 +260,36 @@ mod tests {
         u.receive(&&enc(1, 0, 140, 160), 1);
         assert!(!u.is_satisfied());
         assert!(end_of_round(&mut u, 1).is_some());
+    }
+
+    #[test]
+    fn a_walk_takes_only_the_own_packet_and_none_past_the_wire_width() {
+        let schedule = [enc(1, 1, 100, 140), parity(1, 0), enc(1, 0, 140, 160)];
+        let frames: &[Packet] = &schedule;
+        let mut u = SimUser::new(0, 150, 3, 4, Some(1));
+        assert!(!u.walk_at(&frames, 0, 1));
+        assert!(!u.walk_at(&frames, 1, 1));
+        assert!(u.walk_at(&frames, 2, 1));
+        assert_eq!(u.success_round(), Some(1));
+
+        // 65536 + 150 narrows to 150, whose packet the last one is: the
+        // walk takes nothing, and reading what it deferred afterwards is
+        // reading every frame as it came.
+        let wide = 65_536 + 150;
+        let (mut walked, mut eager) = (
+            SimUser::new(0, wide, 3, 4, Some(1)),
+            SimUser::new(0, wide, 3, 4, Some(1)),
+        );
+        for j in 0..schedule.len() {
+            assert!(!walked.walk_at(&frames, j, 1));
+            eager.receive_at(&frames, j, 1);
+        }
+        for j in 0..schedule.len() {
+            walked.receive_at(&frames, j, 1);
+        }
+        let nack = end_of_round(&mut eager, 1).expect("unsatisfied");
+        assert_eq!(end_of_round(&mut walked, 1), Some(nack));
+        assert!(!walked.is_satisfied());
     }
 
     #[test]

@@ -21,11 +21,14 @@
 //! unsatisfied receivers in slice order, a list kept between rounds and
 //! only ever shrunk) walks the schedule until it is satisfied, the source
 //! link drawn once per packet sent and its own link only when the source
-//! delivered. Every link is asked the same questions at the same times as
-//! in a packet-by-packet walk, and links share no randomness, so the order
-//! across links is free. Both models see the same draws (every unicast
-//! copy is drawn too), so the same seed gives them the same rounds, NACKs
-//! and overhead — `tests/model_agreement.rs` holds them to it.
+//! delivered. The walk reads a delivery now only if it is the receiver's
+//! own packet (or could change how later ones read); the others are read
+//! after the walk, and only by a receiver it left unsatisfied. Every link
+//! is asked the same questions at the same times as in a packet-by-packet
+//! walk, and links share no randomness, so the order across links is
+//! free. Both models see the same draws (every unicast copy is drawn
+//! too), so the same seed gives them the same rounds, NACKs and overhead —
+//! `tests/model_agreement.rs` holds them to it.
 //!
 //! [`run`]: crate::transport::run
 //! [`Receiver`]: crate::transport::Receiver
@@ -74,6 +77,15 @@ pub trait Receiver {
     /// Frame `j` of `frames` got through: [`Receiver::receive`] on it.
     fn receive_at(&mut self, frames: &Self::Frames<'_>, j: usize, round: usize);
 
+    /// Frame `j` of `frames` got through during a multicast round's walk.
+    /// Receives it ([`Receiver::receive_at`]) and returns true if it may
+    /// end the walk — the receiver's own packet is the one frame that can —
+    /// or if reading it later could differ from reading it now. Otherwise
+    /// returns false having recorded nothing: [`run`] hands the frame to
+    /// `receive_at` once the walk has ended unsatisfied, in delivery order,
+    /// and drops it unread if the walk found the receiver's own.
+    fn walk_at(&mut self, frames: &Self::Frames<'_>, j: usize, round: usize) -> bool;
+
     /// Round boundary, called on the receivers still on the listener list
     /// (the unsatisfied, and those a unicast wave has just satisfied):
     /// attempts recovery, then fills `nack` and returns true when the
@@ -107,6 +119,17 @@ impl Receiver for ByteReceiver {
 
     fn receive_at(&mut self, frames: &Vec<Arc<[u8]>>, j: usize, round: usize) {
         self.receive(&frames[j], round);
+    }
+
+    /// Reads the user's own frame, and a frame that left the session's
+    /// current ID unknown: read later, such a frame would be read under the
+    /// ID a later frame taught (`UserSession::is_own`).
+    fn walk_at(&mut self, frames: &Vec<Arc<[u8]>>, j: usize, round: usize) -> bool {
+        let now = self.session.is_own(&frames[j]) || self.session.current_id().is_none();
+        if now {
+            self.receive(&frames[j], round);
+        }
+        now
     }
 
     fn net_index(&self) -> usize {
@@ -206,9 +229,9 @@ pub struct TransportStats {
 /// of the receivers still unsatisfied, kept across rounds of a message —
 /// they are who a multicast round is drawn for and who is visited at a
 /// round boundary), a multicast round's send times and source-link
-/// answers, the unicast target map, and the NACK packet threaded through
-/// the listeners at a round boundary all reuse their capacity across
-/// rounds and messages.
+/// answers, the frames one walk deferred, the unicast target map, and the
+/// NACK packet threaded through the listeners at a round boundary all
+/// reuse their capacity across rounds and messages.
 #[derive(Debug, Default)]
 pub struct TransportScratch {
     /// Slots of the unsatisfied receivers, in slice order.
@@ -217,6 +240,9 @@ pub struct TransportScratch {
     send_times: Vec<f64>,
     /// The source link's answer for each packet sent so far this round.
     source_ok: Vec<bool>,
+    /// The frames delivered to the listener being walked that were not its
+    /// own, by schedule index, in delivery order.
+    deferred: Vec<usize>,
     by_node: HashMap<NodeId, usize>,
     nack: NackPacket,
 }
@@ -245,6 +271,15 @@ impl TransportScratch {
 /// its RNG, so the draws are the same (DESIGN.md "One transport loop").
 /// The clock ends where the packet-major walk leaves it: one send interval
 /// per packet sent, plus one for the packet at which nobody is left.
+///
+/// A walk reads a delivery now only if [`Receiver::walk_at`] takes it —
+/// the listener's own packet, in the main — and defers the rest. A
+/// listener the walk left unsatisfied then receives them in delivery
+/// order; one whose own packet came never reads them (counter
+/// `transport.frame.unread`). Only an own packet can satisfy during a
+/// walk, and what the others build is read only at the round boundary, so
+/// the walk stops where it stopped before and the boundary sees the same
+/// state.
 fn multicast_round<R: Receiver>(
     net: &mut Network,
     clock: &mut f64,
@@ -263,19 +298,32 @@ fn multicast_round<R: Receiver>(
         now
     }));
     source_ok.clear();
+    let deferred = &mut scratch.deferred;
+    deferred.clear();
+    // A walk defers at most the whole schedule: no growth mid-round.
+    deferred.reserve(schedule.len());
     let frames = R::frames(schedule, layout);
     for &slot in &scratch.listener_slots {
         let r = &mut receivers[slot];
         let link = r.net_index();
+        deferred.clear();
         for (j, &now) in times.iter().enumerate() {
             if j == source_ok.len() {
                 source_ok.push(net.source_delivers(now));
             }
             if source_ok[j] && net.link_delivers(link, now) {
-                r.receive_at(&frames, j, round);
-                if r.is_satisfied() {
+                if !r.walk_at(&frames, j, round) {
+                    deferred.push(j);
+                } else if r.is_satisfied() {
                     break;
                 }
+            }
+        }
+        if r.is_satisfied() {
+            obs::counter_add("transport.frame.unread", deferred.len() as u64);
+        } else {
+            for &j in deferred.iter() {
+                r.receive_at(&frames, j, round);
             }
         }
     }
@@ -353,6 +401,7 @@ fn run_with<R: Receiver>(
         obs::counter_add("transport.rounds", 1);
         match &action {
             RoundDecision::Multicast(schedule) => {
+                let _span_deliver = obs::span("transport.deliver");
                 deliver_round(net, clock, schedule, &layout, receivers, round, scratch);
                 scratch.retain_listening(receivers);
             }
@@ -382,6 +431,7 @@ fn run_with<R: Receiver>(
         }
         *clock += rtt;
 
+        let span_boundary = obs::span("transport.boundary");
         for &slot in &scratch.listener_slots {
             let r = &mut receivers[slot];
             if r.end_of_round_into(round, &mut scratch.nack) {
@@ -389,6 +439,7 @@ fn run_with<R: Receiver>(
             }
         }
         scratch.retain_listening(receivers);
+        drop(span_boundary);
 
         action = session.end_of_round();
         if matches!(action, RoundDecision::Done) {

@@ -4,7 +4,9 @@
 //! `receive` and `end_of_round_into` must perform zero heap allocations,
 //! and so must the loop that drives them
 //! ([`run_message_transport_with`]) once the server has built its
-//! round-one schedule. And for the byte model's last step: a
+//! round-one schedule. A multicast walk's question of each delivery —
+//! is it the user's own? — allocates nothing in either model, nor does
+//! taking the own one. And for the byte model's last step: a
 //! [`UserAgent`] that holds its path installs the new keys off the frame
 //! its session kept, or off a USR packet, without allocating, and one that
 //! a split moved a level down allocates at most once, to grow its path.
@@ -13,16 +15,18 @@
 //! warm [`IntervalCollector`] admits a leave and a join mid-interval
 //! without allocating — the request payload is a stack array.
 
+use std::sync::Arc;
+
 use grouprekey::frontend::{IntervalCollector, JoinRequest, LeaveRequest};
 use grouprekey::sim::{run_message_transport_with, SimConfig, SimUser, TransportScratch};
-use grouprekey::transport::Receiver;
+use grouprekey::transport::{ByteReceiver, Receiver};
 use grouprekey::UserAgent;
 use keytree::{Batch, KeyTree};
 use netsim::{Network, NetworkConfig};
 use rekeymsg::{
     build_usr_packet, EncFrame, EncPacket, Layout, NackPacket, Packet, ParityPacket, UkaAssignment,
 };
-use rekeyproto::{ServerConfig, ServerController};
+use rekeyproto::{ServerConfig, ServerController, UserSession};
 use wirecrypto::batch::{keystream16_batch, seal_batch};
 use wirecrypto::{KeyGen, SealedKey};
 
@@ -196,6 +200,67 @@ fn count_model_loop_allocates_nothing_after_the_round_one_schedule() {
         schedule_allocs + 1,
         "the count-model loop allocated per packet, per round or per user"
     );
+}
+
+#[test]
+fn the_walks_own_checks_allocate_nothing() {
+    xcheck_rt::assert_counting();
+    // With `--features obs` the first count of each outcome registers its
+    // name: an allocation that belongs to no receiver.
+    for name in [
+        "transport.frame.mine",
+        "transport.frame.kept",
+        "transport.frame.ruled_out",
+    ] {
+        obs::counter_add(name, 0);
+    }
+
+    // Count model: another user's packet and a parity are left for later;
+    // the user's own packet is taken and satisfies it.
+    let schedule = [enc(0, 0, 100, 120), parity(0, 0), enc(1, 0, 480, 520)];
+    let frames: &[Packet] = &schedule;
+    let mut user = SimUser::new(0, 500, 8, 4, Some(1));
+    let taken = xcheck_rt::assert_zero_alloc("SimUser::walk_at", || {
+        [0, 1, 2].map(|j| user.walk_at(&frames, j, 1))
+    });
+    assert_eq!(taken, [false, false, true]);
+    assert!(user.is_satisfied());
+
+    // Byte model, over a real message: every other user's frame is a
+    // header read (the first also rederives the user's ID) and is left for
+    // later, and its own frame is kept where it lies.
+    let layout = Layout::DEFAULT;
+    let mut kg = KeyGen::from_seed(9);
+    let mut tree = KeyTree::balanced(1024, 4, &mut kg);
+    let before = tree.clone();
+    let leaves: Vec<u32> = (0..16u32).map(|i| i * 64 + 1).collect();
+    let outcome = tree.process_batch(&Batch::new(vec![], leaves), &mut kg);
+    let assignment = UkaAssignment::build(&tree, &outcome, 1, &layout).unwrap();
+    let frames: Vec<Arc<[u8]>> = (assignment.packets.iter())
+        .map(|pkt| Packet::Enc(pkt.clone()).emit(&layout).into())
+        .collect();
+    let member = 500;
+    let own = assignment
+        .packet_of_user(tree.node_of_member(member).unwrap())
+        .unwrap();
+    assert!(own > 0, "the own frame comes after others");
+    let old = before.node_of_member(member).unwrap();
+    let mut receiver = ByteReceiver {
+        session: UserSession::new(old, 4, 8, layout).expect_msg_id(1),
+        link: 0,
+        node: tree.node_of_member(member).unwrap(),
+        layout,
+    };
+    let others: Vec<usize> = (0..frames.len()).filter(|&j| j != own).collect();
+    let taken = xcheck_rt::assert_zero_alloc("ByteReceiver::walk_at, others", || {
+        others.iter().any(|&j| receiver.walk_at(&frames, j, 1))
+    });
+    assert!(!taken);
+    assert!(receiver.session.current_id().is_some(), "asking taught it");
+    let mine = xcheck_rt::assert_zero_alloc("ByteReceiver::walk_at, own", || {
+        receiver.walk_at(&frames, own, 1)
+    });
+    assert!(mine && receiver.is_satisfied());
 }
 
 /// With `--features obs` the first unseal in the process registers the

@@ -47,11 +47,18 @@ fn one_rekey_records_its_spans_and_every_delivery_by_outcome() {
     let rounds = snap.span("transport.round").expect("round spans");
     assert!(rounds.count >= 1);
     assert_eq!(rounds.count, snap.counter("transport.rounds"));
+    // The receivers' two rows: one delivery span per multicast round and
+    // one boundary span per round.
+    let deliver = snap.span("transport.deliver").expect("delivery spans");
+    assert!((1..=rounds.count).contains(&deliver.count));
+    let boundary = snap.span("transport.boundary").expect("boundary spans");
+    assert_eq!(boundary.count, rounds.count);
     // Every round the users counted is a round the loop drove.
     assert!(rounds.count as usize >= report.rounds_all_users());
 
     // Every delivery the network made reached a session, and the session
-    // said what it did with it: `transport.frame.*` partitions the
+    // said what it did with it — or the walk it was on found its own packet
+    // and it never read it (`unread`): `transport.frame.*` partitions the
     // deliveries (and the one stray frame) by outcome.
     let frames = |reason: &str| snap.counter(&format!("transport.frame.{reason}"));
     let by_reason: u64 = [
@@ -62,6 +69,7 @@ fn one_rekey_records_its_spans_and_every_delivery_by_outcome() {
         "satisfied",
         "ruled_out",
         "malformed",
+        "unread",
     ]
     .into_iter()
     .map(frames)
@@ -71,10 +79,13 @@ fn one_rekey_records_its_spans_and_every_delivery_by_outcome() {
         snap.counter("net.deliveries") + snap.counter("net.unicast_delivered") + 1
     );
     // At most one frame keys each of the 960 members left, most of what a
-    // member hears is someone else's packet, and the server sends nothing
-    // a member has to turn away.
+    // member hears is someone else's packet — kept, ruled out, or never
+    // read because its own came in the same round — and the server sends
+    // nothing a member has to turn away.
     assert!((1..=960).contains(&frames("mine")));
-    assert!(frames("kept") > frames("mine"));
+    let others = frames("kept") + frames("ruled_out") + frames("unread");
+    assert!(others > frames("mine"));
+    assert!(frames("unread") > 0);
     assert_eq!(frames("wrong_message") + frames("out_of_range"), 0);
     assert_eq!(frames("malformed"), 1);
 

@@ -49,6 +49,25 @@ pub enum Ignored {
     RuledOut,
 }
 
+/// A frame's header read against a session ([`UserSession::classify`]).
+enum Class {
+    /// Turned away before anything is recorded.
+    Ignored(Ignored),
+    /// A USR packet, parsed: the user's own.
+    Usr(UsrPacket),
+    /// The ENC packet that serves the user.
+    OwnEnc,
+    /// An ENC packet that does not serve the user, or a PARITY packet: a
+    /// share the server can have sent. An ENC one carries its header and
+    /// the user's ID as the wire names it (`None`: no ENC packet can).
+    Share {
+        msg_id: u8,
+        block_id: u8,
+        index: usize,
+        enc: Option<(EncHeader, Option<u16>)>,
+    },
+}
+
 /// What one round boundary's FEC recovery did, for whoever counts it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodeWork {
@@ -168,35 +187,27 @@ impl UserSession {
     /// the block-ID estimate, having seen this header, rules its block out.
     /// `Err` is a frame that is not a packet under the layout.
     pub fn receive_frame(&mut self, frame: &Arc<[u8]>) -> Result<Received, WireError> {
-        if self.is_satisfied() {
-            return Ok(Received::Ignored(Ignored::Satisfied));
-        }
-        let (msg_id, header) = Packet::header(frame, &self.layout)?;
-        let foreign = self.expected_msg_id.is_some_and(|id| id != msg_id);
-        let (block_id, index, limit, enc) = match header {
-            Header::Nack => return Ok(Received::Ignored(Ignored::WrongMessage)),
-            _ if foreign => return Ok(Received::Ignored(Ignored::WrongMessage)),
-            Header::Usr => return self.accept_usr(frame),
-            Header::Enc(enc) => (enc.block_id, enc.seq as usize, self.k, Some(enc)),
-            Header::Parity { block_id, seq } => {
-                (block_id, self.k + seq as usize, rse::MAX_SYMBOLS, None)
+        let (msg_id, block_id, index, enc) = match self.classify(frame)? {
+            Class::Ignored(why) => return Ok(Received::Ignored(why)),
+            Class::Usr(usr) => {
+                self.current_id = Some(usr.new_user_id as NodeId);
+                self.succeed(UserOutcome::Usr(usr));
+                return Ok(Received::Mine);
             }
+            Class::OwnEnc => return self.accept_enc(frame),
+            Class::Share {
+                msg_id,
+                block_id,
+                index,
+                enc,
+            } => (msg_id, block_id, index, enc),
         };
-        // A share index the server cannot have sent stops at the door: an
-        // ENC `seq >= k` would be filed where PARITY `seq - k` belongs, and a
-        // PARITY past the last code symbol counts as held but never decodes.
-        if index >= limit {
-            return Ok(Received::Ignored(Ignored::OutOfRange));
-        }
         self.msg_id.get_or_insert(msg_id);
         self.max_block_seen = Some(self.max_block_seen.unwrap_or(0).max(block_id));
-        if let Some(enc) = enc {
-            let Some(m16) = wire_id(&mut self.current_id, self.old_id, self.d, enc.max_kid) else {
+        if let Some((enc, id)) = enc {
+            let Some(m16) = id else {
                 return Ok(Received::Ignored(Ignored::OutOfRange));
             };
-            if enc.serves(m16) {
-                return self.accept_enc(frame);
-            }
             self.estimator
                 .get_or_insert_with(|| BlockIdEstimator::new(m16, self.k, self.d))
                 .observe(&enc);
@@ -220,22 +231,74 @@ impl UserSession {
         Ok(Received::Kept)
     }
 
+    /// True exactly when [`UserSession::receive_frame`] would answer
+    /// `Ok(Mine)` for `frame`: the user's own ENC packet, or a USR packet
+    /// that parses. It records only what `receive_frame` would record
+    /// first: the current ID, rederived from the first ENC header that
+    /// yields one, and never changed after. So a receiver may ask this of
+    /// every delivery and feed the others to `receive_frame` later, in the
+    /// same order, and end where feeding them at once would — except a
+    /// frame that left the ID unknown, which must be fed at once, or it
+    /// would be read under an ID learned after it. An ENC or PARITY frame
+    /// costs the header read and no allocation.
+    // xcheck: no_alloc
+    pub fn is_own(&mut self, frame: &[u8]) -> bool {
+        matches!(self.classify(frame), Ok(Class::Usr(_) | Class::OwnEnc))
+    }
+
+    /// The one reading of a frame's header against the session that
+    /// [`UserSession::receive_frame`] and [`UserSession::is_own`] share:
+    /// what stops at the door, whether the frame is the user's own, and
+    /// otherwise which share it is. The current ID is rederived here.
+    fn classify(&mut self, frame: &[u8]) -> Result<Class, WireError> {
+        if self.is_satisfied() {
+            return Ok(Class::Ignored(Ignored::Satisfied));
+        }
+        let (msg_id, header) = Packet::header(frame, &self.layout)?;
+        let foreign = self.expected_msg_id.is_some_and(|id| id != msg_id);
+        let (block_id, index, limit, enc) = match header {
+            Header::Nack => return Ok(Class::Ignored(Ignored::WrongMessage)),
+            _ if foreign => return Ok(Class::Ignored(Ignored::WrongMessage)),
+            Header::Usr => {
+                return match Packet::parse(frame, &self.layout)? {
+                    Packet::Usr(usr) => Ok(Class::Usr(usr)),
+                    // `parse` and `header` read the same type bits.
+                    _ => Ok(Class::Ignored(Ignored::WrongMessage)),
+                };
+            }
+            Header::Enc(enc) => (enc.block_id, enc.seq as usize, self.k, Some(enc)),
+            Header::Parity { block_id, seq } => {
+                (block_id, self.k + seq as usize, rse::MAX_SYMBOLS, None)
+            }
+        };
+        // A share index the server cannot have sent stops at the door: an
+        // ENC `seq >= k` would be filed where PARITY `seq - k` belongs, and a
+        // PARITY past the last code symbol counts as held but never decodes.
+        if index >= limit {
+            return Ok(Class::Ignored(Ignored::OutOfRange));
+        }
+        let enc = enc.map(|enc| {
+            let id = wire_id(&mut self.current_id, self.old_id, self.d, enc.max_kid);
+            (enc, id)
+        });
+        if let Some((enc, Some(m16))) = enc {
+            if enc.serves(m16) {
+                return Ok(Class::OwnEnc);
+            }
+        }
+        Ok(Class::Share {
+            msg_id,
+            block_id,
+            index,
+            enc,
+        })
+    }
+
     /// Keeps the ENC frame whose header said it serves this user.
     // xcheck: no_alloc
     fn accept_enc(&mut self, frame: &Arc<[u8]>) -> Result<Received, WireError> {
         let mine = EncFrame::new(Arc::clone(frame), &self.layout)?;
         self.succeed(UserOutcome::Enc(mine));
-        Ok(Received::Mine)
-    }
-
-    /// Parses a USR frame in full.
-    fn accept_usr(&mut self, frame: &[u8]) -> Result<Received, WireError> {
-        let Packet::Usr(usr) = Packet::parse(frame, &self.layout)? else {
-            // `parse` and `header` read the same type bits.
-            return Ok(Received::Ignored(Ignored::WrongMessage));
-        };
-        self.current_id = Some(usr.new_user_id as NodeId);
-        self.succeed(UserOutcome::Usr(usr));
         Ok(Received::Mine)
     }
 

@@ -5,7 +5,8 @@
 //! allocations left are that store's and the tracker's amortised growth,
 //! each sized once up front, a constant for any number of blocks. The
 //! delivery that serves the user is the same reference count and nothing
-//! else.
+//! else, and asking of any ENC or PARITY frame whether it is the user's
+//! own (`is_own`) is a header read.
 
 use std::sync::Arc;
 
@@ -76,12 +77,17 @@ fn ruled_out_shares_cost_nothing_and_neither_does_the_serving_one() {
     );
     assert_eq!(session.receive_frame(&blocks[50].data[0]), ruled_out);
 
-    // Every frame of every other block: 990 deliveries, turned away.
+    // Every frame of every other block: 990 deliveries, none the user's
+    // own by a header read, and turned away.
     let others: Vec<&Arc<[u8]>> = (blocks.iter().enumerate())
         .filter(|&(b, _)| b != 49)
         .flat_map(|(_, frames)| frames.data.iter().chain(&frames.parity))
         .collect();
     assert_eq!(others.len(), 990);
+    let own = xcheck_rt::assert_zero_alloc("is_own of 990 other frames", || {
+        others.iter().any(|frame| session.is_own(frame))
+    });
+    assert!(!own);
     xcheck_rt::assert_zero_alloc("deliveries of ruled-out blocks", || {
         for frame in &others {
             assert_eq!(session.receive_frame(frame), ruled_out);
@@ -99,6 +105,7 @@ fn ruled_out_shares_cost_nothing_and_neither_does_the_serving_one() {
         assert_eq!(session.receive_frame(frame), Ok(Received::Kept));
     }
     let mine = xcheck_rt::assert_zero_alloc("the serving delivery", || {
+        assert!(session.is_own(&own.data[7]));
         session.receive_frame(&own.data[7])
     });
     assert_eq!(mine, Ok(Received::Mine));

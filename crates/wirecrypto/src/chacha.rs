@@ -7,10 +7,11 @@
 //!
 //! The block function is written once, generic over a lane count `W`: every
 //! state word is a `[u32; W]` holding that word of `W` *independent* blocks
-//! (different keys, different nonces), and every step is the scalar
+//! (different keys, nonces or counters), and every step is the scalar
 //! operation on one lane. [`StreamCipher`] is the `W = 1` instantiation;
-//! the batch entries of [`crate::batch`] are `W = 8`, where each state word
-//! is one AVX2 register. Lanes never mix — the diagonal round only permutes
+//! the batch entries of [`crate::batch`] and `KeyGen`'s refill (eight
+//! consecutive blocks of one stream) are `W = 8`, where each state word is
+//! one AVX2 register. Lanes never mix — the diagonal round only permutes
 //! *which* words meet, not which lane — so no shuffle is needed (a single
 //! block's four rows in `[u32; 4]` need one per diagonal round, and do not
 //! vectorise without intrinsics).
@@ -76,12 +77,12 @@ fn quarter_round<const W: usize>(
     s[b][l] = (s[b][l] ^ s[c][l]).rotate_left(7);
 }
 
-/// Keystream block `counter` of each lane's `(key, nonce)` stream, as
+/// Keystream block `counter[l]` of each lane's `(key, nonce)` stream, as
 /// words (serialised little-endian they are the 64 keystream bytes).
 #[inline(always)]
 pub(crate) fn block<const W: usize>(
     key: &[[u32; W]; 4],
-    counter: u64,
+    counter: &[u64; W],
     nonce: &[u64; W],
 ) -> [[u32; W]; 16] {
     let mut state = [[0u32; W]; 16];
@@ -91,9 +92,9 @@ pub(crate) fn block<const W: usize>(
         state[4 + i] = key[i];
         state[8 + i] = key[i];
     }
-    state[12] = [(counter & 0xffff_ffff) as u32; W];
-    state[13] = [(counter >> 32) as u32; W];
     for l in 0..W {
+        state[12][l] = (counter[l] & 0xffff_ffff) as u32;
+        state[13][l] = (counter[l] >> 32) as u32;
         state[14][l] = (nonce[l] & 0xffff_ffff) as u32;
         state[15][l] = (nonce[l] >> 32) as u32;
     }
@@ -127,7 +128,7 @@ pub(crate) fn block<const W: usize>(
 /// the values live around it spill into the loop.
 #[inline(never)]
 pub(crate) fn first_words<const W: usize>(key: &[[u32; W]; 4], nonce: &[u64; W]) -> [[u32; W]; 4] {
-    let out = block(key, 0, nonce);
+    let out = block(key, &[0; W], nonce);
     [out[0], out[1], out[2], out[3]]
 }
 
@@ -168,7 +169,7 @@ impl StreamCipher {
     }
 
     fn block(&self, counter: u64) -> [u8; BLOCK_LEN] {
-        let words = block(&self.key, counter, &[self.nonce]);
+        let words = block(&self.key, &[counter], &[self.nonce]);
         let mut out = [0u8; BLOCK_LEN];
         for (bytes, [word]) in out.chunks_exact_mut(4).zip(words) {
             bytes.copy_from_slice(&word.to_le_bytes());

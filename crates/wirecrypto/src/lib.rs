@@ -19,7 +19,8 @@
 //! * [`batch`] — the same seal, and the cipher's first 16 keystream bytes
 //!   (the key tree's node-key PRF), over eight independent inputs at a
 //!   time: what a key server runs thousands of per rekey interval.
-//! * [`KeyGen`] — deterministic, seedable generator of fresh keys.
+//! * [`KeyGen`] — deterministic, seedable generator of fresh keys: the
+//!   cipher's keystream under the seed, made eight blocks at a time.
 //! * [`registration`] — the mutual-authentication join handshake run
 //!   between a user and the registrar before rekeying ever sees the user.
 //!
@@ -29,9 +30,10 @@
 //! touching lane `m` — and the entries differ only in `W`:
 //! [`SealedKey::seal`], [`SealedKey::unseal`], [`StreamCipher`] and
 //! [`mac::mac64`] are `W = 1` (a receiver unseals its path serially: each
-//! key-encrypting key is the previous plaintext), [`batch`] is `W = 8`,
-//! where a state word is one AVX2 register at the workspace's `x86-64-v3`
-//! and the compiler vectorises the lane loops. No `unsafe`, no intrinsics,
+//! key-encrypting key is the previous plaintext), [`batch`] and
+//! [`KeyGen`]'s refill are `W = 8`, where a state word is one AVX2 register
+//! at the workspace's `x86-64-v3` and the compiler vectorises the lane
+//! loops. No `unsafe`, no intrinsics,
 //! no feature or runtime dispatch; results are byte-identical per element,
 //! which `batch`'s tests prove for every length around the group size and
 //! pin with known answers.

@@ -102,11 +102,14 @@ cargo test -q -p rse --features obs --test no_alloc_marks
 # multicast_to_into and unicast: zero.
 cargo test -q -p netsim --test no_alloc_marks
 # The serving delivery and 990 deliveries of ruled-out blocks are pinned at
-# zero (no reference held either); 1000 kept ones at a constant (the flat
-# share store's and the tracker's growth after one sizing each).
+# zero (no reference held either), and so is asking is_own of each; 1000
+# kept ones at a constant (the flat share store's and the tracker's growth
+# after one sizing each).
 cargo test -q -p rekeyproto --test alloc_budget
-# The count-model loop, UserAgent::apply_enc off the kept frame and
-# apply_usr off a USR packet: zero; apply_enc for a member a split moved one
+# The count-model loop on a warm TransportScratch, both models' walk_at (the
+# own check of every delivery, and taking the own one), UserAgent::apply_enc
+# off the kept frame and apply_usr off a USR packet: zero; apply_enc for a
+# member a split moved one
 # level down: at most one (its path grows). The server side: wirecrypto's
 # eight-lane seal and keystream kernels, and a warm IntervalCollector
 # admitting a leave and a join (the request payload is a stack array): zero.
@@ -146,16 +149,21 @@ stage "transport delivery order (receiver-major rounds vs packet-major reference
 cargo test --release -q -p grouprekey --lib delivery_order
 cargo test --release -q --test model_agreement
 
-stage "receiver identity (agent oracle, share-skip reference, --release)"
+stage "receiver identity (agent oracle, share-skip reference, own check, --release)"
 # A receiver does only its own work (DESIGN.md "Only the receiver's own
 # work"). The agent holds its path, not a key map; the key map is a
 # test-only reference, and a proptest holds the two to the same ID, path
 # keys, group key and result at every step (splits, compaction, ENC and USR,
 # hostile packets). A session holds no share of a block its estimate ruled
 # out; over real messages every user's NACKs, success round and outcome
-# equal those of a reference that keeps every share.
+# equal those of a reference that keeps every share. A multicast walk reads
+# only the receiver's own packet: is_own is receive_frame's Mine on every
+# prefix of real, forged and truncated frames, and a session fed as the
+# walk feeds it (the rest deferred, read in order only if its own never
+# came) NACKs, succeeds and holds what an eagerly fed one does.
 cargo test --release -q -p grouprekey --lib map_reference
 cargo test --release -q -p rekeyproto --test ruled_out_identity
+cargo test --release -q -p rekeyproto --test own_identity
 
 # One stage per tracked report: regenerate its one full grid under target/
 # (so it never clobbers the committed file) and `cmp` it with the committed
