@@ -5,42 +5,41 @@
 //! protocol stack — real marking algorithm, real UKA packets, real
 //! Reed–Solomon parities, real `AdjustRho` — and the round loop is the one
 //! in [`crate::transport`], but each [`SimUser`] tracks which FEC *shares*
-//! it received rather than their bytes (why that is exact is argued there),
-//! so memory stays O(counts). The loop hands a user the round's schedule
-//! itself, borrowed, and walks it for that user alone until the user is
-//! satisfied, counting the other packets' shares only if it never is: the
-//! count model allocates nothing per round. The
-//! byte-faithful path — parse, decode, unseal — is exercised end-to-end by
-//! [`crate::driver`] and the integration tests.
+//! it received rather than their bytes, so memory stays O(counts), under
+//! the byte model's own receive rules ([`rekeyproto::BlockSearch`]). The
+//! loop hands a user the round's schedule itself, borrowed, and walks it for
+//! that user alone until the user is satisfied, counting the other packets'
+//! shares only if it never is: the count model allocates nothing per round.
+//! The byte-faithful path — parse, decode, unseal — is exercised end-to-end
+//! by [`crate::driver`] and the integration tests.
 //!
 //! [`SimUser`]: crate::sim::SimUser
 
 use keytree::NodeId;
 use netsim::Network;
-use rekeymsg::estimate::BlockIdEstimator;
 use rekeymsg::{Layout, NackPacket, Packet, UsrPacket};
-use rekeyproto::{nack_requests_into, ServerSession, ShareTracker};
+use rekeyproto::{BlockSearch, ServerSession};
 
 use crate::transport::{self, Receiver};
 pub use crate::transport::{SimConfig, TransportScratch, TransportStats};
 
 /// One simulated user of the transport.
+///
+/// It runs the byte model's receive rules ([`BlockSearch`]: index check,
+/// 16-bit guard, ruled-out test, NACK) and skips only the decode, exactly:
+/// the code is MDS, so the true block reconstructs iff `k` distinct shares
+/// of it arrived, and the estimate always contains the true block. Another
+/// full block holds no packet for this user and changes no count a NACK
+/// reads.
 #[derive(Debug)]
 pub struct SimUser {
     /// Index of this user's receiver link in the [`Network`].
     pub net_index: usize,
     /// The user's current u-node ID.
     pub node_id: NodeId,
-    k: usize,
-    d: u32,
-    estimator: Option<BlockIdEstimator>,
-    /// Distinct share indices received, per block: the bookkeeping a
-    /// [`rekeyproto::UserSession`] keeps beside its frames.
-    shares: ShareTracker,
-    max_block_seen: Option<u8>,
+    search: BlockSearch,
     /// True block of the user's specific ENC packet (driver knowledge used
-    /// only to shortcut the FEC decode, which is deterministic in the
-    /// share set).
+    /// only to shortcut the FEC decode).
     true_block: Option<u8>,
     satisfied_round: Option<usize>,
 }
@@ -58,34 +57,59 @@ impl SimUser {
         SimUser {
             net_index,
             node_id,
-            k,
-            d,
-            estimator: None,
-            shares: ShareTracker::default(),
-            max_block_seen: None,
+            search: BlockSearch::new(k, d),
             true_block,
             satisfied_round: None,
         }
     }
 
+    /// The ID as the 16-bit wire fields name it; `None` past them, where no
+    /// ENC packet serves it (narrowing 65536 + m to m would claim m's).
+    fn me(&self) -> Option<u16> {
+        u16::try_from(self.node_id).ok()
+    }
+
     /// Whether `pkt` is the user's own: a USR packet, or the ENC packet
-    /// that serves it. A node ID beyond the 16-bit wire fields is served
-    /// by no ENC packet (narrowing 65536 + m to m would claim user m's),
-    /// exactly as in `UserSession`.
+    /// that serves it at a share index the server can have sent. `serves`
+    /// is asked first: it rules out every packet but one.
     // xcheck: no_alloc
     fn is_own(&self, pkt: &Packet) -> bool {
         match pkt {
-            Packet::Enc(enc) => u16::try_from(self.node_id).is_ok_and(|m16| enc.serves(m16)),
+            Packet::Enc(enc) => {
+                self.me().is_some_and(|me| enc.serves(me))
+                    && self.search.index(true, enc.seq).is_ok()
+            }
             Packet::Usr(_) => true,
             Packet::Parity(_) | Packet::Nack(_) => false,
         }
+    }
+
+    /// Feeds one received packet into the user's share bookkeeping,
+    /// allocation-free once a rekey message is underway.
+    // xcheck: no_alloc
+    pub fn receive(&mut self, pkt: &Packet, round: usize) {
+        if self.is_satisfied() {
+            return;
+        }
+        if self.is_own(pkt) {
+            self.satisfied_round = Some(round);
+            return;
+        }
+        let (me, search) = (self.me(), &mut self.search);
+        let _ = match pkt {
+            Packet::Enc(enc) => (search.index(true, enc.seq))
+                .and_then(|i| search.record(enc.block_id, i, Some((&enc.header(), me)))),
+            Packet::Parity(par) => {
+                (search.index(false, par.seq)).and_then(|i| search.record(par.block_id, i, None))
+            }
+            Packet::Usr(_) | Packet::Nack(_) => return,
+        };
     }
 }
 
 /// The count model: a frame is the packet itself, borrowed, and the user
 /// records which shares arrived instead of their bytes.
 impl Receiver for SimUser {
-    type Frame<'p> = &'p Packet;
     type Frames<'p> = &'p [Packet];
 
     fn frames<'p>(packets: &'p [Packet], _layout: &Layout) -> &'p [Packet] {
@@ -93,7 +117,13 @@ impl Receiver for SimUser {
     }
 
     fn receive_at(&mut self, frames: &&[Packet], j: usize, round: usize) {
-        self.receive(&&frames[j], round);
+        self.receive(&frames[j], round);
+    }
+
+    /// Only the user's own packet, told from the header it reads anyway.
+    // xcheck: no_alloc
+    fn reads_now(&mut self, frames: &&[Packet], j: usize) -> bool {
+        self.is_own(&frames[j])
     }
 
     fn net_index(&self) -> usize {
@@ -113,76 +143,19 @@ impl Receiver for SimUser {
         self.satisfied_round
     }
 
-    /// Feeds one received packet into the user's share bookkeeping.
-    /// Steady-state allocation-free: the share bitsets and the block-ID
-    /// estimator reuse their capacity once a rekey message is underway
-    /// (pinned by the `no_alloc_marks` integration test).
-    // xcheck: no_alloc
-    fn receive(&mut self, pkt: &&Packet, round: usize) {
-        if self.is_satisfied() {
-            return;
-        }
-        if self.is_own(pkt) {
-            self.satisfied_round = Some(round);
-            self.shares.clear();
-            return;
-        }
-        match pkt {
-            Packet::Enc(enc) => {
-                self.max_block_seen = Some(self.max_block_seen.unwrap_or(0).max(enc.block_id));
-                // An ID the wire cannot carry forms no estimate either.
-                let Ok(m16) = u16::try_from(self.node_id) else {
-                    return;
-                };
-                self.estimator
-                    .get_or_insert_with(|| BlockIdEstimator::new(m16, self.k, self.d))
-                    .observe(&enc.header());
-                self.shares.insert(enc.block_id, enc.seq as usize);
-            }
-            Packet::Parity(par) => {
-                self.max_block_seen = Some(self.max_block_seen.unwrap_or(0).max(par.block_id));
-                self.shares.insert(par.block_id, self.k + par.seq as usize);
-            }
-            Packet::Usr(_) | Packet::Nack(_) => {}
-        }
-    }
-
-    /// Takes only the user's own packet, told from the header it reads
-    /// anyway; anything else waits for [`Receiver::receive_at`].
-    // xcheck: no_alloc
-    fn walk_at(&mut self, frames: &&[Packet], j: usize, round: usize) -> bool {
-        let own = self.is_own(&frames[j]);
-        if own {
-            self.receive_at(frames, j, round);
-        }
-        own
-    }
-
-    /// Round boundary: attempts FEC recovery, then fills the caller's
-    /// reusable `nack` and returns whether the user NACKs this round.
+    /// Round boundary: decodes if the true block is full (see [`SimUser`]),
+    /// else fills the caller's reusable `nack` and returns true.
     // xcheck: no_alloc
     fn end_of_round_into(&mut self, round: usize, nack: &mut NackPacket) -> bool {
         if self.is_satisfied() {
             return false;
         }
-        // Decode: the true block reconstructs iff k distinct shares
-        // arrived (MDS); the estimator range always contains the true
-        // block, so the real user would attempt exactly this decode.
-        if let Some(tb) = self.true_block {
-            if self.shares.count(tb) >= self.k {
-                self.satisfied_round = Some(round);
-                self.shares.clear();
-                return false;
-            }
+        if self.true_block.is_some_and(|b| self.search.full(b)) {
+            self.satisfied_round = Some(round);
+            return false;
         }
         nack.msg_id = 0;
-        nack_requests_into(
-            self.estimator.as_ref(),
-            self.max_block_seen,
-            self.k,
-            |b| self.shares.count(b),
-            &mut nack.requests,
-        );
+        self.search.nack_into(&mut nack.requests);
         true
     }
 }
@@ -248,7 +221,7 @@ mod tests {
     fn own_packet_satisfies_immediately() {
         let mut u = SimUser::new(0, 150, 3, 4, Some(1));
         assert!(!u.is_satisfied());
-        u.receive(&&enc(1, 0, 140, 160), 1);
+        u.receive(&enc(1, 0, 140, 160), 1);
         assert!(u.is_satisfied());
         assert_eq!(u.success_round(), Some(1));
     }
@@ -257,7 +230,7 @@ mod tests {
     fn id_beyond_the_wire_width_claims_no_packet() {
         // 65536 + 150 narrows to 150; the packet for 150 is not this user's.
         let mut u = SimUser::new(0, 65_536 + 150, 3, 4, Some(1));
-        u.receive(&&enc(1, 0, 140, 160), 1);
+        u.receive(&enc(1, 0, 140, 160), 1);
         assert!(!u.is_satisfied());
         assert!(end_of_round(&mut u, 1).is_some());
     }
@@ -296,9 +269,9 @@ mod tests {
     fn k_shares_of_true_block_decode_at_round_end() {
         let mut u = SimUser::new(0, 150, 3, 4, Some(1));
         // Three distinct shares of block 1, none its own packet.
-        u.receive(&&enc(1, 1, 200, 210), 1);
-        u.receive(&&parity(1, 0), 1);
-        u.receive(&&parity(1, 1), 1);
+        u.receive(&enc(1, 1, 200, 210), 1);
+        u.receive(&parity(1, 0), 1);
+        u.receive(&parity(1, 1), 1);
         assert!(!u.is_satisfied(), "decode happens at the boundary");
         assert_eq!(end_of_round(&mut u, 1), None);
         assert!(u.is_satisfied());
@@ -307,9 +280,9 @@ mod tests {
     #[test]
     fn shares_of_other_blocks_do_not_satisfy() {
         let mut u = SimUser::new(0, 150, 3, 4, Some(1));
-        u.receive(&&parity(0, 0), 1);
-        u.receive(&&parity(0, 1), 1);
-        u.receive(&&parity(0, 2), 1);
+        u.receive(&parity(0, 0), 1);
+        u.receive(&parity(0, 1), 1);
+        u.receive(&parity(0, 2), 1);
         let nack = end_of_round(&mut u, 1).expect("still unsatisfied");
         assert!(!nack.requests.is_empty());
     }
@@ -319,13 +292,57 @@ mod tests {
         let mut u = SimUser::new(0, 150, 3, 4, Some(1));
         // Pin the block exactly: a packet below (block 1 seq 0, range
         // below m) and one above (block 1 seq 2, range above m).
-        u.receive(&&enc(1, 0, 100, 140), 1);
-        u.receive(&&enc(1, 2, 160, 200), 1);
+        u.receive(&enc(1, 0, 100, 140), 1);
+        u.receive(&enc(1, 2, 160, 200), 1);
         let nack = end_of_round(&mut u, 1).expect("unsatisfied");
         assert_eq!(nack.requests.len(), 1);
         assert_eq!(nack.requests[0].block_id, 1);
         // Holds 2 shares of block 1, needs 1 more.
         assert_eq!(nack.requests[0].count, 1);
+    }
+
+    #[test]
+    fn an_enc_past_k_is_neither_own_nor_counted() {
+        // Serves 150, but at `seq = k`: no packet the server sends.
+        let forged = enc(1, 3, 140, 160);
+        let (mut u, mut deaf) = (
+            SimUser::new(0, 150, 3, 4, Some(1)),
+            SimUser::new(0, 150, 3, 4, Some(1)),
+        );
+        assert!(!u.walk_at(&&[forged.clone()][..], 0, 1));
+        u.receive(&forged, 1);
+        assert!(!u.is_satisfied());
+        assert_eq!(end_of_round(&mut u, 1), end_of_round(&mut deaf, 1));
+    }
+
+    #[test]
+    fn a_parity_past_the_last_code_symbol_is_not_counted() {
+        // k + seq = 255 is past rse::MAX_SYMBOLS; k + seq = 254 is not.
+        let mut u = SimUser::new(0, 150, 3, 4, Some(1));
+        for pkt in [parity(1, 0), parity(1, 1), parity(1, 252)] {
+            u.receive(&pkt, 1);
+        }
+        assert!(end_of_round(&mut u, 1).is_some(), "two shares of three");
+        u.receive(&parity(1, 251), 2);
+        assert_eq!(end_of_round(&mut u, 2), None);
+    }
+
+    #[test]
+    fn a_share_of_a_ruled_out_block_changes_no_nack() {
+        // Block 1 pinned, as above; then block 0 and 2 are ruled out.
+        let pin = [enc(1, 0, 100, 140), enc(1, 2, 160, 200)];
+        let (mut u, mut deaf) = (
+            SimUser::new(0, 150, 3, 4, Some(1)),
+            SimUser::new(0, 150, 3, 4, Some(1)),
+        );
+        for pkt in &pin {
+            u.receive(pkt, 1);
+            deaf.receive(pkt, 1);
+        }
+        for pkt in [parity(0, 0), enc(2, 0, 300, 310), parity(2, 1)] {
+            u.receive(&pkt, 1);
+        }
+        assert_eq!(end_of_round(&mut u, 1), end_of_round(&mut deaf, 1));
     }
 
     #[test]
@@ -339,7 +356,7 @@ mod tests {
     fn usr_packet_satisfies() {
         let mut u = SimUser::new(0, 150, 3, 4, Some(0));
         u.receive(
-            &&Packet::Usr(UsrPacket {
+            &Packet::Usr(UsrPacket {
                 msg_id: 0,
                 new_user_id: 150,
                 sealed: vec![],
@@ -357,9 +374,9 @@ mod tests {
             _ => unreachable!(),
         };
         dup.duplicate = true;
-        u.receive(&&Packet::Enc(dup), 1);
-        u.receive(&&parity(1, 0), 1);
-        u.receive(&&parity(1, 1), 1);
+        u.receive(&Packet::Enc(dup), 1);
+        u.receive(&parity(1, 0), 1);
+        u.receive(&parity(1, 1), 1);
         // Three distinct shares (dup counts) -> decodes.
         assert_eq!(end_of_round(&mut u, 1), None);
         assert!(u.is_satisfied());

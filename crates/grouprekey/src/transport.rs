@@ -8,14 +8,15 @@
 //! delivered packet *means*. Two models implement it:
 //!
 //! * the **count model**, [`crate::sim::SimUser`]: a frame is the borrowed
-//!   [`Packet`]; the user records which FEC shares arrived and touches no
-//!   byte. It may skip the decode because the code is MDS (any `k`
-//!   distinct shares of a block reconstruct it — `rse`'s tests prove it)
-//!   and decoding is deterministic in the share set.
+//!   [`Packet`]; the user records which FEC shares arrived, touches no
+//!   byte and skips the decode (exact, as argued there).
 //! * the **byte model**, [`ByteReceiver`]: a frame is the packet's wire
 //!   bytes, emitted once per round and shared by the real [`UserSession`]s
 //!   it reaches: header read in place, the serving frame kept where it
 //!   lies, FEC off the frames.
+//!
+//! Both file shares through one [`BlockSearch`]: the same index check,
+//! 16-bit guard, ruled-out test and NACK.
 //!
 //! A multicast round is delivered receiver by receiver: each listener (the
 //! unsatisfied receivers in slice order, a list kept between rounds and
@@ -35,6 +36,7 @@
 //! [`ByteReceiver`]: crate::transport::ByteReceiver
 //! [`Packet`]: rekeymsg::Packet
 //! [`UserSession`]: rekeyproto::UserSession
+//! [`BlockSearch`]: rekeyproto::BlockSearch
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -46,9 +48,6 @@ use rekeyproto::{Ignored, Received, RoundDecision, ServerSession, UserSession};
 
 /// What [`run`] needs from one receiver of a rekey message.
 pub trait Receiver {
-    /// What the network hands this receiver for one sent packet.
-    type Frame<'p>;
-
     /// The frames of one send: a multicast round's schedule, or one USR
     /// packet, in order.
     type Frames<'p>;
@@ -64,27 +63,33 @@ pub trait Receiver {
     /// to it and addresses its USR packet by it.
     fn node_id(&self) -> NodeId;
 
-    /// True once the receiver stops listening. Only [`Receiver::receive`]
-    /// and [`Receiver::end_of_round_into`] may turn it true, and nothing
-    /// turns it false again: [`run`] stops walking a multicast round for a
-    /// receiver at the frame that satisfies it, and drops it from its
-    /// listener list for good after the round and after a round boundary.
+    /// True once the receiver stops listening. Only
+    /// [`Receiver::receive_at`] and [`Receiver::end_of_round_into`] may turn
+    /// it true, and nothing turns it false again: [`run`] stops walking a
+    /// multicast round for a receiver at the frame that satisfies it, and
+    /// drops it from its listener list for good after the round and after a
+    /// round boundary.
     fn is_satisfied(&self) -> bool;
 
-    /// One frame got through, during round `round`.
-    fn receive(&mut self, frame: &Self::Frame<'_>, round: usize);
-
-    /// Frame `j` of `frames` got through: [`Receiver::receive`] on it.
+    /// Frame `j` of `frames` got through, during round `round`.
     fn receive_at(&mut self, frames: &Self::Frames<'_>, j: usize, round: usize);
 
-    /// Frame `j` of `frames` got through during a multicast round's walk.
-    /// Receives it ([`Receiver::receive_at`]) and returns true if it may
-    /// end the walk — the receiver's own packet is the one frame that can —
-    /// or if reading it later could differ from reading it now. Otherwise
-    /// returns false having recorded nothing: [`run`] hands the frame to
-    /// `receive_at` once the walk has ended unsatisfied, in delivery order,
-    /// and drops it unread if the walk found the receiver's own.
-    fn walk_at(&mut self, frames: &Self::Frames<'_>, j: usize, round: usize) -> bool;
+    /// Whether a multicast walk must read frame `j` at once: the receiver's
+    /// own packet, the one frame that can end the walk, or one that read
+    /// later could read differently. Records nothing `receive_at` would not.
+    fn reads_now(&mut self, frames: &Self::Frames<'_>, j: usize) -> bool;
+
+    /// Frame `j` got through during a multicast round's walk: received now
+    /// and true if [`Receiver::reads_now`], else false — [`run`] hands it to
+    /// `receive_at` after a walk that ended unsatisfied, in delivery order,
+    /// and drops it unread after one that found the receiver's own.
+    fn walk_at(&mut self, frames: &Self::Frames<'_>, j: usize, round: usize) -> bool {
+        let now = self.reads_now(frames, j);
+        if now {
+            self.receive_at(frames, j, round);
+        }
+        now
+    }
 
     /// Round boundary, called on the receivers still on the listener list
     /// (the unsatisfied, and those a unicast wave has just satisfied):
@@ -109,42 +114,9 @@ pub struct ByteReceiver {
     pub layout: Layout,
 }
 
-impl Receiver for ByteReceiver {
-    type Frame<'p> = Arc<[u8]>;
-    type Frames<'p> = Vec<Arc<[u8]>>;
-
-    fn frames(packets: &[Packet], layout: &Layout) -> Vec<Arc<[u8]>> {
-        packets.iter().map(|pkt| pkt.emit(layout).into()).collect()
-    }
-
-    fn receive_at(&mut self, frames: &Vec<Arc<[u8]>>, j: usize, round: usize) {
-        self.receive(&frames[j], round);
-    }
-
-    /// Reads the user's own frame, and a frame that left the session's
-    /// current ID unknown: read later, such a frame would be read under the
-    /// ID a later frame taught (`UserSession::is_own`).
-    fn walk_at(&mut self, frames: &Vec<Arc<[u8]>>, j: usize, round: usize) -> bool {
-        let now = self.session.is_own(&frames[j]) || self.session.current_id().is_none();
-        if now {
-            self.receive(&frames[j], round);
-        }
-        now
-    }
-
-    fn net_index(&self) -> usize {
-        self.link
-    }
-
-    fn node_id(&self) -> NodeId {
-        self.node
-    }
-
-    fn is_satisfied(&self) -> bool {
-        self.session.is_satisfied()
-    }
-
-    fn receive(&mut self, frame: &Arc<[u8]>, _round: usize) {
+impl ByteReceiver {
+    /// Feeds one frame to the session and counts what it did with it.
+    pub fn receive(&mut self, frame: &Arc<[u8]>) {
         // Whatever arrives is counted, never trusted: a frame that is no
         // packet under the layout is dropped like any other the session
         // has no use for.
@@ -158,6 +130,35 @@ impl Receiver for ByteReceiver {
             Err(_) => "transport.frame.malformed",
         };
         obs::counter_add(counter, 1);
+    }
+}
+
+impl Receiver for ByteReceiver {
+    type Frames<'p> = Vec<Arc<[u8]>>;
+
+    fn frames(packets: &[Packet], layout: &Layout) -> Vec<Arc<[u8]>> {
+        packets.iter().map(|pkt| pkt.emit(layout).into()).collect()
+    }
+
+    fn receive_at(&mut self, frames: &Vec<Arc<[u8]>>, j: usize, _round: usize) {
+        self.receive(&frames[j]);
+    }
+
+    /// [`UserSession::reads_now`].
+    fn reads_now(&mut self, frames: &Vec<Arc<[u8]>>, j: usize) -> bool {
+        self.session.reads_now(&frames[j])
+    }
+
+    fn net_index(&self) -> usize {
+        self.link
+    }
+
+    fn node_id(&self) -> NodeId {
+        self.node
+    }
+
+    fn is_satisfied(&self) -> bool {
+        self.session.is_satisfied()
     }
 
     fn end_of_round_into(&mut self, _round: usize, nack: &mut NackPacket) -> bool {

@@ -71,7 +71,7 @@ fn receive_and_end_of_round_into_are_allocation_free_in_steady_state() {
     // `Packet` allocates by design; receiving it must not.
     let warm: Vec<Packet> = vec![enc(0, 0, 100, 120), enc(4, 1, 600, 650), parity(4, 0)];
     for pkt in &warm {
-        user.receive(&pkt, 0);
+        user.receive(pkt, 0);
     }
     let mut nack = NackPacket::default();
     assert!(
@@ -79,18 +79,20 @@ fn receive_and_end_of_round_into_are_allocation_free_in_steady_state() {
         "unsatisfied user NACKs"
     );
 
-    // Steady state: stream more shares and round boundaries.
+    // Steady state: stream more shares and round boundaries. The ENC
+    // headers are block 4's, above the user, as in a real message: they
+    // keep block 3 a candidate.
     let stream: Vec<Packet> = (0u8..16)
         .map(|i| {
             if i % 2 == 0 {
-                enc(i % 5, i / 2, 600, 650)
+                enc(4, 1 + (i / 2) % 7, 600, 650)
             } else {
                 parity(i % 5, i)
             }
         })
         .collect();
     for (round, pkt) in stream.iter().enumerate() {
-        xcheck_rt::assert_zero_alloc("SimUser::receive", || user.receive(&pkt, round + 1));
+        xcheck_rt::assert_zero_alloc("SimUser::receive", || user.receive(pkt, round + 1));
         let nacked = xcheck_rt::assert_zero_alloc("SimUser::end_of_round_into", || {
             user.end_of_round_into(round + 1, &mut nack)
         });
@@ -98,11 +100,16 @@ fn receive_and_end_of_round_into_are_allocation_free_in_steady_state() {
         assert!(!nack.requests.is_empty());
     }
     assert!(!user.is_satisfied());
+    assert!(
+        nack.requests.iter().any(|r| r.block_id == 3),
+        "block 3 is still a candidate: {:?}",
+        nack.requests
+    );
 
     // Delivering k distinct shares of the true block satisfies the user.
     for seq in 0..k as u8 {
         let pkt = parity(3, seq);
-        user.receive(&&pkt, 20);
+        user.receive(&pkt, 20);
     }
     assert!(!user.end_of_round_into(20, &mut nack), "decoded: no NACK");
     assert!(user.is_satisfied());
@@ -172,7 +179,7 @@ fn count_model_loop_allocates_nothing_after_the_round_one_schedule() {
     let mut warm_users = users();
     let filler = parity(last_block, 200);
     for u in &mut warm_users {
-        u.receive(&&filler, 1);
+        u.receive(&filler, 1);
     }
 
     // What the server allocates to build round one, measured on a twin.

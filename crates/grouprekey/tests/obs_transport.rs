@@ -35,7 +35,7 @@ fn one_rekey_records_its_spans_and_every_delivery_by_outcome() {
         node: 5,
         layout,
     };
-    stray.receive(&vec![0u8; layout.enc_packet_len - 1].into(), 1);
+    stray.receive(&vec![0u8; layout.enc_packet_len - 1].into());
     assert!(!stray.is_satisfied());
 
     if !obs::enabled() {

@@ -12,12 +12,14 @@
 //!   multicast schedule (ENC + proactive PARITY, interleaved), NACK
 //!   aggregation into `amax[i]`, reactive rounds, the multicast→unicast
 //!   switch rule, and escalating USR duplication (Figure 22).
+//! * [`BlockSearch`] — the receive rules without payload, one copy for both
+//!   transport models: share-index check, 16-bit ID guard, block-ID
+//!   estimation and ruled-out test (Appendix D), share bitsets, NACK.
 //! * [`UserSession`] — one rekey message at a user, fed frames (wire bytes):
 //!   header read in place, the one ENC frame that serves it kept as it lies,
-//!   other frames kept as FEC shares in one flat arrival-order store counted
-//!   by [`ShareTracker`]; ID rederivation from `maxKID` (Theorem 4.2),
-//!   FEC recovery of the one packet it needs (the rows the held headers
-//!   bracket first), block-ID estimation, and NACK construction.
+//!   the shares its [`BlockSearch`] takes kept in one flat arrival-order
+//!   store; ID rederivation from `maxKID` (Theorem 4.2), and FEC recovery
+//!   of the one packet it needs (the rows the held headers bracket first).
 
 //! # Example
 //!
@@ -51,5 +53,5 @@ pub use server::{
     RoundDecision, ServerConfig, ServerController, ServerSession, ServerStats, UnicastSend,
 };
 pub use user::{
-    nack_requests_into, DecodeWork, Ignored, Received, ShareTracker, UserOutcome, UserSession,
+    nack_requests_into, BlockSearch, DecodeWork, Ignored, Received, UserOutcome, UserSession,
 };

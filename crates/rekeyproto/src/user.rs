@@ -91,10 +91,6 @@ pub struct DecodeWork {
 pub struct UserSession {
     /// The user's u-node ID before this rekey message.
     old_id: NodeId,
-    /// Tree degree.
-    d: u32,
-    /// FEC block size.
-    k: usize,
     layout: Layout,
     /// Rederived current ID (from the first ENC packet's `maxKID`).
     current_id: Option<NodeId>,
@@ -103,16 +99,14 @@ pub struct UserSession {
     msg_id: Option<u8>,
     /// Received shares in arrival order: `(block, share index, the frame as
     /// it arrived)`; its FEC body is what the server's parity was computed
-    /// over. One entry per share `held` records.
+    /// over. One entry per share `search` holds.
     shares: Vec<(u8, usize, Arc<[u8]>)>,
-    /// Which `(block, share index)` are in `shares`, and how many per block.
-    held: ShareTracker,
+    /// The receive rules, and which `(block, share index)` are in `shares`.
+    search: BlockSearch,
     /// Blocks rebuilt in full for nothing, not to be decoded again.
     exhausted: BTreeSet<u8>,
     /// What the latest [`UserSession::end_of_round`] decoded.
     pub decode_work: DecodeWork,
-    estimator: Option<BlockIdEstimator>,
-    max_block_seen: Option<u8>,
     outcome: UserOutcome,
     /// Rounds observed so far (1 = success within the first round).
     rounds: usize,
@@ -125,18 +119,14 @@ impl UserSession {
     pub fn new(old_id: NodeId, d: u32, k: usize, layout: Layout) -> Self {
         UserSession {
             old_id,
-            d,
-            k,
             layout,
             current_id: None,
             expected_msg_id: None,
             msg_id: None,
             shares: Vec::new(),
-            held: ShareTracker::default(),
+            search: BlockSearch::new(k, d),
             exhausted: BTreeSet::new(),
             decode_work: DecodeWork::default(),
-            estimator: None,
-            max_block_seen: None,
             outcome: UserOutcome::Pending,
             rounds: 0,
             success_round: None,
@@ -194,7 +184,11 @@ impl UserSession {
                 self.succeed(UserOutcome::Usr(usr));
                 return Ok(Received::Mine);
             }
-            Class::OwnEnc => return self.accept_enc(frame),
+            Class::OwnEnc => {
+                let mine = EncFrame::new(Arc::clone(frame), &self.layout)?;
+                self.succeed(UserOutcome::Enc(mine));
+                return Ok(Received::Mine);
+            }
             Class::Share {
                 msg_id,
                 block_id,
@@ -203,24 +197,15 @@ impl UserSession {
             } => (msg_id, block_id, index, enc),
         };
         self.msg_id.get_or_insert(msg_id);
-        self.max_block_seen = Some(self.max_block_seen.unwrap_or(0).max(block_id));
-        if let Some((enc, id)) = enc {
-            let Some(m16) = id else {
-                return Ok(Received::Ignored(Ignored::OutOfRange));
-            };
-            self.estimator
-                .get_or_insert_with(|| BlockIdEstimator::new(m16, self.k, self.d))
-                .observe(&enc);
-        }
-        // `high` only falls and `low` only rises, and decode and NACK look
-        // only inside the range: a block outside it now stays unread.
-        if !self.candidate(block_id) {
-            return Ok(Received::Ignored(Ignored::RuledOut));
-        }
-        if self.held.insert(block_id, index) {
+        let enc = enc.as_ref().map(|(header, id)| (header, *id));
+        let fresh = match self.search.record(block_id, index, enc) {
+            Ok(fresh) => fresh,
+            Err(why) => return Ok(Received::Ignored(why)),
+        };
+        if fresh {
             if self.shares.capacity() == 0 {
                 // Two blocks' worth: the one being heard and the next.
-                self.shares.reserve_exact(2 * self.k);
+                self.shares.reserve_exact(2 * self.search.k);
             }
             self.shares.push((block_id, index, Arc::clone(frame)));
         } else if let Some((_, _, held)) =
@@ -235,15 +220,21 @@ impl UserSession {
     /// `Ok(Mine)` for `frame`: the user's own ENC packet, or a USR packet
     /// that parses. It records only what `receive_frame` would record
     /// first: the current ID, rederived from the first ENC header that
-    /// yields one, and never changed after. So a receiver may ask this of
-    /// every delivery and feed the others to `receive_frame` later, in the
-    /// same order, and end where feeding them at once would — except a
-    /// frame that left the ID unknown, which must be fed at once, or it
-    /// would be read under an ID learned after it. An ENC or PARITY frame
-    /// costs the header read and no allocation.
+    /// yields one, and never changed after. An ENC or PARITY frame costs
+    /// the header read and no allocation.
     // xcheck: no_alloc
     pub fn is_own(&mut self, frame: &[u8]) -> bool {
         matches!(self.classify(frame), Ok(Class::Usr(_) | Class::OwnEnc))
+    }
+
+    /// Whether a receiver that defers frames must feed `frame` to
+    /// [`UserSession::receive_frame`] at once: the user's own, or any while
+    /// the current ID is unknown, which read later would be read under an
+    /// ID a later frame taught. Fed the rest later, in delivery order, the
+    /// session ends where feeding them at once would.
+    // xcheck: no_alloc
+    pub fn reads_now(&mut self, frame: &[u8]) -> bool {
+        self.is_own(frame) || self.current_id.is_none()
     }
 
     /// The one reading of a frame's header against the session that
@@ -256,7 +247,7 @@ impl UserSession {
         }
         let (msg_id, header) = Packet::header(frame, &self.layout)?;
         let foreign = self.expected_msg_id.is_some_and(|id| id != msg_id);
-        let (block_id, index, limit, enc) = match header {
+        let (block_id, seq, enc) = match header {
             Header::Nack => return Ok(Class::Ignored(Ignored::WrongMessage)),
             _ if foreign => return Ok(Class::Ignored(Ignored::WrongMessage)),
             Header::Usr => {
@@ -266,21 +257,15 @@ impl UserSession {
                     _ => Ok(Class::Ignored(Ignored::WrongMessage)),
                 };
             }
-            Header::Enc(enc) => (enc.block_id, enc.seq as usize, self.k, Some(enc)),
-            Header::Parity { block_id, seq } => {
-                (block_id, self.k + seq as usize, rse::MAX_SYMBOLS, None)
-            }
+            Header::Enc(enc) => (enc.block_id, enc.seq, Some(enc)),
+            Header::Parity { block_id, seq } => (block_id, seq, None),
         };
-        // A share index the server cannot have sent stops at the door: an
-        // ENC `seq >= k` would be filed where PARITY `seq - k` belongs, and a
-        // PARITY past the last code symbol counts as held but never decodes.
-        if index >= limit {
-            return Ok(Class::Ignored(Ignored::OutOfRange));
-        }
-        let enc = enc.map(|enc| {
-            let id = wire_id(&mut self.current_id, self.old_id, self.d, enc.max_kid);
-            (enc, id)
-        });
+        let index = match self.search.index(enc.is_some(), seq) {
+            Ok(index) => index,
+            Err(why) => return Ok(Class::Ignored(why)),
+        };
+        let d = self.search.d;
+        let enc = enc.map(|h| (h, wire_id(&mut self.current_id, self.old_id, d, h.max_kid)));
         if let Some((enc, Some(m16))) = enc {
             if enc.serves(m16) {
                 return Ok(Class::OwnEnc);
@@ -294,28 +279,13 @@ impl UserSession {
         })
     }
 
-    /// Keeps the ENC frame whose header said it serves this user.
-    // xcheck: no_alloc
-    fn accept_enc(&mut self, frame: &Arc<[u8]>) -> Result<Received, WireError> {
-        let mine = EncFrame::new(Arc::clone(frame), &self.layout)?;
-        self.succeed(UserOutcome::Enc(mine));
-        Ok(Received::Mine)
-    }
-
-    /// Whether block `b` can hold the user's packet: inside the block-ID
-    /// estimate, or any block before a header has bounded it.
-    fn candidate(&self, b: u8) -> bool {
-        let range = self.estimator.as_ref().and_then(BlockIdEstimator::range);
-        range.is_none_or(|(lo, hi)| (lo..=hi).contains(&u32::from(b)))
-    }
-
     fn succeed(&mut self, outcome: UserOutcome) {
         self.outcome = outcome;
         // Success in the current round (rounds increments at boundaries,
         // so during round r `self.rounds` is r - 1).
         self.success_round = Some(self.rounds + 1);
         self.shares = Vec::new();
-        self.held = ShareTracker::default();
+        self.search.release();
     }
 
     /// Attempts FEC decoding of every candidate block with >= k shares not
@@ -332,15 +302,16 @@ impl UserSession {
     fn try_decode(&mut self) {
         self.decode_work = DecodeWork::default();
         // A `k` that is no valid block size decodes nothing, ever.
-        let (false, Ok(decoder)) = (self.is_satisfied(), rse::Decoder::new(self.k)) else {
+        let k = self.search.k;
+        let (false, Ok(decoder)) = (self.is_satisfied(), rse::Decoder::new(k)) else {
             return;
         };
         // Every block with k shares, inside the estimated range if there is one.
         let msg_id = self.msg_id.unwrap_or(0);
         let (mut row, mut found) = (Vec::new(), None);
         let mut held: Vec<(usize, &Arc<[u8]>)> = Vec::new();
-        'blocks: for b in 0..=self.max_block_seen.unwrap_or(0) {
-            if self.held.count(b) < self.k || !self.candidate(b) || self.exhausted.contains(&b) {
+        'blocks: for b in 0..=self.search.max_block_seen.unwrap_or(0) {
+            if !self.search.full(b) || self.exhausted.contains(&b) {
                 continue;
             }
             // A block's frames are gathered only now that it has `k` of them,
@@ -360,9 +331,9 @@ impl UserSession {
                 continue;
             };
             self.decode_work.blocks += 1;
-            let (mut lo, mut hi) = (0, self.k);
+            let (mut lo, mut hi) = (0, k);
             if let Some(m) = self.current_id.and_then(|m| u16::try_from(m).ok()) {
-                for &(seq, frame) in held.iter().take_while(|&&(seq, _)| seq < self.k) {
+                for &(seq, frame) in held.iter().take_while(|&&(seq, _)| seq < k) {
                     match Packet::header(frame, &self.layout) {
                         Ok((_, Header::Enc(h))) if h.duplicate => {}
                         Ok((_, Header::Enc(h))) if h.to_id < m => lo = seq + 1,
@@ -382,7 +353,7 @@ impl UserSession {
                 self.decode_work.fallback_rows += u32::from(!bracket.contains(&seq));
                 let header = EncHeader::from_fec_body(&row, &self.layout, msg_id, b, seq as u8);
                 let Ok(h) = header else { continue };
-                let id = wire_id(&mut self.current_id, self.old_id, self.d, h.max_kid);
+                let id = wire_id(&mut self.current_id, self.old_id, self.search.d, h.max_kid);
                 let Some(m16) = id else { return };
                 if h.serves(m16) {
                     // The header read, so the frame checks.
@@ -408,13 +379,7 @@ impl UserSession {
             return None;
         }
         let mut requests = Vec::new();
-        nack_requests_into(
-            self.estimator.as_ref(),
-            self.max_block_seen,
-            self.k,
-            |b| self.held.count(b),
-            &mut requests,
-        );
+        self.search.nack_into(&mut requests);
         Some(NackPacket {
             msg_id: self.msg_id.unwrap_or(0),
             requests,
@@ -434,32 +399,68 @@ fn wire_id(current_id: &mut Option<NodeId>, old_id: NodeId, d: u32, max_kid: u16
     current_id.and_then(|m| u16::try_from(m).ok())
 }
 
-/// Distinct FEC share indices received, per block, as fixed-width bitsets:
-/// the share bookkeeping of both transport models — the byte-faithful
-/// [`UserSession`] keeps the frames beside it, the share-counting simulator
-/// user (`grouprekey::sim::SimUser`) keeps nothing else.
-///
-/// Block IDs are `u8` and share indices stay below [`rse::MAX_SYMBOLS`], so
-/// four `u64` words cover a block. The layout is flat — one slot per block
-/// ID in a `Vec` that grows to the highest block seen, sized for the first
-/// few blocks at the first share — so recording a share is one indexed OR,
-/// and the slot caches its population count for the round-boundary decode
-/// check.
-#[derive(Debug, Clone, Default)]
-pub struct ShareTracker {
-    /// Per block: the share indices held, and how many.
+/// The payload-free receive rules (Figure 27, Appendix D), one copy for
+/// both transport models: [`UserSession`] keeps the frames beside it, the
+/// share-counting `grouprekey::sim::SimUser` nothing else. Shares are held
+/// as per-block bitsets: four `u64` words cover the [`rse::MAX_SYMBOLS`]
+/// indices, one slot per block ID in a flat `Vec`, with a cached count.
+#[derive(Debug)]
+pub struct BlockSearch {
+    k: usize,
+    /// Tree degree.
+    d: u32,
+    estimator: Option<BlockIdEstimator>,
+    max_block_seen: Option<u8>,
     blocks: Vec<([u64; 4], u16)>,
 }
 
-impl ShareTracker {
-    /// Records share `index` of `block`; false when it was held already.
+impl BlockSearch {
+    /// A search in a message of blocks of `k`, from a tree of degree `d`.
+    pub fn new(k: usize, d: u32) -> Self {
+        BlockSearch {
+            k,
+            d,
+            estimator: None,
+            max_block_seen: None,
+            blocks: Vec::new(),
+        }
+    }
+
+    /// The share index of ENC (`enc`) or PARITY `seq`, unless the server
+    /// cannot have sent it: an ENC `seq >= k` would be filed where PARITY
+    /// `seq - k` belongs, a PARITY past the last code symbol never decodes.
+    pub fn index(&self, enc: bool, seq: u8) -> Result<usize, Ignored> {
+        let (index, limit) = match enc {
+            true => (usize::from(seq), self.k),
+            false => (self.k + usize::from(seq), rse::MAX_SYMBOLS),
+        };
+        (index < limit).then_some(index).ok_or(Ignored::OutOfRange)
+    }
+
+    /// Records share `index` of `block`; true when it was not held yet. An
+    /// ENC share brings its header and the user's ID as the wire names it
+    /// (`None`: `OutOfRange`, no estimate). The header narrows the estimate,
+    /// then a block outside it is `RuledOut`: the range only narrows, and
+    /// decode and NACK look only inside it.
     // xcheck: no_alloc
-    pub fn insert(&mut self, block: u8, index: usize) -> bool {
-        if index >= 256 {
-            // Unreachable for shares minted by the real encoder
-            // (MAX_SYMBOLS caps data + parity indices); ignore rather
-            // than corrupt a neighbouring block's words.
-            return false;
+    pub fn record(
+        &mut self,
+        block: u8,
+        index: usize,
+        enc: Option<(&EncHeader, Option<u16>)>,
+    ) -> Result<bool, Ignored> {
+        self.max_block_seen = Some(self.max_block_seen.unwrap_or(0).max(block));
+        if let Some((header, me)) = enc {
+            let me = me.ok_or(Ignored::OutOfRange)?;
+            self.estimator
+                .get_or_insert_with(|| BlockIdEstimator::new(me, self.k, self.d))
+                .observe(header);
+        }
+        if !self.candidate(block) {
+            return Err(Ignored::RuledOut);
+        }
+        if index / 64 >= 4 {
+            return Err(Ignored::OutOfRange); // past any real symbol: spare the next words
         }
         let b = usize::from(block);
         if self.blocks.len() <= b {
@@ -475,19 +476,35 @@ impl ShareTracker {
         let fresh = words[index / 64] & bit == 0;
         words[index / 64] |= bit;
         *count += u16::from(fresh);
-        fresh
+        Ok(fresh)
     }
 
-    /// Number of distinct shares held for `block`.
-    pub fn count(&self, block: u8) -> usize {
-        self.blocks
-            .get(usize::from(block))
-            .map_or(0, |slot| slot.1.into())
+    /// Whether block `b` can hold the user's packet: inside the block-ID
+    /// estimate, or any block before a header has bounded it.
+    fn candidate(&self, b: u8) -> bool {
+        let range = self.estimator.as_ref().and_then(BlockIdEstimator::range);
+        range.is_none_or(|(lo, hi)| (lo..=hi).contains(&u32::from(b)))
     }
 
-    /// Drops all recorded shares, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.blocks.clear();
+    fn count(&self, block: u8) -> usize {
+        (self.blocks.get(usize::from(block))).map_or(0, |slot| slot.1.into())
+    }
+
+    /// Block `b` is a candidate and `k` distinct shares of it are held.
+    pub fn full(&self, b: u8) -> bool {
+        self.count(b) >= self.k && self.candidate(b)
+    }
+
+    /// The NACK an unsatisfied user sends, into `requests`.
+    // xcheck: no_alloc
+    pub fn nack_into(&self, requests: &mut Vec<NackRequest>) {
+        let (estimator, max) = (self.estimator.as_ref(), self.max_block_seen);
+        nack_requests_into(estimator, max, self.k, |b| self.count(b), requests);
+    }
+
+    /// Drops the shares held: the user needs none any more.
+    pub fn release(&mut self) {
+        self.blocks = Vec::new();
     }
 }
 
@@ -503,9 +520,8 @@ impl ShareTracker {
 /// packet, the request widens to a full re-send of the lowest candidate,
 /// so an unsatisfied user never sends an empty NACK.
 ///
-/// The byte-faithful [`UserSession`] and the share-counting simulator user
-/// (`grouprekey::sim::SimUser`) both call this, which is why their NACKs
-/// agree request for request.
+/// Both transport models NACK through [`BlockSearch::nack_into`], which
+/// calls this, so their NACKs agree request for request.
 // xcheck: no_alloc
 pub fn nack_requests_into(
     estimator: Option<&BlockIdEstimator>,
@@ -715,6 +731,54 @@ mod tests {
             sealed: vec![],
         }));
         assert!(u.is_satisfied());
+    }
+
+    #[test]
+    fn block_search_turns_away_indices_past_each_kind_of_share() {
+        let search = BlockSearch::new(3, 4);
+        assert_eq!(search.index(true, 2), Ok(2));
+        assert_eq!(search.index(true, 3), Err(Ignored::OutOfRange));
+        assert_eq!(search.index(false, 251), Ok(254));
+        assert_eq!(search.index(false, 252), Err(Ignored::OutOfRange));
+    }
+
+    #[test]
+    fn block_search_records_only_what_can_decode() {
+        let header = |block_id, seq, frm_id, to_id| EncHeader {
+            msg_id: 1,
+            block_id,
+            seq,
+            duplicate: false,
+            max_kid: 50,
+            frm_id,
+            to_id,
+        };
+        let mut search = BlockSearch::new(3, 4);
+        // An ID the wire cannot name forms no estimate: block 5 stays open.
+        let wide = header(0, 0, 100, 140);
+        assert_eq!(
+            search.record(0, 0, Some((&wide, None))),
+            Err(Ignored::OutOfRange)
+        );
+        assert_eq!(search.record(5, 3, None), Ok(true));
+        assert_eq!(search.record(5, 3, None), Ok(false), "held already");
+        assert_eq!(search.record(5, 256, None), Err(Ignored::OutOfRange));
+        // User 150 below block 1 seq 2 and above block 1 seq 0: block 1.
+        let (below, above) = (header(1, 0, 100, 140), header(1, 2, 160, 200));
+        assert_eq!(search.record(1, 0, Some((&below, Some(150)))), Ok(true));
+        assert_eq!(search.record(1, 2, Some((&above, Some(150)))), Ok(true));
+        assert_eq!(search.record(5, 4, None), Err(Ignored::RuledOut));
+        assert_eq!(search.record(1, 3, None), Ok(true));
+        assert!(search.full(1) && !search.full(5));
+        let mut nack = Vec::new();
+        search.nack_into(&mut nack);
+        assert_eq!(
+            nack,
+            vec![NackRequest {
+                count: 3,
+                block_id: 1
+            }]
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!   `receive_frame` too: `is_own` must be true exactly when `eager` says
 //!   `Mine`, and must leave no trace that changes an answer;
 //! - `walked` is fed as the byte model's transport walk feeds it: each
-//!   round it asks `is_own` of every frame and reads at once only its own
+//!   round it reads at once only the frames `reads_now` names — its own
 //!   frame, where it stops, and a frame that left its current ID unknown;
 //!   the frames it deferred it reads in delivery order only when the round
 //!   found none. At every round boundary it must NACK, succeed and hold
@@ -201,7 +201,7 @@ fn streams_agree(s: &Stream) -> TestCaseResult {
         // The walk reads its own frame, where it stops — nothing more
         // reaches it this round — and a frame that left its ID unknown.
         if !walk_satisfied {
-            if walked.is_own(frame) || walked.current_id().is_none() {
+            if walked.reads_now(frame) {
                 walked.receive_frame(frame).ok();
                 walk_satisfied = walked.is_satisfied();
             } else {

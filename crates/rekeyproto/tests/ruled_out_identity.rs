@@ -3,11 +3,12 @@
 //! tree after a leave batch, its UKA packets, both send orders, proactive
 //! and reactive parities over one to three multicast rounds, random loss —
 //! every user's NACK in every round, its success round and its outcome are
-//! those of a reference that holds every share. The reference is the count
-//! model's bookkeeping (`BlockIdEstimator`, `ShareTracker`,
-//! `nack_requests_into`) fed the same frames; a block decodes in it when it
-//! is a candidate, holds `k` shares and holds the user's packet.
+//! those of a reference that holds every share. The reference keeps its own
+//! set of `(block, share index)` beside a `BlockIdEstimator` and NACKs
+//! through `nack_requests_into`, fed the same frames; a block decodes in it
+//! when it is a candidate, holds `k` shares and holds the user's packet.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use keytree::{Batch, KeyTree, MemberId, NodeId};
@@ -15,22 +16,21 @@ use proptest::prelude::*;
 use rekeymsg::estimate::BlockIdEstimator;
 use rekeymsg::{BlockSet, EncFrame, Header, Layout, NackPacket, Packet, SendOrder, UkaAssignment};
 use rekeyproto::{
-    nack_requests_into, RoundDecision, ServerConfig, ServerController, ShareTracker, UserOutcome,
-    UserSession,
+    nack_requests_into, RoundDecision, ServerConfig, ServerController, UserOutcome, UserSession,
 };
 use wirecrypto::KeyGen;
 
 const D: u32 = 4;
 const LAYOUT: Layout = Layout::DEFAULT;
 
-/// The user as the count model keeps it, every share held, plus the one
-/// fact a count cannot know: which block's decode yields the user's packet.
+/// The user as a share count sees it, every share held, plus the one fact
+/// a count cannot know: which block's decode yields the user's packet.
 struct KeepEveryShare {
     me: u16,
     k: usize,
     msg_id: Option<u8>,
     estimator: Option<BlockIdEstimator>,
-    held: ShareTracker,
+    held: BTreeSet<(u8, usize)>,
     max_block_seen: Option<u8>,
     rounds: usize,
     success_round: Option<usize>,
@@ -44,7 +44,7 @@ impl KeepEveryShare {
             k,
             msg_id: None,
             estimator: None,
-            held: ShareTracker::default(),
+            held: BTreeSet::new(),
             max_block_seen: None,
             rounds: 0,
             success_round: None,
@@ -79,7 +79,12 @@ impl KeepEveryShare {
         };
         self.msg_id.get_or_insert(msg_id);
         self.max_block_seen = Some(self.max_block_seen.unwrap_or(0).max(block));
-        self.held.insert(block, index);
+        self.held.insert((block, index));
+    }
+
+    /// Distinct shares held of block `b`.
+    fn count(&self, b: u8) -> usize {
+        self.held.range((b, 0)..=(b, usize::MAX)).count()
     }
 
     /// The round boundary: the lowest candidate block with `k` shares that
@@ -89,7 +94,7 @@ impl KeepEveryShare {
             let range = self.estimator.as_ref().and_then(BlockIdEstimator::range);
             let decoded = (0..=self.max_block_seen.unwrap_or(0))
                 .filter(|&b| range.is_none_or(|(lo, hi)| (lo..=hi).contains(&u32::from(b))))
-                .filter(|&b| self.held.count(b) >= self.k)
+                .filter(|&b| self.count(b) >= self.k)
                 .find_map(|b| {
                     let packets = &blocks.block(b.into())?.packets;
                     packets.iter().find(|pkt| pkt.serves(self.me)).cloned()
@@ -107,7 +112,7 @@ impl KeepEveryShare {
             self.estimator.as_ref(),
             self.max_block_seen,
             self.k,
-            |b| self.held.count(b),
+            |b| self.count(b),
             &mut requests,
         );
         Some(NackPacket {

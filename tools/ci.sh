@@ -200,14 +200,31 @@ echo "    stage wall times:"
 for i in "${!STAGE_NAMES[@]}"; do
     printf '    %4ss  %s\n' "${STAGE_SECONDS[$i]}" "${STAGE_NAMES[$i]}"
 done
-echo "    Rust lines per crate (tracked files under crates/*/src):"
-git ls-files 'crates/*/src/*.rs' | xargs wc -l | awk '
-    $2 != "total" { split($2, part, "/"); lines[part[2]] += $1; all += $1 }
+echo "    Rust lines per crate, non-test | test (test: crates/<crate>/tests, a src"
+echo "    file from its first top-level #[cfg(test)] on, a module declared under one):"
+rust_files=$(git ls-files 'crates/*.rs')
+# shellcheck disable=SC2086 # one argument per file
+awk '
+    # Pass 1: `#[cfg(test)] mod name;` makes the file of that module test code.
+    pass == 1 && cfg_test && /^mod [a-z_0-9]+;$/ {
+        dir = FILENAME; sub(/(lib|main|mod)\.rs$/, "", dir); sub(/\.rs$/, "/", dir)
+        test_module[dir substr($2, 1, length($2) - 1) ".rs"] = 1
+    }
+    pass == 1 { cfg_test = /^#\[cfg\(test\)\]$/; next }
+    FNR == 1 {
+        split(FILENAME, part, "/"); crate = part[2]
+        test = part[3] == "tests" || (FILENAME in test_module)
+    }
+    /^#\[cfg\(test\)\]$/ { test = 1 }
+    { if (test) tests[crate]++; else code[crate]++; crates[crate] = 1 }
     END {
-        for (crate in lines) printf "    %6d  %s\n", lines[crate], crate | "sort -k2"
-        close("sort -k2")
-        printf "    %6d  total\n", all
-    }'
+        for (crate in crates) {
+            printf "    %6d | %6d  %s\n", code[crate], tests[crate], crate | "sort -k4"
+            all_code += code[crate]; all_tests += tests[crate]
+        }
+        close("sort -k4")
+        printf "    %6d | %6d  total\n", all_code, all_tests
+    }' pass=1 $rust_files pass=2 $rust_files
 echo "    Rust lines tracked by ROADMAP (crates/<crate>, src, tests, examples):"
 git ls-files 'crates/*.rs' 'src/*.rs' 'tests/*.rs' 'examples/*.rs' | xargs wc -l | awk '
     $2 != "total" {
