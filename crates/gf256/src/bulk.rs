@@ -21,6 +21,7 @@
 // A silent truncation here corrupts algebra instead of crashing.
 #![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
 
+use crate::tables::xtime;
 use crate::Gf256;
 
 /// Plain slice XOR: `dst[i] ^= src[i]` — the `coeff == 1` fast path.
@@ -60,11 +61,12 @@ pub fn mul_acc_slice_wide(coeff: Gf256, src: &[u8], dst: &mut [u8]) {
         xor_slice(src, dst);
         return;
     }
+    // alpha = x, so each multiple is the one before it times x.
     let mut multiples = [0u8; 8];
-    let mut m = coeff;
+    let mut m = coeff.value();
     for slot in &mut multiples {
-        *slot = m.value();
-        m *= Gf256::ALPHA;
+        *slot = m;
+        m = xtime(m);
     }
     for (d, &s) in dst.iter_mut().zip(src) {
         let mut acc = 0u8;

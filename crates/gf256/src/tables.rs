@@ -18,14 +18,13 @@ pub(crate) const LOG: [u8; 256] = build_log();
 /// `INV[a] = a^{-1}` for `a != 0`; `INV[0] = 0` as a sentinel.
 pub(crate) const INV: [u8; 256] = build_inv();
 
-const fn xtime(a: u8) -> u8 {
-    // Multiply by x (i.e. by the generator 0x02) with reduction by 0x11d.
+/// Multiplies by x (the generator 0x02): a shift, reduced by 0x11d when the
+/// top bit shifts out. Branch-free: `bulk` runs it eight times a call.
+pub(crate) const fn xtime(a: u8) -> u8 {
     let wide = (a as u16) << 1;
-    if wide & 0x100 != 0 {
-        (wide ^ REDUCTION_POLY) as u8
-    } else {
-        wide as u8
-    }
+    // All ones when bit 8 is set, so the polynomial is XORed in or not.
+    let carry = 0u16.wrapping_sub(wide >> 8);
+    (wide ^ (REDUCTION_POLY & carry)) as u8
 }
 
 const fn build_exp() -> [u8; 510] {

@@ -168,6 +168,7 @@ impl Receiver for ByteReceiver {
             obs::counter_add("transport.decode.blocks", did.blocks.into());
             obs::counter_add("transport.decode.rows", did.rows.into());
             obs::counter_add("transport.decode.fallback_rows", did.fallback_rows.into());
+            obs::counter_add("transport.decode.full_rows", did.full_rows.into());
             obs::counter_add("transport.decode.exhausted", did.exhausted.into());
         }
         let Some(sent) = sent else {

@@ -90,13 +90,17 @@ fn one_rekey_records_its_spans_and_every_delivery_by_outcome() {
     assert_eq!(frames("malformed"), 1);
 
     // What recovery cost the receivers: the blocks they validated, the
-    // packets they rebuilt — about one a block, not every missing one —
-    // how many of those the received headers did not point at, and the
-    // blocks that turned out not to hold the member's packet.
+    // packets they examined by header — about one a block, not every
+    // missing one — how many of those the received headers did not point
+    // at, the blocks that turned out not to hold the member's packet, and
+    // the packets rebuilt in full: exactly one per member FEC keyed, each
+    // member being keyed once, by its own frame (ENC or USR) or by FEC.
     let decode = |what: &str| snap.counter(&format!("transport.decode.{what}"));
     assert!(decode("blocks") > 0);
     assert!(decode("rows") >= decode("blocks") - decode("exhausted"));
     assert!(decode("rows") < 2 * decode("blocks"));
     assert!(decode("fallback_rows") <= decode("rows"));
     assert!(decode("exhausted") <= decode("blocks"));
+    assert!(decode("full_rows") <= decode("rows"));
+    assert_eq!(decode("full_rows") + frames("mine"), 960);
 }

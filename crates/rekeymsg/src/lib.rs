@@ -66,7 +66,7 @@ pub use assign::{
     PacketPlan, PlanScratch, UkaAssignment, UserRun,
 };
 pub use blocks::{BlockSet, SendOrder};
-pub use layout::{Layout, UNPROTECTED_HEADER_LEN};
+pub use layout::{Layout, PROTECTED_HEADER_LEN, UNPROTECTED_HEADER_LEN};
 pub use wire::{
     EncFrame, EncHeader, EncPacket, Header, NackPacket, NackRequest, Packet, ParityPacket,
     UsrPacket, WireError,

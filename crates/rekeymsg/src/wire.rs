@@ -77,6 +77,24 @@ fn split_fixed<'a>(
     bytes.split_first_chunk().ok_or(WireError::Truncated)
 }
 
+/// The frame of a FEC-decoded `ENC` packet, `body_len` bytes past its
+/// unprotected header `[msg_id, block_id, seq]` (never flagged duplicate):
+/// one allocation, the body written where it lies by `fill`.
+fn fec_frame(
+    body_len: usize,
+    [msg_id, block_id, seq]: [u8; 3],
+    fill: impl FnOnce(&mut [u8]),
+) -> Arc<[u8]> {
+    let mut frame: Arc<[u8]> = std::iter::repeat_n(0, UNPROTECTED_HEADER_LEN + body_len).collect();
+    // A frame just made has no other owner, so it can be written in place.
+    let parts = Arc::get_mut(&mut frame).and_then(|f| f.split_first_chunk_mut());
+    if let Some((unprotected, body)) = parts {
+        *unprotected = [msg_id & 0x3f, block_id, seq & 0x7f];
+        fill(body);
+    }
+    frame
+}
+
 /// The one reader of an `ENC` packet's pair column: `(encryption ID, sealed
 /// key)` where they lie, up to the zero padding.
 fn pairs(column: &[u8]) -> impl Iterator<Item = (u16, &[u8; SEALED_KEY_LEN])> {
@@ -114,18 +132,18 @@ impl EncHeader {
         self.frm_id <= m && m <= self.to_id
     }
 
-    /// The fixed fields of the ENC packet a FEC-decoded body belongs to:
-    /// [`EncFrame::from_fec_body`] without the copy, so a receiver can tell
-    /// whether a rebuilt packet serves it before keeping it.
+    /// The fixed fields of the ENC packet a FEC-decoded body belongs to,
+    /// read off any prefix of the body that holds them (the first
+    /// [`PROTECTED_HEADER_LEN`] bytes), so a receiver can tell whether a
+    /// rebuilt packet serves it before rebuilding the rest. The body's
+    /// length is checked where a frame is made of it ([`EncFrame::new`]).
     pub fn from_fec_body(
-        body: &[u8],
-        layout: &Layout,
+        prefix: &[u8],
         msg_id: u8,
         block_id: u8,
         seq: u8,
     ) -> Result<Self, WireError> {
-        check_len(body.len(), layout.fec_body_len())?;
-        Self::read([msg_id, block_id, seq & 0x7f], body)
+        Self::read([msg_id, block_id, seq & 0x7f], prefix)
     }
 
     /// The one reader of the fixed fields, off the wire or off a FEC body.
@@ -302,7 +320,8 @@ impl EncFrame {
 
     /// The frame of the ENC packet a FEC-decoded body belongs to: the
     /// unprotected header is re-synthesised from the known block and `seq`
-    /// (a rebuilt packet is never flagged duplicate).
+    /// (a rebuilt packet is never flagged duplicate), the body copied in
+    /// behind it in one go.
     pub fn from_fec_body(
         body: &[u8],
         layout: &Layout,
@@ -311,8 +330,27 @@ impl EncFrame {
         seq: u8,
     ) -> Result<Self, WireError> {
         // `new` checks the length: a body is a frame less these three bytes.
-        let unprotected = [msg_id & 0x3f, block_id, seq & 0x7f];
-        Self::new(unprotected.iter().chain(body).copied().collect(), layout)
+        let frame = fec_frame(body.len(), [msg_id, block_id, seq], |out| {
+            out.copy_from_slice(body);
+        });
+        Self::new(frame, layout)
+    }
+
+    /// [`EncFrame::from_fec_body`] for a body not yet at hand: `fill`
+    /// writes the layout's FEC body (zeroed first) where it lies in the
+    /// frame, so a receiver rebuilds its packet with one allocation and no
+    /// copy.
+    pub fn fill_fec_body(
+        layout: &Layout,
+        msg_id: u8,
+        block_id: u8,
+        seq: u8,
+        fill: impl FnOnce(&mut [u8]),
+    ) -> Result<Self, WireError> {
+        Self::new(
+            fec_frame(layout.fec_body_len(), [msg_id, block_id, seq], fill),
+            layout,
+        )
     }
 
     /// The packet's fixed fields.

@@ -1,13 +1,12 @@
 //! The user side of the rekey transport protocol (Figures 3 and 27).
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use keytree::{ident, NodeId};
 use rekeymsg::estimate::BlockIdEstimator;
 use rekeymsg::{
     EncFrame, EncHeader, Header, Layout, NackPacket, NackRequest, Packet, UsrPacket, WireError,
-    UNPROTECTED_HEADER_LEN,
+    PROTECTED_HEADER_LEN, UNPROTECTED_HEADER_LEN,
 };
 
 /// How a user ended up with its keys (or didn't).
@@ -73,11 +72,14 @@ enum Class {
 pub struct DecodeWork {
     /// Blocks with `k` shares that were validated for decoding.
     pub blocks: u32,
-    /// Data packets rebuilt.
+    /// Missing data packets examined: each rebuilt as far as its header.
     pub rows: u32,
     /// Of those, the ones outside the bracket the received headers gave.
     pub fallback_rows: u32,
-    /// Blocks rebuilt in full that did not hold the user's packet.
+    /// Of those, the ones rebuilt in full: the one that serves the user.
+    pub full_rows: u32,
+    /// Blocks whose every missing packet was examined without finding the
+    /// user's.
     pub exhausted: u32,
 }
 
@@ -103,8 +105,8 @@ pub struct UserSession {
     shares: Vec<(u8, usize, Arc<[u8]>)>,
     /// The receive rules, and which `(block, share index)` are in `shares`.
     search: BlockSearch,
-    /// Blocks rebuilt in full for nothing, not to be decoded again.
-    exhausted: BTreeSet<u8>,
+    /// Blocks examined in full for nothing, not to be decoded again.
+    exhausted: BlockBits,
     /// What the latest [`UserSession::end_of_round`] decoded.
     pub decode_work: DecodeWork,
     outcome: UserOutcome,
@@ -125,7 +127,7 @@ impl UserSession {
             msg_id: None,
             shares: Vec::new(),
             search: BlockSearch::new(k, d),
-            exhausted: BTreeSet::new(),
+            exhausted: BlockBits::default(),
             decode_work: DecodeWork::default(),
             outcome: UserOutcome::Pending,
             rounds: 0,
@@ -289,16 +291,18 @@ impl UserSession {
     }
 
     /// Attempts FEC decoding of every candidate block with >= k shares not
-    /// yet exhausted; on success extracts the specific ENC packet.
+    /// yet exhausted; on success keeps the specific ENC packet.
     ///
     /// UKA orders packets by user ID, so the non-duplicate ENC headers held
     /// for a block bracket the `seq` the user's packet can have. The missing
-    /// packets inside the bracket are rebuilt first, the rest after them,
-    /// each checked by its header and only the one that serves kept. The
-    /// bracket only orders the work: every missing packet is tried before a
-    /// block is given up, so headers that lie cost time, not the key.
-    /// `current_id` is not required up front: a user that heard parity only
-    /// has no bracket and learns `maxKID` from the first packet rebuilt.
+    /// packets inside the bracket are examined first, the rest after them:
+    /// each is rebuilt only as far as its header (six bytes, the same `k`
+    /// passes), and only the one that serves is rebuilt in full, straight
+    /// into its frame. The bracket only orders the work: every missing
+    /// packet is examined before a block is given up, so headers that lie
+    /// cost time, not the key. `current_id` is not required up front: a
+    /// user that heard parity only has no bracket and learns `maxKID` from
+    /// the first header rebuilt.
     fn try_decode(&mut self) {
         self.decode_work = DecodeWork::default();
         // A `k` that is no valid block size decodes nothing, ever.
@@ -308,32 +312,32 @@ impl UserSession {
         };
         // Every block with k shares, inside the estimated range if there is one.
         let msg_id = self.msg_id.unwrap_or(0);
-        let (mut row, mut found) = (Vec::new(), None);
-        let mut held: Vec<(usize, &Arc<[u8]>)> = Vec::new();
+        let mut found = None;
         'blocks: for b in 0..=self.search.max_block_seen.unwrap_or(0) {
-            if !self.search.full(b) || self.exhausted.contains(&b) {
+            if !self.search.full(b) || self.exhausted.contains(b) {
                 continue;
             }
             // A block's frames are gathered only now that it has `k` of them,
-            // in share-index order: which `k` the decoder takes is defined.
-            held.clear();
-            held.extend(
-                (self.shares.iter())
-                    .filter(|s| s.0 == b)
-                    .map(|s| (s.1, &s.2)),
-            );
-            held.sort_unstable_by_key(|&(index, _)| index);
+            // by share index (one each, `BlockSearch` saw to that): which `k`
+            // the decoder takes is defined.
+            let mut by_index = [None; rse::MAX_SYMBOLS];
+            for (_, index, frame) in self.shares.iter().filter(|s| s.0 == b) {
+                if let Some(slot) = by_index.get_mut(*index) {
+                    *slot = Some(frame);
+                }
+            }
+            let held = (by_index.iter().enumerate()).filter_map(|(i, f)| Some((i, (*f)?)));
             // The held frames are borrowed, and only rows that did not
             // arrive are rebuilt: an ENC packet that arrived does not serve
             // this user, or the session would be satisfied.
-            let bodies = (held.iter()).map(|&(i, frame)| (i, &frame[UNPROTECTED_HEADER_LEN..]));
+            let bodies = (held.clone()).map(|(i, frame)| (i, &frame[UNPROTECTED_HEADER_LEN..]));
             let Ok(missing) = decoder.decode_missing(bodies) else {
                 continue;
             };
             self.decode_work.blocks += 1;
             let (mut lo, mut hi) = (0, k);
             if let Some(m) = self.current_id.and_then(|m| u16::try_from(m).ok()) {
-                for &(seq, frame) in held.iter().take_while(|&&(seq, _)| seq < k) {
+                for (seq, frame) in held.take_while(|&(seq, _)| seq < k) {
                     match Packet::header(frame, &self.layout) {
                         Ok((_, Header::Enc(h))) if h.duplicate => {}
                         Ok((_, Header::Enc(h))) if h.to_id < m => lo = seq + 1,
@@ -346,22 +350,30 @@ impl UserSession {
             let inside = missing.indices().filter(|seq| bracket.contains(seq));
             let outside = missing.indices().filter(|seq| !bracket.contains(seq));
             for seq in inside.chain(outside) {
-                if missing.row_into(seq, &mut row).is_err() {
+                let mut fixed = [0; PROTECTED_HEADER_LEN];
+                if missing.prefix_into(seq, &mut fixed).is_err() {
                     continue;
                 }
                 self.decode_work.rows += 1;
                 self.decode_work.fallback_rows += u32::from(!bracket.contains(&seq));
-                let header = EncHeader::from_fec_body(&row, &self.layout, msg_id, b, seq as u8);
-                let Ok(h) = header else { continue };
+                let Ok(h) = EncHeader::from_fec_body(&fixed, msg_id, b, seq as u8) else {
+                    continue;
+                };
                 let id = wire_id(&mut self.current_id, self.old_id, self.search.d, h.max_kid);
                 let Some(m16) = id else { return };
                 if h.serves(m16) {
-                    // The header read, so the frame checks.
-                    found = EncFrame::from_fec_body(&row, &self.layout, msg_id, b, seq as u8).ok();
+                    // The one packet that serves: the rest of it, in place.
+                    self.decode_work.full_rows += 1;
+                    let mut rebuilt = Ok(());
+                    let frame =
+                        EncFrame::fill_fec_body(&self.layout, msg_id, b, seq as u8, |body| {
+                            rebuilt = missing.prefix_into(seq, body);
+                        });
+                    found = frame.ok().filter(|_| rebuilt.is_ok());
                     break 'blocks;
                 }
             }
-            // Decoded a full block that does not contain our packet: the
+            // Examined a full block that does not contain our packet: the
             // estimator range was loose. Keep looking at other candidates.
             self.exhausted.insert(b);
             self.decode_work.exhausted += 1;
@@ -374,6 +386,12 @@ impl UserSession {
     /// Round boundary: returns the NACK to send, or `None` when satisfied.
     pub fn end_of_round(&mut self) -> Option<NackPacket> {
         self.try_decode();
+        self.close_round()
+    }
+
+    /// The round boundary past the decode: the round is counted, and an
+    /// unsatisfied user NACKs.
+    fn close_round(&mut self) -> Option<NackPacket> {
         self.rounds += 1;
         if self.is_satisfied() {
             return None;
@@ -397,6 +415,20 @@ fn wire_id(current_id: &mut Option<NodeId>, old_id: NodeId, d: u32, max_kid: u16
         *current_id = ident::derive_current_id(old_id, max_kid as NodeId, d);
     }
     current_id.and_then(|m| u16::try_from(m).ok())
+}
+
+/// A set of block IDs, one bit each: no allocation, whatever it holds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct BlockBits([u64; 4]);
+
+impl BlockBits {
+    fn contains(&self, b: u8) -> bool {
+        self.0[usize::from(b / 64)] >> (b % 64) & 1 == 1
+    }
+
+    fn insert(&mut self, b: u8) {
+        self.0[usize::from(b / 64)] |= 1 << (b % 64);
+    }
 }
 
 /// The payload-free receive rules (Figure 27, Appendix D), one copy for
@@ -808,3 +840,6 @@ mod tests {
         assert!(u.is_satisfied());
     }
 }
+
+#[cfg(test)]
+mod full_row_reference;

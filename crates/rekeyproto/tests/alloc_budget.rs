@@ -6,11 +6,14 @@
 //! each sized once up front, a constant for any number of blocks. The
 //! delivery that serves the user is the same reference count and nothing
 //! else, and asking of any ENC or PARITY frame whether it is the user's
-//! own (`is_own`) is a header read.
+//! own (`is_own`) is a header read. A FEC recovery at a round boundary is
+//! the decode context of each block tried and the one frame the serving
+//! packet is rebuilt into: no row buffer, no list of held frames, no set of
+//! blocks given up.
 
 use std::sync::Arc;
 
-use rekeymsg::{BlockSet, EncPacket, Layout, Packet};
+use rekeymsg::{BlockSet, EncFrame, EncPacket, Layout, Packet};
 use rekeyproto::{Ignored, Received, UserOutcome, UserSession};
 use wirecrypto::{SealedKey, SymKey};
 
@@ -138,4 +141,48 @@ fn kept_shares_cost_a_constant() {
         "{allocs} allocations for 1000 kept deliveries"
     );
     assert!(!session.is_satisfied());
+}
+
+#[test]
+fn a_recovery_costs_the_decode_context_and_one_frame() {
+    xcheck_rt::assert_counting();
+    let blocks = message(K);
+    // Parity only: no header bounds the estimate and the ID is not known
+    // yet, so every block heard is a candidate and each missing packet is
+    // probed in ascending order.
+    let hearing = |blocks_heard: &[usize]| {
+        let mut session = UserSession::new(1400, 4, K, LAYOUT).expect_msg_id(5);
+        for &b in blocks_heard {
+            for frame in &blocks[b].parity {
+                assert_eq!(session.receive_frame(frame), Ok(Received::Kept));
+            }
+        }
+        session
+    };
+    // One recovery unmeasured: with `--features obs`, rse registers its
+    // span slots on first use.
+    assert_eq!(hearing(&[49]).end_of_round(), None);
+
+    // User 1400's packet is block 49, seq 7: the eighth header probed. The
+    // decode context is the chosen-share list and the weights' two vectors.
+    let mut session = hearing(&[49]);
+    let (allocs, nack) = xcheck_rt::count_in(|| session.end_of_round());
+    assert_eq!(nack, None);
+    let did = session.decode_work;
+    assert_eq!((did.rows, did.full_rows, did.exhausted), (8, 1, 0));
+    assert_eq!(allocs, 3 + 1, "the decode context and the frame");
+    let UserOutcome::Enc(kept) = session.outcome() else {
+        panic!("outcome {:?}", session.outcome());
+    };
+    let sent = EncFrame::new(Arc::clone(&blocks[49].data[7]), &LAYOUT).unwrap();
+    assert_eq!(kept, &sent, "rebuilt to the byte");
+
+    // Block 48 first, whose every probe misses: its context and nothing
+    // else, then the recovery in block 49.
+    let mut session = hearing(&[48, 49]);
+    let (allocs, nack) = xcheck_rt::count_in(|| session.end_of_round());
+    assert_eq!(nack, None);
+    let did = session.decode_work;
+    assert_eq!((did.rows, did.full_rows, did.exhausted), (16, 1, 1));
+    assert_eq!(allocs, 3 + 3 + 1, "two decode contexts and the frame");
 }

@@ -599,8 +599,9 @@ impl FullOrderSession {
 }
 
 /// Blocks that decode without the user's packet are planned once, not once
-/// a round: a user that heard only parity has no block estimate, decodes
-/// blocks 0 and 1 in full at the first boundary, and at the second, with
+/// a round: a user that heard only parity has no block estimate, examines
+/// every packet of blocks 0 and 1 by its header at the first boundary (and
+/// rebuilds none in full), and at the second, with
 /// nothing new, plans nothing (at the parent commit: both blocks again).
 #[test]
 fn a_block_without_the_users_packet_is_planned_exactly_once() {
@@ -626,6 +627,7 @@ fn a_block_without_the_users_packet_is_planned_exactly_once() {
         blocks: 2,
         rows: 2 * k as u32,
         fallback_rows: 0,
+        full_rows: 0,
         exhausted: 2,
     };
     assert_eq!(
@@ -639,6 +641,7 @@ fn a_block_without_the_users_packet_is_planned_exactly_once() {
         blocks: 1,
         rows: 2,
         fallback_rows: 0,
+        full_rows: 1,
         exhausted: 0,
     };
     assert_eq!(round(&mut session, &[(2, 1)]), second_row);
@@ -735,6 +738,7 @@ proptest! {
             // is given up twice.
             let did = session.decode_work;
             prop_assert!(did.blocks <= did.exhausted + 1 && did.fallback_rows <= did.rows);
+            prop_assert!(did.full_rows <= 1 && did.full_rows <= did.rows);
             exhausted += did.exhausted;
             prop_assert!(exhausted <= blocks.block_count() as u32);
         }

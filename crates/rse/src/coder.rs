@@ -392,26 +392,58 @@ impl MissingRows<'_> {
 
     /// Rebuilds missing data packet `i` — the interpolant through the chosen
     /// shares, evaluated at `point(i)` — as the new contents of `out`,
-    /// without allocating once `out` has the capacity. `i` must be one of
+    /// without allocating once `out` has the capacity: the full-length
+    /// [`MissingRows::prefix_into`]. `i` must be one of
     /// [`MissingRows::indices`]: a held packet (the caller has it) or an
     /// index past the data is `IndexOutOfRange`, and `out` is left alone.
     pub fn row_into(&self, i: usize, out: &mut Vec<u8>) -> Result<(), RseError> {
+        self.ctx_for(i)?;
+        out.resize(self.share_len(), 0);
+        self.prefix_into(i, out)
+    }
+
+    /// Rebuilds the first `out.len()` bytes of missing data packet `i` into
+    /// `out`, overwriting it, without allocating: the same `k` passes as the
+    /// whole packet, each over `out.len()` bytes. A receiver reads a rebuilt
+    /// packet's header this way before it pays for the rest. An `i` that
+    /// [`MissingRows::row_into`] refuses is refused here too, and an `out`
+    /// longer than a share is `LengthMismatch`; either way `out` is left
+    /// alone.
+    // xcheck: no_alloc
+    pub fn prefix_into(&self, i: usize, out: &mut [u8]) -> Result<(), RseError> {
         let _span = obs::span("rse.decode_row");
+        let ctx = self.ctx_for(i)?;
+        let expected = self.share_len();
+        if out.len() > expected {
+            return Err(RseError::LengthMismatch {
+                expected,
+                got: out.len(),
+            });
+        }
         let k = self.chosen.len();
-        let ctx = self.ctx.as_ref().filter(|_| i < k && !self.held[i]);
-        let ctx = ctx.ok_or(RseError::IndexOutOfRange {
-            index: i,
-            max: k - 1,
-        })?;
         let mut coeffs = [Gf256::ZERO; MAX_SYMBOLS];
         ctx.row_into(point(i), &mut coeffs[..k]);
-        out.clear();
-        // k >= 1 was checked at construction, so `chosen` is not empty.
-        out.resize(self.chosen.first().map_or(0, |&(_, data)| data.len()), 0);
+        out.fill(0);
         for (&coeff, &(_, data)) in coeffs.iter().zip(&self.chosen) {
-            bulk::mul_acc_slice_wide(coeff, data, out);
+            bulk::mul_acc_slice_wide(coeff, &data[..out.len()], out);
         }
         Ok(())
+    }
+
+    /// The context a missing data index is rebuilt through.
+    fn ctx_for(&self, i: usize) -> Result<&LagrangeCtx, RseError> {
+        let k = self.chosen.len();
+        let ctx = self.ctx.as_ref().filter(|_| i < k && !self.held[i]);
+        ctx.ok_or(RseError::IndexOutOfRange {
+            index: i,
+            max: k - 1,
+        })
+    }
+
+    /// The length of every chosen share (k >= 1 was checked at
+    /// construction, so there is one).
+    fn share_len(&self) -> usize {
+        self.chosen.first().map_or(0, |&(_, data)| data.len())
     }
 }
 

@@ -196,6 +196,41 @@ proptest! {
         }
     }
 
+    /// A prefix of a missing packet is that prefix of the whole packet: for
+    /// random k (1..=64), body lengths and share sets that mix data and
+    /// parity, every missing index and every length up to the body's, the
+    /// prefix rebuilt into a dirty buffer equals the first bytes of the row
+    /// `row_into` rebuilds, and that row is the lost packet. One byte more
+    /// than a body is refused and writes nothing.
+    #[test]
+    fn every_prefix_of_a_missing_row_is_that_prefix_of_the_row(
+        seed in any::<u64>(),
+        k in 1usize..=64,
+        extra_parities in 1usize..12,
+        len in 0usize..48,
+        pattern in any::<u64>(),
+    ) {
+        let data = block_from_seed(seed, k, len);
+        let all = all_shares(&data, extra_parities);
+        let survivors = pick_distinct(all.len(), k, pattern);
+        let held = survivors.iter().map(|&s| (all[s].index, all[s].data.as_slice()));
+        let missing = Decoder::new(k).unwrap().decode_missing(held).unwrap();
+        let (mut row, mut prefix) = (Vec::new(), vec![0u8; len + 1]);
+        for i in missing.indices() {
+            missing.row_into(i, &mut row).unwrap();
+            prop_assert_eq!(&row, &data[i], "row {}", i);
+            for n in 0..=len {
+                prefix.fill(0xA5);
+                missing.prefix_into(i, &mut prefix[..n]).unwrap();
+                prop_assert_eq!(&prefix[..n], &row[..n], "row {} prefix {}", i, n);
+            }
+            prefix.fill(0xA5);
+            let refused = missing.prefix_into(i, &mut prefix);
+            prop_assert_eq!(refused, Err(RseError::LengthMismatch { expected: len, got: len + 1 }));
+            prop_assert!(prefix.iter().all(|&b| b == 0xA5));
+        }
+    }
+
     /// Fewer than k survivors is always reported as NotEnoughShares, never
     /// a wrong answer.
     #[test]

@@ -3,8 +3,8 @@
 //! encoding a parity packet into a caller-provided buffer must perform
 //! zero heap allocations. The decode side gets a budget, not a zero: it
 //! keeps the chosen shares and the interpolation context, but nothing it
-//! allocates scales with the packets missing, and rebuilding one allocates
-//! nothing at all.
+//! allocates scales with the packets missing, and rebuilding one — or any
+//! prefix of one — allocates nothing at all.
 
 use rse::{BlockEncoder, Decoder};
 
@@ -86,6 +86,12 @@ fn decode_missing_allocates_a_constant_and_rebuilding_a_row_nothing() {
             missing.row_into(i, &mut row).unwrap()
         });
         assert_eq!(row, data[i]);
+        // A header's worth of it, into a buffer on the stack: nothing either.
+        let mut header = [0u8; 6];
+        xcheck_rt::assert_zero_alloc("MissingRows::prefix_into", || {
+            missing.prefix_into(i, &mut header).unwrap()
+        });
+        assert_eq!(header, data[i][..6]);
     }
 
     // Nothing missing among the chosen shares: only the chosen-share list.

@@ -7,7 +7,7 @@
 # dynamic no-alloc harness (the obs event log's armed and disarmed paths
 # included), the statistical engine-agreement gate, the transport's
 # delivery-order oracle and the receiver identity oracles (optimised
-# builds), one
+# builds), the check that every repository path the docs cite exists, one
 # full run of each of the three tracked BENCH reports compared byte for byte
 # with the committed file (a report holds exact facts, so `cmp` is the whole
 # sentinel), and the obs build. Speed is not gated here: that is
@@ -75,6 +75,12 @@ for file in field lagrange bulk; do
         "crates/gf256/src/$file.rs" || unwired "gf256/src/$file.rs lacks the cast attribute"
 done
 
+stage "doc paths (every repository path DESIGN, PROTOCOL and README cite exists)"
+# tests/doc_paths.rs reads the backticked spans of the three docs; a span
+# that names a repository path (from the root, or a file under a crate)
+# must exist, and a planted dead one is reported.
+cargo test -q --test doc_paths
+
 stage "cargo doc --workspace --no-deps (rustdoc warnings denied)"
 # Intra-doc links are checked here, so a deleted or renamed item cannot
 # leave prose pointing at nothing.
@@ -94,8 +100,8 @@ cargo test -q -p xcheck-rt
 cargo test -q -p keytree --test no_alloc_marks
 cargo test -q -p rekeymsg --test no_alloc_marks
 # Encode is pinned at zero; decode_missing at 3 whatever is missing (the
-# chosen shares and the context) and one rebuilt row at zero — with spans
-# on, too.
+# chosen shares and the context) and one rebuilt row, or a header's prefix
+# of one, at zero — with spans on, too.
 cargo test -q -p rse --test no_alloc_marks
 cargo test -q -p rse --features obs --test no_alloc_marks
 # The per-link queries the transport asks (source_delivers, link_delivers),
@@ -104,7 +110,8 @@ cargo test -q -p netsim --test no_alloc_marks
 # The serving delivery and 990 deliveries of ruled-out blocks are pinned at
 # zero (no reference held either), and so is asking is_own of each; 1000
 # kept ones at a constant (the flat share store's and the tracker's growth
-# after one sizing each).
+# after one sizing each); a FEC recovery at the decode context of each block
+# tried plus the one frame the serving packet is rebuilt into.
 cargo test -q -p rekeyproto --test alloc_budget
 # The count-model loop on a warm TransportScratch, both models' walk_at (the
 # own check of every delivery, and taking the own one), UserAgent::apply_enc
@@ -149,7 +156,7 @@ stage "transport delivery order (receiver-major rounds vs packet-major reference
 cargo test --release -q -p grouprekey --lib delivery_order
 cargo test --release -q --test model_agreement
 
-stage "receiver identity (agent oracle, share-skip reference, own check, --release)"
+stage "receiver identity (agent oracle, share-skip reference, own check, full-row decode, --release)"
 # A receiver does only its own work (DESIGN.md "Only the receiver's own
 # work"). The agent holds its path, not a key map; the key map is a
 # test-only reference, and a proptest holds the two to the same ID, path
@@ -160,10 +167,16 @@ stage "receiver identity (agent oracle, share-skip reference, own check, --relea
 # only the receiver's own packet: is_own is receive_frame's Mine on every
 # prefix of real, forged and truncated frames, and a session fed as the
 # walk feeds it (the rest deferred, read in order only if its own never
-# came) NACKs, succeeds and holds what an eagerly fed one does.
+# came) NACKs, succeeds and holds what an eagerly fed one does. A session
+# rebuilds a missing packet only as far as its header, and in full only the
+# one that serves; the decode that rebuilt every packet it examined in full
+# is a test-only reference, and over real messages and lying held frames the
+# two end every round with the same frame, success round, NACK and blocks
+# given up.
 cargo test --release -q -p grouprekey --lib map_reference
 cargo test --release -q -p rekeyproto --test ruled_out_identity
 cargo test --release -q -p rekeyproto --test own_identity
+cargo test --release -q -p rekeyproto --lib full_row_reference
 
 # One stage per tracked report: regenerate its one full grid under target/
 # (so it never clobbers the committed file) and `cmp` it with the committed
