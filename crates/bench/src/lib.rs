@@ -15,6 +15,13 @@ pub mod ablations;
 pub mod figures;
 pub mod report;
 
+use std::io::{self, Write};
+
+use grouprekey::experiment::{run_experiment, ExperimentParams};
+use grouprekey::MessageReport;
+use netsim::NetworkConfig;
+use rekeyproto::ServerConfig;
+
 /// Whether the environment variable `name` is set to anything but `0`.
 pub fn env_on(name: &str) -> bool {
     std::env::var(name).is_ok_and(|v| v != "0")
@@ -53,25 +60,110 @@ impl Mode {
     }
 }
 
-/// Mean of an iterator of f64.
-pub fn mean(values: impl IntoIterator<Item = f64>) -> f64 {
+/// Mean of `field` over `items` (0 for none).
+pub fn mean<T>(items: &[T], field: impl Fn(&T) -> f64) -> f64 {
     let mut sum = 0.0;
-    let mut n = 0usize;
-    for v in values {
-        sum += v;
-        n += 1;
+    for item in items {
+        sum += field(item);
     }
-    if n == 0 {
+    if items.is_empty() {
         0.0
     } else {
-        sum / n as f64
+        sum / items.len() as f64
     }
 }
 
 /// Writes a figure header.
-pub fn header(out: &mut dyn std::io::Write, id: &str, caption: &str) -> std::io::Result<()> {
+pub fn header(out: &mut dyn Write, id: &str, caption: &str) -> io::Result<()> {
     writeln!(out)?;
     writeln!(out, "### {id} — {caption}")
+}
+
+/// Every (row, column) cell of a figure's sweep through [`par`], returned
+/// row-major: `grid(rows, cols, cell)[r][c]` is `cell(r, &rows[r],
+/// &cols[c])`. The row index is passed on because a figure may seed by it.
+pub(crate) fn grid<R: Sync, C: Sync, T: Send>(
+    rows: &[R],
+    cols: &[C],
+    cell: impl Fn(usize, &R, &C) -> T + Sync,
+) -> Vec<Vec<T>> {
+    let at: Vec<(usize, &R, &C)> = rows
+        .iter()
+        .enumerate()
+        .flat_map(|(r, row)| cols.iter().map(move |col| (r, row, col)))
+        .collect();
+    let mut done = par(&at, |&(r, row, col)| cell(r, row, col)).into_iter();
+    rows.iter()
+        .map(|_| done.by_ref().take(cols.len()).collect())
+        .collect()
+}
+
+/// Writes one panel: `head`, then per row its label followed by each of
+/// its cells as `show` formats it.
+pub(crate) fn table<T>(
+    out: &mut dyn Write,
+    head: &str,
+    labels: impl IntoIterator<Item = String>,
+    grid: &[Vec<T>],
+    show: impl Fn(&T) -> String,
+) -> io::Result<()> {
+    writeln!(out, "{head}")?;
+    for (label, row) in labels.into_iter().zip(grid) {
+        writeln!(out, "{label}{}", row.iter().map(&show).collect::<String>())?;
+    }
+    Ok(())
+}
+
+/// A fixed proactivity factor `rho` at block size `k` (`rho = 1` is the
+/// reactive-only baseline).
+pub(crate) fn fixed_rho(k: usize, rho: f64) -> ServerConfig {
+    ServerConfig {
+        block_size: k,
+        initial_rho: rho,
+        adapt_rho: false,
+        ..ServerConfig::default()
+    }
+}
+
+/// Adaptive rho from `rho` at block size `k`, steering first-round NACKs
+/// toward a `num_nack` that is itself held fixed.
+pub(crate) fn adaptive_rho(k: usize, rho: f64, num_nack: usize) -> ServerConfig {
+    ServerConfig {
+        block_size: k,
+        initial_rho: rho,
+        initial_num_nack: num_nack,
+        adapt_num_nack: false,
+        ..ServerConfig::default()
+    }
+}
+
+/// A transport experiment at the paper's defaults but for group size `n`
+/// (leaving `L = N/4`), a share `alpha` of receivers on lossy links, and
+/// the protocol `proto`.
+pub(crate) fn params(
+    n: u32,
+    alpha: f64,
+    proto: ServerConfig,
+    messages: usize,
+    seed: u64,
+) -> ExperimentParams {
+    ExperimentParams {
+        protocol: proto,
+        net: NetworkConfig {
+            alpha,
+            ..NetworkConfig::default()
+        },
+        messages,
+        seed,
+        ..ExperimentParams::default()
+    }
+    .with_n(n)
+}
+
+/// Runs one transport cell multicast-only: no unicast tail, so the
+/// bandwidth overhead counts every packet up to full recovery.
+pub(crate) fn multicast(params: ExperimentParams) -> Vec<MessageReport> {
+    run_experiment(params.multicast_only())
 }
 
 thread_local! {
@@ -339,6 +431,28 @@ mod tests {
                 expect,
                 "workers = {workers}"
             );
+        }
+    }
+
+    #[test]
+    fn grid_is_row_major_passes_the_row_index_and_ignores_the_worker_count() {
+        // Three rows by two columns, so a transposed grid cannot match; the
+        // row-0 cells are the slow ones, so with four workers the later
+        // cells finish first and must still land in their slots.
+        let cell = |r: usize, &row: &u64, &col: &u64| {
+            if r == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+            }
+            (r, row + col)
+        };
+        let expect = vec![
+            vec![(0, 11), (0, 12)],
+            vec![(1, 21), (1, 22)],
+            vec![(2, 31), (2, 32)],
+        ];
+        for workers in [1, 4] {
+            let cells = with_workers(workers, || grid(&[10, 20, 30], &[1, 2], cell));
+            assert_eq!(cells, expect, "workers = {workers}");
         }
     }
 

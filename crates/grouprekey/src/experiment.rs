@@ -44,6 +44,19 @@ pub struct WorkloadPoint {
     pub per_user_need: f64,
 }
 
+/// Draws `l` distinct leavers (at most `n`) uniformly from members
+/// `0..n`: a partial Fisher–Yates over the member IDs.
+fn uniform_leavers(n: u32, l: usize, rng: &mut SmallRng) -> Vec<MemberId> {
+    let l = l.min(n as usize);
+    let mut pool: Vec<MemberId> = (0..n).collect();
+    for i in 0..l {
+        let pick = rng.gen_range(i..pool.len());
+        pool.swap(i, pick);
+    }
+    pool.truncate(l);
+    pool
+}
+
 /// Builds a fresh balanced tree and processes one `(J, L)` batch with
 /// uniformly chosen leavers, returning the tree and outcome.
 fn one_batch(
@@ -55,14 +68,7 @@ fn one_batch(
     rng: &mut SmallRng,
 ) -> (KeyTree, keytree::MarkOutcome) {
     let mut tree = KeyTree::balanced(n, degree, kg);
-    let l = l.min(n as usize);
-    // Uniform leavers: partial Fisher–Yates over member ids.
-    let mut pool: Vec<MemberId> = (0..n).collect();
-    for i in 0..l {
-        let pick = rng.gen_range(i..pool.len());
-        pool.swap(i, pick);
-    }
-    let leaves: Vec<MemberId> = pool[..l].to_vec();
+    let leaves = uniform_leavers(n, l, rng);
     let joins: Vec<(MemberId, SymKey)> = (0..j as u32).map(|i| (n + i, kg.next_key())).collect();
     let batch = Batch::new(joins, leaves);
     #[cfg(feature = "sanitize")]
@@ -153,14 +159,7 @@ pub fn encryption_cost_individual(
     for run in 0..runs {
         let mut kg = KeyGen::from_seed(seed ^ (run as u64).wrapping_mul(131));
         let mut tree = KeyTree::balanced(n, degree, &mut kg);
-        let l = l.min(n as usize);
-        let mut pool: Vec<MemberId> = (0..n).collect();
-        for i in 0..l {
-            let pick = rng.gen_range(i..pool.len());
-            pool.swap(i, pick);
-        }
-        pool.truncate(l);
-        for member in pool {
+        for member in uniform_leavers(n, l, &mut rng) {
             let outcome = tree.process_batch(&Batch::new(vec![], vec![member]), &mut kg);
             total += outcome.encryptions.len();
         }

@@ -2,15 +2,16 @@
 # The full local gate: formatting, the project lints (clippy on both feature
 # legs, plus the check that every crate is wired to them), rustdoc with
 # warnings denied, the test suite with the deep invariant sanitizer live
-# (bench's figure_identity, the one worker-count gate left, runs there), the
-# gf256/rse suites again in an optimised build (the vectorized kernel), the
-# dynamic no-alloc harness (the obs event log's armed and disarmed paths
-# included), the statistical engine-agreement gate, the transport's
-# delivery-order oracle and the receiver identity oracles (optimised
-# builds), the check that every repository path the docs cite exists, one
-# full run of each of the three tracked BENCH reports compared byte for byte
-# with the committed file (a report holds exact facts, so `cmp` is the whole
-# sentinel), and the obs build. Speed is not gated here: that is
+# (bench's figure_identity, four figures at one and four grid workers, runs
+# there), the gf256/rse suites again in an optimised build (the vectorized
+# kernel), the dynamic no-alloc harness (the obs event log's armed and
+# disarmed paths included), the statistical engine-agreement gate, the
+# transport's delivery-order oracle and the receiver identity oracles
+# (optimised builds), the check that every repository path the docs cite
+# exists, one full run of each of the three tracked BENCH reports compared
+# byte for byte with the committed file (a report holds exact facts, so
+# `cmp` is the whole sentinel; BENCH_figures.json a second time on one grid
+# worker), and the obs build. Speed is not gated here: that is
 # BENCHMARK.json's alternated parent/change pairs.
 # Everything runs offline against the vendored in-tree dependency shims.
 # Each stage's wall time is reported in a summary at the end.
@@ -190,6 +191,14 @@ for name in figures scale churn; do
     stage "bench_$name: full run, cmp with the committed BENCH_$name.json"
     cargo run -q --release -p bench --bin "bench_$name" -- --out "target/BENCH_$name.json"
     cmp "target/BENCH_$name.json" "BENCH_$name.json"
+    if [ "$name" = figures ]; then
+        # Every figure again on one grid worker: the fan-out must not show
+        # in the bytes of any figure, not only the four figure_identity
+        # samples.
+        REKEY_THREADS=1 cargo run -q --release -p bench --bin bench_figures -- \
+            --out target/BENCH_figures.serial.json
+        cmp target/BENCH_figures.serial.json BENCH_figures.json
+    fi
 done
 
 stage "obs gate: build + test with --features obs"
