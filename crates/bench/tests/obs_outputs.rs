@@ -99,7 +99,9 @@ fn recorded_trace_and_series_have_the_expected_structure() {
     }
     // The rekey path is sequential: the recorded run is one track (the
     // caller's), every stage of a real interval closed and nested in the
-    // span that runs it.
+    // span that runs it. Building the blocks encodes nothing (an ENC
+    // packet is its FEC body; parities are minted when a round is sent),
+    // so `fec.block_build` holds no stage.
     let nesting = nesting(&trace);
     assert_eq!(trace.tracks.len(), 1, "tracks: {:?}", trace.tracks);
     for (stage, parent) in [
@@ -107,11 +109,16 @@ fn recorded_trace_and_series_have_the_expected_structure() {
         ("stage.mark", "keytree.mark_batch"),
         ("stage.mint", "keytree.mark_batch"),
         ("stage.seal", "uka.build"),
-        ("stage.encode", "fec.block_build"),
+        ("fec.block_build", "rekey.batch"),
     ] {
         assert!(
             nesting.contains(&(stage.to_string(), parent.to_string())),
             "{stage} not nested under {parent}: {nesting:?}"
         );
     }
+    let encode = ("stage.encode".to_string(), "fec.block_build".to_string());
+    assert!(
+        !nesting.contains(&encode),
+        "block build encoded: {nesting:?}"
+    );
 }

@@ -229,7 +229,7 @@ mod tests {
 
     /// The packet as the frame a receiver would hold.
     fn frame(pkt: &EncPacket) -> EncFrame {
-        EncFrame::new(pkt.emit(&Layout::DEFAULT).into(), &Layout::DEFAULT).unwrap()
+        EncFrame::new(pkt.emit().into(), &Layout::DEFAULT).unwrap()
     }
 
     fn agent_for(tree: &KeyTree, member: MemberId, degree: u32) -> UserAgent {

@@ -236,7 +236,7 @@ fn agents_agree(c: &Case) -> TestCaseResult {
         );
         let assignment = UkaAssignment::build(&tree, &outcome, msg_seq, &layout).unwrap();
         let frames: Vec<EncFrame> = (assignment.packets.iter())
-            .map(|pkt| EncFrame::new(pkt.emit(&layout).into(), &layout).unwrap())
+            .map(|pkt| EncFrame::new(pkt.emit().into(), &layout).unwrap())
             .collect();
         let frame_for = |node: NodeId| assignment.packet_of_user(node).map(|pi| &frames[pi]);
         // A quarter of the members are served by USR; a relocated one of

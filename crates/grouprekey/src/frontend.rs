@@ -12,6 +12,7 @@
 //! [`Batch`]: keytree::Batch
 
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use keytree::{Batch, MemberId};
 use wirecrypto::{mac, SymKey};
@@ -120,16 +121,38 @@ impl core::fmt::Display for RequestError {
 
 impl std::error::Error for RequestError {}
 
+/// Hashes a member ID by one multiply with 2^64 over the golden ratio (odd,
+/// so distinct IDs keep distinct low bits, which index the table). The
+/// collector hashes an ID only once its request verified under a key the
+/// registrar issued, so nobody outside picks the keys, and never iterates
+/// its tables: SipHash's flood resistance buys them nothing.
+#[derive(Debug, Default)]
+struct MemberHasher(u64);
+
+impl Hasher for MemberHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u32(u32::from(b)));
+    }
+
+    fn write_u32(&mut self, id: MemberId) {
+        self.0 = (self.0.rotate_left(29) ^ u64::from(id)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
 /// Accumulates validated requests for the current rekey interval.
 #[derive(Debug, Default)]
 pub struct IntervalCollector {
     interval: u64,
-    joins: HashMap<MemberId, SymKey>,
+    joins: HashMap<MemberId, SymKey, BuildHasherDefault<MemberHasher>>,
     join_order: Vec<MemberId>,
     /// Queued leavers in arrival order, and the same members as a set (the
     /// duplicate check must not scan the queue: it is L long).
     leaves: Vec<MemberId>,
-    leaving: HashSet<MemberId>,
+    leaving: HashSet<MemberId, BuildHasherDefault<MemberHasher>>,
 }
 
 impl IntervalCollector {
@@ -225,10 +248,131 @@ impl IntervalCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
     use wirecrypto::KeyGen;
 
     fn key(b: u8) -> SymKey {
         SymKey::from_bytes([b; 16])
+    }
+
+    /// The collector's rules over ordered maps: what the hashed tables must
+    /// answer, verdict for verdict and batch for batch.
+    #[derive(Default)]
+    struct Reference {
+        interval: u64,
+        joins: BTreeMap<MemberId, SymKey>,
+        join_order: Vec<MemberId>,
+        leaves: Vec<MemberId>,
+        leaving: BTreeSet<MemberId>,
+    }
+
+    impl Reference {
+        fn check_interval(&self, got: u64) -> Result<(), RequestError> {
+            let expected = self.interval;
+            (got == expected)
+                .then_some(())
+                .ok_or(RequestError::WrongInterval { expected, got })
+        }
+
+        fn leave(&mut self, req: LeaveRequest, key: Option<SymKey>) -> Result<(), RequestError> {
+            self.check_interval(req.interval)?;
+            let key = key.ok_or(RequestError::UnknownOrDuplicate)?;
+            if !req.verify(&key) {
+                return Err(RequestError::BadAuthentication);
+            }
+            if self.leaving.contains(&req.member) {
+                return Err(RequestError::UnknownOrDuplicate);
+            }
+            if self.joins.remove(&req.member).is_some() {
+                self.join_order.retain(|&m| m != req.member);
+            } else {
+                self.leaving.insert(req.member);
+                self.leaves.push(req.member);
+            }
+            Ok(())
+        }
+
+        fn join(
+            &mut self,
+            req: JoinRequest,
+            key: SymKey,
+            in_group: bool,
+        ) -> Result<(), RequestError> {
+            self.check_interval(req.interval)?;
+            if !req.verify(&key) {
+                return Err(RequestError::BadAuthentication);
+            }
+            if in_group || self.joins.contains_key(&req.member) {
+                return Err(RequestError::UnknownOrDuplicate);
+            }
+            self.joins.insert(req.member, key);
+            self.join_order.push(req.member);
+            Ok(())
+        }
+
+        fn close(&mut self) -> Batch {
+            self.interval += 1;
+            self.leaving.clear();
+            let joins = (self.join_order.drain(..))
+                .map(|m| (m, self.joins[&m]))
+                .collect();
+            self.joins.clear();
+            Batch::new(joins, std::mem::take(&mut self.leaves))
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random request streams over a small pool of members, so that
+        /// duplicates, leaves after joins, stale or future intervals and
+        /// bad tags all occur: every verdict, every pending count and every
+        /// batch (joins in admission order, leaves in arrival order) is the
+        /// reference's.
+        #[test]
+        fn collector_reference_agrees_on_random_streams(
+            ops in proptest::collection::vec((0u8..8, 0u32..24, 0u8..8), 1..200),
+        ) {
+            let (mut c, mut r) = (IntervalCollector::new(), Reference::default());
+            for (kind, member, twist) in ops {
+                // Members below 12 are in the group; every fifth member is
+                // unknown to the key lookup; `twist` picks a stale or a
+                // future interval, or a tag under the wrong key.
+                let interval = match twist {
+                    0 => c.interval().wrapping_sub(1),
+                    1 => c.interval() + 1,
+                    _ => c.interval(),
+                };
+                let own = key(member as u8);
+                let signer = if twist == 2 { key(member as u8 ^ 0x80) } else { own };
+                let lookup = (member % 5 != 4).then_some(own);
+                match kind {
+                    0..=2 => {
+                        let req = LeaveRequest::sign(member, interval, &signer);
+                        prop_assert_eq!(c.submit_leave(req, |_| lookup), r.leave(req, lookup));
+                    }
+                    3..=6 => {
+                        let req = JoinRequest::sign(member, interval, &signer);
+                        let in_group = member < 12;
+                        prop_assert_eq!(
+                            c.submit_join(req, own, in_group),
+                            r.join(req, own, in_group)
+                        );
+                    }
+                    _ => {
+                        let (got, want) = (c.close_interval(), r.close());
+                        prop_assert_eq!(got.joins, want.joins);
+                        prop_assert_eq!(got.leaves, want.leaves);
+                    }
+                }
+                prop_assert_eq!(c.pending(), (r.join_order.len(), r.leaves.len()));
+                prop_assert_eq!(c.interval(), r.interval);
+            }
+            let (got, want) = (c.close_interval(), r.close());
+            prop_assert_eq!(got.joins, want.joins);
+            prop_assert_eq!(got.leaves, want.leaves);
+        }
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub fn check_message(
         let Some(block) = blocks.block(b) else {
             panic!("sanitize: block {b} out of range despite block_count");
         };
-        let bodies: Vec<Vec<u8>> = block.packets.iter().map(|p| p.fec_body(layout)).collect();
+        let bodies: Vec<Vec<u8>> = block.packets.iter().map(|p| p.as_ref().to_vec()).collect();
         if let Err(e) =
             rse::sanitize::verify_block_roundtrip(blocks.k(), &bodies, ROUNDTRIP_PARITIES)
         {

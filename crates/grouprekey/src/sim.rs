@@ -77,7 +77,7 @@ impl SimUser {
         match pkt {
             Packet::Enc(enc) => {
                 self.me().is_some_and(|me| enc.serves(me))
-                    && self.search.index(true, enc.seq).is_ok()
+                    && self.search.index(true, enc.header().seq).is_ok()
             }
             Packet::Usr(_) => true,
             Packet::Parity(_) | Packet::Nack(_) => false,
@@ -97,8 +97,11 @@ impl SimUser {
         }
         let (me, search) = (self.me(), &mut self.search);
         let _ = match pkt {
-            Packet::Enc(enc) => (search.index(true, enc.seq))
-                .and_then(|i| search.record(enc.block_id, i, Some((&enc.header(), me)))),
+            Packet::Enc(enc) => {
+                let h = enc.header();
+                (search.index(true, h.seq))
+                    .and_then(|i| search.record(h.block_id, i, Some((&h, me))))
+            }
             Packet::Parity(par) => {
                 (search.index(false, par.seq)).and_then(|i| search.record(par.block_id, i, None))
             }
@@ -185,21 +188,27 @@ pub fn run_message_transport_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rekeymsg::{EncPacket, ParityPacket};
+    use rekeymsg::{EncHeader, EncPacket, Layout, ParityPacket};
     use wirecrypto::{SealedKey, SymKey};
 
     fn enc(block: u8, seq: u8, frm: u16, to: u16) -> Packet {
         let kek = SymKey::from_bytes([seq; 16]);
-        Packet::Enc(EncPacket {
-            msg_id: 0,
-            block_id: block,
-            seq,
-            duplicate: false,
-            max_kid: 90,
-            frm_id: frm,
-            to_id: to,
-            entries: vec![(frm, SealedKey::seal(&kek, &SymKey::from_bytes([1; 16]), 0))],
-        })
+        Packet::Enc(
+            EncPacket::new(
+                EncHeader {
+                    msg_id: 0,
+                    block_id: block,
+                    seq,
+                    duplicate: false,
+                    max_kid: 90,
+                    frm_id: frm,
+                    to_id: to,
+                },
+                vec![(frm, SealedKey::seal(&kek, &SymKey::from_bytes([1; 16]), 0))],
+                &Layout::DEFAULT,
+            )
+            .unwrap(),
+        )
     }
 
     fn parity(block: u8, seq: u8) -> Packet {
@@ -369,11 +378,14 @@ mod tests {
     #[test]
     fn duplicate_flag_excluded_from_estimation_but_counts_as_share() {
         let mut u = SimUser::new(0, 150, 3, 4, Some(1));
-        let mut dup = match enc(1, 2, 200, 210) {
-            Packet::Enc(e) => e,
-            _ => unreachable!(),
+        let Packet::Enc(e) = enc(1, 2, 200, 210) else {
+            unreachable!()
         };
-        dup.duplicate = true;
+        let header = EncHeader {
+            duplicate: true,
+            ..e.header()
+        };
+        let dup = EncPacket::new(header, e.entries(), &Layout::DEFAULT).unwrap();
         u.receive(&Packet::Enc(dup), 1);
         u.receive(&parity(1, 0), 1);
         u.receive(&parity(1, 1), 1);

@@ -13,7 +13,10 @@
 //! On the server side: the cipher's
 //! batch kernels allocate nothing (their callers own the output), and a
 //! warm [`IntervalCollector`] admits a leave and a join mid-interval
-//! without allocating — the request payload is a stack array.
+//! without allocating — the request payload is a stack array — and opening
+//! a message and building its round-one schedule allocate nothing per ENC
+//! packet: every packet goes out on the body UKA wrote, and what is
+//! allocated is per block and per parity.
 
 use std::sync::Arc;
 
@@ -24,7 +27,8 @@ use grouprekey::UserAgent;
 use keytree::{Batch, KeyTree};
 use netsim::{Network, NetworkConfig};
 use rekeymsg::{
-    build_usr_packet, EncFrame, EncPacket, Layout, NackPacket, Packet, ParityPacket, UkaAssignment,
+    build_usr_packet, EncFrame, EncHeader, EncPacket, Layout, NackPacket, Packet, ParityPacket,
+    UkaAssignment,
 };
 use rekeyproto::{ServerConfig, ServerController, UserSession};
 use wirecrypto::batch::{keystream16_batch, seal_batch};
@@ -34,16 +38,22 @@ use wirecrypto::{KeyGen, SealedKey};
 static ALLOC: xcheck_rt::CountingAlloc = xcheck_rt::CountingAlloc;
 
 fn enc(block_id: u8, seq: u8, frm_id: u16, to_id: u16) -> Packet {
-    Packet::Enc(EncPacket {
-        msg_id: 1,
-        block_id,
-        seq,
-        duplicate: false,
-        max_kid: 63,
-        frm_id,
-        to_id,
-        entries: Vec::new(),
-    })
+    Packet::Enc(
+        EncPacket::new(
+            EncHeader {
+                msg_id: 1,
+                block_id,
+                seq,
+                duplicate: false,
+                max_kid: 63,
+                frm_id,
+                to_id,
+            },
+            Vec::new(),
+            &Layout::DEFAULT,
+        )
+        .unwrap(),
+    )
 }
 
 fn parity(block_id: u8, seq: u8) -> Packet {
@@ -298,7 +308,7 @@ fn apply_enc_on_an_agent_that_holds_its_path_allocates_nothing() {
         let mut agent = UserAgent::with_path(member, node, path[0].1, 4, path);
         let uid = tree.node_of_member(member).unwrap();
         let pkt = &assignment.packets[assignment.packet_of_user(uid).unwrap()];
-        let frame = EncFrame::new(pkt.emit(&layout).into(), &layout).unwrap();
+        let frame = EncFrame::new(pkt.emit().into(), &layout).unwrap();
         xcheck_rt::assert_zero_alloc("UserAgent::apply_enc", || agent.apply_enc(&frame, 1))
             .unwrap_or_else(|e| panic!("member {member}: {e}"));
         assert_eq!(agent.group_key(), tree.group_key());
@@ -354,7 +364,7 @@ fn apply_enc_for_a_member_a_split_moved_allocates_at_most_once() {
     let mut agent = UserAgent::with_path(member, node, path[0].1, 4, path);
     let uid = tree.node_of_member(member).unwrap();
     let pkt = &assignment.packets[assignment.packet_of_user(uid).unwrap()];
-    let frame = EncFrame::new(pkt.emit(&layout).into(), &layout).unwrap();
+    let frame = EncFrame::new(pkt.emit().into(), &layout).unwrap();
     let (allocs, applied) = xcheck_rt::count_in(|| agent.apply_enc(&frame, 1));
     applied.unwrap_or_else(|e| panic!("member {member}: {e}"));
     assert!(allocs <= 1, "{allocs} allocations for a one-level move");
@@ -420,4 +430,61 @@ fn a_warm_collector_admits_a_leave_and_a_join_without_allocating() {
         collector.submit_join(join, keys[11], false).unwrap();
     });
     assert_eq!(collector.pending(), (6, 6));
+}
+
+#[test]
+fn begin_message_and_start_allocate_nothing_per_enc_packet() {
+    xcheck_rt::assert_counting();
+
+    // A server_scale-shaped message, smaller: blocks of k = 10 at rho = 1.5,
+    // so round one carries five proactive parities a block.
+    let (layout, k) = (Layout::DEFAULT, 10);
+    let mut kg = KeyGen::from_seed(17);
+    let mut tree = KeyTree::balanced(4096, 4, &mut kg);
+    let leaves: Vec<u32> = (0..256u32).map(|i| i * 16 + 5).collect();
+    let outcome = tree.process_batch(&Batch::new(vec![], leaves), &mut kg);
+    let assignment = UkaAssignment::build(&tree, &outcome, 1, &layout).unwrap();
+    let real = assignment.packets.len();
+    assert!(
+        real > 2 * k && !real.is_multiple_of(k),
+        "several blocks and duplicates: {real}"
+    );
+    let controller = ServerController::new(ServerConfig {
+        block_size: k,
+        initial_rho: 1.5,
+        ..ServerConfig::default()
+    });
+
+    // Warm-up message: with `--features obs`, registers the span and
+    // counter names the send path records under.
+    let _ = controller
+        .begin_message(assignment.packets.clone(), 100)
+        .start();
+
+    let packets = assignment.packets.clone();
+    let (begin, mut session) = xcheck_rt::count_in(|| controller.begin_message(packets, 100));
+    // What one block holds of its own: its packet list and its encoder.
+    let (per_block, _) = xcheck_rt::count_in(|| session.blocks().block(0).cloned());
+    let (start, schedule) = xcheck_rt::count_in(|| session.start());
+    let blocks = session.blocks().block_count();
+    let parities = session.stats.parity_multicast;
+    assert_eq!(session.stats.enc_multicast, blocks * k);
+
+    // Every ENC packet goes out on the body UKA wrote, duplicates included.
+    for pkt in &schedule {
+        let Packet::Enc(enc) = pkt else { continue };
+        let h = enc.header();
+        let first = usize::from(h.block_id) * k;
+        let own = first + usize::from(h.seq) % (real - first).min(k);
+        assert!(std::ptr::eq(enc.as_ref(), assignment.packets[own].as_ref()));
+    }
+    // Beyond a parity's body, allocations are per block: its packet list
+    // and encoder, its parity list and its schedule lane; per message: the
+    // controller's encoder clone, the block list, the `amax` table, the
+    // lane list and the interleave's iterators and output.
+    assert_eq!(
+        (begin + start) as usize,
+        parities + blocks * (per_block as usize + 2) + per_block as usize + 4,
+        "the send path allocated per ENC packet"
+    );
 }

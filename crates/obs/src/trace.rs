@@ -212,7 +212,7 @@ impl Trace {
 // ---------------------------------------------------------------------------
 
 /// Events the log holds before it overflows. The largest traced run the
-/// repo produces (`bench_churn --trace-out`) records 4866.
+/// repo produces (`bench_churn --trace-out`) records 4394.
 const CAPACITY: usize = 1 << 14;
 
 /// The recording latch. Advisory: an event racing a toggle may be kept

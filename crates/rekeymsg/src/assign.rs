@@ -40,7 +40,7 @@ use wirecrypto::SealedKey;
 
 use crate::layout::Layout;
 use crate::seal_context;
-use crate::wire::EncPacket;
+use crate::wire::{EncHeader, EncPacket, WireError};
 
 /// An inclusive interval of node IDs served by one ENC packet, all lying
 /// inside one frontier subtree. `lo` is always a genuine u-node; `hi` may
@@ -573,6 +573,8 @@ pub enum AssignError {
         /// Encryptions one packet holds under the layout.
         capacity: usize,
     },
+    /// A planned packet does not fit its wire fields.
+    Wire(WireError),
 }
 
 impl core::fmt::Display for AssignError {
@@ -598,6 +600,7 @@ impl core::fmt::Display for AssignError {
                      layout too small for this tree height"
                 )
             }
+            AssignError::Wire(e) => write!(f, "packet cannot be written: {e}"),
         }
     }
 }
@@ -674,8 +677,9 @@ pub fn naive_plan_stats(
 /// The full assignment: sealed ENC packets plus bookkeeping.
 #[derive(Debug, Clone)]
 pub struct UkaAssignment {
-    /// The ENC packets in generation order. `block_id`/`seq` are zero here;
-    /// block partitioning fills them in.
+    /// The ENC packets in generation order, each written once into its
+    /// FEC body. `block_id`/`seq` are zero here; block partitioning fills
+    /// them in.
     pub packets: Vec<EncPacket>,
     /// Plans aligned with `packets`.
     pub plans: Vec<PacketPlan>,
@@ -708,9 +712,9 @@ impl UkaAssignment {
     }
 
     /// Runs UKA and seals every encryption (each distinct encryption is
-    /// sealed once and copied wherever duplicated), planning in a fresh
-    /// scratch; a server that builds a message per interval keeps one and
-    /// calls [`UkaAssignment::build_in`].
+    /// sealed once and written into every packet that carries it),
+    /// planning in a fresh scratch; a server that builds a message per
+    /// interval keeps one and calls [`UkaAssignment::build_in`].
     ///
     /// # Errors
     ///
@@ -743,10 +747,8 @@ impl UkaAssignment {
         let msg_id = (msg_seq & 0x3f) as u8;
         // 16-bit wire range: `maxKID` and every encryption ID a packet
         // carries must fit `u16` (packet ranges are checked at assembly).
-        let max_kid = outcome.nk.unwrap_or(0);
-        if max_kid > u16::MAX as NodeId {
-            return Err(AssignError::IdOutOfRange(max_kid));
-        }
+        let nk = outcome.nk.unwrap_or(0);
+        let max_kid = u16::try_from(nk).map_err(|_| AssignError::IdOutOfRange(nk))?;
         if let Some(edge) = outcome
             .encryptions
             .iter()
@@ -757,33 +759,30 @@ impl UkaAssignment {
         let (plans, sealed) = plan_and_seal(tree, outcome, msg_seq, layout, scratch)?;
 
         let mut packets = Vec::with_capacity(plans.len());
-        let mut entries_emitted = 0;
+        let fixed = EncHeader {
+            msg_id,
+            max_kid,
+            ..EncHeader::default()
+        };
         for plan in plans.iter() {
-            let mut entries: Vec<(u16, SealedKey)> = Vec::with_capacity(plan.enc_indices.len());
-            for &i in &plan.enc_indices {
-                let child = outcome.encryptions[i].child;
-                entries.push((child as u16, sealed[i]));
-            }
-            entries_emitted += entries.len();
-            if plan.frm_id > u16::MAX as NodeId || plan.to_id > u16::MAX as NodeId {
+            let (Ok(frm_id), Ok(to_id)) = (u16::try_from(plan.frm_id), u16::try_from(plan.to_id))
+            else {
                 return Err(AssignError::IdOutOfRange(plan.frm_id.max(plan.to_id)));
-            }
-            packets.push(EncPacket {
-                msg_id,
-                block_id: 0,
-                seq: 0,
-                duplicate: false,
-                max_kid: max_kid as u16,
-                frm_id: plan.frm_id as u16,
-                to_id: plan.to_id as u16,
-                entries,
-            });
+            };
+            let header = EncHeader {
+                frm_id,
+                to_id,
+                ..fixed
+            };
+            let entries = (plan.enc_indices.iter())
+                .map(|&i| (outcome.encryptions[i].child as u16, sealed[i]));
+            packets.push(EncPacket::new(header, entries, layout).map_err(AssignError::Wire)?);
         }
 
         obs::counter_add("uka.enc_packets", packets.len() as u64);
         let stats = AssignmentStats {
             packets: plans.len(),
-            entries_emitted,
+            entries_emitted: plans.iter().map(|p| p.enc_indices.len()).sum(),
             distinct_encryptions: outcome.encryptions.len(),
         };
         Ok(UkaAssignment {
@@ -954,8 +953,8 @@ mod tests {
 
         // Every entry unseals under the child key with the right context.
         for pkt in &built.packets {
-            for (id, sealed) in &pkt.entries {
-                let child = *id as NodeId;
+            for (id, sealed) in pkt.entries() {
+                let child = id as NodeId;
                 let kek = tree.key_of(child).unwrap();
                 let parent = keytree::ident::parent(child, 4).unwrap();
                 let got = sealed
@@ -999,7 +998,7 @@ mod tests {
     fn duplication_overhead_matches_hand_count() {
         let (tree, outcome) = setup(1024, 256);
         let built = UkaAssignment::build(&tree, &outcome, 0, &Layout::DEFAULT).unwrap();
-        let emitted: usize = built.packets.iter().map(|p| p.entries.len()).sum();
+        let emitted: usize = built.packets.iter().map(|p| p.entries().count()).sum();
         assert_eq!(built.stats.entries_emitted, emitted);
         let expect =
             (emitted - outcome.encryptions.len()) as f64 / outcome.encryptions.len() as f64;

@@ -19,9 +19,9 @@ use crate::wire::{EncPacket, Packet, ParityPacket};
 pub struct Block {
     /// Block ID.
     pub id: u8,
-    /// Exactly `k` ENC packets (the tail may be duplicates).
+    /// Exactly `k` ENC packets (the tail may be duplicates); their FEC
+    /// bodies are the data the block's parities are minted over.
     pub packets: Vec<EncPacket>,
-    bodies: Vec<Vec<u8>>,
     encoder: BlockEncoder,
     next_parity: usize,
 }
@@ -43,7 +43,7 @@ impl Block {
         let mut out = Vec::with_capacity(count);
         for _ in 0..count {
             let j = self.next_parity;
-            let body = self.encoder.parity(j, &self.bodies)?;
+            let body = self.encoder.parity(j, &self.packets)?;
             self.next_parity += 1;
             out.push(ParityPacket {
                 msg_id,
@@ -109,7 +109,8 @@ impl BlockSet {
     /// # Panics
     ///
     /// Panics when the message needs more than 256 blocks (wire limit of
-    /// the 8-bit block ID).
+    /// the 8-bit block ID), or when it has blocks and `k` exceeds 128 (a
+    /// sequence number is 7 bits on the wire).
     pub fn with_encoder(
         packets: Vec<EncPacket>,
         proto_encoder: BlockEncoder,
@@ -125,50 +126,34 @@ impl BlockSet {
             block_count <= 256,
             "message needs {block_count} blocks, wire limit 256"
         );
+        let seqs_fit = block_count == 0 || k <= 128;
+        assert!(seqs_fit, "block size {k}: sequence numbers are 7 bits");
 
         // Stamp block IDs / sequence numbers and pad the last (short)
-        // block with cyclic duplicates.
-        let mut per_block: Vec<Vec<EncPacket>> = Vec::with_capacity(block_count);
+        // block with cyclic duplicates: each shares its original's body.
         let mut packets = packets.into_iter();
-        for b in 0..block_count {
-            let mut block_packets: Vec<EncPacket> = Vec::with_capacity(k);
-            for (s, mut pkt) in packets.by_ref().take(k).enumerate() {
-                pkt.block_id = b as u8;
-                pkt.seq = s as u8;
-                pkt.duplicate = false;
-                block_packets.push(pkt);
-            }
-            let real = block_packets.len();
-            let mut s = real;
-            while block_packets.len() < k {
-                let mut dup = block_packets[s % real].clone();
-                dup.seq = s as u8;
-                dup.duplicate = true;
-                block_packets.push(dup);
-                s += 1;
-            }
-            per_block.push(block_packets);
-        }
-
-        // Body serialization is the data half of the encode stage (the
-        // parity half lives in `Block::mint`), so it records under the
-        // same span.
-        let blocks: Vec<Block> = per_block
-            .into_iter()
-            .enumerate()
-            .map(|(b, block_packets)| {
-                let _span_encode = obs::span("stage.encode");
-                let bodies = block_packets.iter().map(|p| p.fec_body(&layout)).collect();
+        let blocks: Vec<Block> = (0..block_count)
+            .map(|b| {
+                let mut block_packets: Vec<EncPacket> = Vec::with_capacity(k);
+                for (s, mut pkt) in packets.by_ref().take(k).enumerate() {
+                    pkt.place(b as u8, s as u8, false);
+                    block_packets.push(pkt);
+                }
+                let real = block_packets.len();
+                for s in real..k {
+                    let mut dup = block_packets[s % real].clone();
+                    dup.place(b as u8, s as u8, true);
+                    block_packets.push(dup);
+                }
                 Block {
                     id: b as u8,
                     packets: block_packets,
-                    bodies,
                     encoder: proto_encoder.clone(),
                     next_parity: 0,
                 }
             })
             .collect();
-        let msg_id = blocks.first().map(|b| b.packets[0].msg_id).unwrap_or(0);
+        let msg_id = blocks.first().map_or(0, |b| b.packets[0].header().msg_id);
         BlockSet {
             k,
             layout,
@@ -225,21 +210,11 @@ impl BlockSet {
         order: SendOrder,
     ) -> Result<Vec<Packet>, RseError> {
         let per_block = proactive_parity_count(rho, self.k);
-        let msg_id = self.msg_id;
-        let lanes = self
-            .blocks
-            .iter_mut()
-            .map(|b| {
-                let par = b.mint(msg_id, per_block)?;
-                Ok(b.packets
-                    .iter()
-                    .cloned()
-                    .map(Packet::Enc)
-                    .chain(par.into_iter().map(Packet::Parity))
-                    .collect())
-            })
-            .collect::<Result<Vec<Vec<Packet>>, RseError>>()?;
-        Ok(apply_order(lanes, order))
+        self.schedule(order, |b, msg_id, _| {
+            let par = b.mint(msg_id, per_block)?;
+            let enc = b.packets.iter().cloned().map(Packet::Enc);
+            Ok(enc.chain(par.into_iter().map(Packet::Parity)).collect())
+        })
     }
 
     /// Schedule for a reactive round: `amax[b]` fresh parities for every
@@ -255,18 +230,25 @@ impl BlockSet {
         order: SendOrder,
     ) -> Result<Vec<Packet>, RseError> {
         assert_eq!(amax.len(), self.blocks.len(), "one amax entry per block");
-        let msg_id = self.msg_id;
-        let lanes = self
-            .blocks
-            .iter_mut()
-            .zip(amax)
-            .map(|(b, &count)| {
-                Ok(b.mint(msg_id, count)?
-                    .into_iter()
-                    .map(Packet::Parity)
-                    .collect())
-            })
-            .collect::<Result<Vec<Vec<Packet>>, RseError>>()?;
+        self.schedule(order, |b, msg_id, i| {
+            Ok(b.mint(msg_id, amax[i])?
+                .into_iter()
+                .map(Packet::Parity)
+                .collect())
+        })
+    }
+
+    /// One lane per block, in block order, ordered across blocks per
+    /// `order`; stops at the first block whose lane fails.
+    fn schedule(
+        &mut self,
+        order: SendOrder,
+        mut lane: impl FnMut(&mut Block, u8, usize) -> Result<Vec<Packet>, RseError>,
+    ) -> Result<Vec<Packet>, RseError> {
+        let mut lanes = Vec::with_capacity(self.blocks.len());
+        for (i, block) in self.blocks.iter_mut().enumerate() {
+            lanes.push(lane(block, self.msg_id, i)?);
+        }
         Ok(apply_order(lanes, order))
     }
 
@@ -308,7 +290,7 @@ pub fn interleave<T>(lanes: Vec<Vec<T>>) -> Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::EncFrame;
+    use crate::wire::{EncFrame, EncHeader};
     use wirecrypto::{SealedKey, SymKey};
 
     fn layout() -> Layout {
@@ -318,7 +300,7 @@ mod tests {
     fn enc(i: u16) -> EncPacket {
         let kek = SymKey::from_bytes([i as u8; 16]);
         let plain = SymKey::from_bytes([(i + 1) as u8; 16]);
-        EncPacket {
+        let header = EncHeader {
             msg_id: 3,
             block_id: 0,
             seq: 0,
@@ -326,8 +308,9 @@ mod tests {
             max_kid: 100,
             frm_id: 101 + i,
             to_id: 101 + i,
-            entries: vec![(101 + i, SealedKey::seal(&kek, &plain, i as u64))],
-        }
+        };
+        let entries = [(101 + i, SealedKey::seal(&kek, &plain, i as u64))];
+        EncPacket::new(header, entries, &layout()).unwrap()
     }
 
     fn packets(n: usize) -> Vec<EncPacket> {
@@ -344,9 +327,9 @@ mod tests {
             let blk = bs.block(b).unwrap();
             assert_eq!(blk.packets.len(), 5);
             for (s, p) in blk.packets.iter().enumerate() {
-                assert_eq!(p.block_id, b as u8);
-                assert_eq!(p.seq, s as u8);
-                assert!(!p.duplicate);
+                assert_eq!(p.header().block_id, b as u8);
+                assert_eq!(p.header().seq, s as u8);
+                assert!(!p.header().duplicate);
             }
         }
     }
@@ -359,15 +342,15 @@ mod tests {
         let last = bs.block(1).unwrap();
         assert_eq!(last.packets.len(), 5);
         // Slots 0,1 real; 2,3,4 duplicates of 0,1,0.
-        assert!(!last.packets[0].duplicate);
-        assert!(!last.packets[1].duplicate);
+        assert!(!last.packets[0].header().duplicate);
+        assert!(!last.packets[1].header().duplicate);
         for s in 2..5 {
-            assert!(last.packets[s].duplicate);
-            assert_eq!(last.packets[s].seq, s as u8);
-            assert_eq!(
-                last.packets[s].entries,
-                last.packets[s % 2].entries,
-                "duplicate content must match its original"
+            let (dup, original) = (&last.packets[s], &last.packets[s % 2]);
+            assert!(dup.header().duplicate);
+            assert_eq!(dup.header().seq, s as u8);
+            assert!(
+                std::ptr::eq(dup.as_ref(), original.as_ref()),
+                "a duplicate shares its original's body"
             );
         }
     }
@@ -382,7 +365,7 @@ mod tests {
             .iter()
             .map(|&s| rse::Share {
                 index: s,
-                data: blk.packets[s].fec_body(&layout()),
+                data: blk.packets[s].as_ref().to_vec(),
             })
             .collect();
         for p in &pars {
@@ -393,7 +376,8 @@ mod tests {
         }
         let bodies = rse::Decoder::new(5).unwrap().decode(&shares).unwrap();
         for (s, body) in bodies.iter().enumerate() {
-            let rebuilt = EncFrame::from_fec_body(body, &layout(), 3, 0, s as u8).unwrap();
+            let fill = |out: &mut [u8]| out.copy_from_slice(body);
+            let rebuilt = EncFrame::fill_fec_body(&layout(), 3, 0, s as u8, fill).unwrap();
             assert_eq!(rebuilt.to_packet(), blk.packets[s]);
         }
     }
@@ -426,7 +410,7 @@ mod tests {
         assert_eq!(sched.len(), 14);
         // First two sends come from different blocks.
         let bid = |p: &Packet| match p {
-            Packet::Enc(e) => e.block_id,
+            Packet::Enc(e) => e.header().block_id,
             Packet::Parity(q) => q.block_id,
             _ => panic!("unexpected packet type"),
         };
@@ -473,7 +457,7 @@ mod tests {
         assert_eq!(bs.block_count(), 1);
         assert_eq!(bs.duplicated_count(), 9);
         let blk = bs.block(0).unwrap();
-        assert!(blk.packets[1..].iter().all(|p| p.duplicate));
+        assert!(blk.packets[1..].iter().all(|p| p.header().duplicate));
     }
 
     #[test]
@@ -481,7 +465,7 @@ mod tests {
         let mut bs = BlockSet::new(packets(10), 5, layout());
         let sched = bs.round_one_schedule(1.4, SendOrder::Sequential).unwrap();
         let bid = |p: &Packet| match p {
-            Packet::Enc(e) => e.block_id,
+            Packet::Enc(e) => e.header().block_id,
             Packet::Parity(q) => q.block_id,
             _ => unreachable!(),
         };

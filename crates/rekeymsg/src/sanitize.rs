@@ -10,8 +10,9 @@
 //!   unseals, under the child's current key and the message's seal
 //!   context, to the parent's current key;
 //! * wire identity — `emit` followed by `parse` reproduces every packet
-//!   exactly, and the FEC-body path ([`EncFrame::from_fec_body`]) agrees
-//!   with the header path.
+//!   exactly, as does a frame kept over its bytes ([`EncFrame::to_packet`]),
+//!   and the header a receiver probes off the FEC body
+//!   ([`EncHeader::from_fec_body`]) is the packet's.
 
 use std::collections::HashSet;
 
@@ -20,7 +21,7 @@ use keytree::{KeyTree, MarkOutcome, NodeId};
 use crate::assign::{PacketPlan, UkaAssignment};
 use crate::layout::Layout;
 use crate::seal_context;
-use crate::wire::{EncFrame, Packet};
+use crate::wire::{EncFrame, EncHeader, Packet};
 
 /// One packet of the reference (user-by-user) UKA plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -208,12 +209,13 @@ pub fn verify_message(
                 if !pkt.serves(uid as u16) {
                     return Err(format!(
                         "packet {pi} <{}, {}> does not serve its user {uid}",
-                        pkt.frm_id, pkt.to_id
+                        pkt.header().frm_id,
+                        pkt.header().to_id
                     ));
                 }
                 for i in needs {
                     let child = outcome.encryptions[i].child;
-                    if !pkt.entries.iter().any(|&(id, _)| id == child as u16) {
+                    if !pkt.entries().any(|(id, _)| id == child as u16) {
                         return Err(format!(
                             "packet {pi} serves user {uid} but lacks encryption {child}"
                         ));
@@ -225,7 +227,7 @@ pub fn verify_message(
 
     // ---- every entry unseals to the parent's current key -----------
     for (pi, pkt) in assignment.packets.iter().enumerate() {
-        for &(enc_id, sealed) in &pkt.entries {
+        for (enc_id, sealed) in pkt.entries() {
             let child = enc_id as NodeId;
             let idx = outcome
                 .encryption_by_child(child)
@@ -253,7 +255,7 @@ pub fn verify_message(
 
     // ---- wire identity: emit → parse, header and FEC-body paths ----
     for (pi, pkt) in assignment.packets.iter().enumerate() {
-        let bytes = pkt.emit(layout);
+        let bytes = pkt.emit();
         match Packet::parse(&bytes, layout) {
             Ok(Packet::Enc(back)) => {
                 if back != *pkt {
@@ -263,14 +265,14 @@ pub fn verify_message(
             Ok(_) => return Err(format!("packet {pi} re-parsed as a non-ENC packet")),
             Err(e) => return Err(format!("packet {pi} fails to re-parse: {e}")),
         }
-        let body = pkt.fec_body(layout);
-        let back = EncFrame::from_fec_body(&body, layout, pkt.msg_id, pkt.block_id, pkt.seq)
-            .map_err(|e| format!("packet {pi} body fails to re-parse: {e}"))?
-            .to_packet();
-        if (back.max_kid, back.frm_id, back.to_id, &back.entries)
-            != (pkt.max_kid, pkt.frm_id, pkt.to_id, &pkt.entries)
-        {
-            return Err(format!("packet {pi} body round-trip altered its fields"));
+        let frame = EncFrame::new(bytes.into(), layout)
+            .map_err(|e| format!("packet {pi} fails to make a frame: {e}"))?;
+        let h = pkt.header();
+        let probed = EncHeader::from_fec_body(pkt.as_ref(), h.msg_id, h.block_id, h.seq);
+        if frame.to_packet() != *pkt || probed != Ok(h) {
+            return Err(format!(
+                "packet {pi} frame or body header altered its fields"
+            ));
         }
     }
 
@@ -280,6 +282,7 @@ pub fn verify_message(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::EncPacket;
     use keytree::Batch;
     use wirecrypto::KeyGen;
 
@@ -306,10 +309,12 @@ mod tests {
         // Swap two entries' sealed keys: both still parse, neither unseals
         // to the right parent under its own context.
         let pkt = &mut assignment.packets[0];
-        assert!(pkt.entries.len() >= 2, "test needs two entries");
-        let a = pkt.entries[0].1;
-        pkt.entries[0].1 = pkt.entries[1].1;
-        pkt.entries[1].1 = a;
+        let mut entries: Vec<_> = pkt.entries().collect();
+        assert!(entries.len() >= 2, "test needs two entries");
+        let a = entries[0].1;
+        entries[0].1 = entries[1].1;
+        entries[1].1 = a;
+        *pkt = EncPacket::new(pkt.header(), entries, &layout).unwrap();
         let err = verify_message(&tree, &outcome, &assignment, msg_seq, &layout).unwrap_err();
         assert!(err.contains("unseal"), "{err}");
     }
@@ -317,7 +322,10 @@ mod tests {
     #[test]
     fn dropped_entry_is_detected() {
         let (tree, outcome, mut assignment, msg_seq, layout) = setup();
-        assignment.packets[0].entries.pop();
+        let pkt = &mut assignment.packets[0];
+        let mut entries: Vec<_> = pkt.entries().collect();
+        entries.pop();
+        *pkt = EncPacket::new(pkt.header(), entries, &layout).unwrap();
         assert!(verify_message(&tree, &outcome, &assignment, msg_seq, &layout).is_err());
     }
 

@@ -27,8 +27,8 @@ enum PacketType {
     Nack = 3,
 }
 
-/// Wire parse errors.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Wire parse and write errors.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireError {
     /// Fewer bytes than any packet header.
     Truncated,
@@ -43,6 +43,16 @@ pub enum WireError {
     Overrun,
     /// Not an `ENC` packet, handed to the reader of one.
     NotEnc,
+    /// A message ID over the 6 bits of its wire field.
+    MsgIdRange(u8),
+    /// A sequence number over the 7 bits of its wire field (the top bit
+    /// is the duplicate flag).
+    SeqRange(u8),
+    /// More `<encryption, ID>` pairs than the layout's `ENC` packet holds
+    /// (its capacity).
+    Overfull(usize),
+    /// An encryption ID of zero, which is reserved for the padding.
+    ZeroId,
 }
 
 impl core::fmt::Display for WireError {
@@ -54,6 +64,10 @@ impl core::fmt::Display for WireError {
             }
             WireError::Overrun => write!(f, "list field overruns packet"),
             WireError::NotEnc => write!(f, "not an ENC packet"),
+            WireError::MsgIdRange(id) => write!(f, "message ID {id} exceeds 6 bits"),
+            WireError::SeqRange(seq) => write!(f, "sequence number {seq} exceeds 7 bits"),
+            WireError::Overfull(cap) => write!(f, "more encryptions than the {cap} a packet holds"),
+            WireError::ZeroId => write!(f, "encryption ID zero is reserved for padding"),
         }
     }
 }
@@ -77,24 +91,6 @@ fn split_fixed<'a>(
     bytes.split_first_chunk().ok_or(WireError::Truncated)
 }
 
-/// The frame of a FEC-decoded `ENC` packet, `body_len` bytes past its
-/// unprotected header `[msg_id, block_id, seq]` (never flagged duplicate):
-/// one allocation, the body written where it lies by `fill`.
-fn fec_frame(
-    body_len: usize,
-    [msg_id, block_id, seq]: [u8; 3],
-    fill: impl FnOnce(&mut [u8]),
-) -> Arc<[u8]> {
-    let mut frame: Arc<[u8]> = std::iter::repeat_n(0, UNPROTECTED_HEADER_LEN + body_len).collect();
-    // A frame just made has no other owner, so it can be written in place.
-    let parts = Arc::get_mut(&mut frame).and_then(|f| f.split_first_chunk_mut());
-    if let Some((unprotected, body)) = parts {
-        *unprotected = [msg_id & 0x3f, block_id, seq & 0x7f];
-        fill(body);
-    }
-    frame
-}
-
 /// The one reader of an `ENC` packet's pair column: `(encryption ID, sealed
 /// key)` where they lie, up to the zero padding.
 fn pairs(column: &[u8]) -> impl Iterator<Item = (u16, &[u8; SEALED_KEY_LEN])> {
@@ -106,9 +102,14 @@ fn pairs(column: &[u8]) -> impl Iterator<Item = (u16, &[u8; SEALED_KEY_LEN])> {
     })
 }
 
+/// [`pairs`] with each sealed key copied out.
+fn sealed_pairs(column: &[u8]) -> impl Iterator<Item = (u16, SealedKey)> + '_ {
+    pairs(column).map(|(id, sealed)| (id, SealedKey::from_bytes(*sealed)))
+}
+
 /// The fixed fields of an `ENC` packet: all a receiver needs of a packet
 /// that does not serve it, and what tells it whether one does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EncHeader {
     /// Rekey message ID (6 bits on the wire).
     pub msg_id: u8,
@@ -181,118 +182,116 @@ pub enum Header {
 }
 
 /// An `ENC` packet: a run of `<encryption, ID>` pairs for a contiguous
-/// range of user IDs.
+/// range of user IDs, held as the FEC body the paper's Reed–Solomon code
+/// runs over. The fixed fields are cached as an [`EncHeader`], so reading
+/// them never touches the body; the body (`maxKID`, `frm`, `to`, the pairs,
+/// zero padding) is written once, when the packet is made, read where it
+/// lies by the block's encoder, and shared by reference count with the
+/// packet's last-block duplicates and every schedule it goes out in.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EncPacket {
-    /// Rekey message ID (6 bits on the wire).
-    pub msg_id: u8,
-    /// FEC block this packet belongs to.
-    pub block_id: u8,
-    /// Sequence number within the block (`0..k`).
-    pub seq: u8,
-    /// True for a last-block duplicate (used in FEC decoding but not in
-    /// block-ID estimation). Carried in the top bit of the seq byte.
-    pub duplicate: bool,
-    /// Maximum current k-node ID (`maxKID`): lets each user rederive its
-    /// own u-node ID via Theorem 4.2.
-    pub max_kid: u16,
-    /// This packet serves users with IDs in `frm_id ..= to_id`.
-    pub frm_id: u16,
-    /// Inclusive upper end of the served user-ID range.
-    pub to_id: u16,
-    /// `(encryption id, sealed key)` pairs. The encryption ID is the node
-    /// ID of the encrypting (child) key; it is never zero, which is what
-    /// makes zero padding unambiguous.
-    pub entries: Vec<(u16, SealedKey)>,
+    header: EncHeader,
+    /// `layout.fec_body_len()` bytes, agreeing with `header` on the three
+    /// protected fields.
+    body: Arc<[u8]>,
 }
 
 impl EncPacket {
-    /// Serialises to exactly `layout.enc_packet_len` bytes.
+    /// Writes `header`'s protected fields and `entries` — `(encryption ID,
+    /// sealed key)`, the ID that of the encrypting (child) key — into a FEC
+    /// body of the layout's length, once. The ID is never zero, which is
+    /// what makes the zero padding unambiguous.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if there are more entries than the layout admits, if an
-    /// entry has ID zero, or if `msg_id` exceeds 6 bits — all builder bugs.
-    pub fn emit(&self, layout: &Layout) -> Vec<u8> {
-        let mut out = Vec::with_capacity(layout.enc_packet_len);
-        out.push((PacketType::Enc as u8) << 6 | self.msg_id);
-        out.push(self.block_id);
-        out.push(self.seq | if self.duplicate { 0x80 } else { 0 });
-        self.write_body(layout, out)
-    }
-
-    /// The FEC-protected body: everything after the 3 unprotected header
-    /// bytes. All ENC packets of a message have equal-length bodies.
-    pub fn fec_body(&self, layout: &Layout) -> Vec<u8> {
-        self.write_body(layout, Vec::with_capacity(layout.fec_body_len()))
-    }
-
-    /// The one writer: appends the FEC body to `out`.
-    fn write_body(&self, layout: &Layout, mut out: Vec<u8>) -> Vec<u8> {
-        assert!(self.msg_id < 64, "msg_id is a 6-bit field");
-        assert!(self.seq < 128, "seq 7 bits (top bit is the duplicate flag)");
-        assert!(
-            self.entries.len() <= layout.encryptions_per_packet(),
-            "{} entries exceed packet capacity {}",
-            self.entries.len(),
-            layout.encryptions_per_packet()
-        );
-        let end = out.len() + layout.fec_body_len();
-        out.extend_from_slice(&self.max_kid.to_be_bytes());
-        out.extend_from_slice(&self.frm_id.to_be_bytes());
-        out.extend_from_slice(&self.to_id.to_be_bytes());
-        for (id, sealed) in &self.entries {
-            assert_ne!(*id, 0, "encryption ID zero is reserved for padding");
-            out.extend_from_slice(&id.to_be_bytes());
-            out.extend_from_slice(sealed.as_bytes());
+    /// [`WireError::MsgIdRange`] for a `msg_id` over 6 bits,
+    /// [`WireError::SeqRange`] for a `seq` over 7 (the top bit is the
+    /// duplicate flag), [`WireError::Overfull`] for more entries than the
+    /// layout holds and [`WireError::ZeroId`] for an entry with ID zero.
+    pub fn new(
+        header: EncHeader,
+        entries: impl IntoIterator<Item = (u16, SealedKey)>,
+        layout: &Layout,
+    ) -> Result<Self, WireError> {
+        if header.msg_id >= 64 {
+            return Err(WireError::MsgIdRange(header.msg_id));
         }
-        out.resize(end, 0);
+        if header.seq >= 128 {
+            return Err(WireError::SeqRange(header.seq));
+        }
+        let mut body: Arc<[u8]> = std::iter::repeat_n(0, layout.fec_body_len()).collect();
+        // A body just made has no other owner, so it is written in place.
+        let (fixed, column) = Arc::get_mut(&mut body)
+            .and_then(|b| b.split_first_chunk_mut::<PROTECTED_HEADER_LEN>())
+            .ok_or(WireError::Truncated)?;
+        let [k, f, t] = [header.max_kid, header.frm_id, header.to_id].map(u16::to_be_bytes);
+        *fixed = [k[0], k[1], f[0], f[1], t[0], t[1]];
+        let capacity = column.len() / PAIR_LEN;
+        let mut slots = column.chunks_exact_mut(PAIR_LEN);
+        for (id, sealed) in entries {
+            if id == 0 {
+                return Err(WireError::ZeroId);
+            }
+            let Some((slot_id, slot_key)) = slots.next().map(|slot| slot.split_at_mut(2)) else {
+                return Err(WireError::Overfull(capacity));
+            };
+            slot_id.copy_from_slice(&id.to_be_bytes());
+            slot_key.copy_from_slice(sealed.as_bytes());
+        }
+        Ok(EncPacket { header, body })
+    }
+
+    /// Serialises to exactly `layout.enc_packet_len` bytes, for the layout
+    /// the packet was made under: three header bytes, then the body.
+    pub fn emit(&self) -> Vec<u8> {
+        let h = &self.header;
+        let mut out = Vec::with_capacity(UNPROTECTED_HEADER_LEN + self.body.len());
+        out.extend_from_slice(&[
+            (PacketType::Enc as u8) << 6 | h.msg_id,
+            h.block_id,
+            h.seq | if h.duplicate { 0x80 } else { 0 },
+        ]);
+        out.extend_from_slice(&self.body);
         out
     }
 
     /// The packet's fixed fields.
     pub fn header(&self) -> EncHeader {
-        EncHeader {
-            msg_id: self.msg_id,
-            block_id: self.block_id,
-            seq: self.seq,
-            duplicate: self.duplicate,
-            max_kid: self.max_kid,
-            frm_id: self.frm_id,
-            to_id: self.to_id,
-        }
+        self.header
+    }
+
+    /// Places the packet in its FEC block: the unprotected fields only, so
+    /// the body stays shared.
+    pub(crate) fn place(&mut self, block_id: u8, seq: u8, duplicate: bool) {
+        let h = &mut self.header;
+        (h.block_id, h.seq, h.duplicate) = (block_id, seq, duplicate);
+    }
+
+    /// The `(encryption ID, sealed key)` pairs, in wire order.
+    pub fn entries(&self) -> impl Iterator<Item = (u16, SealedKey)> + '_ {
+        sealed_pairs(self.body.get(PROTECTED_HEADER_LEN..).unwrap_or_default())
     }
 
     fn parse(bytes: &[u8], layout: &Layout) -> Result<Self, WireError> {
         let (&unprotected, body) = split_fixed(bytes, layout)?;
-        Self::read(unprotected, body)
-    }
-
-    /// Reads the fixed fields, then the pairs up to the zero padding.
-    fn read(unprotected: [u8; UNPROTECTED_HEADER_LEN], body: &[u8]) -> Result<Self, WireError> {
         let header = EncHeader::read(unprotected, body)?;
-        Ok(Self::from_parts(header, &body[PROTECTED_HEADER_LEN..]))
-    }
-
-    /// The struct for already-read fixed fields and the pair column.
-    fn from_parts(header: EncHeader, column: &[u8]) -> Self {
-        EncPacket {
-            msg_id: header.msg_id,
-            block_id: header.block_id,
-            seq: header.seq,
-            duplicate: header.duplicate,
-            max_kid: header.max_kid,
-            frm_id: header.frm_id,
-            to_id: header.to_id,
-            entries: pairs(column)
-                .map(|(id, sealed)| (id, SealedKey::from_bytes(*sealed)))
-                .collect(),
-        }
+        Ok(EncPacket {
+            header,
+            body: body.into(),
+        })
     }
 
     /// True when this packet serves user ID `m`.
     pub fn serves(&self, m: u16) -> bool {
-        self.header().serves(m)
+        self.header.serves(m)
+    }
+}
+
+/// The FEC body: what the block's Reed–Solomon code runs over, everything
+/// after the three unprotected header bytes.
+impl AsRef<[u8]> for EncPacket {
+    fn as_ref(&self) -> &[u8] {
+        &self.body
     }
 }
 
@@ -318,28 +317,11 @@ impl EncFrame {
         Ok(EncFrame { bytes, header })
     }
 
-    /// The frame of the ENC packet a FEC-decoded body belongs to: the
-    /// unprotected header is re-synthesised from the known block and `seq`
-    /// (a rebuilt packet is never flagged duplicate), the body copied in
-    /// behind it in one go.
-    pub fn from_fec_body(
-        body: &[u8],
-        layout: &Layout,
-        msg_id: u8,
-        block_id: u8,
-        seq: u8,
-    ) -> Result<Self, WireError> {
-        // `new` checks the length: a body is a frame less these three bytes.
-        let frame = fec_frame(body.len(), [msg_id, block_id, seq], |out| {
-            out.copy_from_slice(body);
-        });
-        Self::new(frame, layout)
-    }
-
-    /// [`EncFrame::from_fec_body`] for a body not yet at hand: `fill`
-    /// writes the layout's FEC body (zeroed first) where it lies in the
-    /// frame, so a receiver rebuilds its packet with one allocation and no
-    /// copy.
+    /// The frame of the ENC packet a FEC-decoded body belongs to, with one
+    /// allocation and no copy: the unprotected header is re-synthesised
+    /// from the known block and `seq` (a rebuilt packet is never flagged
+    /// duplicate), and `fill` writes the layout's FEC body (zeroed first)
+    /// where it lies in the frame.
     pub fn fill_fec_body(
         layout: &Layout,
         msg_id: u8,
@@ -347,10 +329,14 @@ impl EncFrame {
         seq: u8,
         fill: impl FnOnce(&mut [u8]),
     ) -> Result<Self, WireError> {
-        Self::new(
-            fec_frame(layout.fec_body_len(), [msg_id, block_id, seq], fill),
-            layout,
-        )
+        let mut frame: Arc<[u8]> = std::iter::repeat_n(0, layout.enc_packet_len).collect();
+        // A frame just made has no other owner, so it is written in place.
+        let parts = Arc::get_mut(&mut frame).and_then(|f| f.split_first_chunk_mut());
+        if let Some((unprotected, body)) = parts {
+            *unprotected = [msg_id & 0x3f, block_id, seq & 0x7f];
+            fill(body);
+        }
+        Self::new(frame, layout)
     }
 
     /// The packet's fixed fields.
@@ -366,7 +352,7 @@ impl EncFrame {
 
     /// The `(encryption ID, sealed key)` pairs, in wire order.
     pub fn entries(&self) -> impl Iterator<Item = (u16, SealedKey)> + '_ {
-        pairs(self.column()).map(|(id, sealed)| (id, SealedKey::from_bytes(*sealed)))
+        sealed_pairs(self.column())
     }
 
     /// The sealed encryption for a given encryption (child-node) ID, if
@@ -379,9 +365,13 @@ impl EncFrame {
             .map(|(_, sealed)| SealedKey::from_bytes(*sealed))
     }
 
-    /// The packet as a struct, every pair copied out.
+    /// The packet as a struct: its body copied out in one go.
     pub fn to_packet(&self) -> EncPacket {
-        EncPacket::from_parts(self.header, self.column())
+        let body = self.bytes.get(UNPROTECTED_HEADER_LEN..).unwrap_or_default();
+        EncPacket {
+            header: self.header,
+            body: body.into(),
+        }
     }
 }
 
@@ -572,7 +562,7 @@ impl Packet {
     /// Serialises any packet.
     pub fn emit(&self, layout: &Layout) -> Vec<u8> {
         match self {
-            Packet::Enc(p) => p.emit(layout),
+            Packet::Enc(p) => p.emit(),
             Packet::Parity(p) => p.emit(layout),
             Packet::Usr(p) => p.emit(),
             Packet::Nack(p) => p.emit(),
@@ -595,39 +585,50 @@ mod tests {
         SealedKey::seal(&kek, &plain, tag as u64)
     }
 
+    const HEADER: EncHeader = EncHeader {
+        msg_id: 13,
+        block_id: 2,
+        seq: 5,
+        duplicate: false,
+        max_kid: 1365,
+        frm_id: 1366,
+        to_id: 1412,
+    };
+
+    fn sample_entries() -> Vec<(u16, SealedKey)> {
+        vec![(1366, sealed(1)), (341, sealed(2)), (85, sealed(3))]
+    }
+
     fn sample_enc() -> EncPacket {
-        EncPacket {
-            msg_id: 13,
-            block_id: 2,
-            seq: 5,
-            duplicate: false,
-            max_kid: 1365,
-            frm_id: 1366,
-            to_id: 1412,
-            entries: vec![(1366, sealed(1)), (341, sealed(2)), (85, sealed(3))],
-        }
+        EncPacket::new(HEADER, sample_entries(), &layout()).unwrap()
+    }
+
+    fn full(n: u16) -> Vec<(u16, SealedKey)> {
+        (1..=n).map(|i| (i, sealed(i as u8))).collect()
     }
 
     #[test]
     fn enc_round_trip() {
         let p = sample_enc();
-        let bytes = p.emit(&layout());
+        let bytes = p.emit();
         assert_eq!(bytes.len(), 1027);
         match Packet::parse(&bytes, &layout()).unwrap() {
             Packet::Enc(q) => assert_eq!(q, p),
             other => panic!("parsed as {other:?}"),
         }
+        assert_eq!(p.entries().collect::<Vec<_>>(), sample_entries());
     }
 
     #[test]
     fn enc_duplicate_flag_round_trip() {
         let mut p = sample_enc();
-        p.duplicate = true;
-        let bytes = p.emit(&layout());
+        p.place(2, 5, true);
+        let bytes = p.emit();
         match Packet::parse(&bytes, &layout()).unwrap() {
             Packet::Enc(q) => {
-                assert!(q.duplicate);
-                assert_eq!(q.seq, p.seq);
+                assert!(q.header().duplicate);
+                assert_eq!(q.header().seq, 5);
+                assert_eq!(q, p);
             }
             other => panic!("parsed as {other:?}"),
         }
@@ -635,43 +636,55 @@ mod tests {
 
     #[test]
     fn enc_full_capacity_round_trip() {
-        let mut p = sample_enc();
-        p.entries = (1..=46u16).map(|i| (i, sealed(i as u8))).collect();
-        let bytes = p.emit(&layout());
+        let p = EncPacket::new(HEADER, full(46), &layout()).unwrap();
+        let bytes = p.emit();
         assert_eq!(bytes.len(), 1027);
         match Packet::parse(&bytes, &layout()).unwrap() {
-            Packet::Enc(q) => assert_eq!(q.entries.len(), 46),
+            Packet::Enc(q) => assert_eq!(q.entries().count(), 46),
             other => panic!("parsed as {other:?}"),
         }
     }
 
     #[test]
-    #[should_panic(expected = "exceed packet capacity")]
-    fn enc_overfull_panics() {
-        let mut p = sample_enc();
-        p.entries = (1..=47u16).map(|i| (i, sealed(i as u8))).collect();
-        let _ = p.emit(&layout());
+    fn enc_msg_id_over_six_bits_is_refused() {
+        let header = EncHeader {
+            msg_id: 64,
+            ..HEADER
+        };
+        let made = EncPacket::new(header, sample_entries(), &layout());
+        assert_eq!(made, Err(WireError::MsgIdRange(64)));
     }
 
     #[test]
-    #[should_panic(expected = "reserved for padding")]
-    fn enc_id_zero_rejected() {
-        let mut p = sample_enc();
-        p.entries.push((0, sealed(9)));
-        let _ = p.emit(&layout());
+    fn enc_seq_over_seven_bits_is_refused() {
+        let header = EncHeader { seq: 128, ..HEADER };
+        let made = EncPacket::new(header, sample_entries(), &layout());
+        assert_eq!(made, Err(WireError::SeqRange(128)));
+    }
+
+    #[test]
+    fn enc_overfull_is_refused() {
+        let made = EncPacket::new(HEADER, full(50), &layout());
+        assert_eq!(made, Err(WireError::Overfull(46)));
+    }
+
+    #[test]
+    fn enc_id_zero_is_refused() {
+        let mut entries = sample_entries();
+        entries.push((0, sealed(9)));
+        let made = EncPacket::new(HEADER, entries, &layout());
+        assert_eq!(made, Err(WireError::ZeroId));
     }
 
     #[test]
     fn fec_body_reconstruction() {
         let p = sample_enc();
-        let body = p.fec_body(&layout());
+        let body = p.as_ref();
         assert_eq!(body.len(), 1024);
-        let q = EncFrame::from_fec_body(&body, &layout(), p.msg_id, p.block_id, p.seq).unwrap();
+        let q = EncFrame::fill_fec_body(&layout(), 13, 2, 5, |out| out.copy_from_slice(body));
+        let q = q.unwrap();
         assert_eq!(q.to_packet(), p);
-        assert_eq!(
-            q,
-            EncFrame::new(p.emit(&layout()).into(), &layout()).unwrap()
-        );
+        assert_eq!(q, EncFrame::new(p.emit().into(), &layout()).unwrap());
     }
 
     #[test]
@@ -732,7 +745,7 @@ mod tests {
     fn parse_errors() {
         assert_eq!(Packet::parse(&[], &layout()), Err(WireError::Truncated));
         // ENC with wrong length.
-        let enc = sample_enc().emit(&layout());
+        let enc = sample_enc().emit();
         assert!(matches!(
             Packet::parse(&enc[..100], &layout()),
             Err(WireError::BadLength { .. })
@@ -762,8 +775,8 @@ mod tests {
     #[test]
     fn entry_lookup() {
         let p = sample_enc();
-        let frame = EncFrame::new(p.emit(&layout()).into(), &layout()).unwrap();
-        assert_eq!(frame.entry(341), Some(p.entries[1].1));
+        let frame = EncFrame::new(p.emit().into(), &layout()).unwrap();
+        assert_eq!(frame.entry(341), Some(sample_entries()[1].1));
         assert_eq!(frame.entry(999), None);
         assert_eq!(frame.entry(0), None, "padding is not an entry");
         assert_eq!(frame.header(), p.header());
@@ -780,7 +793,7 @@ mod tests {
         };
         let frame = EncFrame::new(parity.emit(&layout()).into(), &layout());
         assert_eq!(frame, Err(WireError::NotEnc));
-        let short = EncFrame::new(sample_enc().emit(&layout())[..100].into(), &layout());
+        let short = EncFrame::new(sample_enc().emit()[..100].into(), &layout());
         assert!(matches!(short, Err(WireError::BadLength { .. })));
     }
 
@@ -788,12 +801,14 @@ mod tests {
     fn padding_is_unambiguous() {
         // A packet with fewer entries than capacity parses back exactly,
         // with the zero padding dropped.
-        let mut p = sample_enc();
-        p.entries.truncate(1);
-        let bytes = p.emit(&layout());
+        let p = EncPacket::new(HEADER, sample_entries().drain(..1), &layout()).unwrap();
+        let bytes = p.emit();
         match Packet::parse(&bytes, &layout()).unwrap() {
-            Packet::Enc(q) => assert_eq!(q.entries.len(), 1),
+            Packet::Enc(q) => assert_eq!(q.entries().count(), 1),
             other => panic!("parsed as {other:?}"),
         }
     }
 }
+
+#[cfg(test)]
+mod writer_reference;

@@ -82,7 +82,7 @@ proptest! {
         let layout = Layout::DEFAULT;
         let built = UkaAssignment::build(&tree, &outcome, seed % 1000, &layout).unwrap();
         for pkt in &built.packets {
-            let bytes = pkt.emit(&layout);
+            let bytes = pkt.emit();
             prop_assert_eq!(bytes.len(), layout.enc_packet_len);
             match Packet::parse(&bytes, &layout) {
                 Ok(Packet::Enc(parsed)) => prop_assert_eq!(&parsed, pkt),
@@ -116,12 +116,16 @@ proptest! {
         for b in 0..bs.block_count() {
             let blk = bs.block(b).unwrap();
             prop_assert_eq!(blk.packets.len(), k);
+            let real = (n_real - b * k).min(k);
             for (s, p) in blk.packets.iter().enumerate() {
-                prop_assert_eq!(p.block_id as usize, b);
-                prop_assert_eq!(p.seq as usize, s);
-                if !p.duplicate {
+                let h = p.header();
+                prop_assert_eq!(h.block_id as usize, b);
+                prop_assert_eq!(h.seq as usize, s);
+                if !h.duplicate {
                     real_seen += 1;
-                    prop_assert_eq!(&p.entries, &built.packets[b * k + s].entries);
+                    prop_assert_eq!(p.as_ref(), built.packets[b * k + s].as_ref());
+                } else {
+                    prop_assert_eq!(p.as_ref(), blk.packets[s % real].as_ref());
                 }
             }
         }

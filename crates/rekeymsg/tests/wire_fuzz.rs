@@ -4,7 +4,7 @@
 //! must say what the full parse says.
 
 use proptest::prelude::*;
-use rekeymsg::{EncFrame, EncPacket, Header, Layout, Packet, WireError, UNPROTECTED_HEADER_LEN};
+use rekeymsg::{EncFrame, EncHeader, Header, Layout, Packet, WireError, UNPROTECTED_HEADER_LEN};
 
 /// `Packet::header` against `Packet::parse` on the same bytes: field for
 /// field where both succeed, and no header where a fixed-size packet does
@@ -19,17 +19,23 @@ fn header_agrees_with_parse(bytes: &[u8], layout: &Layout) -> proptest::TestCase
             prop_assert_eq!(h, p.header());
             prop_assert_eq!(
                 (h.msg_id, h.block_id, h.seq, h.duplicate),
-                (p.msg_id, p.block_id, p.seq, p.duplicate)
+                (
+                    bytes[0] & 0x3f,
+                    bytes[1],
+                    bytes[2] & 0x7f,
+                    bytes[2] & 0x80 != 0
+                )
             );
+            let field = |at: usize| u16::from_be_bytes([bytes[at], bytes[at + 1]]);
             prop_assert_eq!(
                 (h.max_kid, h.frm_id, h.to_id),
-                (p.max_kid, p.frm_id, p.to_id)
+                (field(3), field(5), field(7))
             );
             for m in [
-                p.frm_id.wrapping_sub(1),
-                p.frm_id,
-                p.to_id,
-                p.to_id.wrapping_add(1),
+                h.frm_id.wrapping_sub(1),
+                h.frm_id,
+                h.to_id,
+                h.to_id.wrapping_add(1),
             ] {
                 prop_assert_eq!(h.serves(m), p.serves(m));
             }
@@ -61,20 +67,25 @@ fn frame_agrees_with_parse(bytes: &[u8], layout: &Layout) -> proptest::TestCaseR
     ) {
         (Ok(Packet::Enc(p)), Ok(frame)) => {
             prop_assert_eq!(frame.header(), p.header());
-            prop_assert_eq!(frame.entries().collect::<Vec<_>>(), p.entries.clone());
-            for &(id, _) in &p.entries {
+            let entries: Vec<_> = p.entries().collect();
+            prop_assert_eq!(frame.entries().collect::<Vec<_>>(), entries.clone());
+            for &(id, _) in &entries {
                 // The first pair under an ID is the one an ID names.
-                let first = p.entries.iter().find(|e| e.0 == id).map(|e| e.1);
+                let first = entries.iter().find(|e| e.0 == id).map(|e| e.1);
                 prop_assert_eq!(frame.entry(id), first);
             }
             prop_assert_eq!(frame.entry(0), None);
             let body = &bytes[UNPROTECTED_HEADER_LEN..];
-            let rebuilt = EncFrame::from_fec_body(body, layout, p.msg_id, p.block_id, p.seq);
-            let row = EncPacket {
+            let h = p.header();
+            let fill = |out: &mut [u8]| out.copy_from_slice(body);
+            let rebuilt = EncFrame::fill_fec_body(layout, h.msg_id, h.block_id, h.seq, fill)
+                .map(|f| f.to_packet());
+            let row = EncHeader {
                 duplicate: false,
-                ..p.clone()
+                ..h
             };
-            prop_assert_eq!(rebuilt.map(|f| f.to_packet()), Ok(row));
+            prop_assert_eq!(rebuilt.as_ref().map(|r| r.header()), Ok(row));
+            prop_assert_eq!(rebuilt.as_ref().map(|r| r.as_ref()), Ok(p.as_ref()));
             prop_assert_eq!(frame.to_packet(), p);
         }
         (Ok(Packet::Enc(_)), Err(e)) => prop_assert!(false, "ENC packet refused: {e}"),

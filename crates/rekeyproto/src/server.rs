@@ -405,24 +405,28 @@ impl ServerSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rekeymsg::NackRequest;
+    use rekeymsg::{EncHeader, NackRequest};
     use wirecrypto::{SealedKey, SymKey};
 
     fn enc(i: u16) -> EncPacket {
         let kek = SymKey::from_bytes([i as u8; 16]);
-        EncPacket {
-            msg_id: 0,
-            block_id: 0,
-            seq: 0,
-            duplicate: false,
-            max_kid: 50,
-            frm_id: 100 + i,
-            to_id: 100 + i,
-            entries: vec![(
+        EncPacket::new(
+            EncHeader {
+                msg_id: 0,
+                block_id: 0,
+                seq: 0,
+                duplicate: false,
+                max_kid: 50,
+                frm_id: 100 + i,
+                to_id: 100 + i,
+            },
+            vec![(
                 100 + i,
                 SealedKey::seal(&kek, &SymKey::from_bytes([9; 16]), 0),
             )],
-        }
+            &Layout::DEFAULT,
+        )
+        .unwrap()
     }
 
     fn cfg() -> ServerConfig {

@@ -602,22 +602,28 @@ mod tests {
     /// user IDs 101..=106, maxKID 50, degree 4.
     fn toy_message() -> BlockSet {
         let packets: Vec<EncPacket> = (0..6u16)
-            .map(|i| EncPacket {
-                msg_id: 9,
-                block_id: 0,
-                seq: 0,
-                duplicate: false,
-                max_kid: 50,
-                frm_id: 101 + i,
-                to_id: 101 + i,
-                entries: vec![(
-                    101 + i,
-                    SealedKey::seal(
-                        &SymKey::from_bytes([i as u8; 16]),
-                        &SymKey::from_bytes([7; 16]),
-                        0,
-                    ),
-                )],
+            .map(|i| {
+                EncPacket::new(
+                    EncHeader {
+                        msg_id: 9,
+                        block_id: 0,
+                        seq: 0,
+                        duplicate: false,
+                        max_kid: 50,
+                        frm_id: 101 + i,
+                        to_id: 101 + i,
+                    },
+                    vec![(
+                        101 + i,
+                        SealedKey::seal(
+                            &SymKey::from_bytes([i as u8; 16]),
+                            &SymKey::from_bytes([7; 16]),
+                            0,
+                        ),
+                    )],
+                    &Layout::DEFAULT,
+                )
+                .unwrap()
             })
             .collect();
         BlockSet::new(packets, 3, layout())
@@ -817,15 +823,17 @@ mod tests {
     fn moved_user_rederives_id_from_max_kid() {
         // Old ID 6, maxKID 8 (degree 4): Theorem 4.2 gives 25 (see the
         // ident tests). The packet serves 25.
-        let pkt = EncPacket {
-            msg_id: 1,
-            block_id: 0,
-            seq: 0,
-            duplicate: false,
-            max_kid: 8,
-            frm_id: 20,
-            to_id: 30,
-            entries: vec![(
+        let pkt = EncPacket::new(
+            EncHeader {
+                msg_id: 1,
+                block_id: 0,
+                seq: 0,
+                duplicate: false,
+                max_kid: 8,
+                frm_id: 20,
+                to_id: 30,
+            },
+            vec![(
                 25,
                 SealedKey::seal(
                     &SymKey::from_bytes([1; 16]),
@@ -833,7 +841,9 @@ mod tests {
                     0,
                 ),
             )],
-        };
+            &Layout::DEFAULT,
+        )
+        .unwrap();
         let mut u = UserSession::new(6, 4, 3, layout());
         u.receive(&Packet::Enc(pkt));
         assert_eq!(u.current_id(), Some(25));

@@ -76,7 +76,8 @@ fn full_row_decode(s: &mut UserSession) {
             let id = wire_id(&mut s.current_id, s.old_id, s.search.d, h.max_kid);
             let Some(m16) = id else { return };
             if h.serves(m16) {
-                found = EncFrame::from_fec_body(&row, &s.layout, msg_id, b, seq as u8).ok();
+                let fill = |out: &mut [u8]| out.copy_from_slice(&row);
+                found = EncFrame::fill_fec_body(&s.layout, msg_id, b, seq as u8, fill).ok();
                 break 'blocks;
             }
         }
@@ -128,23 +129,25 @@ fn case() -> impl Strategy<Value = Case> {
 /// near its own, which may take in a user it does not serve) or about
 /// `maxKID` (a user that hears it first rederives another ID, or none).
 fn forged(p: &EncPacket, salt: u64) -> EncPacket {
-    let near = (p.frm_id.saturating_sub(40)).saturating_add((salt >> 8) as u16 % 120);
-    match salt % 3 {
-        0 => EncPacket {
+    let h = p.header();
+    let near = (h.frm_id.saturating_sub(40)).saturating_add((salt >> 8) as u16 % 120);
+    let lie = match salt % 3 {
+        0 => EncHeader {
             frm_id: near,
             to_id: near.saturating_add((salt >> 24) as u16 % 8),
-            ..p.clone()
+            ..h
         },
-        1 => EncPacket {
-            frm_id: p.to_id.saturating_add(1),
-            to_id: p.to_id.saturating_add(1 + (salt >> 24) as u16 % 30),
-            ..p.clone()
+        1 => EncHeader {
+            frm_id: h.to_id.saturating_add(1),
+            to_id: h.to_id.saturating_add(1 + (salt >> 24) as u16 % 30),
+            ..h
         },
-        _ => EncPacket {
-            max_kid: p.max_kid / 2 + (salt >> 8) as u16 % 7,
-            ..p.clone()
+        _ => EncHeader {
+            max_kid: h.max_kid / 2 + (salt >> 8) as u16 % 7,
+            ..h
         },
-    }
+    };
+    EncPacket::new(lie, p.entries(), &LAYOUT).unwrap()
 }
 
 fn sessions_agree(c: &Case) -> TestCaseResult {

@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use rekeymsg::{BlockSet, EncFrame, EncPacket, Layout, Packet};
+use rekeymsg::{BlockSet, EncFrame, EncHeader, EncPacket, Layout, Packet};
 use rekeyproto::{Ignored, Received, UserOutcome, UserSession};
 use wirecrypto::{SealedKey, SymKey};
 
@@ -38,15 +38,21 @@ fn message(parities: usize) -> Vec<BlockFrames> {
         0,
     );
     let packets: Vec<EncPacket> = (0..800u16)
-        .map(|i| EncPacket {
-            msg_id: 5,
-            block_id: 0,
-            seq: 0,
-            duplicate: false,
-            max_kid: 1000,
-            frm_id: 1001 + i,
-            to_id: 1001 + i,
-            entries: vec![(1001 + i, sealed)],
+        .map(|i| {
+            EncPacket::new(
+                EncHeader {
+                    msg_id: 5,
+                    block_id: 0,
+                    seq: 0,
+                    duplicate: false,
+                    max_kid: 1000,
+                    frm_id: 1001 + i,
+                    to_id: 1001 + i,
+                },
+                vec![(1001 + i, sealed)],
+                &Layout::DEFAULT,
+            )
+            .unwrap()
         })
         .collect();
     let mut blocks = BlockSet::new(packets, K, LAYOUT);

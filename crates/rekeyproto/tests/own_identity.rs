@@ -24,7 +24,9 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use rekeymsg::{BlockSet, EncPacket, Layout, NackPacket, NackRequest, Packet, UsrPacket};
+use rekeymsg::{
+    BlockSet, EncHeader, EncPacket, Layout, NackPacket, NackRequest, Packet, UsrPacket,
+};
 use rekeyproto::{Received, UserSession};
 use wirecrypto::{SealedKey, SymKey};
 
@@ -45,17 +47,28 @@ fn packets(n: u16) -> Vec<EncPacket> {
         0,
     );
     (0..n)
-        .map(|i| EncPacket {
-            msg_id: 1,
-            block_id: 0,
-            seq: 0,
-            duplicate: false,
-            max_kid: 1000,
-            frm_id: 1001 + i,
-            to_id: 1001 + i,
-            entries: vec![(1001 + i, sealed)],
+        .map(|i| {
+            EncPacket::new(
+                EncHeader {
+                    msg_id: 1,
+                    block_id: 0,
+                    seq: 0,
+                    duplicate: false,
+                    max_kid: 1000,
+                    frm_id: 1001 + i,
+                    to_id: 1001 + i,
+                },
+                vec![(1001 + i, sealed)],
+                &LAYOUT,
+            )
+            .unwrap()
         })
         .collect()
+}
+
+/// `pkt` with other fixed fields, its pairs as they were.
+fn relabel(pkt: &EncPacket, header: EncHeader) -> Packet {
+    Packet::Enc(EncPacket::new(header, pkt.entries(), &LAYOUT).unwrap())
 }
 
 /// Every frame a stream may pick from.
@@ -66,43 +79,52 @@ fn frame_pool(n: u16, k: usize, seed: u64) -> Vec<Arc<[u8]>> {
         let data = blocks.block(b).unwrap().packets.clone();
         let parities = blocks.mint_parities(b, 2).unwrap();
         for (i, pkt) in data.into_iter().enumerate() {
-            let salt = seed.rotate_left(i as u32 * 7) ^ i as u64;
+            let (salt, h) = (seed.rotate_left(i as u32 * 7) ^ i as u64, pkt.header());
             pool.push(Packet::Enc(pkt.clone()));
             // Lying fixed fields: a random range and maxKID, and a packet
             // that names the narrowed ID under the maxKID that moves
             // `WIDE_OLD` past the wire width.
             let (lo, span) = ((salt % 1100) as u16 + 950, (salt >> 16) as u16 % 40);
-            pool.push(Packet::Enc(EncPacket {
-                frm_id: lo,
-                to_id: lo.saturating_add(span),
-                max_kid: [1000, 600, 5000][(salt >> 32) as usize % 3],
-                ..pkt.clone()
-            }));
-            pool.push(Packet::Enc(EncPacket {
-                max_kid: WIDE_OLD as u16,
-                frm_id: WIDE_NARROWED,
-                to_id: WIDE_NARROWED,
-                ..pkt.clone()
-            }));
+            pool.push(relabel(
+                &pkt,
+                EncHeader {
+                    frm_id: lo,
+                    to_id: lo.saturating_add(span),
+                    max_kid: [1000, 600, 5000][(salt >> 32) as usize % 3],
+                    ..h
+                },
+            ));
+            pool.push(relabel(
+                &pkt,
+                EncHeader {
+                    max_kid: WIDE_OLD as u16,
+                    frm_id: WIDE_NARROWED,
+                    to_id: WIDE_NARROWED,
+                    ..h
+                },
+            ));
             // The ID this packet's user would have under `maxKID` 2000: its
             // leftmost child. Whether it is the user's own depends on which
             // `maxKID` the user heard first.
-            let moved = 4 * pkt.frm_id + 1;
-            pool.push(Packet::Enc(EncPacket {
-                max_kid: 2000,
-                frm_id: moved,
-                to_id: moved,
-                ..pkt.clone()
-            }));
+            let moved = 4 * h.frm_id + 1;
+            pool.push(relabel(
+                &pkt,
+                EncHeader {
+                    max_kid: 2000,
+                    frm_id: moved,
+                    to_id: moved,
+                    ..h
+                },
+            ));
             // Another message's packet, and a share index past the block.
-            pool.push(Packet::Enc(EncPacket {
-                msg_id: 2,
-                ..pkt.clone()
-            }));
-            pool.push(Packet::Enc(EncPacket {
-                seq: (k + (salt % 8) as usize) as u8,
-                ..pkt
-            }));
+            pool.push(relabel(&pkt, EncHeader { msg_id: 2, ..h }));
+            pool.push(relabel(
+                &pkt,
+                EncHeader {
+                    seq: (k + (salt % 8) as usize) as u8,
+                    ..h
+                },
+            ));
         }
         for par in parities {
             pool.push(Packet::Parity(rekeymsg::ParityPacket {
@@ -252,7 +274,7 @@ fn the_pool_holds_the_frames_that_matter() {
     let Ok(Packet::Enc(forged)) = Packet::parse(past_k, &LAYOUT) else {
         panic!("an ENC frame");
     };
-    assert!(forged.serves(1001) && usize::from(forged.seq) >= k);
+    assert!(forged.serves(1001) && usize::from(forged.header().seq) >= k);
     assert!(!own(1001, past_k));
     let narrowed = &pool[2];
     assert!(!own(WIDE_OLD, narrowed));

@@ -100,7 +100,7 @@ impl KeepEveryShare {
                     packets.iter().find(|pkt| pkt.serves(self.me)).cloned()
                 });
             if let Some(pkt) = decoded {
-                self.succeed(EncFrame::new(pkt.emit(&LAYOUT).into(), &LAYOUT).unwrap());
+                self.succeed(EncFrame::new(pkt.emit().into(), &LAYOUT).unwrap());
             }
         }
         self.rounds += 1;

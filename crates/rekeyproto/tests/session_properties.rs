@@ -10,7 +10,9 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use rekeymsg::estimate::BlockIdEstimator;
-use rekeymsg::{BlockSet, EncFrame, EncPacket, Header, Layout, NackPacket, NackRequest, Packet};
+use rekeymsg::{
+    BlockSet, EncFrame, EncHeader, EncPacket, Header, Layout, NackPacket, NackRequest, Packet,
+};
 use rekeyproto::{
     nack_requests_into, DecodeWork, Ignored, Received, RoundDecision, ServerConfig,
     ServerController, UserOutcome, UserSession,
@@ -19,19 +21,35 @@ use wirecrypto::{SealedKey, SymKey};
 
 fn enc(i: u16) -> EncPacket {
     let kek = SymKey::from_bytes([i as u8; 16]);
-    EncPacket {
-        msg_id: 1,
-        block_id: 0,
-        seq: 0,
-        duplicate: false,
-        max_kid: 40,
-        frm_id: 100 + i,
-        to_id: 100 + i,
-        entries: vec![(
+    EncPacket::new(
+        EncHeader {
+            msg_id: 1,
+            block_id: 0,
+            seq: 0,
+            duplicate: false,
+            max_kid: 40,
+            frm_id: 100 + i,
+            to_id: 100 + i,
+        },
+        vec![(
             100 + i,
             SealedKey::seal(&kek, &SymKey::from_bytes([1; 16]), 0),
         )],
-    }
+        &Layout::DEFAULT,
+    )
+    .unwrap()
+}
+
+/// `enc(i)` under `maxKID` 1000, serving `1001 + 3i ..= 1003 + 3i`.
+fn spaced_enc(i: u16) -> EncPacket {
+    let e = enc(i);
+    let header = EncHeader {
+        max_kid: 1000,
+        frm_id: 1001 + 3 * i,
+        to_id: 1003 + 3 * i,
+        ..e.header()
+    };
+    EncPacket::new(header, e.entries(), &Layout::DEFAULT).unwrap()
 }
 
 /// A user whose ID does not fit the 16-bit wire fields is served by no ENC
@@ -40,14 +58,19 @@ fn enc(i: u16) -> EncPacket {
 #[test]
 fn id_beyond_the_wire_width_claims_no_packet() {
     let wide = 65_536 + 30_000;
-    let pkt = EncPacket {
-        // Theorem 4.2 keeps both users where they are:
-        // maxKID < id <= 4 maxKID + 4.
-        max_kid: 25_000,
-        frm_id: 29_990,
-        to_id: 30_010,
-        ..enc(50)
-    };
+    let pkt = EncPacket::new(
+        EncHeader {
+            // Theorem 4.2 keeps both users where they are:
+            // maxKID < id <= 4 maxKID + 4.
+            max_kid: 25_000,
+            frm_id: 29_990,
+            to_id: 30_010,
+            ..enc(50).header()
+        },
+        enc(50).entries(),
+        &Layout::DEFAULT,
+    )
+    .unwrap();
     let layout = rekeymsg::Layout::DEFAULT;
     let mut wide_user = UserSession::new(wide, 4, 3, layout);
     wide_user.receive(&Packet::Enc(pkt.clone()));
@@ -70,7 +93,7 @@ fn frame(pkt: Packet) -> Arc<[u8]> {
 /// The outcome of a session that holds `pkt` as the server emitted it.
 fn holds(pkt: &EncPacket) -> UserOutcome {
     let layout = Layout::DEFAULT;
-    UserOutcome::Enc(EncFrame::new(pkt.emit(&layout).into(), &layout).unwrap())
+    UserOutcome::Enc(EncFrame::new(pkt.emit().into(), &layout).unwrap())
 }
 
 /// Share indices the server cannot have sent are dropped at the door. At
@@ -84,12 +107,17 @@ fn forged_share_indices_change_neither_nack_nor_decode() {
     let mut blocks = BlockSet::new((0..6).map(enc).collect(), k, Layout::DEFAULT);
     let parities = blocks.mint_parities(0, 2).unwrap();
     let b0 = blocks.block(0).unwrap().packets.clone();
-    let forged_enc = EncPacket {
-        seq: k as u8,
-        frm_id: 300,
-        to_id: 300,
-        ..b0[2].clone()
-    };
+    let forged_enc = EncPacket::new(
+        EncHeader {
+            seq: k as u8,
+            frm_id: 300,
+            to_id: 300,
+            ..b0[2].header()
+        },
+        b0[2].entries(),
+        &Layout::DEFAULT,
+    )
+    .unwrap();
     let forged_parity = rekeymsg::ParityPacket {
         seq: (rse::MAX_SYMBOLS - k) as u8,
         ..parities[0].clone()
@@ -156,11 +184,18 @@ fn a_second_frame_for_a_held_share_replaces_the_first() {
     let parities = blocks.mint_parities(0, 2).unwrap();
     let b0 = blocks.block(0).unwrap().packets.clone();
     let real = frame(Packet::Enc(b0[0].clone()));
-    let forged = frame(Packet::Enc(EncPacket {
-        frm_id: 300,
-        to_id: 300,
-        ..b0[0].clone()
-    }));
+    let forged = frame(Packet::Enc(
+        EncPacket::new(
+            EncHeader {
+                frm_id: 300,
+                to_id: 300,
+                ..b0[0].header()
+            },
+            b0[0].entries(),
+            &Layout::DEFAULT,
+        )
+        .unwrap(),
+    ));
     let [first_parity, second_parity] = [0, 1].map(|i| frame(Packet::Parity(parities[i].clone())));
 
     // User 101's packet is block 0, seq 1.
@@ -201,10 +236,17 @@ fn malformed_and_foreign_frames() {
     let good = frame(Packet::Enc(enc(0)));
     assert!(u.receive_frame(&Arc::from(&good[..500])).is_err());
     assert!(u.receive_frame(&Arc::from(&[][..])).is_err());
-    let foreign = frame(Packet::Enc(EncPacket {
-        msg_id: 2,
-        ..enc(0)
-    }));
+    let foreign = frame(Packet::Enc(
+        EncPacket::new(
+            EncHeader {
+                msg_id: 2,
+                ..enc(0).header()
+            },
+            enc(0).entries(),
+            &Layout::DEFAULT,
+        )
+        .unwrap(),
+    ));
     assert_eq!(
         u.receive_frame(&foreign),
         Ok(Received::Ignored(Ignored::WrongMessage))
@@ -366,15 +408,10 @@ proptest! {
         let layout = Layout::DEFAULT;
         // Three users per packet; maxKID 1000 keeps IDs 1001..=4004 in place.
         let packets: Vec<EncPacket> = (0..n_packets as u16)
-            .map(|i| EncPacket {
-                max_kid: 1000,
-                frm_id: 1001 + 3 * i,
-                to_id: 1003 + 3 * i,
-                ..enc(i)
-            })
+            .map(spaced_enc)
             .collect();
         let target = target % n_packets;
-        let me = packets[target].frm_id + (seed % 3) as u16;
+        let me = packets[target].header().frm_id + (seed % 3) as u16;
         let mut blocks = BlockSet::new(packets, k, layout);
         let (my_block, my_seq) = (target / k, target % k);
 
@@ -408,7 +445,7 @@ proptest! {
                     (None, false) => Received::Kept,
                 };
                 prop_assert_eq!(did, expect);
-                informed |= matches!(&pkt, Packet::Enc(e) if !e.duplicate);
+                informed |= matches!(&pkt, Packet::Enc(e) if !e.header().duplicate);
                 match pkt {
                     Packet::Enc(e) if mine => direct = direct.or(Some(e)),
                     _ => *held_here += usize::from(direct.is_none()),
@@ -583,8 +620,8 @@ impl FullOrderSession {
             };
             let used: Vec<usize> = shares.iter().take(self.k).map(|s| s.index).collect();
             for seq in (0..self.k).filter(|seq| !used.contains(seq)) {
-                let rebuilt =
-                    EncFrame::from_fec_body(&rows[seq], &Layout::DEFAULT, 1, b, seq as u8);
+                let fill = |out: &mut [u8]| out.copy_from_slice(&rows[seq]);
+                let rebuilt = EncFrame::fill_fec_body(&Layout::DEFAULT, 1, b, seq as u8, fill);
                 if let Ok(enc) = rebuilt {
                     let Some(m16) = self.wire_id(enc.header().max_kid) else {
                         return;
@@ -681,17 +718,21 @@ proptest! {
         // The liar claims the side of the user it is not on.
         let lied = |p: &EncPacket| {
             let side = if liar < target { 60_000 } else { 1 };
-            EncPacket { frm_id: side, to_id: side, ..p.clone() }
+            EncPacket::new(
+                EncHeader {
+                    frm_id: side,
+                    to_id: side,
+                    ..p.header()
+                },
+                p.entries(),
+                &Layout::DEFAULT,
+            )
+            .unwrap()
         };
         let mut packets: Vec<EncPacket> = (0..n_packets as u16)
-            .map(|i| EncPacket {
-                max_kid: 1000,
-                frm_id: 1001 + 3 * i,
-                to_id: 1003 + 3 * i,
-                ..enc(i)
-            })
+            .map(spaced_enc)
             .collect();
-        let me = packets[target].frm_id + (seed % 3) as u16;
+        let me = packets[target].header().frm_id + (seed % 3) as u16;
         if lie == 1 && liar != target {
             packets[liar] = lied(&packets[liar]);
         }
@@ -713,7 +754,7 @@ proptest! {
                 let sent = (data.into_iter())
                     .filter(|e| round == 1 && !parity_only && !e.serves(me))
                     .map(|e| match lie {
-                        2 if b * k + usize::from(e.seq) == liar => lied(&e),
+                        2 if b * k + usize::from(e.header().seq) == liar => lied(&e),
                         _ => e,
                     })
                     .map(Packet::Enc)

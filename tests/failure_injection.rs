@@ -162,7 +162,7 @@ fn corrupted_wire_bytes_are_rejected_not_misparsed() {
     let mut tree = keytree::KeyTree::balanced(64, 4, &mut kg);
     let outcome = tree.process_batch(&Batch::new(vec![], vec![1, 2, 3]), &mut kg);
     let built = rekeymsg::UkaAssignment::build(&tree, &outcome, 1, &layout).unwrap();
-    let bytes = built.packets[0].emit(&layout);
+    let bytes = built.packets[0].emit();
 
     for i in 0..bytes.len().min(64) {
         let mut corrupt = bytes.clone();
@@ -170,8 +170,8 @@ fn corrupted_wire_bytes_are_rejected_not_misparsed() {
         // Anything else is reinterpreted as another type or rejected.
         if let Ok(Packet::Enc(pkt)) = Packet::parse(&corrupt, &layout) {
             // Sealed entries must not silently unseal to wrong keys.
-            for (id, sealed) in &pkt.entries {
-                let child = *id as u32;
+            for (id, sealed) in pkt.entries() {
+                let child = id as u32;
                 if let Some(kek) = tree.key_of(child) {
                     // Either it fails, or (for untouched entries) it
                     // yields exactly the true parent key.
@@ -192,7 +192,7 @@ fn truncated_packets_never_panic() {
     let mut tree = keytree::KeyTree::balanced(16, 4, &mut kg);
     let outcome = tree.process_batch(&Batch::new(vec![], vec![0]), &mut kg);
     let built = rekeymsg::UkaAssignment::build(&tree, &outcome, 1, &layout).unwrap();
-    let bytes = built.packets[0].emit(&layout);
+    let bytes = built.packets[0].emit();
     for len in 0..bytes.len() {
         let _ = Packet::parse(&bytes[..len], &layout); // must not panic
     }

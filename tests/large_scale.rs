@@ -54,7 +54,7 @@ fn wire_id_range_covers_sixteen_k() {
     let outcome = tree.process_batch(&keytree::Batch::new(vec![], leaves), &mut kg);
     let built = rekeymsg::UkaAssignment::build(&tree, &outcome, 1, &Layout::DEFAULT).unwrap();
     for pkt in &built.packets {
-        let bytes = pkt.emit(&Layout::DEFAULT);
+        let bytes = pkt.emit();
         assert_eq!(bytes.len(), 1027);
     }
 }

@@ -120,8 +120,14 @@ cargo test -q -p rekeyproto --test alloc_budget
 # member a split moved one
 # level down: at most one (its path grows). The server side: wirecrypto's
 # eight-lane seal and keystream kernels, and a warm IntervalCollector
-# admitting a leave and a join (the request payload is a stack array): zero.
+# admitting a leave and a join (the request payload is a stack array): zero;
+# begin_message + start: nothing per ENC packet (each goes out on the body
+# UKA wrote), only per block and per parity body.
 cargo test -q -p grouprekey --test no_alloc_marks
+# The collector's integer-hashed tables against a BTreeMap reference over
+# random request streams (duplicates, leave after join, stale and future
+# intervals, bad tags): same verdicts, same pending counts, same batches.
+cargo test -q -p grouprekey --lib collector_reference
 # The obs entry points and its event log, both feature legs: compiled out
 # and disarmed they allocate nothing (no_alloc_off, no_alloc_marks); armed,
 # the log's steady state allocates nothing either (no_alloc_marks), and
@@ -147,6 +153,11 @@ stage "UKA plan identity (run-aggregated planner vs user-by-user oracle)"
 # deterministic cases at the server_scale shape, N = 4096 at d = 2 and 8,
 # and a two-level user zone.
 cargo test -q -p rekeymsg --features sanitize --test plan_identity
+# The ENC packet written once into its FEC body against the field-by-field
+# writer it replaced, a test-only reference: over random headers, entries
+# and layouts, emit, the body the encoder reads, Packet::parse and
+# EncFrame::new(..).to_packet() all give the reference's bytes.
+cargo test -q -p rekeymsg --lib writer_reference
 
 stage "transport delivery order (receiver-major rounds vs packet-major reference, --release)"
 # A multicast round is walked receiver by receiver; the packet-major walk it
