@@ -52,6 +52,4 @@ pub use adjust::{adjust_rho, update_num_nack, AdjustConfig};
 pub use server::{
     RoundDecision, ServerConfig, ServerController, ServerSession, ServerStats, UnicastSend,
 };
-pub use user::{
-    nack_requests_into, BlockSearch, DecodeWork, Ignored, Received, UserOutcome, UserSession,
-};
+pub use user::{BlockSearch, DecodeWork, Ignored, Received, UserOutcome, UserSession};

@@ -527,64 +527,48 @@ impl BlockSearch {
         self.count(b) >= self.k && self.candidate(b)
     }
 
-    /// The NACK an unsatisfied user sends, into `requests`.
+    /// The NACK an unsatisfied user sends, into `requests` (Figure 27,
+    /// Appendix D): one entry per candidate block short of `k` shares,
+    /// asking for the shares it lacks. The candidates are the estimate's
+    /// range; without one (no usable ENC packet arrived), everything from
+    /// the estimate's lower bound up to the highest block seen; after total
+    /// loss, block 0. When every candidate already holds `k` shares yet none
+    /// decoded to the user's packet, the request widens to a full re-send of
+    /// the lowest candidate, so an unsatisfied user never sends an empty
+    /// NACK. Both transport models NACK through here, so their NACKs agree
+    /// request for request.
     // xcheck: no_alloc
     pub fn nack_into(&self, requests: &mut Vec<NackRequest>) {
-        let (estimator, max) = (self.estimator.as_ref(), self.max_block_seen);
-        nack_requests_into(estimator, max, self.k, |b| self.count(b), requests);
+        requests.clear();
+        let estimator = self.estimator.as_ref();
+        let (low, high) = match (estimator.and_then(|e| e.range()), self.max_block_seen) {
+            (Some((lo, hi)), _) => (lo, hi),
+            (None, Some(maxb)) => {
+                let lo = estimator.map_or(0, |e| e.low());
+                (lo.min(maxb as u32), maxb as u32)
+            }
+            (None, None) => (0, 0),
+        };
+        for b in low..=high.min(255) {
+            let need = self.k.saturating_sub(self.count(b as u8));
+            if need > 0 {
+                requests.push(NackRequest {
+                    count: need.min(255) as u8,
+                    block_id: b as u8,
+                });
+            }
+        }
+        if requests.is_empty() {
+            requests.push(NackRequest {
+                count: self.k.min(255) as u8,
+                block_id: low as u8,
+            });
+        }
     }
 
     /// Drops the shares held: the user needs none any more.
     pub fn release(&mut self) {
         self.blocks = Vec::new();
-    }
-}
-
-/// Which parities an unsatisfied user asks for (Figure 27, Appendix D):
-/// clears `requests` and fills it with one entry per candidate block that
-/// is short of `k` shares, `shares_held(b)` being the distinct shares the
-/// user holds for block `b`.
-///
-/// The candidates are the block-ID estimator's range; without one (no
-/// usable ENC packet arrived), everything from the estimator's lower bound
-/// up to the highest block seen; after total loss, block 0. When every
-/// candidate already holds `k` shares yet none decoded to the user's
-/// packet, the request widens to a full re-send of the lowest candidate,
-/// so an unsatisfied user never sends an empty NACK.
-///
-/// Both transport models NACK through [`BlockSearch::nack_into`], which
-/// calls this, so their NACKs agree request for request.
-// xcheck: no_alloc
-pub fn nack_requests_into(
-    estimator: Option<&BlockIdEstimator>,
-    max_block_seen: Option<u8>,
-    k: usize,
-    shares_held: impl Fn(u8) -> usize,
-    requests: &mut Vec<NackRequest>,
-) {
-    requests.clear();
-    let (low, high) = match (estimator.and_then(|e| e.range()), max_block_seen) {
-        (Some((lo, hi)), _) => (lo, hi),
-        (None, Some(maxb)) => {
-            let lo = estimator.map_or(0, |e| e.low());
-            (lo.min(maxb as u32), maxb as u32)
-        }
-        (None, None) => (0, 0),
-    };
-    for b in low..=high.min(255) {
-        let need = k.saturating_sub(shares_held(b as u8));
-        if need > 0 {
-            requests.push(NackRequest {
-                count: need.min(255) as u8,
-                block_id: b as u8,
-            });
-        }
-    }
-    if requests.is_empty() {
-        requests.push(NackRequest {
-            count: k.min(255) as u8,
-            block_id: low as u8,
-        });
     }
 }
 
@@ -850,6 +834,3 @@ mod tests {
         assert!(u.is_satisfied());
     }
 }
-
-#[cfg(test)]
-mod full_row_reference;

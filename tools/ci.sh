@@ -168,27 +168,18 @@ stage "transport delivery order (receiver-major rounds vs packet-major reference
 cargo test --release -q -p grouprekey --lib delivery_order
 cargo test --release -q --test model_agreement
 
-stage "receiver identity (agent oracle, share-skip reference, own check, full-row decode, --release)"
+stage "receiver identity (agent oracle, reference session, --release)"
 # A receiver does only its own work (DESIGN.md "Only the receiver's own
 # work"). The agent holds its path, not a key map; the key map is a
 # test-only reference, and a proptest holds the two to the same ID, path
 # keys, group key and result at every step (splits, compaction, ENC and USR,
-# hostile packets). A session holds no share of a block its estimate ruled
-# out; over real messages every user's NACKs, success round and outcome
-# equal those of a reference that keeps every share. A multicast walk reads
-# only the receiver's own packet: is_own is receive_frame's Mine on every
-# prefix of real, forged and truncated frames, and a session fed as the
-# walk feeds it (the rest deferred, read in order only if its own never
-# came) NACKs, succeeds and holds what an eagerly fed one does. A session
-# rebuilds a missing packet only as far as its header, and in full only the
-# one that serves; the decode that rebuilt every packet it examined in full
-# is a test-only reference, and over real messages and lying held frames the
-# two end every round with the same frame, success round, NACK and blocks
-# given up.
+# hostile packets). The session's one reference is PROTOCOL.md §5 written
+# plainly (every frame kept, every candidate block decoded in full): over
+# real messages with forgeries interleaved, a session fed as the walk feeds
+# it must answer every frame as the reference does and end every round with
+# the same NACK, success round, ID, outcome bytes and decode work.
 cargo test --release -q -p grouprekey --lib map_reference
-cargo test --release -q -p rekeyproto --test ruled_out_identity
-cargo test --release -q -p rekeyproto --test own_identity
-cargo test --release -q -p rekeyproto --lib full_row_reference
+cargo test --release -q -p rekeyproto --test reference_session
 
 # One stage per tracked report: regenerate its one full grid under target/
 # (so it never clobbers the committed file) and `cmp` it with the committed
