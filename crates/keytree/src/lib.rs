@@ -71,7 +71,9 @@ pub mod sanitize;
 mod snapshot;
 mod tree;
 
-pub use marking::{Batch, CompactionPolicy, EncEdge, Label, MarkOutcome, MarkScratch, UserMove};
+pub use marking::{
+    Batch, CompactionPolicy, EncEdge, Label, MarkOutcome, MarkScratch, SubtreeRow, UserMove,
+};
 pub use node::{MemberId, Node, NodeId};
 pub use snapshot::SnapshotError;
 pub use tree::KeyTree;

@@ -14,14 +14,19 @@
 //! # Cost model
 //!
 //! [`KeyTree::process_batch_in`] touches only the rekey subtree, never the
-//! whole tree: labelling grows bottom-up from the slots this batch placed
-//! or vacated, walking each ancestor path once with an early exit at the
-//! first already-visited node, so a (J, L) batch costs
-//! `O((J + L) · log_d N)` regardless of `N`. All per-batch working state
-//! lives in a caller-owned [`MarkScratch`] whose buffers are reused across
-//! batches (epoch-stamped node maps avoid `O(N)` clears), and fresh keys
-//! for the updated k-nodes are derived from a single per-batch seed, so
-//! a batch costs the key generator one draw however many nodes it updates.
+//! whole tree. Labelling is one bottom-up sweep over sorted levels: the
+//! slots this batch placed or vacated, descending, seed the deepest level;
+//! the parents of a descending level are descending too, so deduplicating
+//! neighbours and merging in the next level's seeds gives the level above,
+//! and each node finds its listed children next to each other in the level
+//! below. A (J, L) batch costs `O((J + L) · log_d N)` regardless of `N`,
+//! with no search and no sort. All per-batch working state lives in a
+//! caller-owned [`MarkScratch`] whose buffers are reused across batches, the
+//! outcome's lists are copied out of it exactly sized, and fresh keys for
+//! the updated k-nodes are derived from a single per-batch seed, so a batch
+//! costs the key generator one draw however many nodes it updates.
+
+use core::ops::Range;
 
 use wirecrypto::batch::keystream16_batch;
 use wirecrypto::KeyGen;
@@ -76,28 +81,6 @@ pub enum Label {
     Replace,
 }
 
-/// Compact label encoding for the scratch map: 0 = unlabelled.
-const LABEL_NONE: u8 = 0;
-
-fn label_code(label: Label) -> u8 {
-    match label {
-        Label::Unchanged => 1,
-        Label::Join => 2,
-        Label::Leave => 3,
-        Label::Replace => 4,
-    }
-}
-
-fn label_decode(code: u8) -> Option<Label> {
-    match code {
-        1 => Some(Label::Unchanged),
-        2 => Some(Label::Join),
-        3 => Some(Label::Leave),
-        4 => Some(Label::Replace),
-        _ => None,
-    }
-}
-
 /// One edge of the rekey subtree: the encryption `{key(parent)}_{key(child)}`.
 ///
 /// The encryption's wire ID is `child` (each key encrypts at most one other
@@ -121,13 +104,40 @@ pub struct UserMove {
     pub new_id: NodeId,
 }
 
+/// An updated k-node's row of the rekey subtree, as the marking sweep
+/// recorded it, indexed like [`MarkOutcome::updated_knodes`]: what the UKA
+/// planner walks instead of re-deriving it from the two lists.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SubtreeRow {
+    /// The node's level: how many edges its chain up to the root has.
+    pub depth: u32,
+    /// Its own edge (index into [`MarkOutcome::encryptions`]), the one to
+    /// its parent; 0 at the root.
+    pub edge: u32,
+    /// Its parent's position in `updated_knodes`; 0 at the root.
+    pub parent: u32,
+    /// The edges it is the parent of: `encryptions[group.0..group.1]`.
+    pub group: (u32, u32),
+    /// Positions of its updated children, `kids.0..kids.1` (IDs descending).
+    pub kids: (u32, u32),
+}
+
+/// A node of one level of the sweep: its label, and its position in
+/// `updated_knodes` if its key changed.
+#[derive(Debug, Clone, Copy)]
+struct Mark {
+    id: NodeId,
+    label: Label,
+    pos: Option<u32>,
+}
+
 /// Reusable per-batch working state of the marking algorithm.
 ///
-/// All node-indexed maps are epoch-stamped: bumping the epoch in
+/// The label map is epoch-stamped: bumping the epoch in
 /// `MarkScratch::begin` invalidates every entry in O(1), so consecutive
 /// batches share the buffers without clearing them. A long-lived server
-/// holds one scratch next to its tree and never allocates for marking
-/// again (buffers grow to the tree's storage size and stay).
+/// holds one scratch next to its tree and allocates for marking only the
+/// outcome it returns (buffers grow to the tree's storage size and stay).
 #[derive(Debug, Default)]
 pub struct MarkScratch {
     /// Current batch epoch; entries with a different stamp are invalid.
@@ -138,20 +148,26 @@ pub struct MarkScratch {
     /// wrap branch in [`MarkScratch::begin`] stays as a defensive
     /// hard-clear so even a forced wrap cannot resurrect stale entries.
     epoch: u64,
-    /// Per-node epoch stamp for `label_val`.
-    label_epoch: Vec<u64>,
-    /// Per-node label (`LABEL_NONE` = explicitly cleared this epoch).
-    label_val: Vec<u8>,
-    /// Per-node epoch stamp for the ancestor-collection visited set.
-    anc_epoch: Vec<u64>,
+    /// Per node: the epoch that last stamped it and its label then
+    /// (`None` = explicitly cleared).
+    labels: Vec<(u64, Option<Label>)>,
     /// Sorted u-node IDs of this batch's departures.
     departed_ids: Vec<NodeId>,
-    /// Slots vacated this batch (departed u-nodes and pruned k-nodes).
-    became_n: Vec<NodeId>,
     /// U-node slots filled this batch (joins, replacements, moved users).
     placed: Vec<NodeId>,
-    /// K-nodes of the rekey subtree, collected bottom-up from the seeds.
-    touched: Vec<NodeId>,
+    /// The sweep's seeds, ascending: every u-slot placed or vacated.
+    seeds: Vec<NodeId>,
+    /// Merge buffer for the seeds.
+    spare: Vec<NodeId>,
+    /// The level the sweep reads and the level above it, IDs descending.
+    lower: Vec<Mark>,
+    upper: Vec<Mark>,
+    /// The outcome, staged: copied out exactly sized.
+    updated: Vec<NodeId>,
+    edges: Vec<EncEdge>,
+    rows: Vec<SubtreeRow>,
+    moves: Vec<UserMove>,
+    relocations: Vec<UserMove>,
 }
 
 impl MarkScratch {
@@ -165,19 +181,18 @@ impl MarkScratch {
     fn begin(&mut self, storage: usize) {
         if self.epoch == u64::MAX {
             // Epoch wrapped: every stale stamp would look current again,
-            // so hard-clear both stamp maps. Unreachable in practice with
+            // so hard-clear the stamp map. Unreachable in practice with
             // a 64-bit epoch; kept as defence in depth (and exercised by
             // the forced-wrap regression test).
-            self.label_epoch.iter_mut().for_each(|e| *e = 0);
-            self.anc_epoch.iter_mut().for_each(|e| *e = 0);
+            self.labels.iter_mut().for_each(|e| e.0 = 0);
             self.epoch = 0;
         }
         self.epoch += 1;
         self.grow(storage);
         self.departed_ids.clear();
-        self.became_n.clear();
         self.placed.clear();
-        self.touched.clear();
+        self.moves.clear();
+        self.relocations.clear();
     }
 
     /// Jumps the epoch counter to `epoch` (test-only): lets the
@@ -189,25 +204,16 @@ impl MarkScratch {
     }
 
     fn grow(&mut self, storage: usize) {
-        if self.label_epoch.len() < storage {
-            self.label_epoch.resize(storage, 0);
-            self.label_val.resize(storage, LABEL_NONE);
-            self.anc_epoch.resize(storage, 0);
+        if self.labels.len() < storage {
+            self.labels.resize(storage, (0, None));
         }
     }
 
-    fn stamp(&mut self, id: NodeId, label: Label) {
+    /// Sets a node's label for this epoch; `None` clears it (distinct from
+    /// "never labelled": the slot will not fall back to its tag default).
+    fn stamp(&mut self, id: NodeId, label: Option<Label>) {
         self.grow(id as usize + 1);
-        self.label_epoch[id as usize] = self.epoch;
-        self.label_val[id as usize] = label_code(label);
-    }
-
-    /// Clears a node's label for this epoch (distinct from "never
-    /// labelled": the slot will not fall back to its tag default).
-    fn unstamp(&mut self, id: NodeId) {
-        self.grow(id as usize + 1);
-        self.label_epoch[id as usize] = self.epoch;
-        self.label_val[id as usize] = LABEL_NONE;
+        self.labels[id as usize] = (self.epoch, label);
     }
 
     /// The label the scratch's latest batch gave node `id`: set for the
@@ -215,27 +221,166 @@ impl MarkScratch {
     /// relabelled), `None` elsewhere. Valid until the scratch's next
     /// batch, which invalidates every label.
     pub fn label_of(&self, id: NodeId) -> Option<Label> {
-        let i = id as usize;
-        if self.label_epoch.get(i) == Some(&self.epoch) {
-            label_decode(self.label_val[i])
-        } else {
-            None
+        let stamped = self.labels.get(id as usize).filter(|e| e.0 == self.epoch);
+        stamped.and_then(|e| e.1)
+    }
+
+    /// The sweep's seeds, ascending and distinct: every departure's slot,
+    /// the slots the J > L fill placed (ascending: the fill cursor never
+    /// moves back, and a split's child lies just past the range it closes)
+    /// and both ends of every relocation, the one list not born sorted.
+    // xcheck: no_alloc
+    fn gather_seeds(&mut self, fills: Range<usize>) {
+        merge_sorted(&self.departed_ids, &self.placed[fills], &mut self.seeds);
+        if !self.relocations.is_empty() {
+            self.departed_ids.clear();
+            (self.departed_ids).extend(self.relocations.iter().flat_map(|r| [r.old_id, r.new_id]));
+            self.departed_ids.sort_unstable();
+            core::mem::swap(&mut self.seeds, &mut self.spare);
+            merge_sorted(&self.spare, &self.departed_ids, &mut self.seeds);
         }
     }
 
-    /// Marks `id` as visited by the ancestor collection; returns `false`
-    /// if it was already visited this epoch.
-    fn visit_anc(&mut self, id: NodeId) -> bool {
-        self.grow(id as usize + 1);
-        let i = id as usize;
-        if self.anc_epoch[i] == self.epoch {
-            return false;
+    /// Phases 2–3: labels the rekey subtree and lays out its edges, one
+    /// level at a time from the deepest seed up to the root. Each level is
+    /// the descending merge of the parents of the level below — adjacent
+    /// duplicates folded — and that level's seeds; a node's listed
+    /// children sit next to each other in the level below, and its other
+    /// children label from their tag (live: Unchanged; empty: transparent).
+    /// The updated k-nodes, their edges and their rows come out in the
+    /// outcome's order: descending IDs, children ascending.
+    // xcheck: no_alloc
+    fn sweep(&mut self, tree: &KeyTree) {
+        let d = tree.degree();
+        self.lower.clear();
+        self.updated.clear();
+        self.edges.clear();
+        self.rows.clear();
+        let Some(&deepest) = self.seeds.last() else {
+            return;
+        };
+        let mut level = ident::level(deepest, d);
+        let mut first = (0..level).fold(0u64, |f, _| f * u64::from(d) + 1);
+        let mut s = self.seeds.len();
+        // `(id - 1) / d` as one multiplication, exact for every 32-bit ID
+        // (Lemire's fastdiv; `d >= 2`, so the magic fits 64 bits).
+        let magic = u128::from(u64::MAX / u64::from(d) + 1);
+        let parent = |id: NodeId| ((magic * u128::from(id - 1)) >> 64) as NodeId;
+        loop {
+            self.upper.clear();
+            let mut i = 0;
+            loop {
+                let below = self.lower.get(i).map(|m| parent(m.id));
+                let seed = s.checked_sub(1).map(|k| self.seeds[k]);
+                let seed = seed.filter(|&q| u64::from(q) >= first);
+                let Some(x) = below.max(seed) else { break };
+                s -= usize::from(seed == Some(x));
+                let mut j = i;
+                if below == Some(x) {
+                    let lo = ident::first_child(x, d);
+                    while self.lower.get(j).is_some_and(|m| m.id >= lo) {
+                        j += 1;
+                    }
+                }
+                let (label, pos) = self.label(tree, x, level, i..j);
+                self.upper.push(Mark { id: x, label, pos });
+                i = j;
+            }
+            core::mem::swap(&mut self.lower, &mut self.upper);
+            if level == 0 {
+                break;
+            }
+            (level, first) = (level - 1, (first - 1) / u64::from(d));
         }
-        self.anc_epoch[i] = self.epoch;
-        true
+    }
+
+    /// Labels node `x` at `level` whose listed children are `lower[run]`,
+    /// and returns its label and, for an updated k-node, its position: it
+    /// gets its edge group and row, and becomes the parent of its updated
+    /// children's rows.
+    // xcheck: no_alloc
+    fn label(
+        &mut self,
+        tree: &KeyTree,
+        x: NodeId,
+        level: u32,
+        run: Range<usize>,
+    ) -> (Label, Option<u32>) {
+        if !tree.is_k(x) {
+            // A seed, or a k-node pruned above one: as phase 1 stamped it.
+            return (self.label_of(x).unwrap_or(Label::Unchanged), None);
+        }
+        let (start, pos) = (self.edges.len() as u32, self.updated.len() as u32);
+        // One bit per label met among the children, listed or live.
+        let mut seen = 0u8;
+        let mut kids = (0, 0);
+        // Children ascending: the run is descending, so read it backwards.
+        let mut r = run.end;
+        for c in ident::children(x, tree.degree()) {
+            let cl = if r > run.start && self.lower[r - 1].id == c {
+                r -= 1;
+                let m = self.lower[r];
+                if let Some(kid) = m.pos {
+                    let row = &mut self.rows[kid as usize];
+                    (row.edge, row.parent) = (self.edges.len() as u32, pos);
+                    kids = (kid, if kids.0 == kids.1 { kid + 1 } else { kids.1 });
+                }
+                m.label
+            } else if tree.is_n(c) {
+                continue;
+            } else {
+                Label::Unchanged
+            };
+            seen |= 1 << cl as u8;
+            if cl != Label::Leave {
+                self.edges.push(EncEdge {
+                    child: c,
+                    parent: x,
+                });
+            }
+        }
+        let bit = |label: Label| 1 << label as u8;
+        let label = if seen == 0 || seen == bit(Label::Unchanged) {
+            // No child changed (a live k-node with no labelled children
+            // included): unchanged.
+            Label::Unchanged
+        } else if seen == bit(Label::Leave) {
+            Label::Leave
+        } else if seen & !(bit(Label::Unchanged) | bit(Label::Join)) == 0 {
+            Label::Join
+        } else {
+            Label::Replace
+        };
+        self.stamp(x, Some(label));
+        if !matches!(label, Label::Join | Label::Replace) {
+            self.edges.truncate(start as usize);
+            return (label, None);
+        }
+        self.updated.push(x);
+        self.rows.push(SubtreeRow {
+            depth: level,
+            group: (start, self.edges.len() as u32),
+            kids,
+            ..SubtreeRow::default()
+        });
+        (label, Some(pos))
     }
 }
 
+/// Merges two ascending lists into `out`, ascending and distinct.
+// xcheck: no_alloc
+fn merge_sorted(a: &[NodeId], b: &[NodeId], out: &mut Vec<NodeId>) {
+    out.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() || j < b.len() {
+        let take_a = j == b.len() || (i < a.len() && a[i] <= b[j]);
+        let v = if take_a { a[i] } else { b[j] };
+        (i, j) = if take_a { (i + 1, j) } else { (i, j + 1) };
+        if out.last() != Some(&v) {
+            out.push(v);
+        }
+    }
+}
 /// When and how hard the tree compacts itself under one-sided churn.
 ///
 /// Sustained departures leave the key tree sparse: `nk` (the maximum
@@ -343,6 +488,8 @@ pub struct MarkOutcome {
     /// Degree of the tree the batch ran on: a child's parent is its key in
     /// the order of [`MarkOutcome::encryptions`].
     degree: u32,
+    /// One row per updated k-node, as the sweep recorded it.
+    rows: Vec<SubtreeRow>,
 }
 
 impl MarkOutcome {
@@ -376,6 +523,22 @@ impl MarkOutcome {
     /// True when the batch changed the group key.
     pub fn group_key_changed(&self) -> bool {
         self.updated_knodes.contains(&0)
+    }
+
+    /// The rekey subtree's rows, one per updated k-node, as marking
+    /// recorded them — every index in them lies inside the two lists. Empty
+    /// when `updated_knodes` or `encryptions` no longer has the length
+    /// marking gave it (an outcome edited since); an edit that keeps both
+    /// lengths keeps the rows, which then no longer describe the lists.
+    pub fn subtree(&self) -> &[SubtreeRow] {
+        let edges = self.rows.last().map_or(0, |root| root.group.1 as usize);
+        let intact =
+            (self.rows.len(), edges) == (self.updated_knodes.len(), self.encryptions.len());
+        if intact {
+            &self.rows
+        } else {
+            &[]
+        }
     }
 }
 
@@ -427,7 +590,8 @@ impl KeyTree {
     /// individual keys), so delivery and forward secrecy are unaffected.
     ///
     /// With [`CompactionPolicy::DISABLED`] this is byte-identical to
-    /// [`KeyTree::process_batch_in`].
+    /// [`KeyTree::process_batch_in`]. Warm, it allocates only the outcome's
+    /// lists, each once at its final size (pinned by `no_alloc_marks`).
     ///
     /// # Panics
     ///
@@ -446,63 +610,35 @@ impl KeyTree {
             // steady state long-lived servers run in.
             obs::counter_add("keytree.scratch_reuse_hits", 1);
         }
-        let mut moves: Vec<UserMove> = Vec::new();
-        let mut relocations: Vec<UserMove> = Vec::new();
-        self.mark_batch_compacting_in(
-            &batch,
-            keygen,
-            scratch,
-            &mut moves,
-            &mut relocations,
-            policy,
-        );
-
-        let d = self.degree();
-        let span_mint = obs::span("stage.mint");
-
-        // ---- Phase 3: batch seed and encryption edges --------------------
-        // `touched` is already descending (deepest first), so the filter
-        // preserves the paper's bottom-up traversal order.
-        let updated: Vec<NodeId> = scratch
-            .touched
-            .iter()
-            .copied()
-            .filter(|&id| {
-                matches!(
-                    scratch.label_of(id),
-                    Some(Label::Join) | Some(Label::Replace)
-                )
-            })
-            .collect();
+        let span_mark = obs::span("stage.mark");
+        scratch.begin(self.storage_len());
+        let fills = self.update_topology(&batch, keygen, scratch);
+        // Only after split-free batches: a splitting batch means the tree
+        // is full (nothing to compact), and keeping the two relocation
+        // directions out of one batch keeps Theorem 4.2's oracle crisp —
+        // `moves` stays fully maxKID-rederivable, `relocations` fully
+        // explicit.
+        if scratch.moves.is_empty() {
+            self.compact_tail_in(keygen, scratch, policy);
+        }
+        scratch.gather_seeds(fills);
+        scratch.sweep(self);
+        drop(span_mark);
 
         // Mint the fresh keys from one batch seed (no draw at all when
         // nothing was updated, preserving the generator's sequence): each
         // is a PRF of (seed, node ID) — the cipher's first 16 keystream
         // bytes under the seed with the ID as nonce — eight nodes at a time.
+        let span_mint = obs::span("stage.mint");
+        let updated = &scratch.updated;
         if !updated.is_empty() {
             let seed = keygen.next_key();
             keystream16_batch(updated.iter().map(|&id| (seed, id as u64)), |i, key| {
                 self.set_key(updated[i], SymKey::from_bytes(key));
             });
         }
-
-        let mut encryptions = Vec::new();
-        for &p in &updated {
-            for c in ident::children(p, d) {
-                if self.is_n(c) {
-                    continue;
-                }
-                if scratch.label_of(c) == Some(Label::Leave) {
-                    continue;
-                }
-                encryptions.push(EncEdge {
-                    child: c,
-                    parent: p,
-                });
-            }
-        }
         obs::counter_add("keytree.keys_minted", updated.len() as u64);
-        obs::counter_add("keytree.encryptions", encryptions.len() as u64);
+        obs::counter_add("keytree.encryptions", scratch.edges.len() as u64);
         drop(span_mint);
 
         debug_assert_eq!(self.check_invariants(), Ok(()));
@@ -516,51 +652,30 @@ impl KeyTree {
 
         let Batch { joins, leaves } = batch;
         MarkOutcome {
-            updated_knodes: updated,
-            encryptions,
-            moves,
-            relocations,
+            updated_knodes: scratch.updated.to_vec(),
+            encryptions: scratch.edges.to_vec(),
+            moves: scratch.moves.to_vec(),
+            relocations: scratch.relocations.to_vec(),
             departed: leaves,
             joined: joins.into_iter().map(|(m, _)| m).collect(),
             nk: self.max_knode_id(),
-            degree: d,
+            degree: self.degree(),
+            rows: scratch.rows.to_vec(),
         }
     }
 
-    /// Phases 1–2 of [`KeyTree::process_batch_compacting_in`]: applies one
-    /// batch's topology changes (replacements, pruning, splitting,
-    /// revivals), runs the amortized tail-compaction step `policy` allows,
-    /// and labels the rekey subtree, leaving the labelled node set in
-    /// `scratch`, the split moves in `moves` and the compaction
-    /// relocations in `relocations` (both cleared first). Fresh keys are
-    /// *not* minted here — `process_batch_compacting_in` runs this and
-    /// then derives keys and encryption edges from the labels.
-    ///
-    /// With a warm `scratch`, warm vectors, and no tree growth this is the
-    /// allocation-free half of batch processing; the `no_alloc_marks`
-    /// integration test pins it at zero steady-state allocations under the
-    /// `xcheck-rt` counting allocator.
-    ///
-    /// # Panics
-    ///
-    /// As [`KeyTree::process_batch`].
+    /// Phase 1: applies one batch's topology changes — replacements,
+    /// pruning, splitting, revivals — stamping every slot it places or
+    /// vacates and recording the split moves in `scratch`. Returns the
+    /// range of `scratch.placed` the J > L fill placed (ascending).
     // xcheck: no_alloc
-    pub fn mark_batch_compacting_in(
+    fn update_topology(
         &mut self,
         batch: &Batch,
         keygen: &mut KeyGen,
         scratch: &mut MarkScratch,
-        moves: &mut Vec<UserMove>,
-        relocations: &mut Vec<UserMove>,
-        policy: &CompactionPolicy,
-    ) {
-        let span_mark = obs::span("stage.mark");
+    ) -> Range<usize> {
         let d = self.degree();
-        scratch.begin(self.storage_len());
-        moves.clear();
-        relocations.clear();
-
-        // ---- Phase 1: update the key tree -------------------------------
         for m in &batch.leaves {
             #[expect(
                 clippy::panic,
@@ -582,31 +697,23 @@ impl KeyTree {
         let j = batch.j();
         let l = batch.l();
 
-        if j <= l {
-            // Replace the J smallest-ID departures with joins; the rest
-            // become n-nodes and may prune upward.
-            for i in 0..l {
-                let slot = scratch.departed_ids[i];
-                if i < j {
-                    let (member, key) = batch.joins[i];
-                    self.set_node(slot, Node::U { member, key });
-                    scratch.stamp(slot, Label::Replace);
-                    scratch.placed.push(slot);
-                } else {
-                    self.vacate(slot, scratch);
-                }
-            }
-        } else {
-            // J > L: fill departures first...
-            for i in 0..l {
-                let slot = scratch.departed_ids[i];
+        // Replace the min(J, L) smallest-ID departures with joins; the rest
+        // become n-nodes and may prune upward.
+        for i in 0..l {
+            let slot = scratch.departed_ids[i];
+            if i < j {
                 let (member, key) = batch.joins[i];
                 self.set_node(slot, Node::U { member, key });
-                scratch.stamp(slot, Label::Replace);
+                scratch.stamp(slot, Some(Label::Replace));
                 scratch.placed.push(slot);
+            } else {
+                self.vacate(slot, scratch);
             }
-            // ...then n-node slots in (nk, d*nk + d], low to high, splitting
-            // node nk+1 whenever the range is exhausted.
+        }
+        if j > l {
+            // J > L: the remaining joins fill n-node slots in
+            // (nk, d*nk + d], low to high, splitting node nk+1 whenever the
+            // range is exhausted.
             let mut next_join = l;
             // Bootstrap an empty tree: a root k-node with d empty slots.
             if self.max_knode_id().is_none() && next_join < j {
@@ -644,7 +751,7 @@ impl KeyTree {
                         let (member, key) = batch.joins[next_join];
                         next_join += 1;
                         self.set_node(cursor, Node::U { member, key });
-                        scratch.stamp(cursor, Label::Join);
+                        scratch.stamp(cursor, Some(Label::Join));
                         scratch.placed.push(cursor);
                     }
                     cursor += 1;
@@ -680,10 +787,10 @@ impl KeyTree {
                     // range fills up and splits again). Theorem 4.2
                     // rederives pre-batch ID -> final ID, so chained hops
                     // coalesce into one move per member.
-                    if let Some(mv) = moves.iter_mut().find(|mv| mv.member == member) {
+                    if let Some(mv) = scratch.moves.iter_mut().find(|mv| mv.member == member) {
                         mv.new_id = child;
                     } else {
-                        moves.push(UserMove {
+                        scratch.moves.push(UserMove {
                             member,
                             old_id: split,
                             new_id: child,
@@ -692,9 +799,9 @@ impl KeyTree {
                     // The moved user is "new" at its slot: its parent
                     // must deliver keys encrypted under its individual
                     // key, exactly as for a join.
-                    scratch.stamp(child, Label::Join);
+                    scratch.stamp(child, Some(Label::Join));
                     scratch.placed.push(child);
-                    scratch.unstamp(split);
+                    scratch.stamp(split, None);
                 }
                 // Splitting an empty slot just deepens the tree.
             }
@@ -709,77 +816,7 @@ impl KeyTree {
         for i in 0..scratch.placed.len() {
             self.revive_above(scratch.placed[i], keygen);
         }
-
-        // ---- Phase 1.5: amortized tail compaction -----------------------
-        // Only after split-free batches: a splitting batch means the tree
-        // is full (nothing to compact), and keeping the two relocation
-        // directions out of one batch keeps Theorem 4.2's oracle crisp —
-        // `moves` stays fully maxKID-rederivable, `relocations` fully
-        // explicit.
-        if moves.is_empty() {
-            self.compact_tail_in(keygen, scratch, relocations, policy);
-        }
-
-        // ---- Phase 2: label the rekey subtree ---------------------------
-        // Collect the k-nodes of the rekey subtree bottom-up: every
-        // ancestor of a slot placed or vacated this batch, deduplicated
-        // with an epoch-stamped visited set. An n-node ancestor is always
-        // a slot pruned this batch (stamped Leave above), whose own walk
-        // covers the rest of the chain.
-        for seed in 0..scratch.placed.len() + scratch.became_n.len() {
-            let slot = if seed < scratch.placed.len() {
-                scratch.placed[seed]
-            } else {
-                scratch.became_n[seed - scratch.placed.len()]
-            };
-            let mut cur = slot;
-            while let Some(p) = ident::parent(cur, d) {
-                if !self.is_k(p) || !scratch.visit_anc(p) {
-                    break;
-                }
-                scratch.touched.push(p);
-                cur = p;
-            }
-        }
-        // Descending ID order means every child's label lands before its
-        // parent combines it (parents always have smaller BFS IDs).
-        scratch.touched.sort_unstable_by(|a, b| b.cmp(a));
-        for i in 0..scratch.touched.len() {
-            let id = scratch.touched[i];
-            let mut any = false;
-            let mut all_leave = true;
-            let mut all_unchanged = true;
-            let mut join_only = true;
-            for c in ident::children(id, d) {
-                let cl = match scratch.label_of(c) {
-                    Some(cl) => cl,
-                    // Untouched children label from their tag: live nodes
-                    // are Unchanged, empty slots are transparent.
-                    None if self.is_n(c) => continue,
-                    None => Label::Unchanged,
-                };
-                any = true;
-                all_leave &= cl == Label::Leave;
-                all_unchanged &= cl == Label::Unchanged;
-                join_only &= matches!(cl, Label::Unchanged | Label::Join);
-            }
-            let label = if !any {
-                // A live k-node with no labelled children: nothing below
-                // changed and nothing vacated — unchanged.
-                Label::Unchanged
-            } else if all_leave {
-                Label::Leave
-            } else if all_unchanged {
-                Label::Unchanged
-            } else if join_only {
-                Label::Join
-            } else {
-                Label::Replace
-            };
-            scratch.stamp(id, label);
-        }
-
-        drop(span_mark);
+        l.min(scratch.placed.len())..scratch.placed.len()
     }
 
     /// Empties `slot` (label Leave) and prunes upward: a k-node whose
@@ -790,15 +827,13 @@ impl KeyTree {
         let mut cur = slot;
         loop {
             self.set_node(cur, Node::N);
-            scratch.became_n.push(cur);
-            scratch.stamp(cur, Label::Leave);
+            scratch.stamp(cur, Some(Label::Leave));
             match ident::parent(cur, d) {
                 Some(p) if self.is_k(p) && ident::children(p, d).all(|c| self.is_n(c)) => cur = p,
                 _ => break,
             }
         }
     }
-
     /// Update rule 4 above a slot just filled: its n-node ancestors
     /// become k-nodes with fresh keys, up to the first k-node (whose own
     /// ancestors are k-nodes already, pre-existing or revived moments ago).
@@ -847,7 +882,6 @@ impl KeyTree {
         &mut self,
         keygen: &mut KeyGen,
         scratch: &mut MarkScratch,
-        relocations: &mut Vec<UserMove>,
         policy: &CompactionPolicy,
     ) {
         let d = self.degree();
@@ -881,20 +915,9 @@ impl KeyTree {
             // Hole: the lowest empty in-window slot strictly below it.
             // (Everything in the window below `src` is a u-node or a
             // hole — k-node IDs stop at nk — so the first n-tag wins.)
-            let high = d as u64 * nk as u64 + d as u64;
-            let Ok(high) = NodeId::try_from(high) else {
-                break;
-            };
-            let mut hole: Option<NodeId> = None;
-            let mut cand = nk + 1;
-            while cand < src && cand <= high {
-                if self.is_n(cand) {
-                    hole = Some(cand);
-                    break;
-                }
-                cand += 1;
-            }
-            let Some(hole) = hole else {
+            let high = u64::from(d) * u64::from(nk) + u64::from(d);
+            let mut window = (nk + 1..src).take_while(|&c| u64::from(c) <= high);
+            let Some(hole) = window.find(|&c| self.is_n(c)) else {
                 // No hole below the tail: the occupied region is dense.
                 break;
             };
@@ -920,19 +943,18 @@ impl KeyTree {
             // is "new" there, so its parent seals the fresh subtree keys
             // under its individual key exactly as for a join.
             self.set_node(hole, Node::U { member, key });
-            scratch.stamp(hole, Label::Join);
-            scratch.placed.push(hole);
+            scratch.stamp(hole, Some(Label::Join));
             // Revive n-node ancestors immediately (update rule 4), so
             // `nk` covers the new slot's parent before the next move.
             self.revive_above(hole, keygen);
 
-            relocations.push(UserMove {
+            scratch.relocations.push(UserMove {
                 member,
                 old_id: src,
                 new_id: hole,
             });
         }
-        obs::counter_add("keytree.compaction_moves", relocations.len() as u64);
+        obs::counter_add("keytree.compaction_moves", scratch.relocations.len() as u64);
     }
 }
 

@@ -22,10 +22,12 @@
 //! (*runs*) and packs whole runs: within a run the marginal cost of
 //! every user after the first is zero, hence the greedy split points are
 //! identical to the user-by-user walk, packet by packet, field by field.
-//! Cost: O(E + W + emitted) for E edges, W windows and the entries packed,
-//! instead of O(N·h) for N users: no search, and one sort per packet over
-//! its own entries (plus tag scans that touch only vacant window
-//! prefixes/suffixes). The user-by-user walk survives as the test oracle
+//! The subtree's structure — each updated node's edges, own edge, parent
+//! and depth — is read from the marks marking left ([`MarkOutcome::subtree`]),
+//! and a packet's entries are kept by level, so they come out in ID order
+//! by merging, not sorting. Cost: O(W + emitted) for W windows and the
+//! entries packed, instead of O(N·h) for N users, with no search and no
+//! sort. The user-by-user walk survives as the test oracle
 //! (`crate::sanitize::reference_plan`, built for tests and
 //! `--features sanitize`).
 //!
@@ -34,7 +36,7 @@
 //! measures that cost exactly as the paper does (duplicated encryptions
 //! over total encryptions in the rekey subtree).
 
-use keytree::{ident, EncEdge, KeyTree, MarkOutcome, NodeId};
+use keytree::{ident, EncEdge, KeyTree, MarkOutcome, NodeId, SubtreeRow};
 use wirecrypto::batch::seal_batch;
 use wirecrypto::SealedKey;
 
@@ -114,22 +116,6 @@ impl AssignmentStats {
     }
 }
 
-/// "No position": a frontier edge's child in `PlanScratch::child_pos`.
-const NONE: u32 = u32::MAX;
-
-/// An updated k-node's row in the planner's tables, indexed like
-/// `MarkOutcome::updated_knodes`: how many edges its chain up to the root
-/// has (zero at the root, whose `edge` and `parent` are unset), its own
-/// edge, its parent's position, and its group — the edges it is the parent
-/// of, `group.0..group.1`.
-#[derive(Debug, Clone, Copy, Default)]
-struct KnodeRow {
-    chain: u32,
-    edge: u32,
-    parent: u32,
-    group: (u32, u32),
-}
-
 /// One clipped per-level frontier window awaiting packing: the IDs
 /// `lo..=hi` are the descendants of one frontier node at one level,
 /// intersected with the tree's user zone.
@@ -154,11 +140,12 @@ struct PacketMeta {
 }
 
 /// Reusable scratch for the run-aggregated UKA planner: epoch-stamped
-/// packet membership, tables sized by the outcome's edges and updated
-/// k-nodes, the frontier windows, and the packed plan output. With a warm
-/// scratch (same batch shape as a previous call) [`PlanScratch::compute`]
-/// performs zero heap allocations — the dynamic `tests/no_alloc_marks.rs`
-/// harness pins that.
+/// packet membership, the frontier windows, the open packet's entries by
+/// level, and the packed plan output. The rekey subtree's structure comes
+/// from the outcome ([`MarkOutcome::subtree`]), as marking recorded it.
+/// With a warm scratch (same batch shape as a previous call)
+/// [`PlanScratch::compute`] performs zero heap allocations — the dynamic
+/// `tests/no_alloc_marks.rs` harness pins that.
 #[derive(Debug, Default)]
 pub struct PlanScratch {
     /// Current packet stamp; bumped per packet and per `compute` call, so
@@ -166,14 +153,15 @@ pub struct PlanScratch {
     stamp: u64,
     /// Per encryption index: stamp of the packet that last took it.
     in_packet: Vec<u64>,
-    /// Per updated k-node: its row. Per edge: its child's position among
-    /// the updated k-nodes, `NONE` for a frontier edge.
-    rows: Vec<KnodeRow>,
-    child_pos: Vec<u32>,
     /// Clipped frontier windows, ascending by `lo`.
     windows: Vec<RunWindow>,
-    /// Packed output: one meta per packet over the two arenas; an entry is
-    /// `child << 32 | edge index`, so a plain sort orders a packet.
+    /// The open packet's entries, `width` slots per level of the encrypting
+    /// key, each level in the order its entries were taken; `taken[level]`
+    /// counts them. An entry is `child << 32 | edge index`.
+    by_level: Vec<u64>,
+    taken: Vec<u32>,
+    width: usize,
+    /// Packed output: one meta per packet over the two arenas.
     packets: Vec<PacketMeta>,
     enc_arena: Vec<u64>,
     run_arena: Vec<UserRun>,
@@ -188,19 +176,18 @@ impl PlanScratch {
         PlanScratch::default()
     }
 
-    /// Fills the tables and the ascending frontier windows for `outcome`.
-    /// Returns false when there is nothing to plan (no encryptions, or no
-    /// users / k-nodes).
+    /// Fills the ascending frontier windows for `outcome`. Returns false
+    /// when there is nothing to plan (no subtree rows — so no encryptions
+    /// — or no users / k-nodes).
     // xcheck: no_alloc
     fn prepare(&mut self, tree: &KeyTree, outcome: &MarkOutcome) -> bool {
         self.windows.clear();
-        if outcome.encryptions.is_empty() {
-            return false;
-        }
-        let (Some(maxk), Some(maxu)) = (tree.max_knode_id(), tree.highest_unode_id()) else {
+        let rows = outcome.subtree();
+        let (Some(root), Some(maxk), Some(maxu)) =
+            (rows.last(), tree.max_knode_id(), tree.highest_unode_id())
+        else {
             return false;
         };
-        self.fill_tables(outcome);
 
         // Frontier windows: for every edge whose child is NOT an updated
         // k-node, the child's descendants at each level form one
@@ -211,24 +198,23 @@ impl PlanScratch {
         // pre-order DFS per level, children ascending, lists them in order.
         let degree = tree.degree().max(2);
         let zone = (u64::from(maxk) + 1, u64::from(maxu));
-        let (edges, levels) = (&outcome.encryptions[..], ident::level(maxu, degree));
-        if let Some(&root) = outcome.updated_knodes.last() {
-            let (pos, level) = (self.rows.len() as u32 - 1, ident::level(root, degree) + 1);
-            for target in ident::level(maxk.saturating_add(1), degree)..=levels {
-                self.windows_below(edges, pos, level, target, u64::from(degree), zone);
-            }
+        let (pos, level) = (rows.len() as u32 - 1, root.depth + 1);
+        for target in ident::level(maxk.saturating_add(1), degree)..=ident::level(maxu, degree) {
+            self.windows_below(outcome, pos, level, target, u64::from(degree), zone);
         }
         true
     }
 
     /// Appends, in pre-order with children ascending, the windows at level
     /// `target` under the group of updated position `pos`, whose children
-    /// sit at `level`. Recursion stops at `target`, so it is never deeper
+    /// sit at `level`: an edge whose child is the next of `pos`'s updated
+    /// children (positions descending as IDs ascend) recurses, any other is
+    /// a frontier edge. Recursion stops at `target`, so it is never deeper
     /// than a node ID has levels, whatever the outcome.
     // xcheck: no_alloc
     fn windows_below(
         &mut self,
-        edges: &[EncEdge],
+        outcome: &MarkOutcome,
         pos: u32,
         level: u32,
         target: u32,
@@ -238,14 +224,16 @@ impl PlanScratch {
         if level > target {
             return;
         }
-        let group = self.rows[pos as usize].group;
+        let rows = outcome.subtree();
+        let SubtreeRow { group, kids, .. } = rows[pos as usize];
+        let mut kid = kids.1;
         for e in group.0..group.1 {
-            let c = self.child_pos[e as usize];
-            if c != NONE {
-                self.windows_below(edges, c, level + 1, target, d, zone);
+            if kid > kids.0 && rows[kid as usize - 1].edge == e {
+                kid -= 1;
+                self.windows_below(outcome, kid, level + 1, target, d, zone);
                 continue;
             }
-            let child = u64::from(edges[e as usize].child);
+            let child = u64::from(outcome.encryptions[e as usize].child);
             let (mut lo, mut hi) = (child, child);
             for _ in level..target {
                 lo = lo.saturating_mul(d).saturating_add(1);
@@ -263,63 +251,16 @@ impl PlanScratch {
         }
     }
 
-    /// The tables, in two linear passes. Edges come grouped by parent in
-    /// `updated_knodes` order, so one cursor finds each group; children
-    /// ascend within a group, so the groups read backwards list every
-    /// child ascending, and one merge with `updated_knodes` read backwards
-    /// finds each updated node's own edge. Malformed outcomes stay total: an
-    /// edge the cursor misses, or outside its group's run, serves nobody;
-    /// one whose child is not below its parent in the list is a leaf.
-    // xcheck: no_alloc
-    fn fill_tables(&mut self, outcome: &MarkOutcome) {
-        let (updated, edges) = (&outcome.updated_knodes[..], &outcome.encryptions[..]);
-        self.rows.clear();
-        self.rows.resize(updated.len(), KnodeRow::default());
-        self.child_pos.clear();
-        self.child_pos.resize(edges.len(), NONE);
-
-        let mut cursor = 0;
-        for (e, edge) in (0..).zip(edges) {
-            while updated.get(cursor).is_some_and(|&p| p > edge.parent) {
-                cursor += 1;
-            }
-            if updated.get(cursor) != Some(&edge.parent) {
-                continue;
-            }
-            let (lo, hi) = self.rows[cursor].group;
-            if lo == hi || hi == e {
-                self.rows[cursor].group = (if lo == hi { e } else { lo }, e + 1);
-            }
-        }
-
-        // `updated[below - 1]` is the next candidate child.
-        let mut below = updated.len();
-        for pos in (0..updated.len()).rev() {
-            let KnodeRow { chain, group, .. } = self.rows[pos];
-            for e in group.0..group.1 {
-                let child = edges[e as usize].child;
-                while below > 0 && updated[below - 1] < child {
-                    below -= 1;
-                }
-                // `below == 0` wraps to `usize::MAX`, which is no position.
-                let c = below.wrapping_sub(1);
-                if c < pos && updated[c] == child && self.rows[c].chain == 0 {
-                    self.child_pos[e as usize] = c as u32;
-                    let row = &mut self.rows[c];
-                    (row.chain, row.edge, row.parent) = (chain + 1, e, pos as u32);
-                }
-            }
-        }
-    }
-
     /// Walks a window's need-set — its edge, then the chain up from its
     /// parent — to the first edge the open packet already holds, and
-    /// returns how many edges it passed; with `take` they join the packet.
-    /// Stopping there is exact: the packet's edges are closed upward, each
-    /// having gone in with every edge above it.
+    /// returns how many edges it passed; with `take` they join the packet,
+    /// each under the level of its encrypting key. Stopping there is
+    /// exact: the packet's edges are closed upward, each having gone in
+    /// with every edge above it.
     // xcheck: no_alloc
-    fn walk(&mut self, edges: &[EncEdge], w: RunWindow, take: bool) -> usize {
+    fn walk(&mut self, edges: &[EncEdge], rows: &[SubtreeRow], w: RunWindow, take: bool) -> usize {
         let (mut e, mut pos, mut fresh) = (w.edge as usize, w.parent, 0);
+        let mut level = rows[pos as usize].depth as usize + 1;
         loop {
             #[cfg(test)]
             {
@@ -330,12 +271,15 @@ impl PlanScratch {
             }
             if take {
                 self.in_packet[e] = self.stamp;
-                self.enc_arena
-                    .push((u64::from(edges[e].child) << 32) | e as u64);
+                let slot = level * self.width + self.taken[level] as usize;
+                self.by_level[slot] = (u64::from(edges[e].child) << 32) | e as u64;
+                self.taken[level] += 1;
             }
             fresh += 1;
-            match self.rows.get(pos as usize) {
-                Some(row) if row.chain > 0 => (e, pos) = (row.edge as usize, row.parent),
+            match rows.get(pos as usize) {
+                Some(row) if row.depth > 0 => {
+                    (e, pos, level) = (row.edge as usize, row.parent, level - 1);
+                }
                 _ => break fresh,
             }
         }
@@ -371,11 +315,19 @@ impl PlanScratch {
             return Ok(0);
         }
         let capacity = layout.encryptions_per_packet();
-        let edges = &outcome.encryptions[..];
+        let (edges, rows) = (&outcome.encryptions[..], outcome.subtree());
         self.in_packet.resize(edges.len(), 0);
         self.stamp += 1;
+        // A packet holds at most `capacity` entries, and no level more
+        // edges than there are; the deepest row's children are the deepest
+        // encrypting keys.
+        self.width = capacity.min(edges.len());
+        let levels = rows[0].depth as usize + 2;
+        self.taken.clear();
+        self.taken.resize(levels, 0);
+        self.by_level.resize(levels * self.width, 0);
 
-        let (mut enc_start, mut run_start, mut frm, mut open) = (0, 0, 0, false);
+        let (mut held, mut run_start, mut frm, mut open) = (0, 0, 0, false);
         for wi in 0..self.windows.len() {
             let w = self.windows[wi];
             // Vacant windows (every slot an empty or relocated-away
@@ -383,7 +335,7 @@ impl PlanScratch {
             let Some(first) = tree.first_user_in(w.lo, w.hi) else {
                 continue;
             };
-            let need_len = 1 + self.rows[w.parent as usize].chain as usize;
+            let need_len = 1 + rows[w.parent as usize].depth as usize;
             if need_len > capacity {
                 return Err(AssignError::PacketCapacity {
                     user: first,
@@ -391,19 +343,22 @@ impl PlanScratch {
                     capacity,
                 });
             }
-            let extra = self.walk(edges, w, false);
-            if open && (self.enc_arena.len() - enc_start) + extra > capacity {
-                self.close_packet(tree, frm, enc_start);
-                enc_start = self.enc_arena.len();
+            // The whole need-set bounds what the window adds: only a
+            // packet it might overflow pays for the exact count.
+            if open
+                && held + need_len > capacity
+                && held + self.walk(edges, rows, w, false) > capacity
+            {
+                self.close_packet(tree, frm);
                 run_start = self.run_arena.len();
                 self.stamp += 1;
-                open = false;
+                (held, open) = (0, false);
             }
             if !open {
                 frm = first;
                 open = true;
             }
-            self.walk(edges, w, true);
+            held += self.walk(edges, rows, w, true);
             // Adjacent windows (same frontier node across levels, or
             // abutting siblings) merge into one stored run.
             let in_packet = self.run_arena.len() > run_start;
@@ -416,23 +371,42 @@ impl PlanScratch {
             }
         }
         if open {
-            self.close_packet(tree, frm, enc_start);
+            self.close_packet(tree, frm);
         }
         Ok(self.packets.len())
     }
 
     /// Seals the open packet: trims the final run to its last real user
-    /// (the packet's `to_id`), sorts the packet's entries by encryption
-    /// (child) ID, and records the packet meta.
+    /// (the packet's `to_id`), writes the packet's entries ascending by
+    /// encryption (child) ID, and records the packet meta. IDs ascend level
+    /// by level, and within one level the windows of one target level took
+    /// their keys ascending — windows ascend, and so do their ancestors —
+    /// so a level holds at most two ascending runs, one per target level
+    /// of the user zone, and one linear merge orders it.
     // xcheck: no_alloc
-    fn close_packet(&mut self, tree: &KeyTree, frm: NodeId, enc_start: usize) {
+    fn close_packet(&mut self, tree: &KeyTree, frm: NodeId) {
         let to = self.run_arena.last_mut().map_or(frm, |last| {
             // The final run is non-vacant by construction; fall back to
             // its first user to stay total.
             last.hi = tree.last_user_in(last.lo, last.hi).unwrap_or(last.lo);
             last.hi
         });
-        self.enc_arena[enc_start..].sort_unstable();
+        for level in 0..self.taken.len() {
+            let base = level * self.width;
+            let taken =
+                &self.by_level[base..base + core::mem::take(&mut self.taken[level]) as usize];
+            let split = taken
+                .windows(2)
+                .position(|p| p[1] < p[0])
+                .map_or(taken.len(), |i| i + 1);
+            let (a, b) = taken.split_at(split);
+            let (mut i, mut j) = (0, 0);
+            while i < a.len() || j < b.len() {
+                let from_a = j == b.len() || (i < a.len() && a[i] < b[j]);
+                self.enc_arena.push(if from_a { a[i] } else { b[j] });
+                (i, j) = if from_a { (i + 1, j) } else { (i, j + 1) };
+            }
+        }
         self.packets.push(PacketMeta {
             frm,
             to,
@@ -526,7 +500,9 @@ pub(crate) fn plan_and_seal(
     scratch: &mut PlanScratch,
 ) -> Result<(Vec<PacketPlan>, Vec<SealedKey>), AssignError> {
     let _span_build = obs::span("uka.build");
+    let span_plan = obs::span("uka.plan");
     let plans = plan_in(tree, outcome, layout, scratch)?;
+    drop(span_plan);
     let span_seal = obs::span("stage.seal");
     let mut sealed: Vec<SealedKey> = Vec::with_capacity(outcome.encryptions.len());
     let mut missing = None;
@@ -654,7 +630,7 @@ pub fn naive_plan_stats(
         pkts.clear();
         pkts.push(w.edge as usize / capacity);
         let mut pos = w.parent;
-        while let Some(row) = scratch.rows.get(pos as usize).filter(|r| r.chain > 0) {
+        while let Some(row) = outcome.subtree().get(pos as usize).filter(|r| r.depth > 0) {
             pkts.push(row.edge as usize / capacity);
             pos = row.parent;
         }
@@ -1135,7 +1111,7 @@ mod tests {
                 // whole need-set twice.
                 let whole: usize = (scratch.windows.iter())
                     .filter(|w| tree.first_user_in(w.lo, w.hi).is_some())
-                    .map(|w| 2 * (1 + scratch.rows[w.parent as usize].chain as usize))
+                    .map(|w| 2 * (1 + outcome.subtree()[w.parent as usize].depth as usize))
                     .sum();
                 assert!(steps < whole, "n={n} cap={cap}: {steps} steps of {whole}");
             }
