@@ -108,7 +108,9 @@ fn recorded_trace_and_series_have_the_expected_structure() {
         ("rekey.batch", "scenario.interval"),
         ("stage.mark", "keytree.mark_batch"),
         ("stage.mint", "keytree.mark_batch"),
+        ("uka.plan", "uka.build"),
         ("stage.seal", "uka.build"),
+        ("uka.assemble", "rekey.batch"),
         ("fec.block_build", "rekey.batch"),
     ] {
         assert!(

@@ -733,7 +733,7 @@ impl UkaAssignment {
             return Err(AssignError::IdOutOfRange(edge.child));
         }
         let (plans, sealed) = plan_and_seal(tree, outcome, msg_seq, layout, scratch)?;
-
+        let _span_assemble = obs::span("uka.assemble");
         let mut packets = Vec::with_capacity(plans.len());
         let fixed = EncHeader {
             msg_id,

@@ -1,8 +1,8 @@
 //! The `// xcheck: no_alloc` contract, pinned, for the
 //! run-aggregated UKA planner: with a warm [`PlanScratch`] and a batch of
 //! the same shape as a previous one, [`PlanScratch::compute`] — the whole
-//! planning core, chain derivation and window enumeration included — must
-//! perform zero heap allocations. Only materializing the output plans
+//! planning core, window enumeration and the by-level packing included —
+//! must perform zero heap allocations. Only materializing the output plans
 //! (`plan_in`'s emit step) allocates.
 
 use keytree::{Batch, KeyTree, MarkScratch};
@@ -23,7 +23,7 @@ fn plan_compute_is_allocation_free_in_steady_state() {
     let layout = Layout::DEFAULT;
 
     // Warm-up: several same-shape churn batches grow the plan scratch's
-    // chain/window/packet arenas to their steady-state capacity.
+    // window, by-level and packet arenas to their steady-state capacity.
     let mut next_member = 5000u32;
     let batch_at = |round: u32, kg: &mut KeyGen, next: &mut u32| {
         let leaves: Vec<u32> = (0..24).map(|i| (round * 31 + i * 17) % 1024).collect();

@@ -153,6 +153,12 @@ stage "UKA plan identity (run-aggregated planner vs user-by-user oracle)"
 # deterministic cases at the server_scale shape, N = 4096 at d = 2 and 8,
 # and a two-level user zone.
 cargo test -q -p rekeymsg --features sanitize --test plan_identity
+# Batch to packets in a release build: random batches of every shape (J < L,
+# J = L, J > L with splits, empty, every member leaving; compaction on and
+# off) marked and planned by the product path, each outcome held to the
+# marking oracle (keytree::sanitize::verify_marking) and each plan to the
+# reference plan.
+cargo test --release -q -p rekeymsg --features sanitize --test batch_oracles
 # The ENC packet written once into its FEC body against the field-by-field
 # writer it replaced, a test-only reference: over random headers, entries
 # and layouts, emit, the body the encoder reads, Packet::parse and
