@@ -106,7 +106,7 @@ pub struct UserMove {
 
 /// An updated k-node's row of the rekey subtree, as the marking sweep
 /// recorded it, indexed like [`MarkOutcome::updated_knodes`]: what the UKA
-/// planner walks instead of re-deriving it from the two lists.
+/// planner walks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SubtreeRow {
     /// The node's level: how many edges its chain up to the root has.
@@ -148,9 +148,8 @@ pub struct MarkScratch {
     /// wrap branch in [`MarkScratch::begin`] stays as a defensive
     /// hard-clear so even a forced wrap cannot resurrect stale entries.
     epoch: u64,
-    /// Per node: the epoch that last stamped it and its label then
-    /// (`None` = explicitly cleared).
-    labels: Vec<(u64, Option<Label>)>,
+    /// Per node: the epoch that last stamped it and its label then.
+    labels: Vec<(u64, Label)>,
     /// Sorted u-node IDs of this batch's departures.
     departed_ids: Vec<NodeId>,
     /// U-node slots filled this batch (joins, replacements, moved users).
@@ -205,13 +204,11 @@ impl MarkScratch {
 
     fn grow(&mut self, storage: usize) {
         if self.labels.len() < storage {
-            self.labels.resize(storage, (0, None));
+            self.labels.resize(storage, (0, Label::Unchanged));
         }
     }
 
-    /// Sets a node's label for this epoch; `None` clears it (distinct from
-    /// "never labelled": the slot will not fall back to its tag default).
-    fn stamp(&mut self, id: NodeId, label: Option<Label>) {
+    fn stamp(&mut self, id: NodeId, label: Label) {
         self.grow(id as usize + 1);
         self.labels[id as usize] = (self.epoch, label);
     }
@@ -222,7 +219,7 @@ impl MarkScratch {
     /// batch, which invalidates every label.
     pub fn label_of(&self, id: NodeId) -> Option<Label> {
         let stamped = self.labels.get(id as usize).filter(|e| e.0 == self.epoch);
-        stamped.and_then(|e| e.1)
+        stamped.map(|e| e.1)
     }
 
     /// The sweep's seeds, ascending and distinct: every departure's slot,
@@ -351,7 +348,7 @@ impl MarkScratch {
         } else {
             Label::Replace
         };
-        self.stamp(x, Some(label));
+        self.stamp(x, label);
         if !matches!(label, Label::Join | Label::Replace) {
             self.edges.truncate(start as usize);
             return (label, None);
@@ -381,6 +378,7 @@ fn merge_sorted(a: &[NodeId], b: &[NodeId], out: &mut Vec<NodeId>) {
         }
     }
 }
+
 /// When and how hard the tree compacts itself under one-sided churn.
 ///
 /// Sustained departures leave the key tree sparse: `nk` (the maximum
@@ -704,7 +702,7 @@ impl KeyTree {
             if i < j {
                 let (member, key) = batch.joins[i];
                 self.set_node(slot, Node::U { member, key });
-                scratch.stamp(slot, Some(Label::Replace));
+                scratch.stamp(slot, Label::Replace);
                 scratch.placed.push(slot);
             } else {
                 self.vacate(slot, scratch);
@@ -751,7 +749,7 @@ impl KeyTree {
                         let (member, key) = batch.joins[next_join];
                         next_join += 1;
                         self.set_node(cursor, Node::U { member, key });
-                        scratch.stamp(cursor, Some(Label::Join));
+                        scratch.stamp(cursor, Label::Join);
                         scratch.placed.push(cursor);
                     }
                     cursor += 1;
@@ -799,9 +797,8 @@ impl KeyTree {
                     // The moved user is "new" at its slot: its parent
                     // must deliver keys encrypted under its individual
                     // key, exactly as for a join.
-                    scratch.stamp(child, Some(Label::Join));
+                    scratch.stamp(child, Label::Join);
                     scratch.placed.push(child);
-                    scratch.stamp(split, None);
                 }
                 // Splitting an empty slot just deepens the tree.
             }
@@ -827,7 +824,7 @@ impl KeyTree {
         let mut cur = slot;
         loop {
             self.set_node(cur, Node::N);
-            scratch.stamp(cur, Some(Label::Leave));
+            scratch.stamp(cur, Label::Leave);
             match ident::parent(cur, d) {
                 Some(p) if self.is_k(p) && ident::children(p, d).all(|c| self.is_n(c)) => cur = p,
                 _ => break,
@@ -943,7 +940,7 @@ impl KeyTree {
             // is "new" there, so its parent seals the fresh subtree keys
             // under its individual key exactly as for a join.
             self.set_node(hole, Node::U { member, key });
-            scratch.stamp(hole, Some(Label::Join));
+            scratch.stamp(hole, Label::Join);
             // Revive n-node ancestors immediately (update rule 4), so
             // `nk` covers the new slot's parent before the next move.
             self.revive_above(hole, keygen);

@@ -25,9 +25,9 @@
 //! The subtree's structure — each updated node's edges, own edge, parent
 //! and depth — is read from the marks marking left ([`MarkOutcome::subtree`]),
 //! and a packet's entries are kept by level, so they come out in ID order
-//! by merging, not sorting. Cost: O(W + emitted) for W windows and the
-//! entries packed, instead of O(N·h) for N users, with no search and no
-//! sort. The user-by-user walk survives as the test oracle
+//! by merging, not sorting. Cost: O(E + W + emitted) for E edges, W
+//! windows and the entries packed, instead of O(N·h) for N users, with no
+//! search and no sort. The user-by-user walk survives as the test oracle
 //! (`crate::sanitize::reference_plan`, built for tests and
 //! `--features sanitize`).
 //!
