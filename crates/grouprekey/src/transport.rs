@@ -265,12 +265,11 @@ impl TransportScratch {
 /// One multicast round, receiver by receiver.
 ///
 /// Each listener, in slice order, walks the schedule until it is
-/// satisfied. The source link is drawn once per packet, when the first
-/// listener reaches it — so exactly the packets up to the furthest any
-/// listener reached, in send order — and a listener's own link only when
-/// the source delivered. That is every question the packet-major walk
-/// (all listeners per packet) asks, at the same times, and each link owns
-/// its RNG, so the draws are the same (DESIGN.md "One transport loop").
+/// satisfied ([`Network::walk`]): the source link drawn once per packet, up
+/// to the furthest any listener reached, and its own link only when the
+/// source delivered. That is every question the packet-major walk asks, at
+/// the same times, and each link owns its RNG, so the draws are the same
+/// (DESIGN.md "One transport loop").
 /// The clock ends where the packet-major walk leaves it: one send interval
 /// per packet sent, plus one for the packet at which nobody is left.
 ///
@@ -307,20 +306,12 @@ fn multicast_round<R: Receiver>(
     let frames = R::frames(schedule, layout);
     for &slot in &scratch.listener_slots {
         let r = &mut receivers[slot];
-        let link = r.net_index();
         deferred.clear();
-        for (j, &now) in times.iter().enumerate() {
-            if j == source_ok.len() {
-                source_ok.push(net.source_delivers(now));
-            }
-            if source_ok[j] && net.link_delivers(link, now) {
-                if !r.walk_at(&frames, j, round) {
-                    deferred.push(j);
-                } else if r.is_satisfied() {
-                    break;
-                }
-            }
-        }
+        net.walk(r.net_index(), times, source_ok, |j| {
+            let read = r.walk_at(&frames, j, round);
+            deferred.extend((!read).then_some(j));
+            read && r.is_satisfied()
+        });
         if r.is_satisfied() {
             obs::counter_add("transport.frame.unread", deferred.len() as u64);
         } else {

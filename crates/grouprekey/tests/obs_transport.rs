@@ -78,6 +78,13 @@ fn one_rekey_records_its_spans_and_every_delivery_by_outcome() {
         by_reason,
         snap.counter("net.deliveries") + snap.counter("net.unicast_delivered") + 1
     );
+    // Every delivery answered one question asked of a receiver link: one
+    // per packet that crossed the source link to a listener still walking,
+    // and one per unicast copy that did. On this fixed run, exactly:
+    let queries = snap.counter("net.link_queries");
+    let delivered = snap.counter("net.deliveries");
+    assert!(delivered + snap.counter("net.unicast_delivered") <= queries);
+    assert_eq!((queries, delivered), (14_096, 9_936));
     // At most one frame keys each of the 960 members left, most of what a
     // member hears is someone else's packet — kept, ruled out, or never
     // read because its own came in the same round — and the server sends

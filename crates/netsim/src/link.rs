@@ -1,7 +1,7 @@
 //! The two-state Markov burst-loss link, observed at packet times.
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use crate::network::{check_positive, check_rate};
 use crate::SimTime;
@@ -24,6 +24,13 @@ pub enum LossModel {
 /// the link has forgotten its state and the next one is drawn at `p`.
 const FORGOTTEN: f64 = 37.0;
 
+/// `t` on the grid of a uniform draw `x = next_u64() >> 11`: `x·2^-53 < t`
+/// exactly when `x < grid(t)`. Panics, as `gen_bool`, unless `t ∈ [0, 1]`.
+fn grid(t: f64) -> u64 {
+    assert!((0.0..=1.0).contains(&t), "P(bad) = {t} not in [0, 1]");
+    (t * (1u64 << 53) as f64).ceil() as u64
+}
+
 /// A link alternating between *good* (delivering) and *bad* (dropping)
 /// periods with exponentially distributed holding times.
 ///
@@ -45,9 +52,9 @@ pub struct MarkovLink {
     bad: bool,
     rng: SmallRng,
     last_query: SimTime,
-    /// The last `dt` whose `exp` was taken, and its value: packets are
-    /// evenly spaced, so most queries repeat it.
-    memo: (SimTime, f64),
+    /// The last gap asked at (packets are evenly spaced), and `P(bad)` after
+    /// it from good and from bad on the draw's grid; `p` for an independent link.
+    memo: (SimTime, [u64; 2]),
 }
 
 impl MarkovLink {
@@ -92,22 +99,13 @@ impl MarkovLink {
             bad: !independent && p > 0.0 && rng.gen_bool(p),
             rng,
             last_query: 0.0,
-            memo: (0.0, 1.0),
+            memo: (0.0, [grid(p); 2]),
         }
-    }
-
-    /// A link that never loses (`p = 0`).
-    pub fn lossless() -> Self {
-        MarkovLink::new(0.0, 100.0, 0)
-    }
-
-    /// Stationary loss rate of this link.
-    pub fn loss_rate(&self) -> f64 {
-        self.loss_rate
     }
 
     /// Sends one packet at simulation time `now`; returns true when the
     /// packet gets through.
+    #[inline]
     pub fn transmit(&mut self, now: SimTime) -> bool {
         let dt = now - self.last_query;
         debug_assert!(
@@ -118,24 +116,28 @@ impl MarkovLink {
         self.last_query = self.last_query.max(now);
         let p = self.loss_rate;
         if self.independent {
-            return p == 0.0 || !self.rng.gen_bool(p);
+            return p == 0.0 || self.rng.next_u64() >> 11 >= self.memo.1[0];
         }
         if dt <= 0.0 || p == 0.0 {
             return !self.bad;
         }
-        let x = dt * self.decay_per_ms;
-        let memory = if x > FORGOTTEN {
-            0.0
-        } else {
-            if self.memo.0 != dt {
-                self.memo = (dt, (-x).exp());
-            }
-            self.memo.1
-        };
-        // In [0, 1] for every p in [0, 1): `memory <= 1` and rounding is monotone.
-        let pull = if self.bad { 1.0 - p } else { -p };
-        self.bad = self.rng.gen_bool(p + pull * memory);
+        if self.memo.0 != dt {
+            self.refresh(dt);
+        }
+        let x = self.rng.next_u64() >> 11;
+        let [good, bad] = self.memo.1;
+        self.bad = if self.bad { x < bad } else { x < good };
         !self.bad
+    }
+
+    /// Points the memo at gap `dt`: `exp` is skipped past `FORGOTTEN`.
+    #[cold]
+    #[inline(never)]
+    fn refresh(&mut self, dt: SimTime) {
+        let (p, x) = (self.loss_rate, dt * self.decay_per_ms);
+        let memory = if x > FORGOTTEN { 0.0 } else { (-x).exp() };
+        // In [0, 1] for every p in [0, 1): `memory <= 1` and rounding is monotone.
+        self.memo = (dt, [grid(p + -p * memory), grid(p + (1.0 - p) * memory)]);
     }
 }
 
@@ -156,7 +158,7 @@ mod tests {
 
     #[test]
     fn lossless_link_never_drops() {
-        let mut link = MarkovLink::lossless();
+        let mut link = MarkovLink::new(0.0, 100.0, 0);
         for i in 0..10_000 {
             assert!(link.transmit(i as f64 * 13.7));
         }
@@ -456,7 +458,7 @@ mod tests {
 
     #[test]
     fn extreme_rates_give_probabilities_in_the_unit_interval() {
-        // `gen_bool` panics on a probability outside [0, 1] or NaN, so
+        // `grid` panics on a probability outside [0, 1] or NaN, so
         // surviving the queries is the assertion.
         for (p, expect_delivery) in [(f64::MIN_POSITIVE, true), (1.0 - f64::EPSILON, false)] {
             for cycle_ms in [f64::MIN_POSITIVE, 100.0, f64::MAX] {
@@ -496,15 +498,88 @@ mod tests {
 
     #[test]
     fn the_exp_is_skipped_or_remembered() {
-        // p = 0.02 at 100 ms: exponent 51, past f64 resolution, never taken.
+        // p = 0.02 at 100 ms: exponent 51, past f64 resolution, so both
+        // thresholds are `p`'s and `exp` is never taken.
         let mut low = MarkovLink::new(0.02, 100.0, 6);
         // p = 0.2 at 100 ms: exponent 6.25, taken once for the whole train.
         let mut high = MarkovLink::new(0.2, 100.0, 6);
+        let m = (-6.25f64).exp();
+        let train = [grid(0.2 + -0.2 * m), grid(0.2 + 0.8 * m)];
         for i in 1..50 {
             low.transmit(i as f64 * 100.0);
             high.transmit(i as f64 * 100.0);
+            assert_eq!(high.memo, (100.0, train));
         }
-        assert_eq!(low.memo, (0.0, 1.0));
-        assert_eq!(high.memo, (100.0, (-6.25f64).exp()));
+        assert_eq!(low.memo, (100.0, [grid(0.02); 2]));
+        // A new gap points the memo at it; a repeated instant leaves it be.
+        high.transmit(5050.0);
+        high.transmit(5050.0);
+        let m = (-9.375f64).exp();
+        assert_eq!(
+            high.memo,
+            (150.0, [grid(0.2 + -0.2 * m), grid(0.2 + 0.8 * m)])
+        );
+    }
+
+    /// The grid compare is the `f64` compare of a uniform draw, exactly:
+    /// `(x as f64) * 2^-53 < t` exactly when `x < grid(t)`, at the grid
+    /// points next to the threshold and at both ends of the draw's range.
+    #[test]
+    fn the_grid_compare_is_exact_at_its_boundary() {
+        let ulp = 2f64.powi(-53);
+        let m = (-6.25f64).exp();
+        for t in [
+            0.0,
+            ulp,
+            0.02,
+            0.2,
+            0.5,
+            1.0 - ulp,
+            1.0,
+            0.2 + -0.2 * m,
+            0.2 + 0.8 * m,
+        ] {
+            let cut = grid(t);
+            let top = (1u64 << 53) - 1;
+            for x in [0, cut.saturating_sub(1), cut, cut + 1, top].map(|x| x.min(top)) {
+                assert_eq!(x < cut, (x as f64) * ulp < t, "t {t:e}, x {x}, grid {cut}");
+            }
+        }
+        assert_eq!((grid(0.0), grid(ulp), grid(1.0)), (0, 1, 1 << 53));
+    }
+
+    /// The answers of one seeded link per loss law on a fixed schedule,
+    /// folded FNV-style into one word. The schedule holds trains of 100 ms
+    /// gaps, round boundaries of 150 and 250 ms, repeated instants, the
+    /// ~1 ns backwards query the debug check tolerates (2^-30 ms, exact on
+    /// these times) and gaps of a second, past `FORGOTTEN` at every rate.
+    #[test]
+    fn answers_match_the_recorded_vector() {
+        let links = [
+            MarkovLink::new(0.02, 100.0, 41),
+            MarkovLink::new(0.2, 100.0, 42),
+            MarkovLink::new(0.5, 100.0, 43),
+            MarkovLink::with_model(0.2, LossModel::Independent, 44),
+            MarkovLink::new(0.0, 100.0, 45),
+        ];
+        let mut fold = 0xCBF2_9CE4_8422_2325u64;
+        for mut link in links {
+            let mut now: SimTime = 0.0;
+            for step in 0..6000u32 {
+                now += match step % 32 {
+                    0 => 150.0,
+                    7 | 19 => 0.0,
+                    11 => -(2f64.powi(-30)),
+                    12 => 2f64.powi(-30) + 100.0,
+                    23 => 250.0,
+                    31 => 1000.0,
+                    _ => 100.0,
+                };
+                fold = (fold ^ u64::from(link.transmit(now))).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+        // Recorded with the `f64` draw (`gen_bool(p + pull * memory)`) the
+        // grid compare replaced.
+        assert_eq!(fold, 0x2668_8ecb_3c2f_c010);
     }
 }

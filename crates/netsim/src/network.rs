@@ -214,11 +214,31 @@ impl Network {
     /// query.
     // xcheck: no_alloc
     pub fn link_delivers(&mut self, user: usize, now: SimTime) -> bool {
-        let ok = self.receivers[user].transmit(now);
-        if ok {
-            obs::counter_add("net.deliveries", 1);
+        ask(&mut self.receivers[user], now, "net.deliveries")
+    }
+
+    /// Walks `user` through a multicast round sent at `times`, asking as
+    /// [`Network::link_delivers`] does on its link borrowed once; the source
+    /// is asked only past the answers earlier walks left in `source_ok`.
+    /// Calls `delivered(j)` per packet `j` that gets through; true stops it.
+    // xcheck: no_alloc
+    pub fn walk(
+        &mut self,
+        user: usize,
+        times: &[SimTime],
+        source_ok: &mut Vec<bool>,
+        mut delivered: impl FnMut(usize) -> bool,
+    ) {
+        let link = &mut self.receivers[user];
+        for (j, &now) in times.iter().enumerate() {
+            if j == source_ok.len() {
+                obs::counter_add("net.multicast_packets", 1);
+                source_ok.push(self.source.transmit(now));
+            }
+            if source_ok[j] && ask(link, now, "net.deliveries") && delivered(j) {
+                return;
+            }
         }
-        ok
     }
 
     /// One multicast packet to the users in `listeners`, asked as
@@ -246,12 +266,19 @@ impl Network {
     // xcheck: no_alloc
     pub fn unicast(&mut self, now: SimTime, user: usize) -> bool {
         obs::counter_add("net.unicast_packets", 1);
-        let ok = self.source.transmit(now) && self.receivers[user].transmit(now);
-        if ok {
-            obs::counter_add("net.unicast_delivered", 1);
-        }
-        ok
+        self.source.transmit(now) && ask(&mut self.receivers[user], now, "net.unicast_delivered")
     }
+}
+
+/// Asks a receiver link, counting the query and, in `delivered`, a delivery.
+#[inline]
+fn ask(link: &mut MarkovLink, now: SimTime, delivered: &'static str) -> bool {
+    obs::counter_add("net.link_queries", 1);
+    let ok = link.transmit(now);
+    if ok {
+        obs::counter_add(delivered, 1);
+    }
+    ok
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! The `// xcheck: no_alloc` contract, pinned, for the netsim
 //! per-packet hot paths: [`Network::source_delivers`],
-//! [`Network::link_delivers`], [`Network::multicast_to_into`] (with a warm
-//! `delivered` scratch buffer) and [`Network::unicast`] must perform zero
-//! heap allocations.
+//! [`Network::link_delivers`], [`Network::walk`] (with a warm `source_ok`
+//! buffer), [`Network::multicast_to_into`] (with a warm `delivered` scratch
+//! buffer) and [`Network::unicast`] must perform zero heap allocations.
 
 use netsim::{Network, NetworkConfig};
 
@@ -41,6 +41,44 @@ fn per_link_queries_are_allocation_free() {
             });
     }
     assert!(delivered > 0, "some packets must get through");
+}
+
+#[test]
+fn walk_is_allocation_free_with_warm_source_answers() {
+    xcheck_rt::assert_counting();
+    let mut net = network();
+    // A round of 12 packets 100 ms apart, and the next one a boundary
+    // later: most queries hit a link's memo, the first of each walk and
+    // every query after the boundary refresh it.
+    let round =
+        |first: f64| -> Vec<f64> { (0..12).map(|i| first + f64::from(i) * 100.0).collect() };
+    let mut source_ok = Vec::with_capacity(12);
+    let mut heard = 0;
+    // Warm-up: with `--features obs`, each counter slot registers on its
+    // first use.
+    for user in 0..8 {
+        net.walk(user, &round(100.0), &mut source_ok, |_| {
+            heard += 1;
+            false
+        });
+    }
+    assert!(heard > 0, "warm-up walks must hear at least one packet");
+    for (r, first) in [1300.0, 2450.0, 3600.0].into_iter().enumerate() {
+        let times = round(first);
+        source_ok.clear();
+        for user in 8..256 {
+            // Stop at the user's own packet, as the transport does.
+            let own = (user + r) % 12;
+            xcheck_rt::assert_zero_alloc("Network::walk", || {
+                net.walk(user, &times, &mut source_ok, |j| {
+                    heard += 1;
+                    j >= own
+                })
+            });
+        }
+        assert_eq!(source_ok.len(), 12, "some walk must reach the last packet");
+    }
+    assert!(heard > 3 * 248, "most walks must hear packets");
 }
 
 #[test]

@@ -105,8 +105,8 @@ cargo test -q -p rekeymsg --test no_alloc_marks
 # of one, at zero — with spans on, too.
 cargo test -q -p rse --test no_alloc_marks
 cargo test -q -p rse --features obs --test no_alloc_marks
-# The per-link queries the transport asks (source_delivers, link_delivers),
-# multicast_to_into and unicast: zero.
+# The per-link queries (source_delivers, link_delivers), a listener's walk
+# (memo hits and refreshes), multicast_to_into and unicast: zero.
 cargo test -q -p netsim --test no_alloc_marks
 # The serving delivery and 990 deliveries of ruled-out blocks are pinned at
 # zero (no reference held either), and so is asking is_own of each; 1000
@@ -197,6 +197,8 @@ cargo test --release -q -p rekeyproto --test reference_session
 # sanitize test stage above.
 for name in figures scale churn; do
     stage "bench_$name: full run, cmp with the committed BENCH_$name.json"
+    # The reports go to ./target even when CARGO_TARGET_DIR points elsewhere.
+    mkdir -p target
     cargo run -q --release -p bench --bin "bench_$name" -- --out "target/BENCH_$name.json"
     cmp "target/BENCH_$name.json" "BENCH_$name.json"
     if [ "$name" = figures ]; then
