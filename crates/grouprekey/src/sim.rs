@@ -74,14 +74,12 @@ impl SimUser {
     /// is asked first: it rules out every packet but one.
     // xcheck: no_alloc
     fn is_own(&self, pkt: &Packet) -> bool {
-        match pkt {
-            Packet::Enc(enc) => {
-                self.me().is_some_and(|me| enc.serves(me))
-                    && self.search.index(true, enc.header().seq).is_ok()
-            }
-            Packet::Usr(_) => true,
-            Packet::Parity(_) | Packet::Nack(_) => false,
+        // Two compares, not a `match`: a walk scans the schedule with this.
+        if let Packet::Enc(enc) = pkt {
+            return self.me().is_some_and(|me| enc.serves(me))
+                && self.search.index(true, enc.header().seq).is_ok();
         }
+        matches!(pkt, Packet::Usr(_))
     }
 
     /// Feeds one received packet into the user's share bookkeeping,
@@ -127,6 +125,13 @@ impl Receiver for SimUser {
     // xcheck: no_alloc
     fn reads_now(&mut self, frames: &&[Packet], j: usize) -> bool {
         self.is_own(&frames[j])
+    }
+
+    /// Exact: the first own packet from `from` on.
+    // xcheck: no_alloc
+    fn next_read(&mut self, frames: &&[Packet], from: usize) -> usize {
+        let rest = frames.get(from..).unwrap_or_default();
+        from + (rest.iter().position(|pkt| self.is_own(pkt))).unwrap_or(rest.len())
     }
 
     fn net_index(&self) -> usize {
@@ -249,9 +254,9 @@ mod tests {
         let schedule = [enc(1, 1, 100, 140), parity(1, 0), enc(1, 0, 140, 160)];
         let frames: &[Packet] = &schedule;
         let mut u = SimUser::new(0, 150, 3, 4, Some(1));
-        assert!(!u.walk_at(&frames, 0, 1));
-        assert!(!u.walk_at(&frames, 1, 1));
-        assert!(u.walk_at(&frames, 2, 1));
+        assert_eq!([0, 1, 2, 3].map(|j| u.next_read(&frames, j)), [2, 2, 2, 3]);
+        assert!(u.reads_now(&frames, 2));
+        u.receive_at(&frames, 2, 1);
         assert_eq!(u.success_round(), Some(1));
 
         // 65536 + 150 narrows to 150, whose packet the last one is: the
@@ -262,8 +267,9 @@ mod tests {
             SimUser::new(0, wide, 3, 4, Some(1)),
             SimUser::new(0, wide, 3, 4, Some(1)),
         );
+        assert_eq!(walked.next_read(&frames, 0), schedule.len());
         for j in 0..schedule.len() {
-            assert!(!walked.walk_at(&frames, j, 1));
+            assert!(!walked.reads_now(&frames, j));
             eager.receive_at(&frames, j, 1);
         }
         for j in 0..schedule.len() {
@@ -318,7 +324,7 @@ mod tests {
             SimUser::new(0, 150, 3, 4, Some(1)),
             SimUser::new(0, 150, 3, 4, Some(1)),
         );
-        assert!(!u.walk_at(&&[forged.clone()][..], 0, 1));
+        assert_eq!(u.next_read(&&[forged.clone()][..], 0), 1);
         u.receive(&forged, 1);
         assert!(!u.is_satisfied());
         assert_eq!(end_of_round(&mut u, 1), end_of_round(&mut deaf, 1));

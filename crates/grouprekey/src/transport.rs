@@ -43,7 +43,7 @@ use std::sync::Arc;
 
 use keytree::NodeId;
 use netsim::Network;
-use rekeymsg::{Layout, NackPacket, Packet};
+use rekeymsg::{Header, Layout, NackPacket, Packet};
 use rekeyproto::{Ignored, Received, RoundDecision, ServerSession, UserSession};
 
 /// What [`run`] needs from one receiver of a rekey message.
@@ -79,17 +79,10 @@ pub trait Receiver {
     /// later could read differently. Records nothing `receive_at` would not.
     fn reads_now(&mut self, frames: &Self::Frames<'_>, j: usize) -> bool;
 
-    /// Frame `j` got through during a multicast round's walk: received now
-    /// and true if [`Receiver::reads_now`], else false — [`run`] hands it to
-    /// `receive_at` after a walk that ended unsatisfied, in delivery order,
-    /// and drops it unread after one that found the receiver's own.
-    fn walk_at(&mut self, frames: &Self::Frames<'_>, j: usize, round: usize) -> bool {
-        let now = self.reads_now(frames, j);
-        if now {
-            self.receive_at(frames, j, round);
-        }
-        now
-    }
+    /// A lower bound on the next frame from `from` on that `reads_now` takes
+    /// (the frame count: none); records nothing. [`run`] walks the network to
+    /// it unasked: a bound too early costs a `reads_now`, never an answer.
+    fn next_read(&mut self, frames: &Self::Frames<'_>, from: usize) -> usize;
 
     /// Round boundary, called on the receivers still on the listener list
     /// (the unsatisfied, and those a unicast wave has just satisfied):
@@ -133,20 +126,50 @@ impl ByteReceiver {
     }
 }
 
-impl Receiver for ByteReceiver {
-    type Frames<'p> = Vec<Arc<[u8]>>;
+/// The byte model's frames of one send: each packet's wire bytes, and the
+/// `[frm_id, to_id]` its header names, read once for all receivers (none
+/// for PARITY and NACK; all for USR, or a frame that is no packet).
+#[derive(Debug)]
+pub struct Frames {
+    bytes: Vec<Arc<[u8]>>,
+    ids: Vec<[u32; 2]>,
+}
 
-    fn frames(packets: &[Packet], layout: &Layout) -> Vec<Arc<[u8]>> {
-        packets.iter().map(|pkt| pkt.emit(layout).into()).collect()
+impl Frames {
+    fn new(bytes: Vec<Arc<[u8]>>, layout: &Layout) -> Self {
+        let ids = (bytes.iter())
+            .map(|frame| match Packet::header(frame, layout) {
+                Ok((_, Header::Enc(h))) => [h.frm_id.into(), h.to_id.into()],
+                Ok((_, Header::Parity { .. } | Header::Nack)) => [1, 0],
+                Ok((_, Header::Usr)) | Err(_) => [0, u32::MAX],
+            })
+            .collect();
+        Frames { bytes, ids }
+    }
+}
+
+impl Receiver for ByteReceiver {
+    type Frames<'p> = Frames;
+
+    fn frames(packets: &[Packet], layout: &Layout) -> Frames {
+        let bytes = packets.iter().map(|pkt| pkt.emit(layout).into());
+        Frames::new(bytes.collect(), layout)
     }
 
-    fn receive_at(&mut self, frames: &Vec<Arc<[u8]>>, j: usize, _round: usize) {
-        self.receive(&frames[j]);
+    fn receive_at(&mut self, frames: &Frames, j: usize, _round: usize) {
+        self.receive(&frames.bytes[j]);
     }
 
     /// [`UserSession::reads_now`].
-    fn reads_now(&mut self, frames: &Vec<Arc<[u8]>>, j: usize) -> bool {
-        self.session.reads_now(&frames[j])
+    fn reads_now(&mut self, frames: &Frames, j: usize) -> bool {
+        self.session.reads_now(&frames.bytes[j])
+    }
+
+    /// `from` until a header teaches the ID; then the first range holding it.
+    fn next_read(&mut self, frames: &Frames, from: usize) -> usize {
+        let (m, rest) = (self.session.current_id(), frames.ids.get(from..));
+        let holds = |&[frm, to]: &[u32; 2]| m.is_none_or(|m| frm <= m && m <= to);
+        from + rest.map_or(0, |rest| rest.iter().position(holds).unwrap_or(rest.len()))
     }
 
     fn net_index(&self) -> usize {
@@ -262,25 +285,17 @@ impl TransportScratch {
     }
 }
 
-/// One multicast round, receiver by receiver.
-///
-/// Each listener, in slice order, walks the schedule until it is
-/// satisfied ([`Network::walk`]): the source link drawn once per packet, up
-/// to the furthest any listener reached, and its own link only when the
-/// source delivered. That is every question the packet-major walk asks, at
-/// the same times, and each link owns its RNG, so the draws are the same
-/// (DESIGN.md "One transport loop").
-/// The clock ends where the packet-major walk leaves it: one send interval
-/// per packet sent, plus one for the packet at which nobody is left.
-///
-/// A walk reads a delivery now only if [`Receiver::walk_at`] takes it —
-/// the listener's own packet, in the main — and defers the rest. A
-/// listener the walk left unsatisfied then receives them in delivery
-/// order; one whose own packet came never reads them (counter
-/// `transport.frame.unread`). Only an own packet can satisfy during a
-/// walk, and what the others build is read only at the round boundary, so
-/// the walk stops where it stopped before and the boundary sees the same
-/// state.
+/// One multicast round, receiver by receiver (DESIGN.md "One transport
+/// loop"). Each listener, in slice order, walks the schedule in spans to the
+/// frames [`Receiver::next_read`] names ([`Network::walk`]: the source drawn
+/// once per packet, its own link only where the source delivered, as the
+/// packet-major walk asks), reading a named frame that got through at once
+/// if [`Receiver::reads_now`] takes it. Only an own packet can satisfy during
+/// a walk, so it stops where the packet-major one did; a listener it left
+/// unsatisfied then reads the rest in delivery order, one whose own packet
+/// came never does (`transport.frame.unread`). The clock ends where the
+/// packet-major walk leaves it: a send interval per packet sent, one more at
+/// the packet that found nobody left.
 fn multicast_round<R: Receiver>(
     net: &mut Network,
     clock: &mut f64,
@@ -307,11 +322,24 @@ fn multicast_round<R: Receiver>(
     for &slot in &scratch.listener_slots {
         let r = &mut receivers[slot];
         deferred.clear();
-        net.walk(r.net_index(), times, source_ok, |j| {
-            let read = r.walk_at(&frames, j, round);
-            deferred.extend((!read).then_some(j));
-            read && r.is_satisfied()
-        });
+        let mut j = 0;
+        while j < times.len() {
+            let s = r.next_read(&frames, j);
+            let span = j..times.len().min(s + 1);
+            net.walk(r.net_index(), times, source_ok, span, deferred);
+            let delivered = deferred.last() == Some(&s);
+            let read = delivered && r.reads_now(&frames, s);
+            obs::counter_add("transport.walk.spans", 1);
+            obs::counter_add("transport.walk.hint_misses", u64::from(delivered && !read));
+            if read {
+                deferred.pop();
+                r.receive_at(&frames, s, round);
+                if r.is_satisfied() {
+                    break;
+                }
+            }
+            j = s + 1;
+        }
         if r.is_satisfied() {
             obs::counter_add("transport.frame.unread", deferred.len() as u64);
         } else {

@@ -7,7 +7,9 @@
 use keytree::{Batch, KeyTree, MemberId};
 use netsim::NetworkConfig;
 use proptest::prelude::*;
-use rekeymsg::{build_usr_packet, SendOrder, UkaAssignment, UsrPacket};
+use rekeymsg::{
+    build_usr_packet, EncHeader, EncPacket, NackRequest, SendOrder, UkaAssignment, UsrPacket,
+};
 use rekeyproto::{ServerConfig, ServerController};
 use wirecrypto::KeyGen;
 
@@ -243,5 +245,125 @@ proptest! {
                 Packet::Usr(usr.unwrap())
             },
         )?;
+    }
+}
+
+/// Holds [`Receiver::next_read`] to its contract on one receiver's frames:
+/// from every `from`, the bound lies between `from` and the first frame
+/// `reads_now` takes (the frame count if none does); `exact` holds it to
+/// that frame. `reads_now` must record nothing by now.
+fn bound_holds<R: Receiver>(
+    r: &mut R,
+    frames: &R::Frames<'_>,
+    len: usize,
+    exact: bool,
+) -> TestCaseResult {
+    let reads: Vec<bool> = (0..len).map(|j| r.reads_now(frames, j)).collect();
+    for from in 0..=len {
+        let bound = r.next_read(frames, from);
+        let first = (from..len).find(|&j| reads[j]).unwrap_or(len);
+        prop_assert!(
+            (from..=first).contains(&bound),
+            "from {from}: bound {bound}, first frame read now {first}"
+        );
+        prop_assert!(
+            !exact || bound == first,
+            "from {from}: bound {bound}, not {first}"
+        );
+    }
+    Ok(())
+}
+
+/// A packet the server never sends, made from one it does (`None` for the
+/// byte-level forgery, a truncated frame): an ENC past `k`, one of another
+/// message, one naming every ID under another `maxKID`, a USR, a NACK.
+fn forged(kind: u8, real: &EncPacket, k: usize) -> Option<Packet> {
+    let h = real.header();
+    let enc = |h: EncHeader| EncPacket::new(h, real.entries(), &Layout::DEFAULT).ok();
+    match kind {
+        0 => enc(EncHeader { seq: k as u8, ..h }).map(Packet::Enc),
+        1 => enc(EncHeader {
+            msg_id: h.msg_id ^ 1,
+            ..h
+        })
+        .map(Packet::Enc),
+        2 => enc(EncHeader {
+            frm_id: 0,
+            to_id: u16::MAX,
+            max_kid: h.max_kid.wrapping_add(1),
+            ..h
+        })
+        .map(Packet::Enc),
+        3 => Some(Packet::Usr(UsrPacket {
+            msg_id: h.msg_id,
+            new_user_id: h.frm_id,
+            sealed: Vec::new(),
+        })),
+        4 => Some(Packet::Nack(NackPacket {
+            msg_id: h.msg_id,
+            requests: vec![NackRequest {
+                count: 1,
+                block_id: 0,
+            }],
+        })),
+        _ => None,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Over a server-built round one, in either send order, with forged,
+    /// truncated, foreign and NACK/USR frames put in: both models' bound
+    /// skips no frame their `reads_now` takes — the count model's is that
+    /// frame — and the byte model's is `from` until a header taught the ID.
+    #[test]
+    fn next_read_skips_no_frame_read_now(
+        c in case(),
+        forgeries in proptest::collection::vec((any::<usize>(), 0u8..6), 0..6),
+    ) {
+        let msg = message(&c);
+        let layout = Layout::DEFAULT;
+        let controller = ServerController::new(ServerConfig {
+            block_size: c.k,
+            send_order: c.send_order,
+            ..ServerConfig::default()
+        });
+        let mut packets = controller.begin_message(msg.assignment.packets.clone(), 100).start();
+        let real = &msg.assignment.packets;
+        let mut cut = Vec::new();
+        for &(at, kind) in forgeries.iter().filter(|_| !real.is_empty()) {
+            match forged(kind, &real[at % real.len()], c.k) {
+                Some(pkt) => packets.insert(at % (packets.len() + 1), pkt),
+                None => cut.push(at),
+            }
+        }
+        let mut bytes: Vec<Arc<[u8]>> = packets.iter().map(|p| p.emit(&layout).into()).collect();
+        for at in cut {
+            let frame = &bytes[at % bytes.len()];
+            let short: Arc<[u8]> = frame[..frame.len() - 1].into();
+            bytes.insert(at % (bytes.len() + 1), short);
+        }
+        let (count_frames, len) = (&packets[..], bytes.len());
+        let frames = Frames::new(bytes, &layout);
+        let step = (msg.members.len() / 40).max(1);
+        for (link, &m) in msg.members.iter().enumerate().step_by(step) {
+            let node = msg.tree.node_of_member(m).unwrap();
+            let tb = msg.assignment.packet_of_user(node).map(|pi| (pi / c.k) as u8);
+            let mut user = SimUser::new(link, node, c.k, 4, tb);
+            bound_holds(&mut user, &count_frames, packets.len(), true)?;
+
+            let session = UserSession::new(node, 4, c.k, layout).expect_msg_id(1);
+            let mut r = ByteReceiver { session, link, node, layout };
+            let mut j = 0;
+            while r.session.current_id().is_none() && j < len {
+                prop_assert_eq!(r.next_read(&frames, j), j, "ID unknown");
+                r.reads_now(&frames, j);
+                j += 1;
+            }
+            if r.session.current_id().is_some() {
+                bound_holds(&mut r, &frames, len, false)?;
+            }
+        }
     }
 }

@@ -4,9 +4,9 @@
 //! `receive` and `end_of_round_into` must perform zero heap allocations,
 //! and so must the loop that drives them
 //! ([`run_message_transport_with`]) once the server has built its
-//! round-one schedule. A multicast walk's question of each delivery —
-//! is it the user's own? — allocates nothing in either model, nor does
-//! taking the own one. And for the byte model's last step: a
+//! round-one schedule. A multicast walk's bound on the next frame it must
+//! read, and its question of a delivery — is it the user's own? — allocate
+//! nothing in either model, nor does taking the own one. And for the byte model's last step: a
 //! [`UserAgent`] that holds its path installs the new keys off the frame
 //! its session kept, or off a USR packet, without allocating, and one that
 //! a split moved a level down allocates at most once, to grow its path.
@@ -17,8 +17,6 @@
 //! a message and building its round-one schedule allocate nothing per ENC
 //! packet: every packet goes out on the body UKA wrote, and what is
 //! allocated is per block and per parity.
-
-use std::sync::Arc;
 
 use grouprekey::frontend::{IntervalCollector, JoinRequest, LeaveRequest};
 use grouprekey::sim::{run_message_transport_with, SimConfig, SimUser, TransportScratch};
@@ -237,10 +235,13 @@ fn the_walks_own_checks_allocate_nothing() {
     let schedule = [enc(0, 0, 100, 120), parity(0, 0), enc(1, 0, 480, 520)];
     let frames: &[Packet] = &schedule;
     let mut user = SimUser::new(0, 500, 8, 4, Some(1));
-    let taken = xcheck_rt::assert_zero_alloc("SimUser::walk_at", || {
-        [0, 1, 2].map(|j| user.walk_at(&frames, j, 1))
+    let taken = xcheck_rt::assert_zero_alloc("SimUser::next_read + reads_now", || {
+        let own = user.next_read(&frames, 0);
+        let read = user.reads_now(&frames, own);
+        user.receive_at(&frames, own, 1);
+        (own, read)
     });
-    assert_eq!(taken, [false, false, true]);
+    assert_eq!(taken, (2, true));
     assert!(user.is_satisfied());
 
     // Byte model, over a real message: every other user's frame is a
@@ -253,9 +254,10 @@ fn the_walks_own_checks_allocate_nothing() {
     let leaves: Vec<u32> = (0..16u32).map(|i| i * 64 + 1).collect();
     let outcome = tree.process_batch(&Batch::new(vec![], leaves), &mut kg);
     let assignment = UkaAssignment::build(&tree, &outcome, 1, &layout).unwrap();
-    let frames: Vec<Arc<[u8]>> = (assignment.packets.iter())
-        .map(|pkt| Packet::Enc(pkt.clone()).emit(&layout).into())
+    let packets: Vec<Packet> = (assignment.packets.iter())
+        .map(|pkt| Packet::Enc(pkt.clone()))
         .collect();
+    let frames = ByteReceiver::frames(&packets, &layout);
     let member = 500;
     let own = assignment
         .packet_of_user(tree.node_of_member(member).unwrap())
@@ -268,14 +270,20 @@ fn the_walks_own_checks_allocate_nothing() {
         node: tree.node_of_member(member).unwrap(),
         layout,
     };
-    let others: Vec<usize> = (0..frames.len()).filter(|&j| j != own).collect();
-    let taken = xcheck_rt::assert_zero_alloc("ByteReceiver::walk_at, others", || {
-        others.iter().any(|&j| receiver.walk_at(&frames, j, 1))
+    let others: Vec<usize> = (0..packets.len()).filter(|&j| j != own).collect();
+    let (bounds, taken) = xcheck_rt::assert_zero_alloc("ByteReceiver::next_read, others", || {
+        // The bound is `from` until a header teaches the ID, then the own frame.
+        let unknown = receiver.next_read(&frames, 0);
+        let taken = others.iter().any(|&j| receiver.reads_now(&frames, j));
+        ([unknown, receiver.next_read(&frames, 0)], taken)
     });
+    assert_eq!(bounds, [0, own]);
     assert!(!taken);
     assert!(receiver.session.current_id().is_some(), "asking taught it");
-    let mine = xcheck_rt::assert_zero_alloc("ByteReceiver::walk_at, own", || {
-        receiver.walk_at(&frames, own, 1)
+    let mine = xcheck_rt::assert_zero_alloc("ByteReceiver::reads_now, own", || {
+        let read = receiver.reads_now(&frames, own);
+        receiver.receive_at(&frames, own, 1);
+        read
     });
     assert!(mine && receiver.is_satisfied());
 }

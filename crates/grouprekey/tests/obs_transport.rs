@@ -85,6 +85,12 @@ fn one_rekey_records_its_spans_and_every_delivery_by_outcome() {
     let delivered = snap.counter("net.deliveries");
     assert!(delivered + snap.counter("net.unicast_delivered") <= queries);
     assert_eq!((queries, delivered), (14_096, 9_936));
+    // A walk asks the network one span at a time, up to the frame the
+    // receiver names as the next it may read now; a miss is a named frame
+    // delivered and then not read: here, about one a member, the frame
+    // whose header taught it its ID.
+    let walk = |what: &str| snap.counter(&format!("transport.walk.{what}"));
+    assert_eq!((walk("spans"), walk("hint_misses")), (2_672, 871));
     // At most one frame keys each of the 960 members left, most of what a
     // member hears is someone else's packet — kept, ruled out, or never
     // read because its own came in the same round — and the server sends

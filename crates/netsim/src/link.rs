@@ -1,5 +1,7 @@
 //! The two-state Markov burst-loss link, observed at packet times.
 
+use std::ops::Range;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -103,9 +105,9 @@ impl MarkovLink {
         }
     }
 
-    /// Sends one packet at simulation time `now`; returns true when the
-    /// packet gets through.
-    #[inline]
+    /// Sends one packet at simulation time `now`; true when it gets through.
+    /// The one step every question takes, inlined wherever a link is asked.
+    #[inline(always)]
     pub fn transmit(&mut self, now: SimTime) -> bool {
         let dt = now - self.last_query;
         debug_assert!(
@@ -122,7 +124,7 @@ impl MarkovLink {
             return !self.bad;
         }
         if self.memo.0 != dt {
-            self.refresh(dt);
+            self.memo = (dt, thresholds(p, self.decay_per_ms, dt));
         }
         let x = self.rng.next_u64() >> 11;
         let [good, bad] = self.memo.1;
@@ -130,15 +132,36 @@ impl MarkovLink {
         !self.bad
     }
 
-    /// Points the memo at gap `dt`: `exp` is skipped past `FORGOTTEN`.
-    #[cold]
-    #[inline(never)]
-    fn refresh(&mut self, dt: SimTime) {
-        let (p, x) = (self.loss_rate, dt * self.decay_per_ms);
-        let memory = if x > FORGOTTEN { 0.0 } else { (-x).exp() };
-        // In [0, 1] for every p in [0, 1): `memory <= 1` and rounding is monotone.
-        self.memo = (dt, [grid(p + -p * memory), grid(p + (1.0 - p) * memory)]);
+    /// Asks at `times[j]` for each `j` in `span` with `source_ok[j]`, pushing
+    /// to `got` each `j` that gets through. A local copy, written back once,
+    /// keeps the link's state in registers.
+    pub(crate) fn answer(
+        &mut self,
+        times: &[SimTime],
+        source_ok: &[bool],
+        span: Range<usize>,
+        got: &mut Vec<usize>,
+    ) {
+        let (mut run, times, source_ok) =
+            (self.clone(), &times[..span.end], &source_ok[..span.end]);
+        for j in span {
+            if source_ok[j] && run.transmit(times[j]) {
+                got.push(j);
+            }
+        }
+        *self = run;
     }
+}
+
+/// `P(bad)` after gap `dt` from good and from bad, on the draw's grid, `exp`
+/// skipped past `FORGOTTEN`; cold and by value, so a walk's link stays in registers.
+#[cold]
+#[inline(never)]
+fn thresholds(p: f64, decay_per_ms: f64, dt: SimTime) -> [u64; 2] {
+    let x = dt * decay_per_ms;
+    let memory = if x > FORGOTTEN { 0.0 } else { (-x).exp() };
+    // In [0, 1] for every p in [0, 1): `memory <= 1` and rounding is monotone.
+    [grid(p + -p * memory), grid(p + (1.0 - p) * memory)]
 }
 
 #[cfg(test)]

@@ -1,5 +1,7 @@
 //! The star-of-links multicast topology.
 
+use std::ops::Range;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -217,27 +219,29 @@ impl Network {
         ask(&mut self.receivers[user], now, "net.deliveries")
     }
 
-    /// Walks `user` through a multicast round sent at `times`, asking as
-    /// [`Network::link_delivers`] does on its link borrowed once; the source
-    /// is asked only past the answers earlier walks left in `source_ok`.
-    /// Calls `delivered(j)` per packet `j` that gets through; true stops it.
+    /// Walks `user` through packets `span` of a round sent at `times`: the source
+    /// to the span's end, past what earlier walks left in `source_ok`, then the
+    /// user's link as [`Network::link_delivers`] would. Pushes what gets through to `got`.
     // xcheck: no_alloc
     pub fn walk(
         &mut self,
         user: usize,
         times: &[SimTime],
         source_ok: &mut Vec<bool>,
-        mut delivered: impl FnMut(usize) -> bool,
+        span: Range<usize>,
+        got: &mut Vec<usize>,
     ) {
-        let link = &mut self.receivers[user];
-        for (j, &now) in times.iter().enumerate() {
-            if j == source_ok.len() {
-                obs::counter_add("net.multicast_packets", 1);
-                source_ok.push(self.source.transmit(now));
-            }
-            if source_ok[j] && ask(link, now, "net.deliveries") && delivered(j) {
-                return;
-            }
+        let unasked = &times[source_ok.len().min(span.end)..span.end];
+        obs::counter_add("net.multicast_packets", unasked.len() as u64);
+        let source = &mut self.source;
+        source_ok.extend(unasked.iter().map(|&now| source.transmit(now)));
+        let before = got.len();
+        self.receivers[user].answer(times, source_ok, span.clone(), got);
+        // Counted only where it is recorded: the query count is a pass of its own.
+        if obs::enabled() {
+            let queries = source_ok[span].iter().filter(|&&ok| ok).count();
+            obs::counter_add("net.link_queries", queries as u64);
+            obs::counter_add("net.deliveries", (got.len() - before) as u64);
         }
     }
 
@@ -472,6 +476,62 @@ mod tests {
                     assert!(by_packet.iter().flatten().any(|&ok| !ok), "{what}: no loss");
                 }
             }
+        }
+    }
+
+    /// A walk in spans answers what per-question `transmit` on a twin
+    /// network answers, and leaves every link (RNG, `bad`, last query time,
+    /// memo) as the twin's: with a lossy source that breaks the gaps, spans
+    /// that open a tick backwards or at a repeated instant, gaps past
+    /// `FORGOTTEN`, empty spans, and burst, independent and `p = 0` links.
+    #[test]
+    fn walk_spans_match_per_question_transmit_on_a_twin() {
+        let tick = 2f64.powi(-30);
+        let mut times = Vec::new();
+        for train in 0..40u32 {
+            let first = f64::from(train) * 5000.0;
+            times.extend((0..12).map(|i| first + f64::from(i) * 100.0));
+            times.extend([first + 1100.0, first + 1100.0 - tick, first + 1250.0]);
+        }
+        let spans = [3, 1, 0, 7, 2, 12, 5];
+        for (independent_loss, p) in [(false, 0.2), (false, 0.02), (true, 0.2), (false, 0.0)] {
+            let config = NetworkConfig {
+                n_users: 6,
+                alpha: 0.5,
+                p_high: p,
+                p_low: p / 2.0,
+                p_source: 0.3,
+                independent_loss,
+                seed: 29,
+                ..NetworkConfig::default()
+            };
+            let (mut net, mut twin) = (Network::new(config), Network::new(config));
+            let source: Vec<bool> = times.iter().map(|&t| twin.source_delivers(t)).collect();
+            let mut source_ok = Vec::new();
+            for user in 0..6 {
+                let mut got = Vec::new();
+                let mut start = 0;
+                for len in spans.iter().cycle().skip(user) {
+                    let end = times.len().min(start + len);
+                    net.walk(user, &times, &mut source_ok, start..end, &mut got);
+                    if end == times.len() {
+                        break;
+                    }
+                    start = end;
+                }
+                let asked: Vec<usize> = (0..times.len())
+                    .filter(|&j| source[j] && twin.link_delivers(user, times[j]))
+                    .collect();
+                let what = format!("p {p}, independent {independent_loss}, user {user}");
+                assert_eq!(got, asked, "{what}: deliveries");
+            }
+            assert_eq!(source_ok, source, "the source, asked once per packet");
+            assert!(source.iter().any(|&ok| !ok), "the source must drop");
+            assert_eq!(
+                format!("{net:?}"),
+                format!("{twin:?}"),
+                "p {p}: link states"
+            );
         }
     }
 

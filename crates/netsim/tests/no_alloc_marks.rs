@@ -52,29 +52,32 @@ fn walk_is_allocation_free_with_warm_source_answers() {
     // every query after the boundary refresh it.
     let round =
         |first: f64| -> Vec<f64> { (0..12).map(|i| first + f64::from(i) * 100.0).collect() };
-    let mut source_ok = Vec::with_capacity(12);
-    let mut heard = 0;
+    let (mut source_ok, mut got) = (Vec::with_capacity(12), Vec::with_capacity(12));
     // Warm-up: with `--features obs`, each counter slot registers on its
     // first use.
     for user in 0..8 {
-        net.walk(user, &round(100.0), &mut source_ok, |_| {
-            heard += 1;
-            false
-        });
+        net.walk(user, &round(100.0), &mut source_ok, 0..12, &mut got);
     }
-    assert!(heard > 0, "warm-up walks must hear at least one packet");
+    assert!(
+        !got.is_empty(),
+        "warm-up walks must hear at least one packet"
+    );
+    let mut heard = 0;
     for (r, first) in [1300.0, 2450.0, 3600.0].into_iter().enumerate() {
         let times = round(first);
         source_ok.clear();
         for user in 8..256 {
-            // Stop at the user's own packet, as the transport does.
+            // A span to the user's own packet, and the rest of the round
+            // if it was lost, as the transport walks.
             let own = (user + r) % 12;
+            got.clear();
             xcheck_rt::assert_zero_alloc("Network::walk", || {
-                net.walk(user, &times, &mut source_ok, |j| {
-                    heard += 1;
-                    j >= own
-                })
+                net.walk(user, &times, &mut source_ok, 0..own + 1, &mut got);
+                if got.last() != Some(&own) {
+                    net.walk(user, &times, &mut source_ok, own + 1..12, &mut got);
+                }
             });
+            heard += got.len();
         }
         assert_eq!(source_ok.len(), 12, "some walk must reach the last packet");
     }

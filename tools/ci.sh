@@ -105,7 +105,7 @@ cargo test -q -p rekeymsg --test no_alloc_marks
 # of one, at zero — with spans on, too.
 cargo test -q -p rse --test no_alloc_marks
 cargo test -q -p rse --features obs --test no_alloc_marks
-# The per-link queries (source_delivers, link_delivers), a listener's walk
+# The per-link queries (source_delivers, link_delivers), a listener's walk in spans
 # (memo hits and refreshes), multicast_to_into and unicast: zero.
 cargo test -q -p netsim --test no_alloc_marks
 # The serving delivery and 990 deliveries of ruled-out blocks are pinned at
@@ -114,8 +114,9 @@ cargo test -q -p netsim --test no_alloc_marks
 # after one sizing each); a FEC recovery at the decode context of each block
 # tried plus the one frame the serving packet is rebuilt into.
 cargo test -q -p rekeyproto --test alloc_budget
-# The count-model loop on a warm TransportScratch, both models' walk_at (the
-# own check of every delivery, and taking the own one), UserAgent::apply_enc
+# The count-model loop on a warm TransportScratch, both models' next_read and
+# reads_now (the bound, the own check of every frame, and taking the own
+# one), UserAgent::apply_enc
 # off the kept frame and apply_usr off a USR packet: zero; apply_enc for a
 # member a split moved one
 # level down: at most one (its path grows). The server side: wirecrypto's
@@ -169,9 +170,14 @@ stage "transport delivery order (receiver-major rounds vs packet-major reference
 # A multicast round is walked receiver by receiver; the packet-major walk it
 # replaced is a test-only reference, and a proptest holds the two to the same
 # stats, success rounds, server state, clock bits and link states, for both
-# receiver models (DESIGN.md "One transport loop"). Then the two models must
-# still agree with each other, message by message.
+# receiver models (DESIGN.md "One transport loop"). A second proptest holds
+# each model's next_read to a bound that skips no frame reads_now takes, over
+# real schedules with forged, truncated, foreign and NACK/USR frames put in;
+# and a walk in spans must answer and leave every link as per-question
+# transmit on a twin network does. Then the two models must still agree with
+# each other, message by message.
 cargo test --release -q -p grouprekey --lib delivery_order
+cargo test --release -q -p netsim --lib walk_spans
 cargo test --release -q --test model_agreement
 
 stage "receiver identity (agent oracle, reference session, --release)"
