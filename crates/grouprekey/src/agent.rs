@@ -4,7 +4,9 @@
 
 use keytree::{ident, MemberId, NodeId};
 use rekeymsg::{seal_context, EncFrame, UsrPacket};
-use wirecrypto::{SealedKey, SymKey};
+use rekeyproto::UserOutcome;
+use wirecrypto::batch::{unseal_group, LANES};
+use wirecrypto::{SealedKey, SymKey, UnsealError, SEALED_KEY_LEN};
 
 /// Why applying a rekey packet failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,43 +121,97 @@ impl UserAgent {
     /// encryption addressed to it — the only ones copied out of the frame.
     // xcheck: no_alloc
     pub fn apply_enc(&mut self, pkt: &EncFrame, msg_seq: u64) -> Result<(), ApplyError> {
-        let max_kid = pkt.header().max_kid;
-        let new_id = ident::derive_current_id(self.node_id(), max_kid as NodeId, self.degree)
-            .ok_or(ApplyError::NotInGroup)?;
-        self.relocate(new_id);
-
-        for level in (0..self.path.len()).rev() {
-            let (c, kek) = self.path[level];
-            let c16 = u16::try_from(c).map_err(|_| ApplyError::MissingKey { node: c })?;
-            let Some(sealed) = pkt.entry(c16) else {
-                continue;
-            };
-            let kek = kek.ok_or(ApplyError::MissingKey { node: c })?;
-            let Some(parent) = level.checked_sub(1) else {
-                // Entries never encrypt above the root; tolerate a
-                // malformed packet rather than panic on hostile input.
-                continue;
-            };
-            self.path[parent].1 = Some(unseal(&sealed, &kek, msg_seq, c)?);
-        }
-        Ok(())
+        let chain = self.plan_enc(pkt)?;
+        self.run(chain, msg_seq)
     }
 
     /// Applies a USR packet: the sealed keys arrive in increasing
     /// encryption-ID order (root-side first) without explicit IDs; they
     /// correspond to the topmost `t` non-root path nodes, levels `1..=t`.
+    /// A packet the new ID's path cannot hold is refused before the agent
+    /// moves.
     // xcheck: no_alloc
     pub fn apply_usr(&mut self, pkt: &UsrPacket, msg_seq: u64) -> Result<(), ApplyError> {
-        self.relocate(pkt.new_user_id as NodeId);
-        if pkt.sealed.len() >= self.path.len() {
+        let chain = self.plan_usr(pkt)?;
+        self.run(chain, msg_seq)
+    }
+
+    /// Plans an ENC apply: rederives the current ID from `maxKID` and
+    /// relocates to it. The chain starts at the u-node.
+    fn plan_enc<'p>(&mut self, pkt: &'p EncFrame) -> Result<Chain<'p>, ApplyError> {
+        let max_kid = pkt.header().max_kid;
+        let new_id = ident::derive_current_id(self.node_id(), max_kid as NodeId, self.degree)
+            .ok_or(ApplyError::NotInGroup)?;
+        self.relocate(new_id);
+        Ok(Chain {
+            source: Source::Enc(pkt),
+            level: self.path.len(),
+        })
+    }
+
+    /// Plans a USR apply: checks the packet's shape against the path of
+    /// the ID it names, then relocates. The chain starts at level `t`, the
+    /// deepest key the packet carries.
+    fn plan_usr<'p>(&mut self, pkt: &'p UsrPacket) -> Result<Chain<'p>, ApplyError> {
+        let new_id = NodeId::from(pkt.new_user_id);
+        if pkt.sealed.len() > ident::level(new_id, self.degree) as usize {
             return Err(ApplyError::UsrShapeMismatch);
         }
-        // Unseal bottom-up: the deepest encrypting key is one the agent
-        // already holds (an unchanged auxiliary key or its individual key).
-        for (parent, sealed) in pkt.sealed.iter().enumerate().rev() {
-            let (c, kek) = self.path[parent + 1];
-            let kek = kek.ok_or(ApplyError::MissingKey { node: c })?;
-            self.path[parent].1 = Some(unseal(sealed, &kek, msg_seq, c)?);
+        self.relocate(new_id);
+        Ok(Chain {
+            source: Source::Usr(pkt),
+            level: pkt.sealed.len() + 1,
+        })
+    }
+
+    /// The chain's next link toward the root and the key that unseals it,
+    /// read off the path now — a link below may just have stored it. The
+    /// root has no link: nothing encrypts above it, and its ID, 0, is the
+    /// padding that ends a frame's ID column, so no entry names it.
+    // xcheck: no_alloc
+    fn next_link(&self, chain: &mut Chain<'_>) -> Result<Option<Link>, ApplyError> {
+        while chain.level > 1 {
+            chain.level -= 1;
+            let level = chain.level;
+            let (node, kek) = self.path[level];
+            let sealed = match chain.source {
+                Source::Enc(pkt) => {
+                    let c16 = u16::try_from(node).map_err(|_| ApplyError::MissingKey { node })?;
+                    pkt.entry(c16)
+                }
+                Source::Usr(pkt) => pkt.sealed.get(level - 1).copied(),
+            };
+            let Some(sealed) = sealed else {
+                continue;
+            };
+            let kek = kek.ok_or(ApplyError::MissingKey { node })?;
+            return Ok(Some(Link {
+                level,
+                node,
+                sealed,
+                kek,
+            }));
+        }
+        Ok(None)
+    }
+
+    /// Stores a link's unsealed key one level up.
+    fn store(
+        &mut self,
+        link: Link,
+        unsealed: Result<SymKey, UnsealError>,
+    ) -> Result<(), ApplyError> {
+        let key = unsealed.map_err(|_| ApplyError::BadSeal { node: link.node })?;
+        self.path[link.level - 1].1 = Some(key);
+        Ok(())
+    }
+
+    /// Runs a planned chain one link at a time: the install at one lane.
+    fn run(&mut self, mut chain: Chain<'_>, msg_seq: u64) -> Result<(), ApplyError> {
+        while let Some(link) = self.next_link(&mut chain)? {
+            obs::counter_add("agent.unseals", 1);
+            let unsealed = (link.sealed).unseal(&link.kek, seal_context(msg_seq, link.node));
+            self.store(link, unsealed)?;
         }
         Ok(())
     }
@@ -195,13 +251,146 @@ impl UserAgent {
     }
 }
 
-/// Unseals the key that `sealed`, found at encrypting node `c` of message
-/// `msg_seq`, carries under `kek`.
-fn unseal(sealed: &SealedKey, kek: &SymKey, msg_seq: u64, c: NodeId) -> Result<SymKey, ApplyError> {
-    obs::counter_add("agent.unseals", 1);
-    sealed
-        .unseal(kek, seal_context(msg_seq, c))
-        .map_err(|_| ApplyError::BadSeal { node: c })
+/// Where a planned apply finds its sealed keys.
+#[derive(Debug, Clone, Copy)]
+enum Source<'p> {
+    /// The ENC frame: the entry for a level's node, if it carries one.
+    Enc(&'p EncFrame),
+    /// A USR packet: level `l`'s key is `sealed[l - 1]`, for `l` in `1..=t`.
+    Usr(&'p UsrPacket),
+}
+
+/// A planned apply: where its sealed keys are, and the level the next link
+/// is looked for below (the chain climbs toward the root).
+#[derive(Debug, Clone, Copy)]
+struct Chain<'p> {
+    source: Source<'p>,
+    level: usize,
+}
+
+/// One link of a chain: the sealed key found for `node`, the path's
+/// level-`level` node, and `kek`, the key held for `node` that unseals it
+/// into the slot one level up.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    level: usize,
+    node: NodeId,
+    sealed: SealedKey,
+    kek: SymKey,
+}
+
+/// An agent's install in flight on one lane: its place in the job order,
+/// its chain, and the link it waits on.
+struct Lane<'a, 'p> {
+    job: usize,
+    agent: &'a mut UserAgent,
+    chain: Chain<'p>,
+    link: Link,
+}
+
+/// Takes jobs in order until one has a link to run and puts it on a lane.
+/// A job with nothing to apply is done at once; one that fails before its
+/// first unseal goes to `failure`.
+fn next_lane<'a, 'p>(
+    jobs: &mut impl Iterator<Item = (usize, (&'a mut UserAgent, &'p UserOutcome))>,
+    failure: &mut FirstFailure,
+) -> Option<Lane<'a, 'p>> {
+    for (job, (agent, outcome)) in jobs {
+        let planned = match outcome {
+            UserOutcome::Enc(pkt) => agent.plan_enc(pkt),
+            UserOutcome::Usr(pkt) => agent.plan_usr(pkt),
+            UserOutcome::Pending => continue,
+        };
+        let first = planned
+            .and_then(|mut chain| Ok(agent.next_link(&mut chain)?.map(|link| (chain, link))));
+        match first {
+            Ok(Some((chain, link))) => {
+                return Some(Lane {
+                    job,
+                    agent,
+                    chain,
+                    link,
+                })
+            }
+            Ok(None) => {}
+            Err(e) => failure.note(job, agent.member(), e),
+        }
+    }
+    None
+}
+
+/// The failure of the earliest job, whatever order the lanes met them in.
+#[derive(Default)]
+struct FirstFailure(Option<(usize, MemberId, ApplyError)>);
+
+impl FirstFailure {
+    fn note(&mut self, job: usize, member: MemberId, e: ApplyError) {
+        if self.0.is_none_or(|(first, _, _)| job < first) {
+            self.0 = Some((job, member, e));
+        }
+    }
+}
+
+/// Installs each agent's keys off its session's outcome — an ENC frame, a
+/// USR packet, or nothing yet — [`LANES`] agents at a time.
+///
+/// Each agent runs the plan and the steps of [`UserAgent::apply_enc`] /
+/// [`UserAgent::apply_usr`] on its own path with its own keys; what the
+/// lanes share is one kernel call, [`unseal_group`], which unseals the
+/// next link of every agent in flight side by side, each lane tag-checked
+/// on its own. A lane whose agent is done or failed is refilled from the
+/// next job in order. Every job is applied, and each agent ends exactly as
+/// the one-agent apply leaves it. The error is the earliest failing job's
+/// member and the error its one-agent apply returns.
+// xcheck: no_alloc
+pub fn install_lanes<'a, 'p>(
+    jobs: impl IntoIterator<Item = (&'a mut UserAgent, &'p UserOutcome)>,
+    msg_seq: u64,
+) -> Result<(), (MemberId, ApplyError)> {
+    let mut jobs = jobs.into_iter().enumerate();
+    let mut failure = FirstFailure::default();
+    let mut lanes: [Option<Lane<'a, 'p>>; LANES] = core::array::from_fn(|_| None);
+    let pad = (
+        SymKey::from_bytes([0; 16]),
+        SealedKey::from_bytes([0; SEALED_KEY_LEN]),
+        0,
+    );
+    loop {
+        let mut group = [pad; LANES];
+        let mut busy = 0;
+        for (slot, lane) in group.iter_mut().zip(&mut lanes) {
+            if lane.is_none() {
+                *lane = next_lane(&mut jobs, &mut failure);
+            }
+            if let Some(lane) = lane {
+                let link = &lane.link;
+                *slot = (link.kek, link.sealed, seal_context(msg_seq, link.node));
+                busy += 1;
+            }
+        }
+        if busy == 0 {
+            break;
+        }
+        obs::counter_add("agent.unseals", busy);
+        obs::counter_add("agent.unseal_groups", 1);
+        for (lane, unsealed) in lanes.iter_mut().zip(unseal_group(&group)) {
+            let Some(running) = lane else {
+                continue;
+            };
+            let agent = &mut *running.agent;
+            let next = (agent.store(running.link, unsealed))
+                .and_then(|()| agent.next_link(&mut running.chain));
+            match next {
+                Ok(Some(link)) => running.link = link,
+                Ok(None) => *lane = None,
+                Err(e) => {
+                    failure.note(running.job, agent.member(), e);
+                    *lane = None;
+                }
+            }
+        }
+    }
+    failure.0.map_or(Ok(()), |(_, member, e)| Err((member, e)))
 }
 
 #[cfg(test)]
@@ -355,19 +544,111 @@ mod tests {
 
     #[test]
     fn usr_shape_mismatch_rejected() {
-        let (_before, after, outcome, _assignment) = scenario(64, vec![3], 0);
-        let member = 0u32;
-        let uid = after.node_of_member(member).unwrap();
-        let individual = after.key_of(uid).unwrap();
-        let mut agent = UserAgent::new(member, uid, individual, 4);
-        let mut usr = build_usr_packet(&after, &outcome, member, 1).unwrap();
-        // Inflate beyond the path length.
-        while usr.sealed.len() <= 4 {
+        // A split moves the member at node 5 to 21 (three levels below the
+        // root); its USR packet names 21. One key too many for that path
+        // is refused before the agent moves or drops a key.
+        let mut kg = KeyGen::from_seed(8);
+        let mut tree = KeyTree::balanced(16, 4, &mut kg);
+        let before = tree.clone();
+        let moved = tree.member_at(5).unwrap();
+        let outcome = tree.process_batch(&Batch::new(vec![(100, kg.next_key())], vec![]), &mut kg);
+        let mut agent = agent_for(&before, moved, 4);
+        let held = (agent.node_id(), agent.keys_held(), agent.group_key());
+        let mut usr = build_usr_packet(&tree, &outcome, moved, 1).unwrap();
+        assert_eq!(usr.new_user_id, 21);
+        while usr.sealed.len() < 4 {
             usr.sealed.push(usr.sealed[0]);
         }
         assert_eq!(agent.apply_usr(&usr, 1), Err(ApplyError::UsrShapeMismatch));
+        assert_eq!(
+            (agent.node_id(), agent.keys_held(), agent.group_key()),
+            held,
+            "a refused packet moves nothing"
+        );
+        // The packet as built installs.
+        usr.sealed.truncate(3);
+        agent.apply_usr(&usr, 1).unwrap();
+        assert_eq!(agent.node_id(), 21);
+        assert_eq!(agent.group_key(), tree.group_key());
+    }
+
+    /// Every member of a 64-user tree after three leaves with its session's
+    /// outcome: its ENC frame, or for one in five its USR packet.
+    fn outcomes(
+        before: &KeyTree,
+        after: &KeyTree,
+        outcome: &keytree::MarkOutcome,
+        assignment: &UkaAssignment,
+    ) -> (Vec<UserAgent>, Vec<UserOutcome>) {
+        (0..64u32)
+            .filter(|&m| after.node_of_member(m).is_some())
+            .map(|m| {
+                let uid = after.node_of_member(m).unwrap();
+                let got = if m % 5 == 0 {
+                    UserOutcome::Usr(build_usr_packet(after, outcome, m, 1).unwrap())
+                } else {
+                    let pi = assignment.packet_of_user(uid).unwrap();
+                    UserOutcome::Enc(frame(&assignment.packets[pi]))
+                };
+                (agent_for(before, m, 4), got)
+            })
+            .unzip()
+    }
+
+    #[test]
+    fn installer_names_the_earliest_failing_member_and_installs_the_rest() {
+        let (before, after, outcome, assignment) = scenario(64, vec![3, 9, 41], 0);
+        let (mut agents, mut got) = outcomes(&before, &after, &outcome, &assignment);
+        // The second member's frame carries its root-side key (its last
+        // link) under one flipped bit; the fourth gets a USR packet too
+        // long for its path, refused before any unseal — met first.
+        let uid = after.node_of_member(agents[1].member()).unwrap();
+        let pi = assignment.packet_of_user(uid).unwrap();
+        let pkt = &assignment.packets[pi];
+        let child_of_root = ident::path_iter(uid, 4).nth(2).unwrap() as u16;
+        let forged = pkt.entries().map(|(id, sealed)| {
+            let mut bytes = *sealed.as_bytes();
+            bytes[0] ^= u8::from(id == child_of_root);
+            (id, SealedKey::from_bytes(bytes))
+        });
+        got[1] = UserOutcome::Enc(frame(
+            &EncPacket::new(pkt.header(), forged, &Layout::DEFAULT).unwrap(),
+        ));
+        let mut long = build_usr_packet(&after, &outcome, agents[3].member(), 1).unwrap();
+        while long.sealed.len() < 4 {
+            long.sealed.push(long.sealed[0]);
+        }
+        got[3] = UserOutcome::Usr(long);
+
+        let mut solo = agents.clone();
+        let solo_results: Vec<_> = (solo.iter_mut().zip(&got))
+            .map(|(agent, got)| match got {
+                UserOutcome::Enc(pkt) => agent.apply_enc(pkt, 1),
+                UserOutcome::Usr(pkt) => agent.apply_usr(pkt, 1),
+                UserOutcome::Pending => Ok(()),
+            })
+            .collect();
+        let bad_seal = ApplyError::BadSeal {
+            node: NodeId::from(child_of_root),
+        };
+        assert_eq!(solo_results[1], Err(bad_seal));
+        assert_eq!(solo_results[3], Err(ApplyError::UsrShapeMismatch));
+
+        let installed = install_lanes(agents.iter_mut().zip(&got), 1);
+        assert_eq!(installed, Err((solo[1].member(), bad_seal)));
+        for (i, (lane, one)) in agents.iter().zip(&solo).enumerate() {
+            assert_eq!(lane.node_id(), one.node_id());
+            assert_eq!(lane.keys_held(), one.keys_held());
+            for id in ident::path_iter(one.node_id(), 4) {
+                assert_eq!(lane.key_of(id), one.key_of(id), "agent {i}, node {id}");
+            }
+            let synced = lane.group_key() == after.group_key();
+            assert_eq!(synced, i != 1 && i != 3, "agent {i}");
+        }
     }
 }
 
+#[cfg(test)]
+mod install_reference;
 #[cfg(test)]
 mod map_reference;

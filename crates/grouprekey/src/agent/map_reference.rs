@@ -71,13 +71,14 @@ impl MapAgent {
 
     fn apply_usr(&mut self, pkt: &UsrPacket, msg_seq: u64) -> Result<(), ApplyError> {
         let new_id = pkt.new_user_id as NodeId;
-        self.relocate(new_id);
         let mut path = ident::path_to_root(new_id, self.degree);
         path.pop();
         path.reverse();
+        // A packet the new path cannot hold moves nothing.
         if pkt.sealed.len() > path.len() {
             return Err(ApplyError::UsrShapeMismatch);
         }
+        self.relocate(new_id);
         for (&c, sealed) in path.iter().zip(&pkt.sealed).rev() {
             let kek = self.key_of(c).ok_or(ApplyError::MissingKey { node: c })?;
             let key = sealed

@@ -19,7 +19,7 @@ use netsim::{Network, NetworkConfig};
 use rekeymsg::Packet;
 use rekeyproto::{UserOutcome, UserSession};
 
-use crate::agent::UserAgent;
+use crate::agent::{install_lanes, UserAgent};
 use crate::metrics::MessageReport;
 use crate::server::{KeyServer, ServerOptions};
 use crate::transport::{self, ByteReceiver, SimConfig, TransportScratch};
@@ -230,32 +230,29 @@ impl Group {
             self.max_rounds
         );
 
-        // Apply outcomes cryptographically.
+        // Apply outcomes cryptographically: every member's own path
+        // unsealed with its own keys, eight members' chains side by side.
         let apply = obs::span("agent.apply");
-        for (agent, r) in self.agents.values_mut().zip(&receivers) {
-            let m = agent.member();
-            #[expect(
-                clippy::panic,
-                reason = "the simulated network delivers the server's own bytes, so a failed apply is a bug here; ROADMAP 4b: becomes RekeyError"
-            )]
-            match r.session.outcome() {
-                UserOutcome::Enc(pkt) => agent
-                    .apply_enc(pkt, msg_seq)
-                    .unwrap_or_else(|e| panic!("member {m}: apply_enc: {e}")),
-                UserOutcome::Usr(pkt) => agent
-                    .apply_usr(pkt, msg_seq)
-                    .unwrap_or_else(|e| panic!("member {m}: apply_usr: {e}")),
-                UserOutcome::Pending => {
-                    // Only possible when the member needed nothing.
-                    assert!(
-                        artifacts
-                            .outcome
-                            .encryptions_for_user(agent.node_id(), self.degree)
-                            .is_empty(),
-                        "member {m} pending but needed encryptions"
-                    );
-                }
+        for (agent, r) in self.agents.values().zip(&receivers) {
+            if matches!(r.session.outcome(), UserOutcome::Pending) {
+                // Only possible when the member needed nothing.
+                assert!(
+                    artifacts
+                        .outcome
+                        .encryptions_for_user(agent.node_id(), self.degree)
+                        .is_empty(),
+                    "member {} pending but needed encryptions",
+                    agent.member()
+                );
             }
+        }
+        let outcomes = receivers.iter().map(|r| r.session.outcome());
+        #[expect(
+            clippy::panic,
+            reason = "the simulated network delivers the server's own bytes, so a failed apply is a bug here; ROADMAP 4b: becomes RekeyError"
+        )]
+        if let Err((m, e)) = install_lanes(self.agents.values_mut().zip(outcomes), msg_seq) {
+            panic!("member {m}: apply: {e}");
         }
         drop(apply);
 

@@ -9,7 +9,9 @@
 //! nothing in either model, nor does taking the own one. And for the byte model's last step: a
 //! [`UserAgent`] that holds its path installs the new keys off the frame
 //! its session kept, or off a USR packet, without allocating, and one that
-//! a split moved a level down allocates at most once, to grow its path.
+//! a split moved a level down allocates at most once, to grow its path;
+//! installing a whole group's outcomes eight agents at a time allocates
+//! nothing either.
 //! On the server side: the cipher's
 //! batch kernels allocate nothing (their callers own the output), and a
 //! warm [`IntervalCollector`] admits a leave and a join mid-interval
@@ -21,15 +23,15 @@
 use grouprekey::frontend::{IntervalCollector, JoinRequest, LeaveRequest};
 use grouprekey::sim::{run_message_transport_with, SimConfig, SimUser, TransportScratch};
 use grouprekey::transport::{ByteReceiver, Receiver};
-use grouprekey::UserAgent;
+use grouprekey::{install_lanes, UserAgent};
 use keytree::{Batch, KeyTree};
 use netsim::{Network, NetworkConfig};
 use rekeymsg::{
     build_usr_packet, EncFrame, EncHeader, EncPacket, Layout, NackPacket, Packet, ParityPacket,
     UkaAssignment,
 };
-use rekeyproto::{ServerConfig, ServerController, UserSession};
-use wirecrypto::batch::{keystream16_batch, seal_batch};
+use rekeyproto::{ServerConfig, ServerController, UserOutcome, UserSession};
+use wirecrypto::batch::{keystream16_batch, seal_batch, unseal_group};
 use wirecrypto::{KeyGen, SealedKey};
 
 #[global_allocator]
@@ -293,6 +295,7 @@ fn the_walks_own_checks_allocate_nothing() {
 /// here before an agent pin measures.
 fn register_agent_counters() {
     obs::counter_add("agent.unseals", 0);
+    obs::counter_add("agent.unseal_groups", 0);
 }
 
 #[test]
@@ -382,6 +385,44 @@ fn apply_enc_for_a_member_a_split_moved_allocates_at_most_once() {
 }
 
 #[test]
+fn a_warm_lane_install_allocates_nothing() {
+    xcheck_rt::assert_counting();
+    register_agent_counters();
+
+    // Every survivor of 1024 users after 16 leaves, in member order: one
+    // in four by USR, the rest off their ENC frames, eight chains in
+    // flight at a time. Each agent holds its path and none moves.
+    let layout = Layout::DEFAULT;
+    let mut kg = KeyGen::from_seed(9);
+    let mut tree = KeyTree::balanced(1024, 4, &mut kg);
+    let before = tree.clone();
+    let leaves: Vec<u32> = (0..16u32).map(|i| i * 64 + 1).collect();
+    let outcome = tree.process_batch(&Batch::new(vec![], leaves), &mut kg);
+    let assignment = UkaAssignment::build(&tree, &outcome, 1, &layout).unwrap();
+
+    let (mut agents, outcomes): (Vec<UserAgent>, Vec<UserOutcome>) = (0..1024u32)
+        .filter_map(|member| {
+            let uid = tree.node_of_member(member)?;
+            let path = before.keys_for_member(member).unwrap();
+            let node = before.node_of_member(member).unwrap();
+            let agent = UserAgent::with_path(member, node, path[0].1, 4, path);
+            let got = if member % 4 == 0 {
+                UserOutcome::Usr(build_usr_packet(&tree, &outcome, member, 1).unwrap())
+            } else {
+                let pkt = &assignment.packets[assignment.packet_of_user(uid).unwrap()];
+                UserOutcome::Enc(EncFrame::new(pkt.emit().into(), &layout).unwrap())
+            };
+            Some((agent, got))
+        })
+        .unzip();
+    xcheck_rt::assert_zero_alloc("install_lanes", || {
+        install_lanes(agents.iter_mut().zip(&outcomes), 1)
+    })
+    .unwrap_or_else(|(m, e)| panic!("member {m}: {e}"));
+    assert!(agents.iter().all(|a| a.group_key() == tree.group_key()));
+}
+
+#[test]
 fn batch_kernels_allocate_nothing() {
     xcheck_rt::assert_counting();
 
@@ -397,6 +438,12 @@ fn batch_kernels_allocate_nothing() {
     assert_eq!(sealed.len(), 13);
     for (blob, (kek, plain, context)) in sealed.iter().zip(&triples) {
         assert_eq!(blob.unseal(kek, *context), Ok(*plain));
+    }
+
+    let group: [_; 8] = core::array::from_fn(|i| (triples[i].0, sealed[i], triples[i].2));
+    let opened = xcheck_rt::assert_zero_alloc("unseal_group", || unseal_group(&group));
+    for (got, (_, plain, _)) in opened.iter().zip(&triples) {
+        assert_eq!(*got, Ok(*plain));
     }
 
     let mut derived = [[0u8; 16]; 13];

@@ -1,8 +1,8 @@
 //! With the metrics layer compiled in, the byte-faithful driver reports
 //! what installing the keys cost its receivers: one `agent.apply` span per
-//! rekey around the loop over the agents, and `agent.unseals`, one per key
-//! unsealed — exactly the encryptions each member needs, which is what its
-//! USR packet would carry. One test, alone in its binary: the registry is
+//! rekey around the install, `agent.unseals`, one per key unsealed —
+//! exactly the encryptions each member needs, which is what its USR packet
+//! would carry — and `agent.unseal_groups`, one per eight-lane kernel call. One test, alone in its binary: the registry is
 //! process-wide, and the counts below are exact. A no-op build runs the
 //! rekey and counts nothing.
 
@@ -41,4 +41,9 @@ fn one_rekey_records_its_install_span_and_every_unseal() {
         })
         .sum();
     assert_eq!(snap.counter("agent.unseals"), needed as u64);
+    // 960 members, 4.2 keys each. Eight chains run side by side and a
+    // lane is refilled as its chain ends, so the kernel runs one group
+    // past the 504 that 4032 unseals fill: lane fill 4032 / (8 * 505).
+    assert_eq!(needed, 4032);
+    assert_eq!(snap.counter("agent.unseal_groups"), 505);
 }

@@ -12,10 +12,16 @@
 //! length. Element for element the results are byte-identical to
 //! [`SealedKey::seal`] and to a fresh [`StreamCipher`](crate::StreamCipher)'s
 //! first 16 bytes.
+//!
+//! Unsealing goes the other way, one group at a time: a receiver's path is
+//! a chain (each key-encrypting key is the previous plaintext), so the
+//! eight lanes of [`unseal_group`] are eight receivers' next links, and the
+//! caller refills a lane as its chain moves on. Lane for lane the result is
+//! [`SealedKey::unseal`]'s, tag check included.
 
 use crate::chacha::keystream16_lanes;
-use crate::sealed::seal_lanes;
-use crate::{SealedKey, SymKey};
+use crate::sealed::{seal_lanes, unseal_lanes};
+use crate::{SealedKey, SymKey, UnsealError};
 
 /// Lane count of the batch kernels: eight 32-bit words fill one 256-bit
 /// vector register.
@@ -65,6 +71,17 @@ pub fn seal_batch(
     in_groups(items, (zero, zero, 0), seal_lanes::<LANES>, sink);
 }
 
+/// Unseals eight `(kek, sealed, context)` triples side by side: lane for
+/// lane what [`SealedKey::unseal`] returns, each lane's tag checked on its
+/// own, so a lane that fails fails alone. A caller with fewer than eight
+/// pads with any triple and drops its result.
+// xcheck: no_alloc
+pub fn unseal_group(
+    items: &[(SymKey, SealedKey, u64); LANES],
+) -> [Result<SymKey, UnsealError>; LANES] {
+    unseal_lanes(items)
+}
+
 /// The first 16 keystream bytes of every `(key, nonce)` pair of `items`,
 /// eight at a time — per pair what `StreamCipher::new(&key, nonce)` leaves
 /// in a zeroed 16-byte buffer — handed to `sink` with the pair's index, in
@@ -82,7 +99,7 @@ pub fn keystream16_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::StreamCipher;
+    use crate::{StreamCipher, SEALED_KEY_LEN};
     use proptest::prelude::*;
 
     fn hex(bytes: &[u8]) -> String {
@@ -128,6 +145,53 @@ mod tests {
                     prop_assert_eq!(*i, want_i);
                     prop_assert_eq!(*sealed, SealedKey::seal(kek, plain, *context));
                     prop_assert_eq!(sealed.unseal(kek, *context), Ok(*plain));
+                }
+            }
+        }
+
+        // Every lane of every group, at the same lengths, against the
+        // one-lane unseal; then per group one lane forged three ways (wrong
+        // kek, wrong context, one flipped byte): that lane fails, the
+        // others still unseal.
+        #[test]
+        fn unseal_group_equals_scalar_unseal_lane_by_lane(seed in any::<u64>()) {
+            for len in 0..=40usize {
+                let items: Vec<(SymKey, SealedKey, u64)> = triples(seed, len)
+                    .into_iter()
+                    .map(|(kek, plain, context)| (kek, SealedKey::seal(&kek, &plain, context), context))
+                    .collect();
+                let plains: Vec<SymKey> = triples(seed, len).into_iter().map(|t| t.1).collect();
+                let pad = (key_from(seed, 1), SealedKey::from_bytes([0; 20]), 0);
+                for (g, chunk) in items.chunks(LANES).enumerate() {
+                    let mut group = [pad; LANES];
+                    group[..chunk.len()].copy_from_slice(chunk);
+                    let got = unseal_group(&group);
+                    for (l, (kek, sealed, context)) in chunk.iter().enumerate() {
+                        prop_assert_eq!(got[l], sealed.unseal(kek, *context));
+                        prop_assert_eq!(got[l], Ok(plains[g * LANES + l]));
+                    }
+
+                    let bad = (seed as usize ^ g) % chunk.len();
+                    let (kek, sealed, context) = group[bad];
+                    let mut flipped = *sealed.as_bytes();
+                    flipped[(seed >> 8) as usize % SEALED_KEY_LEN] ^= 1 << ((seed >> 16) % 8);
+                    let forgeries = [
+                        (key_from(seed, 0x77), sealed, context),
+                        (kek, sealed, context ^ 1),
+                        (kek, SealedKey::from_bytes(flipped), context),
+                    ];
+                    for forged in forgeries {
+                        let mut tampered = group;
+                        tampered[bad] = forged;
+                        let forged_got = unseal_group(&tampered);
+                        for l in 0..chunk.len() {
+                            if l == bad {
+                                prop_assert_eq!(forged_got[l], Err(UnsealError::BadTag));
+                            } else {
+                                prop_assert_eq!(forged_got[l], got[l]);
+                            }
+                        }
+                    }
                 }
             }
         }

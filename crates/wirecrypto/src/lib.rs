@@ -18,7 +18,8 @@
 //!   at most `3 + 20h` bytes, matching the paper.
 //! * [`batch`] — the same seal, and the cipher's first 16 keystream bytes
 //!   (the key tree's node-key PRF), over eight independent inputs at a
-//!   time: what a key server runs thousands of per rekey interval.
+//!   time: what a key server runs thousands of per rekey interval; and the
+//!   unseal over eight receivers' next links at a time.
 //! * [`KeyGen`] — deterministic, seedable generator of fresh keys: the
 //!   cipher's keystream under the seed, made eight blocks at a time.
 //! * [`registration`] — the mutual-authentication join handshake run
@@ -30,7 +31,8 @@
 //! touching lane `m` — and the entries differ only in `W`:
 //! [`SealedKey::seal`], [`SealedKey::unseal`], [`StreamCipher`] and
 //! [`mac::mac64`] are `W = 1` (a receiver unseals its path serially: each
-//! key-encrypting key is the previous plaintext), [`batch`] and
+//! key-encrypting key is the previous plaintext), [`batch`] — eight
+//! receivers' chains side by side, for unsealing — and
 //! [`KeyGen`]'s refill are `W = 8`, where a state word is one AVX2 register
 //! at the workspace's `x86-64-v3` and the compiler vectorises the lane
 //! loops. No `unsafe`, no intrinsics,

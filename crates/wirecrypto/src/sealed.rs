@@ -76,6 +76,30 @@ pub(crate) fn seal_lanes<const W: usize>(items: &[(SymKey, SymKey, u64); W]) -> 
     })
 }
 
+/// Unseals `W` `(kek, sealed, context)` triples, one per lane: the tag is
+/// recomputed under the lane's key and checked for that lane alone, and the
+/// cipher's first 16 keystream bytes of `(kek, context)` recover its key. A
+/// lane whose tag fails is [`UnsealError::BadTag`] whatever the others hold.
+/// [`SealedKey::unseal`] is `W = 1`; the batch entry is `W = 8`.
+#[inline(always)]
+pub(crate) fn unseal_lanes<const W: usize>(
+    items: &[(SymKey, SealedKey, u64); W],
+) -> [Result<SymKey, UnsealError>; W] {
+    let key = word_lanes(items.each_ref().map(|(kek, _, _)| kek.as_bytes()));
+    let ct = items.each_ref().map(|(_, sealed, _)| sealed.ciphertext());
+    let mut words = word_lanes(ct.each_ref());
+    let context = items.each_ref().map(|&(_, _, context)| context);
+    let tag = tag_lanes(&key, &words, &context);
+    xor_words(&mut words, &first_words(&key, &context));
+    core::array::from_fn(|l| {
+        if tags_equal(tag[l], items[l].1.tag()) {
+            Ok(SymKey::from_bytes(lane_bytes(&words, l)))
+        } else {
+            Err(UnsealError::BadTag)
+        }
+    })
+}
+
 /// XORs each lane's keystream words into its data words.
 #[inline(always)]
 fn xor_words<const W: usize>(data: &mut [[u32; W]; 4], stream: &[[u32; W]; 4]) {
@@ -97,19 +121,21 @@ impl SealedKey {
 
     /// Attempts to recover the sealed key with `kek` in `context`.
     pub fn unseal(&self, kek: &SymKey, context: u64) -> Result<SymKey, UnsealError> {
-        let mut ct = [0u8; 16];
-        ct.copy_from_slice(&self.bytes[..16]);
-        let mut tag_bytes = [0u8; 4];
-        tag_bytes.copy_from_slice(&self.bytes[16..]);
+        let [unsealed] = unseal_lanes(&[(*kek, *self, context)]);
+        unsealed
+    }
 
-        let key = word_lanes([kek.as_bytes()]);
-        let mut words = word_lanes([&ct]);
-        let [tag] = tag_lanes(&key, &words, &[context]);
-        if !tags_equal(tag, u32::from_le_bytes(tag_bytes)) {
-            return Err(UnsealError::BadTag);
-        }
-        xor_words(&mut words, &first_words(&key, &[context]));
-        Ok(SymKey::from_bytes(lane_bytes(&words, 0)))
+    /// The 16 ciphertext bytes.
+    #[inline(always)]
+    fn ciphertext(&self) -> [u8; 16] {
+        core::array::from_fn(|i| self.bytes[i])
+    }
+
+    /// The 4-byte tag, as the word the MAC folds to.
+    #[inline(always)]
+    fn tag(&self) -> u32 {
+        let [.., a, b, c, d] = self.bytes;
+        u32::from_le_bytes([a, b, c, d])
     }
 
     /// Raw wire bytes.

@@ -180,7 +180,7 @@ cargo test --release -q -p grouprekey --lib delivery_order
 cargo test --release -q -p netsim --lib walk_spans
 cargo test --release -q --test model_agreement
 
-stage "receiver identity (agent oracle, reference session, --release)"
+stage "receiver identity (agent oracles, lane unseal, reference session, --release)"
 # A receiver does only its own work (DESIGN.md "Only the receiver's own
 # work"). The agent holds its path, not a key map; the key map is a
 # test-only reference, and a proptest holds the two to the same ID, path
@@ -189,8 +189,15 @@ stage "receiver identity (agent oracle, reference session, --release)"
 # plainly (every frame kept, every candidate block decoded in full): over
 # real messages with forgeries interleaved, a session fed as the walk feeds
 # it must answer every frame as the reference does and end every round with
-# the same NACK, success round, ID, outcome bytes and decode work.
+# the same NACK, success round, ID, outcome bytes and decode work. The lane
+# installer's reference is the one-agent apply: over churning groups with
+# forged frames it must leave every agent with the same ID and path keys and
+# name the same first failure, and each lane of the eight-lane unseal must
+# answer as the one-lane unseal does, a forged lane failing alone.
 cargo test --release -q -p grouprekey --lib map_reference
+cargo test --release -q -p grouprekey --lib install_reference
+cargo test --release -q -p grouprekey --lib installer_names_the_earliest_failing_member
+cargo test --release -q -p wirecrypto --lib unseal_group_equals_scalar_unseal
 cargo test --release -q -p rekeyproto --test reference_session
 
 # One stage per tracked report: regenerate its one full grid under target/
