@@ -647,8 +647,3 @@ mod tests {
         }
     }
 }
-
-#[cfg(test)]
-mod install_reference;
-#[cfg(test)]
-mod map_reference;

@@ -371,39 +371,7 @@ pub fn run<R: Receiver>(
     receivers: &mut [R],
     cfg: &SimConfig,
     scratch: &mut TransportScratch,
-    usr_packet: impl FnMut(usize) -> Packet,
-) -> TransportStats {
-    run_with(
-        net,
-        clock,
-        session,
-        receivers,
-        cfg,
-        scratch,
-        usr_packet,
-        multicast_round,
-    )
-}
-
-/// How [`run_with`] delivers one multicast round: [`multicast_round`], or
-/// the packet-major reference it is tested against.
-type DeliverRound<R> =
-    fn(&mut Network, &mut f64, &[Packet], &Layout, &mut [R], usize, &mut TransportScratch);
-
-/// [`run`], with the multicast round's delivery named.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "run's seven, plus the round under test"
-)]
-fn run_with<R: Receiver>(
-    net: &mut Network,
-    clock: &mut f64,
-    session: &mut ServerSession,
-    receivers: &mut [R],
-    cfg: &SimConfig,
-    scratch: &mut TransportScratch,
     mut usr_packet: impl FnMut(usize) -> Packet,
-    deliver_round: DeliverRound<R>,
 ) -> TransportStats {
     let _span_msg = obs::span("transport.message");
     let send_interval = net.config().send_interval_ms;
@@ -423,7 +391,7 @@ fn run_with<R: Receiver>(
         match &action {
             RoundDecision::Multicast(schedule) => {
                 let _span_deliver = obs::span("transport.deliver");
-                deliver_round(net, clock, schedule, &layout, receivers, round, scratch);
+                multicast_round(net, clock, schedule, &layout, receivers, round, scratch);
                 scratch.retain_listening(receivers);
             }
             RoundDecision::Unicast(wave) => {
@@ -502,4 +470,4 @@ fn run_with<R: Receiver>(
 }
 
 #[cfg(test)]
-mod delivery_order;
+mod receiver_reference;

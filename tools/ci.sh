@@ -6,8 +6,8 @@
 # there), the gf256/rse suites again in an optimised build (the vectorized
 # kernel), the dynamic no-alloc harness (the obs event log's armed and
 # disarmed paths included), the statistical engine-agreement gate, the
-# transport's delivery-order oracle and the receiver identity oracles
-# (optimised builds), the check that every repository path the docs cite
+# receiver stack against its one reference receiver and the session's
+# reference (optimised builds), the check that every repository path the docs cite
 # exists, one full run of each of the three tracked BENCH reports compared
 # byte for byte with the committed file (a report holds exact facts, so
 # `cmp` is the whole sentinel; BENCH_figures.json a second time on one grid
@@ -166,36 +166,31 @@ cargo test --release -q -p rekeymsg --features sanitize --test batch_oracles
 # EncFrame::new(..).to_packet() all give the reference's bytes.
 cargo test -q -p rekeymsg --lib writer_reference
 
-stage "transport delivery order (receiver-major rounds vs packet-major reference, --release)"
-# A multicast round is walked receiver by receiver; the packet-major walk it
-# replaced is a test-only reference, and a proptest holds the two to the same
-# stats, success rounds, server state, clock bits and link states, for both
-# receiver models (DESIGN.md "One transport loop"). A second proptest holds
-# each model's next_read to a bound that skips no frame reads_now takes, over
-# real schedules with forged, truncated, foreign and NACK/USR frames put in;
-# and a walk in spans must answer and leave every link as per-question
-# transmit on a twin network does. Then the two models must still agree with
-# each other, message by message.
-cargo test --release -q -p grouprekey --lib delivery_order
+stage "transport delivery order and receiver identity (one reference receiver, --release)"
+# The receiver stack has one test-only reference, PROTOCOL.md §5–§9 written
+# plainly (grouprekey/src/transport/receiver_reference.rs): rounds delivered
+# packet by packet, each delivered frame read at once by a UserSession or a
+# SimUser, and agents as key maps unsealing one key at a time. Over churning
+# groups (splits, compaction, ENC, USR and unserved members, forged frames
+# and outcomes), transport::run then install_lanes, the composition
+# driver::Group::rekey runs, must end every message with the reference's
+# stats, success rounds, server state, clock bits, next link answers, IDs,
+# path keys and first failure, for both receiver models (DESIGN.md "One
+# transport loop", "Only the receiver's own work"). Its second proptest holds
+# each model's next_read to a bound that skips no frame reads_now takes,
+# over real schedules with forged, truncated, foreign and NACK/USR frames.
+cargo test --release -q -p grouprekey --lib receiver_reference
+# A walk in spans must answer and leave every link as per-question transmit
+# on a twin network does; the two models must agree with each other, message
+# by message; the installer names the earliest failing member; each lane of
+# the eight-lane unseal answers as the one-lane unseal does, a forged lane
+# failing alone. The session's one reference is PROTOCOL.md §5 written
+# plainly (every frame kept, every candidate block decoded in full): a
+# session fed as the walk feeds it must answer every frame as the reference
+# does and end every round with the same NACK, success round, ID, outcome
+# bytes and decode work.
 cargo test --release -q -p netsim --lib walk_spans
 cargo test --release -q --test model_agreement
-
-stage "receiver identity (agent oracles, lane unseal, reference session, --release)"
-# A receiver does only its own work (DESIGN.md "Only the receiver's own
-# work"). The agent holds its path, not a key map; the key map is a
-# test-only reference, and a proptest holds the two to the same ID, path
-# keys, group key and result at every step (splits, compaction, ENC and USR,
-# hostile packets). The session's one reference is PROTOCOL.md §5 written
-# plainly (every frame kept, every candidate block decoded in full): over
-# real messages with forgeries interleaved, a session fed as the walk feeds
-# it must answer every frame as the reference does and end every round with
-# the same NACK, success round, ID, outcome bytes and decode work. The lane
-# installer's reference is the one-agent apply: over churning groups with
-# forged frames it must leave every agent with the same ID and path keys and
-# name the same first failure, and each lane of the eight-lane unseal must
-# answer as the one-lane unseal does, a forged lane failing alone.
-cargo test --release -q -p grouprekey --lib map_reference
-cargo test --release -q -p grouprekey --lib install_reference
 cargo test --release -q -p grouprekey --lib installer_names_the_earliest_failing_member
 cargo test --release -q -p wirecrypto --lib unseal_group_equals_scalar_unseal
 cargo test --release -q -p rekeyproto --test reference_session
