@@ -2,11 +2,16 @@
 //! level, root first, the node ID and its key if held — so a key off the
 //! path is never stored and nothing is pruned.
 
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
+
 use keytree::{ident, MemberId, NodeId};
-use rekeymsg::{seal_context, EncFrame, UsrPacket};
+use rekeymsg::{seal_context, ColumnIndex, EncFrame, UsrPacket};
 use rekeyproto::UserOutcome;
 use wirecrypto::batch::{unseal_group, LANES};
 use wirecrypto::{SealedKey, SymKey, UnsealError, SEALED_KEY_LEN};
+
+use crate::frontend::MultiplyHasher;
 
 /// Why applying a rekey packet failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,7 +149,7 @@ impl UserAgent {
             .ok_or(ApplyError::NotInGroup)?;
         self.relocate(new_id);
         Ok(Chain {
-            source: Source::Enc(pkt),
+            source: Source::Enc(pkt, None),
             level: self.path.len(),
         })
     }
@@ -167,17 +172,27 @@ impl UserAgent {
     /// The chain's next link toward the root and the key that unseals it,
     /// read off the path now — a link below may just have stored it. The
     /// root has no link: nothing encrypts above it, and its ID, 0, is the
-    /// padding that ends a frame's ID column, so no entry names it.
+    /// padding that ends a frame's ID column, so no entry names it. An ENC
+    /// frame's entry is looked up through its index in `indexes`, if the
+    /// chain names one, and by a scan of its column otherwise.
     // xcheck: no_alloc
-    fn next_link(&self, chain: &mut Chain<'_>) -> Result<Option<Link>, ApplyError> {
+    fn next_link(
+        &self,
+        chain: &mut Chain<'_>,
+        indexes: &[ColumnIndex],
+    ) -> Result<Option<Link>, ApplyError> {
         while chain.level > 1 {
             chain.level -= 1;
             let level = chain.level;
             let (node, kek) = self.path[level];
             let sealed = match chain.source {
-                Source::Enc(pkt) => {
+                Source::Enc(pkt, index) => {
                     let c16 = u16::try_from(node).map_err(|_| ApplyError::MissingKey { node })?;
-                    pkt.entry(c16)
+                    obs::counter_add("agent.entry_lookups", 1);
+                    match index.and_then(|at| indexes.get(at)) {
+                        Some(index) => index.entry(pkt, c16),
+                        None => pkt.entry(c16),
+                    }
                 }
                 Source::Usr(pkt) => pkt.sealed.get(level - 1).copied(),
             };
@@ -208,7 +223,7 @@ impl UserAgent {
 
     /// Runs a planned chain one link at a time: the install at one lane.
     fn run(&mut self, mut chain: Chain<'_>, msg_seq: u64) -> Result<(), ApplyError> {
-        while let Some(link) = self.next_link(&mut chain)? {
+        while let Some(link) = self.next_link(&mut chain, &[])? {
             obs::counter_add("agent.unseals", 1);
             let unsealed = (link.sealed).unseal(&link.kek, seal_context(msg_seq, link.node));
             self.store(link, unsealed)?;
@@ -254,8 +269,9 @@ impl UserAgent {
 /// Where a planned apply finds its sealed keys.
 #[derive(Debug, Clone, Copy)]
 enum Source<'p> {
-    /// The ENC frame: the entry for a level's node, if it carries one.
-    Enc(&'p EncFrame),
+    /// The ENC frame: the entry for a level's node, if it carries one,
+    /// and where its column's index is among the installer's, if it has one.
+    Enc(&'p EncFrame, Option<usize>),
     /// A USR packet: level `l`'s key is `sealed[l - 1]`, for `l` in `1..=t`.
     Usr(&'p UsrPacket),
 }
@@ -288,21 +304,68 @@ struct Lane<'a, 'p> {
     link: Link,
 }
 
+/// The ID-column indexes [`install_lanes`] reads ENC frames through: one
+/// per frame that another holder shares ([`EncFrame::is_shared`]), built
+/// when an agent first meets it, keyed by the frame's address. A frame one
+/// receiver holds alone — one FEC rebuilt for it — is scanned. The indexes
+/// are wire structure read once for all; keys, unseals and tag checks stay
+/// each agent's own. Cleared at each install and kept across them, so a
+/// warm one allocates nothing.
+#[derive(Debug, Default)]
+pub struct InstallScratch {
+    /// Frame address to the slot of its index in `indexes`: slots are
+    /// handed out in order, so this install's are the first `frames.len()`.
+    frames: HashMap<usize, usize, BuildHasherDefault<MultiplyHasher>>,
+    indexes: Vec<ColumnIndex>,
+}
+
+impl InstallScratch {
+    /// An empty scratch.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The slot of `frame`'s index, built the first time the frame is met;
+    /// none for a frame held alone.
+    // xcheck: no_alloc
+    fn index_of(&mut self, frame: &EncFrame) -> Option<usize> {
+        if !frame.is_shared() {
+            return None;
+        }
+        let next = self.frames.len();
+        let at = *self.frames.entry(frame.address()).or_insert(next);
+        if at == next {
+            obs::counter_add("agent.column_indexes", 1);
+            match self.indexes.get_mut(at) {
+                Some(index) => index.rebuild(frame),
+                None => self.indexes.push(ColumnIndex::new(frame)),
+            }
+        }
+        Some(at)
+    }
+}
+
 /// Takes jobs in order until one has a link to run and puts it on a lane.
 /// A job with nothing to apply is done at once; one that fails before its
 /// first unseal goes to `failure`.
 fn next_lane<'a, 'p>(
     jobs: &mut impl Iterator<Item = (usize, (&'a mut UserAgent, &'p UserOutcome))>,
     failure: &mut FirstFailure,
+    scratch: &mut InstallScratch,
 ) -> Option<Lane<'a, 'p>> {
     for (job, (agent, outcome)) in jobs {
         let planned = match outcome {
-            UserOutcome::Enc(pkt) => agent.plan_enc(pkt),
+            UserOutcome::Enc(pkt) => agent.plan_enc(pkt).map(|mut chain| {
+                chain.source = Source::Enc(pkt, scratch.index_of(pkt));
+                chain
+            }),
             UserOutcome::Usr(pkt) => agent.plan_usr(pkt),
             UserOutcome::Pending => continue,
         };
-        let first = planned
-            .and_then(|mut chain| Ok(agent.next_link(&mut chain)?.map(|link| (chain, link))));
+        let first = planned.and_then(|mut chain| {
+            let link = agent.next_link(&mut chain, &scratch.indexes)?;
+            Ok(link.map(|link| (chain, link)))
+        });
         match first {
             Ok(Some((chain, link))) => {
                 return Some(Lane {
@@ -342,11 +405,16 @@ impl FirstFailure {
 /// next job in order. Every job is applied, and each agent ends exactly as
 /// the one-agent apply leaves it. The error is the earliest failing job's
 /// member and the error its one-agent apply returns.
+///
+/// An ENC frame that several agents hold has its ID column read once, into
+/// an index in `scratch` that answers each of them ([`InstallScratch`]).
 // xcheck: no_alloc
 pub fn install_lanes<'a, 'p>(
     jobs: impl IntoIterator<Item = (&'a mut UserAgent, &'p UserOutcome)>,
     msg_seq: u64,
+    scratch: &mut InstallScratch,
 ) -> Result<(), (MemberId, ApplyError)> {
+    scratch.frames.clear();
     let mut jobs = jobs.into_iter().enumerate();
     let mut failure = FirstFailure::default();
     let mut lanes: [Option<Lane<'a, 'p>>; LANES] = core::array::from_fn(|_| None);
@@ -360,7 +428,7 @@ pub fn install_lanes<'a, 'p>(
         let mut busy = 0;
         for (slot, lane) in group.iter_mut().zip(&mut lanes) {
             if lane.is_none() {
-                *lane = next_lane(&mut jobs, &mut failure);
+                *lane = next_lane(&mut jobs, &mut failure, scratch);
             }
             if let Some(lane) = lane {
                 let link = &lane.link;
@@ -379,7 +447,7 @@ pub fn install_lanes<'a, 'p>(
             };
             let agent = &mut *running.agent;
             let next = (agent.store(running.link, unsealed))
-                .and_then(|()| agent.next_link(&mut running.chain));
+                .and_then(|()| agent.next_link(&mut running.chain, &scratch.indexes));
             match next {
                 Ok(Some(link)) => running.link = link,
                 Ok(None) => *lane = None,
@@ -634,7 +702,7 @@ mod tests {
         assert_eq!(solo_results[1], Err(bad_seal));
         assert_eq!(solo_results[3], Err(ApplyError::UsrShapeMismatch));
 
-        let installed = install_lanes(agents.iter_mut().zip(&got), 1);
+        let installed = install_lanes(agents.iter_mut().zip(&got), 1, &mut InstallScratch::new());
         assert_eq!(installed, Err((solo[1].member(), bad_seal)));
         for (i, (lane, one)) in agents.iter().zip(&solo).enumerate() {
             assert_eq!(lane.node_id(), one.node_id());

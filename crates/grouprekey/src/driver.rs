@@ -19,7 +19,7 @@ use netsim::{Network, NetworkConfig};
 use rekeymsg::Packet;
 use rekeyproto::{UserOutcome, UserSession};
 
-use crate::agent::{install_lanes, UserAgent};
+use crate::agent::{install_lanes, InstallScratch, UserAgent};
 use crate::metrics::MessageReport;
 use crate::server::{KeyServer, ServerOptions};
 use crate::transport::{self, ByteReceiver, SimConfig, TransportScratch};
@@ -51,6 +51,8 @@ pub struct Group {
     degree: u32,
     /// The transport loop's buffers, reused across rekeys.
     scratch: TransportScratch,
+    /// The installer's frame indexes, reused across rekeys.
+    install: InstallScratch,
     /// Cap on delivery rounds per message (safety valve).
     pub max_rounds: usize,
 }
@@ -86,6 +88,7 @@ impl Group {
             clock: 0.0,
             degree: options.degree,
             scratch: TransportScratch::new(),
+            install: InstallScratch::new(),
             max_rounds: 64,
         }
     }
@@ -231,7 +234,8 @@ impl Group {
         );
 
         // Apply outcomes cryptographically: every member's own path
-        // unsealed with its own keys, eight members' chains side by side.
+        // unsealed with its own keys, eight members' chains side by side,
+        // each shared frame's ID column read once.
         let apply = obs::span("agent.apply");
         for (agent, r) in self.agents.values().zip(&receivers) {
             if matches!(r.session.outcome(), UserOutcome::Pending) {
@@ -247,11 +251,12 @@ impl Group {
             }
         }
         let outcomes = receivers.iter().map(|r| r.session.outcome());
+        let jobs = self.agents.values_mut().zip(outcomes);
         #[expect(
             clippy::panic,
             reason = "the simulated network delivers the server's own bytes, so a failed apply is a bug here; ROADMAP 4b: becomes RekeyError"
         )]
-        if let Err((m, e)) = install_lanes(self.agents.values_mut().zip(outcomes), msg_seq) {
+        if let Err((m, e)) = install_lanes(jobs, msg_seq, &mut self.install) {
             panic!("member {m}: apply: {e}");
         }
         drop(apply);

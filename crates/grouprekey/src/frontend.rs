@@ -121,25 +121,36 @@ impl core::fmt::Display for RequestError {
 
 impl std::error::Error for RequestError {}
 
-/// Hashes a member ID by one multiply with 2^64 over the golden ratio (odd,
-/// so distinct IDs keep distinct low bits, which index the table). The
-/// collector hashes an ID only once its request verified under a key the
-/// registrar issued, so nobody outside picks the keys, and never iterates
-/// its tables: SipHash's flood resistance buys them nothing.
+/// Hashes an integer key — a member ID here, a frame address in the lane
+/// installer — by one multiply with 2^64 over the golden ratio, folded so
+/// the high half, which every key bit reaches, also picks the bucket (an
+/// address's low bits are all zero). The collector hashes an ID only once
+/// its request verified under a key the registrar issued, the installer
+/// hashes the addresses of frames it was handed, so nobody outside picks
+/// the keys, and neither iterates its tables: SipHash's flood resistance
+/// buys them nothing.
 #[derive(Debug, Default)]
-struct MemberHasher(u64);
+pub(crate) struct MultiplyHasher(u64);
 
-impl Hasher for MemberHasher {
+impl Hasher for MultiplyHasher {
     fn finish(&self) -> u64 {
-        self.0
+        self.0 ^ (self.0 >> 32)
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|&b| self.write_u32(u32::from(b)));
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
     }
 
     fn write_u32(&mut self, id: MemberId) {
-        self.0 = (self.0.rotate_left(29) ^ u64::from(id)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.write_u64(u64::from(id));
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = (self.0.rotate_left(29) ^ key).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write_usize(&mut self, key: usize) {
+        self.write_u64(key as u64);
     }
 }
 
@@ -147,12 +158,12 @@ impl Hasher for MemberHasher {
 #[derive(Debug, Default)]
 pub struct IntervalCollector {
     interval: u64,
-    joins: HashMap<MemberId, SymKey, BuildHasherDefault<MemberHasher>>,
+    joins: HashMap<MemberId, SymKey, BuildHasherDefault<MultiplyHasher>>,
     join_order: Vec<MemberId>,
     /// Queued leavers in arrival order, and the same members as a set (the
     /// duplicate check must not scan the queue: it is L long).
     leaves: Vec<MemberId>,
-    leaving: HashSet<MemberId, BuildHasherDefault<MemberHasher>>,
+    leaving: HashSet<MemberId, BuildHasherDefault<MultiplyHasher>>,
 }
 
 impl IntervalCollector {

@@ -84,6 +84,6 @@ pub mod sim;
 /// The one transport loop and its two receiver models.
 pub mod transport;
 
-pub use agent::{install_lanes, ApplyError, UserAgent};
+pub use agent::{install_lanes, ApplyError, InstallScratch, UserAgent};
 pub use metrics::MessageReport;
 pub use server::{KeyServer, RekeyArtifacts, ServerOptions};

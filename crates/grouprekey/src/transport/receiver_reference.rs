@@ -18,7 +18,7 @@ use wirecrypto::{KeyGen, SealedKey, SymKey, SEALED_KEY_LEN};
 
 use super::*;
 use crate::sim::SimUser;
-use crate::{install_lanes, ApplyError, UserAgent};
+use crate::{install_lanes, ApplyError, InstallScratch, UserAgent};
 
 /// PROTOCOL.md §8's loop as users live it: a multicast packet goes, a send
 /// interval after the last, to every receiver still unsatisfied (until one
@@ -289,7 +289,7 @@ fn receivers_agree(c: &Case) -> TestCaseResult {
     let controller = ServerController::new(*proto);
     // Product and reference, byte and count model: four twin networks.
     let mut nets: [(Network, f64); 4] = core::array::from_fn(|_| (Network::new(*net), 0.0));
-    let mut scratch = TransportScratch::new();
+    let (mut scratch, mut install) = (TransportScratch::new(), InstallScratch::new());
     for (msg_seq, (tree, outcome, assignment)) in (1..).zip(&messages(c)) {
         let mix = |x: u64| (x ^ net.seed ^ msg_seq).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
         // Half the relocated members hear of their move out of band; the
@@ -354,7 +354,7 @@ fn receivers_agree(c: &Case) -> TestCaseResult {
         let expected: Vec<UserOutcome> = reference.iter().zip(&members).map(outcome_of).collect();
         prop_assert!(got == expected, "session outcomes differ");
         let lanes = agents.values_mut().map(|(agent, _)| agent);
-        let installed = install_lanes(lanes.zip(&got), msg_seq);
+        let installed = install_lanes(lanes.zip(&got), msg_seq, &mut install);
         let mut first_failure = Ok(());
         for ((&m, (_, map)), expected) in agents.iter_mut().zip(&expected) {
             let applied = map.apply(expected, msg_seq, d).map_err(|e| (m, e));

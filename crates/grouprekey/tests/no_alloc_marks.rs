@@ -10,8 +10,9 @@
 //! [`UserAgent`] that holds its path installs the new keys off the frame
 //! its session kept, or off a USR packet, without allocating, and one that
 //! a split moved a level down allocates at most once, to grow its path;
-//! installing a whole group's outcomes eight agents at a time allocates
-//! nothing either.
+//! installing a whole group's outcomes eight agents at a time, each shared
+//! frame's ID column indexed once in a warm scratch, allocates nothing
+//! either.
 //! On the server side: the cipher's
 //! batch kernels allocate nothing (their callers own the output), and a
 //! warm [`IntervalCollector`] admits a leave and a join mid-interval
@@ -23,7 +24,7 @@
 use grouprekey::frontend::{IntervalCollector, JoinRequest, LeaveRequest};
 use grouprekey::sim::{run_message_transport_with, SimConfig, SimUser, TransportScratch};
 use grouprekey::transport::{ByteReceiver, Receiver};
-use grouprekey::{install_lanes, UserAgent};
+use grouprekey::{install_lanes, InstallScratch, UserAgent};
 use keytree::{Batch, KeyTree};
 use netsim::{Network, NetworkConfig};
 use rekeymsg::{
@@ -296,6 +297,8 @@ fn the_walks_own_checks_allocate_nothing() {
 fn register_agent_counters() {
     obs::counter_add("agent.unseals", 0);
     obs::counter_add("agent.unseal_groups", 0);
+    obs::counter_add("agent.entry_lookups", 0);
+    obs::counter_add("agent.column_indexes", 0);
 }
 
 #[test]
@@ -390,8 +393,10 @@ fn a_warm_lane_install_allocates_nothing() {
     register_agent_counters();
 
     // Every survivor of 1024 users after 16 leaves, in member order: one
-    // in four by USR, the rest off their ENC frames, eight chains in
-    // flight at a time. Each agent holds its path and none moves.
+    // in four by USR, the rest off their ENC frames — one delivery of each
+    // packet, shared, so the installer indexes its column — eight chains in
+    // flight at a time. Each agent holds its path and none moves. The
+    // scratch is warmed by the same install on a copy of the agents.
     let layout = Layout::DEFAULT;
     let mut kg = KeyGen::from_seed(9);
     let mut tree = KeyTree::balanced(1024, 4, &mut kg);
@@ -399,6 +404,9 @@ fn a_warm_lane_install_allocates_nothing() {
     let leaves: Vec<u32> = (0..16u32).map(|i| i * 64 + 1).collect();
     let outcome = tree.process_batch(&Batch::new(vec![], leaves), &mut kg);
     let assignment = UkaAssignment::build(&tree, &outcome, 1, &layout).unwrap();
+    let frames: Vec<EncFrame> = (assignment.packets.iter())
+        .map(|pkt| EncFrame::new(pkt.emit().into(), &layout).unwrap())
+        .collect();
 
     let (mut agents, outcomes): (Vec<UserAgent>, Vec<UserOutcome>) = (0..1024u32)
         .filter_map(|member| {
@@ -409,14 +417,16 @@ fn a_warm_lane_install_allocates_nothing() {
             let got = if member % 4 == 0 {
                 UserOutcome::Usr(build_usr_packet(&tree, &outcome, member, 1).unwrap())
             } else {
-                let pkt = &assignment.packets[assignment.packet_of_user(uid).unwrap()];
-                UserOutcome::Enc(EncFrame::new(pkt.emit().into(), &layout).unwrap())
+                UserOutcome::Enc(frames[assignment.packet_of_user(uid).unwrap()].clone())
             };
             Some((agent, got))
         })
         .unzip();
+    let mut scratch = InstallScratch::new();
+    let mut warm = agents.clone();
+    install_lanes(warm.iter_mut().zip(&outcomes), 1, &mut scratch).unwrap();
     xcheck_rt::assert_zero_alloc("install_lanes", || {
-        install_lanes(agents.iter_mut().zip(&outcomes), 1)
+        install_lanes(agents.iter_mut().zip(&outcomes), 1, &mut scratch)
     })
     .unwrap_or_else(|(m, e)| panic!("member {m}: {e}"));
     assert!(agents.iter().all(|a| a.group_key() == tree.group_key()));

@@ -2,7 +2,10 @@
 //! what installing the keys cost its receivers: one `agent.apply` span per
 //! rekey around the install, `agent.unseals`, one per key unsealed —
 //! exactly the encryptions each member needs, which is what its USR packet
-//! would carry — and `agent.unseal_groups`, one per eight-lane kernel call. One test, alone in its binary: the registry is
+//! would carry — `agent.unseal_groups`, one per eight-lane kernel call,
+//! `agent.entry_lookups`, one per path level looked up in an ENC frame, and
+//! `agent.column_indexes`, one per frame whose ID column was indexed for
+//! the members that share it. One test, alone in its binary: the registry is
 //! process-wide, and the counts below are exact. A no-op build runs the
 //! rekey and counts nothing.
 
@@ -46,4 +49,11 @@ fn one_rekey_records_its_install_span_and_every_unseal() {
     // past the 504 that 4032 unseals fill: lane fill 4032 / (8 * 505).
     assert_eq!(needed, 4032);
     assert_eq!(snap.counter("agent.unseal_groups"), 505);
+    // A member served by an ENC frame looks its path up there, leaf first:
+    // one lookup per key it unseals off the frame and one per level whose
+    // node the frame does not carry.
+    assert_eq!(snap.counter("agent.entry_lookups"), 4545);
+    // One ID-column index per frame that two or more members hold: the
+    // multicast deliveries, not the frames FEC rebuilt for one receiver.
+    assert_eq!(snap.counter("agent.column_indexes"), 19);
 }

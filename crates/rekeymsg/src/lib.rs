@@ -68,8 +68,8 @@ pub use assign::{
 pub use blocks::{BlockSet, SendOrder};
 pub use layout::{Layout, PROTECTED_HEADER_LEN, UNPROTECTED_HEADER_LEN};
 pub use wire::{
-    EncFrame, EncHeader, EncPacket, Header, NackPacket, NackRequest, Packet, ParityPacket,
-    UsrPacket, WireError,
+    ColumnIndex, EncFrame, EncHeader, EncPacket, Header, NackPacket, NackRequest, Packet,
+    ParityPacket, UsrPacket, WireError,
 };
 
 /// Builds the USR packet for one user: the sealed encryptions it needs,

@@ -91,15 +91,16 @@ fn split_fixed<'a>(
     bytes.split_first_chunk().ok_or(WireError::Truncated)
 }
 
+/// One `<encryption, ID>` pair where it lies: `(encryption ID, sealed key)`.
+fn split_pair(pair: &[u8]) -> Option<(u16, &[u8; SEALED_KEY_LEN])> {
+    let (id, sealed) = pair.split_first_chunk()?;
+    Some((u16::from_be_bytes(*id), sealed.try_into().ok()?))
+}
+
 /// The one reader of an `ENC` packet's pair column: `(encryption ID, sealed
 /// key)` where they lie, up to the zero padding.
 fn pairs(column: &[u8]) -> impl Iterator<Item = (u16, &[u8; SEALED_KEY_LEN])> {
-    column.chunks_exact(PAIR_LEN).map_while(|pair| {
-        let (id, sealed) = pair.split_first_chunk()?;
-        let id = u16::from_be_bytes(*id);
-        let sealed = sealed.try_into().ok()?;
-        (id != 0).then_some((id, sealed))
-    })
+    (column.chunks_exact(PAIR_LEN)).map_while(|pair| split_pair(pair).filter(|&(id, _)| id != 0))
 }
 
 /// [`pairs`] with each sealed key copied out.
@@ -373,6 +374,105 @@ impl EncFrame {
             body: body.into(),
         }
     }
+
+    /// The address of the frame's bytes: two live frames share it exactly
+    /// when they share the bytes, as the receivers of one delivery do.
+    pub fn address(&self) -> usize {
+        self.bytes.as_ptr().addr()
+    }
+
+    /// True when something else holds the frame's bytes too — another
+    /// receiver of the same delivery, say. A frame rebuilt from its FEC
+    /// block for one receiver is that receiver's alone.
+    pub fn is_shared(&self) -> bool {
+        Arc::strong_count(&self.bytes) > 1
+    }
+}
+
+/// One [`EncFrame`]'s ID column, indexed: for the frame it was built from,
+/// [`ColumnIndex::entry`] answers every ID exactly as [`EncFrame::entry`]
+/// does, without the scan. It is built by the column's one reader, so it
+/// holds each ID's first pair and nothing past the zero padding or a
+/// trailing partial pair, whatever the bytes. It holds positions, not the
+/// frame: for a frame many receivers hold, built once and asked by each,
+/// while the frame lives.
+#[derive(Debug, Clone, Default)]
+pub struct ColumnIndex {
+    /// The address of the indexed frame's bytes ([`EncFrame::address`]).
+    frame: usize,
+    /// `(ID, pair number)` by open addressing, ID 0 (the padding, never
+    /// indexed) marking an empty slot: a power of two past twice the
+    /// column's pairs, so a probe meets an empty slot. None for a column
+    /// of more pairs than 16 bits number (a frame over 1.4 MB), which
+    /// [`ColumnIndex::entry`] scans.
+    slots: Vec<(u16, u16)>,
+}
+
+impl ColumnIndex {
+    /// Indexes `frame`'s column.
+    pub fn new(frame: &EncFrame) -> Self {
+        let mut index = ColumnIndex::default();
+        index.rebuild(frame);
+        index
+    }
+
+    /// Indexes `frame`'s column in place of the one held: allocates only
+    /// when the column has more pairs than any indexed before.
+    // xcheck: no_alloc
+    pub fn rebuild(&mut self, frame: &EncFrame) {
+        let column = frame.column();
+        self.frame = frame.address();
+        self.slots.clear();
+        let Ok(capacity) = u16::try_from(column.len() / PAIR_LEN) else {
+            return;
+        };
+        let len = (2 * usize::from(capacity)).next_power_of_two();
+        self.slots.resize(len, (0, 0));
+        for ((id, _), pair) in pairs(column).zip(0..) {
+            for at in probe(len, id) {
+                let Some(slot) = self.slots.get_mut(at) else {
+                    break;
+                };
+                if slot.0 == 0 {
+                    *slot = (id, pair);
+                }
+                // A later pair under an ID the index holds stays out.
+                if slot.0 == id {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// [`EncFrame::entry`]: the sealed encryption for `enc_id`, if `frame`
+    /// carries it, found through the index when `frame` is the one it was
+    /// built from (or shares its bytes) and by the scan otherwise.
+    // xcheck: no_alloc
+    pub fn entry(&self, frame: &EncFrame, enc_id: u16) -> Option<SealedKey> {
+        if frame.address() != self.frame || self.slots.is_empty() {
+            return frame.entry(enc_id);
+        }
+        for at in probe(self.slots.len(), enc_id) {
+            let &(id, pair) = self.slots.get(at)?;
+            if id == 0 {
+                return None;
+            }
+            if id == enc_id {
+                let mut column = frame.column().chunks_exact(PAIR_LEN);
+                let (_, sealed) = split_pair(column.nth(pair.into())?)?;
+                return Some(SealedKey::from_bytes(*sealed));
+            }
+        }
+        None
+    }
+}
+
+/// The slots an ID's probe visits, in order, in a table of `len` (a power
+/// of two): from its Fibonacci hash on, each once.
+fn probe(len: usize, id: u16) -> impl Iterator<Item = usize> {
+    let start = usize::from(id).wrapping_mul(0x9E37_79B9) >> 15;
+    let mask = len.wrapping_sub(1);
+    (0..len).map(move |i| start.wrapping_add(i) & mask)
 }
 
 /// A `PARITY` packet: Reed–Solomon parity over the FEC bodies of one block.
@@ -781,6 +881,32 @@ mod tests {
         assert_eq!(frame.entry(0), None, "padding is not an entry");
         assert_eq!(frame.header(), p.header());
         assert_eq!(frame.to_packet(), p);
+    }
+
+    #[test]
+    fn a_column_past_sixteen_bits_of_pairs_is_scanned() {
+        // 65 536 pairs, one more than a 16-bit pair number counts, all
+        // under ID 3 but the first (7) and the last two (9, then 7 again):
+        // the index stays empty and answers by the frame's own scan.
+        let fixed = UNPROTECTED_HEADER_LEN + PROTECTED_HEADER_LEN;
+        let mut bytes = vec![0; fixed + (1 << 16) * PAIR_LEN];
+        for pair in bytes[fixed..].chunks_exact_mut(PAIR_LEN) {
+            pair[1] = 3;
+        }
+        let last = bytes.len() - PAIR_LEN;
+        for (at, id) in [(fixed, 7u16), (last - PAIR_LEN, 9), (last, 7)] {
+            bytes[at..at + 2].copy_from_slice(&id.to_be_bytes());
+            bytes[at + 2] = id as u8;
+        }
+        let layout = Layout::new(bytes.len());
+        let frame = EncFrame::new(bytes.into(), &layout).unwrap();
+        let index = ColumnIndex::new(&frame);
+        assert!(index.slots.is_empty());
+        for id in [7, 9, 3, 0, 1] {
+            assert_eq!(index.entry(&frame, id), frame.entry(id), "ID {id}");
+        }
+        let first_byte = |id| index.entry(&frame, id).map(|k| k.as_bytes()[0]);
+        assert_eq!((first_byte(7), first_byte(9)), (Some(7), Some(9)));
     }
 
     #[test]

@@ -1,10 +1,17 @@
 //! Adversarial wire-format fuzzing: arbitrary bytes must never panic the
-//! parser, anything that parses must re-emit and re-parse stably, and the
+//! parser, anything that parses must re-emit and re-parse stably, the
 //! in-place readers — the header, and the ENC frame a receiver keeps —
-//! must say what the full parse says.
+//! must say what the full parse says, and a frame's column index must
+//! answer every ID as the frame's own lookup does.
 
 use proptest::prelude::*;
-use rekeymsg::{EncFrame, EncHeader, Header, Layout, Packet, WireError, UNPROTECTED_HEADER_LEN};
+use rekeymsg::{
+    ColumnIndex, EncFrame, EncHeader, Header, Layout, Packet, WireError, PROTECTED_HEADER_LEN,
+    UNPROTECTED_HEADER_LEN,
+};
+
+/// Bytes per `<encryption, ID>` pair: a 2-byte ID and a sealed key.
+const PAIR_LEN: usize = 2 + wirecrypto::SEALED_KEY_LEN;
 
 /// `Packet::header` against `Packet::parse` on the same bytes: field for
 /// field where both succeed, and no header where a fixed-size packet does
@@ -96,8 +103,67 @@ fn frame_agrees_with_parse(bytes: &[u8], layout: &Layout) -> proptest::TestCaseR
     Ok(())
 }
 
+/// An ENC frame whose column is `raw`'s first `pairs` pairs and `tail`
+/// bytes more (a trailing partial pair), under the layout of exactly that
+/// length, with pair `i`'s ID overwritten by `id(i)`: the IDs the column
+/// carries, in wire order, padding and pairs past it included.
+fn frame_of(
+    raw: &[u8],
+    pairs: usize,
+    tail: usize,
+    id: impl Fn(usize) -> u16,
+) -> (EncFrame, Vec<u16>) {
+    let fixed = UNPROTECTED_HEADER_LEN + PROTECTED_HEADER_LEN;
+    let mut bytes = vec![0; fixed];
+    bytes.extend_from_slice(&raw[..pairs * PAIR_LEN + tail]);
+    let ids: Vec<u16> = (0..pairs).map(id).collect();
+    for (i, &id) in ids.iter().enumerate() {
+        let at = fixed + i * PAIR_LEN;
+        bytes[at..at + 2].copy_from_slice(&id.to_be_bytes());
+    }
+    let layout = Layout::new(bytes.len());
+    (EncFrame::new(bytes.into(), &layout).unwrap(), ids)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A column index answers as `EncFrame::entry` on any column: every ID
+    /// the column's pairs carry (the first of duplicates, none past the
+    /// padding), the padding ID 0, the ID-like bytes of a trailing partial
+    /// pair, and random IDs — built fresh, and rebuilt in place over a
+    /// longer column's index. The IDs come from alphabets of 3, 16 and
+    /// 65535, so most columns repeat IDs, in any order; one pair in about
+    /// half the columns is a zero ID with pairs after it; layouts run from
+    /// one pair to 120, with up to a pair less one byte behind.
+    #[test]
+    fn column_index_answers_as_entry(
+        raw in proptest::collection::vec(any::<u8>(), 121 * PAIR_LEN),
+        pairs in 1usize..=120,
+        tail in 0usize..PAIR_LEN,
+        alphabet in prop::sample::select(vec![3u16, 16, u16::MAX]),
+        zero_at in any::<usize>(),
+        asked in proptest::collection::vec(any::<u16>(), 8),
+    ) {
+        let draw = |i: usize| u16::from_be_bytes([raw[i * PAIR_LEN], raw[i * PAIR_LEN + 1]]);
+        let zero_at = zero_at % (2 * pairs);
+        let id = |i: usize| if i == zero_at { 0 } else { 1 + draw(i) % alphabet };
+        let (frame, ids) = frame_of(&raw, pairs, tail, id);
+        let (longer, _) = frame_of(&raw, 120, PAIR_LEN - 1, |i| 1 + draw(i) % 16);
+        let fresh = ColumnIndex::new(&frame);
+        let mut reused = ColumnIndex::new(&longer);
+        reused.rebuild(&frame);
+        let partial = raw[pairs * PAIR_LEN..].first_chunk().map(|b| u16::from_be_bytes(*b));
+        let partial = partial.filter(|_| tail >= 2);
+        let everything = ids.iter().copied().chain([0]).chain(partial).chain(asked);
+        for enc_id in everything {
+            let expected = frame.entry(enc_id);
+            prop_assert_eq!(fresh.entry(&frame, enc_id), expected, "ID {}", enc_id);
+            prop_assert_eq!(reused.entry(&frame, enc_id), expected, "ID {} (rebuilt)", enc_id);
+            // Asked of a frame it was not built from, an index scans that one.
+            prop_assert_eq!(fresh.entry(&longer, enc_id), longer.entry(enc_id), "ID {}", enc_id);
+        }
+    }
 
     /// Arbitrary byte soup: parse either fails cleanly or succeeds.
     #[test]

@@ -242,7 +242,8 @@ for i in "${!STAGE_NAMES[@]}"; do
 done
 echo "    Rust lines per crate, non-test | test (test: crates/<crate>/tests, a src"
 echo "    file from its first top-level #[cfg(test)] on, a module declared under one):"
-rust_files=$(git ls-files 'crates/*.rs')
+# The working tree, not the index: a module not yet staged counts too.
+rust_files=$(git ls-files --cached --others --exclude-standard 'crates/*.rs')
 # shellcheck disable=SC2086 # one argument per file
 awk '
     # Pass 1: `#[cfg(test)] mod name;` makes the file of that module test code.
@@ -266,7 +267,8 @@ awk '
         printf "    %6d | %6d  total\n", all_code, all_tests
     }' pass=1 $rust_files pass=2 $rust_files
 echo "    Rust lines tracked by ROADMAP (crates/<crate>, src, tests, examples):"
-git ls-files 'crates/*.rs' 'src/*.rs' 'tests/*.rs' 'examples/*.rs' | xargs wc -l | awk '
+git ls-files --cached --others --exclude-standard 'crates/*.rs' 'src/*.rs' 'tests/*.rs' 'examples/*.rs' |
+    xargs wc -l | awk '
     $2 != "total" {
         split($2, part, "/")
         row = part[1] == "crates" ? "crates/" part[2] : part[1]
