@@ -127,16 +127,45 @@ fn main() {
     if a.multicast_only {
         params = params.multicast_only();
     }
-    if let Err(e) = params.net.validate() {
-        eprintln!("{e}");
+    let refusal = if let Err(e) = params.net.validate() {
+        Some(e.to_string())
+    } else if let Err(e) = rse::BlockEncoder::new(a.k) {
+        Some(format!("k: {e}"))
+    } else if !(a.rho.is_finite() && a.rho >= 0.0) {
+        Some(format!("rho {} is not a finite factor >= 0", a.rho))
+    } else if a.messages == 0 {
+        Some("need at least one message".to_string())
+    } else {
+        None
+    };
+    if let Some(reason) = refusal {
+        eprintln!("{reason}");
         usage();
     }
 
+    let mode = if a.adaptive {
+        " (adaptive)"
+    } else {
+        " (fixed)"
+    };
     if a.csv {
         println!("msg,enc,rho,nacks_r1,bw_overhead,rounds_all,avg_rounds_user,usr_pkts,missed");
-        let mut run = ExperimentRun::new(params);
-        for _ in 0..a.messages {
-            let r = run.step();
+    } else {
+        println!(
+            "rekey-sim: N={} alpha={} p=({},{}) k={} rho={}{} numNACK={} J={} L={} seed={}",
+            a.n, a.alpha, a.p_high, a.p_low, a.k, a.rho, mode, a.num_nack, a.joins, leaves, a.seed
+        );
+        println!(
+            "{:>4} {:>5} {:>7} {:>9} {:>8} {:>7} {:>9} {:>8}",
+            "msg", "ENC", "rho", "NACKs r1", "bw ovh", "rounds", "avg r/usr", "USR pkts"
+        );
+    }
+
+    let mut run = ExperimentRun::new(params);
+    let (mut sum_bw, mut sum_nacks, mut sum_rounds) = (0.0, 0usize, 0.0);
+    for _ in 0..a.messages {
+        let r = run.step();
+        if a.csv {
             println!(
                 "{},{},{:.3},{},{:.4},{},{:.5},{},{}",
                 r.msg_seq,
@@ -149,39 +178,8 @@ fn main() {
                 r.usr_packets,
                 r.missed_deadline,
             );
+            continue;
         }
-        return;
-    }
-
-    println!(
-        "rekey-sim: N={} alpha={} p=({},{}) k={} rho={}{} numNACK={} J={} L={} seed={}",
-        a.n,
-        a.alpha,
-        a.p_high,
-        a.p_low,
-        a.k,
-        a.rho,
-        if a.adaptive {
-            " (adaptive)"
-        } else {
-            " (fixed)"
-        },
-        a.num_nack,
-        a.joins,
-        leaves,
-        a.seed
-    );
-    println!(
-        "{:>4} {:>5} {:>7} {:>9} {:>8} {:>7} {:>9} {:>8}",
-        "msg", "ENC", "rho", "NACKs r1", "bw ovh", "rounds", "avg r/usr", "USR pkts"
-    );
-
-    let mut run = ExperimentRun::new(params);
-    let mut sum_bw = 0.0;
-    let mut sum_nacks = 0usize;
-    let mut sum_rounds = 0.0;
-    for _ in 0..a.messages {
-        let r = run.step();
         println!(
             "{:>4} {:>5} {:>7.2} {:>9} {:>8.3} {:>7} {:>9.4} {:>8}",
             r.msg_seq,
@@ -197,11 +195,13 @@ fn main() {
         sum_nacks += r.nacks_round1;
         sum_rounds += r.avg_user_rounds();
     }
-    let m = a.messages as f64;
-    println!(
-        "---- mean: bw overhead {:.3}, NACKs r1 {:.1}, rounds/user {:.4}",
-        sum_bw / m,
-        sum_nacks as f64 / m,
-        sum_rounds / m
-    );
+    if !a.csv {
+        let m = a.messages as f64;
+        println!(
+            "---- mean: bw overhead {:.3}, NACKs r1 {:.1}, rounds/user {:.4}",
+            sum_bw / m,
+            sum_nacks as f64 / m,
+            sum_rounds / m
+        );
+    }
 }

@@ -48,7 +48,6 @@ pub struct Group {
     net_index: BTreeMap<MemberId, usize>,
     free_indices: Vec<usize>,
     clock: f64,
-    degree: u32,
     /// The transport loop's buffers, reused across rekeys.
     scratch: TransportScratch,
     /// The installer's frame indexes, reused across rekeys.
@@ -86,7 +85,6 @@ impl Group {
             net_index,
             free_indices,
             clock: 0.0,
-            degree: options.degree,
             scratch: TransportScratch::new(),
             install: InstallScratch::new(),
             max_rounds: 64,
@@ -143,11 +141,10 @@ impl Group {
     /// delivery fails to complete within `max_rounds` (both indicate
     /// driver misuse).
     pub fn rekey(&mut self, batch: Batch) -> MessageReport {
-        let joins: Vec<(MemberId, wirecrypto::SymKey)> = batch.joins.clone();
-        let leaves: Vec<MemberId> = batch.leaves.clone();
-
+        let joins = batch.joins.clone();
         let mut artifacts = self.server.rekey(batch);
         let msg_seq = artifacts.msg_seq;
+        let degree = self.server.tree().degree();
         let layout = artifacts.session.blocks().layout();
 
         // Compaction relocations are announced out of band (the USR
@@ -163,7 +160,7 @@ impl Group {
         }
 
         // Membership bookkeeping.
-        for m in &leaves {
+        for m in &artifacts.outcome.departed {
             self.agents.remove(m);
             if let Some(idx) = self.net_index.remove(m) {
                 self.free_indices.push(idx);
@@ -175,7 +172,7 @@ impl Group {
                 "joined member placed by the batch",
             );
             self.agents
-                .insert(*m, UserAgent::new(*m, node, *key, self.degree));
+                .insert(*m, UserAgent::new(*m, node, *key, degree));
             let idx = require(
                 self.free_indices.pop(),
                 "network has a free receiver link for the joiner",
@@ -197,7 +194,7 @@ impl Group {
         let mut receivers: Vec<ByteReceiver> = (self.agents.iter())
             .zip(&self.net_index)
             .map(|((m, agent), (linked, &link))| ByteReceiver {
-                session: UserSession::new(agent.node_id(), self.degree, k, layout)
+                session: UserSession::new(agent.node_id(), degree, k, layout)
                     .expect_msg_id((msg_seq & 0x3f) as u8),
                 link,
                 node: require(
@@ -243,7 +240,7 @@ impl Group {
                 assert!(
                     artifacts
                         .outcome
-                        .encryptions_for_user(agent.node_id(), self.degree)
+                        .encryptions_for_user(agent.node_id(), degree)
                         .is_empty(),
                     "member {} pending but needed encryptions",
                     agent.member()
@@ -261,12 +258,7 @@ impl Group {
         }
         drop(apply);
 
-        MessageReport::of_message(
-            msg_seq,
-            &artifacts.session,
-            self.server.controller().num_nack,
-            artifacts.assignment.stats.duplication_overhead(),
-            stats,
-        )
+        // No `self.server.absorb` here: adding it is ROADMAP 2b's switch.
+        self.server.report(&artifacts, stats)
     }
 }

@@ -12,6 +12,8 @@
 //! tree of `n` users with `J` joins and `L` uniformly chosen leaves, while
 //! the network loss processes, the adaptive controller state (`rho`,
 //! `numNACK`) and the clock persist across the message sequence.
+//! [`ExperimentRun`] rekeys through a [`KeyServer`](crate::KeyServer), as
+//! the byte model does, whose `restart` gives each message its fresh tree.
 //!
 //! [`workload_stats`]: crate::experiment::workload_stats
 //! [`encryption_cost_batch`]: crate::experiment::encryption_cost_batch
@@ -23,11 +25,12 @@ use keytree::{Batch, KeyTree, MemberId};
 use netsim::{Network, NetworkConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rekeymsg::{assign, Layout, PlanScratch, UkaAssignment};
-use rekeyproto::{ServerConfig, ServerController};
-use wirecrypto::{KeyGen, SymKey};
+use rekeymsg::{assign, Layout};
+use rekeyproto::ServerConfig;
+use wirecrypto::KeyGen;
 
 use crate::metrics::MessageReport;
+use crate::server::{KeyServer, ServerOptions};
 use crate::sim::{run_message_transport_with, SimConfig, SimUser, TransportScratch};
 
 /// Averaged key-management workload statistics for one `(N, d, J, L)`
@@ -44,21 +47,23 @@ pub struct WorkloadPoint {
     pub per_user_need: f64,
 }
 
-/// Draws `l` distinct leavers (at most `n`) uniformly from members
-/// `0..n`: a partial Fisher–Yates over the member IDs.
-fn uniform_leavers(n: u32, l: usize, rng: &mut SmallRng) -> Vec<MemberId> {
+/// One `(J, L)` batch against members `0..n`: `l` distinct leavers (at
+/// most `n`) drawn uniformly by a partial Fisher–Yates over the member
+/// IDs, then `j` joiners `n..` keyed from `kg`.
+fn draw_batch(n: u32, j: usize, l: usize, kg: &mut KeyGen, rng: &mut SmallRng) -> Batch {
     let l = l.min(n as usize);
-    let mut pool: Vec<MemberId> = (0..n).collect();
+    let mut leaves: Vec<MemberId> = (0..n).collect();
     for i in 0..l {
-        let pick = rng.gen_range(i..pool.len());
-        pool.swap(i, pick);
+        let pick = rng.gen_range(i..leaves.len());
+        leaves.swap(i, pick);
     }
-    pool.truncate(l);
-    pool
+    leaves.truncate(l);
+    let joins = (0..j as u32).map(|i| (n + i, kg.next_key())).collect();
+    Batch::new(joins, leaves)
 }
 
-/// Builds a fresh balanced tree and processes one `(J, L)` batch with
-/// uniformly chosen leavers, returning the tree and outcome.
+/// Builds a fresh balanced tree and processes one [`draw_batch`] on it,
+/// returning the tree and outcome.
 fn one_batch(
     n: u32,
     degree: u32,
@@ -68,9 +73,7 @@ fn one_batch(
     rng: &mut SmallRng,
 ) -> (KeyTree, keytree::MarkOutcome) {
     let mut tree = KeyTree::balanced(n, degree, kg);
-    let leaves = uniform_leavers(n, l, rng);
-    let joins: Vec<(MemberId, SymKey)> = (0..j as u32).map(|i| (n + i, kg.next_key())).collect();
-    let batch = Batch::new(joins, leaves);
+    let batch = draw_batch(n, j, l, kg, rng);
     #[cfg(feature = "sanitize")]
     let before = tree.clone();
     let outcome = tree.process_batch(&batch, kg);
@@ -159,13 +162,13 @@ pub fn encryption_cost_individual(
     for run in 0..runs {
         let mut kg = KeyGen::from_seed(seed ^ (run as u64).wrapping_mul(131));
         let mut tree = KeyTree::balanced(n, degree, &mut kg);
-        for member in uniform_leavers(n, l, &mut rng) {
+        let batch = draw_batch(n, j, l, &mut kg, &mut rng);
+        for member in batch.leaves {
             let outcome = tree.process_batch(&Batch::new(vec![], vec![member]), &mut kg);
             total += outcome.encryptions.len();
         }
-        for i in 0..j as u32 {
-            let key = kg.next_key();
-            let outcome = tree.process_batch(&Batch::new(vec![(n + i, key)], vec![]), &mut kg);
+        for join in batch.joins {
+            let outcome = tree.process_batch(&Batch::new(vec![join], vec![]), &mut kg);
             total += outcome.encryptions.len();
         }
     }
@@ -235,114 +238,85 @@ impl ExperimentParams {
 pub struct ExperimentRun {
     params: ExperimentParams,
     net: Network,
-    controller: ServerController,
+    server: KeyServer,
     rng: SmallRng,
     clock: f64,
-    msg_seq: u64,
     users: Vec<SimUser>,
     scratch: TransportScratch,
-    plan: PlanScratch,
 }
 
 impl ExperimentRun {
-    /// Initialises the network and controller.
+    /// Initialises the network and the key server.
     pub fn new(params: ExperimentParams) -> Self {
         let mut net_cfg = params.net;
         net_cfg.n_users = params.n as usize + params.joins;
         net_cfg.seed = params.seed;
-        let mut proto = params.protocol;
-        proto.seed = params.seed ^ 0xABCD;
+        let mut protocol = params.protocol;
+        protocol.seed = params.seed ^ 0xABCD;
         ExperimentRun {
             net: Network::new(net_cfg),
-            controller: ServerController::new(proto),
+            server: KeyServer::new(ServerOptions {
+                degree: params.degree,
+                protocol,
+                ..ServerOptions::default()
+            }),
             rng: SmallRng::seed_from_u64(params.seed ^ 0x00C0_FFEE),
             clock: 0.0,
-            msg_seq: 0,
             users: Vec::new(),
             scratch: TransportScratch::new(),
-            plan: PlanScratch::new(),
             params,
         }
     }
 
     /// Current adaptive state (rho, numNACK).
     pub fn controller_state(&self) -> (f64, usize) {
-        (self.controller.rho, self.controller.num_nack)
+        let controller = self.server.controller();
+        (controller.rho, controller.num_nack)
     }
 
     /// Simulates one rekey message; returns its report.
+    ///
+    /// # Panics
+    ///
+    /// As [`KeyServer::rekey`], when the message cannot be put on the wire.
     pub fn step(&mut self) -> MessageReport {
-        self.msg_seq += 1;
         let p = &self.params;
         let mut kg = KeyGen::from_seed(self.rng.gen());
-
-        let (tree, outcome) = one_batch(p.n, p.degree, p.joins, p.leaves, &mut kg, &mut self.rng);
-        #[expect(
-            clippy::unreachable,
-            reason = "holds at every figure's parameters (N inside the 16-bit wire ID range, the paper layout); ROADMAP 3 lifts the range and 4b turns what is left into RekeyError"
-        )]
-        let assignment = UkaAssignment::build_in(
-            &tree,
-            &outcome,
-            self.msg_seq,
-            &p.protocol.layout,
-            &mut self.plan,
-        )
-        .unwrap_or_else(|e| unreachable!("marking outcome always seals against its own tree: {e}"));
-        let usr_hint = p.protocol.layout.usr_packet_len(tree.height() as usize + 1);
-
-        let num_nack_used = self.controller.num_nack;
-        let mut session = self
-            .controller
-            .begin_message(assignment.packets.clone(), usr_hint);
-        #[cfg(feature = "sanitize")]
-        crate::sanitize::check_message(
-            &tree,
-            &outcome,
-            &assignment,
-            session.blocks(),
-            self.msg_seq,
-            &p.protocol.layout,
-        );
+        self.server.restart(p.n, &mut kg);
+        let batch = draw_batch(p.n, p.joins, p.leaves, &mut kg, &mut self.rng);
+        let mut artifacts = self.server.rekey(batch);
 
         // One SimUser per current member; network index = enumeration
         // order (loss classes persist per index across messages).
+        let tree = self.server.tree();
+        let assignment = &artifacts.assignment;
         let k = p.protocol.block_size;
-        let mut members = tree.member_ids();
-        members.sort_unstable();
         self.users.clear();
         self.users
-            .extend(members.iter().enumerate().map(|(idx, &m)| {
-                #[expect(
-                    clippy::unreachable,
-                    reason = "invariant: `member_ids` lists exactly the members the index resolves"
-                )]
-                let Some(uid) = tree.node_of_member(m) else {
-                    unreachable!("member {m} listed by its own tree");
-                };
-                let true_block = assignment.packet_of_user(uid).map(|pi| (pi / k) as u8);
-                SimUser::new(idx, uid, k, p.degree, true_block)
-            }));
+            .extend(tree.member_ids_iter().enumerate().map(|(idx, m)| {
+            #[expect(
+                clippy::unreachable,
+                reason = "invariant: `member_ids_iter` lists exactly the members the index resolves"
+            )]
+            let Some(uid) = tree.node_of_member(m) else {
+                unreachable!("member {m} listed by its own tree");
+            };
+            let true_block = assignment.packet_of_user(uid).map(|pi| (pi / k) as u8);
+            SimUser::new(idx, uid, k, p.degree, true_block)
+        }));
 
         let stats = run_message_transport_with(
             &mut self.net,
             &mut self.clock,
-            &mut session,
+            &mut artifacts.session,
             &mut self.users,
             &p.sim,
             &mut self.scratch,
         );
-
-        self.controller
-            .absorb_feedback(&session, stats.missed_deadline);
-
-        MessageReport::of_message(
-            self.msg_seq,
-            &session,
-            num_nack_used,
-            assignment.stats.duplication_overhead(),
-            stats,
-        )
+        let report = self.server.report(&artifacts, stats);
+        self.server
+            .absorb(&artifacts.session, report.missed_deadline);
+        report
     }
 
     /// Runs the full message sequence.
@@ -432,14 +406,18 @@ mod tests {
         params.messages = 10;
         params.protocol.initial_rho = 1.0;
         params.protocol.initial_num_nack = 2;
+        params.net.alpha = 1.0;
         let mut run = ExperimentRun::new(params);
         let first = run.step();
-        // With rho = 1 and lossy links, NACKs exceed the tiny target, so
-        // rho must rise for the next message.
-        if first.nacks_round1 > 2 {
-            let (rho, _) = run.controller_state();
-            assert!(rho > 1.0, "rho should have increased, got {rho}");
-        }
+        // With rho = 1 and every link lossy, round one's NACKs exceed the
+        // tiny target, so the absorbed feedback must raise rho.
+        assert!(
+            first.nacks_round1 > 2,
+            "premise: {} NACKs",
+            first.nacks_round1
+        );
+        let (rho, _) = run.controller_state();
+        assert!(rho > 1.0, "rho should have increased, got {rho}");
     }
 
     #[test]

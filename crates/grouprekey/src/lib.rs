@@ -13,15 +13,15 @@
 //!                     |
 //!                 grouprekey  <--- drives --->  netsim (lossy multicast)
 //!                     |
-//!            transport::run — the one round loop
+//!    KeyServer::rekey, then transport::run — one pipeline, one round loop
 //!              /                         \
-//!   byte model (driver::Group)     count model (sim::SimUser)
+//!   byte model (driver::Group)     count model (ExperimentRun, SimUser)
 //! ```
 //!
 //! Main entry points:
 //!
 //! * [`KeyServer`] — owns the key tree, processes join/leave batches, and
-//!   produces rekey messages.
+//!   produces rekey messages: both drivers rekey through it.
 //! * [`UserAgent`] — a user's key store: applies ENC/USR packets,
 //!   rederives its ID, and tracks the group key.
 //! * [`transport`] — the one transport loop (multicast rounds, NACK

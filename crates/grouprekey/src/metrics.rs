@@ -10,11 +10,7 @@
 //! sending, and `numNACK` the adaptive controller's per-message target
 //! for round-one NACKs.
 
-use rekeyproto::ServerSession;
-
-use crate::transport::TransportStats;
-
-/// Measurements of one rekey message's delivery.
+/// Measurements of one rekey message's delivery, as `KeyServer::report` reads them.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MessageReport {
     /// Message sequence number. No paper symbol; identifies the message
@@ -65,39 +61,6 @@ pub struct MessageReport {
 }
 
 impl MessageReport {
-    /// Reads one delivered message off its server session and the
-    /// transport loop's per-user statistics. `num_nack` is the NACK target
-    /// that was in force while it was sent, `duplication_overhead` the UKA
-    /// assignment's.
-    pub(crate) fn of_message(
-        msg_seq: u64,
-        session: &ServerSession,
-        num_nack: usize,
-        duplication_overhead: f64,
-        stats: TransportStats,
-    ) -> Self {
-        MessageReport {
-            msg_seq,
-            enc_packets: session.real_enc_count(),
-            blocks: session.blocks().block_count(),
-            rho: session.rho(),
-            num_nack,
-            nacks_round1: session.first_round_nack_count(),
-            bandwidth_overhead: session.bandwidth_overhead(),
-            server_rounds: session.stats.multicast_rounds,
-            rounds_histogram: stats.rounds_histogram,
-            unserved_users: stats.unserved,
-            missed_deadline: stats.missed_deadline,
-            usr_packets: session.stats.usr_sent,
-            usr_bytes: session.stats.usr_bytes,
-            duplication_overhead,
-            encoding_units: rse::cost::total_encoding_units(
-                session.blocks().k(),
-                &[session.stats.parity_multicast as u64],
-            ),
-        }
-    }
-
     /// Average rounds a user needed to receive its encryptions.
     pub fn avg_user_rounds(&self) -> f64 {
         let total: usize = self.rounds_histogram.iter().sum();

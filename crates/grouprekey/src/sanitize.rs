@@ -19,7 +19,7 @@
 )]
 
 use keytree::{Batch, KeyTree, MarkOutcome};
-use rekeymsg::{BlockSet, Layout, UkaAssignment};
+use rekeymsg::{BlockSet, UkaAssignment};
 
 /// Parity shares re-encoded per block for the round-trip check; two is
 /// enough to exercise a non-trivial Vandermonde submatrix on both erasure
@@ -48,8 +48,8 @@ pub fn check_message(
     assignment: &UkaAssignment,
     blocks: &BlockSet,
     msg_seq: u64,
-    layout: &Layout,
 ) {
+    let layout = &blocks.layout();
     if let Err(e) = rekeymsg::sanitize::verify_message(tree, outcome, assignment, msg_seq, layout) {
         panic!("sanitize: message audit failed: {e}");
     }

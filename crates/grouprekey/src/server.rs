@@ -3,9 +3,12 @@
 use std::sync::Arc;
 
 use keytree::{Batch, CompactionPolicy, KeyTree, MarkOutcome, MarkScratch, MemberId};
-use rekeymsg::{build_usr_packet, Layout, PlanScratch, UkaAssignment, UsrPacket};
+use rekeymsg::{build_usr_packet, PlanScratch, UkaAssignment, UsrPacket};
 use rekeyproto::{ServerConfig, ServerController, ServerSession};
 use wirecrypto::{KeyGen, SymKey};
+
+use crate::metrics::MessageReport;
+use crate::transport::TransportStats;
 
 /// Server construction options.
 #[derive(Debug, Clone, Copy)]
@@ -54,7 +57,6 @@ pub struct KeyServer {
     tree: KeyTree,
     keygen: KeyGen,
     controller: ServerController,
-    layout: Layout,
     msg_seq: u64,
     last_outcome: Option<Arc<MarkOutcome>>,
     scratch: MarkScratch,
@@ -68,7 +70,6 @@ impl KeyServer {
         KeyServer {
             tree: KeyTree::new(options.degree),
             keygen: KeyGen::from_seed(options.keygen_seed),
-            layout: options.protocol.layout,
             controller: ServerController::new(options.protocol),
             msg_seq: 0,
             last_outcome: None,
@@ -84,6 +85,16 @@ impl KeyServer {
         let mut server = KeyServer::new(options);
         server.tree = KeyTree::balanced(n, options.degree, &mut server.keygen);
         server
+    }
+
+    /// Replaces the group with a full balanced tree of members `0..n` keyed
+    /// from `keygen`, keeping the controller and the message sequence: the
+    /// figure engine's start of every message (DESIGN.md "Rekey message
+    /// sequences"). The old tree goes first, so two are never held.
+    pub(crate) fn restart(&mut self, n: u32, keygen: &mut KeyGen) {
+        self.last_outcome = None;
+        self.tree = KeyTree::new(self.tree.degree());
+        self.tree = KeyTree::balanced(n, self.tree.degree(), keygen);
     }
 
     /// The key tree (read-only).
@@ -112,7 +123,8 @@ impl KeyServer {
     /// bound): what the session counts per USR packet it unicasts in
     /// `ServerStats::usr_bytes`.
     pub fn usr_len_hint(&self) -> usize {
-        self.layout.usr_packet_len(self.tree.height() as usize + 1)
+        let layout = self.controller.config().layout;
+        layout.usr_packet_len(self.tree.height() as usize + 1)
     }
 
     /// Processes one batch: marks the tree and mints the fresh keys, runs
@@ -154,7 +166,7 @@ impl KeyServer {
             &self.tree,
             &outcome,
             msg_seq,
-            &self.layout,
+            &self.controller.config().layout,
             &mut self.plan_scratch,
         )
         .unwrap_or_else(|e| panic!("rekey message {msg_seq} cannot be built: {e}"));
@@ -170,7 +182,6 @@ impl KeyServer {
                 &assignment,
                 session.blocks(),
                 msg_seq,
-                &self.layout,
             );
         }
         let outcome = Arc::new(outcome);
@@ -180,6 +191,44 @@ impl KeyServer {
             outcome,
             assignment,
             session,
+        }
+    }
+
+    /// Feeds a delivered message back into the controller: its round-one
+    /// NACKs into `AdjustRho`, its deadline misses into `numNACK`.
+    pub(crate) fn absorb(&mut self, session: &ServerSession, missed_deadline: usize) {
+        self.controller.absorb_feedback(session, missed_deadline);
+    }
+
+    /// The report of one delivered message: `artifacts` as
+    /// [`KeyServer::rekey`] made them, once their session has run, and the
+    /// transport loop's `stats`. Made before [`KeyServer::absorb`], so its
+    /// `num_nack` is the target that was in force while it was sent.
+    pub(crate) fn report(
+        &self,
+        artifacts: &RekeyArtifacts,
+        stats: TransportStats,
+    ) -> MessageReport {
+        let session = &artifacts.session;
+        MessageReport {
+            msg_seq: artifacts.msg_seq,
+            enc_packets: session.real_enc_count(),
+            blocks: session.blocks().block_count(),
+            rho: session.rho(),
+            num_nack: self.controller.num_nack,
+            nacks_round1: session.first_round_nack_count(),
+            bandwidth_overhead: session.bandwidth_overhead(),
+            server_rounds: session.stats.multicast_rounds,
+            rounds_histogram: stats.rounds_histogram,
+            unserved_users: stats.unserved,
+            missed_deadline: stats.missed_deadline,
+            usr_packets: session.stats.usr_sent,
+            usr_bytes: session.stats.usr_bytes,
+            duplication_overhead: artifacts.assignment.stats.duplication_overhead(),
+            encoding_units: rse::cost::total_encoding_units(
+                session.blocks().k(),
+                &[session.stats.parity_multicast as u64],
+            ),
         }
     }
 
@@ -213,17 +262,11 @@ impl KeyServer {
             return Err(keytree::SnapshotError::Truncated);
         };
         let msg_seq = u64::from_le_bytes(*head);
-        let tree = KeyTree::restore(&bytes[8..])?;
         Ok(KeyServer {
-            tree,
+            tree: KeyTree::restore(&bytes[8..])?,
             keygen: KeyGen::from_seed(fresh_keygen_seed),
-            layout: options.protocol.layout,
-            controller: ServerController::new(options.protocol),
             msg_seq,
-            last_outcome: None,
-            scratch: MarkScratch::new(),
-            plan_scratch: PlanScratch::new(),
-            compaction: options.compaction,
+            ..KeyServer::new(options)
         })
     }
 }

@@ -9,14 +9,13 @@
 
 use std::collections::BTreeMap;
 
-use keytree::{Batch, KeyTree, MemberId, NodeId};
-use netsim::{Network, NetworkConfig};
-use rekeymsg::{build_usr_packet, Layout, Packet, UkaAssignment, UsrPacket};
-use rekeyproto::{ServerConfig, ServerController, UserSession};
-use wirecrypto::KeyGen;
-
 use grouprekey::sim::SimUser;
 use grouprekey::transport::{self, ByteReceiver, Receiver, SimConfig, TransportScratch};
+use grouprekey::{KeyServer, RekeyArtifacts, ServerOptions};
+use keytree::{Batch, MemberId, NodeId};
+use netsim::{Network, NetworkConfig};
+use rekeymsg::{Packet, UsrPacket};
+use rekeyproto::{ServerConfig, UserSession};
 
 /// Messages delivered back to back on one network and one clock: the loss
 /// processes (a link mid-burst at the end of a message is mid-burst at the
@@ -24,40 +23,33 @@ use grouprekey::transport::{self, ByteReceiver, Receiver, SimConfig, TransportSc
 /// `driver::Group`. The controller state does not move (`adapt_rho` off).
 const MESSAGES: u32 = 5;
 
-/// One rekey message: the tree after its batch, and what the batch made.
-struct Message {
-    msg_seq: u64,
-    tree: KeyTree,
-    outcome: keytree::MarkOutcome,
-    assignment: UkaAssignment,
-}
+/// Members at the start of every run.
+const N: u32 = 128;
 
 struct Scenario {
-    messages: Vec<Message>,
+    seed: u64,
     proto: ServerConfig,
     net_cfg: NetworkConfig,
 }
 
+impl Scenario {
+    /// The group every run starts from, keyed from the seed.
+    fn server(&self) -> KeyServer {
+        let options = ServerOptions {
+            protocol: self.proto,
+            keygen_seed: self.seed,
+            ..ServerOptions::default()
+        };
+        KeyServer::bootstrap(N, options)
+    }
+
+    /// Message `m`'s batch: sixteen fresh leavers, spread over the tree.
+    fn batch(m: u32) -> Batch {
+        Batch::new(vec![], (0..16u32).map(|i| i * 8 + m).collect())
+    }
+}
+
 fn scenario(seed: u64, alpha: f64, p_high: f64, max_rounds: usize, k: usize) -> Scenario {
-    let n = 128u32;
-    let mut kg = KeyGen::from_seed(seed);
-    let mut tree = KeyTree::balanced(n, 4, &mut kg);
-    let messages = (0..MESSAGES)
-        .map(|m| {
-            // Sixteen fresh leavers a message, spread over the tree.
-            let leaves: Vec<u32> = (0..16u32).map(|i| i * 8 + m).collect();
-            let outcome = tree.process_batch(&Batch::new(vec![], leaves), &mut kg);
-            let msg_seq = u64::from(m) + 1;
-            let assignment =
-                UkaAssignment::build(&tree, &outcome, msg_seq, &Layout::DEFAULT).unwrap();
-            Message {
-                msg_seq,
-                tree: tree.clone(),
-                outcome,
-                assignment,
-            }
-        })
-        .collect();
     let proto = ServerConfig {
         block_size: k,
         initial_rho: 1.0,
@@ -66,14 +58,14 @@ fn scenario(seed: u64, alpha: f64, p_high: f64, max_rounds: usize, k: usize) -> 
         ..ServerConfig::default()
     };
     let net_cfg = NetworkConfig {
-        n_users: n as usize,
+        n_users: N as usize,
         alpha,
         p_high,
         seed: seed ^ 0xBEEF,
         ..NetworkConfig::default()
     };
     Scenario {
-        messages,
+        seed,
         proto,
         net_cfg,
     }
@@ -82,39 +74,38 @@ fn scenario(seed: u64, alpha: f64, p_high: f64, max_rounds: usize, k: usize) -> 
 /// Per-user success rounds, round-one NACK count, bandwidth overhead.
 type Delivery = (BTreeMap<NodeId, usize>, usize, f64);
 
-/// Delivers the scenario's messages, in order, through the one transport
-/// loop to receivers of model `R`, on one network seeded by the scenario
-/// alone and one clock. A member's link is its member ID for as long as it
-/// stays.
+/// Rekeys the scenario's batches, in order, on a server of the run's own,
+/// and delivers each message through the one transport loop to receivers
+/// of model `R`, on one network seeded by the scenario alone and one
+/// clock. A member's link is its member ID for as long as it stays.
 fn deliver<R: Receiver>(
     sc: &Scenario,
-    receiver: impl Fn(&Message, usize, NodeId) -> R,
-    usr_packet: impl Fn(&Message, MemberId) -> Packet,
+    receiver: impl Fn(&RekeyArtifacts, usize, NodeId) -> R,
+    usr_packet: impl Fn(&KeyServer, MemberId) -> Packet,
 ) -> Vec<Delivery> {
-    let controller = ServerController::new(sc.proto);
+    let mut server = sc.server();
     let mut net = Network::new(sc.net_cfg);
     let mut clock = 0.0f64;
     let mut scratch = TransportScratch::new();
 
-    sc.messages
-        .iter()
-        .map(|msg| {
-            let mut session = controller.begin_message(msg.assignment.packets.clone(), 100);
-            let mut members = msg.tree.member_ids();
-            members.sort_unstable();
+    (0..MESSAGES)
+        .map(|m| {
+            let mut artifacts = server.rekey(Scenario::batch(m));
+            let tree = server.tree();
+            let members = tree.member_ids();
             let mut receivers: Vec<R> = members
                 .iter()
-                .map(|&m| receiver(msg, m as usize, msg.tree.node_of_member(m).unwrap()))
+                .map(|&m| receiver(&artifacts, m as usize, tree.node_of_member(m).unwrap()))
                 .collect();
 
             let stats = transport::run(
                 &mut net,
                 &mut clock,
-                &mut session,
+                &mut artifacts.session,
                 &mut receivers,
                 &SimConfig::default(),
                 &mut scratch,
-                |slot| usr_packet(msg, members[slot]),
+                |slot| usr_packet(&server, members[slot]),
             );
             assert_eq!(stats.unserved, 0, "run did not converge");
 
@@ -122,6 +113,7 @@ fn deliver<R: Receiver>(
                 .iter()
                 .map(|r| (r.node_id(), r.success_round().expect("all served")))
                 .collect();
+            let session = &artifacts.session;
             (
                 per_user,
                 session.first_round_nack_count(),
@@ -133,20 +125,19 @@ fn deliver<R: Receiver>(
 
 /// Real packets cross the network as bytes into `UserSession`s.
 fn run_byte_faithful(sc: &Scenario) -> Vec<Delivery> {
-    let layout = Layout::DEFAULT;
     deliver(
         sc,
-        |msg, link, node| ByteReceiver {
-            session: UserSession::new(node, 4, sc.proto.block_size, layout)
-                .expect_msg_id((msg.msg_seq & 0x3f) as u8),
-            link,
-            node,
-            layout,
+        |artifacts, link, node| {
+            let layout = artifacts.session.blocks().layout();
+            ByteReceiver {
+                session: UserSession::new(node, 4, sc.proto.block_size, layout)
+                    .expect_msg_id((artifacts.msg_seq & 0x3f) as u8),
+                link,
+                node,
+                layout,
+            }
         },
-        |msg, m| {
-            let usr = build_usr_packet(&msg.tree, &msg.outcome, m, msg.msg_seq);
-            Packet::Usr(usr.unwrap())
-        },
+        |server, m| Packet::Usr(server.usr_packet(m).unwrap()),
     )
 }
 
@@ -155,8 +146,11 @@ fn run_fast_model(sc: &Scenario) -> Vec<Delivery> {
     let k = sc.proto.block_size;
     deliver(
         sc,
-        |msg, link, node| {
-            let tb = msg.assignment.packet_of_user(node).map(|pi| (pi / k) as u8);
+        |artifacts, link, node| {
+            let tb = artifacts
+                .assignment
+                .packet_of_user(node)
+                .map(|pi| (pi / k) as u8);
             SimUser::new(link, node, k, 4, tb)
         },
         |_, _| {
@@ -239,7 +233,11 @@ fn agreement_many_seeds() {
 #[test]
 fn agreement_with_duplicate_padded_block() {
     let sc = scenario(15, 1.0, 0.30, 2, 16);
-    let padded = |m: &Message| m.assignment.packets.len() < 16;
-    assert!(sc.messages.iter().all(padded), "the block must be padded");
+    let mut server = sc.server();
+    let mut padded = (0..MESSAGES).map(|m| server.rekey(Scenario::batch(m)).assignment);
+    assert!(
+        padded.all(|a| a.packets.len() < 16),
+        "the block must be padded"
+    );
     assert_models_agree(&sc);
 }

@@ -14,7 +14,8 @@
 # worker), and the obs build. Speed is not gated here: that is
 # BENCHMARK.json's alternated parent/change pairs.
 # Everything runs offline against the vendored in-tree dependency shims.
-# Each stage's wall time is reported in a summary at the end.
+# Each stage's wall time, the Rust lines and the #[expect] reasons citing
+# each ROADMAP item are reported in a summary at the end.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -279,3 +280,9 @@ git ls-files --cached --others --exclude-standard 'crates/*.rs' 'src/*.rs' 'test
         close("sort -k2")
         printf "    %6d  total\n", all
     }'
+echo "    #[expect] reasons citing each ROADMAP item:"
+# Only `reason = "..."` lines count: a comment naming an item is not an exception.
+grep -rhE '^\s*reason = ".*ROADMAP [0-9]' crates/*/src | grep -oE 'ROADMAP [0-9]+[ab]?' |
+    sort | uniq -c | awk '
+    { printf "    %6d  %s %s\n", $1, $2, $3; all += $1 }
+    END { printf "    %6d  total\n", all + 0 }' || true
