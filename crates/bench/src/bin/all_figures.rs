@@ -1,13 +1,12 @@
 //! Regenerates every figure and table in sequence (EXPERIMENTS.md source).
 //!
-//! Figure text goes to stdout — byte-identical across runs and worker
-//! counts, so two runs can be diffed directly. Per-figure wall times go
-//! to stderr so CI logs surface regressions without perturbing the
-//! comparable output. All stderr diagnostics — the `[time]` lines and,
-//! with `--obs-out`/`REKEY_OBS=1`, the metrics table — go through one
-//! `stderr` lock held for the whole run, so they can never interleave
-//! mid-line with each other or with figure stdout under any
-//! `REKEY_THREADS` setting.
+//! Every cell runs in order on the calling thread. Figure text goes to
+//! stdout — byte-identical across runs, so two runs can be diffed
+//! directly. Per-figure wall times go to stderr so CI logs surface
+//! regressions without perturbing the comparable output. All stderr
+//! diagnostics — the `[time]` lines and, with `--obs-out`/`REKEY_OBS=1`,
+//! the metrics table — go through one `stderr` lock held for the whole
+//! run, so they never mix with figure stdout.
 //!
 //! `REKEY_FIGURES=name,name,..` restricts the run to a subset of figures
 //! (exact names from the canonical list); unknown names abort. The

@@ -8,9 +8,8 @@
 //! is what `REKEY_QUICK=1 REKEY_FIGURES=<name> all_figures` prints after
 //! its header line.
 //!
-//! Nothing is timed, and the worker count is not recorded: a figure's text
-//! is byte-identical at any `REKEY_THREADS` (`tests/figure_identity.rs`).
-//! The figure engine's speed is the repository benchmark's `sim_figures`
+//! Nothing is timed: the figures run one after another on one thread, and
+//! the figure engine's speed is the repository benchmark's `sim_figures`
 //! workload.
 //!
 //! The one flag is `--out PATH` (`bench::report`).

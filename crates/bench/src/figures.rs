@@ -6,10 +6,8 @@
 //! unless the figure sweeps that parameter.
 //!
 //! A figure is its sweep, its cell and its panel formats: `grid` runs
-//! every (row, column) cell through [`crate::par`] and `table` prints a
-//! panel. Each cell owns its seeded network and controller, so the
-//! produced bytes are identical to a serial run at any worker count (see
-//! `crates/bench/tests/figure_identity.rs`).
+//! every (row, column) cell in order on the calling thread and `table`
+//! prints a panel. Each cell owns its seeded network and key server.
 
 use std::io::{self, Write};
 
@@ -21,7 +19,7 @@ use grouprekey::MessageReport;
 use rekeymsg::Layout;
 use rekeyproto::ServerConfig;
 
-use crate::{adaptive_rho, fixed_rho, grid, header, mean, multicast, par, params, table, Mode};
+use crate::{adaptive_rho, fixed_rho, grid, header, mean, multicast, params, table, Mode};
 
 const ALPHAS: [f64; 4] = [0.0, 0.2, 0.4, 1.0];
 
@@ -95,14 +93,14 @@ fn by_rho<T>(
 
 /// A trajectory panel under the column heads `heads`: column `c` is the
 /// run `run(&sweep[c])`, row `m` its `m`-th message as `show` formats it.
-fn by_message<C: Sync>(
+fn by_message<C>(
     out: &mut dyn Write,
     heads: &str,
     sweep: &[C],
-    run: impl Fn(&C) -> Vec<MessageReport> + Sync,
+    run: impl Fn(&C) -> Vec<MessageReport>,
     show: impl Fn(&MessageReport) -> String,
 ) -> io::Result<()> {
-    let runs = par(sweep, run);
+    let runs: Vec<Vec<MessageReport>> = sweep.iter().map(run).collect();
     let messages = runs.first().map_or(0, Vec::len);
     let rows: Vec<Vec<&MessageReport>> = (0..messages)
         .map(|m| runs.iter().filter_map(|run| run.get(m)).collect())

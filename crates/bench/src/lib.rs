@@ -79,22 +79,18 @@ pub fn header(out: &mut dyn Write, id: &str, caption: &str) -> io::Result<()> {
     writeln!(out, "### {id} — {caption}")
 }
 
-/// Every (row, column) cell of a figure's sweep through [`par`], returned
-/// row-major: `grid(rows, cols, cell)[r][c]` is `cell(r, &rows[r],
-/// &cols[c])`. The row index is passed on because a figure may seed by it.
-pub(crate) fn grid<R: Sync, C: Sync, T: Send>(
+/// Every (row, column) cell of a figure's sweep, run in order on the
+/// calling thread and returned row-major: `grid(rows, cols, cell)[r][c]` is
+/// `cell(r, &rows[r], &cols[c])`. The row index is passed on because a
+/// figure may seed by it.
+pub(crate) fn grid<R, C, T>(
     rows: &[R],
     cols: &[C],
-    cell: impl Fn(usize, &R, &C) -> T + Sync,
+    cell: impl Fn(usize, &R, &C) -> T,
 ) -> Vec<Vec<T>> {
-    let at: Vec<(usize, &R, &C)> = rows
-        .iter()
-        .enumerate()
-        .flat_map(|(r, row)| cols.iter().map(move |col| (r, row, col)))
-        .collect();
-    let mut done = par(&at, |&(r, row, col)| cell(r, row, col)).into_iter();
     rows.iter()
-        .map(|_| done.by_ref().take(cols.len()).collect())
+        .enumerate()
+        .map(|(r, row)| cols.iter().map(|col| cell(r, row, col)).collect())
         .collect()
 }
 
@@ -164,95 +160,6 @@ pub(crate) fn params(
 /// bandwidth overhead counts every packet up to full recovery.
 pub(crate) fn multicast(params: ExperimentParams) -> Vec<MessageReport> {
     run_experiment(params.multicast_only())
-}
-
-thread_local! {
-    /// Worker count pinned by [`with_workers`] on this thread.
-    static WORKERS: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
-}
-
-/// Runs `body` with [`par`]'s worker count pinned to `workers` on the
-/// current thread, restoring the previous setting afterwards (also on
-/// panic). `tests/figure_identity.rs` renders each figure under
-/// `with_workers(1, ..)` and `with_workers(4, ..)`; being thread-local, the
-/// pin cannot race between concurrent tests the way an environment variable
-/// would.
-pub fn with_workers<R>(workers: usize, body: impl FnOnce() -> R) -> R {
-    struct Restore(Option<usize>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            WORKERS.with(|cell| cell.set(self.0));
-        }
-    }
-    let _restore = Restore(WORKERS.with(|cell| cell.replace(Some(workers))));
-    body()
-}
-
-/// The number of grid workers [`par`] uses on this thread: the
-/// [`with_workers`] pin if present, else the `REKEY_THREADS` environment
-/// variable, else [`std::thread::available_parallelism`]. At least 1.
-pub fn grid_workers() -> usize {
-    if let Some(n) = WORKERS.with(std::cell::Cell::get) {
-        return n.max(1);
-    }
-    std::env::var("REKEY_THREADS")
-        .ok()
-        .and_then(|raw| raw.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from))
-}
-
-/// Runs `f` over independent figure-grid cells on [`grid_workers`] scoped
-/// threads and returns the results in input order, so the printed tables
-/// are byte-identical to a serial run at any worker count. Workers claim
-/// cells from a shared index, so an expensive cell does not hold up the
-/// ones behind it. This is the repo's only level of parallelism: a cell
-/// runs the sequential rekey pipeline (DESIGN.md "Why the rekey path is
-/// sequential").
-///
-/// # Panics
-///
-/// Resumes a cell's panic on the calling thread once every worker has
-/// been joined.
-#[expect(
-    clippy::disallowed_types,
-    reason = "a ticket counter hands grid cells to the scoped workers; results are slotted by index and published by the join, so Relaxed is enough"
-)]
-pub fn par<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    let workers = grid_workers().min(items.len());
-    if workers <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut cells: Vec<(usize, R)> = Vec::with_capacity(items.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut done: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        // ordering: ticket counter only; results are slotted by index and published by the join
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else { break };
-                        done.push((i, f(item)));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for handle in handles {
-            match handle.join() {
-                Ok(done) => cells.extend(done),
-                // The scope joins the remaining workers before this
-                // leaves it, so no cell outlives the caller's unwind.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    cells.sort_unstable_by_key(|&(i, _)| i);
-    cells.into_iter().map(|(_, r)| r).collect()
 }
 
 /// `std::fs::write` whose error names the path.
@@ -414,91 +321,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn par_preserves_input_order_when_cell_costs_are_skewed() {
-        // The first cells are the slow ones, so with more than one worker
-        // the later cells finish first and must still land in their slots.
-        let items: Vec<u64> = (0..24).collect();
-        let cell = |&i: &u64| {
-            if i < 3 {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-            }
-            i * i
-        };
-        let expect: Vec<u64> = items.iter().map(cell).collect();
-        for workers in [1, 2, 8] {
-            assert_eq!(
-                with_workers(workers, || par(&items, cell)),
-                expect,
-                "workers = {workers}"
-            );
-        }
-    }
-
-    #[test]
-    fn grid_is_row_major_passes_the_row_index_and_ignores_the_worker_count() {
-        // Three rows by two columns, so a transposed grid cannot match; the
-        // row-0 cells are the slow ones, so with four workers the later
-        // cells finish first and must still land in their slots.
-        let cell = |r: usize, &row: &u64, &col: &u64| {
-            if r == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-            }
+    fn grid_is_row_major_and_passes_the_row_index() {
+        // Three rows by two columns, so a transposed grid cannot match.
+        let cells = grid(&[10, 20, 30], &[1, 2], |r, &row: &u64, &col: &u64| {
             (r, row + col)
-        };
+        });
         let expect = vec![
             vec![(0, 11), (0, 12)],
             vec![(1, 21), (1, 22)],
             vec![(2, 31), (2, 32)],
         ];
-        for workers in [1, 4] {
-            let cells = with_workers(workers, || grid(&[10, 20, 30], &[1, 2], cell));
-            assert_eq!(cells, expect, "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn par_handles_more_workers_than_items_and_the_empty_slice() {
-        let out = with_workers(8, || par(&[10u8, 20, 30], |&v| v + 1));
-        assert_eq!(out, vec![11, 21, 31]);
-        let empty: [u8; 0] = [];
-        assert!(with_workers(8, || par(&empty, |&v| v)).is_empty());
-    }
-
-    #[test]
-    #[expect(
-        clippy::disallowed_types,
-        reason = "counts the cells that finished across the workers; read only after `par` has joined them"
-    )]
-    fn a_panicking_cell_surfaces_after_every_worker_is_joined() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
-        let finished = AtomicUsize::new(0);
-        let items: Vec<usize> = (0..16).collect();
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            with_workers(4, || {
-                par(&items, |&i| {
-                    if i == 5 {
-                        panic!("cell 5 failed");
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(5));
-                    finished.fetch_add(1, Ordering::SeqCst);
-                })
-            })
-        }));
-        let payload = caught.expect_err("the cell's panic reaches the caller");
-        assert_eq!(payload.downcast_ref::<&str>(), Some(&"cell 5 failed"));
-        // Nothing is still running: the other workers drained the queue
-        // before the panic was resumed.
-        assert_eq!(finished.load(Ordering::SeqCst), 15);
-    }
-
-    #[test]
-    fn with_workers_pins_restores_and_clamps() {
-        let outer = with_workers(3, || {
-            assert_eq!(with_workers(7, grid_workers), 7);
-            grid_workers()
-        });
-        assert_eq!(outer, 3);
-        assert_eq!(with_workers(0, grid_workers), 1);
+        assert_eq!(cells, expect);
     }
 }

@@ -1,15 +1,13 @@
 //! Regression for stderr hygiene in `all_figures`: the per-figure
 //! `[time]` lines (and the obs table, when compiled in) go through one
-//! stderr lock, so they must come out whole — never split mid-line by
-//! worker output — and must never leak into the byte-comparable figure
-//! stdout, at any `REKEY_THREADS`.
+//! stderr lock, so they must come out whole lines and must never leak into
+//! the byte-comparable figure stdout.
 
 use std::process::Command;
 
 fn all_figures() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_all_figures"));
     cmd.env("REKEY_QUICK", "1")
-        .env("REKEY_THREADS", "4")
         .env("REKEY_FIGURES", "fig06,fig07")
         .env_remove("REKEY_OBS");
     cmd
@@ -37,7 +35,7 @@ fn stderr_diagnostics_never_split_or_leak_into_stdout() {
 
     let stderr = String::from_utf8(result.stderr).expect("utf8 stderr");
     // A `[time]` fragment anywhere but the start of a line means a
-    // diagnostic line was split by interleaved output.
+    // diagnostic line was split.
     for line in stderr.lines() {
         if line.contains("[time]") {
             assert!(line.starts_with("[time] "), "split stderr line: {line:?}");

@@ -131,6 +131,12 @@ fn main() {
         Some(e.to_string())
     } else if let Err(e) = rse::BlockEncoder::new(a.k) {
         Some(format!("k: {e}"))
+    } else if a.k > rekeymsg::MAX_BLOCK_SIZE {
+        Some(format!(
+            "k: block size {} over the wire's {}: sequence numbers are 7 bits",
+            a.k,
+            rekeymsg::MAX_BLOCK_SIZE
+        ))
     } else if !(a.rho.is_finite() && a.rho >= 0.0) {
         Some(format!("rho {} is not a finite factor >= 0", a.rho))
     } else if a.messages == 0 {

@@ -173,7 +173,7 @@ fn count_model_loop_allocates_nothing_after_the_round_one_schedule() {
     let mut scratch = TransportScratch::new();
     let mut clock = 0.0;
 
-    // Warm-up message: sizes the scratch (and, with `--features obs`,
+    // Warm-up message: sizes the scratch (and, in an obs build,
     // registers the loop's span and counter names).
     let mut session = controller.begin_message(assignment.packets.clone(), 100);
     run_message_transport_with(
@@ -223,7 +223,7 @@ fn count_model_loop_allocates_nothing_after_the_round_one_schedule() {
 #[test]
 fn the_walks_own_checks_allocate_nothing() {
     xcheck_rt::assert_counting();
-    // With `--features obs` the first count of each outcome registers its
+    // In an obs build the first count of each outcome registers its
     // name: an allocation that belongs to no receiver.
     for name in [
         "transport.frame.mine",
@@ -291,7 +291,7 @@ fn the_walks_own_checks_allocate_nothing() {
     assert!(mine && receiver.is_satisfied());
 }
 
-/// With `--features obs` the first unseal in the process registers the
+/// In an obs build the first unseal in the process registers the
 /// `agent.unseals` counter: an allocation that belongs to no agent, made
 /// here before an agent pin measures.
 fn register_agent_counters() {
@@ -520,7 +520,7 @@ fn begin_message_and_start_allocate_nothing_per_enc_packet() {
         ..ServerConfig::default()
     });
 
-    // Warm-up message: with `--features obs`, registers the span and
+    // Warm-up message: in an obs build, registers the span and
     // counter names the send path records under.
     let _ = controller
         .begin_message(assignment.packets.clone(), 100)

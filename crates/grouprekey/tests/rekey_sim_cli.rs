@@ -1,7 +1,8 @@
 //! `rekey-sim` refuses a run it cannot simulate the way it refuses a
 //! malformed flag: the reason and the usage on stderr, exit status 2, no
-//! panic. `NetworkConfig::validate` is the network's rule and
-//! `rse::BlockEncoder::new` the block size's.
+//! panic. `NetworkConfig::validate` is the network's rule, and
+//! `rse::BlockEncoder::new` and `rekeymsg::MAX_BLOCK_SIZE` the block
+//! size's.
 
 use std::process::Command;
 
@@ -13,6 +14,8 @@ fn an_impossible_network_is_a_usage_error_not_a_panic() {
         (["--n", "0"], "need at least one user"),
         (["--k", "0"], "k: block size 0 outside 1..255"),
         (["--k", "300"], "k: block size 300 outside 1..255"),
+        (["--k", "129"], "k: block size 129 over the wire's 128"),
+        (["--k", "254"], "k: block size 254 over the wire's 128"),
         (["--rho", "NaN"], "rho NaN is not a finite factor >= 0"),
         (["--messages", "0"], "need at least one message"),
     ] {

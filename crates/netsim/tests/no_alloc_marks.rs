@@ -21,7 +21,7 @@ fn network() -> Network {
 fn per_link_queries_are_allocation_free() {
     xcheck_rt::assert_counting();
     let mut net = network();
-    // Warm-up: with `--features obs`, each counter slot registers (one
+    // Warm-up: in an obs build, each counter slot registers (one
     // leaked Box + a registry push) on its first use — the deliveries
     // counter only on the first packet that gets through.
     let warmed = (0..10u64).any(|t| {
@@ -53,7 +53,7 @@ fn walk_is_allocation_free_with_warm_source_answers() {
     let round =
         |first: f64| -> Vec<f64> { (0..12).map(|i| first + f64::from(i) * 100.0).collect() };
     let (mut source_ok, mut got) = (Vec::with_capacity(12), Vec::with_capacity(12));
-    // Warm-up: with `--features obs`, each counter slot registers on its
+    // Warm-up: in an obs build, each counter slot registers on its
     // first use.
     for user in 0..8 {
         net.walk(user, &round(100.0), &mut source_ok, 0..12, &mut got);
@@ -103,7 +103,7 @@ fn multicast_to_into_is_allocation_free_with_warm_scratch() {
 fn unicast_is_allocation_free() {
     xcheck_rt::assert_counting();
     let mut net = network();
-    // Warm-up: with `--features obs`, the delivered-counter slot only
+    // Warm-up: in an obs build, the delivered-counter slot only
     // registers (one leaked Box + a registry push) on the first unicast
     // that actually gets through — drive until that has happened.
     let mut warmed = false;

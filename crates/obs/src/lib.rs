@@ -35,9 +35,10 @@
 //! constant, first, so without the feature it compiles to an inlineable
 //! no-op: no clock reads, no atomics, no heap allocation (a test pins
 //! the off-path at exactly zero allocations), and [`snapshot`] finds an
-//! empty registry and returns an empty [`Snapshot`]. Downstream crates
-//! expose an `obs` feature that forwards to `obs/enabled`, so one
-//! `--features obs` at the workspace root lights up the whole pipeline.
+//! empty registry and returns an empty [`Snapshot`]. Cargo unifies the
+//! feature across the build, so the root's and `bench`'s `obs` feature
+//! (which forwards to `obs/enabled`) lights up the whole pipeline; a
+//! single crate's tests take `--features obs/enabled`.
 
 // Panic-free outside tests; an exception is a reasoned `#[expect]` (ci.sh denies clippy warnings).
 #![cfg_attr(

@@ -5,8 +5,9 @@
 //! The aggregate instruments in the crate root answer "how much time
 //! did stage X take in total"; the log answers "*when* did every stage
 //! run, on which thread" — one track per recording thread, so the
-//! stages of a rekey read left to right on the caller's track and a
-//! figure-grid worker that records gets a track of its own.
+//! stages of a rekey read left to right on the caller's track. The
+//! product spawns no threads, so a trace has one track; a test that
+//! records from threads of its own gets one track each.
 //!
 //! # Recording model
 //!

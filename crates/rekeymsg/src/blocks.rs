@@ -12,7 +12,7 @@
 use rse::{BlockEncoder, RseError};
 
 use crate::layout::Layout;
-use crate::wire::{EncPacket, Packet, ParityPacket};
+use crate::wire::{EncPacket, Packet, ParityPacket, MAX_BLOCK_SIZE};
 
 /// One FEC block: `k` data packets plus the machinery to mint parities.
 #[derive(Debug, Clone)]
@@ -109,8 +109,8 @@ impl BlockSet {
     /// # Panics
     ///
     /// Panics when the message needs more than 256 blocks (wire limit of
-    /// the 8-bit block ID), or when it has blocks and `k` exceeds 128 (a
-    /// sequence number is 7 bits on the wire).
+    /// the 8-bit block ID), or when it has blocks and `k` exceeds
+    /// [`MAX_BLOCK_SIZE`] (a sequence number is 7 bits on the wire).
     pub fn with_encoder(
         packets: Vec<EncPacket>,
         proto_encoder: BlockEncoder,
@@ -126,7 +126,7 @@ impl BlockSet {
             block_count <= 256,
             "message needs {block_count} blocks, wire limit 256"
         );
-        let seqs_fit = block_count == 0 || k <= 128;
+        let seqs_fit = block_count == 0 || k <= MAX_BLOCK_SIZE;
         assert!(seqs_fit, "block size {k}: sequence numbers are 7 bits");
 
         // Stamp block IDs / sequence numbers and pad the last (short)

@@ -69,7 +69,7 @@ pub use blocks::{BlockSet, SendOrder};
 pub use layout::{Layout, PROTECTED_HEADER_LEN, UNPROTECTED_HEADER_LEN};
 pub use wire::{
     ColumnIndex, EncFrame, EncHeader, EncPacket, Header, NackPacket, NackRequest, Packet,
-    ParityPacket, UsrPacket, WireError,
+    ParityPacket, UsrPacket, WireError, MAX_BLOCK_SIZE,
 };
 
 /// Builds the USR packet for one user: the sealed encryptions it needs,

@@ -17,6 +17,11 @@ use wirecrypto::{SealedKey, SEALED_KEY_LEN};
 
 use crate::layout::{Layout, PAIR_LEN, PROTECTED_HEADER_LEN, UNPROTECTED_HEADER_LEN};
 
+/// The largest FEC block size the wire carries: an `ENC` packet's sequence
+/// number (`0..k`) has 7 bits, the top bit of its byte being the duplicate
+/// flag.
+pub const MAX_BLOCK_SIZE: usize = 128;
+
 /// Packet type discriminator (2 bits on the wire).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
@@ -217,7 +222,7 @@ impl EncPacket {
         if header.msg_id >= 64 {
             return Err(WireError::MsgIdRange(header.msg_id));
         }
-        if header.seq >= 128 {
+        if usize::from(header.seq) >= MAX_BLOCK_SIZE {
             return Err(WireError::SeqRange(header.seq));
         }
         let mut body: Arc<[u8]> = std::iter::repeat_n(0, layout.fec_body_len()).collect();

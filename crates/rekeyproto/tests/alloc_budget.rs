@@ -165,8 +165,8 @@ fn a_recovery_costs_the_decode_context_and_one_frame() {
         }
         session
     };
-    // One recovery unmeasured: with `--features obs`, rse registers its
-    // span slots on first use.
+    // One recovery unmeasured: in an obs build (`obs/enabled`), rse
+    // registers its span slots on first use.
     assert_eq!(hearing(&[49]).end_of_round(), None);
 
     // User 1400's packet is block 49, seq 7: the eighth header probed. The

@@ -24,7 +24,7 @@ fn parity_into_is_allocation_free_with_a_warm_row_cache() {
 
     let mut enc = BlockEncoder::new(k).unwrap();
     enc.warm(8).unwrap();
-    // One unmeasured call: with `--features obs`, the first parity_into
+    // One unmeasured call: in an obs build, the first parity_into
     // registers its span/counter slots (leaked Boxes + registry pushes).
     enc.parity_into(0, &data, &mut out).unwrap();
 

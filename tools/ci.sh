@@ -1,21 +1,20 @@
 #!/usr/bin/env bash
 # The full local gate: formatting, the project lints (clippy on both feature
 # legs, plus the check that every crate is wired to them), rustdoc with
-# warnings denied, the test suite with the deep invariant sanitizer live
-# (bench's figure_identity, four figures at one and four grid workers, runs
-# there), the gf256/rse suites again in an optimised build (the vectorized
-# kernel), the dynamic no-alloc harness (the obs event log's armed and
+# warnings denied, the test suite with the deep invariant sanitizer live,
+# the gf256/rse suites again in an optimised build (the vectorized kernel), the dynamic no-alloc harness (the obs event log's armed and
 # disarmed paths included), the statistical engine-agreement gate, the
 # receiver stack against its one reference receiver and the session's
 # reference (optimised builds), the check that every repository path the docs cite
 # exists, one full run of each of the three tracked BENCH reports compared
 # byte for byte with the committed file (a report holds exact facts, so
-# `cmp` is the whole sentinel; BENCH_figures.json a second time on one grid
-# worker), and the obs build. Speed is not gated here: that is
-# BENCHMARK.json's alternated parent/change pairs.
+# `cmp` is the whole sentinel; bench_figures runs every figure once, in
+# order, on one thread), and the obs build. Speed is not gated here: that
+# is BENCHMARK.json's alternated parent/change pairs.
 # Everything runs offline against the vendored in-tree dependency shims.
-# Each stage's wall time, the Rust lines and the #[expect] reasons citing
-# each ROADMAP item are reported in a summary at the end.
+# Each stage's wall time, the Rust lines, the #[expect] reasons citing
+# each ROADMAP item and the knobs (cargo features, environment variables
+# read) are reported in a summary at the end.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -105,7 +104,7 @@ cargo test -q -p rekeymsg --test no_alloc_marks
 # chosen shares and the context) and one rebuilt row, or a header's prefix
 # of one, at zero — with spans on, too.
 cargo test -q -p rse --test no_alloc_marks
-cargo test -q -p rse --features obs --test no_alloc_marks
+cargo test -q -p rse --features obs/enabled --test no_alloc_marks
 # The per-link queries (source_delivers, link_delivers), a listener's walk in spans
 # (memo hits and refreshes), multicast_to_into and unicast: zero.
 cargo test -q -p netsim --test no_alloc_marks
@@ -203,21 +202,15 @@ cargo test --release -q -p rekeyproto --test reference_session
 # gates (bench_churn's bounded depth, memory reclamation and replay
 # identity) are typed checks inside the generating run, which fails before
 # it writes. Compaction under the deep oracles is scenario_soak in the
-# sanitize test stage above.
+# sanitize test stage above. Each report runs once: bench_figures renders
+# every figure in order on one thread, so there is no worker count whose
+# bytes could differ.
 for name in figures scale churn; do
     stage "bench_$name: full run, cmp with the committed BENCH_$name.json"
     # The reports go to ./target even when CARGO_TARGET_DIR points elsewhere.
     mkdir -p target
     cargo run -q --release -p bench --bin "bench_$name" -- --out "target/BENCH_$name.json"
     cmp "target/BENCH_$name.json" "BENCH_$name.json"
-    if [ "$name" = figures ]; then
-        # Every figure again on one grid worker: the fan-out must not show
-        # in the bytes of any figure, not only the four figure_identity
-        # samples.
-        REKEY_THREADS=1 cargo run -q --release -p bench --bin bench_figures -- \
-            --out target/BENCH_figures.serial.json
-        cmp target/BENCH_figures.serial.json BENCH_figures.json
-    fi
 done
 
 stage "obs gate: build + test with --features obs"
@@ -286,3 +279,16 @@ grep -rhE '^\s*reason = ".*ROADMAP [0-9]' crates/*/src | grep -oE 'ROADMAP [0-9]
     sort | uniq -c | awk '
     { printf "    %6d  %s %s\n", $1, $2, $3; all += $1 }
     END { printf "    %6d  total\n", all + 0 }' || true
+echo "    Knobs: cargo features per manifest (default excluded), environment variables read:"
+# A knob is a setting a user can turn: a [features] entry, or a variable the
+# workspace's Rust reads at run time (compile-time env!() is cargo's, not a knob).
+for manifest in Cargo.toml crates/*/Cargo.toml; do
+    awk -v m="$manifest" '
+        /^\[/ { in_features = $0 == "[features]"; next }
+        in_features && /^[a-z_0-9]+ *=/ && $1 != "default" { n++ }
+        END { if (n) printf "    %6d  %s\n", n, m }' "$manifest"
+done | awk '{ print; all += $1 } END { printf "    %6d  features total\n", all }'
+env_vars=$(grep -rhoE '(env::var(_os)?|env_on)\("[A-Z][A-Z0-9_]*"' crates/*/src src examples |
+    grep -oE '[A-Z][A-Z0-9_]*' | sort -u)
+printf '    %6d  environment variables (%s)\n' "$(echo "$env_vars" | grep -c .)" \
+    "$(echo "$env_vars" | paste -sd' ')"
