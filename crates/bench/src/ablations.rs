@@ -2,8 +2,7 @@
 //! these out): block interleaving vs sequential sending, burst vs
 //! independent loss, and UKA vs naive encryption packing.
 //!
-//! Like `figures`, every ablation is a `grid` sweep printed by `table`,
-//! so its bytes are identical to a serial run at any worker count.
+//! Like `figures`, every ablation is a `grid` sweep printed by `table`.
 
 use std::io::{self, Write};
 
