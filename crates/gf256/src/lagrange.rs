@@ -35,12 +35,15 @@
 #![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
 
 use crate::tables::LOG;
-use crate::{Gf256, FIELD_SIZE, GROUP_ORDER};
+use crate::Gf256;
+
+/// [`GROUP_ORDER`](crate::GROUP_ORDER), at the width the log sums are kept in.
+const ORDER: u32 = 255;
 
 /// Discrete log of a nonzero difference, widened for summing.
 #[inline]
-fn log_of(diff: Gf256) -> usize {
-    usize::from(LOG[usize::from(diff.value())])
+fn log_of(diff: Gf256) -> u32 {
+    u32::from(LOG[usize::from(diff.value())])
 }
 
 /// Precomputed barycentric weights for a fixed set of interpolation
@@ -49,12 +52,15 @@ fn log_of(diff: Gf256) -> usize {
 /// Construction is O(k²); each subsequent [`row`](LagrangeCtx::row) is
 /// O(k). The produced rows are byte-for-byte identical to the textbook
 /// O(k²) construction (tested exhaustively in this module and by
-/// property tests in `tests/bulk_kernels.rs`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// property tests in `tests/bulk_kernels.rs`). A context is rebuilt for
+/// new nodes in place ([`set_nodes`](LagrangeCtx::set_nodes)), so a
+/// caller that keeps one allocates nothing once it has held the most
+/// nodes it will hold.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LagrangeCtx {
     nodes: Vec<Gf256>,
     /// `log w_i` in `0..255`.
-    log_weights: Vec<usize>,
+    log_weights: Vec<u32>,
 }
 
 impl LagrangeCtx {
@@ -63,28 +69,46 @@ impl LagrangeCtx {
     /// Returns `None` when two nodes coincide (the weights would divide
     /// by zero).
     pub fn new(nodes: impl IntoIterator<Item = Gf256>) -> Option<Self> {
-        let nodes: Vec<Gf256> = nodes.into_iter().collect();
+        let mut ctx = LagrangeCtx::default();
+        ctx.set_nodes(nodes).then_some(ctx)
+    }
+
+    /// Rebuilds the context for `nodes` in place, reusing its buffers.
+    /// Returns false, and leaves no nodes, when two nodes coincide.
+    pub fn set_nodes(&mut self, nodes: impl IntoIterator<Item = Gf256>) -> bool {
+        self.nodes.clear();
+        self.nodes.extend(nodes);
+        self.log_weights.clear();
         // A zero difference is exactly a repeated node; with none, every
         // difference below has a log.
-        let mut seen = [false; FIELD_SIZE];
-        for n in &nodes {
-            if std::mem::replace(&mut seen[usize::from(n.value())], true) {
-                return None;
+        let mut seen = [0u64; 4];
+        for n in &self.nodes {
+            let (word, bit) = (usize::from(n.value() / 64), 1 << (n.value() % 64));
+            if seen[word] & bit != 0 {
+                self.nodes.clear();
+                return false;
             }
+            seen[word] |= bit;
         }
-        // Each node's sum of difference logs, reduced and negated after.
-        let mut log_weights = vec![0usize; nodes.len()];
-        for (i, &xi) in nodes.iter().enumerate() {
-            for (j, &xj) in nodes.iter().enumerate().skip(i + 1) {
+        // Each node's sum of difference logs, reduced and negated after. A
+        // pair's log is read once: summed for the earlier node in a
+        // register, added to the later one in place.
+        let weights = &mut self.log_weights;
+        weights.resize(self.nodes.len(), 0);
+        for (i, &xi) in self.nodes.iter().enumerate() {
+            let (head, later) = weights.split_at_mut(i + 1);
+            let mut sum = 0;
+            for (lw, &xj) in later.iter_mut().zip(&self.nodes[i + 1..]) {
                 let l = log_of(xi + xj);
-                log_weights[i] += l;
-                log_weights[j] += l;
+                sum += l;
+                *lw += l;
             }
+            head[i] += sum;
         }
-        for lw in &mut log_weights {
-            *lw = (GROUP_ORDER - *lw % GROUP_ORDER) % GROUP_ORDER;
+        for lw in weights.iter_mut() {
+            *lw = (ORDER - *lw % ORDER) % ORDER;
         }
-        Some(LagrangeCtx { nodes, log_weights })
+        true
     }
 
     /// Number of interpolation nodes.
@@ -122,9 +146,9 @@ impl LagrangeCtx {
             return;
         }
         // x is no node, so every x - n (x + n in characteristic 2) has a log.
-        let log_l = self.nodes.iter().map(|&n| log_of(x + n)).sum::<usize>() % GROUP_ORDER;
+        let log_l = self.nodes.iter().map(|&n| log_of(x + n)).sum::<u32>() % ORDER;
         for ((o, &n), &lw) in out.iter_mut().zip(&self.nodes).zip(&self.log_weights) {
-            *o = Gf256::alpha_pow(log_l + lw + GROUP_ORDER - log_of(x + n));
+            *o = Gf256::alpha_pow((log_l + lw + ORDER - log_of(x + n)) as usize);
         }
     }
 
@@ -140,6 +164,7 @@ impl LagrangeCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GROUP_ORDER;
 
     /// Context over `alpha^0 .. alpha^(k-1)`, the erasure coder's data points.
     fn consecutive(k: usize) -> LagrangeCtx {
@@ -182,8 +207,12 @@ mod tests {
             nodes.insert(k / 2, Gf256::ZERO);
             let ctx = LagrangeCtx::new(nodes.clone()).unwrap();
             for (i, &lw) in ctx.log_weights.iter().enumerate() {
-                assert!(lw < GROUP_ORDER, "k={k} i={i}");
-                assert_eq!(Gf256::alpha_pow(lw), naive_weight(&nodes, i), "k={k} i={i}");
+                assert!(lw < ORDER, "k={k} i={i}");
+                assert_eq!(
+                    Gf256::alpha_pow(lw as usize),
+                    naive_weight(&nodes, i),
+                    "k={k} i={i}"
+                );
             }
             for x in 0..=255u8 {
                 let x = Gf256::new(x);
@@ -196,6 +225,20 @@ mod tests {
                 assert!(LagrangeCtx::new(twice).is_none(), "k={k} dup={dup}");
             }
         }
+    }
+
+    #[test]
+    fn rebuilt_in_place_equals_built_fresh() {
+        assert_eq!(ORDER as usize, GROUP_ORDER);
+        let mut ctx = consecutive(40);
+        for k in [32usize, 1, 64, 7] {
+            let nodes = (0..k).map(|j| Gf256::alpha_pow(3 * j + k));
+            assert!(ctx.set_nodes(nodes.clone()));
+            assert_eq!(ctx, LagrangeCtx::new(nodes).unwrap(), "k={k}");
+        }
+        let twice = [Gf256::new(9), Gf256::ZERO, Gf256::new(9)];
+        assert!(!ctx.set_nodes(twice));
+        assert!(ctx.is_empty());
     }
 
     #[test]

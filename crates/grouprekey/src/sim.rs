@@ -19,6 +19,7 @@ use keytree::NodeId;
 use netsim::Network;
 use rekeymsg::{Layout, NackPacket, Packet, UsrPacket};
 use rekeyproto::{BlockSearch, ServerSession};
+use rse::DecodeCtx;
 
 use crate::transport::{self, Receiver};
 pub use crate::transport::{SimConfig, TransportScratch, TransportStats};
@@ -154,7 +155,12 @@ impl Receiver for SimUser {
     /// Round boundary: decodes if the true block is full (see [`SimUser`]),
     /// else fills the caller's reusable `nack` and returns true.
     // xcheck: no_alloc
-    fn end_of_round_into(&mut self, round: usize, nack: &mut NackPacket) -> bool {
+    fn end_of_round_into(
+        &mut self,
+        round: usize,
+        nack: &mut NackPacket,
+        _decode: &mut DecodeCtx,
+    ) -> bool {
         if self.is_satisfied() {
             return false;
         }
@@ -228,7 +234,8 @@ mod tests {
     /// The round boundary with a throwaway NACK buffer.
     fn end_of_round(u: &mut SimUser, round: usize) -> Option<NackPacket> {
         let mut nack = NackPacket::default();
-        u.end_of_round_into(round, &mut nack).then_some(nack)
+        let nacked = u.end_of_round_into(round, &mut nack, &mut DecodeCtx::default());
+        nacked.then_some(nack)
     }
 
     #[test]

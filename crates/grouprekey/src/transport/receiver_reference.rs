@@ -75,7 +75,7 @@ fn reference_run<R: Receiver>(
         *clock += rtt;
         let mut nack = NackPacket::default();
         for r in rs.iter_mut() {
-            if r.end_of_round_into(round, &mut nack) {
+            if r.end_of_round_into(round, &mut nack, &mut DecodeCtx::default()) {
                 session.accept_nack(r.node_id(), &nack);
             }
         }

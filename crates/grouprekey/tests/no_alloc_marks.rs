@@ -32,6 +32,7 @@ use rekeymsg::{
     UkaAssignment,
 };
 use rekeyproto::{ServerConfig, ServerController, UserOutcome, UserSession};
+use rse::DecodeCtx;
 use wirecrypto::batch::{keystream16_batch, seal_batch, unseal_group};
 use wirecrypto::{KeyGen, SealedKey};
 
@@ -84,9 +85,9 @@ fn receive_and_end_of_round_into_are_allocation_free_in_steady_state() {
     for pkt in &warm {
         user.receive(pkt, 0);
     }
-    let mut nack = NackPacket::default();
+    let (mut nack, mut decode) = (NackPacket::default(), DecodeCtx::default());
     assert!(
-        user.end_of_round_into(0, &mut nack),
+        user.end_of_round_into(0, &mut nack, &mut decode),
         "unsatisfied user NACKs"
     );
 
@@ -105,7 +106,7 @@ fn receive_and_end_of_round_into_are_allocation_free_in_steady_state() {
     for (round, pkt) in stream.iter().enumerate() {
         xcheck_rt::assert_zero_alloc("SimUser::receive", || user.receive(pkt, round + 1));
         let nacked = xcheck_rt::assert_zero_alloc("SimUser::end_of_round_into", || {
-            user.end_of_round_into(round + 1, &mut nack)
+            user.end_of_round_into(round + 1, &mut nack, &mut decode)
         });
         assert!(nacked, "still missing block 3, must keep NACKing");
         assert!(!nack.requests.is_empty());
@@ -122,7 +123,10 @@ fn receive_and_end_of_round_into_are_allocation_free_in_steady_state() {
         let pkt = parity(3, seq);
         user.receive(&pkt, 20);
     }
-    assert!(!user.end_of_round_into(20, &mut nack), "decoded: no NACK");
+    assert!(
+        !user.end_of_round_into(20, &mut nack, &mut decode),
+        "decoded: no NACK"
+    );
     assert!(user.is_satisfied());
 }
 

@@ -631,7 +631,10 @@ fn forged_share_indices_change_neither_nack_nor_decode() -> TestCaseResult {
 /// A second frame for a `(block, share index)` already held replaces the
 /// first and is not counted twice: heard after the real packet, a forgery
 /// is what the block decodes from (to nothing of use); heard before it, the
-/// forgery is gone by the time the block decodes.
+/// forgery is gone by the time the block decodes. Its header goes with it:
+/// the bracket reads the IDs of the frame held, so the forgery's, above the
+/// user, leave both missing rows outside it, and the real one's put the
+/// user's row inside, probed first.
 #[test]
 fn a_second_frame_for_a_held_share_replaces_the_first() -> TestCaseResult {
     let k = 3;
@@ -644,13 +647,23 @@ fn a_second_frame_for_a_held_share_replaces_the_first() -> TestCaseResult {
     let forged = frame(&Packet::Enc(relabel(&b0[0], lie)));
     let [first, second] = [0, 1].map(|i| frame(&Packet::Parity(parities[i].clone())));
     // User 101's packet is block 0, seq 1.
-    for (heard, recovers) in [([&real, &forged], false), ([&forged, &real], true)] {
+    let cases = [
+        ([&real, &forged], false, (2, 2)),
+        ([&forged, &real], true, (1, 0)),
+    ];
+    for (heard, recovers, probed) in cases {
         let mut pair = Pair::new(101, k, true);
         let (_, nack) = pair.round(&[heard[0].clone(), first.clone(), heard[1].clone()])?;
         let nack = nack.expect("two distinct shares of three");
         prop_assert_eq!(nack.requests[0].count, 1, "the repeated index counts once");
         pair.round(std::slice::from_ref(&second))?;
-        prop_assert_eq!(pair.session.decode_work.blocks, 1);
+        let work = pair.session.decode_work;
+        prop_assert_eq!(work.blocks, 1);
+        prop_assert_eq!(
+            (work.rows, work.fallback_rows),
+            probed,
+            "rows, outside the bracket"
+        );
         let expect = [None, Some(b0[1].emit())];
         prop_assert_eq!(&pair.reference.outcome, &expect[usize::from(recovers)]);
     }

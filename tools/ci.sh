@@ -100,8 +100,9 @@ stage "dynamic no-alloc harness (xcheck-rt counting allocator)"
 cargo test -q -p xcheck-rt
 cargo test -q -p keytree --test no_alloc_marks
 cargo test -q -p rekeymsg --test no_alloc_marks
-# Encode is pinned at zero; decode_missing at 3 whatever is missing (the
-# chosen shares and the context) and one rebuilt row, or a header's prefix
+# Encode is pinned at zero; a decode in a warm lent context
+# (decode_missing_in) at zero, in a fresh one at 3 whatever is missing (the
+# chosen shares and the context), and one rebuilt row, or a header's prefix
 # of one, at zero — with spans on, too.
 cargo test -q -p rse --test no_alloc_marks
 cargo test -q -p rse --features obs/enabled --test no_alloc_marks
@@ -111,8 +112,8 @@ cargo test -q -p netsim --test no_alloc_marks
 # The serving delivery and 990 deliveries of ruled-out blocks are pinned at
 # zero (no reference held either), and so is asking is_own of each; 1000
 # kept ones at a constant (the flat share store's and the tracker's growth
-# after one sizing each); a FEC recovery at the decode context of each block
-# tried plus the one frame the serving packet is rebuilt into.
+# after one sizing each); a FEC recovery in a warm lent decode context at
+# the one frame the serving packet is rebuilt into, whatever blocks it tried.
 cargo test -q -p rekeyproto --test alloc_budget
 # The count-model loop on a warm TransportScratch, both models' next_read and
 # reads_now (the bound, the own check of every frame, and taking the own
@@ -217,6 +218,9 @@ stage "obs gate: build + test with --features obs"
 # crates/bench/tests/obs_outputs.rs records a scenario run in the event log
 # and the series recorder here and checks the trace and the obs_series/v1
 # columns structurally.
+# grouprekey/tests/obs_decode.rs pins, among them, the exact decode work of
+# one wire_fec-shaped rekey (blocks, header probes, full rows, rse spans): a
+# faster decode leaves those counts as they are.
 cargo build -q --workspace --features obs
 cargo test -q --workspace --features obs
 
