@@ -9,7 +9,7 @@
 //! sim/driver runs it on every block of every rekey message when built
 //! with `--features sanitize`.
 
-use crate::coder::{BlockEncoder, Decoder, Share};
+use crate::coder::{BlockEncoder, DecodeCtx, Decoder, Share};
 
 /// Turns the `k` data bodies into data shares with indices `0..k`.
 fn data_shares(bodies: &[Vec<u8>]) -> Vec<Share> {
@@ -37,7 +37,8 @@ fn decode_and_compare(
         return Err(format!("{what}: decoded bodies differ from originals"));
     }
     let borrowed = shares.iter().map(|s| (s.index, s.data.as_slice()));
-    let missing = dec.decode_missing(borrowed).map_err(failed)?;
+    let mut ctx = DecodeCtx::default();
+    let missing = dec.decode_missing_in(&mut ctx, borrowed).map_err(failed)?;
     if let Some(i) = missing.indices().last() {
         let mut row = Vec::new();
         missing.row_into(i, &mut row).map_err(failed)?;
