@@ -1,6 +1,6 @@
-//! The user-side key store. An agent holds its path and nothing else — per
-//! level, root first, the node ID and its key if held — so a key off the
-//! path is never stored and nothing is pruned.
+//! The user-side key store. An agent holds its path and nothing else — its
+//! individual key and, per ancestor, root first, a node ID and a key, held or
+//! not — so a key off the path is never stored and nothing is pruned.
 
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
@@ -55,22 +55,30 @@ pub struct UserAgent {
     member: MemberId,
     individual: SymKey,
     degree: u32,
-    /// The path, root first: `path[l]` is the level-`l` node and the key
-    /// held for it. The last slot is the u-node, holding the individual key.
-    path: Vec<(NodeId, Option<SymKey>)>,
+    /// The u-node the agent occupies: level `path.len()`.
+    node: NodeId,
+    /// The u-node's ancestors, root first: `path[l]` is the level-`l` node
+    /// and its key, read only if bit `l` of `held` is set.
+    path: Vec<(NodeId, SymKey)>,
+    held: u32,
+}
+
+/// Bit `level` of a held mask; none past 32 levels (a `u32` ID's at degree 2).
+fn bit(level: usize) -> u32 {
+    1u32.checked_shl(level as u32).unwrap_or(0)
 }
 
 impl UserAgent {
     /// Creates an agent for a member admitted at u-node `node_id` with the
     /// given individual key.
     pub fn new(member: MemberId, node_id: NodeId, individual: SymKey, degree: u32) -> Self {
-        let mut path = Vec::with_capacity(ident::level(node_id, degree) as usize + 1);
-        path.push((0, None));
         let mut agent = UserAgent {
             member,
             individual,
             degree,
-            path,
+            node: 0,
+            path: Vec::with_capacity(ident::level(node_id, degree) as usize),
+            held: 0,
         };
         agent.relocate(node_id);
         agent
@@ -88,8 +96,9 @@ impl UserAgent {
     ) -> Self {
         let mut agent = UserAgent::new(member, node_id, individual, degree);
         for (id, k) in path_keys {
-            if let Some(slot) = agent.path.iter_mut().find(|slot| slot.0 == id) {
-                slot.1 = Some(k);
+            if let Some(level) = agent.path.iter().position(|slot| slot.0 == id) {
+                agent.path[level].1 = k;
+                agent.held |= bit(level);
             }
         }
         agent
@@ -102,22 +111,32 @@ impl UserAgent {
 
     /// The u-node ID the agent believes it occupies.
     pub fn node_id(&self) -> NodeId {
-        self.path.last().map_or(0, |slot| slot.0)
+        self.node
     }
 
     /// The group key, if held.
     pub fn group_key(&self) -> Option<SymKey> {
-        self.path.first().and_then(|slot| slot.1)
+        self.at(0).1
     }
 
     /// The key held for a node, if any.
     pub fn key_of(&self, node: NodeId) -> Option<SymKey> {
-        self.path.iter().find(|slot| slot.0 == node)?.1
+        let mut levels = (0..=self.path.len()).map(|level| self.at(level));
+        levels.find(|slot| slot.0 == node)?.1
     }
 
     /// Number of keys currently held (1 individual + path keys).
     pub fn keys_held(&self) -> usize {
-        self.path.iter().filter(|slot| slot.1.is_some()).count()
+        self.held.count_ones() as usize + 1
+    }
+
+    /// The level-`level` node of the path and the key held for it: an
+    /// ancestor's, or past them the u-node's, the individual key.
+    fn at(&self, level: usize) -> (NodeId, Option<SymKey>) {
+        match self.path.get(level) {
+            Some(&(node, key)) => (node, (self.held & bit(level) != 0).then_some(key)),
+            None => (self.node, Some(self.individual)),
+        }
     }
 
     /// Applies the user's specific ENC packet from rekey message
@@ -150,7 +169,7 @@ impl UserAgent {
         self.relocate(new_id);
         Ok(Chain {
             source: Source::Enc(pkt, None),
-            level: self.path.len(),
+            level: self.path.len() + 1,
         })
     }
 
@@ -184,7 +203,7 @@ impl UserAgent {
         while chain.level > 1 {
             chain.level -= 1;
             let level = chain.level;
-            let (node, kek) = self.path[level];
+            let (node, kek) = self.at(level);
             let sealed = match chain.source {
                 Source::Enc(pkt, index) => {
                     let c16 = u16::try_from(node).map_err(|_| ApplyError::MissingKey { node })?;
@@ -217,7 +236,8 @@ impl UserAgent {
         unsealed: Result<SymKey, UnsealError>,
     ) -> Result<(), ApplyError> {
         let key = unsealed.map_err(|_| ApplyError::BadSeal { node: link.node })?;
-        self.path[link.level - 1].1 = Some(key);
+        self.path[link.level - 1].1 = key;
+        self.held |= bit(link.level - 1);
         Ok(())
     }
 
@@ -246,23 +266,21 @@ impl UserAgent {
     /// old u-node and the other levels hold none. Only growing the path past
     /// its capacity allocates.
     fn relocate(&mut self, new_id: NodeId) {
+        if self.node == new_id {
+            return;
+        }
         let d = self.degree;
-        if self.node_id() != new_id {
-            if let Some(leaf) = self.path.last_mut() {
-                leaf.1 = None;
-            }
-            self.path
-                .resize(ident::level(new_id, d) as usize + 1, (0, None));
-            // Appended slots read node 0, which names only the root: the
-            // walk stops at the deepest shared ancestor, the root at worst.
-            let up = self.path.iter_mut().rev().zip(ident::path_iter(new_id, d));
-            for (slot, id) in up.take_while(|(slot, id)| slot.0 != *id) {
-                *slot = (id, None);
-            }
+        let depth = ident::level(new_id, d) as usize;
+        self.held &= bit(depth).wrapping_sub(1);
+        self.path.resize(depth, (0, SymKey::from_bytes([0; 16])));
+        // Appended slots read node 0, which names only the root: the walk
+        // stops at the deepest shared ancestor, the root at worst.
+        let up = (self.path.iter_mut().enumerate().rev()).zip(ident::path_iter(new_id, d).skip(1));
+        for ((level, slot), id) in up.take_while(|((_, slot), id)| slot.0 != *id) {
+            slot.0 = id;
+            self.held &= !bit(level);
         }
-        if let Some(leaf) = self.path.last_mut() {
-            leaf.1 = Some(self.individual);
-        }
+        self.node = new_id;
     }
 }
 

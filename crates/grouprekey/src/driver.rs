@@ -193,15 +193,14 @@ impl Group {
         );
         let mut receivers: Vec<ByteReceiver> = (self.agents.iter())
             .zip(&self.net_index)
-            .map(|((m, agent), (linked, &link))| ByteReceiver {
-                session: UserSession::new(agent.node_id(), degree, k, layout)
-                    .expect_msg_id((msg_seq & 0x3f) as u8),
-                link,
-                node: require(
+            .map(|((m, agent), (linked, &link))| {
+                let session = UserSession::new(agent.node_id(), degree, k, layout)
+                    .expect_msg_id((msg_seq & 0x3f) as u8);
+                let node = require(
                     (self.server.tree().node_of_member(*m)).filter(|_| m == linked),
                     "live member has a node and the next receiver link is its own",
-                ),
-                layout,
+                );
+                ByteReceiver::new(session, link, node)
             })
             .collect();
 
@@ -230,12 +229,13 @@ impl Group {
             self.max_rounds
         );
 
-        // Apply outcomes cryptographically: every member's own path
-        // unsealed with its own keys, eight members' chains side by side,
-        // each shared frame's ID column read once.
+        // Apply outcomes cryptographically, checking the Pending rule as the
+        // installer takes each job: every member's own path unsealed with its
+        // own keys, eight chains side by side, each shared column read once.
         let apply = obs::span("agent.apply");
-        for (agent, r) in self.agents.values().zip(&receivers) {
-            if matches!(r.session.outcome(), UserOutcome::Pending) {
+        let outcomes = receivers.iter().map(|r| r.session.outcome());
+        let jobs = (self.agents.values_mut().zip(outcomes)).inspect(|(agent, outcome)| {
+            if matches!(outcome, UserOutcome::Pending) {
                 // Only possible when the member needed nothing.
                 assert!(
                     artifacts
@@ -246,9 +246,7 @@ impl Group {
                     agent.member()
                 );
             }
-        }
-        let outcomes = receivers.iter().map(|r| r.session.outcome());
-        let jobs = self.agents.values_mut().zip(outcomes);
+        });
         #[expect(
             clippy::panic,
             reason = "the simulated network delivers the server's own bytes, so a failed apply is a bug here; ROADMAP 4b: becomes RekeyError"

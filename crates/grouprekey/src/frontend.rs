@@ -34,22 +34,14 @@ impl LeaveRequest {
         LeaveRequest {
             member,
             interval,
-            tag: mac::mac64(individual_key, &Self::payload(member, interval)),
+            tag: mac::mac64(individual_key, &payload::<17>(b"leave", member, interval)),
         }
-    }
-
-    fn payload(member: MemberId, interval: u64) -> [u8; 17] {
-        let mut bytes = [0u8; 17];
-        bytes[..5].copy_from_slice(b"leave");
-        bytes[5..9].copy_from_slice(&member.to_le_bytes());
-        bytes[9..].copy_from_slice(&interval.to_le_bytes());
-        bytes
     }
 
     /// Server-side verification against the member's individual key.
     // xcheck: no_alloc
     pub fn verify(&self, individual_key: &SymKey) -> bool {
-        self.tag == mac::mac64(individual_key, &Self::payload(self.member, self.interval))
+        Self::sign(self.member, self.interval, individual_key).tag == self.tag
     }
 }
 
@@ -71,23 +63,26 @@ impl JoinRequest {
         JoinRequest {
             member,
             interval,
-            tag: mac::mac64(individual_key, &Self::payload(member, interval)),
+            tag: mac::mac64(individual_key, &payload::<16>(b"join", member, interval)),
         }
-    }
-
-    fn payload(member: MemberId, interval: u64) -> [u8; 16] {
-        let mut bytes = [0u8; 16];
-        bytes[..4].copy_from_slice(b"join");
-        bytes[4..8].copy_from_slice(&member.to_le_bytes());
-        bytes[8..].copy_from_slice(&interval.to_le_bytes());
-        bytes
     }
 
     /// Server-side verification.
     // xcheck: no_alloc
     pub fn verify(&self, individual_key: &SymKey) -> bool {
-        self.tag == mac::mac64(individual_key, &Self::payload(self.member, self.interval))
+        Self::sign(self.member, self.interval, individual_key).tag == self.tag
     }
+}
+
+/// What a request's tag covers: `kind`, the member and the interval, in
+/// little-endian bytes.
+fn payload<const N: usize>(kind: &[u8], member: MemberId, interval: u64) -> [u8; N] {
+    let mut bytes = [0u8; N];
+    let (head, tail) = bytes.split_at_mut(kind.len());
+    head.copy_from_slice(kind);
+    tail[..4].copy_from_slice(&member.to_le_bytes());
+    tail[4..].copy_from_slice(&interval.to_le_bytes());
+    bytes
 }
 
 /// Why a request was refused.

@@ -163,11 +163,8 @@ impl ScenarioReport {
 
     /// Peak resident bytes across the run.
     pub fn peak_resident_bytes(&self) -> usize {
-        self.stats
-            .iter()
-            .map(|s| s.resident_bytes)
-            .max()
-            .unwrap_or(0)
+        let resident = self.stats.iter().map(|s| s.resident_bytes);
+        resident.max().unwrap_or(0)
     }
 
     /// Resident bytes after the final interval.
@@ -177,16 +174,12 @@ impl ScenarioReport {
 
     /// Mean encryptions per member over intervals with a non-empty group.
     pub fn mean_enc_per_member(&self) -> f64 {
-        let live: Vec<f64> = self
-            .stats
-            .iter()
-            .filter(|s| s.users > 0)
-            .map(|s| s.enc_per_member)
-            .collect();
-        if live.is_empty() {
+        let live = self.stats.iter().filter(|s| s.users > 0);
+        let (sum, n) = live.fold((0.0, 0), |(sum, n), s| (sum + s.enc_per_member, n + 1));
+        if n == 0 {
             0.0
         } else {
-            live.iter().sum::<f64>() / live.len() as f64
+            sum / f64::from(n)
         }
     }
 
@@ -451,27 +444,24 @@ impl ScenarioEngine {
     }
 
     /// Runs the remaining intervals and returns the full report.
-    pub fn run(mut self) -> ScenarioReport {
-        let mut stats = Vec::with_capacity(self.config.intervals);
-        while self.interval < self.config.intervals {
-            stats.push(self.step());
-        }
-        ScenarioReport {
-            kind: self.config.kind,
-            stats,
-            digest: self.digest,
-        }
+    pub fn run(self) -> ScenarioReport {
+        self.run_each(|_| {})
     }
 
     /// Like [`ScenarioEngine::run`], but also records every interval
     /// into `series`: the explicit [`IntervalStats`] columns plus, in
     /// obs-enabled builds, the per-interval stage-wall and counter
     /// deltas ([`obs::series::SeriesRecorder::snapshot_deltas`]).
-    pub fn run_recorded(mut self, series: &mut obs::series::SeriesRecorder) -> ScenarioReport {
+    pub fn run_recorded(self, series: &mut obs::series::SeriesRecorder) -> ScenarioReport {
+        self.run_each(|interval| record_interval(series, interval))
+    }
+
+    /// Runs the remaining intervals, handing each one's stats to `each`.
+    fn run_each(mut self, mut each: impl FnMut(&IntervalStats)) -> ScenarioReport {
         let mut stats = Vec::with_capacity(self.config.intervals);
         while self.interval < self.config.intervals {
             let interval = self.step();
-            record_interval(series, &interval);
+            each(&interval);
             stats.push(interval);
         }
         ScenarioReport {

@@ -35,18 +35,19 @@ pub use crate::transport::{SimConfig, TransportScratch, TransportStats};
 #[derive(Debug)]
 pub struct SimUser {
     /// Index of this user's receiver link in the [`Network`].
-    pub net_index: usize,
+    net_index: u32,
     /// The user's current u-node ID.
-    pub node_id: NodeId,
+    node_id: NodeId,
     search: BlockSearch,
     /// True block of the user's specific ENC packet (driver knowledge used
     /// only to shortcut the FEC decode).
     true_block: Option<u8>,
-    satisfied_round: Option<usize>,
+    satisfied_round: Option<u16>,
 }
 
 impl SimUser {
-    /// Creates a simulated user. `true_block` is the FEC block holding its
+    /// Creates a simulated user behind link `net_index` of the [`Network`]
+    /// (none past `u32::MAX`). `true_block` is the FEC block holding its
     /// specific packet (`None` for a user that needs nothing).
     pub fn new(
         net_index: usize,
@@ -56,7 +57,7 @@ impl SimUser {
         true_block: Option<u8>,
     ) -> Self {
         SimUser {
-            net_index,
+            net_index: u32::try_from(net_index).unwrap_or(u32::MAX),
             node_id,
             search: BlockSearch::new(k, d),
             true_block,
@@ -91,7 +92,7 @@ impl SimUser {
             return;
         }
         if self.is_own(pkt) {
-            self.satisfied_round = Some(round);
+            self.satisfied_round = Some(u16::try_from(round).unwrap_or(u16::MAX));
             return;
         }
         let (me, search) = (self.me(), &mut self.search);
@@ -136,7 +137,7 @@ impl Receiver for SimUser {
     }
 
     fn net_index(&self) -> usize {
-        self.net_index
+        self.net_index as usize
     }
 
     fn node_id(&self) -> NodeId {
@@ -149,7 +150,7 @@ impl Receiver for SimUser {
     }
 
     fn success_round(&self) -> Option<usize> {
-        self.satisfied_round
+        self.satisfied_round.map(usize::from)
     }
 
     /// Round boundary: decodes if the true block is full (see [`SimUser`]),
@@ -165,7 +166,7 @@ impl Receiver for SimUser {
             return false;
         }
         if self.true_block.is_some_and(|b| self.search.full(b)) {
-            self.satisfied_round = Some(round);
+            self.satisfied_round = Some(u16::try_from(round).unwrap_or(u16::MAX));
             return false;
         }
         nack.msg_id = 0;

@@ -18,18 +18,12 @@
 //! Both file shares through one [`BlockSearch`]: the same index check,
 //! 16-bit guard, ruled-out test and NACK.
 //!
-//! A multicast round is delivered receiver by receiver: each listener (the
-//! unsatisfied receivers in slice order, a list kept between rounds and
-//! only ever shrunk) walks the schedule until it is satisfied, the source
-//! link drawn once per packet sent and its own link only when the source
-//! delivered. The walk reads a delivery now only if it is the receiver's
-//! own packet (or could change how later ones read); the others are read
-//! after the walk, and only by a receiver it left unsatisfied. Every link
-//! is asked the same questions at the same times as in a packet-by-packet
-//! walk, and links share no randomness, so the order across links is
-//! free. Both models see the same draws (every unicast copy is drawn
-//! too), so the same seed gives them the same rounds, NACKs and overhead —
-//! `tests/model_agreement.rs` holds them to it.
+//! A multicast round is delivered receiver by receiver (`multicast_round`):
+//! every link is asked the same questions at the same times as in a
+//! packet-by-packet walk, and links share no randomness. Both models see
+//! the same draws (every unicast copy is drawn too), so the same seed gives
+//! them the same rounds, NACKs and overhead — `tests/model_agreement.rs`
+//! holds them to it.
 //!
 //! [`run`]: crate::transport::run
 //! [`Receiver`]: crate::transport::Receiver
@@ -104,17 +98,25 @@ pub trait Receiver {
 /// The byte model: a real [`UserSession`] behind one receiver link.
 #[derive(Debug)]
 pub struct ByteReceiver {
-    /// The user's protocol state machine.
+    /// The user's protocol state machine; frames are read under its layout.
     pub session: UserSession,
     /// Index of the user's receiver link in the [`Network`].
-    pub link: usize,
+    link: u32,
     /// The user's u-node ID after the batch.
-    pub node: NodeId,
-    /// Wire layout the frames are parsed against.
-    pub layout: Layout,
+    node: NodeId,
 }
 
 impl ByteReceiver {
+    /// `session` behind link `link` of the [`Network`] (none past `u32::MAX`),
+    /// for the member at u-node `node` after the batch.
+    pub fn new(session: UserSession, link: usize, node: NodeId) -> Self {
+        ByteReceiver {
+            session,
+            link: u32::try_from(link).unwrap_or(u32::MAX),
+            node,
+        }
+    }
+
     /// Feeds one frame to the session and counts what it did with it.
     pub fn receive(&mut self, frame: &Arc<[u8]>) {
         // Whatever arrives is counted, never trusted: a frame that is no
@@ -180,7 +182,7 @@ impl Receiver for ByteReceiver {
     }
 
     fn net_index(&self) -> usize {
-        self.link
+        self.link as usize
     }
 
     fn node_id(&self) -> NodeId {
@@ -200,10 +202,9 @@ impl Receiver for ByteReceiver {
         decode: &mut DecodeCtx,
     ) -> bool {
         let span = obs::span("transport.decode");
-        self.session.recover_in(decode);
+        let did = self.session.recover_in(decode);
         drop(span);
         let sent = self.session.close_round();
-        let did = self.session.decode_work;
         if did.blocks > 0 {
             obs::counter_add("transport.decode.blocks", did.blocks.into());
             obs::counter_add("transport.decode.rows", did.rows.into());
@@ -216,12 +217,13 @@ impl Receiver for ByteReceiver {
         };
         // The NACK crosses the (lossless) reverse path as bytes as well, so
         // the server acts on what the wire format carries.
-        let bytes = Packet::Nack(sent).emit(&self.layout);
+        let layout = self.session.layout();
+        let bytes = Packet::Nack(sent).emit(&layout);
         #[expect(
             clippy::unreachable,
             reason = "invariant: emit and parse are inverses on every packet the wire types can hold (wire_fuzz)"
         )]
-        let Ok(Packet::Nack(parsed)) = Packet::parse(&bytes, &self.layout) else {
+        let Ok(Packet::Nack(parsed)) = Packet::parse(&bytes, &layout) else {
             unreachable!("a NACK emits and parses back as a NACK")
         };
         *nack = parsed;
@@ -413,10 +415,14 @@ pub fn run<R: Receiver>(
                 scratch.retain_listening(receivers);
             }
             RoundDecision::Unicast(wave) => {
-                // Only a message that gets this far pays for the map.
+                // Only a message that gets this far pays for the map, and only
+                // for its listeners: a target is a NACKer, still listening.
                 if scratch.by_node.is_empty() {
-                    let nodes = receivers.iter().enumerate();
-                    scratch.by_node.extend(nodes.map(|(i, r)| (r.node_id(), i)));
+                    let nodes = scratch
+                        .listener_slots
+                        .iter()
+                        .map(|&i| (receivers[i].node_id(), i));
+                    scratch.by_node.extend(nodes);
                 }
                 // `duplicates` copies per target, every one of them drawn;
                 // any one suffices.

@@ -327,12 +327,7 @@ fn receivers_agree(c: &Case) -> TestCaseResult {
             let byte = |(m, &node)| {
                 let session = UserSession::new(agents[m].0.node_id(), d, k, layout);
                 let (session, link) = (session.expect_msg_id(msg_seq as u8), *m as usize);
-                ByteReceiver {
-                    session,
-                    link,
-                    node,
-                    layout,
-                }
+                ByteReceiver::new(session, link, node)
             };
             members.iter().zip(&nodes).map(byte).collect()
         };
@@ -473,7 +468,7 @@ proptest! {
             bound_holds(&mut user, &count_frames, packets.len(), true)?;
 
             let session = UserSession::new(node, d, k, layout).expect_msg_id(1);
-            let mut r = ByteReceiver { session, link, node, layout };
+            let mut r = ByteReceiver::new(session, link, node);
             let mut j = 0;
             while r.session.current_id().is_none() && j < len {
                 prop_assert_eq!(r.next_read(&frames, j), j, "ID unknown");

@@ -271,12 +271,11 @@ fn the_walks_own_checks_allocate_nothing() {
         .unwrap();
     assert!(own > 0, "the own frame comes after others");
     let old = before.node_of_member(member).unwrap();
-    let mut receiver = ByteReceiver {
-        session: UserSession::new(old, 4, 8, layout).expect_msg_id(1),
-        link: 0,
-        node: tree.node_of_member(member).unwrap(),
-        layout,
-    };
+    let mut receiver = ByteReceiver::new(
+        UserSession::new(old, 4, 8, layout).expect_msg_id(1),
+        0,
+        tree.node_of_member(member).unwrap(),
+    );
     let others: Vec<usize> = (0..packets.len()).filter(|&j| j != own).collect();
     let (bounds, taken) = xcheck_rt::assert_zero_alloc("ByteReceiver::next_read, others", || {
         // The bound is `from` until a header teaches the ID, then the own frame.

@@ -29,12 +29,7 @@ fn one_rekey_records_its_spans_and_every_delivery_by_outcome() {
 
     // A frame cut short on the way is counted and dropped, not a panic.
     let layout = Layout::DEFAULT;
-    let mut stray = ByteReceiver {
-        session: UserSession::new(5, 4, 10, layout),
-        link: 0,
-        node: 5,
-        layout,
-    };
+    let mut stray = ByteReceiver::new(UserSession::new(5, 4, 10, layout), 0, 5);
     stray.receive(&vec![0u8; layout.enc_packet_len - 1].into());
     assert!(!stray.is_satisfied());
 

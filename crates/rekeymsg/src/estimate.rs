@@ -16,43 +16,42 @@
 use crate::wire::EncHeader;
 
 /// Running `[low, high]` estimate of the block containing a user's ENC
-/// packet.
+/// packet. The block size `k` and tree degree `d` are the message's, held
+/// by whoever feeds it headers, and passed with each one.
 #[derive(Debug, Clone)]
 pub struct BlockIdEstimator {
     /// The user's (current) ID.
     m: u16,
-    /// FEC block size.
-    k: usize,
-    /// Key-tree degree.
-    d: u32,
     low: u32,
     high: Option<u32>, // None = unbounded (nothing informative seen yet)
     exact: bool,
 }
 
 impl BlockIdEstimator {
-    /// Creates an estimator for user ID `m` under block size `k` and tree
-    /// degree `d`.
-    pub fn new(m: u16, k: usize, d: u32) -> Self {
-        assert!(k >= 1);
+    /// Creates an estimator for user ID `m`.
+    pub fn new(m: u16) -> Self {
         BlockIdEstimator {
             m,
-            k,
-            d,
             low: 0,
             high: None,
             exact: false,
         }
     }
 
-    /// Feeds the header of one received ENC packet into the estimate.
-    pub fn observe(&mut self, pkt: &EncHeader) {
+    /// Feeds the header of one received ENC packet of a message of blocks
+    /// of `k` from a tree of degree `d` into the estimate.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `k` is 0: no message has empty blocks.
+    pub fn observe(&mut self, pkt: &EncHeader, k: usize, d: u32) {
+        assert!(k >= 1);
         if pkt.duplicate {
             return;
         }
         let m = self.m;
         let blk = pkt.block_id as u32;
-        let k = self.k as u32;
+        let k = k as u32;
 
         if pkt.serves(m) {
             self.low = blk;
@@ -71,7 +70,7 @@ impl BlockIdEstimator {
             // At worst one packet per remaining user ID: there are at most
             // d*(maxKID+1) - toID user IDs above toID, and k - 1 - seq
             // packets left in this block.
-            let remaining_users = (self.d as i64) * (pkt.max_kid as i64 + 1) - pkt.to_id as i64;
+            let remaining_users = (d as i64) * (pkt.max_kid as i64 + 1) - pkt.to_id as i64;
             let after_this_block = remaining_users - (k as i64 - 1 - pkt.seq as i64);
             let remaining = after_this_block.max(0);
             let extra_blocks = ((remaining + k as i64 - 1) / k as i64) as u32;
@@ -129,8 +128,8 @@ mod tests {
 
     #[test]
     fn own_packet_is_exact() {
-        let mut e = BlockIdEstimator::new(150, 5, 4);
-        e.observe(&pkt(3, 2, 140, 160, 4000));
+        let mut e = BlockIdEstimator::new(150);
+        e.observe(&pkt(3, 2, 140, 160, 4000), 5, 4);
         assert!(e.is_exact());
         assert_eq!(e.range(), Some((3, 3)));
     }
@@ -141,9 +140,9 @@ mod tests {
         // the lost packet pins its block exactly (when they straddle it
         // tightly). User 150's packet is <2, 3> (k = 5); it receives
         // <2, 2> (range below) and <2, 4> (range above).
-        let mut e = BlockIdEstimator::new(150, 5, 4);
-        e.observe(&pkt(2, 2, 100, 140, 4000)); // below, seq < k-1 -> low >= 2
-        e.observe(&pkt(2, 4, 160, 200, 4000)); // above, seq > 0 -> high <= 2
+        let mut e = BlockIdEstimator::new(150);
+        e.observe(&pkt(2, 2, 100, 140, 4000), 5, 4); // below, seq < k-1 -> low >= 2
+        e.observe(&pkt(2, 4, 160, 200, 4000), 5, 4); // above, seq > 0 -> high <= 2
         assert!(e.is_exact());
         assert_eq!(e.range(), Some((2, 2)));
     }
@@ -152,19 +151,19 @@ mod tests {
     fn block_edges_tighten_by_one() {
         // A packet below with seq == k-1 pushes low past its block; one
         // above with seq == 0 pulls high below its block.
-        let mut e = BlockIdEstimator::new(150, 5, 4);
-        e.observe(&pkt(1, 4, 100, 140, 4000)); // last of block 1 -> low >= 2
-        e.observe(&pkt(3, 0, 160, 200, 4000)); // first of block 3 -> high <= 2
+        let mut e = BlockIdEstimator::new(150);
+        e.observe(&pkt(1, 4, 100, 140, 4000), 5, 4); // last of block 1 -> low >= 2
+        e.observe(&pkt(3, 0, 160, 200, 4000), 5, 4); // first of block 3 -> high <= 2
         assert!(e.is_exact());
         assert_eq!(e.range(), Some((2, 2)));
     }
 
     #[test]
     fn duplicates_are_ignored() {
-        let mut e = BlockIdEstimator::new(150, 5, 4);
+        let mut e = BlockIdEstimator::new(150);
         let mut p = pkt(7, 0, 160, 200, 4000);
         p.duplicate = true;
-        e.observe(&p);
+        e.observe(&p, 5, 4);
         assert_eq!(e.range(), None);
         assert_eq!(e.low(), 0);
     }
@@ -174,8 +173,8 @@ mod tests {
         // Only packets below the user received; step 6 still bounds high.
         // d=4, maxKID=100 -> at most 4*101 = 404 user IDs; toID = 200,
         // so at most 204 - (k-1-seq) packets follow.
-        let mut e = BlockIdEstimator::new(250, 10, 4);
-        e.observe(&pkt(5, 3, 180, 200, 100));
+        let mut e = BlockIdEstimator::new(250);
+        e.observe(&pkt(5, 3, 180, 200, 100), 10, 4);
         let (low, high) = e.range().expect("bounded");
         assert_eq!(low, 5);
         // after_this_block = 204 - 6 = 198; ceil(198/10) = 20 -> high 25.
@@ -209,10 +208,10 @@ mod tests {
             let true_block = (target / k) as u32;
             // A few deterministic loss patterns.
             for pattern in [0b1010101u64, 0b110011, 0b1, u64::MAX, 0b111000111] {
-                let mut e = BlockIdEstimator::new(m, k, d);
+                let mut e = BlockIdEstimator::new(m);
                 for (i, p) in packets.iter().enumerate() {
                     if i != target && (pattern >> (i % 60)) & 1 == 1 {
-                        e.observe(p);
+                        e.observe(p, k, d);
                     }
                 }
                 assert!(e.low() <= true_block, "m={m} pattern={pattern:b}");
@@ -228,7 +227,7 @@ mod tests {
 
     #[test]
     fn nothing_observed_is_unbounded() {
-        let e = BlockIdEstimator::new(5, 10, 4);
+        let e = BlockIdEstimator::new(5);
         assert_eq!(e.range(), None);
         assert!(!e.is_exact());
         assert_eq!(e.low(), 0);

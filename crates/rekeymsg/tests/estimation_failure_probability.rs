@@ -48,13 +48,13 @@ fn empirical_failure(
         if !own_lost {
             continue; // own packet received: trivially no estimation failure
         }
-        let mut est = BlockIdEstimator::new(m, k, 4);
+        let mut est = BlockIdEstimator::new(m);
         for (pi, pkt) in packets.iter().enumerate() {
             if pi == target {
                 continue;
             }
             if !rng.gen_bool(p) {
-                est.observe(pkt);
+                est.observe(pkt, k, 4);
             }
         }
         if !est.is_exact() {
@@ -122,10 +122,10 @@ fn failure_always_leaves_a_bracketing_range() {
     let mut rng = SmallRng::seed_from_u64(99);
     let mut inexact_seen = 0;
     for _ in 0..20_000 {
-        let mut est = BlockIdEstimator::new(m, k, 4);
+        let mut est = BlockIdEstimator::new(m);
         for (pi, pkt) in packets.iter().enumerate() {
             if pi != target && !rng.gen_bool(0.5) {
-                est.observe(pkt);
+                est.observe(pkt, k, 4);
             }
         }
         if !est.is_exact() {

@@ -149,7 +149,7 @@ proptest! {
 
         for (uid, pi) in built.served_users(&tree).take(20) {
             let true_block = (pi / k) as u32;
-            let mut est = BlockIdEstimator::new(uid as u16, k, d);
+            let mut est = BlockIdEstimator::new(uid as u16);
             let mut bit = 0u32;
             for b in 0..bs.block_count() {
                 for pkt in &bs.block(b).unwrap().packets {
@@ -161,7 +161,7 @@ proptest! {
                         continue;
                     }
                     if received {
-                        est.observe(&pkt.header());
+                        est.observe(&pkt.header(), k, d);
                     }
                 }
             }

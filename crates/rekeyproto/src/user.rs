@@ -87,8 +87,8 @@ pub struct DecodeWork {
 #[derive(Debug)]
 struct HeldShare {
     block: u8,
-    /// The share index: an ENC `seq`, or `k` past a PARITY `seq`.
-    index: usize,
+    /// The share index: an ENC `seq`, or `k` past a PARITY `seq` (< 256).
+    index: u8,
     /// `[frm_id, to_id]` as a non-duplicate ENC share's header names them,
     /// read when the frame arrived; `None` for PARITY and duplicates.
     ids: Option<[u16; 2]>,
@@ -105,11 +105,11 @@ struct HeldShare {
 /// at round boundaries, one data packet at a time, the likeliest first.
 #[derive(Debug)]
 pub struct UserSession {
-    /// The user's u-node ID before this rekey message.
-    old_id: NodeId,
+    /// The u-node ID held before this message until `id_known`, then the
+    /// current one (rederived from `maxKID`, or named by a USR packet).
+    id: NodeId,
+    id_known: bool,
     layout: Layout,
-    /// Rederived current ID (from the first ENC packet's `maxKID`).
-    current_id: Option<NodeId>,
     /// Wire message ID this session accepts (`None` = first seen wins).
     expected_msg_id: Option<u8>,
     msg_id: Option<u8>,
@@ -118,14 +118,10 @@ pub struct UserSession {
     shares: Vec<HeldShare>,
     /// The receive rules, and which `(block, share index)` are in `shares`.
     search: BlockSearch,
-    /// Blocks examined in full for nothing, not to be decoded again.
-    exhausted: BlockBits,
-    /// What the latest [`UserSession::end_of_round`] decoded.
-    pub decode_work: DecodeWork,
     outcome: UserOutcome,
-    /// Rounds observed so far (1 = success within the first round).
-    rounds: usize,
-    success_round: Option<usize>,
+    /// Round boundaries closed unsatisfied: a success comes in the round
+    /// after them (1 = within the first round).
+    rounds: u16,
 }
 
 impl UserSession {
@@ -133,18 +129,15 @@ impl UserSession {
     /// the batch (for a newly joined user, the ID granted at admission).
     pub fn new(old_id: NodeId, d: u32, k: usize, layout: Layout) -> Self {
         UserSession {
-            old_id,
+            id: old_id,
+            id_known: false,
             layout,
-            current_id: None,
             expected_msg_id: None,
             msg_id: None,
             shares: Vec::new(),
             search: BlockSearch::new(k, d),
-            exhausted: BlockBits::default(),
-            decode_work: DecodeWork::default(),
             outcome: UserOutcome::Pending,
             rounds: 0,
-            success_round: None,
         }
     }
 
@@ -158,7 +151,12 @@ impl UserSession {
 
     /// The user's current (rederived) ID, once known.
     pub fn current_id(&self) -> Option<NodeId> {
-        self.current_id
+        self.id_known.then_some(self.id)
+    }
+
+    /// The wire layout frames are read under.
+    pub fn layout(&self) -> Layout {
+        self.layout
     }
 
     /// True once the user holds everything it needs.
@@ -173,7 +171,7 @@ impl UserSession {
 
     /// Number of rounds the user needed (defined once satisfied).
     pub fn rounds_to_success(&self) -> Option<usize> {
-        self.success_round
+        self.is_satisfied().then(|| usize::from(self.rounds) + 1)
     }
 
     /// Handles one received packet: [`UserSession::receive_frame`] on its
@@ -195,7 +193,7 @@ impl UserSession {
         let (msg_id, block_id, index, enc) = match self.classify(frame)? {
             Class::Ignored(why) => return Ok(Received::Ignored(why)),
             Class::Usr(usr) => {
-                self.current_id = Some(usr.new_user_id as NodeId);
+                (self.id, self.id_known) = (NodeId::from(usr.new_user_id), true);
                 self.succeed(UserOutcome::Usr(usr));
                 return Ok(Received::Mine);
             }
@@ -219,7 +217,8 @@ impl UserSession {
         };
         let share = HeldShare {
             block: block_id,
-            index,
+            // `record` took it: below 256.
+            index: index as u8,
             ids: enc
                 .filter(|(h, _)| !h.duplicate)
                 .map(|(h, _)| [h.frm_id, h.to_id]),
@@ -232,7 +231,7 @@ impl UserSession {
             }
             self.shares.push(share);
         } else if let Some(held) =
-            (self.shares.iter_mut()).find(|s| (s.block, s.index) == (block_id, index))
+            (self.shares.iter_mut()).find(|s| (s.block, usize::from(s.index)) == (block_id, index))
         {
             *held = share;
         }
@@ -257,7 +256,7 @@ impl UserSession {
     /// session ends where feeding them at once would.
     // xcheck: no_alloc
     pub fn reads_now(&mut self, frame: &[u8]) -> bool {
-        self.is_own(frame) || self.current_id.is_none()
+        self.is_own(frame) || !self.id_known
     }
 
     /// The one reading of a frame's header against the session that
@@ -287,8 +286,8 @@ impl UserSession {
             Ok(index) => index,
             Err(why) => return Ok(Class::Ignored(why)),
         };
-        let d = self.search.d;
-        let enc = enc.map(|h| (h, wire_id(&mut self.current_id, self.old_id, d, h.max_kid)));
+        let (id, known, d) = (&mut self.id, &mut self.id_known, self.search.d);
+        let enc = enc.map(|h| (h, wire_id(id, known, d, h.max_kid)));
         if let Some((enc, Some(m16))) = enc {
             if enc.serves(m16) {
                 return Ok(Class::OwnEnc);
@@ -304,18 +303,16 @@ impl UserSession {
 
     fn succeed(&mut self, outcome: UserOutcome) {
         self.outcome = outcome;
-        // Success in the current round (rounds increments at boundaries,
-        // so during round r `self.rounds` is r - 1).
-        self.success_round = Some(self.rounds + 1);
-        self.shares = Vec::new();
-        self.search.release();
+        // The user needs no share any more.
+        (self.shares, self.search.blocks) = (Vec::new(), Vec::new());
     }
 
     /// FEC recovery, the first half of a round boundary: attempts decoding
     /// of every candidate block with >= k shares not yet exhausted, in
     /// `ctx` — a context the caller lends and keeps, so a recovery
     /// allocates only the frame it rebuilds — and on success keeps the
-    /// specific ENC packet. [`UserSession::close_round`] is the other half.
+    /// specific ENC packet. Returns what it decoded, for whoever counts it.
+    /// [`UserSession::close_round`] is the other half.
     ///
     /// UKA orders packets by user ID, so the non-duplicate ENC headers held
     /// for a block — read when each frame arrived — bracket the `seq` the
@@ -327,18 +324,18 @@ impl UserSession {
     /// given up, so headers that lie cost time, not the key. `current_id`
     /// is not required up front: a user that heard parity only has no
     /// bracket and learns `maxKID` from the first header rebuilt.
-    pub fn recover_in(&mut self, ctx: &mut rse::DecodeCtx) {
-        self.decode_work = DecodeWork::default();
+    pub fn recover_in(&mut self, ctx: &mut rse::DecodeCtx) -> DecodeWork {
+        let mut work = DecodeWork::default();
         // A `k` that is no valid block size decodes nothing, ever.
         let k = self.search.k;
         let (false, Ok(decoder)) = (self.is_satisfied(), rse::Decoder::new(k)) else {
-            return;
+            return work;
         };
         // Every block with k shares, inside the estimated range if there is one.
         let msg_id = self.msg_id.unwrap_or(0);
         let mut found = None;
         'blocks: for b in 0..=self.search.max_block_seen.unwrap_or(0) {
-            if !self.search.full(b) || self.exhausted.contains(b) {
+            if !self.search.full(b) {
                 continue;
             }
             // The decoder takes the block's `k` lowest share indices (one
@@ -350,18 +347,18 @@ impl UserSession {
             // The held frames are borrowed, and only rows that did not
             // arrive are rebuilt: an ENC packet that arrived does not serve
             // this user, or the session would be satisfied.
-            let chosen = (block.clone()).filter(|s| s.index <= last);
-            let bodies = chosen.map(|s| (s.index, &s.frame[UNPROTECTED_HEADER_LEN..]));
+            let chosen = (block.clone()).filter(|s| usize::from(s.index) <= last);
+            let bodies = chosen.map(|s| (s.index.into(), &s.frame[UNPROTECTED_HEADER_LEN..]));
             let Ok(missing) = decoder.decode_missing_in(ctx, bodies) else {
                 continue;
             };
-            self.decode_work.blocks += 1;
+            work.blocks += 1;
             let (mut lo, mut hi) = (0, k);
-            if let Some(m) = self.current_id.and_then(|m| u16::try_from(m).ok()) {
-                for s in block.filter(|s| s.index < k) {
+            if let Some(m) = self.current_id().and_then(|m| u16::try_from(m).ok()) {
+                for (s, index) in block.map(|s| (s, usize::from(s.index))).filter(|s| s.1 < k) {
                     match s.ids {
-                        Some([_, to_id]) if to_id < m => lo = lo.max(s.index + 1),
-                        Some([frm_id, _]) if frm_id > m => hi = hi.min(s.index),
+                        Some([_, to_id]) if to_id < m => lo = lo.max(index + 1),
+                        Some([frm_id, _]) if frm_id > m => hi = hi.min(index),
                         _ => {}
                     }
                 }
@@ -374,16 +371,16 @@ impl UserSession {
                 if missing.prefix_into(seq, &mut fixed).is_err() {
                     continue;
                 }
-                self.decode_work.rows += 1;
-                self.decode_work.fallback_rows += u32::from(!bracket.contains(&seq));
+                work.rows += 1;
+                work.fallback_rows += u32::from(!bracket.contains(&seq));
                 let Ok(h) = EncHeader::from_fec_body(&fixed, msg_id, b, seq as u8) else {
                     continue;
                 };
-                let id = wire_id(&mut self.current_id, self.old_id, self.search.d, h.max_kid);
-                let Some(m16) = id else { return };
+                let id = wire_id(&mut self.id, &mut self.id_known, self.search.d, h.max_kid);
+                let Some(m16) = id else { return work };
                 if h.serves(m16) {
                     // The one packet that serves: the rest of it, in place.
-                    self.decode_work.full_rows += 1;
+                    work.full_rows += 1;
                     let mut rebuilt = Ok(());
                     let frame =
                         EncFrame::fill_fec_body(&self.layout, msg_id, b, seq as u8, |body| {
@@ -395,12 +392,15 @@ impl UserSession {
             }
             // Examined a full block that does not contain our packet: the
             // estimator range was loose. Keep looking at other candidates.
-            self.exhausted.insert(b);
-            self.decode_work.exhausted += 1;
+            if let Some(slot) = self.search.blocks.get_mut(usize::from(b)) {
+                slot.exhausted = true;
+            }
+            work.exhausted += 1;
         }
         if let Some(enc) = found {
             self.succeed(UserOutcome::Enc(enc));
         }
+        work
     }
 
     /// Round boundary: returns the NACK to send, or `None` when satisfied.
@@ -411,13 +411,13 @@ impl UserSession {
         self.close_round()
     }
 
-    /// The round boundary past the recovery: the round is counted, and an
-    /// unsatisfied user returns the NACK to send (`None` when satisfied).
+    /// The round boundary past the recovery: an unsatisfied user counts the
+    /// round and returns the NACK to send (`None` when satisfied).
     pub fn close_round(&mut self) -> Option<NackPacket> {
-        self.rounds += 1;
         if self.is_satisfied() {
             return None;
         }
+        self.rounds = self.rounds.saturating_add(1);
         let mut requests = Vec::new();
         self.search.nack_into(&mut requests);
         Some(NackPacket {
@@ -427,30 +427,18 @@ impl UserSession {
     }
 }
 
-/// The current ID as the 16-bit wire fields name it, rederived from the
-/// first `maxKID` seen (Theorem 4.2). `None` when the user is not in
-/// the tree any more, or sits at an ID the wire cannot carry: narrowing
-/// 65536 + m to m would claim the packet that serves user m. Either way
-/// no ENC packet serves this user: nothing to collect, no estimate.
-fn wire_id(current_id: &mut Option<NodeId>, old_id: NodeId, d: u32, max_kid: u16) -> Option<u16> {
-    if current_id.is_none() {
-        *current_id = ident::derive_current_id(old_id, max_kid as NodeId, d);
+/// The current ID as the 16-bit wire fields name it, rederived into `id`
+/// from the first `maxKID` seen (Theorem 4.2). `None` when the user is not
+/// in the tree any more, or sits at an ID the wire cannot carry: narrowing
+/// 65536 + m to m would claim the packet that serves user m. Either way no
+/// ENC packet serves this user: nothing to collect, no estimate.
+fn wire_id(id: &mut NodeId, known: &mut bool, d: u32, max_kid: u16) -> Option<u16> {
+    if !*known {
+        if let Some(current) = ident::derive_current_id(*id, max_kid as NodeId, d) {
+            (*id, *known) = (current, true);
+        }
     }
-    current_id.and_then(|m| u16::try_from(m).ok())
-}
-
-/// A set of block IDs, one bit each: no allocation, whatever it holds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct BlockBits([u64; 4]);
-
-impl BlockBits {
-    fn contains(&self, b: u8) -> bool {
-        self.0[usize::from(b / 64)] >> (b % 64) & 1 == 1
-    }
-
-    fn insert(&mut self, b: u8) {
-        self.0[usize::from(b / 64)] |= 1 << (b % 64);
-    }
+    known.then_some(*id).and_then(|m| u16::try_from(m).ok())
 }
 
 /// The payload-free receive rules (Figure 27, Appendix D), one copy for
@@ -465,7 +453,17 @@ pub struct BlockSearch {
     d: u32,
     estimator: Option<BlockIdEstimator>,
     max_block_seen: Option<u8>,
-    blocks: Vec<([u64; 4], u16)>,
+    blocks: Vec<BlockSlot>,
+}
+
+/// What a [`BlockSearch`] knows of one block: a bit per share index held,
+/// how many, and whether a decode examined it in full for nothing (it is
+/// not decoded again).
+#[derive(Debug, Clone, Copy, Default)]
+struct BlockSlot {
+    shares: [u64; 4],
+    count: u16,
+    exhausted: bool,
 }
 
 impl BlockSearch {
@@ -507,8 +505,8 @@ impl BlockSearch {
         if let Some((header, me)) = enc {
             let me = me.ok_or(Ignored::OutOfRange)?;
             self.estimator
-                .get_or_insert_with(|| BlockIdEstimator::new(me, self.k, self.d))
-                .observe(header);
+                .get_or_insert_with(|| BlockIdEstimator::new(me))
+                .observe(header, self.k, self.d);
         }
         if !self.candidate(block) {
             return Err(Ignored::RuledOut);
@@ -523,13 +521,13 @@ impl BlockSearch {
                 // few at once instead of a regrowth per block or two.
                 self.blocks.reserve_exact((b + 1).max(8));
             }
-            self.blocks.resize(b + 1, ([0; 4], 0));
+            self.blocks.resize(b + 1, BlockSlot::default());
         }
-        let (words, count) = &mut self.blocks[b];
+        let slot = &mut self.blocks[b];
         let bit = 1u64 << (index % 64);
-        let fresh = words[index / 64] & bit == 0;
-        words[index / 64] |= bit;
-        *count += u16::from(fresh);
+        let fresh = slot.shares[index / 64] & bit == 0;
+        slot.shares[index / 64] |= bit;
+        slot.count += u16::from(fresh);
         Ok(fresh)
     }
 
@@ -541,15 +539,15 @@ impl BlockSearch {
     }
 
     fn count(&self, block: u8) -> usize {
-        (self.blocks.get(usize::from(block))).map_or(0, |slot| slot.1.into())
+        (self.blocks.get(usize::from(block))).map_or(0, |slot| slot.count.into())
     }
 
     /// The `k`-th lowest share index held of `block`, if `k` are held: with
     /// the held indices below it, the shares a decode of the block takes.
     fn kth_index(&self, block: u8) -> Option<usize> {
-        let (words, _) = self.blocks.get(usize::from(block))?;
+        let slot = self.blocks.get(usize::from(block))?;
         let mut left = self.k;
-        for (w, &word) in words.iter().enumerate() {
+        for (w, &word) in slot.shares.iter().enumerate() {
             let ones = word.count_ones() as usize;
             if left > ones {
                 left -= ones;
@@ -565,9 +563,11 @@ impl BlockSearch {
         None
     }
 
-    /// Block `b` is a candidate and `k` distinct shares of it are held.
+    /// Block `b` is a candidate, `k` distinct shares of it are held, and no
+    /// decode examined it in full for nothing.
     pub fn full(&self, b: u8) -> bool {
-        self.count(b) >= self.k && self.candidate(b)
+        let exhausted = (self.blocks.get(usize::from(b))).is_some_and(|slot| slot.exhausted);
+        self.count(b) >= self.k && self.candidate(b) && !exhausted
     }
 
     /// The NACK an unsatisfied user sends, into `requests` (Figure 27,
@@ -607,11 +607,6 @@ impl BlockSearch {
                 block_id: low as u8,
             });
         }
-    }
-
-    /// Drops the shares held: the user needs none any more.
-    pub fn release(&mut self) {
-        self.blocks = Vec::new();
     }
 }
 
@@ -796,6 +791,12 @@ mod tests {
             sealed: vec![],
         }));
         assert!(u.is_satisfied());
+    }
+
+    #[test]
+    fn a_held_share_is_its_frame_handle_and_eight_bytes_of_place() {
+        assert_eq!(std::mem::size_of::<HeldShare>(), 24);
+        assert_eq!(std::mem::size_of::<BlockSlot>(), 40);
     }
 
     #[test]

@@ -170,18 +170,17 @@ fn a_recovery_costs_the_decode_context_and_one_frame() {
     // (`obs/enabled`) rse registers its span slots on first use.
     let mut ctx = rse::DecodeCtx::default();
     let boundary = |session: &mut UserSession, ctx: &mut rse::DecodeCtx| {
-        session.recover_in(ctx);
-        session.close_round()
+        let did = session.recover_in(ctx);
+        (session.close_round(), did)
     };
-    assert_eq!(boundary(&mut hearing(&[49]), &mut ctx), None);
+    assert_eq!(boundary(&mut hearing(&[49]), &mut ctx).0, None);
 
     // User 1400's packet is block 49, seq 7: the eighth header probed. The
     // warm context holds the chosen-share list and the weights, so the
     // frame is all there is to allocate.
     let mut session = hearing(&[49]);
-    let (allocs, nack) = xcheck_rt::count_in(|| boundary(&mut session, &mut ctx));
+    let (allocs, (nack, did)) = xcheck_rt::count_in(|| boundary(&mut session, &mut ctx));
     assert_eq!(nack, None);
-    let did = session.decode_work;
     assert_eq!((did.rows, did.full_rows, did.exhausted), (8, 1, 0));
     assert_eq!(allocs, 1, "the frame");
     let UserOutcome::Enc(kept) = session.outcome() else {
@@ -193,9 +192,8 @@ fn a_recovery_costs_the_decode_context_and_one_frame() {
     // Block 48 first, whose every probe misses, then the recovery in block
     // 49: the two decodes share the context, so still only the frame.
     let mut session = hearing(&[48, 49]);
-    let (allocs, nack) = xcheck_rt::count_in(|| boundary(&mut session, &mut ctx));
+    let (allocs, (nack, did)) = xcheck_rt::count_in(|| boundary(&mut session, &mut ctx));
     assert_eq!(nack, None);
-    let did = session.decode_work;
     assert_eq!((did.rows, did.full_rows, did.exhausted), (16, 1, 1));
     assert_eq!(allocs, 1, "the frame");
 

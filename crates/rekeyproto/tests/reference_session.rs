@@ -157,8 +157,8 @@ impl ReferenceSession {
             let k = self.k;
             let estimator = self
                 .estimator
-                .get_or_insert_with(|| BlockIdEstimator::new(m, k, D));
-            estimator.observe(&h);
+                .get_or_insert_with(|| BlockIdEstimator::new(m));
+            estimator.observe(&h, k, D);
         }
         if !self.in_range(block) {
             return Verdict::RuledOut;
@@ -285,6 +285,8 @@ impl ReferenceSession {
 struct Pair {
     reference: ReferenceSession,
     session: UserSession,
+    /// What the session's latest recovery decoded.
+    work: DecodeWork,
 }
 
 impl Pair {
@@ -295,7 +297,11 @@ impl Pair {
         if pinned {
             session = session.expect_msg_id(1);
         }
-        Pair { reference, session }
+        Pair {
+            reference,
+            session,
+            work: DecodeWork::default(),
+        }
     }
 
     /// One round: `frames` in delivery order, then the boundary. Returns
@@ -325,7 +331,8 @@ impl Pair {
                 prop_assert_eq!(did, said, "deferred frame {}", at);
             }
         }
-        let nack = self.session.end_of_round();
+        self.work = self.session.recover_in(&mut rse::DecodeCtx::default());
+        let nack = self.session.close_round();
         let want = self.reference.end_of_round();
         let (session, reference) = (&self.session, &self.reference);
         prop_assert_eq!(&nack, &want.nack);
@@ -337,7 +344,7 @@ impl Pair {
             UserOutcome::Pending => None,
         };
         prop_assert_eq!(held, reference.outcome.clone());
-        let work = session.decode_work;
+        let work = self.work;
         prop_assert_eq!(
             (work.full_rows, work.blocks, work.exhausted),
             (u32::from(want.decoded), want.examined, want.given_up)
@@ -657,7 +664,7 @@ fn a_second_frame_for_a_held_share_replaces_the_first() -> TestCaseResult {
         let nack = nack.expect("two distinct shares of three");
         prop_assert_eq!(nack.requests[0].count, 1, "the repeated index counts once");
         pair.round(std::slice::from_ref(&second))?;
-        let work = pair.session.decode_work;
+        let work = pair.work;
         prop_assert_eq!(work.blocks, 1);
         prop_assert_eq!(
             (work.rows, work.fallback_rows),
@@ -698,7 +705,7 @@ fn a_block_without_the_users_packet_is_planned_exactly_once() -> TestCaseResult 
                 .map(|p| frame(&Packet::Parity(p)))
                 .collect::<Vec<_>>(),
         )?;
-        let w: DecodeWork = pair.session.decode_work;
+        let w: DecodeWork = pair.work;
         let did = [w.blocks, w.rows, w.fallback_rows, w.full_rows, w.exhausted];
         prop_assert_eq!(did, expect);
     }

@@ -20,6 +20,11 @@
 //! }
 //! ```
 //!
+//! Beside the count it keeps the thread's live heap bytes (allocated minus
+//! freed, [`live_bytes`]) and the highest value they reach inside a closure
+//! ([`peak_in`]), so a test can pin what a structure holds, not only how
+//! often it asks.
+//!
 //! The allocator must be installed *per test binary* (a
 //! `#[global_allocator]` in this library would force itself on every
 //! crate that links it, tests and production binaries alike).
@@ -29,26 +34,53 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-/// Allocator shim that counts every allocation and reallocation,
-/// delegating the actual memory management to [`System`].
+/// Allocator shim that counts every allocation and reallocation and the
+/// bytes they hold, delegating the actual memory management to [`System`].
 ///
-/// The count is **per thread**: `cargo test` runs tests on concurrent
+/// The counts are **per thread**: `cargo test` runs tests on concurrent
 /// threads within one binary, and a process-global counter would let one
 /// test's allocations fail another's zero-allocation assertion. A
 /// measured closure must therefore do its allocating work on the calling
-/// thread (all the harness tests in this workspace do).
+/// thread (all the harness tests in this workspace do). A block freed on
+/// another thread than the one that allocated it is subtracted there.
 pub struct CountingAlloc;
+
+/// One thread's counters.
+struct Counters {
+    allocations: Cell<u64>,
+    /// Bytes allocated minus bytes freed (requested sizes, not the
+    /// allocator's rounding).
+    live: Cell<i64>,
+    /// The highest `live` since [`peak_in`] last reset it.
+    peak: Cell<i64>,
+}
 
 thread_local! {
     // const-initialized so that reading it never allocates (a lazily
     // initialized thread-local could recurse into the allocator).
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static COUNTERS: Counters = const {
+        Counters {
+            allocations: Cell::new(0),
+            live: Cell::new(0),
+            peak: Cell::new(0),
+        }
+    };
 }
 
-fn bump() {
+/// Records one allocation (`counted`) that moves the live bytes by `delta`.
+fn record(counted: bool, delta: i64) {
     // try_with: allocations during thread teardown (after this TLS slot
     // is destroyed) are simply not counted rather than aborting.
-    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+    let _ = COUNTERS.try_with(|c| {
+        c.allocations.set(c.allocations.get() + u64::from(counted));
+        let live = c.live.get() + delta;
+        c.live.set(live);
+        c.peak.set(c.peak.get().max(live));
+    });
+}
+
+fn bytes(n: usize) -> i64 {
+    i64::try_from(n).unwrap_or(i64::MAX)
 }
 
 // SAFETY: pure delegation to `System`; the counter is a const-init
@@ -59,21 +91,22 @@ fn bump() {
 )]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        record(true, bytes(layout.size()));
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        record(true, bytes(layout.size()));
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        record(false, -bytes(layout.size()));
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        record(true, bytes(new_size) - bytes(layout.size()));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -85,7 +118,28 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// `#[global_allocator]`; otherwise it stays at 0 forever (which is what
 /// [`assert_counting`] detects).
 pub fn allocations() -> u64 {
-    ALLOCATIONS.with(|c| c.get())
+    COUNTERS.with(|c| c.allocations.get())
+}
+
+/// Heap bytes allocated minus bytes freed so far **on the calling thread**
+/// (the sizes asked for, not the allocator's rounding). The difference of
+/// two readings is what the code between them left allocated.
+pub fn live_bytes() -> i64 {
+    COUNTERS.with(|c| c.live.get())
+}
+
+/// The most heap bytes `f` held at once on the calling thread, above what
+/// was live when it started: its transient peak, whatever it frees before
+/// returning. An enclosing `peak_in` still sees the peak reached inside.
+pub fn peak_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let (start, outer) = COUNTERS.with(|c| (c.live.get(), c.peak.replace(c.live.get())));
+    let result = f();
+    let peak = COUNTERS.with(|c| {
+        let peak = c.peak.get();
+        c.peak.set(peak.max(outer));
+        peak
+    });
+    (u64::try_from(peak - start).unwrap_or(0), result)
 }
 
 /// Number of heap allocations performed by `f` on the calling thread.
@@ -168,5 +222,32 @@ mod tests {
             std::hint::black_box(v)
         });
         assert!(allocs >= 1, "growth reallocations must register");
+    }
+
+    #[test]
+    fn live_bytes_follow_what_is_held_and_the_peak_what_was_held_at_once() {
+        assert_counting();
+        let before = live_bytes();
+        let kept: Vec<u8> = Vec::with_capacity(1000);
+        assert_eq!(live_bytes() - before, 1000);
+        let (peak, grown) = peak_in(|| {
+            let scratch: Vec<u64> = Vec::with_capacity(512); // 4096 bytes
+            drop(std::hint::black_box(scratch));
+            let mut grown: Vec<u8> = Vec::with_capacity(100);
+            grown.reserve_exact(200); // realloc: 100 -> 200 bytes
+            grown
+        });
+        assert_eq!(peak, 4096, "the freed scratch, not the 200 kept");
+        assert_eq!(live_bytes() - before, 1000 + 200);
+        // Nested: the outer closure sees the inner peak, the inner only its own.
+        let (outer, inner) = peak_in(|| {
+            let held: Vec<u8> = Vec::with_capacity(64);
+            let (inner, ()) = peak_in(|| drop(std::hint::black_box(vec![0u8; 128])));
+            drop(held);
+            inner
+        });
+        assert_eq!((outer, inner), (64 + 128, 128));
+        drop((kept, grown));
+        assert_eq!(live_bytes(), before);
     }
 }

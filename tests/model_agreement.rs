@@ -129,13 +129,9 @@ fn run_byte_faithful(sc: &Scenario) -> Vec<Delivery> {
         sc,
         |artifacts, link, node| {
             let layout = artifacts.session.blocks().layout();
-            ByteReceiver {
-                session: UserSession::new(node, 4, sc.proto.block_size, layout)
-                    .expect_msg_id((artifacts.msg_seq & 0x3f) as u8),
-                link,
-                node,
-                layout,
-            }
+            let session = UserSession::new(node, 4, sc.proto.block_size, layout)
+                .expect_msg_id((artifacts.msg_seq & 0x3f) as u8);
+            ByteReceiver::new(session, link, node)
         },
         |server, m| Packet::Usr(server.usr_packet(m).unwrap()),
     )

@@ -3,7 +3,7 @@
 # legs, plus the check that every crate is wired to them), rustdoc with
 # warnings denied, the test suite with the deep invariant sanitizer live,
 # the gf256/rse suites again in an optimised build (the vectorized kernel), the dynamic no-alloc harness (the obs event log's armed and
-# disarmed paths included), the statistical engine-agreement gate, the
+# disarmed paths included), the per-member footprint pins, the statistical engine-agreement gate, the
 # receiver stack against its one reference receiver and the session's
 # reference (optimised builds), the check that every repository path the docs cite
 # exists, one full run of each of the three tracked BENCH reports compared
@@ -12,7 +12,7 @@
 # order, on one thread), and the obs build. Speed is not gated here: that
 # is BENCHMARK.json's alternated parent/change pairs.
 # Everything runs offline against the vendored in-tree dependency shims.
-# Each stage's wall time, the Rust lines, the #[expect] reasons citing
+# Each stage's wall time, the Rust lines, the footprint table, the #[expect] reasons citing
 # each ROADMAP item and the knobs (cargo features, environment variables
 # read) are reported in a summary at the end.
 set -euo pipefail
@@ -139,6 +139,14 @@ cargo test -q -p obs --features enabled --test no_alloc_off
 cargo test -q -p obs --test no_alloc_marks
 cargo test -q -p obs --features enabled --test no_alloc_marks
 cargo test -q -p obs --features enabled --test trace_log
+
+stage "footprint (per-member bytes of the byte model, pinned exactly)"
+# grouprekey/tests/footprint.rs pins the per-member type sizes, an agent's
+# path heap, the live heap of Group::new(4096) and the transient peak of one
+# wire_steady-shaped rekey (xcheck-rt's per-thread live bytes). Its table is
+# repeated in the closing summary.
+FOOTPRINT=$(cargo test -q -p grouprekey --test footprint -- --nocapture --test-threads 1 |
+    grep -o 'footprint:.*')
 
 stage "engine agreement (statistical gate over seeds, --release)"
 # What stands in for digest identity when a change is exact in law but draws
@@ -277,6 +285,8 @@ git ls-files --cached --others --exclude-standard 'crates/*.rs' 'src/*.rs' 'test
         close("sort -k2")
         printf "    %6d  total\n", all
     }'
+echo "    Per-member footprint (grouprekey/tests/footprint.rs):"
+echo "$FOOTPRINT" | sed 's/^footprint: /    /'
 echo "    #[expect] reasons citing each ROADMAP item:"
 # Only `reason = "..."` lines count: a comment naming an item is not an exception.
 grep -rhE '^\s*reason = ".*ROADMAP [0-9]' crates/*/src | grep -oE 'ROADMAP [0-9]+[ab]?' |
