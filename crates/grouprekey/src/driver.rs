@@ -185,7 +185,6 @@ impl Group {
         // starts from the ID its agent holds: the one from before the batch,
         // the relocation just announced, or the one a joiner was granted.
         let k = self.server.controller().config().block_size;
-        let members: Vec<MemberId> = self.agents.keys().copied().collect();
         assert_eq!(
             self.agents.len(),
             self.net_index.len(),
@@ -216,9 +215,10 @@ impl Group {
                 max_total_rounds: self.max_rounds,
             },
             &mut self.scratch,
-            |slot| {
+            |node| {
+                let member = server.tree().member_at(node);
                 Packet::Usr(require(
-                    server.usr_packet(members[slot]),
+                    member.and_then(|m| server.usr_packet(m)),
                     "usr packet for live member",
                 ))
             },

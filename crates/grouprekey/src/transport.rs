@@ -380,10 +380,10 @@ fn multicast_round<R: Receiver>(
 /// interval per packet (and one more for the packet at which every
 /// receiver is satisfied, if one is), round boundaries add one round-trip
 /// time, and the reverse path is lossless (see DESIGN.md).
-/// `usr_packet(slot)` supplies the USR packet for `receivers[slot]` when
-/// the server unicasts to it. Stops when the server declares the message
-/// complete, or once `cfg.max_total_rounds` is exceeded (`total_rounds`
-/// then reads one past the cap).
+/// `usr_packet(node)` supplies the USR packet for the receiver at u-node
+/// `node` when the server unicasts to it. Stops when the server declares
+/// the message complete, or once `cfg.max_total_rounds` is exceeded
+/// (`total_rounds` then reads one past the cap).
 pub fn run<R: Receiver>(
     net: &mut Network,
     clock: &mut f64,
@@ -391,7 +391,7 @@ pub fn run<R: Receiver>(
     receivers: &mut [R],
     cfg: &SimConfig,
     scratch: &mut TransportScratch,
-    mut usr_packet: impl FnMut(usize) -> Packet,
+    mut usr_packet: impl FnMut(NodeId) -> Packet,
 ) -> TransportStats {
     let _span_msg = obs::span("transport.message");
     let send_interval = net.config().send_interval_ms;
@@ -430,7 +430,7 @@ pub fn run<R: Receiver>(
                     let Some(&slot) = scratch.by_node.get(node) else {
                         continue;
                     };
-                    let pkt = usr_packet(slot);
+                    let pkt = usr_packet(*node);
                     let frames = R::frames(std::slice::from_ref(&pkt), &layout);
                     for _ in 0..wave.duplicates {
                         *clock += send_interval;

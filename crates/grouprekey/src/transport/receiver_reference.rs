@@ -30,7 +30,7 @@ fn reference_run<R: Receiver>(
     session: &mut ServerSession,
     rs: &mut [R],
     cfg: &SimConfig,
-    usr_packet: impl Fn(usize) -> Packet,
+    usr_packet: impl Fn(NodeId) -> Packet,
 ) -> TransportStats {
     let send = net.config().send_interval_ms;
     let rtt = 2.0 * net.config().one_way_delay_ms;
@@ -60,7 +60,7 @@ fn reference_run<R: Receiver>(
                 let of = |node: &NodeId| rs.iter().position(|r| r.node_id() == *node);
                 let targets: Vec<usize> = wave.targets.iter().filter_map(of).collect();
                 for i in targets {
-                    let pkt = usr_packet(i);
+                    let pkt = usr_packet(rs[i].node_id());
                     let frames = R::frames(std::slice::from_ref(&pkt), &layout);
                     for _ in 0..wave.duplicates {
                         *clock += send;
@@ -244,7 +244,7 @@ fn same_message<R: Receiver>(
     receivers: impl Fn() -> Vec<R>,
     cfg: &SimConfig,
     scratch: &mut TransportScratch,
-    usr: impl Fn(usize) -> Packet + Copy,
+    usr: impl Fn(NodeId) -> Packet + Copy,
 ) -> Result<[Vec<R>; 2], TestCaseError> {
     let mut rs = [receivers(), receivers()];
     let mut ends = Vec::new();
@@ -314,10 +314,11 @@ fn receivers_agree(c: &Case) -> TestCaseResult {
         };
         let packets: Vec<EncPacket> = assignment.packets.iter().enumerate().map(forge).collect();
         let session = || controller.begin_message(packets.clone(), 100);
-        let usr = |slot: usize| {
-            let mut usr = build_usr_packet(tree, outcome, members[slot], msg_seq).unwrap();
-            if mix(u64::from(members[slot])) % 16 == 0 {
-                let levels = ident::level(nodes[slot], d) as usize;
+        let usr = |node: NodeId| {
+            let member = tree.member_at(node).unwrap();
+            let mut usr = build_usr_packet(tree, outcome, member, msg_seq).unwrap();
+            if mix(u64::from(member)) % 16 == 0 {
+                let levels = ident::level(node, d) as usize;
                 usr.sealed
                     .resize(levels + 1, SealedKey::from_bytes([0; SEALED_KEY_LEN]));
             }

@@ -63,10 +63,6 @@ pub mod analysis;
 pub mod ident;
 mod marking;
 mod node;
-#[cfg(test)]
-mod proptests;
-/// Brute-force marking cross-checks (tests / `--features sanitize`).
-#[cfg(any(test, feature = "sanitize"))]
 pub mod sanitize;
 mod snapshot;
 mod tree;

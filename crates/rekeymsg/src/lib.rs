@@ -55,9 +55,6 @@ pub mod assign;
 pub mod blocks;
 pub mod estimate;
 mod layout;
-/// Deep message audits: UKA coverage, seal/unseal, wire identity
-/// (tests / `--features sanitize`).
-#[cfg(any(test, feature = "sanitize"))]
 pub mod sanitize;
 pub mod wire;
 

@@ -1,4 +1,4 @@
-//! Deep rekey-message checks (tests and the `sanitize` feature).
+//! Deep rekey-message checks, for the tests and the `sanitize` pass.
 //!
 //! [`verify_message`] audits one sealed [`UkaAssignment`] against the tree
 //! and marking outcome it was built from:

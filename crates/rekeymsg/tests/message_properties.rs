@@ -1,13 +1,13 @@
-//! Property-based tests spanning the rekey-message pipeline: UKA packing
-//! guarantees, wire round-trips, block partitioning, and the block-ID
-//! estimator's bracketing guarantee under arbitrary loss patterns.
-
-use std::collections::HashSet;
+//! Property-based tests spanning the rekey-message pipeline: block
+//! partitioning and the block-ID estimator's bracketing guarantee under
+//! arbitrary loss patterns. UKA's guarantees and the ENC and USR wire
+//! round-trips are checked on every batch of every small tree by the
+//! root's `tests/small_worlds.rs`.
 
 use keytree::{Batch, KeyTree, MemberId};
 use proptest::prelude::*;
 use rekeymsg::estimate::BlockIdEstimator;
-use rekeymsg::{assign, BlockSet, Layout, Packet, UkaAssignment};
+use rekeymsg::{BlockSet, Layout, UkaAssignment};
 use wirecrypto::{KeyGen, SymKey};
 
 /// A random single-interval workload on a balanced tree.
@@ -41,55 +41,6 @@ fn build(
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
-
-    /// UKA: every user with needs appears in exactly one packet, that
-    /// packet contains all of its encryptions, and packet ranges strictly
-    /// increase.
-    #[test]
-    fn uka_guarantees((n, d, leavers, joins, seed) in workload()) {
-        let (tree, outcome) = build(n, d, &leavers, joins, seed);
-        let layout = Layout::DEFAULT;
-        let plans = assign::plan(&tree, &outcome, &layout).unwrap();
-
-        let mut seen_users = HashSet::new();
-        let mut last_to: Option<u32> = None;
-        for p in &plans {
-            prop_assert!(p.frm_id <= p.to_id);
-            if let Some(prev) = last_to {
-                prop_assert!(prev < p.frm_id, "ranges overlap");
-            }
-            last_to = Some(p.to_id);
-            prop_assert!(p.enc_indices.len() <= layout.encryptions_per_packet());
-            let have: HashSet<usize> = p.enc_indices.iter().copied().collect();
-            for u in p.users_iter(&tree) {
-                prop_assert!(seen_users.insert(u), "user {} twice", u);
-                for idx in outcome.encryptions_for_user(u, d) {
-                    prop_assert!(have.contains(&idx), "user {} missing enc {}", u, idx);
-                }
-            }
-        }
-        for uid in tree.user_ids() {
-            let needs = outcome.encryptions_for_user(uid, d);
-            prop_assert_eq!(seen_users.contains(&uid), !needs.is_empty());
-        }
-    }
-
-    /// Sealed assignment: every ENC packet survives an emit/parse wire
-    /// round-trip bit-exactly.
-    #[test]
-    fn enc_wire_round_trip((n, d, leavers, joins, seed) in workload()) {
-        let (tree, outcome) = build(n, d, &leavers, joins, seed);
-        let layout = Layout::DEFAULT;
-        let built = UkaAssignment::build(&tree, &outcome, seed % 1000, &layout).unwrap();
-        for pkt in &built.packets {
-            let bytes = pkt.emit();
-            prop_assert_eq!(bytes.len(), layout.enc_packet_len);
-            match Packet::parse(&bytes, &layout) {
-                Ok(Packet::Enc(parsed)) => prop_assert_eq!(&parsed, pkt),
-                other => prop_assert!(false, "parse failed: {:?}", other),
-            }
-        }
-    }
 
     /// Block partitioning: every packet appears exactly once as a
     /// non-duplicate, block sizes are exactly k, and FEC bodies of
@@ -170,32 +121,6 @@ proptest! {
             if let Some((lo, hi)) = est.range() {
                 prop_assert!(lo <= true_block && true_block <= hi,
                     "user {}: ({}, {}) excludes {}", uid, lo, hi, true_block);
-            }
-        }
-    }
-
-    /// USR packets for every member unseal to exactly the keys the tree
-    /// holds on that member's path.
-    #[test]
-    fn usr_packets_complete((n, d, leavers, joins, seed) in workload()) {
-        let (tree, outcome) = build(n, d, &leavers, joins, seed);
-        prop_assume!(!outcome.encryptions.is_empty());
-        let msg_seq = 77;
-        for m in tree.member_ids().into_iter().take(10) {
-            let usr = rekeymsg::build_usr_packet(&tree, &outcome, m, msg_seq)
-                .expect("live member");
-            let uid = tree.node_of_member(m).unwrap();
-            prop_assert_eq!(usr.new_user_id as u32, uid);
-            prop_assert_eq!(
-                usr.sealed.len(),
-                outcome.encryptions_for_user(uid, d).len()
-            );
-            // Wire round trip.
-            let layout = Layout::DEFAULT;
-            let bytes = Packet::Usr(usr.clone()).emit(&layout);
-            match Packet::parse(&bytes, &layout) {
-                Ok(Packet::Usr(q)) => prop_assert_eq!(q, usr),
-                other => prop_assert!(false, "usr parse failed: {:?}", other),
             }
         }
     }

@@ -1,80 +1,16 @@
-//! Bit-identity of the run-aggregated UKA planner against the user-by-user
-//! reference oracle (`rekeymsg::sanitize::reference_plan`): a proptest
-//! across random populations (n < 400), degrees, churn, layout capacities
-//! and compaction (relocation batches included), and deterministic cases
-//! at the sizes the proptest does not reach — the `server_scale` shape,
-//! N = 4096 at d = 2 and d = 8, and a join-heavy batch whose user zone
-//! spans two levels. Runs under `--features sanitize`, where the oracle is
-//! compiled into the crate.
-#![cfg(feature = "sanitize")]
+//! The marking oracle and the run-aggregated UKA planner's bit-identity
+//! with the user-by-user reference (`rekeymsg::sanitize::reference_plan`)
+//! at the sizes the small-world enumeration (`tests/small_worlds.rs` at the
+//! root) does not reach: the `server_scale` shape, N = 4096 at d = 2 and
+//! d = 8, and a join-heavy batch whose user zone spans two levels. Every
+//! outcome is also held to `keytree::sanitize::verify_marking`, Lemma 4.1
+//! and Theorem 4.2.
 
+use keytree::sanitize::verify_marking;
 use keytree::{ident, Batch, CompactionPolicy, KeyTree, MarkScratch, MemberId};
-use proptest::prelude::*;
 use rekeymsg::sanitize::{check_plan_identity, reference_plan};
 use rekeymsg::{assign, AssignError, Layout, PlanScratch};
 use wirecrypto::{KeyGen, SymKey};
-
-/// Random two-batch churn on a random tree: the second batch plans
-/// against a tree the first already churned (and possibly compacted),
-/// so outcomes include moves, relocations, and sparse user zones.
-fn workload() -> impl Strategy<Value = Work> {
-    (
-        (
-            4u32..400,
-            prop::sample::select(vec![2u32, 3, 4, 8]),
-            proptest::collection::vec(any::<u32>(), 0..60),
-            0u32..40,
-        ),
-        (
-            proptest::collection::vec(any::<u32>(), 0..60),
-            0u32..40,
-            any::<u64>(),
-            // Packet capacity in encryptions; small values force mid-run
-            // splits and (at depth > capacity) whole-path overflows.
-            prop::sample::select(vec![2usize, 3, 5, 8, 12, 46]),
-            any::<bool>(),
-        ),
-    )
-        .prop_map(
-            |((n, degree, l1, j1), (l2, j2, seed, capacity, compact))| Work {
-                n,
-                degree,
-                leaves1: l1,
-                joins1: j1,
-                leaves2: l2,
-                joins2: j2,
-                seed,
-                capacity,
-                compact,
-            },
-        )
-}
-
-#[derive(Debug, Clone)]
-struct Work {
-    n: u32,
-    degree: u32,
-    leaves1: Vec<u32>,
-    joins1: u32,
-    leaves2: Vec<u32>,
-    joins2: u32,
-    seed: u64,
-    capacity: usize,
-    compact: bool,
-}
-
-fn dedup_leavers(seeds: &[u32], members: &[MemberId]) -> Vec<MemberId> {
-    if members.is_empty() {
-        return Vec::new();
-    }
-    let mut leavers: Vec<MemberId> = seeds
-        .iter()
-        .map(|&s| members[s as usize % members.len()])
-        .collect();
-    leavers.sort_unstable();
-    leavers.dedup();
-    leavers
-}
 
 /// Plans one outcome both ways and requires identical packets — or the
 /// same capacity-overflow error naming the same first user. `warm` is a
@@ -102,47 +38,6 @@ fn check_one(
     }
     assert_eq!(assign::plan_in(tree, outcome, layout, warm), cold);
     assert_eq!(assign::plan_in(tree, outcome, layout, warm), cold);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn run_aggregated_plan_matches_reference(w in workload()) {
-        let mut kg = KeyGen::from_seed(w.seed);
-        let mut tree = KeyTree::balanced(w.n, w.degree, &mut kg);
-        let mut scratch = MarkScratch::new();
-        let layout = Layout::new(3 + 6 + 22 * w.capacity);
-        prop_assert_eq!(layout.encryptions_per_packet(), w.capacity);
-        // An aggressive policy on batch 1's mass leaves makes batch 2 a
-        // relocation batch (joiner-labeled moved users, shrunken tail).
-        let policy = if w.compact {
-            CompactionPolicy { max_moves_per_batch: 8 }
-        } else {
-            CompactionPolicy::DISABLED
-        };
-
-        let mut warm = PlanScratch::new();
-        let mut next_member = w.n;
-        for (leaf_seeds, joins) in [(&w.leaves1, w.joins1), (&w.leaves2, w.joins2)] {
-            let mut members = tree.member_ids();
-            members.sort_unstable();
-            let leavers = dedup_leavers(leaf_seeds, &members);
-            let join_list: Vec<(MemberId, SymKey)> = (0..joins)
-                .map(|_| {
-                    next_member += 1;
-                    (next_member, kg.next_key())
-                })
-                .collect();
-            let outcome = tree.process_batch_compacting_in(
-                Batch::new(join_list, leavers),
-                &mut kg,
-                &mut scratch,
-                &policy,
-            );
-            check_one(&tree, &outcome, &layout, &mut warm);
-        }
-    }
 }
 
 /// Runs `batches` of `(joins, leaves)` over a balanced tree of `n` members
@@ -179,16 +74,25 @@ fn churn_and_check(
             .map(|i| (next_member + i, kg.next_key()))
             .collect();
         next_member += joins;
-        let outcome = tree.process_batch_compacting_in(
-            Batch::new(join_list, leavers),
-            &mut kg,
-            &mut mark,
-            &policy,
-        );
+        let batch = Batch::new(join_list, leavers);
+        let before = tree.clone();
+        let outcome = tree.process_batch_compacting_in(batch.clone(), &mut kg, &mut mark, &policy);
+        verify_marking(&before, &tree, &batch, &outcome)
+            .unwrap_or_else(|e| panic!("marking diverged from its oracle: {e}"));
         let (maxk, maxu) = (
             tree.max_knode_id().unwrap(),
             tree.highest_unode_id().unwrap(),
         );
+        // Lemma 4.1: every k-node ID is below every u-node ID.
+        assert!(maxk < tree.user_ids_iter().min().unwrap(), "Lemma 4.1");
+        // Theorem 4.2: a member not relocated rederives its ID from maxKID.
+        for m in tree.member_ids_iter() {
+            let relocated = outcome.relocations.iter().any(|rl| rl.member == m);
+            if let (Some(old), false) = (before.node_of_member(m), relocated) {
+                let derived = ident::derive_current_id(old, maxk, degree);
+                assert_eq!(derived, tree.node_of_member(m), "Theorem 4.2, member {m}");
+            }
+        }
         two_level += usize::from(ident::level(maxk + 1, degree) != ident::level(maxu, degree));
         for layout in layouts {
             check_one(&tree, &outcome, layout, &mut warm);

@@ -66,8 +66,6 @@
 mod coder;
 /// Encoding operation-count model used by the figure experiments.
 pub mod cost;
-/// Deep encode→erase→decode self-checks (tests / `--features sanitize`).
-#[cfg(any(test, feature = "sanitize"))]
 pub mod sanitize;
 
 pub use coder::{BlockEncoder, DecodeCtx, Decoder, MissingRows, RseError, Share, MAX_SYMBOLS};

@@ -1,5 +1,5 @@
-//! Deep self-checks for the erasure coder (tests and the `sanitize`
-//! feature).
+//! Deep self-checks for the erasure coder, for the tests and the
+//! `sanitize` pass.
 //!
 //! [`verify_block_roundtrip`] takes the *actual* packet bodies of one FEC
 //! block and proves, by construction, that the code laid over them is

@@ -105,7 +105,7 @@ fn deliver<R: Receiver>(
                 &mut receivers,
                 &SimConfig::default(),
                 &mut scratch,
-                |slot| usr_packet(&server, members[slot]),
+                |node| usr_packet(&server, tree.member_at(node).unwrap()),
             );
             assert_eq!(stats.unserved, 0, "run did not converge");
 

@@ -156,19 +156,21 @@ stage "engine agreement (statistical gate over seeds, --release)"
 # N = 4096, so the three cases are ignored in debug builds and run here.
 cargo test --release -q -p bench --test engine_agreement
 
-stage "UKA plan identity (run-aggregated planner vs user-by-user oracle)"
-# Bit-identity of the run-aggregated planner against the sanitize-featured
-# reference walk: a proptest across random (N, d, churn, layout capacity,
-# compaction) including relocation batches and forced splits, plus
-# deterministic cases at the server_scale shape, N = 4096 at d = 2 and 8,
-# and a two-level user zone.
-cargo test -q -p rekeymsg --features sanitize --test plan_identity
-# Batch to packets in a release build: random batches of every shape (J < L,
-# J = L, J > L with splits, empty, every member leaving; compaction on and
-# off) marked and planned by the product path, each outcome held to the
-# marking oracle (keytree::sanitize::verify_marking) and each plan to the
-# reference plan.
-cargo test --release -q -p rekeymsg --features sanitize --test batch_oracles
+stage "small worlds: every batch on every small tree, --release"
+# tests/small_worlds.rs enumerates every batch (every leaver subset x 0..=3
+# joins x compaction off and on) on the balanced trees of 1..=8 members at
+# d = 2, 3, 4, 8, then again on every tree of at most six members the first
+# interval reaches, checking each at three packet capacities against the
+# marking oracle (keytree::sanitize::verify_marking), Lemma 4.1, Theorem 4.2,
+# the reference plan (rekeymsg::sanitize), the wire, every member's install
+# through a UserAgent by ENC and by USR, and snapshot/restore. Plain
+# `cargo test` runs the first interval in debug; the second is ignored there
+# and runs here.
+cargo test --release -q --test small_worlds -- --include-ignored
+# The marking oracle and the planner against the user-by-user reference at
+# the sizes the enumeration does not reach: the server_scale shape, N = 4096
+# at d = 2 and 8, and a two-level user zone.
+cargo test -q -p rekeymsg --test plan_identity
 # The ENC packet written once into its FEC body against the field-by-field
 # writer it replaced, a test-only reference: over random headers, entries
 # and layouts, emit, the body the encoder reads, Packet::parse and
